@@ -1,10 +1,9 @@
-//! The lock-sharded store core: [`StoreHandle`], a cheaply clonable
-//! `Send + Sync` handle over the erasure-coded store's shared state.
+//! The erasure-coded object store: [`StoreHandle`], a cheaply clonable
+//! `Send + Sync` handle over lock-sharded shared state.
 //!
-//! The single-threaded [`ErasureCodedStore`](crate::ErasureCodedStore) used
-//! to own every piece of store state directly; the serving path needs the
-//! same state shared across a worker pool without a single big lock. The
-//! interior is therefore sharded so independent requests never contend:
+//! One store serves both the worker pool and the single-owner simulation
+//! backend, so the interior is sharded and independent requests never
+//! contend on a single big lock:
 //!
 //! * **Per-node locks** — each [`StorageNode`] (chunk map + FIFO queue
 //!   clock) sits behind its own `RwLock`. Two gets that read disjoint nodes
@@ -30,17 +29,16 @@
 //! decode. That ordering (stripe → node → cache) is acyclic, so the
 //! structure cannot deadlock.
 //!
-//! Every method takes `&self`; service-time sampling takes the caller's RNG
-//! (`*_with_rng`) so the deterministic single-threaded wrapper keeps its
-//! historical draw order, while [`StoreHandle::get`] derives a per-request
-//! RNG from an atomic ticket for free-running concurrent callers.
+//! Every method takes `&self`; [`StoreHandle::get`] derives a per-request
+//! RNG from an atomic ticket, so service-time samples are deterministic per
+//! ticket and readers never share RNG state.
 
 use std::collections::{HashMap, HashSet};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, RwLock, RwLockReadGuard};
 
 use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+use rand::SeedableRng;
 use sprout_erasure::{Chunk, CodeParams, FunctionalCacheCodec, Kernel};
 
 use crate::cache::{Cache, CachePolicy, CacheStats};
@@ -54,7 +52,7 @@ use crate::store::{ClusterConfig, ReadOutcome};
 /// distribution spreads evenly.
 pub const META_STRIPES: usize = 16;
 
-/// Salt folded into per-request RNG derivation on the concurrent get path.
+/// Salt folded into the per-request RNG derivation of [`StoreHandle::get`].
 const REQUEST_RNG_SALT: u64 = 0x5EED_0DD5_EED0_0DD5;
 
 /// Metadata kept per stored object.
@@ -97,9 +95,7 @@ struct StoreShared {
 /// A cheaply clonable, `Send + Sync` handle to a lock-sharded
 /// erasure-coded store.
 ///
-/// Cloning bumps one `Arc`; all clones observe the same cluster. The
-/// single-threaded [`ErasureCodedStore`](crate::ErasureCodedStore) is a
-/// thin wrapper over this type that adds a private RNG.
+/// Cloning bumps one `Arc`; all clones observe the same cluster.
 #[derive(Debug, Clone)]
 pub struct StoreHandle {
     shared: Arc<StoreShared>,
@@ -478,30 +474,13 @@ impl StoreHandle {
         }
     }
 
-    /// Reads an object at virtual time `now` with a self-derived RNG stream.
-    ///
-    /// This is the concurrent serving entry point: each call draws a ticket
-    /// from an atomic counter and seeds an independent `StdRng` from it, so
-    /// parallel readers never share (or lock) RNG state. Latency samples are
-    /// therefore deterministic per *ticket*, not per wall-clock
-    /// interleaving. Single-threaded deterministic callers should use
-    /// [`get_with_rng`](Self::get_with_rng) (as the
-    /// [`ErasureCodedStore`](crate::ErasureCodedStore) wrapper does).
-    ///
-    /// # Errors
-    ///
-    /// See [`get_with_rng`](Self::get_with_rng).
-    pub fn get(&self, object: u64, now: f64) -> Result<ReadOutcome, ClusterError> {
-        let ticket = self.shared.ticket.fetch_add(1, Ordering::Relaxed);
-        let mut rng = StdRng::seed_from_u64(
-            self.shared.config.seed ^ REQUEST_RNG_SALT ^ ticket.wrapping_mul(0x9E37_79B9_7F4A_7C15),
-        );
-        self.get_with_rng(object, now, &mut rng)
-    }
-
     /// Reads an object at virtual time `now`, honouring the cache policy, and
     /// returns the reconstructed bytes together with the request latency.
-    /// Service times are sampled from `rng`.
+    ///
+    /// Each call draws a ticket from an atomic counter and seeds an
+    /// independent `StdRng` from it, so parallel readers never share (or
+    /// lock) RNG state. Latency samples are therefore deterministic per
+    /// *ticket*, not per wall-clock interleaving.
     ///
     /// # Errors
     ///
@@ -509,12 +488,11 @@ impl StoreHandle {
     /// * [`ClusterError::NotEnoughReplicas`] if node failures (or a racing
     ///   delete) leave fewer than `k` chunks reachable.
     /// * Propagated coding errors on reconstruction.
-    pub fn get_with_rng<R: Rng + ?Sized>(
-        &self,
-        object: u64,
-        now: f64,
-        rng: &mut R,
-    ) -> Result<ReadOutcome, ClusterError> {
+    pub fn get(&self, object: u64, now: f64) -> Result<ReadOutcome, ClusterError> {
+        let ticket = self.shared.ticket.fetch_add(1, Ordering::Relaxed);
+        let rng = &mut StdRng::seed_from_u64(
+            self.shared.config.seed ^ REQUEST_RNG_SALT ^ ticket.wrapping_mul(0x9E37_79B9_7F4A_7C15),
+        );
         let s = &*self.shared;
         let meta = self
             .meta_of(object)
@@ -532,7 +510,7 @@ impl StoreHandle {
         // Cache-resident LRU objects (or fully functional-cached objects) are
         // served without touching storage.
         if cached.len() >= k {
-            let cache_latency = self.cache_read_latency_with(&cached[..k], rng);
+            let cache_latency = self.cache_read_latency(&cached[..k], rng);
             let data = s.codec.decode(&cached, meta.len)?;
             return Ok(ReadOutcome {
                 data,
@@ -600,7 +578,7 @@ impl StoreHandle {
             }
         }
         let storage_latency = finish - now;
-        let cache_latency = self.cache_read_latency_with(&cached, rng);
+        let cache_latency = self.cache_read_latency(&cached, rng);
         let latency = storage_latency.max(cache_latency);
 
         // 4. Reconstruct and verify — no lock held.
@@ -660,13 +638,8 @@ impl StoreHandle {
         self.cache().clear();
     }
 
-    /// Fork-join maximum of per-chunk cache-device reads, sampled from the
-    /// caller's RNG.
-    pub(crate) fn cache_read_latency_with<R: Rng + ?Sized>(
-        &self,
-        chunks: &[Chunk],
-        rng: &mut R,
-    ) -> f64 {
+    /// Fork-join maximum of per-chunk cache-device reads.
+    fn cache_read_latency(&self, chunks: &[Chunk], rng: &mut StdRng) -> f64 {
         chunks
             .iter()
             .map(|c| {

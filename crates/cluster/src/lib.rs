@@ -20,9 +20,12 @@
 //!   simulation engine.
 //! * [`cache`] — cache tiers: functional (coded chunks), exact (copies of
 //!   stored chunks), LRU replicated (Ceph's cache-tier baseline), or none.
-//! * [`store`] — the erasure-coded object store itself: `put` splits,
-//!   encodes and places chunks; `get` schedules chunk reads (respecting the
-//!   cache), decodes, verifies and reports the request latency.
+//! * [`handle`] — the erasure-coded object store itself, [`StoreHandle`]
+//!   (`Send + Sync`, clones share one cluster): `put` splits, encodes and
+//!   places chunks; `get` schedules chunk reads (respecting the cache),
+//!   decodes, verifies and reports the request latency.
+//! * [`store`] — the store's [`ClusterConfig`] (plus builder) and the
+//!   [`ReadOutcome`] a `get` returns.
 //!
 //! Everything operates on real bytes with real Reed–Solomon coding, so data
 //! integrity through the cache/storage paths is tested end to end; latency
@@ -36,7 +39,7 @@
 //! # Example
 //!
 //! ```
-//! use sprout_cluster::{CachePolicy, ClusterConfig, ErasureCodedStore};
+//! use sprout_cluster::{CachePolicy, ClusterConfig, StoreHandle};
 //!
 //! let config = ClusterConfig::builder()
 //!     .nodes(6)
@@ -45,7 +48,7 @@
 //!     .cache_capacity_bytes(64 * 1024)
 //!     .seed(7)
 //!     .build();
-//! let mut store = ErasureCodedStore::new(config)?;
+//! let store = StoreHandle::new(config)?;
 //! let data = vec![42u8; 10_000];
 //! store.put(1, &data)?;
 //! store.set_cached_chunks(1, 2)?;
@@ -74,7 +77,7 @@ pub use handle::StoreHandle;
 pub use placement::{
     ClusterView, ObjectDesc, Placement, PlacementChoice, PlacementMap, RebalanceReport,
 };
-pub use store::{ClusterConfig, ClusterConfigBuilder, ErasureCodedStore, ReadOutcome};
+pub use store::{ClusterConfig, ClusterConfigBuilder, ReadOutcome};
 pub use tier::{Admission, CacheTier, LruTier, TierStats};
 // Re-exported so store configurers can pick a coding kernel / striping
 // without a direct `sprout-erasure` dependency.

@@ -28,12 +28,7 @@ impl PlacementMap {
     /// # Panics
     ///
     /// Panics if `num_nodes == 0`.
-    #[deprecated(
-        note = "construct a placement strategy via PlacementChoice::RandomGroups \
-                (or strategies::RandomGroups) instead of the raw map"
-    )]
     pub fn new(num_nodes: usize, seed: u64) -> Self {
-        #[allow(deprecated)]
         Self::with_groups(num_nodes, num_nodes * DEFAULT_PGS_PER_NODE, seed)
     }
 
@@ -42,10 +37,6 @@ impl PlacementMap {
     /// # Panics
     ///
     /// Panics if `num_nodes == 0` or `num_groups == 0`.
-    #[deprecated(
-        note = "construct a placement strategy via PlacementChoice::RandomGroups \
-                (or strategies::RandomGroups) instead of the raw map"
-    )]
     pub fn with_groups(num_nodes: usize, num_groups: usize, seed: u64) -> Self {
         assert!(num_nodes > 0, "need at least one node");
         assert!(num_groups > 0, "need at least one placement group");
@@ -117,10 +108,6 @@ pub(crate) fn splitmix64(mut x: u64) -> u64 {
 
 #[cfg(test)]
 mod tests {
-    // The legacy constructors stay under test even though new code goes
-    // through the strategy API.
-    #![allow(deprecated)]
-
     use super::*;
     use std::collections::HashSet;
 

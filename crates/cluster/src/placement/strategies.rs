@@ -62,7 +62,6 @@ impl RandomGroups {
     ///
     /// Panics if `num_nodes == 0` or `groups == Some(0)`.
     pub fn new(num_nodes: usize, groups: Option<usize>, seed: u64) -> Self {
-        #[allow(deprecated)]
         let map = match groups {
             Some(g) => PlacementMap::with_groups(num_nodes, g, seed),
             None => PlacementMap::new(num_nodes, seed),

@@ -27,7 +27,6 @@ fn zoo() -> Vec<PlacementChoice> {
 fn random_groups_reproduces_the_legacy_placement_map_bit_for_bit() {
     let view = ClusterView::all_online(NUM_NODES);
     for seed in [0u64, 1, 42, 2016] {
-        #[allow(deprecated)]
         let legacy = PlacementMap::new(NUM_NODES, seed);
         let strategy = PlacementChoice::RandomGroups { groups: None }.build(NUM_NODES, seed);
         for n in [4usize, 7] {
@@ -45,7 +44,6 @@ fn random_groups_reproduces_the_legacy_placement_map_bit_for_bit() {
 #[test]
 fn random_groups_reproduces_explicit_group_counts_too() {
     let view = ClusterView::all_online(NUM_NODES);
-    #[allow(deprecated)]
     let legacy = PlacementMap::with_groups(NUM_NODES, 256, 7);
     let strategy = PlacementChoice::RandomGroups { groups: Some(256) }.build(NUM_NODES, 7);
     let direct = RandomGroups::new(NUM_NODES, Some(256), 7);

@@ -1,5 +1,5 @@
 //! The byte-accurate simulation backend: the event loop of `sprout_sim`
-//! driving the real [`ErasureCodedStore`].
+//! driving the real store ([`StoreHandle`]).
 //!
 //! The analytic backend treats chunks as abstract tokens; [`StoreBackend`]
 //! stores every object's actual coded bytes on the cluster substrate,
@@ -24,7 +24,7 @@
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use sprout_cluster::{CachePolicy, ClusterConfig, DeviceModel, ErasureCodedStore, Kernel};
+use sprout_cluster::{CachePolicy, ClusterConfig, Kernel, StoreHandle};
 use sprout_erasure::Chunk;
 use sprout_queueing::dist::ServiceDistribution;
 use sprout_sim::{CacheScheme, ChunkBackend, FinishedRequest};
@@ -33,26 +33,16 @@ use sprout_sim::{CacheScheme, ChunkBackend, FinishedRequest};
 /// (abstract-model specs that never touched bytes before).
 pub const DEFAULT_OBJECT_BYTES: u64 = 4096;
 
-/// How the backend prices a storage chunk read.
-#[derive(Debug, Clone)]
-enum ServiceModel {
-    /// Per-node service-time distributions shared with the analytic backend
-    /// (keeps the differential comparison tight).
-    Shared(Vec<ServiceDistribution>),
-    /// Per-node device models sampled at each file's *actual* chunk size, so
-    /// object-size heterogeneity shows up in latency (Fig. 10's regime).
-    SizeDependent(Vec<DeviceModel>),
-}
-
 /// A [`ChunkBackend`] over the in-memory erasure-coded object store.
 #[derive(Debug)]
 pub struct StoreBackend {
-    store: ErasureCodedStore,
-    service: ServiceModel,
+    store: StoreHandle,
+    /// Per-node service-time distributions shared with the analytic backend
+    /// (keeps the differential comparison tight).
+    service: Vec<ServiceDistribution>,
     rng: StdRng,
     originals: Vec<Vec<u8>>,
-    /// Per-file data-chunk length in bytes (drives the SSD cache-read model
-    /// and the size-dependent service mode).
+    /// Per-file data-chunk length in bytes (drives the SSD cache-read model).
     chunk_lens: Vec<u64>,
     verified: u64,
     failed: u64,
@@ -69,7 +59,7 @@ impl StoreBackend {
     /// `originals[file]` is the payload written for file `file` (object id
     /// `file as u64`), kept for reconstruction verification.
     pub fn new(
-        store: ErasureCodedStore,
+        store: StoreHandle,
         dists: Vec<ServiceDistribution>,
         originals: Vec<Vec<u8>>,
         seed: u64,
@@ -86,7 +76,7 @@ impl StoreBackend {
             .collect();
         StoreBackend {
             store,
-            service: ServiceModel::Shared(dists),
+            service: dists,
             rng: StdRng::seed_from_u64(seed ^ 0x570B_ACE0),
             originals,
             chunk_lens,
@@ -99,26 +89,8 @@ impl StoreBackend {
         }
     }
 
-    /// Opt-in size-dependent service: chunk reads are priced by sampling each
-    /// node's [`DeviceModel`] at the file's *actual* chunk byte length
-    /// instead of the shared per-node distributions, so object-size
-    /// heterogeneity shows up in simulated latency.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `devices` does not list one model per storage node.
-    pub fn with_size_dependent_service(mut self, devices: Vec<DeviceModel>) -> Self {
-        assert_eq!(
-            devices.len(),
-            self.store.config().num_nodes,
-            "one device model per storage node"
-        );
-        self.service = ServiceModel::SizeDependent(devices);
-        self
-    }
-
     /// The underlying store (cache statistics, node contents, ...).
-    pub fn store(&self) -> &ErasureCodedStore {
+    pub fn store(&self) -> &StoreHandle {
         &self.store
     }
 
@@ -197,16 +169,8 @@ impl ChunkBackend for StoreBackend {
         self.store.set_node_online(node, online);
     }
 
-    fn sample_service(&mut self, node: usize, file: usize) -> f64 {
-        match &self.service {
-            ServiceModel::Shared(dists) => dists[node].sample(&mut self.rng),
-            ServiceModel::SizeDependent(devices) => {
-                let bytes = self.chunk_lens.get(file).copied().unwrap_or(0);
-                devices[node]
-                    .service_distribution(bytes)
-                    .sample(&mut self.rng)
-            }
-        }
+    fn sample_service(&mut self, node: usize, _file: usize) -> f64 {
+        self.service[node].sample(&mut self.rng)
     }
 
     fn sample_cache_read(&mut self, file: usize, chunks: usize) -> Option<f64> {
@@ -323,8 +287,8 @@ pub fn populate_store(
     placements: &[Vec<usize>],
     payloads: &[Vec<u8>],
     plan_counts: Option<&[usize]>,
-) -> Result<ErasureCodedStore, sprout_cluster::ClusterError> {
-    let mut store = ErasureCodedStore::new(config)?;
+) -> Result<StoreHandle, sprout_cluster::ClusterError> {
+    let store = StoreHandle::new(config)?;
     for (file, (placement, payload)) in placements.iter().zip(payloads).enumerate() {
         store.put_with_placement(file as u64, payload, placement.clone())?;
     }
@@ -368,22 +332,6 @@ mod tests {
         system
             .byte_backend(CachePolicyChoice::NoCache, None, 5)
             .unwrap()
-    }
-
-    #[test]
-    fn size_dependent_service_prices_reads_by_actual_chunk_bytes() {
-        let devices = vec![DeviceModel::hdd(); 4];
-        let mut small = byte_backend_for(64 * 1024).with_size_dependent_service(devices.clone());
-        let mut large = byte_backend_for(16 * 1024 * 1024).with_size_dependent_service(devices);
-        let mean =
-            |b: &mut StoreBackend| (0..200).map(|_| b.sample_service(0, 0)).sum::<f64>() / 200.0;
-        let s = mean(&mut small);
-        let l = mean(&mut large);
-        assert!(s > 0.0);
-        assert!(
-            l > s * 10.0,
-            "8 MiB chunks must read much slower than 32 KiB chunks ({l} vs {s})"
-        );
     }
 
     #[test]

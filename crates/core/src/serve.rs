@@ -13,10 +13,10 @@
 //! * a fixed pool of **worker threads**, each pulling requests, executing
 //!   chunk reads + striped decode on the shared [`StoreHandle`], and
 //!   verifying every reconstruction against the object's recorded checksum;
-//! * an **epoch plan cell** — an `ArcSwap`-style pointer hand-rolled as
-//!   `Mutex<Arc<ServePlan>>` plus an `AtomicU64` epoch, so a live
-//!   reoptimization ([`Sproutd::swap_plan`]) installs new cache contents
-//!   and becomes visible to in-flight traffic without stopping the pool;
+//! * a **plan epoch** — an `AtomicU64` that a live reoptimization
+//!   ([`Sproutd::swap_plan`]) bumps after installing new cache contents, so
+//!   every request records which plan generation served it without stopping
+//!   the pool;
 //! * **per-worker latency histograms** — each worker owns its
 //!   [`LatencyHistogram`] (no shared state on the hot path) and the
 //!   front-end merges them at shutdown into p50/p99/p999.
@@ -95,47 +95,6 @@ impl ServePlan {
             cached_chunks: plan.cached_chunks.clone(),
             label: label.into(),
         }
-    }
-
-    /// An empty plan (nothing cached).
-    pub fn empty(num_objects: usize) -> Self {
-        ServePlan {
-            cached_chunks: vec![0; num_objects],
-            label: "empty".into(),
-        }
-    }
-}
-
-/// The hand-rolled `ArcSwap`: readers pay one short mutex lock to clone the
-/// `Arc`; the epoch is an atomic so the per-request hot path (which only
-/// needs "which plan generation served me") never touches the lock.
-#[derive(Debug)]
-struct PlanCell {
-    current: Mutex<Arc<ServePlan>>,
-    epoch: AtomicU64,
-}
-
-impl PlanCell {
-    fn new(plan: ServePlan) -> Self {
-        PlanCell {
-            current: Mutex::new(Arc::new(plan)),
-            epoch: AtomicU64::new(0),
-        }
-    }
-
-    fn epoch(&self) -> u64 {
-        self.epoch.load(Ordering::Acquire)
-    }
-
-    fn load(&self) -> Arc<ServePlan> {
-        Arc::clone(&self.current.lock().expect("plan cell poisoned"))
-    }
-
-    /// Installs `plan` and returns the new epoch.
-    fn swap(&self, plan: ServePlan) -> u64 {
-        let mut slot = self.current.lock().expect("plan cell poisoned");
-        *slot = Arc::new(plan);
-        self.epoch.fetch_add(1, Ordering::AcqRel) + 1
     }
 }
 
@@ -354,7 +313,8 @@ struct WorkerReport {
 struct ServeShared {
     store: StoreHandle,
     queue: SharedQueue,
-    plan: PlanCell,
+    /// Plan generation: 0 until the first [`Sproutd::swap_plan`].
+    plan_epoch: AtomicU64,
     checksums: Mutex<HashMap<u64, u64>>,
     started: Instant,
     in_flight: AtomicU64,
@@ -376,7 +336,7 @@ fn worker_loop(shared: Arc<ServeShared>) -> WorkerReport {
     };
     while let Some(job) = shared.queue.pop() {
         shared.in_flight.fetch_add(1, Ordering::AcqRel);
-        let epoch = shared.plan.epoch();
+        let epoch = shared.plan_epoch.load(Ordering::Acquire);
         report.min_epoch = report.min_epoch.min(epoch);
         report.max_epoch = report.max_epoch.max(epoch);
         // Virtual "now" for the store's FIFO/device models tracks real
@@ -483,7 +443,7 @@ impl Sproutd {
         let shared = Arc::new(ServeShared {
             store,
             queue: SharedQueue::new(opts.queue_depth.max(1)),
-            plan: PlanCell::new(ServePlan::empty(0)),
+            plan_epoch: AtomicU64::new(0),
             checksums: Mutex::new(HashMap::new()),
             started: Instant::now(),
             in_flight: AtomicU64::new(0),
@@ -565,8 +525,8 @@ impl Sproutd {
     }
 
     /// Installs a new cache plan while traffic flows: applies the plan's
-    /// cached-chunk counts to the store's cache tier, then publishes the
-    /// plan at a new epoch. Objects the plan names that do not exist (yet)
+    /// cached-chunk counts to the store's cache tier, then publishes a new
+    /// epoch. Objects the plan names that do not exist (yet)
     /// are skipped. Returns the new epoch.
     ///
     /// # Errors
@@ -581,22 +541,12 @@ impl Sproutd {
                 Err(other) => return Err(other),
             }
         }
-        let epoch = self.shared.plan.swap(plan);
+        let epoch = self.shared.plan_epoch.fetch_add(1, Ordering::AcqRel) + 1;
         self.shared.plan_swaps.fetch_add(1, Ordering::Relaxed);
         if under_load {
             self.shared.swaps_under_load.fetch_add(1, Ordering::Relaxed);
         }
         Ok(epoch)
-    }
-
-    /// The currently published plan.
-    pub fn current_plan(&self) -> Arc<ServePlan> {
-        self.shared.plan.load()
-    }
-
-    /// The current plan epoch (0 until the first swap).
-    pub fn plan_epoch(&self) -> u64 {
-        self.shared.plan.epoch()
     }
 
     /// Requests currently queued (excludes in-flight execution).
@@ -757,7 +707,10 @@ mod tests {
     #[test]
     fn puts_through_the_daemon_record_checksums() {
         let store = handle(CachePolicy::None);
-        let daemon = Sproutd::start(store, ServeOpts::default().workers(2));
+        // One worker drains the queue in FIFO order, so every get runs after
+        // its put; with two, a get can overtake its own in-flight put and
+        // (correctly) fail with `UnknownObject`.
+        let daemon = Sproutd::start(store, ServeOpts::default().workers(1));
         for object in 0..6u64 {
             let data = synthetic_payload(object as usize, 8_000, 9);
             assert!(daemon.submit_put(object, data));

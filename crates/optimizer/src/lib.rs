@@ -63,8 +63,6 @@ pub mod projection;
 pub mod solution;
 
 pub use algorithm1::Optimizer;
-#[allow(deprecated)]
-pub use algorithm1::{optimize, optimize_from};
 pub use config::{OptimizerConfig, RoundingStrategy};
 pub use error::OptimizerError;
 pub use model::{FileModel, StorageModel};

@@ -116,8 +116,8 @@ fn splitmix64(mut x: u64) -> u64 {
     x ^ (x >> 31)
 }
 
-/// The seed of replication `r` derived from a base seed — what
-/// [`Simulation::run_replications`] gives each replication.
+/// The seed of replication `r` derived from a base seed — what the
+/// [`sweep`](crate::sweep) runner gives each replication of a cell.
 pub fn replication_seed(base: u64, replication: usize) -> u64 {
     splitmix64(base ^ (replication as u64).wrapping_mul(0xD6E8_FEB8_6659_FD93))
 }

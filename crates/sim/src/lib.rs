@@ -47,7 +47,7 @@ pub use engine::{replication_seed, SimFile, SimReport, Simulation};
 pub use invariants::{check_report, check_shard_identity, EngineBounds, InvariantViolation};
 pub use metrics::{LatencySummary, SlotCounts};
 pub use policy::CacheScheme;
-pub use replicate::{run_replications, MeanCi, ReplicationSummary};
+pub use replicate::MeanCi;
 pub use scenario::{Scenario, ScenarioAction, ScenarioEvent};
 pub use shard::{ShardPlan, ShardedEngine};
 pub use sweep::{

@@ -1,21 +1,12 @@
-//! Parallel replication runs with mean / confidence-interval aggregation.
+//! Mean / confidence-interval aggregation over replications.
 //!
 //! A single simulation run is one sample path; the paper's figures (and any
-//! serious latency claim) need several independent replications. The runner
-//! executes `R` seeded replications across `std::thread` workers and folds
-//! the per-replication [`SimReport`]s into [`MeanCi`] summaries.
-//!
-//! Determinism: replication `r` always uses
-//! [`replication_seed`]`(base, r)` and results are aggregated in replication
-//! order, so the summary is **bit-identical for any worker count** — the
-//! thread pool only changes wall-clock time, never the numbers.
-
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
+//! serious latency claim) need several independent replications. The
+//! [`sweep`](crate::sweep) runner executes them (replication `r` seeded with
+//! [`replication_seed`](crate::engine::replication_seed)`(base, r)`) and
+//! folds the replication-level values into [`MeanCi`] summaries.
 
 use serde::{Deserialize, Serialize};
-
-use crate::engine::{replication_seed, SimReport, Simulation};
 
 /// Two-sided 97.5 % Student-t quantiles for `df = 1..=30`; beyond 30 the
 /// normal quantile 1.96 is close enough. Replication counts are small (4–16
@@ -91,93 +82,10 @@ impl MeanCi {
     }
 }
 
-/// Aggregated outcome of `R` replications.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct ReplicationSummary {
-    /// Mean request latency across replications.
-    pub mean_latency: MeanCi,
-    /// 95th-percentile latency across replications.
-    pub p95_latency: MeanCi,
-    /// Completed requests summed over replications.
-    pub completed_requests: u64,
-    /// Failed (unservable) requests summed over replications.
-    pub failed_requests: u64,
-    /// Backend reconstruction failures summed over replications.
-    pub reconstruction_failures: u64,
-    /// The per-replication reports, in replication order.
-    pub reports: Vec<SimReport>,
-}
-
-impl ReplicationSummary {
-    /// Folds per-replication reports (in replication order).
-    pub fn from_reports(reports: Vec<SimReport>) -> Self {
-        let means: Vec<f64> = reports.iter().map(|r| r.overall.mean).collect();
-        let p95s: Vec<f64> = reports.iter().map(|r| r.overall.p95).collect();
-        ReplicationSummary {
-            mean_latency: MeanCi::from_values(&means),
-            p95_latency: MeanCi::from_values(&p95s),
-            completed_requests: reports.iter().map(|r| r.completed_requests).sum(),
-            failed_requests: reports.iter().map(|r| r.failed_requests).sum(),
-            reconstruction_failures: reports.iter().map(|r| r.reconstruction_failures).sum(),
-            reports,
-        }
-    }
-}
-
-/// Runs `replications` independent runs across up to `threads` OS threads.
-///
-/// `run(r)` must produce replication `r`'s report; it is called at most once
-/// per index, from worker threads. Workers pull indices from a shared
-/// counter, so an expensive replication does not stall the others; results
-/// land in an index-addressed slot table, so aggregation order (and thus the
-/// summary) is independent of scheduling.
-pub fn run_replications<F>(replications: usize, threads: usize, run: F) -> ReplicationSummary
-where
-    F: Fn(usize) -> SimReport + Sync,
-{
-    let workers = threads.max(1).min(replications.max(1));
-    let next = AtomicUsize::new(0);
-    let slots: Vec<Mutex<Option<SimReport>>> =
-        (0..replications).map(|_| Mutex::new(None)).collect();
-    std::thread::scope(|scope| {
-        for _ in 0..workers {
-            scope.spawn(|| loop {
-                let r = next.fetch_add(1, Ordering::Relaxed);
-                if r >= replications {
-                    break;
-                }
-                let report = run(r);
-                *slots[r].lock().expect("no panics while holding the slot") = Some(report);
-            });
-        }
-    });
-    let reports: Vec<SimReport> = slots
-        .into_iter()
-        .map(|slot| {
-            slot.into_inner()
-                .expect("worker did not panic")
-                .expect("every replication index was claimed")
-        })
-        .collect();
-    ReplicationSummary::from_reports(reports)
-}
-
-impl Simulation {
-    /// Runs `replications` seeded replications of this simulation across
-    /// `threads` workers on the analytic backend. Replication `r` runs with
-    /// [`replication_seed`]`(seed, r)`; the summary is identical for any
-    /// thread count.
-    pub fn run_replications(&self, replications: usize, threads: usize) -> ReplicationSummary {
-        let base = self.config().seed;
-        run_replications(replications, threads, |r| {
-            self.clone().with_seed(replication_seed(base, r)).run()
-        })
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::engine::replication_seed;
 
     #[test]
     fn mean_ci_of_known_values() {
@@ -214,42 +122,5 @@ mod tests {
         assert_ne!(a, b);
         assert_eq!(a, replication_seed(7, 0));
         assert_ne!(replication_seed(8, 0), a);
-    }
-
-    #[test]
-    fn runner_visits_every_index_exactly_once() {
-        use std::sync::atomic::AtomicU64;
-        let calls = AtomicU64::new(0);
-        let summary = run_replications(9, 4, |r| {
-            calls.fetch_add(1, Ordering::Relaxed);
-            let mut report = dummy_report();
-            report.completed_requests = r as u64;
-            report
-        });
-        assert_eq!(calls.load(Ordering::Relaxed), 9);
-        assert_eq!(summary.reports.len(), 9);
-        for (r, report) in summary.reports.iter().enumerate() {
-            assert_eq!(report.completed_requests, r as u64);
-        }
-        assert_eq!(summary.completed_requests, (0..9).sum::<u64>());
-    }
-
-    fn dummy_report() -> SimReport {
-        SimReport {
-            overall: crate::metrics::LatencySummary::from_samples(&[1.0]),
-            per_file: vec![],
-            node_utilization: vec![],
-            slots: crate::metrics::SlotCounts::new(1.0, 1.0),
-            full_cache_hits: 0,
-            completed_requests: 0,
-            node_chunks_served: vec![],
-            failed_requests: 0,
-            reconstruction_failures: 0,
-            peak_event_queue: 0,
-            peak_in_flight: 0,
-            logical_shards: 1,
-            cache_promotions: 0,
-            cache_evictions: 0,
-        }
     }
 }

@@ -136,27 +136,3 @@ fn many_file_sharded_run_bounds_per_shard_heap_and_matches_unsharded() {
         );
     }
 }
-
-/// The replication runner's summary must not depend on how many worker
-/// threads executed it — replication r always gets the same derived seed and
-/// aggregation happens in replication order.
-#[test]
-fn replication_summary_is_identical_across_thread_counts() {
-    let sim = Simulation::new(
-        nodes(4, 0.6),
-        files(4, 0.05, 2, 4),
-        CacheScheme::NoCache,
-        SimConfig::new(8_000.0, 99),
-    );
-    let serial = sim.run_replications(6, 1);
-    let parallel = sim.run_replications(6, 4);
-    let oversubscribed = sim.run_replications(6, 16);
-    assert_eq!(serial, parallel, "1 vs 4 threads");
-    assert_eq!(serial, oversubscribed, "1 vs 16 threads");
-    assert_eq!(serial.mean_latency.replications, 6);
-    assert!(serial.mean_latency.mean > 0.0);
-    assert!(serial.mean_latency.ci95 >= 0.0);
-    // Replications are genuinely different sample paths.
-    let first = &serial.reports[0];
-    assert!(serial.reports[1..].iter().any(|r| r != first));
-}

@@ -4,7 +4,7 @@
 //! storage nodes serve the rest) are made by the engine from its own
 //! planning RNG; backends only supply service times and bytes. Two runs with
 //! the same seed — one on the analytic backend, one driving the real
-//! `ErasureCodedStore` — must therefore make **identical** decisions, while
+//! `StoreHandle` — must therefore make **identical** decisions, while
 //! the byte-accurate run additionally decodes and verifies every request's
 //! actual coded bytes.
 //!

@@ -4,6 +4,9 @@
 //! test. If a re-export disappears or a layer crate is unplugged from the
 //! workspace, this file stops compiling.
 
+use std::collections::HashSet;
+use std::path::{Path, PathBuf};
+
 use sprout::{CachePolicyChoice, SproutSystem, SystemSpec, TimeBinManager};
 
 /// The spec builder, optimizer and simulator are reachable through the
@@ -79,4 +82,104 @@ fn facade_time_bin_manager_runs() {
     let manager = TimeBinManager::new(system, sprout::optimizer::OptimizerConfig::default());
     let outcomes = manager.run(&schedule).expect("all bins optimize");
     assert_eq!(outcomes.len(), 2, "one outcome per time bin");
+}
+
+/// Collects every `.rs` file under `dir`, recursively.
+fn rust_files(dir: &Path, out: &mut Vec<PathBuf>) {
+    for entry in std::fs::read_dir(dir).expect("source directory is readable") {
+        let path = entry.expect("directory entry is readable").path();
+        if path.is_dir() {
+            rust_files(&path, out);
+        } else if path.extension().is_some_and(|e| e == "rs") {
+            out.push(path);
+        }
+    }
+}
+
+/// Marks `file` and every file its `mod name;` declarations lead to.
+fn mark_reachable(file: &Path, seen: &mut HashSet<PathBuf>) {
+    if !seen.insert(file.to_path_buf()) {
+        return;
+    }
+    let dir = file.parent().expect("source files have a parent");
+    let stem = file
+        .file_stem()
+        .and_then(|s| s.to_str())
+        .expect("utf-8 name");
+    // `lib.rs`, `main.rs` and `mod.rs` own their directory; `foo.rs` owns `foo/`.
+    let children = match stem {
+        "lib" | "main" | "mod" => dir.to_path_buf(),
+        _ => dir.join(stem),
+    };
+    let source = std::fs::read_to_string(file).expect("source file is readable");
+    for line in source.lines() {
+        let decl = line.trim();
+        let decl = decl.strip_prefix("pub(crate) ").unwrap_or(decl);
+        let decl = decl.strip_prefix("pub ").unwrap_or(decl);
+        let Some(name) = decl
+            .strip_prefix("mod ")
+            .and_then(|rest| rest.strip_suffix(';'))
+        else {
+            continue;
+        };
+        for candidate in [
+            children.join(format!("{name}.rs")),
+            children.join(name).join("mod.rs"),
+        ] {
+            if candidate.is_file() {
+                mark_reachable(&candidate, seen);
+            }
+        }
+    }
+}
+
+/// Every source file of every crate is part of its crate's module tree: a
+/// file no `mod` declaration reaches is never compiled, so it rots silently.
+#[test]
+fn every_crate_source_file_is_in_the_module_tree() {
+    let crates = Path::new(env!("CARGO_MANIFEST_DIR"))
+        .parent()
+        .expect("crates/core has a parent");
+    let mut orphans = Vec::new();
+    let mut checked = 0;
+    for entry in std::fs::read_dir(crates).expect("crates/ is readable") {
+        let src = entry
+            .expect("directory entry is readable")
+            .path()
+            .join("src");
+        if !src.is_dir() {
+            continue;
+        }
+        let mut seen = HashSet::new();
+        for root in ["lib.rs", "main.rs"] {
+            if src.join(root).is_file() {
+                mark_reachable(&src.join(root), &mut seen);
+            }
+        }
+        if src.join("bin").is_dir() {
+            for bin in std::fs::read_dir(src.join("bin")).expect("src/bin is readable") {
+                let bin = bin.expect("directory entry is readable").path();
+                let root = if bin.is_dir() {
+                    bin.join("main.rs")
+                } else {
+                    bin
+                };
+                if root.is_file() {
+                    mark_reachable(&root, &mut seen);
+                }
+            }
+        }
+        let mut files = Vec::new();
+        rust_files(&src, &mut files);
+        checked += files.len();
+        orphans.extend(files.into_iter().filter(|f| !seen.contains(f)));
+    }
+    assert!(
+        checked > 50,
+        "walked only {checked} files: wrong directory?"
+    );
+    assert!(
+        orphans.is_empty(),
+        "source files no `mod` declaration reaches (never compiled): {orphans:?}"
+    );
 }
