@@ -37,6 +37,15 @@ impl fmt::Display for OptimizerError {
 
 impl std::error::Error for OptimizerError {}
 
+impl From<sprout_queueing::stability::StabilityError> for OptimizerError {
+    fn from(e: sprout_queueing::stability::StabilityError) -> Self {
+        OptimizerError::UnstableSystem {
+            node: e.node,
+            utilization: e.utilization,
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

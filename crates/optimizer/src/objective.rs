@@ -32,14 +32,63 @@ pub struct ObjectiveBreakdown {
     pub node_delays: Vec<QueueDelayMoments>,
 }
 
-/// Computes the per-node chunk arrival rates `Λ_j = Σ_i λ_i π_{i,j}`.
-pub fn node_arrival_rates(model: &StorageModel, pi: &[Vec<f64>]) -> Vec<f64> {
-    let mut rates = vec![0.0; model.num_nodes()];
-    for (file, row) in model.files().iter().zip(pi) {
-        for &j in &file.placement {
-            rates[j] += file.arrival_rate * row[j];
+/// Per-node chunk arrival rates `Λ_j` and queue-delay moments at one
+/// scheduling point. Every quantity of the objective and of its gradient
+/// depends on `π` through these, so a point that was evaluated keeps them for
+/// the gradient taken there next.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct NodeState {
+    pub(crate) rates: Vec<f64>,
+    pub(crate) delays: Vec<QueueDelayMoments>,
+}
+
+impl NodeState {
+    /// Recomputes the state at restricted scheduling probabilities `pi` (see
+    /// [`StorageModel::restrict`]), reusing the buffers.
+    pub(crate) fn update(
+        &mut self,
+        model: &StorageModel,
+        pi: &[f64],
+    ) -> Result<(), StabilityError> {
+        arrival_rates_into(model, pi, &mut self.rates);
+        delay_moments_into(model, &self.rates, &mut self.delays)
+    }
+
+    fn at(model: &StorageModel, dense: &[Vec<f64>]) -> Result<(Vec<f64>, Self), StabilityError> {
+        let pi = model.restrict(dense);
+        let mut state = NodeState::default();
+        state.update(model, &pi)?;
+        Ok((pi, state))
+    }
+}
+
+fn arrival_rates_into(model: &StorageModel, pi: &[f64], rates: &mut Vec<f64>) {
+    rates.clear();
+    rates.resize(model.num_nodes(), 0.0);
+    for (file, row) in model.rows(pi) {
+        for (&j, &p) in file.placement.iter().zip(row) {
+            rates[j] += file.arrival_rate * p;
         }
     }
+}
+
+fn delay_moments_into(
+    model: &StorageModel,
+    node_rates: &[f64],
+    delays: &mut Vec<QueueDelayMoments>,
+) -> Result<(), StabilityError> {
+    delays.clear();
+    for (j, (&lambda, service)) in node_rates.iter().zip(model.nodes()).enumerate() {
+        let moments = queue_delay_moments(lambda, service);
+        delays.push(moments.map_err(|e| StabilityError { node: j, ..e })?);
+    }
+    Ok(())
+}
+
+/// Computes the per-node chunk arrival rates `Λ_j = Σ_i λ_i π_{i,j}`.
+pub fn node_arrival_rates(model: &StorageModel, pi: &[Vec<f64>]) -> Vec<f64> {
+    let mut rates = Vec::new();
+    arrival_rates_into(model, &model.restrict(pi), &mut rates);
     rates
 }
 
@@ -53,14 +102,52 @@ pub fn node_delay_moments(
     model: &StorageModel,
     node_rates: &[f64],
 ) -> Result<Vec<QueueDelayMoments>, StabilityError> {
-    node_rates
-        .iter()
-        .zip(model.nodes())
-        .enumerate()
-        .map(|(j, (&lambda, service))| {
-            queue_delay_moments(lambda, service).map_err(|e| StabilityError { node: j, ..e })
-        })
-        .collect()
+    let mut delays = Vec::new();
+    delay_moments_into(model, node_rates, &mut delays)?;
+    Ok(delays)
+}
+
+/// The per-file Lemma 1 bounds `U_i` at restricted `pi` and `z`, given the
+/// queue-delay moments `pi` produces.
+fn file_bounds<'a>(
+    model: &'a StorageModel,
+    pi: &'a [f64],
+    z: &'a [f64],
+    delays: &'a [QueueDelayMoments],
+) -> impl Iterator<Item = f64> + 'a {
+    model.rows(pi).zip(z).map(move |((file, row), &z_i)| {
+        let mut u_i = z_i;
+        for (&j, &p) in file.placement.iter().zip(row) {
+            if p <= 0.0 {
+                continue;
+            }
+            let x = delays[j].mean - z_i;
+            u_i += p / 2.0 * (x + (x * x + delays[j].variance).sqrt());
+        }
+        u_i
+    })
+}
+
+/// `Σ_i (λ_i / λ̂) U_i`.
+fn weighted_mean(model: &StorageModel, bounds: impl Iterator<Item = f64>) -> f64 {
+    let total_rate = model.total_arrival_rate();
+    let mut total = 0.0;
+    for (file, u_i) in model.files().iter().zip(bounds) {
+        if total_rate > 0.0 {
+            total += file.arrival_rate / total_rate * u_i;
+        }
+    }
+    total
+}
+
+/// The objective at restricted `pi` whose queue-delay moments are `delays`.
+pub(crate) fn total(
+    model: &StorageModel,
+    pi: &[f64],
+    z: &[f64],
+    delays: &[QueueDelayMoments],
+) -> f64 {
+    weighted_mean(model, file_bounds(model, pi, z, delays))
 }
 
 /// Evaluates the objective and per-file bounds at `(π, z)`.
@@ -77,34 +164,14 @@ pub fn evaluate(
     pi: &[Vec<f64>],
     z: &[f64],
 ) -> Result<ObjectiveBreakdown, StabilityError> {
-    assert_eq!(pi.len(), model.num_files(), "pi must have one row per file");
     assert_eq!(z.len(), model.num_files(), "z must have one entry per file");
-    let node_rates = node_arrival_rates(model, pi);
-    let delays = node_delay_moments(model, &node_rates)?;
-    let total_rate = model.total_arrival_rate();
-
-    let mut per_file = Vec::with_capacity(model.num_files());
-    let mut total = 0.0;
-    for (i, (file, row)) in model.files().iter().zip(pi).enumerate() {
-        let mut u_i = z[i];
-        for &j in &file.placement {
-            let p = row[j];
-            if p <= 0.0 {
-                continue;
-            }
-            let x = delays[j].mean - z[i];
-            u_i += p / 2.0 * (x + (x * x + delays[j].variance).sqrt());
-        }
-        per_file.push(u_i);
-        if total_rate > 0.0 {
-            total += file.arrival_rate / total_rate * u_i;
-        }
-    }
+    let (pi, state) = NodeState::at(model, pi)?;
+    let per_file: Vec<f64> = file_bounds(model, &pi, z, &state.delays).collect();
     Ok(ObjectiveBreakdown {
-        total,
+        total: weighted_mean(model, per_file.iter().copied()),
         per_file,
-        node_arrival_rates: node_rates,
-        node_delays: delays,
+        node_arrival_rates: state.rates,
+        node_delays: state.delays,
     })
 }
 
@@ -123,20 +190,32 @@ pub fn gradient_pi(
     pi: &[Vec<f64>],
     z: &[f64],
 ) -> Result<Vec<Vec<f64>>, StabilityError> {
-    assert_eq!(pi.len(), model.num_files(), "pi must have one row per file");
     assert_eq!(z.len(), model.num_files(), "z must have one entry per file");
-    let node_rates = node_arrival_rates(model, pi);
-    let delays = node_delay_moments(model, &node_rates)?;
+    let (pi, state) = NodeState::at(model, pi)?;
+    let mut grad = vec![0.0; pi.len()];
+    gradient_into(model, &pi, z, &state, &mut grad);
+    Ok(model.expand(&grad))
+}
+
+/// Writes the gradient at restricted `pi`, whose node state is `state`, into
+/// `grad` (same coordinates).
+pub(crate) fn gradient_into(
+    model: &StorageModel,
+    pi: &[f64],
+    z: &[f64],
+    state: &NodeState,
+    grad: &mut [f64],
+) {
+    let NodeState { rates, delays } = state;
     let total_rate = model.total_arrival_rate().max(f64::MIN_POSITIVE);
-    let m = model.num_nodes();
 
     // dE[Q_j]/dΛ_j and dVar[Q_j]/dΛ_j
-    let d_mean: Vec<f64> = node_rates
+    let d_mean: Vec<f64> = rates
         .iter()
         .zip(model.nodes())
         .map(|(&l, s)| mean_delay_derivative(l, s))
         .collect();
-    let d_var: Vec<f64> = node_rates
+    let d_var: Vec<f64> = rates
         .iter()
         .zip(model.nodes())
         .map(|(&l, s)| variance_delay_derivative(l, s))
@@ -144,30 +223,28 @@ pub fn gradient_pi(
 
     // Per-node aggregate sensitivity:
     // S_j = Σ_i (λ_i π_{i,j} / 2λ̂) [ dE_j + (X_{i,j} dE_j + dV_j / 2) / sqrt(X_{i,j}² + Y_j) ]
-    let mut node_sensitivity = vec![0.0; m];
-    for (i, (file, row)) in model.files().iter().zip(pi).enumerate() {
-        for &j in &file.placement {
-            let p = row[j];
+    let mut node_sensitivity = vec![0.0; model.num_nodes()];
+    for ((file, row), &z_i) in model.rows(pi).zip(z) {
+        for (&j, &p) in file.placement.iter().zip(row) {
             if p <= 0.0 {
                 continue;
             }
-            let x = delays[j].mean - z[i];
+            let x = delays[j].mean - z_i;
             let root = (x * x + delays[j].variance).sqrt().max(f64::MIN_POSITIVE);
             node_sensitivity[j] += file.arrival_rate * p / (2.0 * total_rate)
                 * (d_mean[j] + (x * d_mean[j] + 0.5 * d_var[j]) / root);
         }
     }
 
-    let mut grad = vec![vec![0.0; m]; model.num_files()];
-    for (i, file) in model.files().iter().enumerate() {
-        for &j in &file.placement {
-            let x = delays[j].mean - z[i];
+    let mut slot = grad.iter_mut();
+    for (file, &z_i) in model.files().iter().zip(z) {
+        for (&j, g) in file.placement.iter().zip(&mut slot) {
+            let x = delays[j].mean - z_i;
             let root = (x * x + delays[j].variance).sqrt();
             let direct = file.arrival_rate / (2.0 * total_rate) * (x + root);
-            grad[i][j] = direct + file.arrival_rate * node_sensitivity[j];
+            *g = direct + file.arrival_rate * node_sensitivity[j];
         }
     }
-    Ok(grad)
 }
 
 #[cfg(test)]

@@ -7,12 +7,18 @@
 //! per-file boxes `π_{i,j} ∈ [0, 1]`, the per-file sum bands
 //! `K_{L,i} ≤ Σ_j π_{i,j} ≤ K_{U,i}`, and the cache-capacity coupling
 //! `Σ_{i,j} π_{i,j} ≥ Σ_i k_i − C`.
+//!
+//! The solve runs in restricted coordinates (each file's placement set only,
+//! files concatenated) on buffers allocated once per solve: a line-search
+//! probe writes, projects and evaluates its candidate in place, and the
+//! accepted probe hands its node rates and delay moments to the next
+//! gradient instead of having them recomputed.
 
 use crate::config::OptimizerConfig;
 use crate::error::OptimizerError;
 use crate::model::StorageModel;
-use crate::objective::{evaluate, gradient_pi};
-use crate::projection::{project_joint, FileBand};
+use crate::objective::{gradient_into, total, NodeState};
+use crate::projection::{project_flat, FileBand};
 
 /// Result of one Prob Π solve.
 #[derive(Debug, Clone, PartialEq)]
@@ -23,32 +29,20 @@ pub struct ProbPiOutcome {
     pub objective: f64,
     /// Number of projected-gradient iterations performed.
     pub iterations: usize,
+    /// Number of line-search candidates projected and evaluated.
+    pub line_search_probes: usize,
 }
 
-/// Restricts a dense `r × m` matrix to each file's placement set.
-fn restrict(model: &StorageModel, pi: &[Vec<f64>]) -> Vec<Vec<f64>> {
-    model
-        .files()
-        .iter()
-        .zip(pi)
-        .map(|(f, row)| f.placement.iter().map(|&j| row[j]).collect())
-        .collect()
+impl ProbPiOutcome {
+    /// Projections the solve performed: its starting point and every probe.
+    pub fn projections(&self) -> usize {
+        self.line_search_probes + 1
+    }
 }
 
-/// Expands per-file restricted vectors back to a dense `r × m` matrix.
-fn expand(model: &StorageModel, restricted: &[Vec<f64>]) -> Vec<Vec<f64>> {
-    model
-        .files()
-        .iter()
-        .zip(restricted)
-        .map(|(f, vals)| {
-            let mut row = vec![0.0; model.num_nodes()];
-            for (&j, &v) in f.placement.iter().zip(vals) {
-                row[j] = v;
-            }
-            row
-        })
-        .collect()
+/// The coupling constraint's bound `Σ_i k_i − C` on the total storage reads.
+fn aggregate_lo(model: &StorageModel, cache_capacity: usize) -> f64 {
+    (model.max_useful_cache() as f64 - cache_capacity as f64).max(0.0)
 }
 
 /// Projects a dense candidate onto the feasible set.
@@ -58,19 +52,10 @@ pub(crate) fn project(
     bands: &[FileBand],
     cache_capacity: usize,
 ) -> Vec<Vec<f64>> {
-    let restricted = restrict(model, pi);
-    let aggregate_lo = (model.max_useful_cache() as f64 - cache_capacity as f64).max(0.0);
-    let projected = project_joint(&restricted, bands, aggregate_lo);
-    expand(model, &projected)
-}
-
-/// Evaluates the objective, mapping instability to `+∞` so that the line
-/// search simply rejects such steps.
-fn objective_or_infinity(model: &StorageModel, pi: &[Vec<f64>], z: &[f64]) -> f64 {
-    match evaluate(model, pi, z) {
-        Ok(b) => b.total,
-        Err(_) => f64::INFINITY,
-    }
+    let mut restricted = model.restrict(pi);
+    let aggregate_lo = aggregate_lo(model, cache_capacity);
+    project_flat(&mut restricted, &model.row_offsets(), bands, aggregate_lo);
+    model.expand(&restricted)
 }
 
 /// Solves the relaxed Prob Π by projected gradient descent.
@@ -91,55 +76,48 @@ pub fn solve(
     cache_capacity: usize,
     config: &OptimizerConfig,
 ) -> Result<ProbPiOutcome, OptimizerError> {
-    let mut pi = project(model, initial_pi, bands, cache_capacity);
-    let mut current = match evaluate(model, &pi, z) {
-        Ok(b) => b.total,
-        Err(e) => {
-            return Err(OptimizerError::UnstableSystem {
-                node: e.node,
-                utilization: e.utilization,
-            })
-        }
-    };
+    let offsets = model.row_offsets();
+    let aggregate_lo = aggregate_lo(model, cache_capacity);
+    let mut pi = model.restrict(initial_pi);
+    project_flat(&mut pi, &offsets, bands, aggregate_lo);
+    let mut nodes = NodeState::default();
+    nodes.update(model, &pi)?;
+    let mut current = total(model, &pi, z, &nodes.delays);
 
+    let mut grad = vec![0.0; pi.len()];
+    let mut candidate = vec![0.0; pi.len()];
+    let mut candidate_nodes = NodeState::default();
     let mut step = config.initial_step;
     let mut iterations = 0;
-    for _ in 0..config.max_gradient_iterations {
+    let mut line_search_probes = 0;
+    'descent: for _ in 0..config.max_gradient_iterations {
         iterations += 1;
-        let grad = gradient_pi(model, &pi, z).map_err(|e| OptimizerError::UnstableSystem {
-            node: e.node,
-            utilization: e.utilization,
-        })?;
+        gradient_into(model, &pi, z, &nodes, &mut grad);
 
         // Backtracking line search along the projection arc.
         let mut improved = false;
         let mut local_step = step;
         for _ in 0..40 {
-            let candidate_raw: Vec<Vec<f64>> = pi
-                .iter()
-                .zip(&grad)
-                .map(|(row, g)| {
-                    row.iter()
-                        .zip(g)
-                        .map(|(&p, &gv)| p - local_step * gv)
-                        .collect()
-                })
-                .collect();
-            let candidate = project(model, &candidate_raw, bands, cache_capacity);
-            let value = objective_or_infinity(model, &candidate, z);
+            for ((c, &p), &g) in candidate.iter_mut().zip(&pi).zip(&grad) {
+                *c = p - local_step * g;
+            }
+            project_flat(&mut candidate, &offsets, bands, aggregate_lo);
+            line_search_probes += 1;
+            // An unstable candidate is worth +∞: the search rejects the step.
+            let value = match candidate_nodes.update(model, &candidate) {
+                Ok(()) => total(model, &candidate, z, &candidate_nodes.delays),
+                Err(_) => f64::INFINITY,
+            };
             if value < current - 1e-15 {
                 // Accept; gently grow the step for the next iteration.
                 let improvement = current - value;
-                pi = candidate;
+                std::mem::swap(&mut pi, &mut candidate);
+                std::mem::swap(&mut nodes, &mut candidate_nodes);
                 current = value;
                 step = (local_step * 1.5).min(1e6);
                 improved = true;
                 if improvement < config.gradient_tolerance * current.abs().max(1e-9) {
-                    return Ok(ProbPiOutcome {
-                        pi,
-                        objective: current,
-                        iterations,
-                    });
+                    break 'descent;
                 }
                 break;
             }
@@ -154,9 +132,10 @@ pub fn solve(
     }
 
     Ok(ProbPiOutcome {
-        pi,
+        pi: model.expand(&pi),
         objective: current,
         iterations,
+        line_search_probes,
     })
 }
 
@@ -193,6 +172,7 @@ pub fn initial_bands(model: &StorageModel) -> Vec<FileBand> {
 mod tests {
     use super::*;
     use crate::model::FileModel;
+    use crate::objective::evaluate;
     use sprout_queueing::dist::ServiceDistribution;
 
     fn model() -> StorageModel {

@@ -13,6 +13,13 @@ pub struct ConvergenceTrace {
     pub rounding_rounds: usize,
     /// Total number of projected-gradient iterations performed.
     pub gradient_iterations: usize,
+    /// Total number of projections onto the Prob Π constraint set: one per
+    /// line-search probe, one per Prob Π solve, one for the starting point.
+    #[serde(default)]
+    pub projections: usize,
+    /// Total number of line-search candidates projected and evaluated.
+    #[serde(default)]
+    pub line_search_probes: usize,
 }
 
 impl ConvergenceTrace {
@@ -69,6 +76,7 @@ mod tests {
             outer_objectives: vec![10.0, 7.0, 6.5],
             rounding_rounds: 4,
             gradient_iterations: 100,
+            ..ConvergenceTrace::default()
         };
         assert_eq!(t.outer_iterations(), 2);
         assert!((t.final_objective() - 6.5).abs() < 1e-12);

@@ -110,3 +110,65 @@ fn objective_decreases_as_convex_function_of_cache_size() {
         "diminishing returns expected: first gain {first_gain}, last gain {last_gain}"
     );
 }
+
+#[test]
+fn planner_work_on_the_benchmark_instance_is_bounded_and_repeats_exactly() {
+    // The §V-A instance the benchmark's `paper-plan-sim` workload plans
+    // (benchmark/src/plansim.rs): 250 files under a (7, 4) code with rates
+    // × 4 so every node carries the paper's 1000-file load, cache 125 chunks.
+    // Work is asserted as counts, which no machine's clock can move.
+    use sprout::sim::SimConfig;
+    use sprout::workload::spec::{paper_server_service_rates, paper_simulation_rates, MB};
+    use sprout::CachePolicyChoice;
+
+    let spec = SystemSpec::builder()
+        .node_service_rates(&paper_server_service_rates())
+        .paper_files(250, 7, 4, 100 * MB)
+        .cache_capacity_chunks(125)
+        .seed(2016)
+        .build()
+        .unwrap();
+    let rates: Vec<f64> = paper_simulation_rates(250)
+        .iter()
+        .map(|r| r * 4.0)
+        .collect();
+    let system = SproutSystem::new(spec)
+        .unwrap()
+        .with_arrival_rates(&rates)
+        .unwrap();
+
+    let plan = system.optimize().unwrap();
+    let trace = &plan.trace;
+    assert_eq!(
+        *trace,
+        system.optimize().unwrap().trace,
+        "counts and objectives must repeat exactly run to run"
+    );
+    assert!(
+        trace.gradient_iterations <= 600,
+        "{} gradient iterations",
+        trace.gradient_iterations
+    );
+    assert!(trace.line_search_probes >= trace.gradient_iterations);
+    assert_eq!(
+        trace.projections,
+        trace.line_search_probes + trace.rounding_rounds + 1,
+        "one projection per probe, one per Prob Π solve, one for the starting point"
+    );
+    assert!(
+        (plan.objective - 59.91).abs() <= 0.005 * 59.91,
+        "objective {} is not within 0.5 % of 59.91",
+        plan.objective
+    );
+    let report = system.simulate_with_config(
+        CachePolicyChoice::Functional,
+        Some(&plan),
+        SimConfig::new(2.0e5, 1),
+    );
+    assert!(
+        report.overall.mean <= plan.objective,
+        "simulated mean {} exceeds the bound {}",
+        report.overall.mean,
+        plan.objective
+    );
+}

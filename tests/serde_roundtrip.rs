@@ -179,3 +179,25 @@ proptest! {
         roundtrips(value);
     }
 }
+
+#[test]
+fn a_convergence_trace_written_before_the_work_counters_still_loads() {
+    // `projections` and `line_search_probes` are `#[serde(default)]`: a
+    // document from before they existed deserializes with both at zero, a
+    // current one round-trips them, and any other missing field is an error.
+    use sprout::optimizer::ConvergenceTrace;
+
+    let old =
+        r#"{"outer_objectives": [10.0, 7.5], "rounding_rounds": 4, "gradient_iterations": 100}"#;
+    let trace: ConvergenceTrace = serde_json::from_str(old).expect("pre-counter JSON loads");
+    assert_eq!(trace.gradient_iterations, 100);
+    assert_eq!((trace.projections, trace.line_search_probes), (0, 0));
+
+    roundtrips(ConvergenceTrace {
+        projections: 673,
+        line_search_probes: 647,
+        ..trace
+    });
+    let missing = r#"{"outer_objectives": [], "rounding_rounds": 4}"#;
+    assert!(serde_json::from_str::<ConvergenceTrace>(missing).is_err());
+}
