@@ -1,5 +1,6 @@
-//! Compares freshly generated `SCENARIO_*.json` artifacts against the
-//! committed latency baselines in `scenarios/BASELINES.json`.
+//! `sprout-bench check <files>` — compares freshly generated
+//! `SCENARIO_*.json` artifacts against the committed latency baselines in
+//! `scenarios/BASELINES.json`.
 //!
 //! The committed scenario runs are seeded and advance virtual time, so a
 //! `--quick` run of the same spec on any machine reproduces the same mean
@@ -10,12 +11,12 @@
 //! Usage:
 //!
 //! ```sh
-//! check_scenario_baselines SCENARIO_a.json [SCENARIO_b.json ...] \
-//!     [--baselines scenarios/BASELINES.json] [--tolerance 0.02] [--update]
+//! cargo run --release -p sprout-bench -- check SCENARIO_a.json [SCENARIO_b.json ...] \
+//!     [--baselines scenarios/BASELINES.json] [--update]
 //! ```
 //!
-//! Exit status: `0` when every per-cell `mean_latency_s` is within the
-//! relative tolerance of its baseline (or after a successful `--update`),
+//! Exit status: `0` when every per-cell `mean_latency_s` is within
+//! [`TOLERANCE`] (relative) of its baseline (or after a successful `--update`),
 //! `1` on any drift, missing baseline, or malformed artifact.
 
 use std::collections::BTreeMap;
@@ -23,7 +24,8 @@ use std::collections::BTreeMap;
 use serde_json::Value;
 
 const DEFAULT_BASELINES: &str = "scenarios/BASELINES.json";
-const DEFAULT_TOLERANCE: f64 = 0.02;
+/// Relative drift of a cell's mean latency that still counts as a match.
+const TOLERANCE: f64 = 0.02;
 
 /// scenario name -> (cell label -> mean_latency_s)
 type Baselines = BTreeMap<String, BTreeMap<String, f64>>;
@@ -78,25 +80,19 @@ fn die(msg: &str) -> ! {
     std::process::exit(1);
 }
 
-fn main() {
+/// Runs the `check` subcommand on the arguments after its name.
+pub fn run(args: Vec<String>) {
     let mut artifacts: Vec<String> = Vec::new();
     let mut baselines_path = DEFAULT_BASELINES.to_string();
-    let mut tolerance = DEFAULT_TOLERANCE;
     let mut update = false;
 
-    let mut args = std::env::args().skip(1);
+    let mut args = args.into_iter();
     while let Some(arg) = args.next() {
         match arg.as_str() {
             "--baselines" => {
                 baselines_path = args
                     .next()
                     .unwrap_or_else(|| die("--baselines needs a path"));
-            }
-            "--tolerance" => {
-                tolerance = args
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .unwrap_or_else(|| die("--tolerance needs a number"));
             }
             "--update" => update = true,
             other if other.starts_with("--") => die(&format!("unknown flag {other}")),
@@ -144,18 +140,18 @@ fn main() {
             };
             checked += 1;
             let drift = (mean - expected).abs() / expected.abs().max(1e-12);
-            if drift > tolerance {
+            if drift > TOLERANCE {
                 eprintln!(
                     "FAIL {name} [{cell}]: mean_latency_s {mean:.6} vs baseline \
                      {expected:.6} (drift {:.2}% > {:.2}%)",
                     drift * 100.0,
-                    tolerance * 100.0
+                    TOLERANCE * 100.0
                 );
                 failures += 1;
             } else {
                 println!(
                     "ok   {name} [{cell}]: {mean:.6} within {:.2}% of {expected:.6}",
-                    tolerance * 100.0
+                    TOLERANCE * 100.0
                 );
             }
         }

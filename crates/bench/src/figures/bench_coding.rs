@@ -25,14 +25,14 @@
 //! Usage:
 //!
 //! ```sh
-//! cargo run --release -p sprout-bench --bin bench_coding -- [--quick] [--out PATH]
+//! cargo run --release -p sprout-bench -- bench_coding [--quick] [--out PATH]
 //! ```
 
 use std::time::Instant;
 
+use crate::FigureCli;
 use sprout::erasure::{Chunk, CodeParams, FunctionalCacheCodec, Kernel, StripeOpts};
-use sprout::sim::sweep::{Sample, SweepGrid};
-use sprout_bench::{emit, FigureCli};
+use sprout::sim::sweep::{Sample, SweepGrid, SweepReport, SweepTimings};
 
 const SIZES: [usize; 3] = [64 * 1024, 1024 * 1024, 8 * 1024 * 1024];
 const THREADS: [usize; 3] = [1, 2, 4];
@@ -57,8 +57,9 @@ fn throughput(bytes: usize, budget_secs: f64, mut f: impl FnMut()) -> f64 {
     (bytes as f64 * iters as f64) / start.elapsed().as_secs_f64() / 1e6
 }
 
-fn main() {
-    let cli = FigureCli::parse();
+/// Runs the sweep and returns its report; the dispatcher adds the run meta
+/// and writes the artifact.
+pub fn run(cli: &FigureCli) -> (SweepReport, Option<SweepTimings>) {
     let budget = if cli.quick { 0.05 } else { 0.5 };
     let params = CodeParams::new(7, 4).expect("(7, 4) is a valid code");
 
@@ -120,7 +121,6 @@ fn main() {
 
     let simd = sprout::gf::simd_level();
     let report = report
-        .with_meta("quick", cli.quick.to_string())
         .with_meta("code", "(7, 4), cache_chunks_d = 2")
         .with_meta("unit", "MB/s of object bytes per operation")
         .with_meta("replications", REPLICATIONS.to_string())
@@ -148,5 +148,5 @@ fn main() {
     } else {
         report
     };
-    emit(&report, cli.out_or("BENCH_coding.json"));
+    (report, None)
 }

@@ -9,20 +9,21 @@
 //! streaming-arrivals and pooled-allocation regression guards).
 //!
 //! The artifact is the determinism canary of the whole sweep subsystem: CI
-//! runs this binary with `--threads 1`, `2` and `4` and with `--shards 1`,
+//! runs this row with `--threads 1`, `2` and `4` and with `--shards 1`,
 //! `2` and `4`, and requires every JSON file to be byte-identical to the
 //! single-thread single-shard reference.
 //!
 //! Usage:
 //!
 //! ```sh
-//! cargo run --release -p sprout-bench --bin bench_scenarios -- \
+//! cargo run --release -p sprout-bench -- bench_scenarios \
 //!     [--quick] [--threads N] [--shards N] [--out PATH]
 //! ```
 
+use crate::{paper_system, scale_cache, FigureCli};
+use sprout::sim::sweep::{SweepReport, SweepTimings};
 use sprout::sim::SimConfig;
 use sprout::{ScenarioActionSpec, ScenarioSpec, SimSweep, SproutSystem, SweepBackend};
-use sprout_bench::{emit_with_timings, paper_scale, paper_system, scale_cache, FigureCli};
 
 fn churn(horizon: f64) -> ScenarioSpec {
     ScenarioSpec::named("node_churn")
@@ -44,8 +45,9 @@ fn flash_crowd(system: &SproutSystem, horizon: f64) -> ScenarioSpec {
         .at(horizon / 2.0, ScenarioActionSpec::Reoptimize)
 }
 
-fn main() {
-    let cli = FigureCli::parse();
+/// Runs the sweep and returns its report; the dispatcher adds the run meta
+/// and writes the artifact.
+pub fn run(cli: &FigureCli) -> (SweepReport, Option<SweepTimings>) {
     let horizon = if cli.quick { 10_000.0 } else { 50_000.0 };
     let replications = if cli.quick { 4 } else { 8 };
     let byte_replications = if cli.quick { 2 } else { 4 };
@@ -80,8 +82,6 @@ fn main() {
 
     let spec = system.spec();
     let report = report
-        .with_meta("scale", if paper_scale() { "paper" } else { "reduced" })
-        .with_meta("quick", cli.quick.to_string())
         .with_meta(
             "system",
             format!(
@@ -100,5 +100,5 @@ fn main() {
     // The timing side-channel is written next to the artifact but never
     // committed or diffed — the JSON artifact itself stays byte-identical
     // across thread counts (the determinism canary above).
-    emit_with_timings(&report, &timings, cli.out_or("BENCH_scenarios.json"));
+    (report, Some(timings))
 }

@@ -13,11 +13,12 @@
 //! Artifact: `FIG_03.json` — per cache size, the iteration count and final
 //! bound as metrics plus the full per-iteration objective trace as a series.
 
-use sprout::sim::sweep::{Sample, SweepGrid};
-use sprout_bench::{emit, experiment_config, paper_scale, paper_system, scale_cache, FigureCli};
+use crate::{experiment_config, paper_system, scale_cache, FigureCli};
+use sprout::sim::sweep::{Sample, SweepGrid, SweepReport, SweepTimings};
 
-fn main() {
-    let cli = FigureCli::parse();
+/// Runs the sweep and returns its report; the dispatcher adds the run meta
+/// and writes the artifact.
+pub fn run(cli: &FigureCli) -> (SweepReport, Option<SweepTimings>) {
     let paper_sizes = [100usize, 200, 300, 400, 500, 600, 700];
 
     let grid = SweepGrid::named("fig03_convergence", 2016).axis(
@@ -49,13 +50,11 @@ fn main() {
         .map(|row| row.metric("outer_iterations").expect("metric present").mean)
         .fold(0.0f64, f64::max);
     let report = report
-        .with_meta("scale", if paper_scale() { "paper" } else { "reduced" })
-        .with_meta("quick", cli.quick.to_string())
         .with_meta(
             "objective",
             "mean latency bound (seconds); series = per-iteration objective",
         )
         .with_note("paper claim: convergence within 20 iterations (tolerance 0.01)")
         .with_note(format!("measured: worst case {worst:.0} iterations"));
-    emit(&report, cli.out_or("FIG_03.json"));
+    (report, None)
 }

@@ -8,11 +8,12 @@
 //! Artifact: `FIG_04.json` — cache size (in paper chunks) against the
 //! optimized mean latency bound.
 
-use sprout::sim::sweep::{Sample, SweepGrid};
-use sprout_bench::{emit, experiment_config, paper_scale, paper_system, scale_cache, FigureCli};
+use crate::{experiment_config, paper_system, scale_cache, FigureCli};
+use sprout::sim::sweep::{Sample, SweepGrid, SweepReport, SweepTimings};
 
-fn main() {
-    let cli = FigureCli::parse();
+/// Runs the sweep and returns its report; the dispatcher adds the run meta
+/// and writes the artifact.
+pub fn run(cli: &FigureCli) -> (SweepReport, Option<SweepTimings>) {
     let sweep = [
         0usize, 250, 500, 750, 1000, 1500, 2000, 2500, 3000, 3500, 4000,
     ];
@@ -48,8 +49,6 @@ fn main() {
     let last = series.last().copied().unwrap_or(0.0);
     let monotone = series.windows(2).all(|w| w[1] <= w[0] + 0.05);
     let report = report
-        .with_meta("scale", if paper_scale() { "paper" } else { "reduced" })
-        .with_meta("quick", cli.quick.to_string())
         .with_note(
             "paper shape: ~23 s with no cache, 0 s once all 4 chunks of every file fit \
              (4000 chunks)",
@@ -58,5 +57,5 @@ fn main() {
             "measured: {first:.2} s with no cache, {last:.2} s at full capacity"
         ))
         .with_note(format!("monotone non-increasing: {monotone}"));
-    emit(&report, cli.out_or("FIG_04.json"));
+    (report, None)
 }

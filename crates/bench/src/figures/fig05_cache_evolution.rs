@@ -13,11 +13,11 @@
 //! Artifact: `FIG_05.json` — per bin, the latency bound and eviction/fill
 //! counts as metrics plus the per-file rates and cache occupancy as series.
 
+use crate::FigureCli;
 use sprout::optimizer::OptimizerConfig;
-use sprout::sim::sweep::{Sample, SweepGrid};
+use sprout::sim::sweep::{Sample, SweepGrid, SweepReport, SweepTimings};
 use sprout::workload::timebins::table_i_schedule;
 use sprout::{SproutSystem, SystemSpec, TimeBinManager};
-use sprout_bench::{emit, FigureCli};
 
 /// The paper's published per-file rates (~1.5e-4/s) put negligible load on
 /// the 12 servers when only 10 files exist, so — as in our EXPERIMENTS.md
@@ -37,8 +37,9 @@ fn table_i_system() -> SproutSystem {
     SproutSystem::new(spec).expect("valid system")
 }
 
-fn main() {
-    let cli = FigureCli::parse();
+/// Runs the sweep and returns its report; the dispatcher adds the run meta
+/// and writes the artifact.
+pub fn run(cli: &FigureCli) -> (SweepReport, Option<SweepTimings>) {
     let schedule = table_i_schedule(100.0).scaled(RATE_BOOST);
 
     let grid = SweepGrid::named("fig05_cache_evolution", 5)
@@ -74,7 +75,6 @@ fn main() {
     );
 
     let report = report
-        .with_meta("quick", cli.quick.to_string())
         .with_meta("cache_capacity_chunks", CACHE_CHUNKS.to_string())
         .with_meta("rate_boost", format!("{RATE_BOOST}"))
         .with_meta(
@@ -85,5 +85,5 @@ fn main() {
             "paper shape: bin 1 favours files 4 & 9; bin 2 favours 1, 2, 6, 7; bin 3 favours \
              2, 7 (and 9)",
         );
-    emit(&report, cli.out_or("FIG_05.json"));
+    (report, None)
 }

@@ -11,10 +11,10 @@
 //! One sweep cell per swept arrival rate. Artifact: `FIG_06.json` — per
 //! rate, the cache chunks earned by files 1–2, 3–4 and 5–10.
 
+use crate::FigureCli;
 use sprout::optimizer::OptimizerConfig;
-use sprout::sim::sweep::{Sample, SweepGrid};
+use sprout::sim::sweep::{Sample, SweepGrid, SweepReport, SweepTimings};
 use sprout::{FileConfig, SproutSystem, SystemSpec};
-use sprout_bench::{emit, FigureCli};
 
 /// As in fig05, rates are boosted so that 10 files create the per-node load
 /// the paper's full population would; the *relative* rates are unchanged.
@@ -45,8 +45,9 @@ fn system_with_first_two_at(lambda: f64) -> SproutSystem {
     SproutSystem::new(builder.build().expect("valid spec")).expect("valid system")
 }
 
-fn main() {
-    let cli = FigureCli::parse();
+/// Runs the sweep and returns its report; the dispatcher adds the run meta
+/// and writes the artifact.
+pub fn run(cli: &FigureCli) -> (SweepReport, Option<SweepTimings>) {
     // The paper's swept arrival rates for files 1-2 (requests/second).
     let sweep = [
         0.000_125,
@@ -80,7 +81,6 @@ fn main() {
     );
 
     let report = report
-        .with_meta("quick", cli.quick.to_string())
         .with_meta("cache_capacity_chunks", CACHE_CHUNKS.to_string())
         .with_meta("rate_boost", format!("{RATE_BOOST}"))
         .with_note(
@@ -88,5 +88,5 @@ fn main() {
              the highest arrival rate (their servers are lightly loaded); their share grows \
              with the rate.",
         );
-    emit(&report, cli.out_or("FIG_06.json"));
+    (report, None)
 }

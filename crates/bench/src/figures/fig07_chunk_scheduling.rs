@@ -11,12 +11,14 @@
 //! Artifact: `FIG_07.json` — the cache fraction as a metric plus
 //! `cache_chunks_per_slot` / `storage_chunks_per_slot` series.
 
+use crate::{paper_system, scale_cache, FigureCli};
+use sprout::sim::sweep::{SweepReport, SweepTimings};
 use sprout::sim::SimConfig;
 use sprout::SimSweep;
-use sprout_bench::{emit, paper_scale, paper_system, scale_cache, FigureCli};
 
-fn main() {
-    let cli = FigureCli::parse();
+/// Runs the sweep and returns its report; the dispatcher adds the run meta
+/// and writes the artifact.
+pub fn run(cli: &FigureCli) -> (SweepReport, Option<SweepTimings>) {
     // The paper's Fig. 7 uses 200 MB objects and a 62.5 GB cache = 1250
     // chunks of 50 MB, i.e. 1250 cache chunks for 4000 total chunks (~31%).
     let system = paper_system(scale_cache(1250));
@@ -42,8 +44,6 @@ fn main() {
         })
         .collect();
     let report = report
-        .with_meta("scale", if paper_scale() { "paper" } else { "reduced" })
-        .with_meta("quick", cli.quick.to_string())
         .with_meta("slot_length_s", "5")
         .with_meta("load_labels", "0.75 ~ lambda=0.0225, 1 ~ lambda=0.0384")
         .with_note(
@@ -54,5 +54,5 @@ fn main() {
             "measured (paper reports ~33%): {}",
             fractions.join("; ")
         ));
-    emit(&report, cli.out_or("FIG_07.json"));
+    (report, None)
 }

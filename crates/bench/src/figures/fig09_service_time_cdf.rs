@@ -10,15 +10,16 @@
 //! metrics and the service-time CDF (at the percentiles in `cdf_levels`) as
 //! a series.
 
+use crate::FigureCli;
 use rand::SeedableRng;
 use sprout::cluster::DeviceModel;
-use sprout::sim::sweep::{Sample, SweepGrid};
-use sprout_bench::{emit, FigureCli};
+use sprout::sim::sweep::{Sample, SweepGrid, SweepReport, SweepTimings};
 
 const CDF_LEVELS: [usize; 9] = [1, 5, 10, 25, 50, 75, 90, 95, 99];
 
-fn main() {
-    let cli = FigureCli::parse();
+/// Runs the sweep and returns its report; the dispatcher adds the run meta
+/// and writes the artifact.
+pub fn run(cli: &FigureCli) -> (SweepReport, Option<SweepTimings>) {
     let sizes_mb = [1u64, 4, 16, 64];
     let samples_per_size = if cli.quick { 4_000 } else { 20_000 };
 
@@ -57,7 +58,6 @@ fn main() {
     );
 
     let report = report
-        .with_meta("quick", cli.quick.to_string())
         .with_meta("samples_per_size", samples_per_size.to_string())
         .with_meta(
             "cdf_levels",
@@ -71,5 +71,5 @@ fn main() {
             "the model reproduces Table IV exactly at the calibration points and interpolates \
              between them",
         );
-    emit(&report, cli.out_or("FIG_09.json"));
+    (report, None)
 }

@@ -1,29 +1,37 @@
-//! Fig. 11 — Average access latency versus workload intensity.
+//! Fig. 10 — Average access latency versus object size: optimized functional
+//! caching vs Ceph's LRU cache-tier baseline vs the analytical bound.
 //!
-//! The paper fixes 64 MB objects (1000 of them, 10 GB cache) and sweeps the
-//! aggregate read request arrival rate over {0.5, 1, 2, 4, 8} requests/second.
-//! Latency grows steeply with load and optimal functional caching beats the
-//! LRU cache tier at every intensity (23.86 % average reduction).
+//! The paper stores 1000 objects of each Table III size class on its (7,4)
+//! Ceph pool with a 10 GB cache, replays the trace-derived arrival rates for
+//! 1800 s, and reports the mean access latency of (i) optimal functional
+//! caching, (ii) the LRU replicated cache tier, and (iii) the analytical
+//! bound. Latency grows with object size and functional caching wins at every
+//! size (26 % on average).
 //!
-//! Sweep grid: aggregate rate × policy {functional, lru} × backend
-//! {analytic, byte}. Analytic cells carry the figure's latency numbers; byte
-//! cells re-run each point on the real erasure-coded store (engine-mirrored
-//! LRU tier, per-request decode verification) with shrunk payloads.
-//! Artifact: `FIG_11.json` (+ non-diffed `FIG_11.timing.json`).
+//! Sweep grid: object size class × policy {functional, lru} × backend
+//! {analytic, byte}. The analytic cells carry the figure's latency numbers;
+//! the byte cells re-run each `(size, policy)` point on the real
+//! erasure-coded store — LRU promotions/evictions mirrored from the engine's
+//! tier, every completed request decoded and verified against the original
+//! payload. Byte-cell payloads are shrunk (plans, placements and hit/miss
+//! decisions are size-independent) so the integrity leg stays affordable at
+//! every size class. Artifact: `FIG_10.json` (+ non-diffed
+//! `FIG_10.timing.json`).
 
+use crate::{experiment_config, paper_scale, FigureCli};
 use sprout::queueing::dist::ServiceDistribution;
-use sprout::sim::sweep::{Sample, SweepGrid};
+use sprout::sim::sweep::{Sample, SweepGrid, SweepReport, SweepTimings};
 use sprout::sim::SimConfig;
 use sprout::{policy_label, CachePolicyChoice, FileConfig, SproutSystem, SystemSpec};
-use sprout_bench::{emit_with_timings, experiment_config, paper_scale, FigureCli};
 
-/// Paper-reported mean latency (ms): (aggregate rate, optimized, LRU baseline).
-const PAPER_MS: [(f64, f64, f64); 5] = [
-    (0.5, 2055.0, 2800.0),
-    (1.0, 4730.0, 6510.0),
-    (2.0, 18379.0, 24179.0),
-    (4.0, 44679.0, 58917.0),
-    (8.0, 112172.0, 135468.0),
+/// Paper-reported mean access latency (milliseconds) per object size for
+/// optimized caching and the Ceph cache-tier baseline.
+const PAPER_MS: [(&str, f64, f64); 5] = [
+    ("4MB", 8.0, 10.0),
+    ("16MB", 384.0, 430.0),
+    ("64MB", 2182.0, 2833.0),
+    ("256MB", 7901.0, 11163.0),
+    ("1GB", 21516.0, 39021.0),
 ];
 
 const POLICIES: [CachePolicyChoice; 2] = [
@@ -33,12 +41,13 @@ const POLICIES: [CachePolicyChoice; 2] = [
 
 const BACKENDS: [&str; 2] = ["analytic", "byte"];
 
-/// Payload size of byte-backend cells (see fig10: decisions are
-/// size-independent, so small payloads verify the same request sequence).
-const BYTE_OBJECT_BYTES: u64 = 64 * 1024;
+/// Payload size of byte-backend cells: decisions and plans are
+/// size-independent, so small payloads verify the same request sequence.
+const BYTE_OBJECT_BYTES: u64 = 16 * 1024;
 
-fn main() {
-    let cli = FigureCli::parse();
+/// Runs the sweep and returns its report; the dispatcher adds the run meta
+/// and writes the artifact.
+pub fn run(cli: &FigureCli) -> (SweepReport, Option<SweepTimings>) {
     let objects = match (paper_scale(), cli.quick) {
         (true, _) => 1000,
         (false, false) => 100,
@@ -46,45 +55,52 @@ fn main() {
     };
     let horizon = if cli.quick { 300.0 } else { 1800.0 };
     let population_scale = 1000.0 / objects as f64;
-    let object_bytes = 64 * sprout::workload::spec::MB;
-    let chunk_bytes = object_bytes / 4;
-    let hdd = sprout::cluster::DeviceModel::hdd().service_moments(chunk_bytes);
-    let ssd = sprout::cluster::DeviceModel::ssd().mean_service_time(chunk_bytes);
-    let node_service = ServiceDistribution::from_mean_variance(hdd.mean, hdd.variance());
-    let cache_chunks = ((10.0 * 1e9 / population_scale / chunk_bytes as f64) as usize).max(1);
-    // The paper's testbed saturates well below an aggregate rate of 8 req/s
-    // (its latencies reach 100+ seconds); our 12-node model with the Table IV
-    // service times only reaches ~40 % utilization at that rate, so the sweep
-    // is scaled by a constant factor that places its top point at ~70 %
-    // utilization — the same qualitative regime, with the paper's labels kept.
-    let load_factor = 1.8;
+    // The paper's testbed is driven hard enough that queueing dominates (its
+    // reported latencies are 3-20x the bare chunk service time). The Table III
+    // trace rates alone leave a 12-node cluster nearly idle, so each size
+    // class is scaled to a common no-cache storage utilization (~70 %), which
+    // recreates the paper's operating regime while preserving the class's
+    // relative popularity within the trace.
+    let target_utilization = 0.70;
+    let cache_bytes = 10.0 * 1e9 / population_scale;
 
-    let grid = SweepGrid::named("fig11_latency_vs_load", 11)
-        .axis(
-            "aggregate_rate",
-            PAPER_MS.iter().map(|(rate, _, _)| format!("{rate}")),
-        )
+    let classes = sprout::workload::spec::table_iii_object_classes();
+    let grid = SweepGrid::named("fig10_latency_vs_object_size", 10)
+        .axis("object_size", classes.iter().map(|c| c.label.to_string()))
         .axis("policy", POLICIES.iter().map(|&p| policy_label(p)))
         .axis("backend", BACKENDS);
     let (report, timings) = grid.run_timed(
         cli.threads_or(FigureCli::available_threads()),
         |cell, _, seed| {
-            let (aggregate, paper_opt, paper_lru) = PAPER_MS[cell.idx("aggregate_rate")];
+            let class = &classes[cell.idx("object_size")];
             let policy = POLICIES[cell.idx("policy")];
             let byte_backend = cell.coord("backend") == "byte";
-            let per_object = aggregate * load_factor / objects as f64;
+            let (paper_label, paper_opt, paper_lru) = PAPER_MS[cell.idx("object_size")];
+            assert_eq!(
+                class.label, paper_label,
+                "PAPER_MS must stay positionally aligned with table_iii_object_classes()"
+            );
+            let chunk_bytes = class.size_bytes.div_ceil(4);
+            let hdd = sprout::cluster::DeviceModel::hdd().service_moments(chunk_bytes);
+            let ssd = sprout::cluster::DeviceModel::ssd().mean_service_time(chunk_bytes);
+            let node_service = ServiceDistribution::from_mean_variance(hdd.mean, hdd.variance());
+            let cache_chunks = ((cache_bytes / chunk_bytes as f64) as usize).max(1);
+            // Scale this class's per-object rate so that, without any cache,
+            // the 12 nodes run at the target utilization.
+            let rate = target_utilization * 12.0 / (4.0 * hdd.mean * objects as f64);
+
             let mut builder = SystemSpec::builder();
             builder
                 .node_services(vec![node_service; 12])
                 .cache_capacity_chunks(cache_chunks)
-                .seed(11);
+                .seed(10);
             let size_bytes = if byte_backend {
                 BYTE_OBJECT_BYTES
             } else {
-                object_bytes
+                class.size_bytes
             };
             for _ in 0..objects {
-                builder.file(FileConfig::new(per_object, 7, 4, size_bytes));
+                builder.file(FileConfig::new(rate, 7, 4, size_bytes));
             }
             let system =
                 SproutSystem::new(builder.build().expect("valid spec")).expect("valid system");
@@ -92,11 +108,12 @@ fn main() {
             let config = SimConfig::new(horizon, seed).with_cache_latency(ssd);
             let (plan, bound_ms) = match policy {
                 CachePolicyChoice::Functional => {
+                    // Latencies span milliseconds to seconds across the size
+                    // classes, so tighten the convergence tolerance relative
+                    // to the paper's 0.01 s.
                     let mut opt_config = experiment_config();
                     opt_config.tolerance = 1e-4;
-                    let plan = system
-                        .optimize_with(&opt_config)
-                        .expect("the swept loads keep the cluster stable");
+                    let plan = system.optimize_with(&opt_config).expect("stable system");
                     let bound = plan.objective * 1e3;
                     (Some(plan), Some(bound))
                 }
@@ -138,13 +155,12 @@ fn main() {
         },
     );
 
-    let improvements: Vec<f64> = PAPER_MS
+    let improvements: Vec<f64> = classes
         .iter()
-        .filter_map(|(rate, _, _)| {
-            let label = format!("{rate}");
+        .filter_map(|class| {
             let functional = report
                 .find_row(&[
-                    ("aggregate_rate", label.as_str()),
+                    ("object_size", class.label),
                     ("policy", "functional"),
                     ("backend", "analytic"),
                 ])?
@@ -152,7 +168,7 @@ fn main() {
                 .mean;
             let lru = report
                 .find_row(&[
-                    ("aggregate_rate", label.as_str()),
+                    ("object_size", class.label),
                     ("policy", "lru"),
                     ("backend", "analytic"),
                 ])?
@@ -163,15 +179,12 @@ fn main() {
         .collect();
     let avg = improvements.iter().sum::<f64>() / improvements.len().max(1) as f64;
     let report = report
-        .with_meta("scale", if paper_scale() { "paper" } else { "reduced" })
-        .with_meta("quick", cli.quick.to_string())
         .with_meta("objects", objects.to_string())
         .with_meta("horizon_s", format!("{horizon}"))
-        .with_meta("load_factor", format!("{load_factor}"))
         .with_meta("byte_object_bytes", BYTE_OBJECT_BYTES.to_string())
         .with_note(
-            "paper shape: latency rises steeply with load; optimal caching beats LRU at every \
-             intensity (23.86% average).",
+            "paper shape: latency grows with object size; optimal caching beats the LRU cache \
+             tier at every size (26% average improvement).",
         )
         .with_note(
             "byte cells replay each point on the real erasure-coded store with shrunk payloads: \
@@ -179,5 +192,5 @@ fn main() {
              the shrunk-payload SSD cache model; the figure's numbers are the analytic rows).",
         )
         .with_note(format!("measured average improvement: {:.1}%", avg * 100.0));
-    emit_with_timings(&report, &timings, cli.out_or("FIG_11.json"));
+    (report, Some(timings))
 }

@@ -10,16 +10,17 @@
 //! completed request against real stored bytes.
 //!
 //! ```text
-//! cargo run --release --bin fig_churn            # full grid
-//! cargo run --release --bin fig_churn -- --quick # CI-sized grid
+//! cargo run --release -p sprout-bench -- fig_churn         # full grid
+//! cargo run --release -p sprout-bench -- fig_churn --quick # CI-sized grid
 //! ```
 //!
 //! The emitted `FIG_churn.json` is byte-identical for any `--threads` value
 //! (cell seeds derive from grid coordinates, not worker schedule).
 
+use crate::{paper_system, scale_cache, FigureCli};
+use sprout::sim::sweep::{SweepReport, SweepTimings};
 use sprout::sim::SimConfig;
 use sprout::{PlacementChoice, ScenarioActionSpec, ScenarioSpec, SimSweep, SweepBackend};
-use sprout_bench::{emit_with_timings, paper_scale, paper_system, scale_cache, FigureCli};
 
 /// A churn scenario with `cycles` non-overlapping down/up cycles: cycle `j`
 /// takes node `j % num_nodes` down for the middle half of its slice of the
@@ -38,8 +39,9 @@ fn churn(cycles: usize, num_nodes: usize, horizon: f64) -> ScenarioSpec {
     spec
 }
 
-fn main() {
-    let cli = FigureCli::parse();
+/// Runs the sweep and returns its report; the dispatcher adds the run meta
+/// and writes the artifact.
+pub fn run(cli: &FigureCli) -> (SweepReport, Option<SweepTimings>) {
     let horizon = if cli.quick { 6_000.0 } else { 24_000.0 };
     let replications = if cli.quick { 2 } else { 4 };
     let byte_replications = if cli.quick { 1 } else { 2 };
@@ -87,8 +89,6 @@ fn main() {
 
     let spec = system.spec();
     let report = report
-        .with_meta("scale", if paper_scale() { "paper" } else { "reduced" })
-        .with_meta("quick", cli.quick.to_string())
         .with_meta(
             "system",
             format!(
@@ -110,5 +110,5 @@ fn main() {
             "byte cells decode-verify every completed request against the stored \
              payloads; reconstruction_failures must stay 0",
         );
-    emit_with_timings(&report, &timings, cli.out_or("FIG_churn.json"));
+    (report, Some(timings))
 }

@@ -8,12 +8,13 @@
 //!
 //! Artifact: `TAB_05.json`.
 
+use crate::FigureCli;
 use sprout::cluster::DeviceModel;
-use sprout::sim::sweep::{Sample, SweepGrid};
-use sprout_bench::{emit, FigureCli};
+use sprout::sim::sweep::{Sample, SweepGrid, SweepReport, SweepTimings};
 
-fn main() {
-    let cli = FigureCli::parse();
+/// Runs the sweep and returns its report; the dispatcher adds the run meta
+/// and writes the artifact.
+pub fn run(cli: &FigureCli) -> (SweepReport, Option<SweepTimings>) {
     let table = sprout::workload::spec::table_v_ssd_latency_ms();
 
     let grid = SweepGrid::named("tab05_cache_latency", 5).axis(
@@ -36,9 +37,9 @@ fn main() {
         },
     );
 
-    let report = report.with_meta("quick", cli.quick.to_string()).with_note(
+    let report = report.with_note(
         "paper conclusion: cache reads are 3-20x faster than OSD reads at every chunk \
              size, so cache-read latency can be neglected when optimizing the placement.",
     );
-    emit(&report, cli.out_or("TAB_05.json"));
+    (report, None)
 }

@@ -1,4 +1,4 @@
-//! The seeded scenario fuzzer's CI entry point.
+//! `sprout-bench fuzz` — the seeded scenario fuzzer's CI entry point.
 //!
 //! Generates bounded random systems + event streams with
 //! [`sprout::ScenarioFuzzer`] and checks every engine invariant on each one:
@@ -11,14 +11,12 @@
 //! Usage:
 //!
 //! ```sh
-//! cargo run --release -p sprout-bench --bin fuzz_scenarios -- \
-//!     [--iterations N] [--seed S]
+//! cargo run --release -p sprout-bench -- fuzz [--iterations N] [--seed S]
 //! ```
 //!
-//! Environment fallbacks (what CI sets): `SPROUT_FUZZ_ITERS` for the
-//! iteration count (default 50) and `SPROUT_FUZZ_SEED` for the base seed
-//! (decimal or `0x`-prefixed hex; default [`sprout::fuzz::DEFAULT_BASE_SEED`]),
-//! so a CI failure reproduces locally by exporting the same two variables.
+//! `--iterations` defaults to 50 and `--seed` (decimal or `0x`-prefixed hex)
+//! to [`sprout::fuzz::DEFAULT_BASE_SEED`]; CI passes both, so a CI failure
+//! reproduces locally with the same command line.
 
 use sprout::fuzz::{ScenarioFuzzer, DEFAULT_BASE_SEED};
 
@@ -32,21 +30,12 @@ fn parse_seed(value: &str) -> Option<u64> {
     }
 }
 
-fn env_or<T>(name: &str, parse: impl Fn(&str) -> Option<T>, default: T) -> T {
-    match std::env::var(name) {
-        Ok(value) => parse(&value).unwrap_or_else(|| {
-            eprintln!("error: {name}='{value}' does not parse");
-            std::process::exit(2);
-        }),
-        Err(_) => default,
-    }
-}
+/// Runs the `fuzz` subcommand on the arguments after its name.
+pub fn run(args: Vec<String>) {
+    let mut iterations = 50usize;
+    let mut base_seed = DEFAULT_BASE_SEED;
 
-fn main() {
-    let mut iterations = env_or("SPROUT_FUZZ_ITERS", |v| v.parse().ok(), 50usize);
-    let mut base_seed = env_or("SPROUT_FUZZ_SEED", parse_seed, DEFAULT_BASE_SEED);
-
-    let mut args = std::env::args().skip(1);
+    let mut args = args.into_iter();
     while let Some(arg) = args.next() {
         let mut value_of = |flag: &str| {
             args.next().unwrap_or_else(|| {
@@ -76,7 +65,7 @@ fn main() {
         }
     }
 
-    println!("# fuzz_scenarios: {iterations} iterations, base seed {base_seed:#018x}");
+    println!("# fuzz: {iterations} iterations, base seed {base_seed:#018x}");
     let fuzzer = ScenarioFuzzer::new(base_seed);
     let mut total_completed = 0u64;
     let mut total_failed = 0u64;
@@ -103,7 +92,7 @@ fn main() {
             Err(failure) => {
                 eprintln!("case {index} FAILED: {failure}");
                 eprintln!(
-                    "replay: fuzz_scenarios --seed {:#x} --iterations {}",
+                    "replay: sprout-bench fuzz --seed {:#x} --iterations {}",
                     base_seed,
                     index + 1
                 );

@@ -1,12 +1,13 @@
 //! The shared CLI + artifact harness of the figure/table reproducers.
 //!
-//! Every binary under `src/bin` is one [`SweepGrid`] (or
+//! Every row of [`FIGURES`](crate::figures::FIGURES) is one `SweepGrid` (or
 //! [`SimSweep`](sprout::SimSweep)) plus a cell task; this module supplies the
 //! parts they share:
 //!
 //! * [`FigureCli`] — the common flags `--quick`, `--threads N`, `--shards N`,
 //!   `--out PATH` (plus the `SPROUT_SCALE=paper` environment switch the suite
-//!   has always honoured).
+//!   has always honoured), and [`FigureCli::artifact_path`], the one place
+//!   that decides where an artifact lands.
 //! * [`emit`] — writes the [`SweepReport`] JSON artifact and prints a
 //!   human-readable table of the same rows to stdout.
 //!
@@ -17,7 +18,7 @@
 
 use sprout::sim::sweep::{SweepReport, SweepTimings};
 
-/// Parsed common command-line flags of a figure binary.
+/// Parsed common command-line flags of a figure run.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct FigureCli {
     /// `--quick`: shrink horizons/replications to CI smoke scale (artifact
@@ -31,65 +32,18 @@ pub struct FigureCli {
     /// contract). `None` when not given; see [`FigureCli::shards_or`].
     pub shards: Option<usize>,
     /// `--out PATH`: where to write the JSON artifact. `None` means the
-    /// figure's default (`FIG_*.json` / `TAB_*.json` / `BENCH_*.json`).
+    /// figure's default (see [`FigureCli::artifact_path`]).
     pub out: Option<String>,
 }
 
 impl FigureCli {
-    /// Parses the current process arguments.
+    /// Parses an explicit argument list.
     ///
     /// # Panics
     ///
     /// Panics (with a usage message) on an unknown flag or a malformed
-    /// `--threads` value, so a typo'd invocation cannot silently run the
-    /// wrong experiment.
-    pub fn parse() -> Self {
-        Self::from_args(std::env::args().skip(1))
-    }
-
-    /// Like [`FigureCli::parse`], but bins with bin-specific value flags
-    /// (e.g. `bench_serving --workers 4`) list them in `extra_value_flags`;
-    /// each occurrence consumes one value and is returned as a
-    /// `(flag, value)` pair instead of panicking as unknown.
-    ///
-    /// # Panics
-    ///
-    /// See [`FigureCli::parse`]; a listed extra flag missing its value also
-    /// panics.
-    pub fn parse_with_extras(extra_value_flags: &[&str]) -> (Self, Vec<(String, String)>) {
-        Self::from_args_with_extras(std::env::args().skip(1), extra_value_flags)
-    }
-
-    /// Testable core of [`FigureCli::parse_with_extras`].
-    ///
-    /// # Panics
-    ///
-    /// See [`FigureCli::parse_with_extras`].
-    pub fn from_args_with_extras(
-        args: impl IntoIterator<Item = String>,
-        extra_value_flags: &[&str],
-    ) -> (Self, Vec<(String, String)>) {
-        let mut extras = Vec::new();
-        let mut plain = Vec::new();
-        let mut args = args.into_iter();
-        while let Some(arg) = args.next() {
-            if extra_value_flags.contains(&arg.as_str()) {
-                let value = args
-                    .next()
-                    .unwrap_or_else(|| panic!("{arg} requires a value"));
-                extras.push((arg, value));
-            } else {
-                plain.push(arg);
-            }
-        }
-        (Self::from_args(plain), extras)
-    }
-
-    /// Parses an explicit argument list (testable core of [`FigureCli::parse`]).
-    ///
-    /// # Panics
-    ///
-    /// See [`FigureCli::parse`].
+    /// `--threads` / `--shards` value, so a typo'd invocation cannot silently
+    /// run the wrong experiment.
     pub fn from_args(args: impl IntoIterator<Item = String>) -> Self {
         let mut cli = FigureCli {
             quick: false,
@@ -157,9 +111,19 @@ impl FigureCli {
             .unwrap_or(1)
     }
 
-    /// The artifact path: the `--out` flag or the figure's default.
-    pub fn out_or<'a>(&'a self, default: &'a str) -> &'a str {
-        self.out.as_deref().unwrap_or(default)
+    /// The artifact path: the `--out` flag, else the figure's default — on a
+    /// `--quick` run `<stem>.quick.json`, so a smoke run never overwrites the
+    /// full-scale artifact of the same figure (three of which are committed
+    /// and `cmp`-checked by CI).
+    pub fn artifact_path(&self, default: &str) -> String {
+        match (&self.out, self.quick) {
+            (Some(out), _) => out.clone(),
+            (None, false) => default.to_string(),
+            (None, true) => match default.strip_suffix(".json") {
+                Some(stem) => format!("{stem}.quick.json"),
+                None => format!("{default}.quick.json"),
+            },
+        }
     }
 }
 
@@ -276,34 +240,33 @@ mod tests {
         assert_eq!(cli.out.as_deref(), Some("x.json"));
         assert_eq!(cli.threads_or(8), 4);
         assert_eq!(cli.shards_or(1), 2);
-        assert_eq!(cli.out_or("default.json"), "x.json");
+        assert_eq!(cli.artifact_path("default.json"), "x.json");
+        let cli = FigureCli::from_args(args(&["--threads", "2"]));
+        assert_eq!(cli.threads_or(8), 2);
+        assert_eq!(cli.shards_or(1), 1);
+        assert_eq!(cli.artifact_path("default.json"), "default.json");
+    }
+
+    #[test]
+    fn a_quick_run_defaults_to_a_quick_artifact_path() {
         let cli = FigureCli::from_args(args(&["--quick"]));
         assert_eq!(cli.threads_or(8), 8);
-        assert_eq!(cli.shards_or(1), 1);
-        assert_eq!(cli.out_or("default.json"), "default.json");
+        assert_eq!(
+            cli.artifact_path("BENCH_scenarios.json"),
+            "BENCH_scenarios.quick.json"
+        );
+        assert_eq!(
+            timing_path(&cli.artifact_path("FIG_churn.json")),
+            "FIG_churn.quick.timing.json"
+        );
+        let cli = FigureCli::from_args(args(&["--quick", "--out", "x.json"]));
+        assert_eq!(cli.artifact_path("FIG_churn.json"), "x.json");
     }
 
     #[test]
     #[should_panic(expected = "unknown argument")]
     fn unknown_flag_panics() {
         let _ = FigureCli::from_args(args(&["--qick"]));
-    }
-
-    #[test]
-    fn extra_value_flags_are_split_out() {
-        let (cli, extras) = FigureCli::from_args_with_extras(
-            args(&["--quick", "--workers", "4", "--out", "x.json"]),
-            &["--workers"],
-        );
-        assert!(cli.quick);
-        assert_eq!(cli.out.as_deref(), Some("x.json"));
-        assert_eq!(extras, vec![("--workers".to_string(), "4".to_string())]);
-    }
-
-    #[test]
-    #[should_panic(expected = "--workers requires a value")]
-    fn extra_flag_without_value_panics() {
-        let _ = FigureCli::from_args_with_extras(args(&["--workers"]), &["--workers"]);
     }
 
     #[test]

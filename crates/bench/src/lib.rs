@@ -1,13 +1,17 @@
-//! Shared helpers for the experiment binaries that regenerate the paper's
-//! tables and figures.
+//! The paper's evaluation, reproduced: the figure table and the helpers its
+//! rows share.
 //!
-//! Each figure/table has its own binary under `src/bin/`, written as a
+//! Every figure/table of the paper is one row of [`figures::FIGURES`] — a
 //! declarative sweep grid executed on the work-stealing pool of
-//! [`sprout::sim::sweep`] and emitted through the shared [`harness`]: every
-//! binary accepts `--quick`, `--threads N` and `--out PATH`, writes a
-//! machine-readable `FIG_*.json` / `TAB_*.json` / `BENCH_*.json` artifact
-//! whose bytes are independent of the worker count, and prints the same rows
-//! as a tab-separated table for eyeballing/plotting.
+//! [`sprout::sim::sweep`] — and the one `sprout-bench` binary
+//! (`cargo run --release -p sprout-bench -- <name>… | all | list`) runs the
+//! selected rows through the shared [`harness`]: every row accepts `--quick`,
+//! `--threads N`, `--shards N` and `--out PATH`, writes a machine-readable
+//! `FIG_*.json` / `TAB_*.json` / `BENCH_*.json` artifact whose bytes are
+//! independent of the worker count, and prints the same rows as a
+//! tab-separated table for eyeballing/plotting. The same binary runs the
+//! committed scenario files (`scenario <file>`), the seeded scenario fuzzer
+//! (`fuzz`) and the scenario-baseline checker (`check <files>`).
 //!
 //! All experiments also accept the environment variable `SPROUT_SCALE`:
 //! * `SPROUT_SCALE=paper` — the paper's full problem sizes (r = 1000 files);
@@ -19,6 +23,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+pub mod figures;
 pub mod harness;
 
 pub use harness::{emit, emit_with_timings, timing_path, FigureCli};

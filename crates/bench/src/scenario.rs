@@ -1,32 +1,33 @@
-//! Runs one committed scenario file end to end and emits its sweep artifact.
+//! `sprout-bench scenario <file>` — runs one committed scenario file end to
+//! end and emits its sweep artifact.
 //!
 //! This is the CI smoke leg for the `scenarios/` library: every file under
 //! `scenarios/` must load through the real serde stack, compile onto its
-//! system, and run — `run_scenario scenarios/<name>.toml --quick` proves it
+//! system, and run — `scenario scenarios/<name>.toml --quick` proves it
 //! in seconds. Without `--quick` the scenario runs at its full declared
 //! horizon, which is how the committed specs are meant to be studied.
 //!
 //! Usage:
 //!
 //! ```sh
-//! cargo run --release -p sprout-bench --bin run_scenario -- \
+//! cargo run --release -p sprout-bench -- scenario \
 //!     scenarios/flash_crowd.toml [--quick] [--threads N] [--shards N] [--out PATH]
 //! ```
 //!
-//! The artifact defaults to `SCENARIO_<name>.json` next to the working
-//! directory; exit status is non-zero on any load, validation, or run error
+//! The artifact defaults to `SCENARIO_<name>.json` in the working directory
+//! (`SCENARIO_<name>.quick.json` with `--quick`); exit status is non-zero on any load, validation, or run error
 //! so CI fails loudly on a broken spec.
 
 use sprout::loader::RunSpec;
 use sprout_bench::{emit_with_timings, FigureCli};
 
-fn main() {
-    let mut args: Vec<String> = std::env::args().skip(1).collect();
+/// Runs the `scenario` subcommand on the arguments after its name.
+pub fn run(mut args: Vec<String>) {
     let path = match args.first() {
         Some(first) if !first.starts_with("--") => args.remove(0),
         _ => {
             eprintln!(
-                "usage: run_scenario <scenario.toml|.json> [--quick] [--threads N] [--shards N] [--out PATH]"
+                "usage: sprout-bench scenario <scenario.toml|.json> [--quick] [--threads N] [--shards N] [--out PATH]"
             );
             std::process::exit(2);
         }
@@ -56,5 +57,5 @@ fn main() {
         .with_meta("quick", cli.quick.to_string());
 
     let default_out = format!("SCENARIO_{}.json", spec.name);
-    emit_with_timings(&report, &timings, cli.out_or(&default_out));
+    emit_with_timings(&report, &timings, &cli.artifact_path(&default_out));
 }

@@ -24,7 +24,7 @@ use std::collections::HashMap;
 use serde::{Deserialize, Serialize};
 use sprout_erasure::Chunk;
 
-use crate::tier::{Admission, CacheTier, LruTier, TierStats};
+use crate::tier::{Admission, LruTier, TierStats};
 
 /// Which caching scheme the cluster uses.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -154,9 +154,11 @@ impl Cache {
     /// outcome (victims and whether the object is now resident).
     pub fn promote_lru(&mut self, object: u64, chunks: Vec<Chunk>) -> Admission {
         let resident = self.chunks.contains_key(&object);
-        // The trait impl below keeps tier residency and victim payloads in
-        // sync; this carrier only adds the admitted object's payload.
-        let admission = CacheTier::admit(self, object, chunk_bytes(&chunks));
+        let admission = self.tier.admit(object, chunk_bytes(&chunks));
+        // Keep tier residency and payloads in sync: victims lose theirs.
+        for victim in &admission.evicted {
+            self.chunks.remove(victim);
+        }
         if admission.admitted && !resident {
             self.chunks.insert(object, chunks);
         }
@@ -190,52 +192,6 @@ impl Cache {
     pub fn clear(&mut self) {
         self.chunks.clear();
         self.tier.clear();
-    }
-}
-
-impl CacheTier for Cache {
-    fn capacity(&self) -> u64 {
-        self.tier.capacity()
-    }
-
-    fn used(&self) -> u64 {
-        self.tier.used()
-    }
-
-    fn replication(&self) -> u32 {
-        self.tier.replication()
-    }
-
-    fn contains(&self, object: u64) -> bool {
-        self.tier.contains(object)
-    }
-
-    fn touch(&mut self, object: u64) -> bool {
-        self.tier.touch(object)
-    }
-
-    /// Weight-only admission: reserves residency and evicts victims' payloads;
-    /// the payload of the admitted object is installed by
-    /// [`Cache::promote_lru`], the carrier everyone calls.
-    fn admit(&mut self, object: u64, weight: u64) -> Admission {
-        let admission = self.tier.admit(object, weight);
-        for victim in &admission.evicted {
-            self.chunks.remove(victim);
-        }
-        admission
-    }
-
-    fn evict(&mut self, object: u64) -> bool {
-        self.chunks.remove(&object);
-        self.tier.evict(object)
-    }
-
-    fn stats(&self) -> TierStats {
-        self.tier.stats()
-    }
-
-    fn resident_objects(&self) -> Vec<u64> {
-        self.tier.resident_objects()
     }
 }
 
@@ -309,7 +265,7 @@ mod tests {
         assert!(cache.peek(2).is_none(), "object 2 should have been evicted");
         assert!(cache.peek(1).is_some());
         assert!(cache.peek(3).is_some());
-        let resident = cache.resident_objects();
+        let resident = cache.tier.resident_objects();
         assert_eq!(resident.last(), Some(&3));
     }
 
@@ -347,21 +303,10 @@ mod tests {
 
     #[test]
     fn cache_tier_trait_is_implemented_by_the_cache() {
-        fn drive<T: CacheTier>(tier: &mut T) {
-            assert!(!tier.touch(9));
-            assert!(tier.admit(9, 10).admitted);
-            assert!(tier.touch(9));
-            assert!(tier.contains(9));
-            assert_eq!(tier.resident_objects(), vec![9]);
-            assert!(tier.evict(9));
-            assert_eq!(tier.used(), 0);
-        }
         let mut cache = Cache::new(CachePolicy::ceph_baseline(), 1000);
-        drive(&mut cache);
-        assert_eq!(cache.replication(), 2);
-        // Weight-only admission evicts victims' payloads too.
+        // A promotion that evicts drops the victim's payload too.
         assert!(cache.promote_lru(1, vec![chunk(0, 400)]).admitted);
-        let admission = CacheTier::admit(&mut cache, 2, 400);
+        let admission = cache.promote_lru(2, vec![chunk(0, 400)]);
         assert!(admission.admitted);
         assert_eq!(admission.evicted, vec![1]);
         assert!(cache.peek(1).is_none(), "victim payload must be dropped");
@@ -377,6 +322,6 @@ mod tests {
         assert_eq!(cache.used_bytes(), 100);
         cache.clear();
         assert_eq!(cache.used_bytes(), 0);
-        assert!(cache.resident_objects().is_empty());
+        assert!(cache.tier.resident_objects().is_empty());
     }
 }

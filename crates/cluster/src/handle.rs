@@ -604,7 +604,7 @@ impl StoreHandle {
 
     /// Promotes a whole object into the cache tier *unconditionally* — the
     /// mirror of an admission decided by an external
-    /// [`CacheTier`](crate::CacheTier) (the simulation engine's; see
+    /// [`LruTier`](crate::LruTier) (the simulation engine's; see
     /// [`crate::tier`]). The object's `k` data chunks are rebuilt from
     /// whatever storage chunks are present (management path: no queueing or
     /// latency accounting) and installed without consulting this cache's own
@@ -626,7 +626,7 @@ impl StoreHandle {
     }
 
     /// Evicts an object from the cache tier — the mirror of an eviction
-    /// decided by an external [`CacheTier`](crate::CacheTier). Returns
+    /// decided by an external [`LruTier`](crate::LruTier). Returns
     /// whether it was resident.
     pub fn evict_cached(&self, object: u64) -> bool {
         self.cache().mirror_evict(object)

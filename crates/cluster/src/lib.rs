@@ -14,10 +14,9 @@
 //!   plus the rebalance hook that prices membership changes.
 //! * [`node`] — storage nodes that hold real chunk bytes and serve reads
 //!   through a FIFO queue in virtual time.
-//! * [`tier`] — the [`CacheTier`] contract (promotion, eviction, hit lookup,
-//!   capacity accounting, replication) and its one implementation,
-//!   [`LruTier`] — the source of truth for LRU decisions shared with the
-//!   simulation engine.
+//! * [`tier`] — [`LruTier`] (promotion, eviction, hit lookup, capacity
+//!   accounting, replication): the source of truth for LRU decisions shared
+//!   with the simulation engine.
 //! * [`cache`] — cache tiers: functional (coded chunks), exact (copies of
 //!   stored chunks), LRU replicated (Ceph's cache-tier baseline), or none.
 //! * [`handle`] — the erasure-coded object store itself, [`StoreHandle`]
@@ -78,7 +77,7 @@ pub use placement::{
     ClusterView, ObjectDesc, Placement, PlacementChoice, PlacementMap, RebalanceReport,
 };
 pub use store::{ClusterConfig, ClusterConfigBuilder, ReadOutcome};
-pub use tier::{Admission, CacheTier, LruTier, TierStats};
+pub use tier::{Admission, LruTier, TierStats};
 // Re-exported so store configurers can pick a coding kernel / striping
 // without a direct `sprout-erasure` dependency.
 pub use sprout_erasure::{Kernel, StripeOpts};

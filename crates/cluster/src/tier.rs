@@ -8,12 +8,11 @@
 //! [`Cache`](crate::cache::Cache) and chunk-granular inside the simulation
 //! engine — so the two paths could silently disagree on hit/miss decisions.
 //!
-//! [`CacheTier`] is the shared contract (hit lookup, admission with LRU
-//! eviction, driven eviction, capacity accounting, replication) and
-//! [`LruTier`] the one implementation of it. The simulation engine drives an
-//! `LruTier` directly (weights are chunk counts), the cluster's `Cache`
-//! delegates its byte accounting to an embedded `LruTier` (weights are
-//! payload bytes), and the byte-accurate `StoreBackend` *mirrors* the
+//! [`LruTier`] is the one implementation (hit lookup, admission with LRU
+//! eviction, driven eviction, capacity accounting, replication). The
+//! simulation engine drives an `LruTier` directly (weights are chunk
+//! counts), the cluster's `Cache` delegates its byte accounting to an
+//! embedded `LruTier` (weights are payload bytes), and the byte-accurate `StoreBackend` *mirrors* the
 //! engine's admissions and evictions so both paths always agree on which
 //! objects are resident — the differential root test proves it request by
 //! request.
@@ -37,11 +36,11 @@ pub struct TierStats {
     /// Objects promoted (admitted) into the tier.
     pub promotions: u64,
     /// Objects evicted — by LRU pressure during an admission or by a driven
-    /// [`CacheTier::evict`] call.
+    /// [`LruTier::evict`] call.
     pub evictions: u64,
 }
 
-/// Outcome of a [`CacheTier::admit`] attempt.
+/// Outcome of a [`LruTier::admit`] attempt.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct Admission {
     /// Whether the object is resident after the call (newly promoted or
@@ -51,46 +50,6 @@ pub struct Admission {
     pub evicted: Vec<u64>,
 }
 
-/// The cache-tier contract: promotion, eviction, hit lookup, capacity
-/// accounting and replication.
-///
-/// Implementations track *residency and weight*, not payload bytes — payload
-/// storage (if any) wraps the tier, as [`Cache`](crate::cache::Cache) does.
-pub trait CacheTier {
-    /// Tier capacity, in the implementation's weight unit.
-    fn capacity(&self) -> u64;
-
-    /// Weight currently occupied (footprints include replication).
-    fn used(&self) -> u64;
-
-    /// Replication factor applied to every admitted object's footprint.
-    fn replication(&self) -> u32;
-
-    /// Whether `object` is resident. No statistics or recency side effects.
-    fn contains(&self, object: u64) -> bool;
-
-    /// Hit lookup: records a hit (refreshing recency) or a miss and returns
-    /// whether the object was resident.
-    fn touch(&mut self, object: u64) -> bool;
-
-    /// Tries to admit an object of logical size `weight` (footprint
-    /// `weight × replication`), evicting least-recently-used residents until
-    /// it fits. Objects whose footprint exceeds the whole tier are not
-    /// admitted and evict nothing. Admitting a resident object only
-    /// refreshes its recency.
-    fn admit(&mut self, object: u64, weight: u64) -> Admission;
-
-    /// Evicts `object` (driven eviction — a mirror of a decision made
-    /// elsewhere, or a management drop). Returns whether it was resident.
-    fn evict(&mut self, object: u64) -> bool;
-
-    /// Hit/miss/promotion/eviction counters.
-    fn stats(&self) -> TierStats;
-
-    /// Resident objects, least recently used first.
-    fn resident_objects(&self) -> Vec<u64>;
-}
-
 #[derive(Debug, Clone, Copy)]
 struct TierEntry {
     /// Footprint (weight × replication) charged against the capacity.
@@ -98,7 +57,9 @@ struct TierEntry {
     last_access: u64,
 }
 
-/// Byte-accurate LRU bookkeeping — the one implementation of [`CacheTier`].
+/// Byte-accurate LRU bookkeeping: tracks *residency and weight*, not payload
+/// bytes — payload storage (if any) wraps the tier, as
+/// [`Cache`](crate::cache::Cache) does.
 ///
 /// Eviction picks the minimum `last_access` tick; ticks strictly increase, so
 /// the victim is unique and the policy is deterministic regardless of hash
@@ -198,26 +159,30 @@ impl LruTier {
         self.stats.evictions += 1;
         Some(victim)
     }
-}
 
-impl CacheTier for LruTier {
-    fn capacity(&self) -> u64 {
+    /// Tier capacity, in the implementation's weight unit.
+    pub fn capacity(&self) -> u64 {
         self.capacity
     }
 
-    fn used(&self) -> u64 {
+    /// Weight currently occupied (footprints include replication).
+    pub fn used(&self) -> u64 {
         self.used
     }
 
-    fn replication(&self) -> u32 {
+    /// Replication factor applied to every admitted object's footprint.
+    pub fn replication(&self) -> u32 {
         self.replication
     }
 
-    fn contains(&self, object: u64) -> bool {
+    /// Whether `object` is resident. No statistics or recency side effects.
+    pub fn contains(&self, object: u64) -> bool {
         self.entries.contains_key(&object)
     }
 
-    fn touch(&mut self, object: u64) -> bool {
+    /// Hit lookup: records a hit (refreshing recency) or a miss and returns
+    /// whether the object was resident.
+    pub fn touch(&mut self, object: u64) -> bool {
         self.clock += 1;
         match self.entries.get_mut(&object) {
             Some(entry) => {
@@ -232,7 +197,12 @@ impl CacheTier for LruTier {
         }
     }
 
-    fn admit(&mut self, object: u64, weight: u64) -> Admission {
+    /// Tries to admit an object of logical size `weight` (footprint
+    /// `weight × replication`), evicting least-recently-used residents until
+    /// it fits. Objects whose footprint exceeds the whole tier are not
+    /// admitted and evict nothing. Admitting a resident object only
+    /// refreshes its recency.
+    pub fn admit(&mut self, object: u64, weight: u64) -> Admission {
         if let Some(entry) = self.entries.get_mut(&object) {
             self.clock += 1;
             entry.last_access = self.clock;
@@ -274,7 +244,9 @@ impl CacheTier for LruTier {
         }
     }
 
-    fn evict(&mut self, object: u64) -> bool {
+    /// Evicts `object` (driven eviction — a mirror of a decision made
+    /// elsewhere, or a management drop). Returns whether it was resident.
+    pub fn evict(&mut self, object: u64) -> bool {
         if self.remove(object) {
             self.stats.evictions += 1;
             true
@@ -283,11 +255,13 @@ impl CacheTier for LruTier {
         }
     }
 
-    fn stats(&self) -> TierStats {
+    /// Hit/miss/promotion/eviction counters.
+    pub fn stats(&self) -> TierStats {
         self.stats
     }
 
-    fn resident_objects(&self) -> Vec<u64> {
+    /// Resident objects, least recently used first.
+    pub fn resident_objects(&self) -> Vec<u64> {
         let mut ids: Vec<(u64, u64)> = self
             .entries
             .iter()

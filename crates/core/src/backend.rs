@@ -169,7 +169,7 @@ impl ChunkBackend for StoreBackend {
         self.store.set_node_online(node, online);
     }
 
-    fn sample_service(&mut self, node: usize, _file: usize) -> f64 {
+    fn sample_service(&mut self, node: usize) -> f64 {
         self.service[node].sample(&mut self.rng)
     }
 

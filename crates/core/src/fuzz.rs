@@ -37,8 +37,8 @@ use crate::spec::{FileConfig, SystemSpec};
 use crate::system::{CachePolicyChoice, SproutSystem};
 use sprout_cluster::PlacementChoice;
 
-/// The default base seed of the fuzzer (CI uses this unless
-/// `SPROUT_FUZZ_SEED` overrides it).
+/// The default base seed of the fuzzer (what `sprout-bench fuzz` runs
+/// without `--seed`, and the seed CI passes).
 pub const DEFAULT_BASE_SEED: u64 = 0x5950_0117_2016_0001;
 
 /// The seed of case `index` under `base` — decorrelated so neighbouring

@@ -5,8 +5,8 @@
 //! the way (`[scenario]` — a [`ScenarioSpec`]), and optionally which axes to
 //! sweep (`[sweep]`) or which CSV request trace to replay (`[trace]`). The
 //! committed library under `scenarios/` at the workspace root holds one TOML
-//! file per named scenario; `cargo run --bin run_scenario -- <file>` executes
-//! one end to end.
+//! file per named scenario; `cargo run -p sprout-bench -- scenario <file>`
+//! executes one end to end.
 //!
 //! Files round-trip through the vendored serde stack: `.toml` files parse
 //! with the `toml` crate, `.json` files with `serde_json`, chosen by file

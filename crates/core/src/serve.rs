@@ -23,7 +23,8 @@
 //!
 //! Store latencies remain *virtual* (device models, FIFO queues); the
 //! histogram records *wall-clock* request latency — queueing in the daemon
-//! plus real decode work — which is what `bench_serving` tracks.
+//! plus real decode work — which is what the repo benchmark's serving
+//! workloads (`benchmark/`) track.
 
 use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{AtomicU64, Ordering};

@@ -59,10 +59,10 @@ pub trait ChunkBackend {
     /// queued on a failing node drain; the planner just stops selecting it.
     fn set_node_online(&mut self, node: usize, online: bool);
 
-    /// Service time of one chunk read of `file` on `node` (seconds). Drawn
+    /// Service time of one chunk read on `node` (seconds). Drawn
     /// from the backend's own RNG so planning decisions stay
     /// backend-independent.
-    fn sample_service(&mut self, node: usize, file: usize) -> f64;
+    fn sample_service(&mut self, node: usize) -> f64;
 
     /// Settles a completed request. Byte-accurate backends fetch the chunks
     /// the engine chose, decode and verify; the return value is `false` when
@@ -144,7 +144,7 @@ impl ChunkBackend for AnalyticBackend {
         self.online[node] = online;
     }
 
-    fn sample_service(&mut self, node: usize, _file: usize) -> f64 {
+    fn sample_service(&mut self, node: usize) -> f64 {
         self.dists[node].sample(&mut self.rngs[node])
     }
 }
@@ -169,9 +169,9 @@ mod tests {
         let mut a = AnalyticBackend::new(vec![ServiceDistribution::exponential(0.5); 2], 9);
         let mut b = AnalyticBackend::new(vec![ServiceDistribution::exponential(0.5); 2], 9);
         for _ in 0..100 {
-            let s = a.sample_service(0, 0);
+            let s = a.sample_service(0);
             assert!(s > 0.0);
-            assert_eq!(s, b.sample_service(0, 0));
+            assert_eq!(s, b.sample_service(0));
         }
     }
 
@@ -184,10 +184,10 @@ mod tests {
         let mut mixed = AnalyticBackend::new(dists, 77);
         for i in 0..50 {
             if i % 2 == 0 {
-                mixed.sample_service(1, 0);
-                mixed.sample_service(2, 0);
+                mixed.sample_service(1);
+                mixed.sample_service(2);
             }
-            assert_eq!(solo.sample_service(0, 0), mixed.sample_service(0, 0));
+            assert_eq!(solo.sample_service(0), mixed.sample_service(0));
         }
     }
 

@@ -50,6 +50,4 @@ pub use policy::CacheScheme;
 pub use replicate::MeanCi;
 pub use scenario::{Scenario, ScenarioAction, ScenarioEvent};
 pub use shard::{ShardPlan, ShardedEngine};
-pub use sweep::{
-    CellTiming, Sample, SweepCancelled, SweepCell, SweepGrid, SweepReport, SweepRow, SweepTimings,
-};
+pub use sweep::{CellTiming, Sample, SweepCell, SweepGrid, SweepReport, SweepRow, SweepTimings};

@@ -44,7 +44,7 @@ use std::thread;
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use sprout_cluster::{CacheTier, LruTier};
+use sprout_cluster::LruTier;
 use sprout_workload::arrivals::{ArrivalStream, RateProfile};
 
 use crate::backend::{AnalyticBackend, ChunkBackend, FinishedRequest};
@@ -356,7 +356,7 @@ impl RequestSlab {
 
 #[derive(Debug, Default, Clone)]
 struct NodeState {
-    queue: VecDeque<(u64, usize)>, // (request id, global file) waiting
+    queue: VecDeque<u64>, // request ids waiting
     serving: Option<u64>,
     busy_time: f64,
 }
@@ -380,7 +380,6 @@ impl ServiceQueues {
         &mut self,
         node: usize,
         request: u64,
-        file: usize,
         now: f64,
         events: &mut EventQueue<Event>,
         backend: &mut B,
@@ -388,9 +387,9 @@ impl ServiceQueues {
         load: &mut CompLoad,
     ) {
         if self.nodes[node].serving.is_none() {
-            self.start(node, request, file, now, events, backend, comp, load);
+            self.start(node, request, now, events, backend, comp, load);
         } else {
-            self.nodes[node].queue.push_back((request, file));
+            self.nodes[node].queue.push_back(request);
         }
     }
 
@@ -399,14 +398,13 @@ impl ServiceQueues {
         &mut self,
         node: usize,
         request: u64,
-        file: usize,
         now: f64,
         events: &mut EventQueue<Event>,
         backend: &mut B,
         comp: usize,
         load: &mut CompLoad,
     ) {
-        let service = backend.sample_service(node, file);
+        let service = backend.sample_service(node);
         let state = &mut self.nodes[node];
         state.serving = Some(request);
         state.busy_time += service;
@@ -729,7 +727,6 @@ impl<B: ChunkBackend> LoopCore<'_, B> {
                             self.queues.enqueue(
                                 node,
                                 id,
-                                global,
                                 now,
                                 &mut self.events,
                                 self.backend,
@@ -767,11 +764,10 @@ impl<B: ChunkBackend> LoopCore<'_, B> {
                     self.load.request_closed(comp);
                 }
                 // Start the next queued chunk, if any.
-                if let Some((next, file)) = self.queues.nodes[node].queue.pop_front() {
+                if let Some(next) = self.queues.nodes[node].queue.pop_front() {
                     self.queues.start(
                         node,
                         next,
-                        file,
                         now,
                         &mut self.events,
                         self.backend,

@@ -39,7 +39,6 @@
 //! ```
 
 use std::collections::VecDeque;
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Mutex;
 
 use serde::{Deserialize, Serialize};
@@ -505,18 +504,6 @@ impl SweepTimings {
     }
 }
 
-/// The sweep was cancelled before every task ran; no report is produced.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct SweepCancelled;
-
-impl std::fmt::Display for SweepCancelled {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "sweep cancelled before all cells completed")
-    }
-}
-
-impl std::error::Error for SweepCancelled {}
-
 /// FNV-1a over the coordinate labels: ties a cell's seed to *what* it
 /// measures instead of *where* it sits in the work queue.
 fn coord_hash(coords: &[(String, String)]) -> u64 {
@@ -678,48 +665,15 @@ impl SweepGrid {
     }
 
     /// Like [`SweepGrid::run_cells`], additionally returning the wall-clock
-    /// [`SweepTimings`] side-channel.
+    /// [`SweepTimings`] side-channel: executes the task set on the
+    /// work-stealing pool, folds the deterministic report and measures the
+    /// timings alongside it.
     pub fn run_cells_timed<F>(
         &self,
         cells: Vec<SweepCell>,
         threads: usize,
         task: F,
     ) -> (SweepReport, SweepTimings)
-    where
-        F: Fn(&SweepCell, usize, u64) -> Sample + Sync,
-    {
-        let never = AtomicBool::new(false);
-        self.run_cells_instrumented(cells, threads, &never, task)
-            .expect("an unset cancel token never cancels")
-    }
-
-    /// Like [`SweepGrid::run_cells`], but checks `cancel` between tasks:
-    /// once it is `true`, workers stop claiming work and the call returns
-    /// [`SweepCancelled`] instead of a (partial) report.
-    pub fn run_cells_cancellable<F>(
-        &self,
-        cells: Vec<SweepCell>,
-        threads: usize,
-        cancel: &AtomicBool,
-        task: F,
-    ) -> Result<SweepReport, SweepCancelled>
-    where
-        F: Fn(&SweepCell, usize, u64) -> Sample + Sync,
-    {
-        self.run_cells_instrumented(cells, threads, cancel, task)
-            .map(|(report, _)| report)
-    }
-
-    /// The instrumented core every run path funnels through: executes the
-    /// task set on the work-stealing pool, folds the deterministic report
-    /// and measures the wall-clock side-channel alongside it.
-    fn run_cells_instrumented<F>(
-        &self,
-        cells: Vec<SweepCell>,
-        threads: usize,
-        cancel: &AtomicBool,
-        task: F,
-    ) -> Result<(SweepReport, SweepTimings), SweepCancelled>
     where
         F: Fn(&SweepCell, usize, u64) -> Sample + Sync,
     {
@@ -734,7 +688,7 @@ impl SweepGrid {
         let slots: Vec<Mutex<Option<(Sample, f64)>>> =
             tasks.iter().map(|_| Mutex::new(None)).collect();
 
-        let completed = run_stealing(tasks.len(), threads, cancel, |t| {
+        run_stealing(tasks.len(), threads, |t| {
             let (c, r) = tasks[t];
             let cell = &cells[c];
             let task_start = std::time::Instant::now();
@@ -742,9 +696,6 @@ impl SweepGrid {
             let elapsed = task_start.elapsed().as_secs_f64();
             *slots[t].lock().expect("no panics while holding a slot") = Some((sample, elapsed));
         });
-        if !completed {
-            return Err(SweepCancelled);
-        }
 
         // Fold in (cell, replication) order — scheduling-independent.
         let mut samples: Vec<Vec<Sample>> = cells.iter().map(|_| Vec::new()).collect();
@@ -786,7 +737,7 @@ impl SweepGrid {
             wall_s: sweep_start.elapsed().as_secs_f64(),
             cells: timings,
         };
-        Ok((report, timings))
+        (report, timings)
     }
 }
 
@@ -857,14 +808,13 @@ fn fold_cell(cell: &SweepCell, reps: Vec<Sample>) -> SweepRow {
 }
 
 /// Executes tasks `0..count` on `threads` workers with per-worker deques and
-/// sibling stealing. Returns `false` if `cancel` became `true` before every
-/// task ran.
-fn run_stealing<F>(count: usize, threads: usize, cancel: &AtomicBool, run: F) -> bool
+/// sibling stealing.
+fn run_stealing<F>(count: usize, threads: usize, run: F)
 where
     F: Fn(usize) + Sync,
 {
     if count == 0 {
-        return !cancel.load(Ordering::SeqCst);
+        return;
     }
     let workers = threads.max(1).min(count);
     // Round-robin initial distribution: contiguous (cell, replication) tasks
@@ -877,9 +827,6 @@ where
     std::thread::scope(|scope| {
         for w in 0..workers {
             scope.spawn(move || loop {
-                if cancel.load(Ordering::SeqCst) {
-                    return;
-                }
                 // Own queue first (front: cache-friendly order)…
                 let mut next = queues[w].lock().expect("queue lock").pop_front();
                 // …then steal from a sibling's back.
@@ -899,7 +846,6 @@ where
             });
         }
     });
-    !cancel.load(Ordering::SeqCst)
 }
 
 #[cfg(test)]
@@ -1039,41 +985,6 @@ mod tests {
         let report = grid.run(1, |_, _, _| Sample::new().metric("m", 1.0));
         assert_eq!(report.rows.len(), 1);
         assert!(report.rows[0].coords.is_empty());
-    }
-
-    #[test]
-    fn pre_set_cancel_token_cancels_without_running_tasks() {
-        use std::sync::atomic::AtomicUsize;
-        let grid = demo_grid();
-        let cancel = AtomicBool::new(true);
-        let ran = AtomicUsize::new(0);
-        let result = grid.run_cells_cancellable(grid.cells(), 4, &cancel, |c, r, s| {
-            ran.fetch_add(1, Ordering::SeqCst);
-            demo_task(c, r, s)
-        });
-        assert_eq!(result, Err(SweepCancelled));
-        assert_eq!(ran.load(Ordering::SeqCst), 0, "no task may start");
-    }
-
-    #[test]
-    fn mid_run_cancellation_stops_claiming_tasks() {
-        use std::sync::atomic::AtomicUsize;
-        let grid = SweepGrid::named("cancel", 3).axis("i", (0..64).map(|i| i.to_string()));
-        let cancel = AtomicBool::new(false);
-        let ran = AtomicUsize::new(0);
-        let result = grid.run_cells_cancellable(grid.cells(), 2, &cancel, |_, _, _| {
-            // The third completed task trips the token; workers then stop
-            // claiming and the sweep reports cancellation.
-            if ran.fetch_add(1, Ordering::SeqCst) == 2 {
-                cancel.store(true, Ordering::SeqCst);
-            }
-            Sample::new()
-        });
-        assert_eq!(result, Err(SweepCancelled));
-        assert!(
-            ran.load(Ordering::SeqCst) < 64,
-            "cancellation must stop the sweep early"
-        );
     }
 
     #[test]

@@ -1,6 +1,6 @@
 //! Every committed scenario file under `scenarios/` must load through the
 //! real serde stack, compile onto its system, and run end to end — the same
-//! contract the CI smoke leg enforces via `run_scenario --quick`.
+//! contract the CI smoke leg enforces via `sprout-bench scenario --quick`.
 
 use sprout::loader::RunSpec;
 use std::path::PathBuf;

@@ -1,11 +1,8 @@
 //! The sweep subsystem's headline guarantee, proven at the facade level:
 //! a [`SweepReport`] serializes to **byte-identical JSON for any worker
 //! count** — the work-stealing pool changes wall-clock time, never the
-//! numbers — plus the empty-grid and cancellation edge cases.
+//! numbers — plus the empty-grid edge case.
 
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-
-use sprout::sim::sweep::{Sample, SweepCancelled, SweepGrid};
 use sprout::sim::SimConfig;
 use sprout::{
     CachePolicyChoice, ScenarioActionSpec, ScenarioSpec, SimSweep, SproutSystem, SystemSpec,
@@ -83,35 +80,5 @@ fn empty_cell_list_yields_a_valid_empty_report() {
     assert!(
         json.contains("\"rows\": [\n  ]"),
         "rows array must stay valid JSON"
-    );
-}
-
-#[test]
-fn cancellation_stops_the_pool_without_a_partial_report() {
-    let grid = SweepGrid::named("cancel", 7).axis("i", (0..32).map(|i| i.to_string()));
-
-    // Pre-set token: nothing runs at all.
-    let cancel = AtomicBool::new(true);
-    let ran = AtomicUsize::new(0);
-    let result = grid.run_cells_cancellable(grid.cells(), 4, &cancel, |_, _, _| {
-        ran.fetch_add(1, Ordering::SeqCst);
-        Sample::new()
-    });
-    assert_eq!(result, Err(SweepCancelled));
-    assert_eq!(ran.load(Ordering::SeqCst), 0);
-
-    // Tripped mid-run: workers stop claiming tasks and no report escapes.
-    let cancel = AtomicBool::new(false);
-    let ran = AtomicUsize::new(0);
-    let result = grid.run_cells_cancellable(grid.cells(), 2, &cancel, |_, _, _| {
-        if ran.fetch_add(1, Ordering::SeqCst) == 3 {
-            cancel.store(true, Ordering::SeqCst);
-        }
-        Sample::new()
-    });
-    assert_eq!(result, Err(SweepCancelled));
-    assert!(
-        ran.load(Ordering::SeqCst) < 32,
-        "cancellation must cut the sweep short"
     );
 }

@@ -156,19 +156,6 @@ fn every_crate_source_file_is_in_the_module_tree() {
                 mark_reachable(&src.join(root), &mut seen);
             }
         }
-        if src.join("bin").is_dir() {
-            for bin in std::fs::read_dir(src.join("bin")).expect("src/bin is readable") {
-                let bin = bin.expect("directory entry is readable").path();
-                let root = if bin.is_dir() {
-                    bin.join("main.rs")
-                } else {
-                    bin
-                };
-                if root.is_file() {
-                    mark_reachable(&root, &mut seen);
-                }
-            }
-        }
         let mut files = Vec::new();
         rust_files(&src, &mut files);
         checked += files.len();
