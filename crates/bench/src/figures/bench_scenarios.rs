@@ -9,15 +9,14 @@
 //! streaming-arrivals and pooled-allocation regression guards).
 //!
 //! The artifact is the determinism canary of the whole sweep subsystem: CI
-//! runs this row with `--threads 1`, `2` and `4` and with `--shards 1`,
-//! `2` and `4`, and requires every JSON file to be byte-identical to the
-//! single-thread single-shard reference.
+//! runs this row with `--threads 1`, `2` and `4` and requires every JSON
+//! file to be byte-identical to the single-thread reference.
 //!
 //! Usage:
 //!
 //! ```sh
 //! cargo run --release -p sprout-bench -- bench_scenarios \
-//!     [--quick] [--threads N] [--shards N] [--out PATH]
+//!     [--quick] [--threads N] [--out PATH]
 //! ```
 
 use crate::{paper_system, scale_cache, FigureCli};
@@ -66,8 +65,7 @@ pub fn run(cli: &FigureCli) -> (SweepReport, Option<SweepTimings>) {
         // size-independent, only the stored payloads shrink.
         .byte_object_bytes(64 * 1024)
         .replications(replications)
-        .byte_replications(byte_replications)
-        .shards(cli.shards_or(1));
+        .byte_replications(byte_replications);
 
     // Byte-accurate replications (with per-request decode verification) are
     // expensive, so the byte leg covers the node-churn scenario only.

@@ -4,7 +4,7 @@
 //! [`SimSweep`](sprout::SimSweep)) plus a cell task; this module supplies the
 //! parts they share:
 //!
-//! * [`FigureCli`] — the common flags `--quick`, `--threads N`, `--shards N`,
+//! * [`FigureCli`] — the common flags `--quick`, `--threads N`,
 //!   `--out PATH` (plus the `SPROUT_SCALE=paper` environment switch the suite
 //!   has always honoured), and [`FigureCli::artifact_path`], the one place
 //!   that decides where an artifact lands.
@@ -13,8 +13,7 @@
 //!
 //! The JSON artifact is the machine-readable record CI uploads and diffs; it
 //! contains nothing scheduling-dependent, so running the same figure with
-//! different `--threads` or `--shards` values must produce byte-identical
-//! files.
+//! different `--threads` values must produce byte-identical files.
 
 use sprout::sim::sweep::{SweepReport, SweepTimings};
 
@@ -27,10 +26,6 @@ pub struct FigureCli {
     /// `--threads N`: worker count for the sweep pool (results never depend
     /// on it). `None` when not given; see [`FigureCli::threads_or`].
     pub threads: Option<usize>,
-    /// `--shards N`: event loops each simulation replication is sharded onto
-    /// (results never depend on it either — the sharded engine's determinism
-    /// contract). `None` when not given; see [`FigureCli::shards_or`].
-    pub shards: Option<usize>,
     /// `--out PATH`: where to write the JSON artifact. `None` means the
     /// figure's default (see [`FigureCli::artifact_path`]).
     pub out: Option<String>,
@@ -42,13 +37,12 @@ impl FigureCli {
     /// # Panics
     ///
     /// Panics (with a usage message) on an unknown flag or a malformed
-    /// `--threads` / `--shards` value, so a typo'd invocation cannot silently
-    /// run the wrong experiment.
+    /// `--threads` value, so a typo'd invocation cannot silently run the
+    /// wrong experiment.
     pub fn from_args(args: impl IntoIterator<Item = String>) -> Self {
         let mut cli = FigureCli {
             quick: false,
             threads: None,
-            shards: None,
             out: None,
         };
         let mut args = args.into_iter();
@@ -65,16 +59,6 @@ impl FigureCli {
                     assert!(threads > 0, "--threads must be at least 1");
                     cli.threads = Some(threads);
                 }
-                "--shards" => {
-                    let value = args
-                        .next()
-                        .unwrap_or_else(|| panic!("--shards requires a value"));
-                    let shards: usize = value
-                        .parse()
-                        .unwrap_or_else(|_| panic!("--shards expects a number, got '{value}'"));
-                    assert!(shards > 0, "--shards must be at least 1");
-                    cli.shards = Some(shards);
-                }
                 "--out" => {
                     cli.out = Some(
                         args.next()
@@ -82,7 +66,7 @@ impl FigureCli {
                     );
                 }
                 other => panic!(
-                    "unknown argument '{other}' (supported: --quick, --threads N, --shards N, --out PATH)"
+                    "unknown argument '{other}' (supported: --quick, --threads N, --out PATH)"
                 ),
             }
         }
@@ -94,13 +78,6 @@ impl FigureCli {
     /// pass [`FigureCli::available_threads`].
     pub fn threads_or(&self, default: usize) -> usize {
         self.threads.unwrap_or(default).max(1)
-    }
-
-    /// The shard count to use: the `--shards` flag, or `default` when the
-    /// flag is absent. Passed to `SimSweep::shards` / `SimConfig::with_shards`
-    /// by the simulation bins; artifacts are shard-count-invariant.
-    pub fn shards_or(&self, default: usize) -> usize {
-        self.shards.unwrap_or(default).max(1)
     }
 
     /// The machine's available parallelism (the default for simulation and
@@ -221,29 +198,17 @@ mod tests {
             FigureCli {
                 quick: false,
                 threads: None,
-                shards: None,
                 out: None
             }
         );
-        let cli = FigureCli::from_args(args(&[
-            "--quick",
-            "--threads",
-            "4",
-            "--shards",
-            "2",
-            "--out",
-            "x.json",
-        ]));
+        let cli = FigureCli::from_args(args(&["--quick", "--threads", "4", "--out", "x.json"]));
         assert!(cli.quick);
         assert_eq!(cli.threads, Some(4));
-        assert_eq!(cli.shards, Some(2));
         assert_eq!(cli.out.as_deref(), Some("x.json"));
         assert_eq!(cli.threads_or(8), 4);
-        assert_eq!(cli.shards_or(1), 2);
         assert_eq!(cli.artifact_path("default.json"), "x.json");
         let cli = FigureCli::from_args(args(&["--threads", "2"]));
         assert_eq!(cli.threads_or(8), 2);
-        assert_eq!(cli.shards_or(1), 1);
         assert_eq!(cli.artifact_path("default.json"), "default.json");
     }
 

@@ -6,7 +6,7 @@
 //! [`sprout::sim::sweep`] — and the one `sprout-bench` binary
 //! (`cargo run --release -p sprout-bench -- <name>… | all | list`) runs the
 //! selected rows through the shared [`harness`]: every row accepts `--quick`,
-//! `--threads N`, `--shards N` and `--out PATH`, writes a machine-readable
+//! `--threads N` and `--out PATH`, writes a machine-readable
 //! `FIG_*.json` / `TAB_*.json` / `BENCH_*.json` artifact whose bytes are
 //! independent of the worker count, and prints the same rows as a
 //! tab-separated table for eyeballing/plotting. The same binary runs the

@@ -3,8 +3,8 @@
 //! ```sh
 //! cargo run --release -p sprout-bench -- list
 //! cargo run --release -p sprout-bench -- <name>… | all \
-//!     [--quick] [--threads N] [--shards N] [--out PATH]
-//! cargo run --release -p sprout-bench -- scenario <file> [--quick] [--threads N] [--shards N] [--out PATH]
+//!     [--quick] [--threads N] [--out PATH]
+//! cargo run --release -p sprout-bench -- scenario <file> [--quick] [--threads N] [--out PATH]
 //! cargo run --release -p sprout-bench -- fuzz [--iterations N] [--seed S]
 //! cargo run --release -p sprout-bench -- check <files>… [--baselines PATH] [--update]
 //! ```

@@ -11,7 +11,7 @@
 //!
 //! ```sh
 //! cargo run --release -p sprout-bench -- scenario \
-//!     scenarios/flash_crowd.toml [--quick] [--threads N] [--shards N] [--out PATH]
+//!     scenarios/flash_crowd.toml [--quick] [--threads N] [--out PATH]
 //! ```
 //!
 //! The artifact defaults to `SCENARIO_<name>.json` in the working directory
@@ -27,7 +27,7 @@ pub fn run(mut args: Vec<String>) {
         Some(first) if !first.starts_with("--") => args.remove(0),
         _ => {
             eprintln!(
-                "usage: sprout-bench scenario <scenario.toml|.json> [--quick] [--threads N] [--shards N] [--out PATH]"
+                "usage: sprout-bench scenario <scenario.toml|.json> [--quick] [--threads N] [--out PATH]"
             );
             std::process::exit(2);
         }
@@ -38,13 +38,10 @@ pub fn run(mut args: Vec<String>) {
         eprintln!("error: {e}");
         std::process::exit(1);
     });
-    let mut sweep = spec.to_sweep(cli.quick).unwrap_or_else(|e| {
+    let sweep = spec.to_sweep(cli.quick).unwrap_or_else(|e| {
         eprintln!("error: {e}");
         std::process::exit(1);
     });
-    if let Some(shards) = cli.shards {
-        sweep = sweep.shards(shards);
-    }
 
     let (report, timings) = sweep
         .run_timed(cli.threads_or(FigureCli::available_threads()))

@@ -8,15 +8,13 @@
 //! policy) and a bounded random scenario
 //! (failures/recoveries that never take more than `nodes - n` hosts down at
 //! once, load waves, single-file spikes, re-optimization points), then runs
-//! it four ways: on the analytic backend at shard counts 1, 2 and 4, and on
-//! the byte-accurate backend. The invariants:
+//! it twice: once on the analytic backend and once on the byte-accurate
+//! backend. The invariants:
 //!
-//! * the three analytic reports are **bit-identical** (the sharded engine's
-//!   determinism contract);
 //! * the byte run makes identical chunk-source decisions and **decode-
 //!   verifies every completed request** (`verified == completed`), with zero
 //!   mirror failures and zero failed reconstructions;
-//! * every report respects the engine's resource bounds
+//! * both reports respect the engine's resource bounds
 //!   ([`sprout_sim::EngineBounds`]): the event queue stays
 //!   `O(files + nodes)` and the in-flight population stays capped.
 //!
@@ -26,14 +24,12 @@
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use sprout_sim::{
-    check_report, check_shard_identity, replication_seed, EngineBounds, InvariantViolation,
-    SimConfig, SimReport,
-};
+use sprout_sim::{check_report, replication_seed, EngineBounds, InvariantViolation, SimConfig};
 
 use crate::error::SproutError;
 use crate::scenario::{ScenarioActionSpec, ScenarioSpec};
 use crate::spec::{FileConfig, SystemSpec};
+use crate::sweep::SweepBackend;
 use crate::system::{CachePolicyChoice, SproutSystem};
 use sprout_cluster::PlacementChoice;
 
@@ -79,8 +75,8 @@ pub enum FuzzFailure {
     Invariant {
         /// The offending case seed.
         seed: u64,
-        /// Shard count of the offending run (`None` for the byte run).
-        shards: Option<usize>,
+        /// Which of the case's two runs violated it.
+        backend: SweepBackend,
         /// The violation.
         violation: InvariantViolation,
     },
@@ -117,12 +113,13 @@ impl std::fmt::Display for FuzzFailure {
             }
             FuzzFailure::Invariant {
                 seed,
-                shards,
+                backend,
                 violation,
-            } => match shards {
-                Some(s) => write!(f, "case {seed:#018x} (shards={s}): {violation}"),
-                None => write!(f, "case {seed:#018x} (byte backend): {violation}"),
-            },
+            } => write!(
+                f,
+                "case {seed:#018x} ({} backend): {violation}",
+                backend.label()
+            ),
             FuzzFailure::ByteDivergence { seed, field } => write!(
                 f,
                 "case {seed:#018x}: byte backend diverged from analytic decisions at '{field}'"
@@ -347,43 +344,25 @@ impl ScenarioFuzzer {
             .compile(&system, &crate::optimizer::OptimizerConfig::default())
             .map_err(build)?;
 
-        // Analytic runs at three shard packings must be bit-identical.
-        let shard_counts = [1usize, 2, 4];
-        let mut reports: Vec<SimReport> = Vec::with_capacity(shard_counts.len());
-        for &shards in &shard_counts {
-            let sim = system
-                .simulation(case.policy, plan.as_ref(), case.config.with_shards(shards))
-                .with_scenario(compiled.clone());
-            let report = sim.run();
-            check_report(&report, bounds).map_err(|violation| FuzzFailure::Invariant {
+        let sim = system
+            .simulation(case.policy, plan.as_ref(), case.config)
+            .with_scenario(compiled);
+        let check = |report, backend| {
+            check_report(report, bounds).map_err(|violation| FuzzFailure::Invariant {
                 seed: case.seed,
-                shards: Some(shards),
+                backend,
                 violation,
-            })?;
-            reports.push(report);
-        }
-        check_shard_identity(&reports, &shard_counts).map_err(|violation| {
-            FuzzFailure::Invariant {
-                seed: case.seed,
-                shards: Some(0),
-                violation,
-            }
-        })?;
+            })
+        };
+        let analytic = sim.run();
+        check(&analytic, SweepBackend::Analytic)?;
 
         // The byte-accurate leg: identical decisions, every request verified.
         let mut backend = system
             .byte_backend(case.policy, plan.as_ref(), case.seed)
             .map_err(build)?;
-        let byte = system
-            .simulation(case.policy, plan.as_ref(), case.config)
-            .with_scenario(compiled)
-            .run_on(&mut backend);
-        check_report(&byte, bounds).map_err(|violation| FuzzFailure::Invariant {
-            seed: case.seed,
-            shards: None,
-            violation,
-        })?;
-        let analytic = &reports[0];
+        let byte = sim.run_on(&mut backend);
+        check(&byte, SweepBackend::Byte)?;
         let diverged = if byte.slots != analytic.slots {
             Some("slots")
         } else if byte.node_chunks_served != analytic.node_chunks_served {

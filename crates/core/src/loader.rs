@@ -185,8 +185,6 @@ pub struct SimKnobs {
     pub cache_chunk_latency: Option<f64>,
     /// Slot length for chunk-source accounting; default 5 s.
     pub slot_length: Option<f64>,
-    /// Event-loop shards; default 1. Reports are shard-count-invariant.
-    pub shards: Option<usize>,
 }
 
 impl SimKnobs {
@@ -194,7 +192,7 @@ impl SimKnobs {
     ///
     /// # Errors
     ///
-    /// Rejects non-positive or non-finite horizons and zero shard counts as
+    /// Rejects non-positive or non-finite horizons and slot lengths as
     /// [`SproutError::InvalidSpec`] (a loadable file must not panic).
     pub fn config(&self, default_seed: u64, quick: bool) -> Result<SimConfig, SproutError> {
         let horizon = if quick {
@@ -207,12 +205,6 @@ impl SimKnobs {
             return Err(SproutError::InvalidSpec(format!(
                 "simulation horizon must be positive and finite, got {horizon}"
             )));
-        }
-        let shards = self.shards.unwrap_or(1);
-        if shards == 0 {
-            return Err(SproutError::InvalidSpec(
-                "shard count must be positive".into(),
-            ));
         }
         if let Some(slot) = self.slot_length {
             if !slot.is_finite() || slot <= 0.0 {
@@ -231,7 +223,7 @@ impl SimKnobs {
         if let Some(slot) = self.slot_length {
             config = config.with_slot_length(slot);
         }
-        Ok(config.with_shards(shards))
+        Ok(config)
     }
 }
 
@@ -556,7 +548,6 @@ ConsistentHash = { vnodes = 32 }
 
 [sim]
 horizon = 600.0
-shards = 2
 warmup = 30.0
 
 [scenario]
@@ -601,6 +592,13 @@ replications = 2
         assert!(
             matches!(unknown, Err(LoadError::Parse { .. })),
             "{unknown:?}"
+        );
+        // A `[sim]` key this loader once accepted is unknown now: an old run
+        // file fails with a positioned parse error, not silently.
+        let retired = RunSpec::from_toml_str(&format!("{MINIMAL}shards = 2\n"));
+        assert!(
+            matches!(retired, Err(LoadError::Parse { .. })),
+            "{retired:?}"
         );
         let bad_type = RunSpec::from_toml_str(&MINIMAL.replace("10", "\"ten\""));
         assert!(matches!(bad_type, Err(LoadError::Parse { .. })));

@@ -83,7 +83,6 @@ pub struct SimSweep {
     byte_replications: Option<usize>,
     byte_object_bytes: Option<u64>,
     record_slots: bool,
-    warm_start_loads: bool,
 }
 
 /// Everything a cell's replications share, built once per cell by whichever
@@ -124,7 +123,6 @@ impl SimSweep {
             byte_replications: None,
             byte_object_bytes: None,
             record_slots: false,
-            warm_start_loads: false,
         }
     }
 
@@ -231,42 +229,10 @@ impl SimSweep {
         self
     }
 
-    /// Sets the shard count every cell's simulation runs with (the sharded
-    /// engine's parallelism knob). Purely an execution parameter: reports —
-    /// and therefore the sweep JSON — are bit-identical at any value.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `shards` is zero.
-    pub fn shards(mut self, shards: usize) -> Self {
-        self.config = self.config.with_shards(shards);
-        self
-    }
-
     /// Records the per-slot cache/storage chunk counts of replication 0 as
     /// row series (the Fig. 7 quantity).
     pub fn record_slots(mut self, record: bool) -> Self {
         self.record_slots = record;
-        self
-    }
-
-    /// Chains plan computation along the load axis: a plan-requiring cell at
-    /// load index `i > 0` warm-starts Algorithm 1 from the plan its
-    /// load-index-`i-1` sibling converged to (same scenario, placement,
-    /// policy, cache size and backend). With a monotone load axis the
-    /// predecessor's scheduling is already near-feasible, so the optimizer
-    /// converges in far fewer outer iterations — the paper's own
-    /// warm-starting trick, applied across the grid instead of across cache
-    /// sizes.
-    ///
-    /// Warm-starting only changes the optimizer's *starting point*; both
-    /// starts converge to a valid plan, but the plans (and therefore the
-    /// report) can differ within convergence tolerance, so this is opt-in.
-    /// Reports remain deterministic for a fixed setting: plan chaining is
-    /// seed-independent and resolved through the same once-per-cell contexts
-    /// regardless of worker count.
-    pub fn warm_start_loads(mut self, warm: bool) -> Self {
-        self.warm_start_loads = warm;
         self
     }
 
@@ -352,16 +318,13 @@ impl SimSweep {
     ) -> Result<(SweepReport, SweepTimings), SproutError> {
         let grid = self.grid();
         // Contexts are keyed by full-grid cell index so filtered subsets
-        // resolve without remapping; the full cell list lets warm-started
-        // cells force their load-axis predecessor even when it was filtered
-        // out of the run.
-        let all_cells = grid.cells();
+        // resolve without remapping; each is built at most once, by whichever
+        // worker arrives first.
         let contexts: Vec<OnceLock<Result<CellContext, SproutError>>> =
             (0..grid.len()).map(|_| OnceLock::new()).collect();
 
         let outcome = grid.run_cells_timed(cells, threads, |cell, _rep, seed| {
-            let context = self.context_at(&all_cells, &contexts, cell.index);
-            match context {
+            match contexts[cell.index].get_or_init(|| self.build_context(cell)) {
                 Ok(ctx) => self.run_replication(ctx, seed),
                 // The error is surfaced after the sweep; emit an empty
                 // sample so sibling cells still complete.
@@ -377,47 +340,9 @@ impl SimSweep {
         Ok(outcome)
     }
 
-    /// Resolves the context for full-grid cell `index`, building it (at most
-    /// once, whichever worker arrives first) on demand. When load-axis warm
-    /// starting is on, a plan-requiring cell first forces its predecessor at
-    /// the previous load point — the grid is row-major with `backend` as the
-    /// fastest axis, so the sibling one load step back sits exactly
-    /// `backends.len()` indices earlier. The recursion bottoms out at load
-    /// index 0 (a cold start) and is deterministic under work stealing
-    /// because plan computation never consumes the replication seed.
-    fn context_at<'c>(
-        &self,
-        all_cells: &[SweepCell],
-        contexts: &'c [OnceLock<Result<CellContext, SproutError>>],
-        index: usize,
-    ) -> &'c Result<CellContext, SproutError> {
-        contexts[index].get_or_init(|| {
-            let cell = &all_cells[index];
-            let warm = if self.warm_start_loads
-                && cell.idx("load") > 0
-                && self.policies[cell.idx("policy")].requires_plan()
-            {
-                let predecessor = index - self.backends.len();
-                match self.context_at(all_cells, contexts, predecessor) {
-                    Ok(ctx) => ctx.plan.clone(),
-                    // The predecessor's own error still surfaces after the
-                    // sweep; this cell just falls back to a cold start.
-                    Err(_) => None,
-                }
-            } else {
-                None
-            };
-            self.build_context(cell, warm.as_ref())
-        })
-    }
-
     /// Builds one cell's shared context: rescaled system, optional plan,
     /// compiled scenario, configured simulation, optional byte system.
-    fn build_context(
-        &self,
-        cell: &SweepCell,
-        warm: Option<&CachePlan>,
-    ) -> Result<CellContext, SproutError> {
+    fn build_context(&self, cell: &SweepCell) -> Result<CellContext, SproutError> {
         let scenario_spec = &self.scenarios[cell.idx("scenario")];
         let policy = self.policies[cell.idx("policy")];
         let cache_chunks = self.cache_sizes[cell.idx("cache_chunks")];
@@ -433,10 +358,10 @@ impl SimSweep {
             spec.placement = placements[cell.idx("placement")].clone();
         }
         let system = SproutSystem::new(spec)?;
-        let plan = match (policy.requires_plan(), warm) {
-            (true, Some(previous)) => Some(system.optimize_warm(&self.optimizer, previous)?),
-            (true, None) => Some(system.optimize_with(&self.optimizer)?),
-            (false, _) => None,
+        let plan = if policy.requires_plan() {
+            Some(system.optimize_with(&self.optimizer)?)
+        } else {
+            None
         };
         let scenario = scenario_spec.compile(&system, &self.optimizer)?;
         let sim = system
@@ -535,8 +460,7 @@ impl SimSweep {
             .counter("cache_promotions", report.cache_promotions)
             .counter("cache_evictions", report.cache_evictions)
             .maximum("peak_event_queue", report.peak_event_queue as u64)
-            .maximum("peak_in_flight", report.peak_in_flight as u64)
-            .maximum("logical_shards", report.logical_shards as u64);
+            .maximum("peak_in_flight", report.peak_in_flight as u64);
         if self.record_slots {
             sample = sample
                 .series(
@@ -828,52 +752,6 @@ mod tests {
                 row.coord("backend")
             );
             assert!(row.counter("full_cache_hits").unwrap() > 0);
-        }
-    }
-
-    #[test]
-    fn warm_started_load_chains_are_deterministic_and_valid() {
-        let system = small_system();
-        let tight = OptimizerConfig {
-            tolerance: 1e-4,
-            ..OptimizerConfig::default()
-        };
-        let base = SimSweep::new("warm", &system, SimConfig::new(400.0, 9))
-            .load_points(vec![0.4, 0.7, 1.0])
-            .policies(vec![
-                CachePolicyChoice::Functional,
-                CachePolicyChoice::NoCache,
-            ])
-            .optimizer(tight);
-
-        let cold = base.clone().run(2).unwrap();
-        let warm_serial = base.clone().warm_start_loads(true).run(1).unwrap();
-        let warm_parallel = base.warm_start_loads(true).run(4).unwrap();
-
-        // Chained plan resolution must not depend on which worker forces
-        // which cell: the report is bit-identical across thread counts.
-        assert_eq!(warm_serial, warm_parallel);
-
-        // Both starting points converge to the same optimum (the objective
-        // is convex), so warm rows carry essentially the cold bound.
-        for (warm_row, cold_row) in warm_serial.rows.iter().zip(&cold.rows) {
-            assert_eq!(warm_row.coords, cold_row.coords);
-            let (Some(warm), Some(cold)) = (
-                warm_row.metric("analytic_bound_s"),
-                cold_row.metric("analytic_bound_s"),
-            ) else {
-                assert_eq!(warm_row.coord("policy"), "no_cache");
-                continue;
-            };
-            assert!(warm.mean.is_finite() && warm.mean > 0.0);
-            let gap = (warm.mean - cold.mean).abs() / cold.mean;
-            assert!(
-                gap < 0.05,
-                "warm bound {} vs cold {} at {:?}",
-                warm.mean,
-                cold.mean,
-                warm_row.coords
-            );
         }
     }
 

@@ -25,9 +25,7 @@
 //! [`AnalyticBackend`] keeps one service RNG **per node**, seeded from
 //! `(seed, node)` only. A node's service-time stream therefore depends only
 //! on that node's own sequence of chunk reads — never on what other nodes
-//! serve — which is what lets the sharded engine run disjoint placement
-//! components on separate event loops and still produce reports bit-identical
-//! to the single-loop run (see [`crate::shard`]).
+//! serve, i.e. it is independent of the event interleaving.
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -110,7 +108,8 @@ pub struct AnalyticBackend {
     dists: Vec<ServiceDistribution>,
     online: Vec<bool>,
     /// One decorrelated RNG stream per node, so a node's service draws are a
-    /// function of its own read sequence alone (shard-decomposable).
+    /// function of its own read sequence alone (independent of event
+    /// interleaving).
     rngs: Vec<StdRng>,
 }
 
@@ -178,7 +177,7 @@ mod tests {
     #[test]
     fn per_node_service_streams_are_independent() {
         // Interleaving reads on other nodes must not perturb a node's own
-        // service-time stream — the property the sharded engine relies on.
+        // service-time stream.
         let dists = vec![ServiceDistribution::exponential(0.5); 3];
         let mut solo = AnalyticBackend::new(dists.clone(), 77);
         let mut mixed = AnalyticBackend::new(dists, 77);

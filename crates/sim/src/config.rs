@@ -19,11 +19,6 @@ pub struct SimConfig {
     /// Length of the time slots used for the chunk-source counts of Fig. 7
     /// (seconds).
     pub slot_length: f64,
-    /// Number of event loops the run's logical shards are packed onto (the
-    /// sharded engine's parallelism knob). Purely an execution parameter:
-    /// reports are bit-identical at any value. `1` (the default) runs the
-    /// classic single event loop.
-    pub shards: usize,
 }
 
 impl SimConfig {
@@ -41,7 +36,6 @@ impl SimConfig {
             warmup: horizon * 0.05,
             cache_chunk_latency: 0.0,
             slot_length: 5.0,
-            shards: 1,
         }
     }
 
@@ -63,18 +57,6 @@ impl SimConfig {
         self.slot_length = slot;
         self
     }
-
-    /// Sets the shard count (event loops the run is packed onto). Results
-    /// are bit-identical at any value; see [`crate::shard::ShardedEngine`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if `shards` is zero.
-    pub fn with_shards(mut self, shards: usize) -> Self {
-        assert!(shards > 0, "shard count must be positive");
-        self.shards = shards;
-        self
-    }
 }
 
 #[cfg(test)]
@@ -86,16 +68,13 @@ mod tests {
         let c = SimConfig::new(1000.0, 3);
         assert!((c.warmup - 50.0).abs() < 1e-9);
         assert_eq!(c.cache_chunk_latency, 0.0);
-        assert_eq!(c.shards, 1);
         let c = c
             .with_warmup(10.0)
             .with_cache_latency(0.002)
-            .with_slot_length(2.0)
-            .with_shards(4);
+            .with_slot_length(2.0);
         assert_eq!(c.warmup, 10.0);
         assert_eq!(c.cache_chunk_latency, 0.002);
         assert_eq!(c.slot_length, 2.0);
-        assert_eq!(c.shards, 4);
         let clamped = SimConfig::new(10.0, 0).with_warmup(-5.0);
         assert_eq!(clamped.warmup, 0.0);
     }
@@ -104,11 +83,5 @@ mod tests {
     #[should_panic(expected = "positive")]
     fn zero_horizon_panics() {
         let _ = SimConfig::new(0.0, 1);
-    }
-
-    #[test]
-    #[should_panic(expected = "shard count")]
-    fn zero_shards_panics() {
-        let _ = SimConfig::new(10.0, 1).with_shards(0);
     }
 }

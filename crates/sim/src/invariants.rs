@@ -13,7 +13,7 @@
 //!   the total request count;
 //! * the in-flight request population stays bounded (the pooled-allocation
 //!   property: the request slab stops growing after warm-up);
-//! * reports are bit-identical for any shard packing of the same run.
+//! * every completed request's bytes reconstruct (byte-accurate backends).
 
 use crate::engine::SimReport;
 use std::fmt;
@@ -40,13 +40,6 @@ pub enum InvariantViolation {
         /// Number of failed reconstructions.
         count: u64,
     },
-    /// Two shard packings of the same run disagreed.
-    ShardMismatch {
-        /// Shard count of the diverging run.
-        shards: usize,
-        /// Which report field diverged first.
-        field: &'static str,
-    },
 }
 
 impl fmt::Display for InvariantViolation {
@@ -62,10 +55,6 @@ impl fmt::Display for InvariantViolation {
             InvariantViolation::ReconstructionFailures { count } => {
                 write!(f, "{count} byte reconstruction(s) failed to verify")
             }
-            InvariantViolation::ShardMismatch { shards, field } => write!(
-                f,
-                "report field '{field}' diverges at shards={shards} (must be bit-identical)"
-            ),
         }
     }
 }
@@ -137,52 +126,6 @@ pub fn check_report(report: &SimReport, bounds: EngineBounds) -> Result<(), Inva
     Ok(())
 }
 
-/// Checks that every report is bit-identical to the first — the sharded
-/// engine's determinism contract. `shard_counts[i]` labels `reports[i]` for
-/// the error message.
-///
-/// # Errors
-///
-/// Returns [`InvariantViolation::ShardMismatch`] naming the first diverging
-/// field of the first diverging report.
-pub fn check_shard_identity(
-    reports: &[SimReport],
-    shard_counts: &[usize],
-) -> Result<(), InvariantViolation> {
-    let Some(reference) = reports.first() else {
-        return Ok(());
-    };
-    for (report, &shards) in reports.iter().zip(shard_counts).skip(1) {
-        let field = if report.overall != reference.overall {
-            "overall"
-        } else if report.per_file != reference.per_file {
-            "per_file"
-        } else if report.node_utilization != reference.node_utilization {
-            "node_utilization"
-        } else if report.slots != reference.slots {
-            "slots"
-        } else if report.node_chunks_served != reference.node_chunks_served {
-            "node_chunks_served"
-        } else if report.completed_requests != reference.completed_requests {
-            "completed_requests"
-        } else if report.full_cache_hits != reference.full_cache_hits {
-            "full_cache_hits"
-        } else if report.failed_requests != reference.failed_requests {
-            "failed_requests"
-        } else if report.peak_event_queue != reference.peak_event_queue {
-            "peak_event_queue"
-        } else if report.peak_in_flight != reference.peak_in_flight {
-            "peak_in_flight"
-        } else if report != reference {
-            "report"
-        } else {
-            continue;
-        };
-        return Err(InvariantViolation::ShardMismatch { shards, field });
-    }
-    Ok(())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -191,7 +134,7 @@ mod tests {
     use crate::policy::CacheScheme;
     use sprout_queueing::dist::ServiceDistribution;
 
-    fn run(shards: usize) -> SimReport {
+    fn run() -> SimReport {
         let files = vec![
             SimFile::new(0.05, 2, vec![0, 1, 2]),
             SimFile::new(0.05, 2, vec![1, 2, 3]),
@@ -202,24 +145,19 @@ mod tests {
             nodes,
             files,
             CacheScheme::NoCache,
-            SimConfig::new(4_000.0, 11).with_shards(shards),
+            SimConfig::new(4_000.0, 11),
         )
         .run()
     }
 
     #[test]
     fn healthy_run_passes_all_checks() {
-        let reports: Vec<SimReport> = [1, 2, 4].iter().map(|&s| run(s)).collect();
-        let bounds = EngineBounds::for_run(3, 4, 0, 0, 200);
-        for report in &reports {
-            check_report(report, bounds).unwrap();
-        }
-        check_shard_identity(&reports, &[1, 2, 4]).unwrap();
+        check_report(&run(), EngineBounds::for_run(3, 4, 0, 0, 200)).unwrap();
     }
 
     #[test]
     fn violations_are_reported_not_panicked() {
-        let report = run(1);
+        let report = run();
         let tight = EngineBounds {
             event_queue: 0,
             in_flight: 200,
@@ -237,28 +175,12 @@ mod tests {
             Err(InvariantViolation::InFlightBound { .. })
         ));
 
-        let mut broken = run(1);
+        let mut broken = run();
         broken.reconstruction_failures = 3;
         let bounds = EngineBounds::for_run(3, 4, 0, 0, 200);
         assert_eq!(
             check_report(&broken, bounds),
             Err(InvariantViolation::ReconstructionFailures { count: 3 })
         );
-    }
-
-    #[test]
-    fn a_deliberately_tampered_report_fails_shard_identity() {
-        let mut reports = vec![run(1), run(2)];
-        check_shard_identity(&reports, &[1, 2]).unwrap();
-        reports[1].completed_requests += 1;
-        assert_eq!(
-            check_shard_identity(&reports, &[1, 2]),
-            Err(InvariantViolation::ShardMismatch {
-                shards: 2,
-                field: "completed_requests",
-            })
-        );
-        // An empty or singleton set is vacuously identical.
-        check_shard_identity(&[], &[]).unwrap();
     }
 }

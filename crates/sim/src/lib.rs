@@ -38,16 +38,14 @@ pub mod policy;
 pub mod replicate;
 pub mod scenario;
 pub mod scheduler;
-pub mod shard;
 pub mod sweep;
 
 pub use backend::{AnalyticBackend, ChunkBackend, FinishedRequest};
 pub use config::SimConfig;
 pub use engine::{replication_seed, SimFile, SimReport, Simulation};
-pub use invariants::{check_report, check_shard_identity, EngineBounds, InvariantViolation};
+pub use invariants::{check_report, EngineBounds, InvariantViolation};
 pub use metrics::{LatencySummary, SlotCounts};
 pub use policy::CacheScheme;
 pub use replicate::MeanCi;
 pub use scenario::{Scenario, ScenarioAction, ScenarioEvent};
-pub use shard::{ShardPlan, ShardedEngine};
 pub use sweep::{CellTiming, Sample, SweepCell, SweepGrid, SweepReport, SweepRow, SweepTimings};
