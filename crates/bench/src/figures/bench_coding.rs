@@ -1,8 +1,11 @@
 //! Coding-layer throughput snapshot, emitted as `BENCH_coding.json`.
 //!
 //! Measures MB/s for the three coding-hot-path operations — `encode`,
-//! `decode` (2 cache + 2 storage chunks) and `cache_chunks` (d = 2) — over a
-//! `kernel × size × threads` grid:
+//! `decode` (2 cache + 2 storage chunks) and `cache_chunks` (d = 2) — and
+//! for the object checksum every put records and every get verifies
+//! (`checksum`; kernel- and thread-independent, measured in every cell so
+//! it sits beside the decode it follows) over a `kernel × size × threads`
+//! grid:
 //!
 //! * **kernel** — every slice-kernel rung (`scalar`, `table`, `word`,
 //!   `simd`), so the ladder's rung-over-rung speedup is tracked from one
@@ -31,6 +34,7 @@
 use std::time::Instant;
 
 use crate::FigureCli;
+use sprout::cluster::checksum64;
 use sprout::erasure::{Chunk, CodeParams, FunctionalCacheCodec, Kernel, StripeOpts};
 use sprout::sim::sweep::{Sample, SweepGrid, SweepReport, SweepTimings};
 
@@ -108,6 +112,10 @@ pub fn run(cli: &FigureCli) -> (SweepReport, Option<SweepTimings>) {
             std::hint::black_box(codec.decode(&have, size).unwrap());
         });
 
+        let checksum = throughput(size, budget, || {
+            std::hint::black_box(checksum64(std::hint::black_box(&data)));
+        });
+
         // The decode-matrix memo: every decode above reuses one row subset,
         // so a healthy memo shows exactly 1 miss and the rest hits.
         let (memo_hits, memo_misses) = codec.code().decode_memo_stats();
@@ -115,6 +123,7 @@ pub fn run(cli: &FigureCli) -> (SweepReport, Option<SweepTimings>) {
             .metric("encode_mb_per_s", encode)
             .metric("cache_chunks_mb_per_s", cache)
             .metric("decode_mb_per_s", decode)
+            .metric("checksum_mb_per_s", checksum)
             .counter("decode_memo_hits", memo_hits)
             .counter("decode_memo_misses", memo_misses)
     });
@@ -139,6 +148,13 @@ pub fn run(cli: &FigureCli) -> (SweepReport, Option<SweepTimings>) {
             "decode_memo_hits/misses count decode-matrix memo lookups per cell (summed over \
              replications); striped decode computes the matrix once, so misses stay at 1 per \
              distinct row subset",
+        )
+        .with_note(
+            "checksum_mb_per_s: sprout_cluster::checksum64 (8 u64 lanes), single-threaded, \
+             independent of the kernel and threads axes. fnv1a_reference_mb_per_s: the \
+             byte-serial FNV-1a it replaced in PR 23 measured 794 / 777 / 729 MB/s at \
+             64 KiB / 1 MiB / 8 MiB on the same host with the same throughput() helper \
+             (one-off; that hash is no longer in the tree)",
         );
     let report = if simd == sprout::gf::SimdLevel::None {
         report.with_note(

@@ -20,6 +20,14 @@ pub enum ClusterError {
         /// Chunks required (`k`).
         required: usize,
     },
+    /// The bytes a read reconstructed do not hash to the checksum recorded
+    /// with the object's metadata: the read raced an overwrite of the same
+    /// object (chunks of two versions) or a stored chunk is corrupt. The
+    /// bytes are withheld; a retry reads the settled version.
+    ChecksumMismatch {
+        /// The object being read.
+        object: u64,
+    },
     /// An error bubbled up from the erasure-coding layer.
     Coding(CodingError),
 }
@@ -36,6 +44,10 @@ impl fmt::Display for ClusterError {
             } => write!(
                 f,
                 "object {object}: only {available} chunks available but {required} required"
+            ),
+            ClusterError::ChecksumMismatch { object } => write!(
+                f,
+                "object {object}: reconstructed bytes do not match the recorded checksum"
             ),
             ClusterError::Coding(e) => write!(f, "coding error: {e}"),
         }
@@ -80,5 +92,8 @@ mod tests {
         }
         .to_string()
         .contains("2 chunks"));
+        assert!(ClusterError::ChecksumMismatch { object: 5 }
+            .to_string()
+            .contains("object 5"));
     }
 }

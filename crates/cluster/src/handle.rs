@@ -9,9 +9,11 @@
 //!   clock) sits behind its own `RwLock`. Two gets that read disjoint nodes
 //!   take disjoint locks; candidate probing takes brief read locks and only
 //!   the actual chunk read (which advances the queue) takes a write lock.
-//! * **Striped object metadata** — the object → (length, placement) map is
-//!   split into [`META_STRIPES`] hash stripes, each behind its own
-//!   `RwLock`, so puts of different objects rarely serialize.
+//! * **Striped object metadata** — the object → (length, placement,
+//!   checksum) map is split into [`META_STRIPES`] hash stripes, each behind
+//!   its own `RwLock`, so puts of different objects rarely serialize. A
+//!   reader takes one snapshot of the three under the stripe's read lock
+//!   (two word copies and an `Arc` bump — nothing is allocated).
 //! * **Cache tier** — the [`Cache`] (LRU recency + payload chunks) sits
 //!   behind one `Mutex`; every lookup mutates recency and counters, so a
 //!   shared lock buys nothing. Critical sections are kept to map/recency
@@ -25,9 +27,20 @@
 //! Lock discipline: at most one node lock is held at a time, metadata
 //! stripe locks are only held around metadata mutation plus the node-map
 //! updates that must stay atomic with it (put/delete), and the cache lock
-//! is never taken while a node lock is held. No lock is held across a
-//! decode. That ordering (stripe → node → cache) is acyclic, so the
-//! structure cannot deadlock.
+//! is never taken while a node lock is held. No lock is held across an
+//! encode, a decode or a checksum. That ordering (stripe → node → cache)
+//! is acyclic, so the structure cannot deadlock.
+//!
+//! Integrity: the object's [`checksum64`] lives *with* its length and
+//! placement. `put` computes it beside the encode, outside every lock, and
+//! publishes all three together under the object's stripe lock; `get`
+//! checks the bytes it decoded against the snapshot it started from. A get
+//! does not hold the stripe lock while it reads nodes, so a racing
+//! overwrite can hand it chunks of two versions (or the new version's
+//! chunks under the old snapshot): the checksum turns that into
+//! [`ClusterError::ChecksumMismatch`] — a typed error the caller may retry
+//! — instead of wrong bytes. Making the race itself invisible
+//! (generation-tagged chunks) is a separate ROADMAP item.
 //!
 //! Every method takes `&self`; [`StoreHandle::get`] derives a per-request
 //! RNG from an atomic ticket, so service-time samples are deterministic per
@@ -42,6 +55,7 @@ use rand::SeedableRng;
 use sprout_erasure::{Chunk, CodeParams, FunctionalCacheCodec, Kernel};
 
 use crate::cache::{Cache, CachePolicy, CacheStats};
+use crate::checksum::checksum64;
 use crate::error::ClusterError;
 use crate::node::StorageNode;
 use crate::placement::{ClusterView, ObjectDesc, Placement};
@@ -55,11 +69,14 @@ pub const META_STRIPES: usize = 16;
 /// Salt folded into the per-request RNG derivation of [`StoreHandle::get`].
 const REQUEST_RNG_SALT: u64 = 0x5EED_0DD5_EED0_0DD5;
 
-/// Metadata kept per stored object.
+/// Metadata kept per stored object, published as one unit under the
+/// object's stripe lock. Cloning is allocation-free.
 #[derive(Debug, Clone)]
 struct ObjectMeta {
     len: usize,
-    placement: Vec<usize>,
+    placement: Arc<[usize]>,
+    /// [`checksum64`] of the object's bytes.
+    checksum: u64,
 }
 
 fn stripe_of(object: u64) -> usize {
@@ -207,7 +224,7 @@ impl StoreHandle {
 
     /// The nodes hosting an object's chunks (chunk row `i` on entry `i`).
     pub fn object_placement(&self, object: u64) -> Option<Vec<usize>> {
-        self.meta_of(object).map(|m| m.placement)
+        self.meta_of(object).map(|m| m.placement.to_vec())
     }
 
     /// The stored length of an object in bytes.
@@ -300,18 +317,20 @@ impl StoreHandle {
                 )));
             }
         }
-        // Encode outside every lock: coding is the expensive part, and
-        // chunks are *moved* onto their nodes — payloads are `Bytes`
-        // (`Arc`-backed since PR 2), so no byte is copied below.
+        // Encode and checksum outside every lock: they are the expensive
+        // part, and chunks are *moved* onto their nodes — payloads are
+        // `Bytes` (`Arc`-backed since PR 2), so no byte is copied below.
         let encoded = s.codec.encode(data)?;
+        let checksum = checksum64(data);
         // The object's stripe lock makes replace-or-insert atomic: a
         // concurrent put of the same object serializes here, so node chunk
-        // maps and metadata can never disagree about the live version.
+        // maps and metadata (checksum included) can never disagree about
+        // the live version once the lock is released.
         let mut stripe = self.shared.meta[stripe_of(object)]
             .write()
             .expect("meta stripe lock poisoned");
         if let Some(old) = stripe.remove(&object) {
-            for &node in &old.placement {
+            for &node in old.placement.iter() {
                 s.nodes[node]
                     .write()
                     .expect("node lock poisoned")
@@ -328,7 +347,8 @@ impl StoreHandle {
             object,
             ObjectMeta {
                 len: data.len(),
-                placement,
+                placement: placement.into(),
+                checksum,
             },
         );
         drop(stripe);
@@ -342,7 +362,7 @@ impl StoreHandle {
             .write()
             .expect("meta stripe lock poisoned");
         if let Some(meta) = stripe.remove(&object) {
-            for &node in &meta.placement {
+            for &node in meta.placement.iter() {
                 self.shared.nodes[node]
                     .write()
                     .expect("node lock poisoned")
@@ -407,7 +427,7 @@ impl StoreHandle {
     /// *and* offline nodes (management path; clones are refcount bumps).
     fn gather_available(&self, meta: &ObjectMeta, object: u64) -> Vec<Chunk> {
         let mut available = Vec::new();
-        for &node in &meta.placement {
+        for &node in meta.placement.iter() {
             let guard = self.shared.nodes[node].read().expect("node lock poisoned");
             for index in guard.chunk_indices(object) {
                 if let Some(chunk) = guard.chunk(object, index) {
@@ -487,6 +507,9 @@ impl StoreHandle {
     /// * [`ClusterError::UnknownObject`] if the object was never written.
     /// * [`ClusterError::NotEnoughReplicas`] if node failures (or a racing
     ///   delete) leave fewer than `k` chunks reachable.
+    /// * [`ClusterError::ChecksumMismatch`] if the reconstructed bytes do not
+    ///   hash to the checksum published with the metadata this read started
+    ///   from (a racing overwrite of the same object) — never wrong bytes.
     /// * Propagated coding errors on reconstruction.
     pub fn get(&self, object: u64, now: f64) -> Result<ReadOutcome, ClusterError> {
         let ticket = self.shared.ticket.fetch_add(1, Ordering::Relaxed);
@@ -511,7 +534,7 @@ impl StoreHandle {
         // served without touching storage.
         if cached.len() >= k {
             let cache_latency = self.cache_read_latency(&cached[..k], rng);
-            let data = s.codec.decode(&cached, meta.len)?;
+            let data = self.decode_verified(object, &cached, &meta)?;
             return Ok(ReadOutcome {
                 data,
                 latency: cache_latency,
@@ -524,12 +547,14 @@ impl StoreHandle {
         let needed_from_storage = k - cached.len();
 
         // 2. Candidate storage chunks: for exact caching the cached rows are
-        // copies of storage rows, so their hosts cannot contribute new rows.
-        // Probing takes one brief *read* lock per placed node.
-        let cached_rows: HashSet<usize> = cached.iter().map(|c| c.id.index).collect();
-        let mut candidates: Vec<(f64, usize, usize)> = Vec::new(); // (queue delay, node, row)
+        // copies of storage rows, so their hosts cannot contribute new rows
+        // (a scan of fewer than k cached rows). Probing takes one brief
+        // *read* lock per placed node.
+        let exact = s.config.cache_policy == CachePolicy::Exact;
+        // (queue delay, node, row)
+        let mut candidates: Vec<(f64, usize, usize)> = Vec::with_capacity(meta.placement.len());
         for (row, &node) in meta.placement.iter().enumerate() {
-            if s.config.cache_policy == CachePolicy::Exact && cached_rows.contains(&row) {
+            if exact && cached.iter().any(|c| c.id.index == row) {
                 continue;
             }
             let guard = s.nodes[node].read().expect("node lock poisoned");
@@ -585,7 +610,7 @@ impl StoreHandle {
         let cache_chunks_used = cached.len();
         let mut all = cached;
         all.extend(storage_chunks);
-        let data = s.codec.decode(&all, meta.len)?;
+        let data = self.decode_verified(object, &all, &meta)?;
 
         // 5. LRU promotion on a miss: the whole object enters the cache tier.
         if lru {
@@ -636,6 +661,21 @@ impl StoreHandle {
     /// mid-run and the tier restarts cold).
     pub fn reset_cache(&self) {
         self.cache().clear();
+    }
+
+    /// Decodes `chunks` to the snapshot's length and checks the bytes
+    /// against the snapshot's checksum.
+    fn decode_verified(
+        &self,
+        object: u64,
+        chunks: &[Chunk],
+        meta: &ObjectMeta,
+    ) -> Result<Vec<u8>, ClusterError> {
+        let data = self.shared.codec.decode(chunks, meta.len)?;
+        if checksum64(&data) != meta.checksum {
+            return Err(ClusterError::ChecksumMismatch { object });
+        }
+        Ok(data)
     }
 
     /// Fork-join maximum of per-chunk cache-device reads.

@@ -61,6 +61,7 @@
 #![warn(missing_docs)]
 
 pub mod cache;
+pub mod checksum;
 pub mod device;
 pub mod error;
 pub mod handle;
@@ -70,6 +71,7 @@ pub mod store;
 pub mod tier;
 
 pub use cache::CachePolicy;
+pub use checksum::checksum64;
 pub use device::DeviceModel;
 pub use error::ClusterError;
 pub use handle::StoreHandle;
