@@ -26,9 +26,9 @@ pub fn run(cli: &FigureCli) -> (SweepReport, Option<SweepTimings>) {
     // 0.0384/s) are far above its own simulation rates, so we express them
     // as two intensities in the same 1:1.3 ratio region that keeps every
     // node stable (x0.75 and x1.0).
-    let report = SimSweep::new("fig07_chunk_scheduling", &system, SimConfig::new(100.0, 7))
+    let config = SimConfig::new(100.0, 7).with_slot_length(5.0);
+    let report = SimSweep::new("fig07_chunk_scheduling", &system, config)
         .load_points(vec![0.75, 1.0])
-        .record_slots(true)
         .run(cli.threads_or(FigureCli::available_threads()))
         .expect("the paper system is stable at both intensities");
 

@@ -285,7 +285,9 @@ impl ScenarioFuzzer {
             spec,
             scenario,
             policy,
-            config: SimConfig::new(horizon, seed),
+            // Per-slot series, so the byte-vs-analytic check below compares
+            // decisions slot by slot, not just run totals.
+            config: SimConfig::new(horizon, seed).with_slot_length(5.0),
             in_flight_cap: 200 + 20 * num_nodes,
         }
     }

@@ -183,7 +183,8 @@ pub struct SimKnobs {
     pub warmup: Option<f64>,
     /// Mean cache-chunk read latency in seconds; default 0.
     pub cache_chunk_latency: Option<f64>,
-    /// Slot length for chunk-source accounting; default 5 s.
+    /// Slot length in seconds of the per-slot chunk-source series (Fig. 7);
+    /// default none — only run totals are kept and no series is emitted.
     pub slot_length: Option<f64>,
 }
 

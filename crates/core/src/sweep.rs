@@ -82,7 +82,6 @@ pub struct SimSweep {
     replications: usize,
     byte_replications: Option<usize>,
     byte_object_bytes: Option<u64>,
-    record_slots: bool,
 }
 
 /// Everything a cell's replications share, built once per cell by whichever
@@ -122,7 +121,6 @@ impl SimSweep {
             replications: 1,
             byte_replications: None,
             byte_object_bytes: None,
-            record_slots: false,
         }
     }
 
@@ -226,13 +224,6 @@ impl SimSweep {
     /// scenario events.
     pub fn optimizer(mut self, config: OptimizerConfig) -> Self {
         self.optimizer = config;
-        self
-    }
-
-    /// Records the per-slot cache/storage chunk counts of replication 0 as
-    /// row series (the Fig. 7 quantity).
-    pub fn record_slots(mut self, record: bool) -> Self {
-        self.record_slots = record;
         self
     }
 
@@ -461,7 +452,8 @@ impl SimSweep {
             .counter("cache_evictions", report.cache_evictions)
             .maximum("peak_event_queue", report.peak_event_queue as u64)
             .maximum("peak_in_flight", report.peak_in_flight as u64);
-        if self.record_slots {
+        // Per-slot counts exist only when the config set a slot length.
+        if report.slots.slot_length.is_some() {
             sample = sample
                 .series(
                     "cache_chunks_per_slot",
@@ -758,14 +750,21 @@ mod tests {
     #[test]
     fn slot_series_are_recorded_on_request() {
         let system = small_system();
-        let report = SimSweep::new("slots", &system, SimConfig::new(500.0, 2))
-            .record_slots(true)
+        let config = SimConfig::new(500.0, 2);
+        let report = SimSweep::new("slots", &system, config.with_slot_length(5.0))
             .run(2)
             .unwrap();
         let row = &report.rows[0];
         let cache = row.series("cache_chunks_per_slot").unwrap();
         let storage = row.series("storage_chunks_per_slot").unwrap();
-        assert_eq!(cache.len(), storage.len());
+        assert_eq!(cache.len(), 100);
+        assert_eq!(storage.len(), 100);
         assert!(storage.iter().sum::<f64>() > 0.0);
+
+        let report = SimSweep::new("slots", &system, config).run(2).unwrap();
+        assert!(
+            report.rows[0].series.is_empty(),
+            "no slot length, no series"
+        );
     }
 }

@@ -16,14 +16,16 @@ pub struct SimConfig {
     /// paper treats cache reads as negligible next to HDD reads; a small
     /// nonzero value can be supplied to model the SSD of Table V.
     pub cache_chunk_latency: f64,
-    /// Length of the time slots used for the chunk-source counts of Fig. 7
-    /// (seconds).
-    pub slot_length: f64,
+    /// Length in seconds of the time slots of the per-slot chunk-source
+    /// series (Fig. 7). `None` (the default) keeps only run totals, so a
+    /// run's memory does not grow with its horizon.
+    pub slot_length: Option<f64>,
 }
 
 impl SimConfig {
     /// Creates a configuration with the given horizon and seed and default
-    /// warm-up (5 % of the horizon), zero cache latency and 5-second slots.
+    /// warm-up (5 % of the horizon), zero cache latency and no per-slot
+    /// series.
     ///
     /// # Panics
     ///
@@ -35,7 +37,7 @@ impl SimConfig {
             seed,
             warmup: horizon * 0.05,
             cache_chunk_latency: 0.0,
-            slot_length: 5.0,
+            slot_length: None,
         }
     }
 
@@ -51,10 +53,11 @@ impl SimConfig {
         self
     }
 
-    /// Sets the slot length used for chunk-source accounting.
+    /// Records per-slot chunk-source counts in slots of `slot` seconds
+    /// ([`crate::SlotCounts`]); memory then grows with `horizon / slot`.
     pub fn with_slot_length(mut self, slot: f64) -> Self {
         assert!(slot > 0.0, "slot length must be positive");
-        self.slot_length = slot;
+        self.slot_length = Some(slot);
         self
     }
 }
@@ -68,13 +71,14 @@ mod tests {
         let c = SimConfig::new(1000.0, 3);
         assert!((c.warmup - 50.0).abs() < 1e-9);
         assert_eq!(c.cache_chunk_latency, 0.0);
+        assert_eq!(c.slot_length, None);
         let c = c
             .with_warmup(10.0)
             .with_cache_latency(0.002)
             .with_slot_length(2.0);
         assert_eq!(c.warmup, 10.0);
         assert_eq!(c.cache_chunk_latency, 0.002);
-        assert_eq!(c.slot_length, 2.0);
+        assert_eq!(c.slot_length, Some(2.0));
         let clamped = SimConfig::new(10.0, 0).with_warmup(-5.0);
         assert_eq!(clamped.warmup, 0.0);
     }

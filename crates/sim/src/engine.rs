@@ -19,6 +19,13 @@
 //!   ([`stream_seed`]/[`plan_seed`] per file, [`service_seed`] per node), so
 //!   a file's arrivals and planning draws and a node's service draws are
 //!   independent of how events of other entities interleave.
+//! * **Memory independent of the horizon** — a run holds O(files + nodes +
+//!   in-flight requests) of state plus the post-warm-up latency samples its
+//!   percentiles need, kept once: the report sorts each file's samples in
+//!   place and summarises the overall distribution from one concatenated
+//!   buffer. Per-slot chunk-source series ([`SlotCounts`]) grow with the
+//!   horizon and exist only when [`SimConfig::with_slot_length`] asks for
+//!   them; otherwise only their exact totals are kept.
 //!
 //! A run is a single-threaded loop; parallelism lives one level up, across
 //! cells × replications in the [`sweep`](crate::sweep) runner.
@@ -36,7 +43,7 @@ use sprout_workload::timebins::RateSchedule;
 use crate::backend::{AnalyticBackend, ChunkBackend, FinishedRequest};
 use crate::config::SimConfig;
 use crate::event::EventQueue;
-use crate::metrics::{LatencySummary, SlotCounts};
+use crate::metrics::{summarize_per_file, LatencySummary, SlotCounts};
 use crate::policy::{CacheScheme, SchedulingRule};
 use crate::scenario::{Scenario, ScenarioAction};
 use crate::scheduler::{systematic_sample_into, uniform_sample_into};
@@ -73,7 +80,8 @@ pub struct SimReport {
     pub per_file: Vec<LatencySummary>,
     /// Per-node busy fraction over the horizon.
     pub node_utilization: Vec<f64>,
-    /// Chunk-source counts per time slot (Fig. 7).
+    /// Chunk-source totals, plus per-slot series (Fig. 7) when the config
+    /// set a slot length.
     pub slots: SlotCounts,
     /// Requests served entirely from the cache.
     pub full_cache_hits: u64,
@@ -578,6 +586,7 @@ impl<'a, B: ChunkBackend> EventLoop<'a, B> {
                             self.full_cache_hits += 1;
                             self.completed += 1;
                             if now >= self.sim.config.warmup {
+                                debug_assert!(cache_latency.is_finite() && cache_latency >= 0.0);
                                 self.latencies[file].push(cache_latency);
                             }
                             return;
@@ -615,7 +624,9 @@ impl<'a, B: ChunkBackend> EventLoop<'a, B> {
                     }
                     self.completed += 1;
                     if req.start >= self.sim.config.warmup {
-                        self.latencies[req.file].push(req.last_completion - req.start);
+                        let latency = req.last_completion - req.start;
+                        debug_assert!(latency.is_finite() && latency >= 0.0);
+                        self.latencies[req.file].push(latency);
                     }
                     self.requests.release(finished);
                 }
@@ -681,14 +692,10 @@ impl<'a, B: ChunkBackend> EventLoop<'a, B> {
     fn into_report(mut self) -> SimReport {
         self.retire_tier();
         let horizon = self.sim.config.horizon;
-        let all: Vec<f64> = self.latencies.iter().flatten().copied().collect();
+        let (overall, per_file) = summarize_per_file(self.latencies);
         SimReport {
-            overall: LatencySummary::from_samples(&all),
-            per_file: self
-                .latencies
-                .iter()
-                .map(|l| LatencySummary::from_samples(l))
-                .collect(),
+            overall,
+            per_file,
             node_utilization: self
                 .queues
                 .nodes
@@ -996,6 +1003,64 @@ mod tests {
         .run();
         // Half of each request's 4 chunks come from the cache.
         assert!((report.slots.cache_fraction() - 0.5).abs() < 0.02);
+    }
+
+    #[test]
+    fn per_slot_series_are_opt_in_and_change_nothing_else() {
+        // 1e7 s is 2 M slots per series: without a slot length the report
+        // keeps only the two totals.
+        let m = 4;
+        let files = simple_files(2, 1e-4, 2, m);
+        let scheduling: Vec<Vec<f64>> = files
+            .iter()
+            .map(|f| {
+                let mut row = vec![0.0; m];
+                for &j in &f.placement {
+                    row[j] = 1.0 / f.placement.len() as f64;
+                }
+                row
+            })
+            .collect();
+        let scheme = CacheScheme::Functional {
+            cached_chunks: vec![1, 1],
+            scheduling,
+            rule: SchedulingRule::Probabilistic,
+        };
+        let horizon = 1e7;
+        let run =
+            |config| Simulation::new(nodes(m, 0.5), files.clone(), scheme.clone(), config).run();
+        let totals = run(SimConfig::new(horizon, 31));
+        let series = run(SimConfig::new(horizon, 31).with_slot_length(5.0));
+
+        assert!(totals.slots.cache_chunks.is_empty());
+        assert!(totals.slots.storage_chunks.is_empty());
+        assert!(totals.slots.cache_total > 0 && totals.slots.storage_total > 0);
+        let slots = (horizon / 5.0).ceil() as usize;
+        assert_eq!(series.slots.cache_chunks.len(), slots);
+        assert_eq!(series.slots.storage_chunks.len(), slots);
+        assert_eq!(
+            series.slots.cache_chunks.iter().sum::<u64>(),
+            series.slots.cache_total
+        );
+        assert_eq!(
+            series.slots.storage_chunks.iter().sum::<u64>(),
+            series.slots.storage_total
+        );
+        assert_eq!(series.slots.cache_total, totals.slots.cache_total);
+        assert_eq!(series.slots.storage_total, totals.slots.storage_total);
+        assert_eq!(
+            series.slots.cache_fraction().to_bits(),
+            totals.slots.cache_fraction().to_bits()
+        );
+        assert_eq!(series.overall.mean.to_bits(), totals.overall.mean.to_bits());
+        assert_eq!(
+            SimReport {
+                slots: totals.slots.clone(),
+                ..series
+            },
+            totals,
+            "every field but the series is identical"
+        );
     }
 
     #[test]

@@ -31,7 +31,7 @@ fn system() -> SproutSystem {
 fn analytic_and_byte_backends_make_identical_chunk_source_decisions() {
     let system = system();
     let plan = system.optimize().unwrap();
-    let config = SimConfig::new(15_000.0, 77);
+    let config = SimConfig::new(15_000.0, 77).with_slot_length(5.0);
     let sim = system.simulation(CachePolicyChoice::Functional, Some(&plan), config);
 
     let analytic = sim.run();
@@ -40,7 +40,8 @@ fn analytic_and_byte_backends_make_identical_chunk_source_decisions() {
         .unwrap();
     let byte = sim.run_on(&mut backend);
 
-    // Identical decisions...
+    // Identical decisions, slot by slot...
+    assert_eq!(analytic.slots.cache_chunks.len(), 3_000);
     assert_eq!(analytic.slots, byte.slots, "chunk-source slot counts");
     assert_eq!(
         analytic.node_chunks_served, byte.node_chunks_served,
@@ -66,7 +67,7 @@ fn analytic_and_byte_backends_make_identical_chunk_source_decisions() {
 fn decisions_stay_identical_under_a_node_failure_scenario() {
     let system = system();
     let plan = system.optimize().unwrap();
-    let config = SimConfig::new(12_000.0, 5);
+    let config = SimConfig::new(12_000.0, 5).with_slot_length(5.0);
     let scenario = Scenario::default()
         .node_down(4_000.0, 0)
         .node_up(8_000.0, 0);
@@ -98,7 +99,7 @@ fn lru_tier_decisions_are_identical_and_byte_verified() {
     // the full decision sequence while the byte run decodes every request
     // (hits from real cached data chunks, misses from storage chunks).
     let system = system();
-    let config = SimConfig::new(15_000.0, 21);
+    let config = SimConfig::new(15_000.0, 21).with_slot_length(5.0);
     let sim = system.simulation(CachePolicyChoice::LruReplicated, None, config);
 
     let analytic = sim.run();
@@ -167,7 +168,7 @@ fn swapping_to_the_lru_scheme_mid_run_stays_byte_verified() {
     // the byte backend drops its cache cold and then mirrors the fresh
     // tier's decisions, so every request still decode-verifies.
     let system = system();
-    let config = SimConfig::new(10_000.0, 13);
+    let config = SimConfig::new(10_000.0, 13).with_slot_length(5.0);
     let scenario = sprout_sim::Scenario::default().swap_scheme(
         5_000.0,
         sprout_sim::CacheScheme::ceph_lru(system.spec().cache_capacity_chunks),
