@@ -8,10 +8,10 @@
 //! so any `k` chunks — from storage, cache, or a mix — reconstruct the file.
 
 use std::collections::HashMap;
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 use bytes::Bytes;
-use sprout_gf::{builders, kernel, Kernel, Matrix};
+use sprout_gf::{builders, kernel, Gf256, Kernel, Matrix};
 
 use crate::chunk::{Chunk, ChunkId, ChunkSource};
 use crate::error::CodingError;
@@ -290,17 +290,24 @@ impl ReedSolomon {
 
     /// Number of inverted decode matrices currently memoized.
     pub fn memoized_decode_matrices(&self) -> usize {
-        self.decode_memo
-            .lock()
-            .expect("memo poisoned")
-            .entries
-            .len()
+        self.memo().entries.len()
     }
 
     /// `(hits, misses)` counters of the decode-matrix memo.
     pub fn decode_memo_stats(&self) -> (u64, u64) {
-        let memo = self.decode_memo.lock().expect("memo poisoned");
+        let memo = self.memo();
         (memo.hits, memo.misses)
+    }
+
+    /// The decode-matrix memo. A thread that panicked while holding it
+    /// cannot have left a wrong entry behind — every entry is the
+    /// deterministic inverse of its key, and an interrupted insert or
+    /// eviction only loses entries — so a poisoned lock is recovered, not
+    /// propagated.
+    fn memo(&self) -> MutexGuard<'_, InverseMemo> {
+        self.decode_memo
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
     }
 
     /// The extended `(n + k) × k` generator matrix.
@@ -435,7 +442,14 @@ impl ReedSolomon {
             rows.len(),
             "expected one output buffer per row"
         );
-        for (&row, out) in rows.iter().zip(outputs.iter_mut()) {
+        let coeffs = self.row_coeffs(rows, outputs, chunk_len);
+        kernel::dot_slices(self.kernel, &coeffs, data_chunks, outputs);
+    }
+
+    /// The generator coefficients of `rows`, row-major, after checking each
+    /// row index and output length.
+    fn row_coeffs(&self, rows: &[usize], outputs: &[&mut [u8]], chunk_len: usize) -> Vec<Gf256> {
+        for (&row, out) in rows.iter().zip(outputs) {
             assert!(
                 row < self.params.extended_rows(),
                 "generator row {row} out of range"
@@ -445,17 +459,11 @@ impl ReedSolomon {
                 chunk_len,
                 "output buffer length must equal the chunk length"
             );
-            for (j, data) in data_chunks.iter().enumerate() {
-                let coeff = self.generator.get(row, j);
-                if j == 0 {
-                    // Overwrite on the first source: skips reading the
-                    // (possibly uninitialized-for-our-purposes) buffer.
-                    kernel::mul_slice(self.kernel, coeff, data, out);
-                } else {
-                    kernel::mul_acc_slice(self.kernel, coeff, data, out);
-                }
-            }
         }
+        rows.iter()
+            .flat_map(|&row| self.generator.row(row))
+            .copied()
+            .collect()
     }
 
     /// The striped, multi-threaded variant of
@@ -501,30 +509,11 @@ impl ReedSolomon {
             rows.len(),
             "expected one output buffer per row"
         );
-        for (&row, out) in rows.iter().zip(outputs.iter()) {
-            assert!(
-                row < self.params.extended_rows(),
-                "generator row {row} out of range"
-            );
-            assert_eq!(
-                out.len(),
-                chunk_len,
-                "output buffer length must equal the chunk length"
-            );
-        }
+        let coeffs = self.row_coeffs(rows, outputs, chunk_len);
         let tasks = striped::carve(outputs, &ranges);
         striped::run_tasks(tasks, workers, |range, outs| {
-            for (&row, out) in rows.iter().zip(outs.iter_mut()) {
-                for (j, data) in data_chunks.iter().enumerate() {
-                    let coeff = self.generator.get(row, j);
-                    let src = &data[range.clone()];
-                    if j == 0 {
-                        kernel::mul_slice(self.kernel, coeff, src, out);
-                    } else {
-                        kernel::mul_acc_slice(self.kernel, coeff, src, out);
-                    }
-                }
-            }
+            let srcs: Vec<&[u8]> = data_chunks.iter().map(|d| &d[range.clone()]).collect();
+            kernel::dot_slices(self.kernel, &coeffs, &srcs, outs);
         });
     }
 
@@ -573,21 +562,23 @@ impl ReedSolomon {
         let k = self.params.k();
         let max = self.params.extended_rows();
 
-        // Collect the first k distinct rows.
+        // Collect the first k distinct rows. Row indices are below
+        // `n + k <= 255` (checked by `CodeParams::new`), so a 256-bit mask
+        // records which rows were already taken.
         let mut selected: Vec<&Chunk> = Vec::with_capacity(k);
-        let mut seen = std::collections::HashSet::new();
+        let mut seen = [0u64; 4];
         for chunk in chunks {
-            if chunk.id.index >= max {
-                return Err(CodingError::InvalidChunkIndex {
-                    index: chunk.id.index,
-                    max,
-                });
+            let index = chunk.id.index;
+            if index >= max {
+                return Err(CodingError::InvalidChunkIndex { index, max });
             }
-            if !seen.insert(chunk.id.index) {
+            let (word, bit) = (index / 64, 1u64 << (index % 64));
+            if seen[word] & bit != 0 {
                 // A duplicate row is legal input if we already have it; only
                 // flag it as an error when it prevents reaching k rows.
                 continue;
             }
+            seen[word] |= bit;
             selected.push(chunk);
             if selected.len() == k {
                 break;
@@ -629,38 +620,24 @@ impl ReedSolomon {
         // i*chunk_len..(i+1)*chunk_len of the decoded file), so no per-chunk
         // buffers or join copy are needed.
         let mut flat = vec![0u8; k * chunk_len];
-        let ranges = striping
-            .map(|opts| stripe::stripe_ranges(chunk_len, opts.stripe_len))
-            .unwrap_or_default();
-        let workers = striping.map_or(1, |opts| opts.effective_threads().min(ranges.len()).max(1));
-        if workers > 1 {
-            // Striped: carve each logical data chunk of the flat buffer
-            // along the stripe ranges and reconstruct stripes concurrently.
+        if chunk_len > 0 {
+            let srcs: Vec<&[u8]> = selected.iter().map(|c| c.data.as_ref()).collect();
             let mut data_slices: Vec<&mut [u8]> = flat.chunks_mut(chunk_len).collect();
-            let tasks = striped::carve(&mut data_slices, &ranges);
-            striped::run_tasks(tasks, workers, |range, outs| {
-                for (i, data) in outs.iter_mut().enumerate() {
-                    for (j, chunk) in selected.iter().enumerate() {
-                        let coeff = inv.get(i, j);
-                        let src = &chunk.data[range.clone()];
-                        if j == 0 {
-                            kernel::mul_slice(self.kernel, coeff, src, data);
-                        } else {
-                            kernel::mul_acc_slice(self.kernel, coeff, src, data);
-                        }
-                    }
-                }
-            });
-        } else {
-            for (i, data) in flat.chunks_mut(chunk_len.max(1)).enumerate() {
-                for (j, chunk) in selected.iter().enumerate() {
-                    let coeff = inv.get(i, j);
-                    if j == 0 {
-                        kernel::mul_slice(self.kernel, coeff, &chunk.data, data);
-                    } else {
-                        kernel::mul_acc_slice(self.kernel, coeff, &chunk.data, data);
-                    }
-                }
+            let ranges = striping
+                .map(|opts| stripe::stripe_ranges(chunk_len, opts.stripe_len))
+                .unwrap_or_default();
+            let workers =
+                striping.map_or(1, |opts| opts.effective_threads().min(ranges.len()).max(1));
+            if workers > 1 {
+                // Striped: carve each logical data chunk of the flat buffer
+                // along the stripe ranges and reconstruct stripes concurrently.
+                let tasks = striped::carve(&mut data_slices, &ranges);
+                striped::run_tasks(tasks, workers, |range, outs| {
+                    let srcs: Vec<&[u8]> = srcs.iter().map(|s| &s[range.clone()]).collect();
+                    kernel::dot_slices(self.kernel, inv.as_slice(), &srcs, outs);
+                });
+            } else {
+                kernel::dot_slices(self.kernel, inv.as_slice(), &srcs, &mut data_slices);
             }
         }
         flat.truncate(original_len);
@@ -671,7 +648,7 @@ impl ReedSolomon {
     /// served from the LRU memo when the same mix of cache/storage rows has
     /// been decoded before.
     fn decode_matrix(&self, rows: &[usize]) -> Result<Arc<Matrix>, CodingError> {
-        if let Some(inverse) = self.decode_memo.lock().expect("memo poisoned").get(rows) {
+        if let Some(inverse) = self.memo().get(rows) {
             return Ok(inverse);
         }
         // Miss: run the O(k³) elimination *outside* the lock so concurrent
@@ -683,10 +660,7 @@ impl ReedSolomon {
             sub.inverted()
                 .map_err(|_| CodingError::SingularDecodeMatrix)?,
         );
-        self.decode_memo
-            .lock()
-            .expect("memo poisoned")
-            .insert(rows.to_vec(), Arc::clone(&inverse));
+        self.memo().insert(rows.to_vec(), Arc::clone(&inverse));
         Ok(inverse)
     }
 
@@ -924,6 +898,32 @@ mod tests {
         // Clones share the memo.
         let clone = rs.clone();
         assert_eq!(clone.memoized_decode_matrices(), 2);
+    }
+
+    #[test]
+    fn decode_survives_a_poisoned_memo() {
+        let rs = ReedSolomon::new(CodeParams::new(7, 4).unwrap()).unwrap();
+        let file = sample_file(200);
+        let encoded = rs.encode(&file).unwrap();
+        let subset: Vec<Chunk> = encoded.chunks()[2..6].to_vec();
+        assert_eq!(rs.decode(&subset, file.len()).unwrap(), file);
+
+        let memo = Arc::clone(&rs.decode_memo);
+        let panicked = std::thread::spawn(move || {
+            let _guard = memo.lock().unwrap();
+            panic!("a decoding thread dies holding the memo");
+        })
+        .join();
+        assert!(panicked.is_err());
+        assert!(rs.decode_memo.is_poisoned());
+
+        // The memoized inverse is still served, and a new subset still
+        // inverts and inserts.
+        assert_eq!(rs.decode(&subset, file.len()).unwrap(), file);
+        let other: Vec<Chunk> = encoded.chunks()[3..7].to_vec();
+        assert_eq!(rs.decode(&other, file.len()).unwrap(), file);
+        assert_eq!(rs.decode_memo_stats(), (1, 2));
+        assert_eq!(rs.memoized_decode_matrices(), 2);
     }
 
     #[test]

@@ -6,6 +6,8 @@
 //! `coding_properties.rs` — for:
 //!
 //! * every kernel (scalar, table, word, simd);
+//! * `k` from 1 to 8 data chunks with `n = k + 3`, so every source count the
+//!   fused SIMD dot product takes is covered beside the (7, 4) code;
 //! * arbitrary file lengths, including 0, lengths below `k`, and lengths
 //!   whose chunk length is not a multiple of the 8-byte word or 32-byte
 //!   SIMD block;
@@ -27,9 +29,10 @@ proptest! {
         stripe_len in 1usize..300,
         threads in 1usize..5,
         kernel_idx in 0usize..Kernel::ALL.len(),
+        k in 1usize..=8,
     ) {
         let kernel = Kernel::ALL[kernel_idx];
-        let rs = ReedSolomon::with_kernel(CodeParams::new(7, 4).unwrap(), kernel).unwrap();
+        let rs = ReedSolomon::with_kernel(CodeParams::new(k + 3, k).unwrap(), kernel).unwrap();
         let file = sample_file(len);
         let want = rs.encode(&file).unwrap();
         let got = rs.encode_striped(&file, StripeOpts::new(stripe_len, threads)).unwrap();
@@ -43,13 +46,14 @@ proptest! {
         threads in 1usize..5,
         skip in 0usize..4,
         kernel_idx in 0usize..Kernel::ALL.len(),
+        k in 1usize..=8,
     ) {
         let kernel = Kernel::ALL[kernel_idx];
-        let rs = ReedSolomon::with_kernel(CodeParams::new(7, 4).unwrap(), kernel).unwrap();
+        let rs = ReedSolomon::with_kernel(CodeParams::new(k + 3, k).unwrap(), kernel).unwrap();
         let file = sample_file(len);
         let encoded = rs.encode(&file).unwrap();
-        // A sliding 4-subset that includes parity rows, so real GF work runs.
-        let subset: Vec<Chunk> = encoded.chunks().iter().skip(skip).take(4).cloned().collect();
+        // A sliding k-subset that includes parity rows, so real GF work runs.
+        let subset: Vec<Chunk> = encoded.chunks().iter().skip(skip).take(k).cloned().collect();
         let want = rs.decode(&subset, len).unwrap();
         let opts = StripeOpts::new(stripe_len, threads);
         let got = rs.decode_striped(&subset, len, opts).unwrap();
@@ -63,14 +67,16 @@ proptest! {
         stripe_len in 1usize..130,
         threads in 1usize..5,
         kernel_idx in 0usize..Kernel::ALL.len(),
+        k in 1usize..=8,
     ) {
         let kernel = Kernel::ALL[kernel_idx];
-        let rs = ReedSolomon::with_kernel(CodeParams::new(7, 4).unwrap(), kernel).unwrap();
-        let data: Vec<Vec<u8>> = (0..4)
+        let rs = ReedSolomon::with_kernel(CodeParams::new(k + 3, k).unwrap(), kernel).unwrap();
+        let data: Vec<Vec<u8>> = (0..k)
             .map(|j| (0..chunk_len).map(|i| (i * 31 + j * 17 + 3) as u8).collect())
             .collect();
         let data_refs: Vec<&[u8]> = data.iter().map(Vec::as_slice).collect();
-        let rows = vec![4usize, 6, 9];
+        // Parity and cache rows: a systematic row would be a plain copy.
+        let rows = vec![k, k + 2, 2 * k + 2];
 
         let mut want = vec![vec![0u8; chunk_len]; rows.len()];
         {

@@ -1,7 +1,13 @@
 //! Word-parallel GF(2^8) slice kernels.
 //!
 //! Reed–Solomon encoding, decoding and functional cache-chunk construction
-//! all reduce to two slice primitives over a fixed coefficient `c`:
+//! all reduce to one operation, a dot product of coefficient rows with
+//! source slices ([`dot_slices`]):
+//!
+//! * `outs[i] = Σ_j c[i][j] * srcs[j]`
+//!
+//! built from two slice primitives over a fixed coefficient `c`, which
+//! stay public and are the reference the fused pass is tested against:
 //!
 //! * `dst[i] ^= c * src[i]` — multiply–accumulate ([`mul_acc_slice`]);
 //! * `dst[i]  = c * src[i]` — multiply–overwrite ([`mul_slice`]).
@@ -21,11 +27,18 @@
 //!   scalar tail. The inner loop is branch-free straight-line integer code,
 //!   which LLVM auto-vectorizes on any target with SIMD (see
 //!   `.cargo/config.toml`).
-//! * [`Kernel::Simd`] — explicit SSSE3/AVX2 nibble-table shuffles
-//!   ([`crate::simd`]): 16 or 32 bytes per `pshufb`/`vpshufb` step, detected
-//!   at runtime, with the word kernel as tail and as the fallback on
-//!   hardware without SSSE3. [`Kernel::auto`] picks this rung when it is
-//!   available.
+//! * [`Kernel::Simd`] — explicit SIMD ([`crate::simd`]), detected at
+//!   runtime: SSSE3/AVX2 nibble-table shuffles (16 or 32 bytes per step) or
+//!   the AVX-512 GFNI affine transform (64 bytes per instruction, through
+//!   [`MulTable::affine`]), with the word kernel as tail and as the
+//!   fallback on hardware without SSSE3. Under this kernel [`dot_slices`]
+//!   is one fused pass: every source is read once and every output written
+//!   once. [`Kernel::auto`] picks this rung when it is available.
+//!
+//! Every other kernel runs [`dot_slices`] as the per-row loop — one
+//! [`mul_slice`] and `srcs − 1` [`mul_acc_slice`] passes per output — and
+//! so does [`Kernel::Simd`] on the tail past the last whole SIMD block and
+//! on shapes with more than [`simd::MAX_DOT`] sources or outputs.
 //!
 //! Per-coefficient tables are built lazily, once per process, and shared by
 //! every caller ([`MulTable::for_coeff`]), so an encode that reuses the same
@@ -41,7 +54,7 @@ const LSB: u64 = 0x0101_0101_0101_0101;
 
 /// Precomputed multiplication tables for one fixed coefficient `c`.
 ///
-/// All four views are generated from the same products and are kept together
+/// All five views are generated from the same products and are kept together
 /// so a kernel can mix granularities (words for the body, nibbles or bytes
 /// for the tail) without touching the log/exp tables:
 ///
@@ -50,7 +63,9 @@ const LSB: u64 = 0x0101_0101_0101_0101;
 ///   (`c * x == lo[x & 0xF] ^ hi[x >> 4]`), the layout byte-shuffle SIMD
 ///   kernels consume;
 /// * [`words`](Self::words) — `words[b] = c * 2^b` broadcast to all eight
-///   lanes of a `u64`, consumed by the bit-sliced word kernel.
+///   lanes of a `u64`, consumed by the bit-sliced word kernel;
+/// * [`affine`](Self::affine) — `x ↦ c * x` as an 8×8 bit matrix over
+///   GF(2), the operand of the GFNI affine instruction.
 #[derive(Debug)]
 pub struct MulTable {
     /// `full[x] = c * x`.
@@ -61,6 +76,10 @@ pub struct MulTable {
     pub hi: [u8; 16],
     /// `c * 2^b` replicated into every byte lane, for bit `b` of a source byte.
     pub words: [u64; 8],
+    /// The bit matrix `A` with `c * x == A · x` over GF(2), in the layout
+    /// of `vgf2p8affineqb`: byte `7 − i` holds the row that produces output
+    /// bit `i`, and bit `j` of that row is bit `i` of `c * 2^j`.
+    pub affine: u64,
 }
 
 impl MulTable {
@@ -79,17 +98,23 @@ impl MulTable {
         for (b, word) in words.iter_mut().enumerate() {
             *word = u64::from(full[1 << b]).wrapping_mul(LSB);
         }
+        let mut affine = 0u64;
+        for i in 0..8 {
+            let row = (0..8).fold(0u8, |row, j| row | (((full[1 << j] >> i) & 1) << j));
+            affine |= u64::from(row) << (8 * (7 - i));
+        }
         MulTable {
             full,
             lo,
             hi,
             words,
+            affine,
         }
     }
 
     /// The process-wide table for `coeff`, built on first use.
     ///
-    /// Tables are cached per coefficient (at most 256 × ~350 bytes), so
+    /// Tables are cached per coefficient (at most 256 × ~360 bytes), so
     /// repeated stripe operations with the same generator coefficients reuse
     /// them for free.
     pub fn for_coeff(coeff: Gf256) -> &'static MulTable {
@@ -116,8 +141,9 @@ pub enum Kernel {
     /// [`Kernel::auto`] when the caller can tolerate runtime CPU detection.
     #[default]
     Word,
-    /// Explicit-SIMD nibble-table shuffle (SSSE3 `pshufb`, widened to AVX2
-    /// `vpshufb` when available): 16 or 32 bytes per step, word-kernel tail.
+    /// Explicit SIMD: the SSSE3 `pshufb` / AVX2 `vpshufb` nibble-table
+    /// shuffle (16 or 32 bytes per step), or the AVX-512 GFNI affine
+    /// transform (64 bytes per step) when available; word-kernel tail.
     ///
     /// Selected instructions are detected at runtime
     /// ([`simd::simd_level`](crate::simd::simd_level)); on hardware without
@@ -141,8 +167,8 @@ impl Kernel {
         }
     }
 
-    /// The best rung for the running CPU: [`Kernel::Simd`] when SSSE3/AVX2
-    /// is detected (and not disabled via `SPROUT_DISABLE_SIMD`), otherwise
+    /// The best rung for the running CPU: [`Kernel::Simd`] when any SIMD
+    /// level is detected (and not disabled via `SPROUT_DISABLE_SIMD`), otherwise
     /// the portable [`Kernel::Word`].
     pub fn auto() -> Kernel {
         if simd::simd_available() {
@@ -262,6 +288,52 @@ pub fn mul_slice(kernel: Kernel, coeff: Gf256, src: &[u8], dst: &mut [u8]) {
             let t = MulTable::for_coeff(coeff);
             let done = simd::mul_prefix(t, src, dst);
             word_mul(t, &src[done..], &mut dst[done..]);
+        }
+    }
+}
+
+/// Fused dot product: `outs[i] = Σ_j coeffs[i * srcs.len() + j] * srcs[j]`,
+/// overwriting every output (`coeffs` is `outs.len() × srcs.len()`,
+/// row-major). With no sources every output is zeroed.
+///
+/// Under [`Kernel::Simd`] the SIMD-block prefix is one pass that reads each
+/// source once and writes each output once; the tail, shapes with more than
+/// [`simd::MAX_DOT`] sources or outputs, and every other kernel run the
+/// reference per-row loop of [`mul_slice`] and [`mul_acc_slice`]. Both give
+/// the same bytes.
+///
+/// # Panics
+///
+/// Panics if `coeffs.len() != outs.len() * srcs.len()` or the slices have
+/// different lengths.
+pub fn dot_slices(kernel: Kernel, coeffs: &[Gf256], srcs: &[&[u8]], outs: &mut [&mut [u8]]) {
+    assert_eq!(
+        coeffs.len(),
+        outs.len() * srcs.len(),
+        "dot_slices requires one coefficient per (output, source) pair"
+    );
+    let len = srcs
+        .first()
+        .map(|s| s.len())
+        .or_else(|| outs.first().map(|o| o.len()))
+        .unwrap_or(0);
+    assert!(
+        srcs.iter().all(|s| s.len() == len) && outs.iter().all(|o| o.len() == len),
+        "dot_slices requires equal-length slices"
+    );
+    let Some((first, rest)) = srcs.split_first() else {
+        outs.iter_mut().for_each(|out| out.fill(0));
+        return;
+    };
+    let done = match kernel {
+        Kernel::Simd => simd::dot_prefix(coeffs, srcs, outs),
+        _ => 0,
+    };
+    for (row, out) in coeffs.chunks(srcs.len()).zip(outs.iter_mut()) {
+        let out = &mut out[done..];
+        mul_slice(kernel, row[0], &first[done..], out);
+        for (&coeff, src) in row[1..].iter().zip(rest) {
+            mul_acc_slice(kernel, coeff, &src[done..], out);
         }
     }
 }

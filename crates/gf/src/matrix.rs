@@ -159,6 +159,13 @@ impl Matrix {
         &self.data[r * self.cols..(r + 1) * self.cols]
     }
 
+    /// All elements, row-major (the coefficient layout of
+    /// [`kernel::dot_slices`](crate::kernel::dot_slices)).
+    #[inline]
+    pub fn as_slice(&self) -> &[Gf256] {
+        &self.data
+    }
+
     /// Returns an iterator over the rows of the matrix.
     pub fn iter_rows(&self) -> impl Iterator<Item = &[Gf256]> {
         self.data.chunks(self.cols)

@@ -12,10 +12,12 @@
 //! * "aliased" data patterns — accumulating into a destination that already
 //!   holds the source bytes, and chaining one kernel's output into the next
 //!   call's source, where a missed read-modify-write would go unnoticed on
-//!   zeroed buffers.
+//!   zeroed buffers;
+//! * the fused dot product ([`dot_slices`]) on 0..=9 sources and outputs
+//!   (9 takes the per-row fallback) into dirty output buffers.
 
 use proptest::prelude::*;
-use sprout_gf::kernel::{mul_acc_slice, mul_slice, scale_slice};
+use sprout_gf::kernel::{dot_slices, mul_acc_slice, mul_slice, scale_slice};
 use sprout_gf::{Gf256, Kernel};
 
 fn gf() -> impl Strategy<Value = Gf256> {
@@ -29,6 +31,19 @@ fn buffer_pair() -> impl Strategy<Value = (Vec<u8>, Vec<u8>)> {
         (
             Just(src),
             proptest::collection::vec(any::<u8>(), len..len + 1),
+        )
+    })
+}
+
+/// A dot-product shape: `(rows, coefficients, sources, len)` with 0..=9
+/// outputs and sources of one length in 0..=257.
+fn dot_case() -> impl Strategy<Value = (usize, Vec<Gf256>, Vec<Vec<u8>>, usize)> {
+    (0usize..10, 0usize..10, 0usize..258).prop_flat_map(|(rows, cols, len)| {
+        (
+            Just(rows),
+            proptest::collection::vec(gf(), rows * cols),
+            proptest::collection::vec(proptest::collection::vec(any::<u8>(), len), cols),
+            Just(len),
         )
     })
 }
@@ -130,6 +145,23 @@ proptest! {
                 mul_acc_slice(k2, b, &src2, &mut got);
                 prop_assert_eq!(&got, &want, "mix {} then {}", k1, k2);
             }
+        }
+    }
+
+    #[test]
+    fn dot_matches_the_scalar_per_row_reference((rows, coeffs, srcs, len) in dot_case()) {
+        let srcs: Vec<&[u8]> = srcs.iter().map(Vec::as_slice).collect();
+        let mut want = vec![vec![0u8; len]; rows];
+        for (i, out) in want.iter_mut().enumerate() {
+            for (j, src) in srcs.iter().enumerate() {
+                mul_acc_slice(Kernel::Scalar, coeffs[i * srcs.len() + j], src, out);
+            }
+        }
+        for kernel in Kernel::ALL {
+            let mut got = vec![vec![0xC3u8; len]; rows];
+            let mut outs: Vec<&mut [u8]> = got.iter_mut().map(Vec::as_mut_slice).collect();
+            dot_slices(kernel, &coeffs, &srcs, &mut outs);
+            prop_assert_eq!(&got, &want, "dot {} rows {} cols {}", kernel, rows, srcs.len());
         }
     }
 }
