@@ -14,7 +14,7 @@
 //!
 //! Capacity is tracked in bytes. [`Cache`] stores the payload chunks; all
 //! residency decisions and accounting delegate to the shared
-//! [`LruTier`](crate::tier::LruTier), the same implementation the simulation
+//! [`LruTier`], the same implementation the simulation
 //! engine drives — see [`crate::tier`]. Reads from the cache device are
 //! sampled from the SSD model but never queue — the paper argues cache-read
 //! latency is negligible compared to HDD OSD reads, and Table V confirms it.

@@ -343,7 +343,8 @@ mod tests {
         let mut backend = byte_backend_for(4096);
         backend.apply_scheme(&CacheScheme::Functional {
             cached_chunks: vec![1; 3],
-            scheduling: vec![vec![]; 3],
+            // (4, 2) files: the k − d = 1 remaining read spread over 4 hosts.
+            scheduling: vec![vec![0.25; 4]; 3],
             rule: SchedulingRule::Probabilistic,
         });
         assert_eq!(backend.plan_apply_failures(), 1);

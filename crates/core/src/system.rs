@@ -148,10 +148,11 @@ impl SproutSystem {
 
     /// Runs Algorithm 1 on a *degraded* model: the nodes in `down` are
     /// removed from every file's candidate set, so the plan schedules no
-    /// storage read onto a failed node. Scheduling rows keep their full
-    /// length `m` (down nodes simply carry probability zero), so the plan
-    /// drops into the simulation engine unchanged. An empty `down` list is
-    /// exactly [`optimize_with`](Self::optimize_with).
+    /// storage read onto a failed node. The degraded model's rows cover only
+    /// the surviving hosts; they are mapped back onto each file's full
+    /// placement with probability zero at every down node's position, so the
+    /// plan drops into the simulation engine unchanged. An empty `down` list
+    /// is exactly [`optimize_with`](Self::optimize_with).
     ///
     /// # Errors
     ///
@@ -194,7 +195,21 @@ impl SproutSystem {
             })
             .collect::<Result<Vec<_>, _>>()?;
         let degraded = StorageModel::new(nodes, files)?;
-        Ok(Optimizer::new(*config).run(&degraded, self.spec.cache_capacity_chunks)?)
+        let mut plan = Optimizer::new(*config).run(&degraded, self.spec.cache_capacity_chunks)?;
+        for (row, placement) in plan.scheduling.iter_mut().zip(&self.placements) {
+            let mut surviving = std::mem::take(row).into_iter();
+            *row = placement
+                .iter()
+                .map(|n| {
+                    if down.contains(n) {
+                        0.0
+                    } else {
+                        surviving.next().expect("one entry per surviving host")
+                    }
+                })
+                .collect();
+        }
+        Ok(plan)
     }
 
     /// Prices the rebalance the spec's placement strategy would perform on a
@@ -436,7 +451,6 @@ impl SproutSystem {
                 let plan = plan.expect("the exact policy requires an optimized plan");
                 // Exact caching pins copies of the first d_i chunks; the
                 // remaining reads spread uniformly over the other hosts.
-                let m = self.spec.node_services.len();
                 let scheduling: Vec<Vec<f64>> = self
                     .spec
                     .files
@@ -445,13 +459,11 @@ impl SproutSystem {
                     .enumerate()
                     .map(|(i, (f, p))| {
                         let d = plan.cached_chunks.get(i).copied().unwrap_or(0).min(f.k);
-                        let eligible = &p[d.min(p.len())..];
-                        let mut row = vec![0.0; m];
+                        let mut row = vec![0.0; p.len()];
+                        let eligible = &mut row[d.min(p.len())..];
                         if !eligible.is_empty() && f.k > d {
                             let prob = (f.k - d) as f64 / eligible.len() as f64;
-                            for &j in eligible {
-                                row[j] = prob.min(1.0);
-                            }
+                            eligible.fill(prob.min(1.0));
                         }
                         row
                     })

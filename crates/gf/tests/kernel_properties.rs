@@ -1,6 +1,6 @@
 //! Differential property tests for the GF(2^8) slice kernels.
 //!
-//! Every fast kernel ([`Kernel::Table`], [`Kernel::Word`], [`Kernel::Simd`])
+//! Every fast kernel ([`Kernel::Word`], [`Kernel::Simd`])
 //! must be byte-identical to the scalar log/exp reference
 //! ([`Kernel::Scalar`]) on:
 //!
@@ -48,7 +48,7 @@ fn dot_case() -> impl Strategy<Value = (usize, Vec<Gf256>, Vec<Vec<u8>>, usize)>
     })
 }
 
-const FAST_KERNELS: [Kernel; 3] = [Kernel::Table, Kernel::Word, Kernel::Simd];
+const FAST_KERNELS: [Kernel; 2] = [Kernel::Word, Kernel::Simd];
 
 proptest! {
     #[test]

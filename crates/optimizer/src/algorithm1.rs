@@ -5,9 +5,9 @@ use crate::config::OptimizerConfig;
 use crate::error::OptimizerError;
 use crate::model::StorageModel;
 use crate::objective::evaluate;
-use crate::prob_pi::{self, initial_bands, uniform_initial_pi};
+use crate::prob_pi::{self, aggregate_lo, initial_bands, uniform_initial_pi};
 use crate::prob_z;
-use crate::projection::FileBand;
+use crate::projection::{project_flat, FileBand};
 use crate::solution::{CachePlan, ConvergenceTrace};
 
 /// Fractional parts below this threshold are treated as integers.
@@ -71,7 +71,8 @@ impl Optimizer {
         self
     }
 
-    /// Warm-starts from raw scheduling probabilities.
+    /// Warm-starts from raw scheduling probabilities, one row per file in
+    /// the layout of [`CachePlan::scheduling`].
     #[must_use]
     pub fn warm_start_pi(mut self, initial_pi: Vec<Vec<f64>>) -> Self {
         self.initial_pi = Some(initial_pi);
@@ -84,6 +85,11 @@ impl Optimizer {
     /// cannot help further). Starts from the warm-start point if one was set,
     /// otherwise from the default no-cache, uniform-scheduling point.
     ///
+    /// # Panics
+    ///
+    /// Panics if a warm start does not have one row per file with one entry
+    /// per placement entry.
+    ///
     /// # Errors
     ///
     /// * [`OptimizerError::UnstableSystem`] if no stable scheduling exists
@@ -95,15 +101,19 @@ impl Optimizer {
         model: &StorageModel,
         cache_capacity: usize,
     ) -> Result<CachePlan, OptimizerError> {
-        match &self.initial_pi {
-            Some(pi) => run_from(model, cache_capacity, &self.config, pi),
-            None => run_from(
-                model,
-                cache_capacity,
-                &self.config,
-                &uniform_initial_pi(model),
-            ),
-        }
+        let initial_pi = match &self.initial_pi {
+            Some(rows) => {
+                let files = model.files();
+                assert!(
+                    rows.len() == files.len()
+                        && rows.iter().zip(files).all(|(r, f)| r.len() == f.n()),
+                    "a warm start needs one row per file and one entry per placement entry"
+                );
+                rows.concat()
+            }
+            None => uniform_initial_pi(model),
+        };
+        run_from(model, cache_capacity, &self.config, initial_pi)
     }
 }
 
@@ -112,13 +122,19 @@ fn run_from(
     model: &StorageModel,
     cache_capacity: usize,
     config: &OptimizerConfig,
-    initial_pi: &[Vec<f64>],
+    mut pi: Vec<f64>,
 ) -> Result<CachePlan, OptimizerError> {
     let cache_capacity = cache_capacity.min(model.max_useful_cache());
     let mut trace = ConvergenceTrace::default();
 
     // Start from the supplied point projected onto the zero-rounding bands.
-    let mut pi = prob_pi::project(model, initial_pi, &initial_bands(model), cache_capacity);
+    let aggregate_lo = aggregate_lo(model, cache_capacity);
+    project_flat(
+        &mut pi,
+        &model.row_offsets(),
+        &initial_bands(model),
+        aggregate_lo,
+    );
     trace.projections += 1;
     let mut z = prob_z::solve(model, &pi)?;
     let mut best_objective = evaluate(model, &pi, &z)?.total;
@@ -181,50 +197,45 @@ fn run_from(
 /// Files whose storage-read total is still fractional, sorted by descending
 /// fractional part (the rounding order of Algorithm 1). Files already pinned
 /// (`lo == hi`) are skipped.
-fn fractional_files(
-    model: &StorageModel,
-    pi: &[Vec<f64>],
-    bands: &[FileBand],
-) -> Vec<(usize, f64)> {
+fn fractional_files(model: &StorageModel, pi: &[f64], bands: &[FileBand]) -> Vec<(usize, f64)> {
     let mut out: Vec<(usize, f64, f64)> = Vec::new();
-    for i in 0..model.num_files() {
-        if (bands[i].hi - bands[i].lo).abs() < 1e-12 {
+    for (i, ((_, row), band)) in model.rows(pi).zip(bands).enumerate() {
+        if (band.hi - band.lo).abs() < 1e-12 {
             continue;
         }
-        let sum: f64 = pi[i].iter().sum();
+        let sum: f64 = row.iter().sum();
         let distance_to_integer = (sum - sum.round()).abs();
         if distance_to_integer > INTEGER_TOL {
             out.push((i, sum, sum - sum.floor()));
         }
     }
-    out.sort_by(|a, b| b.2.partial_cmp(&a.2).unwrap_or(std::cmp::Ordering::Equal));
+    out.sort_by(|a, b| b.2.total_cmp(&a.2));
     out.into_iter().map(|(i, sum, _)| (i, sum)).collect()
 }
 
-/// Converts the final fractional-free solution into a [`CachePlan`].
+/// Converts the final fractional-free solution into a [`CachePlan`], split
+/// into one row per file.
 fn finalize(
     model: &StorageModel,
-    pi: Vec<Vec<f64>>,
+    pi: Vec<f64>,
     z: Vec<f64>,
     objective: f64,
     trace: ConvergenceTrace,
 ) -> CachePlan {
-    let cached_chunks: Vec<usize> = model
-        .files()
-        .iter()
-        .zip(&pi)
-        .map(|(f, row)| {
-            let reads: f64 = row.iter().sum();
-            let d = f.k as f64 - reads;
-            d.round().max(0.0) as usize
-        })
-        .collect();
     let per_file_latency = evaluate(model, &pi, &z)
         .map(|b| b.per_file)
         .unwrap_or_else(|_| vec![f64::INFINITY; model.num_files()]);
+    let (cached_chunks, scheduling) = model
+        .rows(&pi)
+        .map(|(f, row)| {
+            let reads: f64 = row.iter().sum();
+            let d = f.k as f64 - reads;
+            (d.round().max(0.0) as usize, row.to_vec())
+        })
+        .unzip();
     CachePlan {
         cached_chunks,
-        scheduling: pi,
+        scheduling,
         z,
         objective,
         per_file_latency,
@@ -328,10 +339,12 @@ mod tests {
                 (reads - expected).abs() < 1e-3,
                 "file {i}: reads {reads} vs k - d = {expected}"
             );
-            for (j, &p) in plan.scheduling[i].iter().enumerate() {
-                if !f.placement.contains(&j) {
-                    assert_eq!(p, 0.0, "file {i} must not read from node {j}");
-                }
+            assert_eq!(
+                plan.scheduling[i].len(),
+                f.n(),
+                "file {i}: one entry per host"
+            );
+            for &p in &plan.scheduling[i] {
                 assert!((-1e-9..=1.0 + 1e-9).contains(&p));
             }
         }

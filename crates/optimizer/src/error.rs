@@ -3,7 +3,7 @@
 use std::fmt;
 
 /// Errors returned by [`crate::StorageModel`] construction and
-/// [`crate::optimize`].
+/// [`Optimizer::run`](crate::Optimizer::run).
 #[derive(Debug, Clone, PartialEq)]
 pub enum OptimizerError {
     /// The model is malformed (empty, inconsistent indices, bad rates…).

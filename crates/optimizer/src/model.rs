@@ -150,36 +150,17 @@ impl StorageModel {
         StorageModel::new(self.nodes.clone(), files)
     }
 
-    /// Restricts a dense `r × m` matrix to each file's placement set and
-    /// concatenates the files: the coordinates Prob Π is solved in.
-    pub(crate) fn restrict(&self, dense: &[Vec<f64>]) -> Vec<f64> {
-        assert_eq!(dense.len(), self.files.len(), "one row per file");
-        let slots = self.files.iter().zip(dense);
-        slots
-            .flat_map(|(f, row)| f.placement.iter().map(|&j| row[j]))
-            .collect()
-    }
-
-    /// Expands restricted coordinates back to a dense `r × m` matrix, zero
-    /// outside each file's placement set.
-    pub(crate) fn expand(&self, restricted: &[f64]) -> Vec<Vec<f64>> {
-        self.rows(restricted)
-            .map(|(f, vals)| {
-                let mut row = vec![0.0; self.nodes.len()];
-                for (&j, &v) in f.placement.iter().zip(vals) {
-                    row[j] = v;
-                }
-                row
-            })
-            .collect()
-    }
-
-    /// Each file with its slice of restricted coordinates.
+    /// Each file with its row of a flat buffer of scheduling probabilities.
+    ///
+    /// The optimizer stores `π` as one flat buffer: file `i`'s row is `n_i`
+    /// entries, entry `r` for the node `placement[r]`, and the files' rows
+    /// are concatenated in file order. No entry exists for a node outside a
+    /// file's placement set, where `π_{i,j}` is zero by definition.
     pub(crate) fn rows<'a>(
         &'a self,
-        restricted: &'a [f64],
+        flat: &'a [f64],
     ) -> impl Iterator<Item = (&'a FileModel, &'a [f64])> {
-        let mut rest = restricted;
+        let mut rest = flat;
         self.files.iter().map(move |f| {
             let (row, tail) = rest.split_at(f.placement.len());
             rest = tail;
@@ -187,7 +168,7 @@ impl StorageModel {
         })
     }
 
-    /// Where each file's restricted coordinates start, plus the total count.
+    /// Where each file's row of the flat buffer starts, plus the total count.
     pub(crate) fn row_offsets(&self) -> Vec<usize> {
         let mut offsets = vec![0];
         for f in &self.files {

@@ -1,16 +1,22 @@
 //! The weighted mean-latency objective of Eq. (6) and its analytic gradient.
 //!
-//! For scheduling probabilities `π` (an `r × m` matrix, zero outside each
-//! file's placement set) and auxiliary variables `z`, the objective is
+//! For scheduling probabilities `π` and auxiliary variables `z`, the
+//! objective is
 //!
 //! ```text
 //! F(π, z) = Σ_i (λ_i / λ̂) z_i
-//!         + Σ_i Σ_j (λ_i π_{i,j} / 2 λ̂) [ X_{i,j} + sqrt(X_{i,j}² + Y_j) ]
+//!         + Σ_i Σ_{j ∈ S_i} (λ_i π_{i,j} / 2 λ̂) [ X_{i,j} + sqrt(X_{i,j}² + Y_j) ]
 //! X_{i,j} = E[Q_j] − z_i,     Y_j = Var[Q_j]
 //! ```
 //!
 //! where the queue moments depend on the node arrival rates
 //! `Λ_j = Σ_i λ_i π_{i,j}` through the M/G/1 formulas of Eqs. (3)–(4).
+//!
+//! `π_{i,j}` exists only on file `i`'s placement set `S_i`: every function
+//! here takes `π` as the optimizer's flat buffer, file `i`'s `n_i` entries in
+//! placement order (entry `r` for node `placement[r]`) and the files
+//! concatenated. A [`CachePlan`](crate::CachePlan)'s `scheduling` rows are
+//! the same entries, so `plan.scheduling.concat()` is such a buffer.
 
 use sprout_queueing::mg1::{
     mean_delay_derivative, queue_delay_moments, variance_delay_derivative, QueueDelayMoments,
@@ -43,72 +49,32 @@ pub(crate) struct NodeState {
 }
 
 impl NodeState {
-    /// Recomputes the state at restricted scheduling probabilities `pi` (see
-    /// [`StorageModel::restrict`]), reusing the buffers.
+    /// Recomputes the state at scheduling probabilities `pi`, reusing the
+    /// buffers.
     pub(crate) fn update(
         &mut self,
         model: &StorageModel,
         pi: &[f64],
     ) -> Result<(), StabilityError> {
-        arrival_rates_into(model, pi, &mut self.rates);
-        delay_moments_into(model, &self.rates, &mut self.delays)
-    }
-
-    fn at(model: &StorageModel, dense: &[Vec<f64>]) -> Result<(Vec<f64>, Self), StabilityError> {
-        let pi = model.restrict(dense);
-        let mut state = NodeState::default();
-        state.update(model, &pi)?;
-        Ok((pi, state))
-    }
-}
-
-fn arrival_rates_into(model: &StorageModel, pi: &[f64], rates: &mut Vec<f64>) {
-    rates.clear();
-    rates.resize(model.num_nodes(), 0.0);
-    for (file, row) in model.rows(pi) {
-        for (&j, &p) in file.placement.iter().zip(row) {
-            rates[j] += file.arrival_rate * p;
+        self.rates.clear();
+        self.rates.resize(model.num_nodes(), 0.0);
+        for (file, row) in model.rows(pi) {
+            for (&j, &p) in file.placement.iter().zip(row) {
+                self.rates[j] += file.arrival_rate * p;
+            }
         }
+        self.delays.clear();
+        for (j, (&lambda, service)) in self.rates.iter().zip(model.nodes()).enumerate() {
+            let moments = queue_delay_moments(lambda, service);
+            self.delays
+                .push(moments.map_err(|e| StabilityError { node: j, ..e })?);
+        }
+        Ok(())
     }
 }
 
-fn delay_moments_into(
-    model: &StorageModel,
-    node_rates: &[f64],
-    delays: &mut Vec<QueueDelayMoments>,
-) -> Result<(), StabilityError> {
-    delays.clear();
-    for (j, (&lambda, service)) in node_rates.iter().zip(model.nodes()).enumerate() {
-        let moments = queue_delay_moments(lambda, service);
-        delays.push(moments.map_err(|e| StabilityError { node: j, ..e })?);
-    }
-    Ok(())
-}
-
-/// Computes the per-node chunk arrival rates `Λ_j = Σ_i λ_i π_{i,j}`.
-pub fn node_arrival_rates(model: &StorageModel, pi: &[Vec<f64>]) -> Vec<f64> {
-    let mut rates = Vec::new();
-    arrival_rates_into(model, &model.restrict(pi), &mut rates);
-    rates
-}
-
-/// Computes the per-node queue-delay moments for the given scheduling.
-///
-/// # Errors
-///
-/// Returns [`StabilityError`] (with the node index filled in) if any node's
-/// utilization reaches one.
-pub fn node_delay_moments(
-    model: &StorageModel,
-    node_rates: &[f64],
-) -> Result<Vec<QueueDelayMoments>, StabilityError> {
-    let mut delays = Vec::new();
-    delay_moments_into(model, node_rates, &mut delays)?;
-    Ok(delays)
-}
-
-/// The per-file Lemma 1 bounds `U_i` at restricted `pi` and `z`, given the
-/// queue-delay moments `pi` produces.
+/// The per-file Lemma 1 bounds `U_i` at `pi` and `z`, given the queue-delay
+/// moments `pi` produces.
 fn file_bounds<'a>(
     model: &'a StorageModel,
     pi: &'a [f64],
@@ -140,7 +106,7 @@ fn weighted_mean(model: &StorageModel, bounds: impl Iterator<Item = f64>) -> f64
     total
 }
 
-/// The objective at restricted `pi` whose queue-delay moments are `delays`.
+/// The objective at `pi` whose queue-delay moments are `delays`.
 pub(crate) fn total(
     model: &StorageModel,
     pi: &[f64],
@@ -150,7 +116,8 @@ pub(crate) fn total(
     weighted_mean(model, file_bounds(model, pi, z, delays))
 }
 
-/// Evaluates the objective and per-file bounds at `(π, z)`.
+/// Evaluates the objective and per-file bounds at `(π, z)`, with `pi` the
+/// flat buffer described in the [module docs](self).
 ///
 /// # Errors
 ///
@@ -161,12 +128,13 @@ pub(crate) fn total(
 /// Panics if `pi` or `z` have shapes inconsistent with the model.
 pub fn evaluate(
     model: &StorageModel,
-    pi: &[Vec<f64>],
+    pi: &[f64],
     z: &[f64],
 ) -> Result<ObjectiveBreakdown, StabilityError> {
     assert_eq!(z.len(), model.num_files(), "z must have one entry per file");
-    let (pi, state) = NodeState::at(model, pi)?;
-    let per_file: Vec<f64> = file_bounds(model, &pi, z, &state.delays).collect();
+    let mut state = NodeState::default();
+    state.update(model, pi)?;
+    let per_file: Vec<f64> = file_bounds(model, pi, z, &state.delays).collect();
     Ok(ObjectiveBreakdown {
         total: weighted_mean(model, per_file.iter().copied()),
         per_file,
@@ -175,30 +143,8 @@ pub fn evaluate(
     })
 }
 
-/// Analytic gradient of the objective with respect to `π`, evaluated at
-/// `(π, z)`. Entries outside a file's placement set are zero.
-///
-/// # Errors
-///
-/// Returns [`StabilityError`] if the scheduling overloads a node.
-///
-/// # Panics
-///
-/// Panics if the shapes are inconsistent with the model.
-pub fn gradient_pi(
-    model: &StorageModel,
-    pi: &[Vec<f64>],
-    z: &[f64],
-) -> Result<Vec<Vec<f64>>, StabilityError> {
-    assert_eq!(z.len(), model.num_files(), "z must have one entry per file");
-    let (pi, state) = NodeState::at(model, pi)?;
-    let mut grad = vec![0.0; pi.len()];
-    gradient_into(model, &pi, z, &state, &mut grad);
-    Ok(model.expand(&grad))
-}
-
-/// Writes the gradient at restricted `pi`, whose node state is `state`, into
-/// `grad` (same coordinates).
+/// Writes the gradient with respect to `π` at `pi`, whose node state is
+/// `state`, into `grad` (one entry per entry of `pi`).
 pub(crate) fn gradient_into(
     model: &StorageModel,
     pi: &[f64],
@@ -251,6 +197,7 @@ pub(crate) fn gradient_into(
 mod tests {
     use super::*;
     use crate::model::FileModel;
+    use crate::prob_pi::uniform_initial_pi;
     use sprout_queueing::dist::ServiceDistribution;
 
     fn two_file_model() -> StorageModel {
@@ -266,27 +213,18 @@ mod tests {
         StorageModel::new(nodes, files).unwrap()
     }
 
-    fn uniform_pi(model: &StorageModel) -> Vec<Vec<f64>> {
-        model
-            .files()
-            .iter()
-            .map(|f| {
-                let mut row = vec![0.0; model.num_nodes()];
-                for &j in &f.placement {
-                    row[j] = f.k as f64 / f.placement.len() as f64;
-                }
-                row
-            })
-            .collect()
+    fn state_at(model: &StorageModel, pi: &[f64]) -> NodeState {
+        let mut state = NodeState::default();
+        state.update(model, pi).unwrap();
+        state
     }
 
     #[test]
     fn node_rates_sum_weighted_probabilities() {
         let model = two_file_model();
-        let pi = uniform_pi(&model);
-        let rates = node_arrival_rates(&model, &pi);
+        let pi = uniform_initial_pi(&model);
         let expect = 0.05 * 2.0 / 3.0 + 0.10 * 2.0 / 3.0;
-        for r in rates {
+        for r in state_at(&model, &pi).rates {
             assert!((r - expect).abs() < 1e-12);
         }
     }
@@ -294,7 +232,7 @@ mod tests {
     #[test]
     fn objective_is_weighted_average_of_per_file_bounds() {
         let model = two_file_model();
-        let pi = uniform_pi(&model);
+        let pi = uniform_initial_pi(&model);
         let z = vec![0.0, 0.0];
         let b = evaluate(&model, &pi, &z).unwrap();
         let expect = (0.05 * b.per_file[0] + 0.10 * b.per_file[1]) / 0.15;
@@ -306,10 +244,10 @@ mod tests {
     fn caching_more_reduces_objective() {
         // Reducing file 2's storage reads (more cache chunks) lowers latency.
         let model = two_file_model();
-        let full = uniform_pi(&model);
+        let full = uniform_initial_pi(&model);
         let mut cached = full.clone();
-        for v in cached[1].iter_mut() {
-            *v *= 0.5; // sum drops from 2 to 1, i.e. one chunk cached
+        for v in &mut cached[3..] {
+            *v *= 0.5; // file 1's sum drops from 2 to 1, i.e. one chunk cached
         }
         let z = vec![0.0, 0.0];
         let f_full = evaluate(&model, &full, &z).unwrap().total;
@@ -319,22 +257,14 @@ mod tests {
 
     #[test]
     fn overload_is_detected_with_node_index() {
-        let model = two_file_model();
-        let mut pi = uniform_pi(&model);
-        // Push everything to node 2 (rate 0.25) with probability 1 and crank
-        // arrival rates up by scaling pi is not possible (pi <= 1), so build an
-        // overloaded model instead.
-        let nodes = model.nodes().to_vec();
+        // Both files read nodes 0 and 2 with probability 1: node 0 carries
+        // 0.8 < 1.0, node 2 carries 0.8 > 0.25 and is unstable.
         let files = vec![
             FileModel::new(0.4, 2, vec![0, 1, 2]),
             FileModel::new(0.4, 2, vec![0, 1, 2]),
         ];
-        let hot = StorageModel::new(nodes, files).unwrap();
-        pi[0] = vec![1.0, 0.0, 1.0];
-        pi[1] = vec![1.0, 1.0, 0.0];
-        // node 0 load = 0.8 < 1.0 ok; make it worse:
-        pi[1] = vec![1.0, 0.0, 1.0];
-        // node 0: 0.8, node 2: 0.8 > 0.25 -> unstable at node 2
+        let hot = StorageModel::new(two_file_model().nodes().to_vec(), files).unwrap();
+        let pi = [1.0, 0.0, 1.0, 1.0, 0.0, 1.0];
         let err = evaluate(&hot, &pi, &[0.0, 0.0]).unwrap_err();
         assert_eq!(err.node, 2);
     }
@@ -342,37 +272,36 @@ mod tests {
     #[test]
     fn gradient_matches_finite_differences() {
         let model = two_file_model();
-        let pi = uniform_pi(&model);
+        let pi = uniform_initial_pi(&model);
         let z = vec![1.0, 2.0];
-        let grad = gradient_pi(&model, &pi, &z).unwrap();
+        let mut grad = vec![0.0; pi.len()];
+        gradient_into(&model, &pi, &z, &state_at(&model, &pi), &mut grad);
         let base = evaluate(&model, &pi, &z).unwrap().total;
         let h = 1e-6;
-        for i in 0..model.num_files() {
-            for &j in &model.files()[i].placement {
-                let mut bumped = pi.clone();
-                bumped[i][j] += h;
-                let f = evaluate(&model, &bumped, &z).unwrap().total;
-                let fd = (f - base) / h;
-                assert!(
-                    (fd - grad[i][j]).abs() < 1e-4 * fd.abs().max(1.0),
-                    "file {i} node {j}: fd {fd} vs analytic {}",
-                    grad[i][j]
-                );
-            }
+        for (slot, &g) in grad.iter().enumerate() {
+            let mut bumped = pi.clone();
+            bumped[slot] += h;
+            let f = evaluate(&model, &bumped, &z).unwrap().total;
+            let fd = (f - base) / h;
+            assert!(
+                (fd - g).abs() < 1e-4 * fd.abs().max(1.0),
+                "entry {slot}: fd {fd} vs analytic {g}"
+            );
         }
     }
 
     #[test]
     fn gradient_is_zero_outside_placement() {
-        let nodes = vec![
-            ServiceDistribution::exponential(1.0).moments(),
-            ServiceDistribution::exponential(1.0).moments(),
-            ServiceDistribution::exponential(1.0).moments(),
-        ];
+        // π has no entry off the placement: a file on nodes {0, 1} of three
+        // gets two gradient entries, and node 2 receives no load.
+        let nodes = vec![ServiceDistribution::exponential(1.0).moments(); 3];
         let files = vec![FileModel::new(0.1, 1, vec![0, 1])];
         let model = StorageModel::new(nodes, files).unwrap();
-        let pi = vec![vec![0.5, 0.5, 0.0]];
-        let grad = gradient_pi(&model, &pi, &[0.0]).unwrap();
-        assert_eq!(grad[0][2], 0.0);
+        let pi = [0.5, 0.5];
+        let state = state_at(&model, &pi);
+        assert_eq!(state.rates[2], 0.0);
+        let mut grad = [f64::NAN; 2];
+        gradient_into(&model, &pi, &[0.0], &state, &mut grad);
+        assert!(grad.iter().all(|g| g.is_finite() && *g > 0.0));
     }
 }

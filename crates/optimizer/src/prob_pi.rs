@@ -8,11 +8,12 @@
 //! `K_{L,i} ≤ Σ_j π_{i,j} ≤ K_{U,i}`, and the cache-capacity coupling
 //! `Σ_{i,j} π_{i,j} ≥ Σ_i k_i − C`.
 //!
-//! The solve runs in restricted coordinates (each file's placement set only,
-//! files concatenated) on buffers allocated once per solve: a line-search
-//! probe writes, projects and evaluates its candidate in place, and the
-//! accepted probe hands its node rates and delay moments to the next
-//! gradient instead of having them recomputed.
+//! `π` is the optimizer's flat buffer: each file's placement entries only,
+//! files concatenated (see [`crate::objective`]). The solve runs on buffers
+//! allocated once per solve: a line-search probe writes, projects and
+//! evaluates its candidate in place, and the accepted probe hands its node
+//! rates and delay moments to the next gradient instead of having them
+//! recomputed.
 
 use crate::config::OptimizerConfig;
 use crate::error::OptimizerError;
@@ -23,8 +24,9 @@ use crate::projection::{project_flat, FileBand};
 /// Result of one Prob Π solve.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ProbPiOutcome {
-    /// The optimized scheduling probabilities (dense `r × m`).
-    pub pi: Vec<Vec<f64>>,
+    /// The optimized scheduling probabilities, one entry per placement
+    /// entry of each file, files concatenated.
+    pub pi: Vec<f64>,
     /// Objective value at the returned point.
     pub objective: f64,
     /// Number of projected-gradient iterations performed.
@@ -41,21 +43,8 @@ impl ProbPiOutcome {
 }
 
 /// The coupling constraint's bound `Σ_i k_i − C` on the total storage reads.
-fn aggregate_lo(model: &StorageModel, cache_capacity: usize) -> f64 {
+pub(crate) fn aggregate_lo(model: &StorageModel, cache_capacity: usize) -> f64 {
     (model.max_useful_cache() as f64 - cache_capacity as f64).max(0.0)
-}
-
-/// Projects a dense candidate onto the feasible set.
-pub(crate) fn project(
-    model: &StorageModel,
-    pi: &[Vec<f64>],
-    bands: &[FileBand],
-    cache_capacity: usize,
-) -> Vec<Vec<f64>> {
-    let mut restricted = model.restrict(pi);
-    let aggregate_lo = aggregate_lo(model, cache_capacity);
-    project_flat(&mut restricted, &model.row_offsets(), bands, aggregate_lo);
-    model.expand(&restricted)
 }
 
 /// Solves the relaxed Prob Π by projected gradient descent.
@@ -71,14 +60,14 @@ pub(crate) fn project(
 pub fn solve(
     model: &StorageModel,
     z: &[f64],
-    initial_pi: &[Vec<f64>],
+    initial_pi: &[f64],
     bands: &[FileBand],
     cache_capacity: usize,
     config: &OptimizerConfig,
 ) -> Result<ProbPiOutcome, OptimizerError> {
     let offsets = model.row_offsets();
     let aggregate_lo = aggregate_lo(model, cache_capacity);
-    let mut pi = model.restrict(initial_pi);
+    let mut pi = initial_pi.to_vec();
     project_flat(&mut pi, &offsets, bands, aggregate_lo);
     let mut nodes = NodeState::default();
     nodes.update(model, &pi)?;
@@ -132,7 +121,7 @@ pub fn solve(
     }
 
     Ok(ProbPiOutcome {
-        pi: model.expand(&pi),
+        pi,
         objective: current,
         iterations,
         line_search_probes,
@@ -141,18 +130,9 @@ pub fn solve(
 
 /// Builds a feasible, load-spreading starting point: each file splits its
 /// `k_i` storage reads uniformly across its placement set (no caching).
-pub fn uniform_initial_pi(model: &StorageModel) -> Vec<Vec<f64>> {
-    model
-        .files()
-        .iter()
-        .map(|f| {
-            let mut row = vec![0.0; model.num_nodes()];
-            let p = f.k as f64 / f.placement.len() as f64;
-            for &j in &f.placement {
-                row[j] = p;
-            }
-            row
-        })
+pub fn uniform_initial_pi(model: &StorageModel) -> Vec<f64> {
+    let rows = model.files().iter();
+    rows.flat_map(|f| std::iter::repeat_n(f.k as f64 / f.n() as f64, f.n()))
         .collect()
 }
 
@@ -193,7 +173,8 @@ mod tests {
     fn uniform_initial_point_is_feasible() {
         let m = model();
         let pi = uniform_initial_pi(&m);
-        for (f, row) in m.files().iter().zip(&pi) {
+        assert_eq!(pi.len(), 8, "one entry per placement entry");
+        for (f, row) in m.rows(&pi) {
             let sum: f64 = row.iter().sum();
             assert!((sum - f.k as f64).abs() < 1e-12);
             assert!(row.iter().all(|&p| (0.0..=1.0).contains(&p)));
@@ -211,7 +192,7 @@ mod tests {
         assert!(out.objective <= before + 1e-9);
         // feasibility: per-file sums within [0, k], coupling satisfied
         let mut total = 0.0;
-        for (f, row) in m.files().iter().zip(&out.pi) {
+        for (f, row) in m.rows(&out.pi) {
             let sum: f64 = row.iter().sum();
             assert!(sum <= f.k as f64 + 1e-6);
             assert!(sum >= -1e-9);
@@ -229,7 +210,7 @@ mod tests {
         let bands = initial_bands(&m);
         let z = vec![0.0; m.num_files()];
         let out = solve(&m, &z, &pi0, &bands, 0, &OptimizerConfig::default()).unwrap();
-        let total: f64 = out.pi.iter().flatten().sum();
+        let total: f64 = out.pi.iter().sum();
         assert!(
             (total - m.max_useful_cache() as f64).abs() < 1e-5,
             "with no cache every chunk must come from storage, total = {total}"
@@ -245,7 +226,9 @@ mod tests {
         let bands = initial_bands(&m);
         let z = vec![0.0; m.num_files()];
         let out = solve(&m, &z, &pi0, &bands, 2, &OptimizerConfig::default()).unwrap();
-        let rates = crate::objective::node_arrival_rates(&m, &out.pi);
+        let mut nodes = NodeState::default();
+        nodes.update(&m, &out.pi).unwrap();
+        let rates = nodes.rates;
         assert!(
             rates[3] <= rates[0] + 1e-9,
             "slowest node should not carry more load: {rates:?}"

@@ -11,37 +11,38 @@ use sprout_queueing::bound::{optimal_z, SchedulingTerm};
 use sprout_queueing::mg1::QueueDelayMoments;
 use sprout_queueing::stability::StabilityError;
 
-use crate::model::StorageModel;
-use crate::objective::{node_arrival_rates, node_delay_moments};
+use crate::model::{FileModel, StorageModel};
+use crate::objective::NodeState;
 
-/// Builds the Lemma 1 scheduling terms for one file given node delay moments.
-pub(crate) fn file_terms(
-    model: &StorageModel,
+/// Builds the Lemma 1 scheduling terms for one file's row of `π` given node
+/// delay moments.
+fn file_terms(
     delays: &[QueueDelayMoments],
+    file: &FileModel,
     pi_row: &[f64],
-    file: usize,
 ) -> Vec<SchedulingTerm> {
-    model.files()[file]
-        .placement
+    file.placement
         .iter()
-        .map(|&j| SchedulingTerm {
-            probability: pi_row[j],
+        .zip(pi_row)
+        .map(|(&j, &probability)| SchedulingTerm {
+            probability,
             delay: delays[j],
         })
         .collect()
 }
 
 /// Solves Prob Z exactly: returns the optimal `z_i ≥ 0` for every file given
-/// the current scheduling `π`.
+/// the current scheduling `π` (the flat buffer of [`crate::objective`]).
 ///
 /// # Errors
 ///
 /// Returns [`StabilityError`] if the scheduling overloads a node.
-pub fn solve(model: &StorageModel, pi: &[Vec<f64>]) -> Result<Vec<f64>, StabilityError> {
-    let rates = node_arrival_rates(model, pi);
-    let delays = node_delay_moments(model, &rates)?;
-    Ok((0..model.num_files())
-        .map(|i| optimal_z(&file_terms(model, &delays, &pi[i], i)))
+pub fn solve(model: &StorageModel, pi: &[f64]) -> Result<Vec<f64>, StabilityError> {
+    let mut nodes = NodeState::default();
+    nodes.update(model, pi)?;
+    Ok(model
+        .rows(pi)
+        .map(|(file, row)| optimal_z(&file_terms(&nodes.delays, file, row)))
         .collect())
 }
 
@@ -66,24 +67,10 @@ mod tests {
         StorageModel::new(nodes, files).unwrap()
     }
 
-    fn pi(model: &StorageModel) -> Vec<Vec<f64>> {
-        model
-            .files()
-            .iter()
-            .map(|f| {
-                let mut row = vec![0.0; model.num_nodes()];
-                for &j in &f.placement {
-                    row[j] = f.k as f64 / f.placement.len() as f64;
-                }
-                row
-            })
-            .collect()
-    }
-
     #[test]
     fn prob_z_solution_is_nonnegative_and_optimal() {
         let model = model();
-        let pi = pi(&model);
+        let pi = crate::prob_pi::uniform_initial_pi(&model);
         let z = solve(&model, &pi).unwrap();
         assert_eq!(z.len(), 2);
         assert!(z.iter().all(|&v| v >= 0.0));
@@ -108,7 +95,7 @@ mod tests {
         let nodes = vec![ServiceDistribution::exponential(0.01).moments()];
         let files = vec![FileModel::new(0.5, 1, vec![0])];
         let model = StorageModel::new(nodes, files).unwrap();
-        let pi = vec![vec![1.0]];
+        let pi = [1.0];
         assert!(solve(&model, &pi).is_err());
     }
 }

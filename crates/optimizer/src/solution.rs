@@ -40,8 +40,10 @@ impl ConvergenceTrace {
 pub struct CachePlan {
     /// Number of functional chunks of each file to hold in the cache (`d_i`).
     pub cached_chunks: Vec<usize>,
-    /// Scheduling probabilities `π_{i,j}` (rows indexed by file, columns by
-    /// node; zero outside each file's placement set).
+    /// Scheduling probabilities `π_{i,j}`, one row per file aligned with its
+    /// placement: row `i` has `n_i` entries, and entry `r` is the probability
+    /// of reading from the node that hosts chunk row `r`. `π_{i,j}` is zero
+    /// for every node outside the placement, so no entry stores it.
     pub scheduling: Vec<Vec<f64>>,
     /// Optimal auxiliary variables `z_i` of the Lemma 1 bound.
     pub z: Vec<f64>,

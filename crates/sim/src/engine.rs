@@ -16,7 +16,7 @@
 //!   recoveries, arrival-rate shifts, online cache-plan swaps) apply at
 //!   deterministic epoch edges between event-loop drains.
 //! * **Per-entity randomness** — every random stream is keyed per entity
-//!   ([`stream_seed`]/[`plan_seed`] per file, [`service_seed`] per node), so
+//!   (`stream_seed`/`plan_seed` per file, `service_seed` per node), so
 //!   a file's arrivals and planning draws and a node's service draws are
 //!   independent of how events of other entities interleave.
 //! * **Memory independent of the horizon** — a run holds O(files + nodes +
@@ -187,7 +187,7 @@ impl Simulation {
                 "file {i} references a node out of range"
             );
         }
-        scheme.validate(files.len());
+        scheme.validate(&files);
         Simulation {
             nodes,
             files,
@@ -204,7 +204,7 @@ impl Simulation {
     ///
     /// Panics if the scenario references nodes or files out of range.
     pub fn with_scenario(mut self, scenario: Scenario) -> Self {
-        scenario.validate(self.nodes.len(), self.files.len());
+        scenario.validate(self.nodes.len(), &self.files);
         self.scenario = scenario;
         self
     }
@@ -421,12 +421,11 @@ fn lru_tier_for(scheme: &CacheScheme) -> Option<LruTier> {
 /// Reusable buffers for the per-arrival planning step.
 ///
 /// `plan_request` runs once per simulated request — millions of times at the
-/// paper's horizons — so its working sets (sampling marginals, the sampled
-/// index set, the chosen node list and the offline-repair pool) live here
-/// instead of being allocated per call.
+/// paper's horizons — so its working sets (the sampled index set, the chosen
+/// node list and the offline-repair pool) live here instead of being
+/// allocated per call.
 #[derive(Debug, Default)]
 struct PlanScratch {
-    marginals: Vec<f64>,
     picks: Vec<usize>,
     /// Online candidates used to repair a plan that picked failed nodes.
     avail: Vec<usize>,
@@ -758,13 +757,7 @@ fn plan_request<B: ChunkBackend>(
             }
             match rule {
                 SchedulingRule::Probabilistic => {
-                    scratch.marginals.clear();
-                    scratch.marginals.extend(
-                        spec.placement
-                            .iter()
-                            .map(|&j| scheduling[file].get(j).copied().unwrap_or(0.0)),
-                    );
-                    systematic_sample_into(&scratch.marginals, rng, &mut scratch.picks);
+                    systematic_sample_into(&scheduling[file], rng, &mut scratch.picks);
                 }
                 SchedulingRule::Uniform => {
                     uniform_sample_into(spec.placement.len(), needed, rng, &mut scratch.picks);
@@ -787,15 +780,10 @@ fn plan_request<B: ChunkBackend>(
             // The first d placement entries host the exactly-cached rows
             // and cannot serve the request.
             let eligible = &spec.placement[d..];
-            scratch.marginals.clear();
-            scratch.marginals.extend(
-                eligible
-                    .iter()
-                    .map(|&j| scheduling[file].get(j).copied().unwrap_or(0.0)),
-            );
-            let total: f64 = scratch.marginals.iter().sum();
+            let marginals = &scheduling[file][d..];
+            let total: f64 = marginals.iter().sum();
             if (total - needed as f64).abs() < 1e-6 {
-                systematic_sample_into(&scratch.marginals, rng, &mut scratch.picks);
+                systematic_sample_into(marginals, rng, &mut scratch.picks);
             } else {
                 uniform_sample_into(
                     eligible.len(),
@@ -884,6 +872,13 @@ mod tests {
             .collect()
     }
 
+    /// Scheduling rows spreading `reads` storage reads uniformly over each
+    /// file's placement.
+    fn uniform_rows(files: &[SimFile], reads: f64) -> Vec<Vec<f64>> {
+        let rows = files.iter().map(|f| f.placement.len());
+        rows.map(|n| vec![reads / n as f64; n]).collect()
+    }
+
     #[test]
     fn no_cache_latency_close_to_mm1_fork_join_bounds() {
         // Single file, k = 1, one node: the system is exactly M/M/1 and the
@@ -939,16 +934,7 @@ mod tests {
         for d in 0..=4usize {
             let cached = vec![d; 4];
             // spread the remaining k - d reads uniformly
-            let scheduling: Vec<Vec<f64>> = files
-                .iter()
-                .map(|f| {
-                    let mut row = vec![0.0; m];
-                    for &j in &f.placement {
-                        row[j] = (f.k - d) as f64 / f.placement.len() as f64;
-                    }
-                    row
-                })
-                .collect();
+            let scheduling = uniform_rows(&files, (4 - d) as f64);
             let report = Simulation::new(
                 service.clone(),
                 files.clone(),
@@ -980,16 +966,7 @@ mod tests {
     fn slot_counts_track_cache_share() {
         let m = 6;
         let files = simple_files(3, 0.05, 4, m);
-        let scheduling: Vec<Vec<f64>> = files
-            .iter()
-            .map(|f| {
-                let mut row = vec![0.0; m];
-                for &j in &f.placement {
-                    row[j] = 2.0 / f.placement.len() as f64;
-                }
-                row
-            })
-            .collect();
+        let scheduling = uniform_rows(&files, 2.0);
         let report = Simulation::new(
             nodes(m, 0.5),
             files,
@@ -1011,16 +988,7 @@ mod tests {
         // keeps only the two totals.
         let m = 4;
         let files = simple_files(2, 1e-4, 2, m);
-        let scheduling: Vec<Vec<f64>> = files
-            .iter()
-            .map(|f| {
-                let mut row = vec![0.0; m];
-                for &j in &f.placement {
-                    row[j] = 1.0 / f.placement.len() as f64;
-                }
-                row
-            })
-            .collect();
+        let scheduling = uniform_rows(&files, 1.0);
         let scheme = CacheScheme::Functional {
             cached_chunks: vec![1, 1],
             scheduling,
@@ -1291,16 +1259,7 @@ mod tests {
     fn swap_scheme_scenario_takes_effect() {
         let m = 4;
         let files = simple_files(2, 0.2, 2, m);
-        let scheduling: Vec<Vec<f64>> = files
-            .iter()
-            .map(|f| {
-                let mut row = vec![0.0; m];
-                for &j in &f.placement {
-                    row[j] = 0.0;
-                }
-                row
-            })
-            .collect();
+        let scheduling = uniform_rows(&files, 0.0);
         let full_cache = CacheScheme::Functional {
             cached_chunks: vec![2, 2],
             scheduling,

@@ -2,6 +2,8 @@
 
 use serde::{Deserialize, Serialize};
 
+use crate::engine::SimFile;
+
 /// How chunk reads are scheduled onto storage nodes when a plan is in force.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub enum SchedulingRule {
@@ -25,20 +27,20 @@ pub enum CacheScheme {
     Functional {
         /// Number of cached (functional) chunks per file.
         cached_chunks: Vec<usize>,
-        /// Scheduling marginals `π_{i,j}` (dense, zero off-placement).
+        /// Scheduling marginals `π_{i,j}`, one row per file aligned with its
+        /// placement: entry `r` belongs to the node hosting chunk row `r`
+        /// (the layout of the optimizer's `CachePlan::scheduling`).
         scheduling: Vec<Vec<f64>>,
         /// How to turn the marginals into per-request node sets.
         rule: SchedulingRule,
     },
     /// Exact caching: like `Functional`, but the cached chunks are copies of
     /// the first `d_i` storage chunks, so those hosting nodes cannot serve
-    /// the request. The scheduling marginals must already be zero on the
-    /// excluded nodes (the optimizer run against the reduced placement
-    /// guarantees this).
+    /// the request. Only a row's entries past the first `d_i` are sampled.
     Exact {
         /// Number of cached (copied) chunks per file.
         cached_chunks: Vec<usize>,
-        /// Scheduling marginals over the non-excluded nodes.
+        /// Scheduling marginals, laid out as in `Functional`.
         scheduling: Vec<Vec<f64>>,
     },
     /// Ceph-style LRU replicated cache tier: whole objects are promoted on
@@ -73,22 +75,31 @@ impl CacheScheme {
         }
     }
 
-    /// Checks the scheme can plan requests for `num_files` files: the
-    /// planned schemes index `scheduling[file]` on every arrival, so a short
-    /// scheduling matrix must fail fast here rather than mid-run.
+    /// Checks the scheme can plan requests for `files`: the planned schemes
+    /// sample `scheduling[file]` against the file's placement on every
+    /// arrival, so a missing or misaligned row must fail fast here rather
+    /// than mid-run.
     ///
     /// # Panics
     ///
     /// Panics if a Functional/Exact scheduling matrix has fewer rows than
-    /// `num_files`.
-    pub fn validate(&self, num_files: usize) {
+    /// there are files, or a row's length differs from its file's placement.
+    pub fn validate(&self, files: &[SimFile]) {
         match self {
             CacheScheme::Functional { scheduling, .. } | CacheScheme::Exact { scheduling, .. } => {
                 assert!(
-                    scheduling.len() >= num_files,
-                    "cache scheme has {} scheduling rows but the system has {num_files} files",
-                    scheduling.len()
+                    scheduling.len() >= files.len(),
+                    "cache scheme has {} scheduling rows but the system has {} files",
+                    scheduling.len(),
+                    files.len()
                 );
+                for (i, (row, file)) in scheduling.iter().zip(files).enumerate() {
+                    assert_eq!(
+                        row.len(),
+                        file.placement.len(),
+                        "scheduling row {i} must have one entry per placement entry"
+                    );
+                }
             }
             CacheScheme::NoCache | CacheScheme::LruReplicated { .. } => {}
         }
@@ -123,5 +134,17 @@ mod tests {
         assert_eq!(s.planned_cache_chunks(1), 2);
         assert_eq!(s.planned_cache_chunks(9), 0);
         assert_eq!(CacheScheme::NoCache.planned_cache_chunks(0), 0);
+    }
+
+    #[test]
+    #[should_panic(expected = "one entry per placement entry")]
+    fn validate_rejects_a_row_misaligned_with_its_placement() {
+        let files = vec![SimFile::new(0.1, 2, vec![3, 0, 5])];
+        // A node-indexed row (length m = 6) is not a placement-aligned one.
+        CacheScheme::Exact {
+            cached_chunks: vec![1],
+            scheduling: vec![vec![0.0, 0.5, 0.0, 0.0, 0.0, 0.5]],
+        }
+        .validate(&files);
     }
 }

@@ -14,6 +14,7 @@
 
 use serde::{Deserialize, Serialize};
 
+use crate::engine::SimFile;
 use crate::policy::CacheScheme;
 
 /// One timed action.
@@ -146,8 +147,10 @@ impl Scenario {
     /// # Panics
     ///
     /// Panics on out-of-range node or file indices, rate vectors of the wrong
-    /// length, or negative rates.
-    pub fn validate(&self, num_nodes: usize, num_files: usize) {
+    /// length, negative rates, or a swapped-in scheme that fails
+    /// [`CacheScheme::validate`].
+    pub fn validate(&self, num_nodes: usize, files: &[SimFile]) {
+        let num_files = files.len();
         for e in &self.events {
             match &e.action {
                 ScenarioAction::NodeDown { node } | ScenarioAction::NodeUp { node } => {
@@ -174,7 +177,7 @@ impl Scenario {
                     );
                     assert!(*rate >= 0.0, "scenario rates must be non-negative");
                 }
-                ScenarioAction::SwapScheme { scheme } => scheme.validate(num_files),
+                ScenarioAction::SwapScheme { scheme } => scheme.validate(files),
             }
         }
     }
@@ -183,6 +186,10 @@ impl Scenario {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    fn files() -> Vec<SimFile> {
+        vec![SimFile::new(0.1, 1, vec![0, 1]); 2]
+    }
 
     #[test]
     fn construction_sorts_and_builders_insert_in_order() {
@@ -228,19 +235,21 @@ mod tests {
             .node_down(1.0, 2)
             .set_rates(2.0, vec![0.1, 0.2])
             .swap_scheme(3.0, CacheScheme::NoCache)
-            .validate(3, 2);
+            .validate(3, &files());
     }
 
     #[test]
     #[should_panic(expected = "references node")]
     fn validate_rejects_bad_node() {
-        Scenario::default().node_down(1.0, 7).validate(3, 2);
+        Scenario::default().node_down(1.0, 7).validate(3, &files());
     }
 
     #[test]
     #[should_panic(expected = "covers")]
     fn validate_rejects_bad_rate_length() {
-        Scenario::default().set_rates(1.0, vec![0.1]).validate(3, 2);
+        Scenario::default()
+            .set_rates(1.0, vec![0.1])
+            .validate(3, &files());
     }
 
     #[test]
@@ -262,6 +271,6 @@ mod tests {
                     rule: SchedulingRule::Probabilistic,
                 },
             )
-            .validate(3, 2);
+            .validate(3, &files());
     }
 }

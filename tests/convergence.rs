@@ -6,8 +6,9 @@
 //! the tolerance) along the run.
 
 use sprout::optimizer::OptimizerConfig;
+use sprout::sim::SimConfig;
 use sprout::spec::paper_simulation_spec;
-use sprout::{SproutSystem, SystemSpec};
+use sprout::{CachePolicyChoice, SproutSystem, SystemSpec};
 
 #[test]
 fn converges_within_twenty_iterations_across_cache_sizes() {
@@ -111,15 +112,11 @@ fn objective_decreases_as_convex_function_of_cache_size() {
     );
 }
 
-#[test]
-fn planner_work_on_the_benchmark_instance_is_bounded_and_repeats_exactly() {
-    // The §V-A instance the benchmark's `paper-plan-sim` workload plans
-    // (benchmark/src/plansim.rs): 250 files under a (7, 4) code with rates
-    // × 4 so every node carries the paper's 1000-file load, cache 125 chunks.
-    // Work is asserted as counts, which no machine's clock can move.
-    use sprout::sim::SimConfig;
+/// The §V-A instance the benchmark's `paper-plan-sim` workload plans
+/// (benchmark/src/plansim.rs): 250 files under a (7, 4) code with rates × 4
+/// so every node carries the paper's 1000-file load, cache 125 chunks.
+fn benchmark_instance() -> SproutSystem {
     use sprout::workload::spec::{paper_server_service_rates, paper_simulation_rates, MB};
-    use sprout::CachePolicyChoice;
 
     let spec = SystemSpec::builder()
         .node_service_rates(&paper_server_service_rates())
@@ -132,11 +129,16 @@ fn planner_work_on_the_benchmark_instance_is_bounded_and_repeats_exactly() {
         .iter()
         .map(|r| r * 4.0)
         .collect();
-    let system = SproutSystem::new(spec)
+    SproutSystem::new(spec)
         .unwrap()
         .with_arrival_rates(&rates)
-        .unwrap();
+        .unwrap()
+}
 
+#[test]
+fn planner_work_on_the_benchmark_instance_is_bounded_and_repeats_exactly() {
+    // Work is asserted as counts, which no machine's clock can move.
+    let system = benchmark_instance();
     let plan = system.optimize().unwrap();
     let trace = &plan.trace;
     assert_eq!(
@@ -170,5 +172,41 @@ fn planner_work_on_the_benchmark_instance_is_bounded_and_repeats_exactly() {
         "simulated mean {} exceeds the bound {}",
         report.overall.mean,
         plan.objective
+    );
+}
+
+#[test]
+fn benchmark_instance_plan_and_simulation_match_golden_values() {
+    // Bit-exact golden values: a change to how the plan is stored or
+    // sampled, rather than to what it computes, must leave every one of
+    // them unchanged.
+    let system = benchmark_instance();
+    let plan = system.optimize().unwrap();
+    let report = system.simulate_with_config(
+        CachePolicyChoice::Functional,
+        Some(&plan),
+        SimConfig::new(2.0e4, 7),
+    );
+    assert_eq!(
+        plan.objective.to_bits(),
+        0x404d_f48b_12dd_d9d2,
+        "59.910494192433944"
+    );
+    // 31 files cache all k = 4 chunks and file 203 caches one: 125 chunks.
+    let whole: Vec<usize> = (0..250).filter(|&i| plan.cached_chunks[i] == 4).collect();
+    assert_eq!(
+        whole,
+        [
+            28, 38, 48, 53, 58, 68, 75, 81, 85, 95, 118, 121, 123, 128, 131, 136, 138, 143, 148,
+            171, 173, 178, 188, 201, 205, 223, 230, 238, 241, 246, 248,
+        ]
+    );
+    assert_eq!(plan.cached_chunks[203], 1);
+    assert_eq!(plan.cache_chunks_used(), 125);
+    assert_eq!(plan.trace.gradient_iterations, 462);
+    assert_eq!(
+        report.overall.mean.to_bits(),
+        0x4044_b80f_33d2_e4d2,
+        "41.437963941550734"
     );
 }
