@@ -4,10 +4,11 @@
 //! The analytic backend treats chunks as abstract tokens; [`StoreBackend`]
 //! stores every object's actual coded bytes on the cluster substrate,
 //! installs the plan's functional (or exact) cache chunks, and — on every
-//! completed request — fetches exactly the chunks the engine scheduled,
-//! decodes them and verifies the reconstruction against the original
-//! payload. Degraded reads after scenario node failures therefore exercise
-//! the real erasure decoder, not a model of it.
+//! request, when the engine settles it at planning time — fetches exactly
+//! the chunks the engine scheduled, decodes them and verifies the
+//! reconstruction against the original payload. Degraded reads after
+//! scenario node failures therefore exercise the real erasure decoder, not
+//! a model of it.
 //!
 //! For the Ceph-style LRU cache tier the engine's
 //! [`LruTier`](sprout_cluster::LruTier) is the single source of truth: the
@@ -21,13 +22,16 @@
 //! Planning randomness lives in the engine and service randomness in the
 //! backend, so an analytic run and a byte-accurate run with the same seed
 //! make identical chunk-source decisions — see the differential root test.
+//! Node service times come from the analytic backend's per-node streams, so
+//! they match too; only the SSD cache reads draw from a stream of their
+//! own.
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use sprout_cluster::{CachePolicy, ClusterConfig, Kernel, StoreHandle};
 use sprout_erasure::Chunk;
 use sprout_queueing::dist::ServiceDistribution;
-use sprout_sim::{CacheScheme, ChunkBackend, FinishedRequest};
+use sprout_sim::{AnalyticBackend, CacheScheme, ChunkBackend, FinishedRequest};
 
 /// Default payload size for files whose spec declares `size_bytes = 0`
 /// (abstract-model specs that never touched bytes before).
@@ -40,6 +44,10 @@ pub struct StoreBackend {
     /// Per-node service-time distributions shared with the analytic backend
     /// (keeps the differential comparison tight).
     service: Vec<ServiceDistribution>,
+    /// Per-node service-time streams, seeded as the analytic backend's
+    /// ([`AnalyticBackend::service_streams`]).
+    service_rngs: Vec<StdRng>,
+    /// Cache-device read draws ([`ChunkBackend::sample_cache_read`]).
     rng: StdRng,
     originals: Vec<Vec<u8>>,
     /// Per-file data-chunk length in bytes (drives the SSD cache-read model).
@@ -76,6 +84,7 @@ impl StoreBackend {
             .collect();
         StoreBackend {
             store,
+            service_rngs: AnalyticBackend::service_streams(seed, dists.len()),
             service: dists,
             rng: StdRng::seed_from_u64(seed ^ 0x570B_ACE0),
             originals,
@@ -170,7 +179,7 @@ impl ChunkBackend for StoreBackend {
     }
 
     fn sample_service(&mut self, node: usize) -> f64 {
-        self.service[node].sample(&mut self.rng)
+        self.service[node].sample(&mut self.service_rngs[node])
     }
 
     fn sample_cache_read(&mut self, file: usize, chunks: usize) -> Option<f64> {

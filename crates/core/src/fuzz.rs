@@ -16,7 +16,7 @@
 //!   mirror failures and zero failed reconstructions;
 //! * both reports respect the engine's resource bounds
 //!   ([`sprout_sim::EngineBounds`]): the event queue stays
-//!   `O(files + nodes)` and the in-flight population stays capped.
+//!   `O(files)` and the in-flight population stays capped.
 //!
 //! Everything is deterministic from one base seed: case `i` of base `b` is
 //! [`fuzz_case_seed`]`(b, i)`, so a CI failure line like `case 17 of base
@@ -313,7 +313,6 @@ impl ScenarioFuzzer {
             .count();
         let bounds = EngineBounds::for_run(
             case.spec.files.len(),
-            case.spec.node_services.len(),
             case.scenario.events.len(),
             rate_events,
             case.in_flight_cap,

@@ -7,6 +7,11 @@
 //! online, and (for byte-accurate backends) whether the gathered chunks
 //! really reconstruct the object.
 //!
+//! The engine settles each request when it plans it: FIFO node queues fix
+//! every read's finish time at queueing, so the service draws, the latency
+//! and the byte-level [`ChunkBackend::finish_request`] all happen in the
+//! arrival's step, against the cache contents the request was planned with.
+//!
 //! Two implementations exist:
 //!
 //! * [`AnalyticBackend`] (here) — the original model: each node is a service
@@ -23,9 +28,12 @@
 //! backend exists for.
 //!
 //! [`AnalyticBackend`] keeps one service RNG **per node**, seeded from
-//! `(seed, node)` only. A node's service-time stream therefore depends only
-//! on that node's own sequence of chunk reads — never on what other nodes
-//! serve, i.e. it is independent of the event interleaving.
+//! `(seed, node)` only ([`AnalyticBackend::service_streams`], which the
+//! byte-accurate backend draws its node service from too). A node's
+//! service-time stream therefore depends only on that node's own sequence
+//! of chunk reads — never on what other nodes serve, i.e. it is independent
+//! of the event interleaving — and two backends on one seed give every node
+//! the same service times.
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -33,7 +41,7 @@ use sprout_queueing::dist::ServiceDistribution;
 
 use crate::policy::CacheScheme;
 
-/// What a completed request looked like to the engine, handed to the backend
+/// What a planned request looked like to the engine, handed to the backend
 /// for byte-level settlement.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct FinishedRequest<'a> {
@@ -54,7 +62,8 @@ pub trait ChunkBackend {
     fn is_online(&self, node: usize) -> bool;
 
     /// Marks a node failed (`false`) or recovered (`true`). Reads already
-    /// queued on a failing node drain; the planner just stops selecting it.
+    /// queued on a failing node still finish at their queued times; the
+    /// planner just stops selecting it.
     fn set_node_online(&mut self, node: usize, online: bool);
 
     /// Service time of one chunk read on `node` (seconds). Drawn
@@ -62,9 +71,11 @@ pub trait ChunkBackend {
     /// backend-independent.
     fn sample_service(&mut self, node: usize) -> f64;
 
-    /// Settles a completed request. Byte-accurate backends fetch the chunks
-    /// the engine chose, decode and verify; the return value is `false` when
-    /// reconstruction failed (counted in the report).
+    /// Settles a request. The engine calls it when it plans the request,
+    /// right after queueing its reads (whose finish times are then known),
+    /// so the cache holds what the plan counted on. Byte-accurate backends
+    /// fetch the chunks the engine chose, decode and verify; the return
+    /// value is `false` when reconstruction failed (counted in the report).
     fn finish_request(&mut self, request: FinishedRequest<'_>) -> bool {
         let _ = request;
         true
@@ -118,15 +129,21 @@ impl AnalyticBackend {
     /// the per-node service-time RNG streams (the engine derives it from the
     /// run seed).
     pub fn new(dists: Vec<ServiceDistribution>, seed: u64) -> Self {
-        let online = vec![true; dists.len()];
-        let rngs = (0..dists.len())
-            .map(|node| StdRng::seed_from_u64(crate::engine::service_seed(seed, node)))
-            .collect();
         AnalyticBackend {
+            online: vec![true; dists.len()],
+            rngs: Self::service_streams(seed, dists.len()),
             dists,
-            online,
-            rngs,
         }
+    }
+
+    /// The per-node service-time RNG streams for run seed `seed`, one per
+    /// node, each seeded from `(seed, node)` only. Byte-accurate backends
+    /// draw node service from these same streams, so on one seed every
+    /// backend's node service times are the same floats.
+    pub fn service_streams(seed: u64, nodes: usize) -> Vec<StdRng> {
+        (0..nodes)
+            .map(|node| StdRng::seed_from_u64(crate::engine::service_seed(seed, node)))
+            .collect()
     }
 }
 

@@ -3,10 +3,17 @@
 //! The engine is a *streaming*, *backend-generic*, *scenario-driven* runtime:
 //!
 //! * **Streaming arrivals** — each file keeps exactly one pending arrival
-//!   event (drawn lazily from an arrival stream), so event-heap residency
-//!   is O(files + nodes) regardless of how many requests the horizon
-//!   produces. [`SimReport::peak_event_queue`] records the high-water mark
-//!   as a regression guard.
+//!   event (drawn lazily from an arrival stream), and arrivals are the only
+//!   events, so event-heap residency is O(files) regardless of how many
+//!   requests the horizon produces. [`SimReport::peak_event_queue`] records
+//!   the high-water mark as a regression guard.
+//! * **Requests settle at arrival** — each storage node is a FIFO queue
+//!   without preemption, so a chunk read's finish time is fixed when it is
+//!   queued: `done = max(now, busy_until) + service` (Lindley's recursion,
+//!   the same float operations as the cluster's `StorageNode::read`). The
+//!   engine plans a request, queues its reads, and records its latency —
+//!   the slowest read, or the cache read — in the same step; no
+//!   per-chunk completion event exists.
 //! * **Pluggable backends** — everything that decides *which* chunks serve a
 //!   request lives in the runtime; what a chunk read *costs* (and, for
 //!   byte-accurate backends, the actual bytes) is delegated to a
@@ -20,17 +27,20 @@
 //!   a file's arrivals and planning draws and a node's service draws are
 //!   independent of how events of other entities interleave.
 //! * **Memory independent of the horizon** — a run holds O(files + nodes +
-//!   in-flight requests) of state plus the post-warm-up latency samples its
-//!   percentiles need, kept once: the report sorts each file's samples in
-//!   place and summarises the overall distribution from one concatenated
-//!   buffer. Per-slot chunk-source series ([`SlotCounts`]) grow with the
-//!   horizon and exist only when [`SimConfig::with_slot_length`] asks for
-//!   them; otherwise only their exact totals are kept.
+//!   in-flight requests) of state — an in-flight request is one completion
+//!   time, kept for [`SimReport::peak_in_flight`] — plus the post-warm-up
+//!   latency samples its percentiles need, kept once: the report sorts each
+//!   file's samples in place and summarises the overall distribution from
+//!   one concatenated buffer. Per-slot chunk-source series ([`SlotCounts`])
+//!   grow with the horizon and exist only when
+//!   [`SimConfig::with_slot_length`] asks for them; otherwise only their
+//!   exact totals are kept.
 //!
 //! A run is a single-threaded loop; parallelism lives one level up, across
 //! cells × replications in the [`sweep`](crate::sweep) runner.
 
-use std::collections::VecDeque;
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -96,12 +106,14 @@ pub struct SimReport {
     /// Completed requests whose backend reconstruction failed (always zero
     /// for the analytic backend).
     pub reconstruction_failures: u64,
-    /// High-water mark of pending events — O(files + nodes) under
-    /// streaming arrivals, *not* O(total requests).
+    /// High-water mark of pending events. Arrivals are the only events, one
+    /// pending per file (plus superseded arrivals after a rate shift), so
+    /// this is O(files), *not* O(total requests).
     pub peak_event_queue: usize,
-    /// High-water mark of concurrently in-flight requests. Guards the
-    /// pooled-allocation property: the request slab grows to this count and
-    /// steady-state arrivals then reuse slots instead of allocating.
+    /// High-water mark of requests in flight: the most requests with a
+    /// storage read whose arrival ≤ t < completion at any time t. A load
+    /// measure (it grows under overload); full cache hits complete at
+    /// arrival and never count.
     pub peak_in_flight: usize,
     /// Objects promoted into the LRU cache tier (zero for other schemes).
     pub cache_promotions: u64,
@@ -267,99 +279,25 @@ impl Simulation {
     }
 }
 
+/// The next request of a file arrives — the engine's only event. The epoch
+/// stamps the arrival-stream generation: rate-shift actions bump it, so
+/// stale pre-shift arrivals are discarded when popped.
 #[derive(Debug, Clone, PartialEq)]
-enum Event {
-    /// The next request of a file arrives. The epoch stamps the
-    /// arrival-stream generation: rate-shift actions bump it, so stale
-    /// pre-shift arrivals are discarded when popped.
-    Arrival { file: usize, epoch: u32 },
-    /// A storage node finishes the chunk it was serving.
-    NodeComplete(usize),
-}
-
-#[derive(Debug, Clone, Default)]
-struct RequestState {
+struct Arrival {
     file: usize,
-    start: f64,
-    outstanding: usize,
-    last_completion: f64,
-    cache_chunks: usize,
-    nodes: Vec<usize>,
+    epoch: u32,
 }
 
-/// Free-list slab of in-flight request state.
-///
-/// The arrival hot path used to allocate twice per request — a fresh
-/// `nodes` Vec clone plus `HashMap` bucket churn. The slab recycles whole
-/// `RequestState` slots (including the `nodes` capacity), so steady-state
-/// arrivals allocate nothing: slot count grows to the peak number of
-/// concurrently in-flight requests and then stays flat.
-///
-/// Slot reuse without generation counters is sound because an id can only
-/// reach a node queue from a live request, and the slot is released exactly
-/// when its last queued chunk completes — no stale id can survive a release.
-#[derive(Debug, Default)]
-struct RequestSlab {
-    slots: Vec<RequestState>,
-    free: Vec<usize>,
-}
-
-impl RequestSlab {
-    /// Claims a slot, reusing a freed one (and its `nodes` capacity) when
-    /// available, and returns its id.
-    fn insert(
-        &mut self,
-        file: usize,
-        start: f64,
-        last_completion: f64,
-        cache_chunks: usize,
-        nodes: &[usize],
-    ) -> u64 {
-        let slot = match self.free.pop() {
-            Some(slot) => slot,
-            None => {
-                self.slots.push(RequestState::default());
-                self.slots.len() - 1
-            }
-        };
-        let state = &mut self.slots[slot];
-        state.file = file;
-        state.start = start;
-        state.outstanding = nodes.len();
-        state.last_completion = last_completion;
-        state.cache_chunks = cache_chunks;
-        state.nodes.clear();
-        state.nodes.extend_from_slice(nodes);
-        slot as u64
-    }
-
-    fn get_mut(&mut self, id: u64) -> &mut RequestState {
-        &mut self.slots[id as usize]
-    }
-
-    /// Returns a slot (and its `nodes` buffer) to the free list for reuse by
-    /// a later `insert`.
-    fn release(&mut self, id: u64) {
-        self.free.push(id as usize);
-    }
-
-    /// High-water mark of concurrently live requests: a slot is only ever
-    /// added while every existing one is live.
-    fn peak_live(&self) -> usize {
-        self.slots.len()
-    }
-}
-
-#[derive(Debug, Default, Clone)]
+#[derive(Debug, Default, Clone, Copy)]
 struct NodeState {
-    queue: VecDeque<u64>, // request ids waiting
-    serving: Option<u64>,
+    /// When the node's last queued read finishes.
+    busy_until: f64,
     busy_time: f64,
 }
 
 /// Per-node FIFO service queues in virtual time. Service durations come from
 /// the backend; this struct only sequences them.
-#[derive(Debug, Default)]
+#[derive(Debug)]
 struct ServiceQueues {
     nodes: Vec<NodeState>,
 }
@@ -371,34 +309,39 @@ impl ServiceQueues {
         }
     }
 
-    fn enqueue<B: ChunkBackend>(
-        &mut self,
-        node: usize,
-        request: u64,
-        now: f64,
-        events: &mut EventQueue<Event>,
-        backend: &mut B,
-    ) {
-        if self.nodes[node].serving.is_none() {
-            self.start(node, request, now, events, backend);
-        } else {
-            self.nodes[node].queue.push_back(request);
-        }
-    }
-
-    fn start<B: ChunkBackend>(
-        &mut self,
-        node: usize,
-        request: u64,
-        now: f64,
-        events: &mut EventQueue<Event>,
-        backend: &mut B,
-    ) {
+    /// Queues one chunk read on `node` at `now` and returns when it
+    /// finishes. FIFO without preemption: the read starts when the node's
+    /// previous read finishes or at `now`, whichever is later — Lindley's
+    /// recursion, in the float operations of `StorageNode::read`.
+    fn enqueue<B: ChunkBackend>(&mut self, node: usize, now: f64, backend: &mut B) -> f64 {
         let service = backend.sample_service(node);
         let state = &mut self.nodes[node];
-        state.serving = Some(request);
+        let done = state.busy_until.max(now) + service;
+        state.busy_until = done;
         state.busy_time += service;
-        events.push(now + service, Event::NodeComplete(node));
+        done
+    }
+}
+
+/// Completion times of the requests still in flight, kept only for
+/// [`SimReport::peak_in_flight`].
+#[derive(Debug, Default)]
+struct InFlight {
+    /// Min-heap of completion times as `f64` bits: the times are finite and
+    /// ≥ +0.0, where bit order is numeric order.
+    done: BinaryHeap<Reverse<u64>>,
+    peak: usize,
+}
+
+impl InFlight {
+    /// Admits a request arriving at `now` and completing at `done`, after
+    /// retiring every request completed by `now`.
+    fn admit(&mut self, now: f64, done: f64) {
+        while self.done.peek().is_some_and(|t| t.0 <= now.to_bits()) {
+            self.done.pop();
+        }
+        self.done.push(Reverse(done.to_bits()));
+        self.peak = self.peak.max(self.done.len());
     }
 }
 
@@ -442,10 +385,10 @@ struct EventLoop<'a, B: ChunkBackend> {
     streams: Vec<ArrivalStream>,
     epochs: Vec<u32>,
     plan_rngs: Vec<StdRng>,
-    events: EventQueue<Event>,
+    events: EventQueue<Arrival>,
     peak_events: usize,
     queues: ServiceQueues,
-    requests: RequestSlab,
+    in_flight: InFlight,
     /// Post-warm-up latencies per file.
     latencies: Vec<Vec<f64>>,
     slots: SlotCounts,
@@ -487,7 +430,7 @@ impl<'a, B: ChunkBackend> EventLoop<'a, B> {
             events: EventQueue::new(),
             peak_events: 0,
             queues: ServiceQueues::new(sim.nodes.len()),
-            requests: RequestSlab::default(),
+            in_flight: InFlight::default(),
             latencies: vec![Vec::new(); num_files],
             slots: SlotCounts::new(sim.config.horizon, sim.config.slot_length),
             node_chunks_served: vec![0u64; sim.nodes.len()],
@@ -507,7 +450,7 @@ impl<'a, B: ChunkBackend> EventLoop<'a, B> {
         // arrival event per file lives in the queue at any time.
         for file in 0..self.streams.len() {
             if let Some(t) = self.streams[file].next_arrival(0.0, horizon) {
-                self.events.push(t, Event::Arrival { file, epoch: 0 });
+                self.events.push(t, Arrival { file, epoch: 0 });
             }
         }
 
@@ -530,111 +473,69 @@ impl<'a, B: ChunkBackend> EventLoop<'a, B> {
             // The queue only shrinks here, so its length before each pop
             // passes through every high-water mark.
             self.peak_events = self.peak_events.max(self.events.len());
-            let (now, event) = self.events.pop().expect("a peeked event pops");
-            self.handle(now, event);
+            let (now, arrival) = self.events.pop().expect("a peeked event pops");
+            self.arrive(now, arrival);
         }
     }
 
-    fn handle(&mut self, now: f64, event: Event) {
-        match event {
-            Event::Arrival { file, epoch } => {
-                if epoch != self.epochs[file] {
-                    return; // stale arrival from before a rate shift
-                }
-                // Keep the stream primed: schedule this file's next arrival
-                // before processing the current one.
-                if let Some(t) = self.streams[file].next_arrival(now, self.sim.config.horizon) {
-                    self.events.push(t, Event::Arrival { file, epoch });
-                }
-                match plan_request(
-                    &self.sim.files,
-                    file,
-                    &self.scheme,
-                    self.backend,
-                    &mut self.plan_rngs[file],
-                    &mut self.tier,
-                    &mut self.scratch,
-                ) {
-                    None => self.failed += 1,
-                    Some(cache_chunks) => {
-                        self.slots.record(
-                            now,
-                            cache_chunks as u64,
-                            self.scratch.nodes.len() as u64,
-                        );
-                        for &node in &self.scratch.nodes {
-                            self.node_chunks_served[node] += 1;
-                        }
-                        let cache_latency = if cache_chunks > 0 {
-                            self.backend
-                                .sample_cache_read(file, cache_chunks)
-                                .unwrap_or(self.sim.config.cache_chunk_latency)
-                        } else {
-                            0.0
-                        };
-
-                        if self.scratch.nodes.is_empty() {
-                            // Served entirely from the cache.
-                            if !self.backend.finish_request(FinishedRequest {
-                                file,
-                                cache_chunks,
-                                storage_nodes: &[],
-                            }) {
-                                self.reconstruction_failures += 1;
-                            }
-                            self.full_cache_hits += 1;
-                            self.completed += 1;
-                            if now >= self.sim.config.warmup {
-                                debug_assert!(cache_latency.is_finite() && cache_latency >= 0.0);
-                                self.latencies[file].push(cache_latency);
-                            }
-                            return;
-                        }
-
-                        let id = self.requests.insert(
-                            file,
-                            now,
-                            now + cache_latency,
-                            cache_chunks,
-                            &self.scratch.nodes,
-                        );
-                        for &node in &self.scratch.nodes {
-                            self.queues
-                                .enqueue(node, id, now, &mut self.events, self.backend);
-                        }
-                    }
-                }
+    /// Plans a request of `file` arriving at `now` and settles it in the same
+    /// step: its reads are queued, so its completion time — and latency — is
+    /// already known.
+    fn arrive(&mut self, now: f64, Arrival { file, epoch }: Arrival) {
+        if epoch != self.epochs[file] {
+            return; // stale arrival from before a rate shift
+        }
+        // Keep the stream primed: schedule this file's next arrival before
+        // processing the current one.
+        if let Some(t) = self.streams[file].next_arrival(now, self.sim.config.horizon) {
+            self.events.push(t, Arrival { file, epoch });
+        }
+        let Some(cache_chunks) = plan_request(
+            &self.sim.files,
+            file,
+            &self.scheme,
+            self.backend,
+            &mut self.plan_rngs[file],
+            &mut self.tier,
+            &mut self.scratch,
+        ) else {
+            self.failed += 1;
+            return;
+        };
+        let storage_nodes = &self.scratch.nodes;
+        self.slots
+            .record(now, cache_chunks as u64, storage_nodes.len() as u64);
+        let cache_latency = if cache_chunks > 0 {
+            self.backend
+                .sample_cache_read(file, cache_chunks)
+                .unwrap_or(self.sim.config.cache_chunk_latency)
+        } else {
+            0.0
+        };
+        let latency = if storage_nodes.is_empty() {
+            self.full_cache_hits += 1;
+            cache_latency
+        } else {
+            // The request completes with its slowest read (or the cache read).
+            let mut done = now + cache_latency;
+            for &node in storage_nodes {
+                self.node_chunks_served[node] += 1;
+                done = done.max(self.queues.enqueue(node, now, self.backend));
             }
-            Event::NodeComplete(node) => {
-                let finished = self.queues.nodes[node]
-                    .serving
-                    .take()
-                    .expect("completion without a job");
-                let req = self.requests.get_mut(finished);
-                req.outstanding -= 1;
-                req.last_completion = req.last_completion.max(now);
-                if req.outstanding == 0 {
-                    if !self.backend.finish_request(FinishedRequest {
-                        file: req.file,
-                        cache_chunks: req.cache_chunks,
-                        storage_nodes: &req.nodes,
-                    }) {
-                        self.reconstruction_failures += 1;
-                    }
-                    self.completed += 1;
-                    if req.start >= self.sim.config.warmup {
-                        let latency = req.last_completion - req.start;
-                        debug_assert!(latency.is_finite() && latency >= 0.0);
-                        self.latencies[req.file].push(latency);
-                    }
-                    self.requests.release(finished);
-                }
-                // Start the next queued chunk, if any.
-                if let Some(next) = self.queues.nodes[node].queue.pop_front() {
-                    self.queues
-                        .start(node, next, now, &mut self.events, self.backend);
-                }
-            }
+            self.in_flight.admit(now, done);
+            done - now
+        };
+        if !self.backend.finish_request(FinishedRequest {
+            file,
+            cache_chunks,
+            storage_nodes,
+        }) {
+            self.reconstruction_failures += 1;
+        }
+        self.completed += 1;
+        if now >= self.sim.config.warmup {
+            debug_assert!(latency.is_finite() && latency >= 0.0);
+            self.latencies[file].push(latency);
         }
     }
 
@@ -680,7 +581,7 @@ impl<'a, B: ChunkBackend> EventLoop<'a, B> {
         if let Some(t) = self.streams[file].next_arrival(now, self.sim.config.horizon) {
             self.events.push(
                 t,
-                Event::Arrival {
+                Arrival {
                     file,
                     epoch: self.epochs[file],
                 },
@@ -708,7 +609,7 @@ impl<'a, B: ChunkBackend> EventLoop<'a, B> {
             failed_requests: self.failed,
             reconstruction_failures: self.reconstruction_failures,
             peak_event_queue: self.peak_events,
-            peak_in_flight: self.requests.peak_live(),
+            peak_in_flight: self.in_flight.peak,
             cache_promotions: self.tier_promotions,
             cache_evictions: self.tier_evictions,
         }
@@ -1122,8 +1023,7 @@ mod tests {
     #[test]
     fn in_flight_requests_stay_bounded_over_long_horizons() {
         // ~20k requests over the horizon, but only a handful in flight at
-        // once: the slab must stay at the concurrency high-water mark, not
-        // grow with the request count.
+        // once: the peak measures concurrency, not the request count.
         let files = simple_files(8, 0.5, 2, 6);
         let report = Simulation::new(
             nodes(6, 2.0),
@@ -1142,7 +1042,7 @@ mod tests {
     }
 
     #[test]
-    fn event_heap_residency_is_bounded_by_files_and_nodes() {
+    fn event_heap_holds_one_pending_arrival_per_file() {
         let files = simple_files(8, 0.5, 2, 6);
         let report = Simulation::new(
             nodes(6, 2.0),
@@ -1152,12 +1052,32 @@ mod tests {
         )
         .run();
         assert!(report.completed_requests > 10_000);
-        // 8 pending arrivals + at most 6 in-service completions.
-        assert!(
-            report.peak_event_queue <= 8 + 6,
-            "peak {} exceeds files + nodes",
-            report.peak_event_queue
-        );
+        // Arrivals are the only events: one pending per file, no node events.
+        assert_eq!(report.peak_event_queue, 8);
+    }
+
+    #[test]
+    fn node_queues_follow_lindleys_recursion() {
+        // One deterministic node and one k = 1 file: every request waits for
+        // the reads queued before it, so each latency is the node's backlog
+        // at arrival plus one service time.
+        let mut queues = ServiceQueues::new(1);
+        let mut backend = AnalyticBackend::new(vec![ServiceDistribution::deterministic(2.0)], 0);
+        assert_eq!(queues.enqueue(0, 1.0, &mut backend), 3.0);
+        assert_eq!(queues.enqueue(0, 2.0, &mut backend), 5.0);
+        assert_eq!(queues.enqueue(0, 9.0, &mut backend), 11.0);
+        assert_eq!(queues.nodes[0].busy_time, 6.0);
+
+        let mut in_flight = InFlight::default();
+        in_flight.admit(1.0, 3.0);
+        in_flight.admit(2.0, 5.0);
+        // A request completing exactly at an arrival no longer counts.
+        in_flight.admit(5.0, 7.0);
+        assert_eq!(in_flight.peak, 2);
+        in_flight.admit(6.0, 8.0);
+        assert_eq!(in_flight.peak, 2);
+        in_flight.admit(6.5, 9.0);
+        assert_eq!(in_flight.peak, 3);
     }
 
     #[test]
@@ -1305,20 +1225,5 @@ mod tests {
             SimConfig::new(10.0, 0),
         )
         .with_scenario(Scenario::default().node_down(1.0, 9));
-    }
-
-    #[test]
-    fn request_slab_recycles_slots_and_node_capacity() {
-        let mut slab = RequestSlab::default();
-        let a = slab.insert(0, 0.0, 0.0, 1, &[1, 2, 3]);
-        let b = slab.insert(1, 0.5, 0.5, 0, &[4]);
-        assert_eq!(slab.slots.len(), 2);
-        slab.release(a);
-        // The freed slot (and its nodes buffer) is reused, not reallocated.
-        let c = slab.insert(2, 1.0, 1.0, 2, &[5, 6]);
-        assert_eq!(c, a);
-        assert_eq!(slab.slots.len(), 2);
-        assert_eq!(slab.get_mut(c).nodes, vec![5, 6]);
-        assert_eq!(slab.get_mut(b).nodes, vec![4]);
     }
 }

@@ -27,8 +27,7 @@ impl<E: PartialEq> Ord for Scheduled<E> {
         // Reverse ordering: the BinaryHeap is a max-heap, we need earliest first.
         other
             .time
-            .partial_cmp(&self.time)
-            .unwrap_or(Ordering::Equal)
+            .total_cmp(&self.time)
             .then_with(|| other.seq.cmp(&self.seq))
     }
 }

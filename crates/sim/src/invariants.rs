@@ -8,11 +8,12 @@
 //!
 //! The invariants themselves are the engine's documented contracts:
 //!
-//! * the pending-event queue stays `O(files + nodes)` under streaming
-//!   arrivals (plus the scenario's own events) — it must never scale with
-//!   the total request count;
-//! * the in-flight request population stays bounded (the pooled-allocation
-//!   property: the request slab stops growing after warm-up);
+//! * the pending-event queue stays `O(files)` under streaming arrivals
+//!   (plus the scenario's own events) — arrivals are the engine's only
+//!   events, so it must never scale with the total request count or the
+//!   node count;
+//! * the in-flight request population stays under a cap derived from the
+//!   offered load (a load check: overload grows it);
 //! * every completed request's bytes reconstruct (byte-accurate backends).
 
 use crate::engine::SimReport;
@@ -65,7 +66,7 @@ impl std::error::Error for InvariantViolation {}
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct EngineBounds {
     /// Bound on the pending-event high-water mark. The structural guarantee
-    /// is `files + nodes + scenario events + O(1)`; see [`EngineBounds::for_run`].
+    /// is `files + scenario events + O(1)`; see [`EngineBounds::for_run`].
     pub event_queue: usize,
     /// Cap on concurrently in-flight requests. Not structural — overload can
     /// grow it — so callers derive it from the load they offered.
@@ -73,27 +74,27 @@ pub struct EngineBounds {
 }
 
 impl EngineBounds {
-    /// The bounds for a run over `files` files and `nodes` nodes with
-    /// `scenario_events` timed events (of which `rate_events` change arrival
-    /// rates), capping in-flight requests at `in_flight`.
+    /// The bounds for a run over `files` files with `scenario_events` timed
+    /// events (of which `rate_events` change arrival rates), capping
+    /// in-flight requests at `in_flight`.
     ///
     /// The event-queue bound is
-    /// `files * (1 + rate_events) + nodes + scenario_events + 4`: one
-    /// pending arrival per file, at most one service completion per node,
-    /// the scenario's own timed events, and a small constant for bookkeeping
-    /// events (warm-up cut, horizon end). Each rate shift re-primes every
-    /// affected file's arrival stream at a new epoch while the superseded
-    /// arrival event is discarded only when it pops, so up to one stale
-    /// arrival per file per rate event can transiently share the queue.
+    /// `files * (1 + rate_events) + scenario_events + 4`: one pending
+    /// arrival per file, the scenario's own timed events, and a small
+    /// constant for bookkeeping events (warm-up cut, horizon end). No node
+    /// event is ever queued: a request's reads settle when it arrives. Each
+    /// rate shift re-primes every affected file's arrival stream at a new
+    /// epoch while the superseded arrival event is discarded only when it
+    /// pops, so up to one stale arrival per file per rate event can
+    /// transiently share the queue.
     pub fn for_run(
         files: usize,
-        nodes: usize,
         scenario_events: usize,
         rate_events: usize,
         in_flight: usize,
     ) -> Self {
         EngineBounds {
-            event_queue: files * (1 + rate_events) + nodes + scenario_events + 4,
+            event_queue: files * (1 + rate_events) + scenario_events + 4,
             in_flight,
         }
     }
@@ -152,7 +153,7 @@ mod tests {
 
     #[test]
     fn healthy_run_passes_all_checks() {
-        check_report(&run(), EngineBounds::for_run(3, 4, 0, 0, 200)).unwrap();
+        check_report(&run(), EngineBounds::for_run(3, 0, 0, 200)).unwrap();
     }
 
     #[test]
@@ -177,7 +178,7 @@ mod tests {
 
         let mut broken = run();
         broken.reconstruction_failures = 3;
-        let bounds = EngineBounds::for_run(3, 4, 0, 0, 200);
+        let bounds = EngineBounds::for_run(3, 0, 0, 200);
         assert_eq!(
             check_report(&broken, bounds),
             Err(InvariantViolation::ReconstructionFailures { count: 3 })

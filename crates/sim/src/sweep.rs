@@ -433,11 +433,7 @@ impl SweepTimings {
     /// Cells sorted slowest-first by total wall time.
     pub fn slowest(&self) -> Vec<&CellTiming> {
         let mut cells: Vec<&CellTiming> = self.cells.iter().collect();
-        cells.sort_by(|a, b| {
-            b.total_s
-                .partial_cmp(&a.total_s)
-                .unwrap_or(std::cmp::Ordering::Equal)
-        });
+        cells.sort_by(|a, b| b.total_s.total_cmp(&a.total_s));
         cells
     }
 

@@ -4,7 +4,8 @@
 
 use sprout_queueing::dist::ServiceDistribution;
 use sprout_sim::{
-    check_report, CacheScheme, EngineBounds, Scenario, SimConfig, SimFile, Simulation,
+    check_report, CacheScheme, EngineBounds, Scenario, ScenarioAction, SimConfig, SimFile,
+    Simulation,
 };
 
 fn nodes(n: usize, rate: f64) -> Vec<ServiceDistribution> {
@@ -22,8 +23,8 @@ fn files(count: usize, rate: f64, k: usize, m: usize) -> Vec<SimFile> {
 
 /// The acceptance bar of the streaming refactor: a horizon producing more
 /// than a million arrivals runs without materializing a trace — the event
-/// heap never holds more than one arrival per file plus one completion per
-/// node, i.e. O(files), not O(requests).
+/// heap never holds more than one arrival per file, i.e. O(files), not
+/// O(requests).
 #[test]
 fn million_request_horizon_keeps_event_heap_at_o_files() {
     let num_files = 8;
@@ -43,11 +44,10 @@ fn million_request_horizon_keeps_event_heap_at_o_files() {
         report.completed_requests
     );
     assert!(
-        report.peak_event_queue <= num_files + num_nodes,
-        "event heap must stay O(files + nodes): peak {} vs {} files + {} nodes",
+        report.peak_event_queue <= num_files,
+        "event heap must stay O(files): peak {} vs {} files",
         report.peak_event_queue,
-        num_files,
-        num_nodes
+        num_files
     );
     assert_eq!(report.failed_requests, 0);
 }
@@ -121,12 +121,72 @@ fn disjoint_group_churn_run_matches_golden_values() {
             3227, 3203, 3181, 3247, 3190, 3119, 3136, 3191
         ]
     );
-    let bounds = EngineBounds::for_run(
-        groups * files_per_group,
-        groups * nodes_per_group,
-        2,
-        0,
-        1_000,
+    let bounds = EngineBounds::for_run(groups * files_per_group, 2, 0, 1_000);
+    check_report(&report, bounds).expect("peaks stay O(files)");
+}
+
+/// Golden values for the paths the disjoint-group golden does not reach:
+/// exact caching, a swap to an LRU tier that promotes and evicts, rate
+/// shifts for every file and for one file, and two nodes with the same
+/// deterministic service time, so chunk completions tie exactly.
+#[test]
+fn exact_to_lru_swap_with_rate_shifts_matches_golden_values() {
+    let (num_files, m, k) = (12, 6, 2);
+    let horizon = 4_000.0;
+    let mut service = nodes(m, 2.0);
+    service[0] = ServiceDistribution::deterministic(0.4);
+    service[1] = ServiceDistribution::deterministic(0.4);
+    let files = files(num_files, 0.25, k, m);
+    // Even files keep one exact copy, whose host cannot serve the request;
+    // the remaining k − d reads spread over the other hosts.
+    let cached: Vec<usize> = (0..num_files).map(|i| (i + 1) % 2).collect();
+    let scheduling = cached
+        .iter()
+        .map(|&d| {
+            let share = (k - d) as f64 / (m - d) as f64;
+            (0..m).map(|r| if r < d { 0.0 } else { share }).collect()
+        })
+        .collect();
+    let exact = CacheScheme::Exact {
+        cached_chunks: cached,
+        scheduling,
+    };
+    let mut scenario = Scenario::default()
+        // Footprint 4 chunks per object: two resident objects of twelve.
+        .swap_scheme(horizon / 4.0, CacheScheme::ceph_lru(8))
+        .set_rates(horizon / 2.0, vec![0.35; num_files]);
+    scenario.push(
+        3.0 * horizon / 4.0,
+        ScenarioAction::SetFileRate { file: 3, rate: 1.0 },
     );
-    check_report(&report, bounds).expect("peaks stay O(files + nodes)");
+    let report = Simulation::new(service, files, exact, SimConfig::new(horizon, 2028))
+        .with_scenario(scenario)
+        .run();
+
+    assert_eq!(report.overall.mean.to_bits(), 0x3ff2_0ff2_a922_badc);
+    assert_eq!(report.overall.p95.to_bits(), 0x400b_d75a_72cd_4400);
+    assert_eq!(report.overall.p99.to_bits(), 0x4014_a7f2_e9c1_7200);
+    assert_eq!(report.overall.max.to_bits(), 0x4021_837c_5698_df00);
+    let utilization: Vec<u64> = report
+        .node_utilization
+        .iter()
+        .map(|u| u.to_bits())
+        .collect();
+    assert_eq!(
+        utilization,
+        [
+            0x3fd9_c28f_5c28_f761,
+            0x3fda_6cf4_1f21_2f41,
+            0x3fdf_81b2_eda7_6c81,
+            0x3fe0_6a5a_b636_d7dd,
+            0x3fe0_36b9_9702_10e3,
+            0x3fe0_9d3a_df70_4ea1
+        ]
+    );
+    assert_eq!(report.completed_requests, 15_154);
+    assert_eq!(report.full_cache_hits, 2_226);
+    assert_eq!(report.failed_requests, 0);
+    assert_eq!(report.cache_promotions, 9_926);
+    assert_eq!(report.cache_evictions, 9_924);
+    assert_eq!(report.peak_in_flight, 25);
 }

@@ -92,6 +92,57 @@ fn decisions_stay_identical_under_a_node_failure_scenario() {
 }
 
 #[test]
+fn without_a_cache_both_backends_produce_the_same_report() {
+    // Without cache reads every random draw of the byte backend is a node
+    // service time, taken from the same per-node streams as the analytic
+    // backend's: the two reports are equal field by field, latencies
+    // included, through a node failure and recovery.
+    let system = system();
+    let config = SimConfig::new(12_000.0, 9).with_slot_length(5.0);
+    let scenario = Scenario::default()
+        .node_down(4_000.0, 2)
+        .node_up(8_000.0, 2);
+    let sim = system
+        .simulation(CachePolicyChoice::NoCache, None, config)
+        .with_scenario(scenario);
+
+    let analytic = sim.run();
+    let mut backend = system
+        .byte_backend(CachePolicyChoice::NoCache, None, 9)
+        .unwrap();
+    let byte = sim.run_on(&mut backend);
+
+    assert_eq!(analytic, byte);
+    assert_eq!(backend.verified_reconstructions(), byte.completed_requests);
+    assert!(byte.completed_requests > 500, "the run must be non-trivial");
+}
+
+#[test]
+fn node_utilization_is_backend_independent_under_functional_caching() {
+    // Cache reads draw from the byte backend's own stream, so latencies
+    // differ between the backends, but every node serves the same reads
+    // with the same service times.
+    let system = system();
+    let plan = system.optimize().unwrap();
+    let config = SimConfig::new(12_000.0, 17);
+    let sim = system.simulation(CachePolicyChoice::Functional, Some(&plan), config);
+
+    let analytic = sim.run();
+    let mut backend = system
+        .byte_backend(CachePolicyChoice::Functional, Some(&plan), 17)
+        .unwrap();
+    let byte = sim.run_on(&mut backend);
+
+    let bits = |u: &[f64]| u.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+    assert_eq!(
+        bits(&analytic.node_utilization),
+        bits(&byte.node_utilization)
+    );
+    assert!(analytic.slots.cache_total > 0, "the plan must cache chunks");
+    assert_eq!(byte.reconstruction_failures, 0);
+}
+
+#[test]
 fn lru_tier_decisions_are_identical_and_byte_verified() {
     // The paper's baseline, byte-accurate: the engine's LruTier is the single
     // source of truth for hit/miss/promotion/eviction decisions, mirrored
