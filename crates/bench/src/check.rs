@@ -75,6 +75,22 @@ fn read_artifact(path: &str) -> (String, BTreeMap<String, f64>) {
     (name, cells)
 }
 
+/// The baselines file as `--update` writes it: two-space-indented JSON with
+/// sorted keys and a trailing newline.
+fn render(baselines: &Baselines) -> String {
+    let root: Value = baselines
+        .iter()
+        .map(|(name, cells)| {
+            let cells = cells
+                .iter()
+                .map(|(cell, &mean)| (cell.clone(), Value::from(mean)))
+                .collect();
+            (name.clone(), cells)
+        })
+        .collect();
+    format!("{root:#}\n")
+}
+
 fn die(msg: &str) -> ! {
     eprintln!("error: {msg}");
     std::process::exit(1);
@@ -106,8 +122,7 @@ pub fn run(args: Vec<String>) {
     let fresh: Baselines = artifacts.iter().map(|path| read_artifact(path)).collect();
 
     if update {
-        let rendered = serde_json::to_string_pretty(&fresh).expect("baselines serialize");
-        std::fs::write(&baselines_path, rendered + "\n")
+        std::fs::write(&baselines_path, render(&fresh))
             .unwrap_or_else(|e| die(&format!("cannot write {baselines_path}: {e}")));
         println!(
             "recorded {} scenario baseline(s) to {baselines_path}",
@@ -162,4 +177,16 @@ pub fn run(args: Vec<String>) {
         std::process::exit(1);
     }
     println!("all {checked} scenario latency cell(s) match the committed baselines");
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn render_reproduces_the_committed_baselines_byte_for_byte() {
+        let committed = include_str!("../../../scenarios/BASELINES.json");
+        let baselines: Baselines = serde_json::from_str(committed).unwrap();
+        assert_eq!(render(&baselines), committed);
+    }
 }

@@ -21,13 +21,12 @@
 
 use std::collections::HashMap;
 
-use serde::{Deserialize, Serialize};
 use sprout_erasure::Chunk;
 
 use crate::tier::{Admission, LruTier, TierStats};
 
 /// Which caching scheme the cluster uses.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum CachePolicy {
     /// No cache at all; every read hits the storage nodes.
     None,

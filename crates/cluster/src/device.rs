@@ -7,7 +7,6 @@
 //! log-linear interpolation of the mean (and of the coefficient of variation
 //! for the variance), which preserves the tables' strong size dependence.
 
-use serde::{Deserialize, Serialize};
 use sprout_queueing::dist::{ServiceDistribution, ServiceMoments};
 
 /// Milliseconds per second (the tables are in ms; the cluster works in seconds).
@@ -39,7 +38,7 @@ fn ssd_table() -> Vec<(f64, f64)> {
 }
 
 /// A storage-device latency model.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum DeviceModel {
     /// An HDD-backed OSD calibrated to Table IV, with its service rate scaled
     /// so that a 25 MB chunk (the paper's simulation chunk size) is served at

@@ -572,7 +572,7 @@ impl StoreHandle {
         }
         // Least-busy-first selection (the "optimal request scheduling" the
         // functional-caching example in §III argues for).
-        candidates.sort_by(|a, b| a.0.partial_cmp(&b.0).unwrap_or(std::cmp::Ordering::Equal));
+        candidates.sort_by(|a, b| a.0.total_cmp(&b.0));
         candidates.truncate(needed_from_storage);
 
         // 3. Issue the storage reads and take the fork-join maximum. One

@@ -7,15 +7,13 @@
 //! an object id hashes to a PG, and each PG owns a pseudo-random permutation
 //! of the nodes whose prefix of length `n` hosts the object's chunks.
 
-use serde::{Deserialize, Serialize};
-
 /// Number of placement groups per OSD recommended by the Ceph formula the
 /// paper quotes (`#PG = #OSD * 100 / m`); we keep the spirit by defaulting to
 /// 100 placement groups per node.
 pub const DEFAULT_PGS_PER_NODE: usize = 100;
 
 /// Deterministic placement of objects onto storage nodes.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct PlacementMap {
     num_nodes: usize,
     /// Node permutation per placement group.

@@ -14,8 +14,9 @@
 //!   `place(object_id, n, &ClusterView) -> Vec<usize>` plus a rebalance hook
 //!   [`Placement::on_membership_change`] reporting the chunks/bytes that
 //!   must move when membership changes.
-//! * [`PlacementChoice`] — the serde-able configuration enum consumed by
-//!   `ClusterConfig` and `sprout::SystemSpec`; [`PlacementChoice::build`]
+//! * [`PlacementChoice`] — the configuration enum consumed by
+//!   `ClusterConfig` and `sprout::SystemSpec`, and loadable from run-spec
+//!   files; [`PlacementChoice::build`]
 //!   instantiates the strategy for a concrete cluster.
 //! * [`strategies`] — the zoo: [`RandomGroups`] (the legacy placement map,
 //!   bit-for-bit), [`ConsistentHashRing`], [`TwoChoices`], [`XorProximity`],
@@ -33,7 +34,7 @@ pub mod strategies;
 pub use map::{PlacementMap, DEFAULT_PGS_PER_NODE};
 pub use strategies::{AntiAffinity, ConsistentHashRing, RandomGroups, TwoChoices, XorProximity};
 
-use serde::{Deserialize, Serialize};
+use serde::Deserialize;
 
 /// A membership snapshot: how many nodes the cluster has and which of them
 /// are currently online. Strategies place only onto online nodes.
@@ -194,10 +195,11 @@ pub trait Placement: std::fmt::Debug + Send + Sync {
     }
 }
 
-/// Serde-able strategy configuration, the form `ClusterConfig` and
-/// `SystemSpec` carry. [`PlacementChoice::build`] turns it into a boxed
-/// [`Placement`] for a concrete cluster.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+/// Strategy configuration, the form `ClusterConfig` and `SystemSpec` carry
+/// and the one run-spec files name (`placement` / `placements` knobs; it
+/// derives `Deserialize` for that). [`PlacementChoice::build`] turns it into
+/// a boxed [`Placement`] for a concrete cluster.
+#[derive(Debug, Clone, PartialEq, Eq, Deserialize)]
 pub enum PlacementChoice {
     /// The legacy CRUSH-like placement-group map (the paper's baseline);
     /// `groups = None` uses the default 100 groups per node. Placements are

@@ -8,13 +8,13 @@
 //! file per named scenario; `cargo run -p sprout-bench -- scenario <file>`
 //! executes one end to end.
 //!
-//! Files round-trip through the vendored serde stack: `.toml` files parse
-//! with the `toml` crate, `.json` files with `serde_json`, chosen by file
-//! extension in [`RunSpec::load`]. Unknown keys are rejected (the derive
-//! layer treats them as typed errors), so a typo'd knob fails the load
-//! instead of silently running the default experiment.
+//! Files are read (never written) through the vendored serde stack: `.toml`
+//! files parse with the `toml` crate, `.json` files with `serde_json`,
+//! chosen by file extension in [`RunSpec::load`]. Unknown keys are rejected
+//! (the derive layer treats them as typed errors), so a typo'd knob fails
+//! the load instead of silently running the default experiment.
 
-use serde::{Deserialize, Serialize};
+use serde::Deserialize;
 use std::fmt;
 use std::path::Path;
 
@@ -86,7 +86,7 @@ impl From<SproutError> for LoadError {
 /// expressed compactly enough to write by hand. Omitted knobs fall back to
 /// the paper's §V-A setup (12 heterogeneous servers, (7,4)-coded 100 MB
 /// files with the grouped arrival rates, seed 2016).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Deserialize)]
 pub struct SystemKnobs {
     /// Number of files in the population.
     pub num_files: usize,
@@ -170,7 +170,7 @@ impl SystemKnobs {
 }
 
 /// Simulation-length knobs lowered onto a [`SimConfig`].
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Deserialize)]
 pub struct SimKnobs {
     /// Simulated horizon in seconds.
     pub horizon: f64,
@@ -230,7 +230,7 @@ impl SimKnobs {
 
 /// Optional sweep axes. Every omitted axis keeps [`SimSweep`]'s default
 /// (the single point the base system describes).
-#[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Default, Deserialize)]
 pub struct SweepKnobs {
     /// Cache-policy axis.
     pub policies: Option<Vec<CachePolicyChoice>>,
@@ -254,7 +254,7 @@ pub struct SweepKnobs {
 /// [`sprout_workload::trace`]). The trace is folded into per-file binned
 /// rates and spliced into the scenario as `SetRates` events at every bin
 /// boundary after the first.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Deserialize)]
 pub struct TraceKnobs {
     /// Path to the CSV file, resolved relative to the spec file's directory
     /// (absolute paths pass through).
@@ -270,7 +270,7 @@ pub struct TraceKnobs {
 }
 
 /// One declarative, file-loadable experiment.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Deserialize)]
 pub struct RunSpec {
     /// Experiment name (artifact key; defaults `scenario.name` when absent).
     pub name: String,
@@ -576,11 +576,22 @@ replications = 2
         let scenario = spec.scenario.as_ref().unwrap();
         assert_eq!(scenario.events.len(), 2);
 
-        // value -> TOML -> value and value -> JSON -> value are identities.
-        let as_toml = toml::to_string(&spec).unwrap();
-        assert_eq!(RunSpec::from_toml_str(&as_toml).unwrap(), spec);
-        let as_json = serde_json::to_string(&spec).unwrap();
-        assert_eq!(RunSpec::from_json_str(&as_json).unwrap(), spec);
+        // The same spec written as JSON loads to the same value.
+        let json = r#"{
+  "name": "full",
+  "system": {
+    "num_files": 20, "cache_chunks": 16, "n": 6, "k": 3, "size_mb": 50,
+    "uniform_rate": 0.002, "rate_scale": 2.0, "seed": 7,
+    "placement": {"ConsistentHash": {"vnodes": 32}}
+  },
+  "sim": {"horizon": 600.0, "warmup": 30.0},
+  "scenario": {"name": "wave", "events": [
+    {"at": 100.0, "action": {"ScaleRates": {"factor": 3.0}}},
+    {"at": 150.0, "action": "Reoptimize"}
+  ]},
+  "sweep": {"policies": ["Functional", "NoCache"], "load_points": [0.5, 1.0], "replications": 2}
+}"#;
+        assert_eq!(RunSpec::from_json_str(json).unwrap(), spec);
 
         // The sweep assembles and carries the declared axes.
         let sweep = spec.to_sweep(true).unwrap();
@@ -638,9 +649,16 @@ replications = 2
         assert_eq!(RunSpec::load(&toml_path).unwrap().name, "minimal");
 
         let json_path = dir.join("spec.json");
-        let spec = RunSpec::from_toml_str(MINIMAL).unwrap();
-        std::fs::write(&json_path, serde_json::to_string(&spec).unwrap()).unwrap();
-        assert_eq!(RunSpec::load(&json_path).unwrap(), spec);
+        std::fs::write(
+            &json_path,
+            r#"{"name": "minimal", "system": {"num_files": 10, "cache_chunks": 8},
+                "sim": {"horizon": 400.0}}"#,
+        )
+        .unwrap();
+        assert_eq!(
+            RunSpec::load(&json_path).unwrap(),
+            RunSpec::from_toml_str(MINIMAL).unwrap()
+        );
 
         let yaml_path = dir.join("spec.yaml");
         std::fs::write(&yaml_path, "name: nope").unwrap();

@@ -9,7 +9,7 @@
 //! point and becomes an online plan swap in the resulting
 //! [`sprout_sim::Scenario`].
 
-use serde::{Deserialize, Serialize};
+use serde::Deserialize;
 use sprout_optimizer::OptimizerConfig;
 use sprout_sim::{Scenario, ScenarioAction};
 
@@ -17,7 +17,7 @@ use crate::error::SproutError;
 use crate::system::{CachePolicyChoice, SproutSystem};
 
 /// One high-level action.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Deserialize)]
 pub enum ScenarioActionSpec {
     /// A storage node fails.
     NodeDown {
@@ -54,7 +54,7 @@ pub enum ScenarioActionSpec {
 }
 
 /// A timed high-level action.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Deserialize)]
 pub struct ScenarioEventSpec {
     /// Simulated time at which the action fires.
     pub at: f64,
@@ -63,7 +63,7 @@ pub struct ScenarioEventSpec {
 }
 
 /// A named, serde-loadable scenario description.
-#[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Default, Deserialize)]
 pub struct ScenarioSpec {
     /// Human-readable scenario name (used in benchmark artifacts).
     pub name: String,

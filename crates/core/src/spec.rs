@@ -1,13 +1,12 @@
 //! System specifications: nodes, files, codes, placement and cache size.
 
-use serde::{Deserialize, Serialize};
 use sprout_cluster::{ClusterView, PlacementChoice};
 use sprout_queueing::dist::ServiceDistribution;
 
 use crate::error::SproutError;
 
 /// Per-file configuration.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct FileConfig {
     /// Request arrival rate in the current time bin (requests/second).
     pub arrival_rate: f64,
@@ -43,7 +42,7 @@ impl FileConfig {
 }
 
 /// A complete description of the storage system for one time bin.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SystemSpec {
     /// Per-node chunk service-time distributions.
     pub node_services: Vec<ServiceDistribution>,

@@ -33,7 +33,7 @@ use crate::spec::SystemSpec;
 use crate::system::{CachePolicyChoice, SproutSystem};
 
 /// Which chunk-service backend a sweep cell runs on.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, serde::Deserialize)]
 pub enum SweepBackend {
     /// Sampled service times only (fast; the default).
     Analytic,

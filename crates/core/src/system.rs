@@ -1,6 +1,6 @@
 //! The [`SproutSystem`] facade: optimize → analyze → simulate.
 
-use serde::{Deserialize, Serialize};
+use serde::Deserialize;
 use sprout_cluster::{ClusterView, ObjectDesc, RebalanceReport};
 use sprout_optimizer::{CachePlan, FileModel, Optimizer, OptimizerConfig, StorageModel};
 use sprout_sim::policy::SchedulingRule;
@@ -10,7 +10,7 @@ use crate::error::SproutError;
 use crate::spec::SystemSpec;
 
 /// Which caching policy to evaluate.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Deserialize)]
 pub enum CachePolicyChoice {
     /// Sprout's functional caching with the optimized plan.
     Functional,
@@ -35,7 +35,7 @@ impl CachePolicyChoice {
 
 /// Simulated latency of every policy on the same workload, plus the analytic
 /// bound for the functional plan — the comparison behind Figs. 10 and 11.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct PolicyComparison {
     /// Functional caching (optimized plan).
     pub functional: SimReport,

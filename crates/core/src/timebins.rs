@@ -8,7 +8,6 @@
 //! reproduces that behaviour and reports how the cache evolves — the data
 //! behind Table I / Fig. 5.
 
-use serde::{Deserialize, Serialize};
 use sprout_optimizer::{CachePlan, OptimizerConfig};
 use sprout_workload::timebins::RateSchedule;
 
@@ -16,7 +15,7 @@ use crate::error::SproutError;
 use crate::system::SproutSystem;
 
 /// How a single file's cache allocation changes between two bins.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CacheDelta {
     /// File index.
     pub file: usize,
@@ -39,7 +38,7 @@ impl CacheDelta {
 }
 
 /// The outcome of one time bin.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct BinOutcome {
     /// Index of the bin in the schedule.
     pub bin: usize,

@@ -282,12 +282,6 @@ impl ReedSolomon {
         self.kernel
     }
 
-    /// Switches the slice kernel. Results are unaffected — every kernel is
-    /// byte-identical — only throughput changes.
-    pub fn set_kernel(&mut self, kernel: Kernel) {
-        self.kernel = kernel;
-    }
-
     /// Number of inverted decode matrices currently memoized.
     pub fn memoized_decode_matrices(&self) -> usize {
         self.memo().entries.len()

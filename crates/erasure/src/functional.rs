@@ -71,11 +71,6 @@ impl FunctionalCacheCodec {
         self.code.kernel()
     }
 
-    /// Switches the slice kernel.
-    pub fn set_kernel(&mut self, kernel: Kernel) {
-        self.code.set_kernel(kernel);
-    }
-
     /// Enables (or disables, with `None`) automatic striped coding of large
     /// objects. See [`ReedSolomon::with_striping`].
     #[must_use]

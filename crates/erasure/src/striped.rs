@@ -19,11 +19,10 @@
 //! `tests/striped_properties.rs` prove striped outputs byte-identical to
 //! the single-pass paths.
 
-use serde::{Deserialize, Serialize};
 use std::ops::Range;
 
 /// Options for striped (multi-threaded) encode/decode of large objects.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct StripeOpts {
     /// Bytes of each chunk processed per stripe task. Smaller stripes give
     /// better load balance; larger stripes amortize dispatch. The default

@@ -324,17 +324,6 @@ impl Matrix {
     pub fn is_invertible(&self) -> bool {
         self.rows == self.cols && self.rank() == self.rows
     }
-
-    /// Swaps two rows in place.
-    pub fn swap_rows(&mut self, a: usize, b: usize) {
-        assert!(a < self.rows && b < self.rows, "row index out of bounds");
-        if a == b {
-            return;
-        }
-        for c in 0..self.cols {
-            self.data.swap(a * self.cols + c, b * self.cols + c);
-        }
-    }
 }
 
 /// One Gauss–Jordan pivot step, in place, on a flat row-major buffer of

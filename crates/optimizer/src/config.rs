@@ -1,10 +1,8 @@
 //! Optimizer configuration.
 
-use serde::{Deserialize, Serialize};
-
 /// How the integer constraint on `d_i` is restored after each relaxed
 /// Prob Π solve.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum RoundingStrategy {
     /// Pin one file per inner iteration — the file whose `Σ_j π_{i,j}` has
     /// the largest fractional part (the literal Algorithm 1 inner loop,
@@ -30,7 +28,7 @@ impl RoundingStrategy {
 }
 
 /// Tunable parameters of [`Optimizer::run`](crate::Optimizer::run).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct OptimizerConfig {
     /// Outer-loop convergence threshold `ε` on the objective decrease
     /// (seconds of latency). The paper uses 0.01.

@@ -1,13 +1,12 @@
 //! The storage-system model the optimizer works against.
 
-use serde::{Deserialize, Serialize};
 use sprout_queueing::dist::ServiceMoments;
 
 use crate::error::OptimizerError;
 
 /// Per-file parameters: arrival rate, number of data chunks `k_i`, and the
 /// set of storage nodes `S_i` holding its `n_i` coded chunks.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct FileModel {
     /// Request arrival rate `λ_i` (requests per second) in the current time bin.
     pub arrival_rate: f64,
@@ -35,7 +34,7 @@ impl FileModel {
 
 /// The full system model for one time bin: per-node service-time moments and
 /// per-file arrival rates, code parameters and placement.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct StorageModel {
     nodes: Vec<ServiceMoments>,
     files: Vec<FileModel>,

@@ -1,10 +1,8 @@
 //! Optimizer output types.
 
-use serde::{Deserialize, Serialize};
-
 /// Objective values recorded while the algorithm runs; used to reproduce the
 /// paper's convergence plot (Fig. 3).
-#[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct ConvergenceTrace {
     /// Objective value after each outer (alternating-minimization) iteration,
     /// including the initial value at index 0.
@@ -15,10 +13,8 @@ pub struct ConvergenceTrace {
     pub gradient_iterations: usize,
     /// Total number of projections onto the Prob Π constraint set: one per
     /// line-search probe, one per Prob Π solve, one for the starting point.
-    #[serde(default)]
     pub projections: usize,
     /// Total number of line-search candidates projected and evaluated.
-    #[serde(default)]
     pub line_search_probes: usize,
 }
 
@@ -36,7 +32,7 @@ impl ConvergenceTrace {
 
 /// The optimized cache placement and request-scheduling policy for one time
 /// bin.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct CachePlan {
     /// Number of functional chunks of each file to hold in the cache (`d_i`).
     pub cached_chunks: Vec<usize>,

@@ -13,14 +13,12 @@
 //! The bound is jointly convex in `z` and `π`, which is what makes the cache
 //! optimization of §IV tractable.
 
-use serde::{Deserialize, Serialize};
-
 use crate::mg1::QueueDelayMoments;
 
 /// One node's contribution to a file's scheduling decision: the probability
 /// `π_{i,j}` that the node serves a chunk of the file, together with the
 /// node's queue-delay moments.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SchedulingTerm {
     /// Probability `π_{i,j} ∈ [0, 1]` that node `j` is selected for file `i`.
     pub probability: f64,
@@ -29,7 +27,7 @@ pub struct SchedulingTerm {
 }
 
 /// Result of minimizing the Lemma 1 bound over the auxiliary variable.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct LatencyBound {
     /// The latency upper bound `U_i`.
     pub latency: f64,

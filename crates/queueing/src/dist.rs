@@ -12,14 +12,13 @@
 //! closed-form third moment.
 
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// First three raw moments of a service-time distribution.
 ///
 /// The notation follows the paper: `mean = 1/µ`, `second = Γ²`,
 /// `third = Γ̂³`.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ServiceMoments {
     /// `E[X]`, the mean service time (seconds).
     pub mean: f64,
@@ -67,7 +66,7 @@ impl ServiceMoments {
 }
 
 /// A chunk service-time distribution with analytic moments and sampling.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum ServiceDistribution {
     /// Exponential with the given rate (mean `1/rate`).
     Exponential {

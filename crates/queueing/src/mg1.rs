@@ -16,13 +16,11 @@
 //! analytic gradient of the latency objective with respect to the scheduling
 //! probabilities.
 
-use serde::{Deserialize, Serialize};
-
 use crate::dist::ServiceMoments;
 use crate::stability::StabilityError;
 
 /// Mean and variance of the queueing delay `Q_j` at one node.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct QueueDelayMoments {
     /// `E[Q_j]` — expected waiting plus service time of a chunk request.
     pub mean: f64,

@@ -1,9 +1,7 @@
 //! Simulation configuration.
 
-use serde::{Deserialize, Serialize};
-
 /// Run-length and sampling parameters of a simulation.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SimConfig {
     /// Simulated horizon in seconds.
     pub horizon: f64,

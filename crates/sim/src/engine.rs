@@ -44,7 +44,6 @@ use std::collections::BinaryHeap;
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 use sprout_cluster::LruTier;
 use sprout_queueing::dist::ServiceDistribution;
 use sprout_workload::arrivals::{ArrivalStream, RateProfile};
@@ -60,7 +59,7 @@ use crate::scheduler::{systematic_sample_into, uniform_sample_into};
 
 /// A file as seen by the simulator: its arrival rate, code dimension `k` and
 /// the storage nodes hosting its chunks.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SimFile {
     /// Request arrival rate (requests per second).
     pub arrival_rate: f64,
@@ -82,7 +81,7 @@ impl SimFile {
 }
 
 /// Everything measured during a run.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SimReport {
     /// Latency summary over all completed, post-warm-up requests.
     pub overall: LatencySummary,

@@ -1,9 +1,7 @@
 //! Latency statistics and chunk-source accounting.
 
-use serde::{Deserialize, Serialize};
-
 /// Summary statistics of a latency sample.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct LatencySummary {
     /// Number of completed (post-warm-up) requests.
     pub count: usize,
@@ -103,7 +101,7 @@ pub(crate) fn summarize_per_file(per_file: Vec<Vec<f64>>) -> (LatencySummary, Ve
 /// nodes. Two exact running totals are always kept; the per-slot series (the
 /// quantity plotted in Fig. 7 of the paper) only when a slot length was asked
 /// for, so without one the counters are O(1) in the horizon.
-#[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct SlotCounts {
     /// Slot length in seconds; `None` when no per-slot series was requested.
     pub slot_length: Option<f64>,

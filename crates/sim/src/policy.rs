@@ -1,11 +1,9 @@
 //! Cache schemes the simulator can run.
 
-use serde::{Deserialize, Serialize};
-
 use crate::engine::SimFile;
 
 /// How chunk reads are scheduled onto storage nodes when a plan is in force.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SchedulingRule {
     /// Probabilistic scheduling with the plan's `π_{i,j}` marginals (the
     /// policy analysed by the paper).
@@ -16,7 +14,7 @@ pub enum SchedulingRule {
 }
 
 /// The caching scheme simulated for the whole system.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum CacheScheme {
     /// No cache: every request reads `k_i` chunks from storage, scheduled
     /// uniformly over the file's hosting nodes.

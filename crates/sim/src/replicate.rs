@@ -6,8 +6,6 @@
 //! [`replication_seed`](crate::engine::replication_seed)`(base, r)`) and
 //! folds the replication-level values into [`MeanCi`] summaries.
 
-use serde::{Deserialize, Serialize};
-
 /// Two-sided 97.5 % Student-t quantiles for `df = 1..=30`; beyond 30 the
 /// normal quantile 1.96 is close enough. Replication counts are small (4–16
 /// in the scenario suite), where the normal approximation would understate
@@ -30,7 +28,7 @@ fn t_quantile_975(df: usize) -> f64 {
 
 /// Sample mean with spread: sample standard deviation and a 95 % Student-t
 /// confidence half-width over replication-level values.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct MeanCi {
     /// Number of replications aggregated.
     pub replications: usize,

@@ -6,19 +6,17 @@
 //! arrivals and completions, so scenario effects interleave deterministically
 //! with the workload.
 //!
-//! The types derive `Serialize`/`Deserialize` and load from TOML/JSON
-//! through the vendored serde stack — the committed files under
-//! `scenarios/` are the canonical examples. Higher-level actions (e.g.
-//! "re-run the optimizer at this bin boundary") live in the `sprout` facade
-//! crate, which compiles them down to these primitive actions.
-
-use serde::{Deserialize, Serialize};
+//! These types are not loaded from files: the `sprout` facade crate's
+//! `ScenarioSpec` is the TOML/JSON form (the committed files under
+//! `scenarios/` are the canonical examples). It also holds the higher-level
+//! actions (e.g. "re-run the optimizer at this bin boundary") and compiles
+//! them down to these primitive actions.
 
 use crate::engine::SimFile;
 use crate::policy::CacheScheme;
 
 /// One timed action.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum ScenarioAction {
     /// A storage node fails: it stops accepting new chunk reads (queued reads
     /// drain).
@@ -59,7 +57,7 @@ pub enum ScenarioAction {
 }
 
 /// A timed scenario event.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ScenarioEvent {
     /// Simulated time at which the action fires.
     pub at: f64,
@@ -69,7 +67,7 @@ pub struct ScenarioEvent {
 
 /// A time-ordered scenario. Construction sorts events by time (stable, so
 /// same-time events keep their declaration order).
-#[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct Scenario {
     events: Vec<ScenarioEvent>,
 }

@@ -41,8 +41,6 @@
 use std::collections::VecDeque;
 use std::sync::Mutex;
 
-use serde::{Deserialize, Serialize};
-
 use crate::engine::replication_seed;
 use crate::replicate::MeanCi;
 
@@ -51,7 +49,7 @@ use crate::replicate::MeanCi;
 /// Labels are strings: they key the JSON rows and feed the coordinate-derived
 /// cell seeds, while the task closure recovers typed values either by parsing
 /// the label or by indexing its own typed table with [`SweepCell::idx`].
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Axis {
     /// Axis name (e.g. `"cache_chunks"`).
     pub name: String,
@@ -61,7 +59,7 @@ pub struct Axis {
 
 /// One cell of the cartesian product: a coordinate assignment plus the
 /// replication count and deterministic seed attached to it.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SweepCell {
     /// Row-major index of the cell in the full grid (stable even when a
     /// filtered subset of cells is run).

@@ -7,10 +7,9 @@
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 
 /// One file-access request.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Request {
     /// Arrival time in seconds from the start of the trace.
     pub time: f64,
@@ -51,7 +50,7 @@ impl PoissonArrivals {
                 trace.push(Request { time: t, file });
             }
         }
-        trace.sort_by(|a, b| a.time.partial_cmp(&b.time).unwrap());
+        trace.sort_by(|a, b| a.time.total_cmp(&b.time));
         trace
     }
 
@@ -82,7 +81,7 @@ impl PoissonArrivals {
 /// piecewise-constant over a sequence of time segments (the shape produced by
 /// [`crate::timebins::RateSchedule`]). Beyond the last segment of a piecewise
 /// profile the rate is zero.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum RateProfile {
     /// A single rate holding forever.
     Constant(f64),

@@ -7,11 +7,10 @@
 //! request counts over a sliding window give rate estimates, and a relative
 //! change beyond a threshold on any file triggers a new time bin.
 
-use serde::{Deserialize, Serialize};
 use std::collections::VecDeque;
 
 /// Sliding-window estimator of per-file arrival rates.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct SlidingWindowEstimator {
     window: f64,
     threshold: f64,

@@ -1,15 +1,13 @@
 //! File-population and workload specifications, including the exact numbers
 //! used in the paper's evaluation.
 
-use serde::{Deserialize, Serialize};
-
 /// Bytes per megabyte (the paper uses decimal MB for object sizes).
 pub const MB: u64 = 1_000_000;
 /// Bytes per gigabyte.
 pub const GB: u64 = 1_000 * MB;
 
 /// A single file (object) in the storage system.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct FileSpec {
     /// File size in bytes.
     pub size_bytes: u64,
@@ -40,7 +38,7 @@ impl FileSpec {
 
 /// A population of files plus the cache capacity, i.e. everything the
 /// optimizer needs besides node service statistics and placement.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct WorkloadSpec {
     /// The files in the system.
     pub files: Vec<FileSpec>,
@@ -92,10 +90,7 @@ pub fn paper_server_service_rates() -> Vec<f64> {
 
 /// An object-size class of the paper's 24-hour production workload
 /// (Table III) with its average per-object request arrival rate.
-///
-/// Serializable for reports, but not deserializable: the `&'static str`
-/// label only exists for the fixed paper table, never as file input.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ObjectSizeClass {
     /// Object size in bytes.
     pub size_bytes: u64,

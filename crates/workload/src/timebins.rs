@@ -6,12 +6,10 @@
 //! such a schedule, and [`table_i_schedule`] reproduces the 3-bin, 10-file
 //! scenario of Table I used for the cache-evolution experiment (Fig. 5).
 
-use serde::{Deserialize, Serialize};
-
 use crate::arrivals::RateProfile;
 
 /// One time bin: a duration and the per-file arrival rates that hold in it.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct TimeBin {
     /// Length of the bin in seconds.
     pub duration: f64,
@@ -59,7 +57,7 @@ impl TimeBin {
 }
 
 /// A sequence of time bins over a common file population.
-#[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct RateSchedule {
     bins: Vec<TimeBin>,
 }

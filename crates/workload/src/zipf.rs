@@ -5,10 +5,8 @@
 //! A Zipf law over file ranks is the standard way to generate such skewed
 //! popularity, and is used by the example applications and some benches.
 
-use serde::{Deserialize, Serialize};
-
 /// A Zipf popularity law over `n` files with exponent `s`.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ZipfPopularity {
     exponent: f64,
     weights: Vec<f64>,
