@@ -22,7 +22,7 @@ use crate::{experiment_config, paper_scale, FigureCli};
 use sprout::queueing::dist::ServiceDistribution;
 use sprout::sim::sweep::{Sample, SweepGrid, SweepReport, SweepTimings};
 use sprout::sim::SimConfig;
-use sprout::{policy_label, CachePolicyChoice, FileConfig, SproutSystem, SystemSpec};
+use sprout::{CachePolicy, FileConfig, SproutSystem, SystemSpec};
 
 /// Paper-reported mean access latency (milliseconds) per object size for
 /// optimized caching and the Ceph cache-tier baseline.
@@ -34,10 +34,7 @@ const PAPER_MS: [(&str, f64, f64); 5] = [
     ("1GB", 21516.0, 39021.0),
 ];
 
-const POLICIES: [CachePolicyChoice; 2] = [
-    CachePolicyChoice::Functional,
-    CachePolicyChoice::LruReplicated,
-];
+const POLICIES: [CachePolicy; 2] = [CachePolicy::Functional, CachePolicy::LruReplicated];
 
 const BACKENDS: [&str; 2] = ["analytic", "byte"];
 
@@ -67,7 +64,7 @@ pub fn run(cli: &FigureCli) -> (SweepReport, Option<SweepTimings>) {
     let classes = sprout::workload::spec::table_iii_object_classes();
     let grid = SweepGrid::named("fig10_latency_vs_object_size", 10)
         .axis("object_size", classes.iter().map(|c| c.label.to_string()))
-        .axis("policy", POLICIES.iter().map(|&p| policy_label(p)))
+        .axis("policy", POLICIES.iter().map(CachePolicy::label))
         .axis("backend", BACKENDS);
     let (report, timings) = grid.run_timed(
         cli.threads_or(FigureCli::available_threads()),
@@ -107,7 +104,7 @@ pub fn run(cli: &FigureCli) -> (SweepReport, Option<SweepTimings>) {
 
             let config = SimConfig::new(horizon, seed).with_cache_latency(ssd);
             let (plan, bound_ms) = match policy {
-                CachePolicyChoice::Functional => {
+                CachePolicy::Functional => {
                     // Latencies span milliseconds to seconds across the size
                     // classes, so tighten the convergence tolerance relative
                     // to the paper's 0.01 s.
@@ -136,7 +133,7 @@ pub fn run(cli: &FigureCli) -> (SweepReport, Option<SweepTimings>) {
                 sim.run()
             };
             let paper_ms = match policy {
-                CachePolicyChoice::Functional => paper_opt,
+                CachePolicy::Functional => paper_opt,
                 _ => paper_lru,
             };
             let mut sample = Sample::new()

@@ -15,7 +15,7 @@ use crate::{experiment_config, paper_scale, FigureCli};
 use sprout::queueing::dist::ServiceDistribution;
 use sprout::sim::sweep::{Sample, SweepGrid, SweepReport, SweepTimings};
 use sprout::sim::SimConfig;
-use sprout::{policy_label, CachePolicyChoice, FileConfig, SproutSystem, SystemSpec};
+use sprout::{CachePolicy, FileConfig, SproutSystem, SystemSpec};
 
 /// Paper-reported mean latency (ms): (aggregate rate, optimized, LRU baseline).
 const PAPER_MS: [(f64, f64, f64); 5] = [
@@ -26,10 +26,7 @@ const PAPER_MS: [(f64, f64, f64); 5] = [
     (8.0, 112172.0, 135468.0),
 ];
 
-const POLICIES: [CachePolicyChoice; 2] = [
-    CachePolicyChoice::Functional,
-    CachePolicyChoice::LruReplicated,
-];
+const POLICIES: [CachePolicy; 2] = [CachePolicy::Functional, CachePolicy::LruReplicated];
 
 const BACKENDS: [&str; 2] = ["analytic", "byte"];
 
@@ -65,7 +62,7 @@ pub fn run(cli: &FigureCli) -> (SweepReport, Option<SweepTimings>) {
             "aggregate_rate",
             PAPER_MS.iter().map(|(rate, _, _)| format!("{rate}")),
         )
-        .axis("policy", POLICIES.iter().map(|&p| policy_label(p)))
+        .axis("policy", POLICIES.iter().map(CachePolicy::label))
         .axis("backend", BACKENDS);
     let (report, timings) = grid.run_timed(
         cli.threads_or(FigureCli::available_threads()),
@@ -92,7 +89,7 @@ pub fn run(cli: &FigureCli) -> (SweepReport, Option<SweepTimings>) {
 
             let config = SimConfig::new(horizon, seed).with_cache_latency(ssd);
             let (plan, bound_ms) = match policy {
-                CachePolicyChoice::Functional => {
+                CachePolicy::Functional => {
                     let mut opt_config = experiment_config();
                     opt_config.tolerance = 1e-4;
                     let plan = system
@@ -120,7 +117,7 @@ pub fn run(cli: &FigureCli) -> (SweepReport, Option<SweepTimings>) {
                 sim.run()
             };
             let paper_ms = match policy {
-                CachePolicyChoice::Functional => paper_opt,
+                CachePolicy::Functional => paper_opt,
                 _ => paper_lru,
             };
             let mut sample = Sample::new()

@@ -8,7 +8,7 @@
 //! * **Exact** — the cache holds copies of `d_i` of the object's storage
 //!   chunks; those chunks' host nodes can no longer contribute to a read.
 //! * **LRU replicated** — Ceph's cache-tier baseline: whole objects are
-//!   promoted into the cache on access (with a replication factor for the
+//!   promoted into the cache on access ([`LRU_REPLICATION`] copies each, the
 //!   tier's redundancy) and the least-recently-used objects are evicted when
 //!   space runs out.
 //!
@@ -21,12 +21,18 @@
 
 use std::collections::HashMap;
 
+use serde::Deserialize;
 use sprout_erasure::Chunk;
 
 use crate::tier::{Admission, LruTier, TierStats};
 
-/// Which caching scheme the cluster uses.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+/// Replicas the LRU cache tier keeps of each promoted object: the paper's
+/// Ceph baseline is a dual-replicated cache tier (§VI).
+pub const LRU_REPLICATION: u32 = 2;
+
+/// Which caching scheme a run uses — the one cache-policy type, from a run
+/// spec's `[sweep] policies` through the simulator to the store.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Deserialize)]
 pub enum CachePolicy {
     /// No cache at all; every read hits the storage nodes.
     None,
@@ -34,32 +40,25 @@ pub enum CachePolicy {
     Functional,
     /// Exact caching: optimizer-chosen counts of copied storage chunks.
     Exact,
-    /// Ceph-style LRU replicated cache tier with the given replication factor
-    /// (the paper's baseline uses dual replication).
-    LruReplicated {
-        /// Number of replicas the cache tier keeps of each promoted object.
-        replication: u32,
-    },
+    /// Ceph-style LRU cache tier keeping [`LRU_REPLICATION`] replicas of
+    /// each promoted object.
+    LruReplicated,
 }
 
 impl CachePolicy {
-    /// The paper's baseline configuration: an LRU cache tier with dual
-    /// replication.
-    pub fn ceph_baseline() -> Self {
-        CachePolicy::LruReplicated { replication: 2 }
-    }
-
-    /// Whether this policy stores planner-chosen chunks (functional/exact).
+    /// Whether this policy stores planner-chosen chunks (functional/exact),
+    /// and so needs an optimized plan.
     pub fn is_planned(&self) -> bool {
         matches!(self, CachePolicy::Functional | CachePolicy::Exact)
     }
 
-    /// The replication factor the tier charges per promoted object (1 for
-    /// the planner-managed policies, whose chunks are already the redundancy).
-    pub fn tier_replication(&self) -> u32 {
+    /// The policy's axis label in sweep artifacts.
+    pub fn label(&self) -> &'static str {
         match self {
-            CachePolicy::LruReplicated { replication } => (*replication).max(1),
-            _ => 1,
+            CachePolicy::None => "no_cache",
+            CachePolicy::Functional => "functional",
+            CachePolicy::Exact => "exact",
+            CachePolicy::LruReplicated => "lru",
         }
     }
 }
@@ -72,7 +71,6 @@ pub type CacheStats = TierStats;
 /// with residency decided by the embedded [`LruTier`].
 #[derive(Debug, Clone)]
 pub struct Cache {
-    policy: CachePolicy,
     tier: LruTier,
     chunks: HashMap<u64, Vec<Chunk>>,
 }
@@ -82,18 +80,18 @@ fn chunk_bytes(chunks: &[Chunk]) -> u64 {
 }
 
 impl Cache {
-    /// Creates an empty cache with the given policy and byte capacity.
+    /// Creates an empty cache with the given policy and byte capacity. Only
+    /// the LRU tier replicates what it holds; planner-managed chunks are
+    /// already the redundancy.
     pub fn new(policy: CachePolicy, capacity_bytes: u64) -> Self {
+        let replication = match policy {
+            CachePolicy::LruReplicated => LRU_REPLICATION,
+            _ => 1,
+        };
         Cache {
-            policy,
-            tier: LruTier::new(capacity_bytes, policy.tier_replication()),
+            tier: LruTier::new(capacity_bytes, replication),
             chunks: HashMap::new(),
         }
-    }
-
-    /// The cache policy.
-    pub fn policy(&self) -> CachePolicy {
-        self.policy
     }
 
     /// Capacity in bytes.
@@ -205,16 +203,32 @@ mod tests {
 
     #[test]
     fn policy_helpers() {
-        assert_eq!(
-            CachePolicy::ceph_baseline(),
-            CachePolicy::LruReplicated { replication: 2 }
-        );
         assert!(CachePolicy::Functional.is_planned());
         assert!(CachePolicy::Exact.is_planned());
         assert!(!CachePolicy::None.is_planned());
-        assert!(!CachePolicy::ceph_baseline().is_planned());
-        assert_eq!(CachePolicy::ceph_baseline().tier_replication(), 2);
-        assert_eq!(CachePolicy::Functional.tier_replication(), 1);
+        assert!(!CachePolicy::LruReplicated.is_planned());
+        let labels = [
+            CachePolicy::None,
+            CachePolicy::Functional,
+            CachePolicy::Exact,
+            CachePolicy::LruReplicated,
+        ]
+        .map(|p| p.label());
+        assert_eq!(labels, ["no_cache", "functional", "exact", "lru"]);
+    }
+
+    #[test]
+    fn lru_footprint_is_bytes_times_the_replication_constant() {
+        let mut lru = Cache::new(CachePolicy::LruReplicated, 10_000);
+        assert!(
+            lru.promote_lru(1, vec![chunk(0, 300), chunk(1, 300)])
+                .admitted
+        );
+        assert_eq!(lru.used_bytes(), 600 * u64::from(LRU_REPLICATION));
+        // Planner-managed chunks are not replicated.
+        let mut planned = Cache::new(CachePolicy::Functional, 10_000);
+        assert!(planned.install_planned(1, vec![chunk(7, 300), chunk(8, 300)]));
+        assert_eq!(planned.used_bytes(), 600);
     }
 
     #[test]
@@ -251,7 +265,7 @@ mod tests {
 
     #[test]
     fn lru_promotion_and_eviction() {
-        let mut cache = Cache::new(CachePolicy::ceph_baseline(), 1000);
+        let mut cache = Cache::new(CachePolicy::LruReplicated, 1000);
         // each object is 200 bytes * 2 replication = 400
         assert!(cache.promote_lru(1, vec![chunk(0, 200)]).admitted);
         assert!(cache.promote_lru(2, vec![chunk(0, 200)]).admitted);
@@ -270,7 +284,7 @@ mod tests {
 
     #[test]
     fn lru_does_not_admit_objects_larger_than_capacity() {
-        let mut cache = Cache::new(CachePolicy::ceph_baseline(), 100);
+        let mut cache = Cache::new(CachePolicy::LruReplicated, 100);
         assert!(!cache.promote_lru(1, vec![chunk(0, 200)]).admitted);
         assert_eq!(cache.used_bytes(), 0);
         assert!(cache.peek(1).is_none());
@@ -278,7 +292,7 @@ mod tests {
 
     #[test]
     fn promoting_resident_object_only_refreshes_recency() {
-        let mut cache = Cache::new(CachePolicy::ceph_baseline(), 1000);
+        let mut cache = Cache::new(CachePolicy::LruReplicated, 1000);
         assert!(cache.promote_lru(1, vec![chunk(0, 100)]).admitted);
         let used = cache.used_bytes();
         assert!(cache.promote_lru(1, vec![chunk(0, 100)]).admitted);
@@ -288,7 +302,7 @@ mod tests {
 
     #[test]
     fn mirror_ops_bypass_the_local_policy() {
-        let mut cache = Cache::new(CachePolicy::ceph_baseline(), 100);
+        let mut cache = Cache::new(CachePolicy::LruReplicated, 100);
         // Too big for this cache's own policy, but the deciding tier said yes.
         cache.mirror_promote(1, vec![chunk(0, 200)]);
         assert_eq!(cache.cached_chunk_count(1), 1);
@@ -302,7 +316,7 @@ mod tests {
 
     #[test]
     fn cache_tier_trait_is_implemented_by_the_cache() {
-        let mut cache = Cache::new(CachePolicy::ceph_baseline(), 1000);
+        let mut cache = Cache::new(CachePolicy::LruReplicated, 1000);
         // A promotion that evicts drops the victim's payload too.
         assert!(cache.promote_lru(1, vec![chunk(0, 400)]).admitted);
         let admission = cache.promote_lru(2, vec![chunk(0, 400)]);

@@ -58,7 +58,7 @@ use crate::cache::{Cache, CachePolicy, CacheStats};
 use crate::checksum::checksum64;
 use crate::error::ClusterError;
 use crate::node::StorageNode;
-use crate::placement::{ClusterView, ObjectDesc, Placement};
+use crate::placement::{ClusterView, Placement};
 use crate::store::{ClusterConfig, ReadOutcome};
 
 /// Number of hash stripes the object-metadata map is split into. A small
@@ -392,37 +392,6 @@ impl StoreHandle {
         self.shared.placement.as_ref()
     }
 
-    /// A snapshot of the store's current membership view (updated by
-    /// [`set_node_online`](Self::set_node_online)).
-    pub fn cluster_view(&self) -> ClusterView {
-        self.shared.view.read().expect("view lock poisoned").clone()
-    }
-
-    /// Descriptors of every stored object, sorted by id — the input
-    /// [`Placement::on_membership_change`] prices a rebalance against.
-    pub fn object_descs(&self) -> Vec<ObjectDesc> {
-        let k = self.shared.config.k as u64;
-        let mut descs: Vec<ObjectDesc> = self
-            .shared
-            .meta
-            .iter()
-            .flat_map(|stripe| {
-                stripe
-                    .read()
-                    .expect("meta stripe lock poisoned")
-                    .iter()
-                    .map(|(&id, meta)| ObjectDesc {
-                        id,
-                        n: meta.placement.len(),
-                        chunk_bytes: (meta.len as u64).div_ceil(k),
-                    })
-                    .collect::<Vec<_>>()
-            })
-            .collect();
-        descs.sort_by_key(|d| d.id);
-        descs
-    }
-
     /// Gathers every storage chunk of `object` currently present on online
     /// *and* offline nodes (management path; clones are refcount bumps).
     fn gather_available(&self, meta: &ObjectMeta, object: u64) -> Vec<Chunk> {
@@ -528,7 +497,7 @@ impl StoreHandle {
             CachePolicy::None => Vec::new(),
             _ => self.cache().lookup(object),
         };
-        let lru = matches!(s.config.cache_policy, CachePolicy::LruReplicated { .. });
+        let lru = s.config.cache_policy == CachePolicy::LruReplicated;
 
         // Cache-resident LRU objects (or fully functional-cached objects) are
         // served without touching storage.

@@ -12,13 +12,17 @@
 //!   chunk-placement policies (the legacy CRUSH-like placement-group map,
 //!   consistent hashing, two-choices, XOR proximity, zone anti-affinity)
 //!   plus the rebalance hook that prices membership changes.
+//! * [`fifo`] — [`FifoQueue`], one FIFO server in virtual time (Lindley's
+//!   recursion): the node model the store and the simulation engine share.
 //! * [`node`] — storage nodes that hold real chunk bytes and serve reads
-//!   through a FIFO queue in virtual time.
+//!   through a [`FifoQueue`].
 //! * [`tier`] — [`LruTier`] (promotion, eviction, hit lookup, capacity
 //!   accounting, replication): the source of truth for LRU decisions shared
 //!   with the simulation engine.
-//! * [`cache`] — cache tiers: functional (coded chunks), exact (copies of
-//!   stored chunks), LRU replicated (Ceph's cache-tier baseline), or none.
+//! * [`cache`] — [`CachePolicy`], the one cache-policy type from run spec to
+//!   store, and the cache tier itself: functional (coded chunks), exact
+//!   (copies of stored chunks), LRU replicated (Ceph's cache-tier baseline),
+//!   or none.
 //! * [`handle`] — the erasure-coded object store itself, [`StoreHandle`]
 //!   (`Send + Sync`, clones share one cluster): `put` splits, encodes and
 //!   places chunks; `get` schedules chunk reads (respecting the cache),
@@ -64,16 +68,18 @@ pub mod cache;
 pub mod checksum;
 pub mod device;
 pub mod error;
+pub mod fifo;
 pub mod handle;
 pub mod node;
 pub mod placement;
 pub mod store;
 pub mod tier;
 
-pub use cache::CachePolicy;
+pub use cache::{CachePolicy, LRU_REPLICATION};
 pub use checksum::checksum64;
 pub use device::DeviceModel;
 pub use error::ClusterError;
+pub use fifo::FifoQueue;
 pub use handle::StoreHandle;
 pub use placement::{
     ClusterView, ObjectDesc, Placement, PlacementChoice, PlacementMap, RebalanceReport,

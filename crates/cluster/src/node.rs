@@ -6,20 +6,20 @@ use rand::Rng;
 use sprout_erasure::Chunk;
 
 use crate::device::DeviceModel;
+use crate::fifo::FifoQueue;
 
 /// A storage node (OSD): it owns a device, stores chunk payloads and serves
 /// read requests one at a time in FIFO order.
 ///
 /// Time is *virtual*: callers pass the arrival time of each read, and the
-/// node tracks when its device frees up (`busy_until`), so queueing delay
+/// node's [`FifoQueue`] tracks when its device frees up, so queueing delay
 /// emerges naturally without a real-time event loop.
 #[derive(Debug, Clone)]
 pub struct StorageNode {
     id: usize,
     device: DeviceModel,
     chunks: HashMap<(u64, usize), Chunk>,
-    busy_until: f64,
-    busy_time: f64,
+    queue: FifoQueue,
     reads_served: u64,
     online: bool,
 }
@@ -31,8 +31,7 @@ impl StorageNode {
             id,
             device,
             chunks: HashMap::new(),
-            busy_until: 0.0,
-            busy_time: 0.0,
+            queue: FifoQueue::default(),
             reads_served: 0,
             online: true,
         }
@@ -109,7 +108,7 @@ impl StorageNode {
     /// Queueing delay a request arriving at `now` would experience before its
     /// service starts.
     pub fn queue_delay(&self, now: f64) -> f64 {
-        (self.busy_until - now).max(0.0)
+        self.queue.queue_delay(now)
     }
 
     /// Serves a chunk read arriving at `now`.
@@ -132,14 +131,11 @@ impl StorageNode {
             return None;
         }
         let chunk = self.chunks.get(&(object, index))?.clone();
-        let start = self.busy_until.max(now);
         let service = self
             .device
             .service_distribution(chunk.len() as u64)
             .sample(rng);
-        let done = start + service;
-        self.busy_until = done;
-        self.busy_time += service;
+        let done = self.queue.serve(now, service);
         self.reads_served += 1;
         Some((chunk, done))
     }
@@ -151,11 +147,7 @@ impl StorageNode {
 
     /// Fraction of `[0, horizon]` the device spent serving reads.
     pub fn utilization(&self, horizon: f64) -> f64 {
-        if horizon <= 0.0 {
-            0.0
-        } else {
-            (self.busy_time / horizon).min(1.0)
-        }
+        self.queue.utilization(horizon)
     }
 }
 

@@ -308,7 +308,7 @@ mod tests {
 
     #[test]
     fn lru_cache_promotes_on_miss_and_hits_afterwards() {
-        let s = store(CachePolicy::ceph_baseline());
+        let s = store(CachePolicy::LruReplicated);
         let data = payload(4_000, 4);
         s.put(77, &data).unwrap();
         let miss = s.get(77, 0.0).unwrap();
@@ -395,7 +395,7 @@ mod tests {
 
     #[test]
     fn set_cached_chunks_requires_planned_policy_and_known_object() {
-        let s = store(CachePolicy::ceph_baseline());
+        let s = store(CachePolicy::LruReplicated);
         let data = payload(1_000, 9);
         s.put(1, &data).unwrap();
         assert!(matches!(

@@ -1,14 +1,14 @@
 //! The byte-accurate simulation backend: the event loop of `sprout_sim`
-//! driving the real store ([`StoreHandle`]).
+//! settling its requests on the real store ([`StoreHandle`]).
 //!
-//! The analytic backend treats chunks as abstract tokens; [`StoreBackend`]
-//! stores every object's actual coded bytes on the cluster substrate,
-//! installs the plan's functional (or exact) cache chunks, and — on every
-//! request, when the engine settles it at planning time — fetches exactly
-//! the chunks the engine scheduled, decodes them and verifies the
-//! reconstruction against the original payload. Degraded reads after
-//! scenario node failures therefore exercise the real erasure decoder, not
-//! a model of it.
+//! [`Simulation::run`](sprout_sim::Simulation::run) treats chunks as
+//! abstract tokens; [`StoreBackend`] stores every object's actual coded
+//! bytes on the cluster substrate, installs the plan's functional (or exact)
+//! cache chunks, and — on every request, when the engine settles it at
+//! planning time — fetches exactly the chunks the engine scheduled, decodes
+//! them and verifies the reconstruction against the original payload.
+//! Degraded reads after scenario node failures therefore exercise the real
+//! erasure decoder, not a model of it.
 //!
 //! For the Ceph-style LRU cache tier the engine's
 //! [`LruTier`](sprout_cluster::LruTier) is the single source of truth: the
@@ -19,19 +19,17 @@
 //! cached bytes, with the read latency sampled from the cluster's SSD cache
 //! device model.
 //!
-//! Planning randomness lives in the engine and service randomness in the
-//! backend, so an analytic run and a byte-accurate run with the same seed
-//! make identical chunk-source decisions — see the differential root test.
-//! Node service times come from the analytic backend's per-node streams, so
-//! they match too; only the SSD cache reads draw from a stream of their
-//! own.
+//! The engine owns the node model (queues, node service draws, online
+//! flags) and all planning randomness, so an analytic run and a
+//! byte-accurate run with the same seed make identical chunk-source
+//! decisions with identical node service times — see the differential root
+//! test. Only the SSD cache reads draw from a stream of the backend's own.
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use sprout_cluster::{CachePolicy, ClusterConfig, Kernel, StoreHandle};
+use sprout_cluster::{ClusterConfig, Kernel, StoreHandle};
 use sprout_erasure::Chunk;
-use sprout_queueing::dist::ServiceDistribution;
-use sprout_sim::{AnalyticBackend, CacheScheme, ChunkBackend, FinishedRequest};
+use sprout_sim::{CacheScheme, ChunkBackend, FinishedRequest};
 
 /// Default payload size for files whose spec declares `size_bytes = 0`
 /// (abstract-model specs that never touched bytes before).
@@ -41,12 +39,6 @@ pub const DEFAULT_OBJECT_BYTES: u64 = 4096;
 #[derive(Debug)]
 pub struct StoreBackend {
     store: StoreHandle,
-    /// Per-node service-time distributions shared with the analytic backend
-    /// (keeps the differential comparison tight).
-    service: Vec<ServiceDistribution>,
-    /// Per-node service-time streams, seeded as the analytic backend's
-    /// ([`AnalyticBackend::service_streams`]).
-    service_rngs: Vec<StdRng>,
     /// Cache-device read draws ([`ChunkBackend::sample_cache_read`]).
     rng: StdRng,
     originals: Vec<Vec<u8>>,
@@ -61,22 +53,10 @@ pub struct StoreBackend {
 }
 
 impl StoreBackend {
-    /// Builds a backend from an already-populated store. `dists` are the
-    /// per-node service-time distributions (usually the same ones the
-    /// analytic backend uses, so latency statistics stay comparable);
-    /// `originals[file]` is the payload written for file `file` (object id
-    /// `file as u64`), kept for reconstruction verification.
-    pub fn new(
-        store: StoreHandle,
-        dists: Vec<ServiceDistribution>,
-        originals: Vec<Vec<u8>>,
-        seed: u64,
-    ) -> Self {
-        assert_eq!(
-            dists.len(),
-            store.config().num_nodes,
-            "one service distribution per storage node"
-        );
+    /// Builds a backend from an already-populated store. `originals[file]` is
+    /// the payload written for file `file` (object id `file as u64`), kept
+    /// for reconstruction verification; `seed` feeds the cache-device reads.
+    pub fn new(store: StoreHandle, originals: Vec<Vec<u8>>, seed: u64) -> Self {
         let k = store.config().k.max(1);
         let chunk_lens = originals
             .iter()
@@ -84,8 +64,6 @@ impl StoreBackend {
             .collect();
         StoreBackend {
             store,
-            service_rngs: AnalyticBackend::service_streams(seed, dists.len()),
-            service: dists,
             rng: StdRng::seed_from_u64(seed ^ 0x570B_ACE0),
             originals,
             chunk_lens,
@@ -168,18 +146,6 @@ impl StoreBackend {
 impl ChunkBackend for StoreBackend {
     fn num_nodes(&self) -> usize {
         self.store.config().num_nodes
-    }
-
-    fn is_online(&self, node: usize) -> bool {
-        self.store.node(node).is_online()
-    }
-
-    fn set_node_online(&mut self, node: usize, online: bool) {
-        self.store.set_node_online(node, online);
-    }
-
-    fn sample_service(&mut self, node: usize) -> f64 {
-        self.service[node].sample(&mut self.service_rngs[node])
     }
 
     fn sample_cache_read(&mut self, file: usize, chunks: usize) -> Option<f64> {
@@ -311,22 +277,12 @@ pub fn populate_store(
     Ok(store)
 }
 
-/// Maps a facade cache-policy choice onto the cluster substrate's policy.
-pub fn cluster_policy_for(policy: crate::system::CachePolicyChoice) -> CachePolicy {
-    match policy {
-        crate::system::CachePolicyChoice::NoCache => CachePolicy::None,
-        crate::system::CachePolicyChoice::Functional => CachePolicy::Functional,
-        crate::system::CachePolicyChoice::Exact => CachePolicy::Exact,
-        crate::system::CachePolicyChoice::LruReplicated => CachePolicy::ceph_baseline(),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::spec::{FileConfig, SystemSpec};
-    use crate::system::{CachePolicyChoice, SproutSystem};
-    use sprout_sim::ChunkBackend;
+    use crate::system::SproutSystem;
+    use sprout_cluster::CachePolicy;
 
     fn byte_backend_for(object_bytes: u64) -> StoreBackend {
         let mut builder = SystemSpec::builder();
@@ -338,15 +294,13 @@ mod tests {
             builder.file(FileConfig::new(0.05, 4, 2, object_bytes));
         }
         let system = SproutSystem::new(builder.build().unwrap()).unwrap();
-        system
-            .byte_backend(CachePolicyChoice::NoCache, None, 5)
-            .unwrap()
+        system.byte_backend(CachePolicy::None, None, 5).unwrap()
     }
 
     #[test]
     fn planned_swap_onto_a_non_planned_store_is_counted_not_silent() {
         use sprout_sim::policy::SchedulingRule;
-        // Constructed with the NoCache cluster policy: a planned swap cannot
+        // Constructed with the no-cache store policy: a planned swap cannot
         // install chunks of the right kind, so it must clear the cache and
         // count an apply failure instead of erroring file by file.
         let mut backend = byte_backend_for(4096);
@@ -388,17 +342,5 @@ mod tests {
         assert_eq!(a, b);
         assert_ne!(a, c);
         assert_eq!(a.len(), 256);
-    }
-
-    #[test]
-    fn policy_mapping_covers_every_policy() {
-        use crate::system::CachePolicyChoice as C;
-        assert_eq!(cluster_policy_for(C::NoCache), CachePolicy::None);
-        assert_eq!(cluster_policy_for(C::Functional), CachePolicy::Functional);
-        assert_eq!(cluster_policy_for(C::Exact), CachePolicy::Exact);
-        assert_eq!(
-            cluster_policy_for(C::LruReplicated),
-            CachePolicy::ceph_baseline()
-        );
     }
 }

@@ -7,7 +7,8 @@
 //! rates well inside the stability region, a placement strategy, a cache
 //! policy) and a bounded random scenario
 //! (failures/recoveries that never take more than `nodes - n` hosts down at
-//! once, load waves, single-file spikes, re-optimization points), then runs
+//! once, load waves, single-file spikes, re-optimization points under the
+//! case's own policy wherever every file keeps `k` online hosts), then runs
 //! it twice: once on the analytic backend and once on the byte-accurate
 //! backend. The invariants:
 //!
@@ -22,6 +23,8 @@
 //! [`fuzz_case_seed`]`(b, i)`, so a CI failure line like `case 17 of base
 //! 0xSPROUT` replays locally with the same numbers.
 
+use std::collections::BTreeSet;
+
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use sprout_sim::{check_report, replication_seed, EngineBounds, InvariantViolation, SimConfig};
@@ -30,8 +33,8 @@ use crate::error::SproutError;
 use crate::scenario::{ScenarioActionSpec, ScenarioSpec};
 use crate::spec::{FileConfig, SystemSpec};
 use crate::sweep::SweepBackend;
-use crate::system::{CachePolicyChoice, SproutSystem};
-use sprout_cluster::PlacementChoice;
+use crate::system::SproutSystem;
+use sprout_cluster::{CachePolicy, PlacementChoice};
 
 /// The default base seed of the fuzzer (what `sprout-bench fuzz` runs
 /// without `--seed`, and the seed CI passes).
@@ -53,7 +56,7 @@ pub struct FuzzCase {
     /// The generated event stream.
     pub scenario: ScenarioSpec,
     /// The cache policy under test.
-    pub policy: CachePolicyChoice,
+    pub policy: CachePolicy,
     /// Run length and sampling parameters.
     pub config: SimConfig,
     /// Cap on concurrently in-flight requests for the bounds check.
@@ -218,10 +221,10 @@ impl ScenarioFuzzer {
         let policy = *pick(
             &mut rng,
             &[
-                CachePolicyChoice::Functional,
-                CachePolicyChoice::Exact,
-                CachePolicyChoice::LruReplicated,
-                CachePolicyChoice::NoCache,
+                CachePolicy::Functional,
+                CachePolicy::Exact,
+                CachePolicy::LruReplicated,
+                CachePolicy::None,
             ],
         );
 
@@ -274,10 +277,26 @@ impl ScenarioFuzzer {
                     file: rng.gen_range(0..num_files),
                     rate: per_file_chunk_rate / k as f64 * rng.gen_range(0.0..2.0),
                 },
-                4 if policy == CachePolicyChoice::Functional => ScenarioActionSpec::Reoptimize,
+                4 => ScenarioActionSpec::Reoptimize,
                 _ => continue,
             };
             scenario = scenario.at(at, action);
+        }
+        // Algorithm 1 has no plan for a file it cannot reconstruct, so keep
+        // re-optimization points only if no time can see more than n − k of
+        // a file's hosts down (events compile in time order, not this one).
+        let downed: BTreeSet<usize> = scenario
+            .events
+            .iter()
+            .filter_map(|e| match e.action {
+                ScenarioActionSpec::NodeDown { node } => Some(node),
+                _ => None,
+            })
+            .collect();
+        if downed.len() > n - k {
+            scenario
+                .events
+                .retain(|e| e.action != ScenarioActionSpec::Reoptimize);
         }
 
         FuzzCase {
@@ -336,13 +355,17 @@ impl ScenarioFuzzer {
             error: e,
         };
         let system = SproutSystem::new(case.spec.clone()).map_err(build)?;
-        let plan = match case.policy.requires_plan() {
+        let plan = match case.policy.is_planned() {
             true => Some(system.optimize().map_err(build)?),
             false => None,
         };
         let compiled = case
             .scenario
-            .compile(&system, &crate::optimizer::OptimizerConfig::default())
+            .compile(
+                &system,
+                case.policy,
+                &crate::optimizer::OptimizerConfig::default(),
+            )
             .map_err(build)?;
 
         let sim = system

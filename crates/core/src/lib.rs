@@ -34,7 +34,7 @@
 //! # Quickstart
 //!
 //! ```
-//! use sprout::{CachePolicyChoice, SystemSpec, SproutSystem};
+//! use sprout::{CachePolicy, SystemSpec, SproutSystem};
 //! use sprout_queueing::dist::ServiceDistribution;
 //!
 //! // Six heterogeneous storage nodes, eight files with a (4, 2) code.
@@ -50,7 +50,7 @@
 //! assert!(plan.cache_chunks_used() <= 8);
 //!
 //! // Validate by discrete-event simulation.
-//! let report = system.simulate(CachePolicyChoice::Functional, Some(&plan), 20_000.0, 7);
+//! let report = system.simulate(CachePolicy::Functional, Some(&plan), 20_000.0, 7);
 //! assert!(report.overall.mean <= plan.objective * 1.1 + 0.5);
 //! # Ok::<(), sprout::SproutError>(())
 //! ```
@@ -76,8 +76,8 @@ pub use loader::{LoadError, RunSpec, SimKnobs, SweepKnobs, SystemKnobs, TraceKno
 pub use scenario::{ScenarioActionSpec, ScenarioEventSpec, ScenarioSpec};
 pub use serve::{LatencyHistogram, ServeOpts, ServePlan, ServeReport, Sproutd};
 pub use spec::{FileConfig, SystemSpec, SystemSpecBuilder};
-pub use sprout_cluster::{ClusterView, Placement, PlacementChoice, RebalanceReport};
-pub use sweep::{policy_label, SimSweep, SweepBackend};
+pub use sprout_cluster::{CachePolicy, ClusterView, Placement, PlacementChoice, RebalanceReport};
+pub use sweep::{SimSweep, SweepBackend};
 pub use system::{CachePolicyChoice, PolicyComparison, SproutSystem};
 pub use timebins::{BinOutcome, CacheDelta, TimeBinManager};
 

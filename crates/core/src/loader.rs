@@ -22,8 +22,8 @@ use crate::error::SproutError;
 use crate::scenario::ScenarioSpec;
 use crate::spec::{SystemSpec, SystemSpecBuilder};
 use crate::sweep::{SimSweep, SweepBackend};
-use crate::system::{CachePolicyChoice, SproutSystem};
-use sprout_cluster::PlacementChoice;
+use crate::system::SproutSystem;
+use sprout_cluster::{CachePolicy, PlacementChoice};
 use sprout_sim::SimConfig;
 use sprout_workload::spec::MB;
 
@@ -233,7 +233,7 @@ impl SimKnobs {
 #[derive(Debug, Clone, PartialEq, Default, Deserialize)]
 pub struct SweepKnobs {
     /// Cache-policy axis.
-    pub policies: Option<Vec<CachePolicyChoice>>,
+    pub policies: Option<Vec<CachePolicy>>,
     /// Cache-size axis (chunks).
     pub cache_sizes: Option<Vec<usize>>,
     /// Load-multiplier axis.
@@ -564,7 +564,7 @@ at = 150.0
 action = "Reoptimize"
 
 [sweep]
-policies = ["Functional", "NoCache"]
+policies = ["Functional", "None"]
 load_points = [0.5, 1.0]
 replications = 2
 "#;
@@ -589,13 +589,30 @@ replications = 2
     {"at": 100.0, "action": {"ScaleRates": {"factor": 3.0}}},
     {"at": 150.0, "action": "Reoptimize"}
   ]},
-  "sweep": {"policies": ["Functional", "NoCache"], "load_points": [0.5, 1.0], "replications": 2}
+  "sweep": {"policies": ["Functional", "None"], "load_points": [0.5, 1.0], "replications": 2}
 }"#;
         assert_eq!(RunSpec::from_json_str(json).unwrap(), spec);
 
         // The sweep assembles and carries the declared axes.
         let sweep = spec.to_sweep(true).unwrap();
         assert_eq!(sweep.grid().cells().len(), 2 * 2);
+    }
+
+    #[test]
+    fn policies_load_every_cache_policy_variant() {
+        let spec = RunSpec::from_toml_str(&format!(
+            "{MINIMAL}\n[sweep]\npolicies = [\"Functional\", \"Exact\", \"LruReplicated\", \"None\"]\n"
+        ))
+        .unwrap();
+        assert_eq!(
+            spec.sweep.unwrap().policies,
+            Some(vec![
+                CachePolicy::Functional,
+                CachePolicy::Exact,
+                CachePolicy::LruReplicated,
+                CachePolicy::None,
+            ])
+        );
     }
 
     #[test]

@@ -3,18 +3,20 @@
 //! A [`ScenarioSpec`] describes *what happens* over a run — node failures
 //! and recoveries, arrival-rate shifts at time-bin boundaries, and
 //! re-optimization points — without committing to a cache plan.
-//! [`ScenarioSpec::compile`] lowers it onto a concrete system: every
+//! [`ScenarioSpec::compile`] lowers it onto a concrete system and the run's
+//! cache policy: under a planned policy every
 //! [`ScenarioActionSpec::Reoptimize`] runs Algorithm 1 (via the
 //! [`SproutSystem`] facade) against the arrival rates in force at that
 //! point and becomes an online plan swap in the resulting
 //! [`sprout_sim::Scenario`].
 
 use serde::Deserialize;
+use sprout_cluster::CachePolicy;
 use sprout_optimizer::OptimizerConfig;
 use sprout_sim::{Scenario, ScenarioAction};
 
 use crate::error::SproutError;
-use crate::system::{CachePolicyChoice, SproutSystem};
+use crate::system::SproutSystem;
 
 /// One high-level action.
 #[derive(Debug, Clone, PartialEq, Deserialize)]
@@ -49,7 +51,8 @@ pub enum ScenarioActionSpec {
         factor: f64,
     },
     /// Re-run the optimizer against the rates in force at this point and
-    /// swap the resulting functional-caching plan in online.
+    /// swap the resulting plan in online, under the run's own policy. A
+    /// no-op under a policy without a plan (no cache, LRU).
     Reoptimize,
 }
 
@@ -86,9 +89,11 @@ impl ScenarioSpec {
         self
     }
 
-    /// Lowers the description onto a system: validates indices, tracks the
-    /// arrival rates in force, and turns every [`ScenarioActionSpec::Reoptimize`]
-    /// into a concrete plan swap computed by Algorithm 1.
+    /// Lowers the description onto a system run under `policy`: validates
+    /// indices, tracks the arrival rates in force, and turns every
+    /// [`ScenarioActionSpec::Reoptimize`] into a plan swap of `policy`'s kind
+    /// computed by Algorithm 1. An unplanned policy has nothing to re-plan,
+    /// so its `Reoptimize` points compile to no event.
     ///
     /// # Errors
     ///
@@ -98,6 +103,7 @@ impl ScenarioSpec {
     pub fn compile(
         &self,
         system: &SproutSystem,
+        policy: CachePolicy,
         optimizer: &OptimizerConfig,
     ) -> Result<Scenario, SproutError> {
         let num_nodes = system.spec().node_services.len();
@@ -195,6 +201,7 @@ impl ScenarioSpec {
                         rates: rates.clone(),
                     }
                 }
+                ScenarioActionSpec::Reoptimize if !policy.is_planned() => continue,
                 ScenarioActionSpec::Reoptimize => {
                     // Failure-aware: nodes down at this point in the event
                     // order are excluded from the recompiled plan, so the
@@ -202,7 +209,7 @@ impl ScenarioSpec {
                     let current = system.with_arrival_rates(&rates)?;
                     let excluded: Vec<usize> = down.iter().copied().collect();
                     let plan = current.optimize_excluding(optimizer, &excluded)?;
-                    let scheme = current.cache_scheme(CachePolicyChoice::Functional, Some(&plan));
+                    let scheme = current.cache_scheme(policy, Some(&plan));
                     ScenarioAction::SwapScheme { scheme }
                 }
             };
@@ -231,6 +238,11 @@ mod tests {
         SproutSystem::new(spec).unwrap()
     }
 
+    /// Compiles `spec` for a functional-caching run of `sys`.
+    fn compile(spec: &ScenarioSpec, sys: &SproutSystem) -> Result<Scenario, SproutError> {
+        spec.compile(sys, CachePolicy::Functional, &OptimizerConfig::default())
+    }
+
     #[test]
     fn compile_orders_events_and_lowers_reoptimize_to_a_plan_swap() {
         let sys = system();
@@ -244,7 +256,7 @@ mod tests {
             )
             .at(50.0, ScenarioActionSpec::NodeDown { node: 1 })
             .at(300.0, ScenarioActionSpec::NodeUp { node: 1 });
-        let scenario = spec.compile(&sys, &OptimizerConfig::default()).unwrap();
+        let scenario = compile(&spec, &sys).unwrap();
         let times: Vec<f64> = scenario.events().iter().map(|e| e.at).collect();
         assert_eq!(times, vec![50.0, 150.0, 200.0, 300.0]);
         // The reoptimize point swaps in a functional scheme reflecting the
@@ -264,13 +276,32 @@ mod tests {
     }
 
     #[test]
+    fn reoptimize_replans_under_the_runs_own_policy() {
+        let sys = system();
+        let spec = ScenarioSpec::named("replan").at(10.0, ScenarioActionSpec::Reoptimize);
+        let events = |policy| {
+            let scenario = spec.compile(&sys, policy, &OptimizerConfig::default());
+            scenario.unwrap().events().to_vec()
+        };
+        assert!(matches!(
+            events(CachePolicy::Exact)[0].action,
+            ScenarioAction::SwapScheme {
+                scheme: sprout_sim::CacheScheme::Exact { .. }
+            }
+        ));
+        // Nothing to re-plan without a plan: the point compiles to no event.
+        assert!(events(CachePolicy::None).is_empty());
+        assert!(events(CachePolicy::LruReplicated).is_empty());
+    }
+
+    #[test]
     fn scale_and_single_file_rates_lower_onto_the_tracked_rate_vector() {
         let sys = system();
         let spec = ScenarioSpec::named("wave")
             .at(10.0, ScenarioActionSpec::ScaleRates { factor: 2.0 })
             .at(20.0, ScenarioActionSpec::SetFileRate { file: 1, rate: 0.5 })
             .at(30.0, ScenarioActionSpec::ScaleRates { factor: 0.5 });
-        let scenario = spec.compile(&sys, &OptimizerConfig::default()).unwrap();
+        let scenario = compile(&spec, &sys).unwrap();
         match &scenario.events()[0].action {
             ScenarioAction::SetRates { rates } => {
                 assert!(rates.iter().all(|&r| (r - 0.08).abs() < 1e-12));
@@ -300,10 +331,10 @@ mod tests {
                 rate: 0.1,
             },
         );
-        assert!(bad_file.compile(&sys, &OptimizerConfig::default()).is_err());
+        assert!(compile(&bad_file, &sys).is_err());
         for factor in [-1.0, f64::NAN, f64::INFINITY] {
             let bad = ScenarioSpec::named("x").at(1.0, ScenarioActionSpec::ScaleRates { factor });
-            assert!(bad.compile(&sys, &OptimizerConfig::default()).is_err());
+            assert!(compile(&bad, &sys).is_err());
         }
     }
 
@@ -312,7 +343,7 @@ mod tests {
         let sys = system();
         let bad_node = ScenarioSpec::named("x").at(1.0, ScenarioActionSpec::NodeDown { node: 17 });
         assert!(matches!(
-            bad_node.compile(&sys, &OptimizerConfig::default()),
+            compile(&bad_node, &sys),
             Err(SproutError::InvalidSpec(_))
         ));
         let bad_rates = ScenarioSpec::named("y").at(
@@ -322,18 +353,18 @@ mod tests {
             },
         );
         assert!(matches!(
-            bad_rates.compile(&sys, &OptimizerConfig::default()),
+            compile(&bad_rates, &sys),
             Err(SproutError::InvalidSpec(_))
         ));
         // A loadable spec with a bad time must error, not panic.
         let bad_time = ScenarioSpec::named("z").at(-5.0, ScenarioActionSpec::NodeDown { node: 0 });
         assert!(matches!(
-            bad_time.compile(&sys, &OptimizerConfig::default()),
+            compile(&bad_time, &sys),
             Err(SproutError::InvalidSpec(_))
         ));
         let nan_time = ScenarioSpec::named("w").at(f64::NAN, ScenarioActionSpec::Reoptimize);
         assert!(matches!(
-            nan_time.compile(&sys, &OptimizerConfig::default()),
+            compile(&nan_time, &sys),
             Err(SproutError::InvalidSpec(_))
         ));
         // Negative or NaN rates must also error rather than panic downstream.
@@ -345,7 +376,7 @@ mod tests {
                 },
             );
             assert!(matches!(
-                bad_rate.compile(&sys, &OptimizerConfig::default()),
+                compile(&bad_rate, &sys),
                 Err(SproutError::InvalidSpec(_))
             ));
         }

@@ -80,21 +80,19 @@ impl ServeOpts {
 }
 
 /// A cache plan as served: the per-object cached-chunk counts the swap
-/// installs, plus a label for reporting.
+/// installs.
 #[derive(Debug, Clone)]
 pub struct ServePlan {
     /// `cached_chunks[i]` chunks of object `i` live in the cache tier.
     pub cached_chunks: Vec<usize>,
-    /// Human-readable provenance (e.g. `"optimizer t=30s"`).
-    pub label: String,
 }
 
 impl ServePlan {
-    /// Wraps an optimizer [`CachePlan`]'s cached-chunk counts.
-    pub fn from_cache_plan(plan: &CachePlan, label: impl Into<String>) -> Self {
+    /// Wraps an optimizer [`CachePlan`]'s cached-chunk counts. The label is
+    /// unused; the parameter stays while `benchmark/` still passes one.
+    pub fn from_cache_plan(plan: &CachePlan, _label: impl Into<String>) -> Self {
         ServePlan {
             cached_chunks: plan.cached_chunks.clone(),
-            label: label.into(),
         }
     }
 }
@@ -774,7 +772,6 @@ mod tests {
             if round == 10 {
                 let plan = ServePlan {
                     cached_chunks: vec![2; objects as usize],
-                    label: "mid-run".into(),
                 };
                 assert_eq!(daemon.swap_plan(plan).unwrap(), 1);
             }

@@ -7,8 +7,9 @@
 //!
 //! 1. rescales the base spec to its cache size and load point,
 //! 2. runs Algorithm 1 when the cell's policy needs a plan,
-//! 3. compiles its [`ScenarioSpec`] against the rescaled system (so
-//!    `Reoptimize` events see the cell's own rates), and
+//! 3. compiles its [`ScenarioSpec`] against the rescaled system and the
+//!    cell's policy (so `Reoptimize` events re-plan the cell's own rates
+//!    under its own policy), and
 //! 4. runs its replications — on the analytic backend, or byte-accurately on
 //!    a real [`StoreBackend`](crate::backend::StoreBackend) with per-request
 //!    decode verification.
@@ -22,7 +23,7 @@
 
 use std::sync::OnceLock;
 
-use sprout_cluster::{ClusterView, PlacementChoice, RebalanceReport};
+use sprout_cluster::{CachePolicy, ClusterView, PlacementChoice, RebalanceReport};
 use sprout_optimizer::{CachePlan, OptimizerConfig};
 use sprout_sim::sweep::{Sample, SweepCell, SweepGrid, SweepReport, SweepTimings};
 use sprout_sim::{SimConfig, SimReport, Simulation};
@@ -30,7 +31,7 @@ use sprout_sim::{SimConfig, SimReport, Simulation};
 use crate::error::SproutError;
 use crate::scenario::{ScenarioActionSpec, ScenarioSpec};
 use crate::spec::SystemSpec;
-use crate::system::{CachePolicyChoice, SproutSystem};
+use crate::system::SproutSystem;
 
 /// Which chunk-service backend a sweep cell runs on.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, serde::Deserialize)]
@@ -52,16 +53,6 @@ impl SweepBackend {
     }
 }
 
-/// The axis label of a cache policy.
-pub fn policy_label(policy: CachePolicyChoice) -> &'static str {
-    match policy {
-        CachePolicyChoice::Functional => "functional",
-        CachePolicyChoice::Exact => "exact",
-        CachePolicyChoice::LruReplicated => "lru",
-        CachePolicyChoice::NoCache => "no_cache",
-    }
-}
-
 /// A declarative scenario/policy/cache/load/backend sweep over one base
 /// system. See the [module docs](self).
 #[derive(Debug, Clone)]
@@ -71,7 +62,7 @@ pub struct SimSweep {
     config: SimConfig,
     optimizer: OptimizerConfig,
     scenarios: Vec<ScenarioSpec>,
-    policies: Vec<CachePolicyChoice>,
+    policies: Vec<CachePolicy>,
     cache_sizes: Vec<usize>,
     load_points: Vec<f64>,
     backends: Vec<SweepBackend>,
@@ -91,7 +82,7 @@ pub struct SimSweep {
 struct CellContext {
     sim: Simulation,
     plan: Option<CachePlan>,
-    policy: CachePolicyChoice,
+    policy: CachePolicy,
     /// The (possibly size-rescaled) system to build byte backends from;
     /// `None` for analytic cells.
     byte_system: Option<SproutSystem>,
@@ -113,7 +104,7 @@ impl SimSweep {
             config,
             optimizer: OptimizerConfig::default(),
             scenarios: vec![ScenarioSpec::named("steady")],
-            policies: vec![CachePolicyChoice::Functional],
+            policies: vec![CachePolicy::Functional],
             cache_sizes: vec![system.spec().cache_capacity_chunks],
             load_points: vec![1.0],
             backends: vec![SweepBackend::Analytic],
@@ -143,7 +134,7 @@ impl SimSweep {
     }
 
     /// Sets the cache-policy axis.
-    pub fn policies(mut self, policies: Vec<CachePolicyChoice>) -> Self {
+    pub fn policies(mut self, policies: Vec<CachePolicy>) -> Self {
         assert!(!policies.is_empty(), "policy axis must not be empty");
         self.policies = policies;
         self
@@ -236,7 +227,7 @@ impl SimSweep {
         if let Some(placements) = &self.placements {
             grid = grid.axis("placement", placements.iter().map(|p| p.label()));
         }
-        grid.axis("policy", self.policies.iter().map(|&p| policy_label(p)))
+        grid.axis("policy", self.policies.iter().map(CachePolicy::label))
             .axis(
                 "cache_chunks",
                 self.cache_sizes.iter().map(|c| c.to_string()),
@@ -349,12 +340,12 @@ impl SimSweep {
             spec.placement = placements[cell.idx("placement")].clone();
         }
         let system = SproutSystem::new(spec)?;
-        let plan = if policy.requires_plan() {
+        let plan = if policy.is_planned() {
             Some(system.optimize_with(&self.optimizer)?)
         } else {
             None
         };
-        let scenario = scenario_spec.compile(&system, &self.optimizer)?;
+        let scenario = scenario_spec.compile(&system, policy, &self.optimizer)?;
         let sim = system
             .simulation(policy, plan.as_ref(), self.config)
             .with_scenario(scenario);
@@ -503,10 +494,7 @@ mod tests {
                 ScenarioSpec::named("steady"),
                 ScenarioSpec::named("churn").at(50.0, ScenarioActionSpec::NodeDown { node: 0 }),
             ])
-            .policies(vec![
-                CachePolicyChoice::Functional,
-                CachePolicyChoice::NoCache,
-            ])
+            .policies(vec![CachePolicy::Functional, CachePolicy::None])
             .cache_sizes(vec![2, 6])
             .load_points(vec![0.5, 1.0])
             .backends(vec![SweepBackend::Analytic, SweepBackend::Byte]);
@@ -626,10 +614,7 @@ mod tests {
     fn sweep_runs_and_reports_cells_with_standard_metrics() {
         let system = small_system();
         let report = SimSweep::new("small", &system, SimConfig::new(3_000.0, 7))
-            .policies(vec![
-                CachePolicyChoice::Functional,
-                CachePolicyChoice::NoCache,
-            ])
+            .policies(vec![CachePolicy::Functional, CachePolicy::None])
             .cache_sizes(vec![2, 6])
             .replications(2)
             .run(4)
@@ -729,7 +714,7 @@ mod tests {
         // asserts verified == completed and zero mirror failures).
         let system = small_system();
         let report = SimSweep::new("lru", &system, SimConfig::new(2_000.0, 9))
-            .policies(vec![CachePolicyChoice::LruReplicated])
+            .policies(vec![CachePolicy::LruReplicated])
             .backends(vec![SweepBackend::Analytic, SweepBackend::Byte])
             .byte_object_bytes(2 * 1024)
             .run(2)

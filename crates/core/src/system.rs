@@ -1,7 +1,6 @@
 //! The [`SproutSystem`] facade: optimize → analyze → simulate.
 
-use serde::Deserialize;
-use sprout_cluster::{ClusterView, ObjectDesc, RebalanceReport};
+use sprout_cluster::{CachePolicy, ClusterView, ObjectDesc, RebalanceReport};
 use sprout_optimizer::{CachePlan, FileModel, Optimizer, OptimizerConfig, StorageModel};
 use sprout_sim::policy::SchedulingRule;
 use sprout_sim::{CacheScheme, SimConfig, SimFile, SimReport, Simulation};
@@ -9,29 +8,9 @@ use sprout_sim::{CacheScheme, SimConfig, SimFile, SimReport, Simulation};
 use crate::error::SproutError;
 use crate::spec::SystemSpec;
 
-/// Which caching policy to evaluate.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Deserialize)]
-pub enum CachePolicyChoice {
-    /// Sprout's functional caching with the optimized plan.
-    Functional,
-    /// Exact caching: the same per-file cache counts, but the cached chunks
-    /// are copies of stored chunks, so their host nodes cannot serve reads.
-    Exact,
-    /// Ceph's baseline: an LRU cache tier with dual replication.
-    LruReplicated,
-    /// No cache.
-    NoCache,
-}
-
-impl CachePolicyChoice {
-    /// Whether this policy needs an optimized [`CachePlan`] to simulate.
-    pub fn requires_plan(&self) -> bool {
-        matches!(
-            self,
-            CachePolicyChoice::Functional | CachePolicyChoice::Exact
-        )
-    }
-}
+/// The former name of [`CachePolicy`], kept while `benchmark/` still names
+/// it.
+pub type CachePolicyChoice = CachePolicy;
 
 /// Simulated latency of every policy on the same workload, plus the analytic
 /// bound for the functional plan — the comparison behind Figs. 10 and 11.
@@ -260,7 +239,7 @@ impl SproutSystem {
     }
 
     /// Simulates the system under the given policy. `plan` is required for
-    /// [`CachePolicyChoice::Functional`] and [`CachePolicyChoice::Exact`];
+    /// [`CachePolicy::Functional`] and [`CachePolicy::Exact`];
     /// it is ignored by the other policies.
     ///
     /// # Panics
@@ -268,7 +247,7 @@ impl SproutSystem {
     /// Panics if a plan is required but not supplied.
     pub fn simulate(
         &self,
-        policy: CachePolicyChoice,
+        policy: CachePolicy,
         plan: Option<&CachePlan>,
         horizon: f64,
         seed: u64,
@@ -284,7 +263,7 @@ impl SproutSystem {
     /// Panics if a plan is required but not supplied.
     pub fn simulate_with_config(
         &self,
-        policy: CachePolicyChoice,
+        policy: CachePolicy,
         plan: Option<&CachePlan>,
         config: SimConfig,
     ) -> SimReport {
@@ -301,7 +280,7 @@ impl SproutSystem {
     /// Panics if a plan is required but not supplied.
     pub fn simulation(
         &self,
-        policy: CachePolicyChoice,
+        policy: CachePolicy,
         plan: Option<&CachePlan>,
         config: SimConfig,
     ) -> Simulation {
@@ -324,7 +303,7 @@ impl SproutSystem {
     /// built by [`SproutSystem::simulation`] for the same policy and plan.
     ///
     /// Every policy is supported, including
-    /// [`CachePolicyChoice::LruReplicated`]: the engine's LRU tier decides
+    /// [`CachePolicy::LruReplicated`]: the engine's LRU tier decides
     /// hits, promotions and evictions and mirrors them into the store, whose
     /// cache then serves (and decode-verifies) the hit requests from real
     /// data chunks.
@@ -339,16 +318,14 @@ impl SproutSystem {
     /// a required plan is missing; propagates cluster and coding errors.
     pub fn byte_backend(
         &self,
-        policy: CachePolicyChoice,
+        policy: CachePolicy,
         plan: Option<&CachePlan>,
         seed: u64,
     ) -> Result<crate::backend::StoreBackend, SproutError> {
         use crate::backend::{
-            cluster_policy_for, populate_store, synthetic_payload, StoreBackend,
-            DEFAULT_OBJECT_BYTES,
+            populate_store, synthetic_payload, StoreBackend, DEFAULT_OBJECT_BYTES,
         };
 
-        let cluster_policy = cluster_policy_for(policy);
         let first = &self.spec.files[0];
         let (n, k) = (first.n, first.k);
         if !self.spec.files.iter().all(|f| f.n == n && f.k == k) {
@@ -356,7 +333,7 @@ impl SproutSystem {
                 "the byte-accurate backend requires a uniform (n, k) across files".into(),
             ));
         }
-        if policy.requires_plan() && plan.is_none() {
+        if policy.is_planned() && plan.is_none() {
             return Err(SproutError::InvalidSpec(format!(
                 "policy {policy:?} requires an optimized plan"
             )));
@@ -382,7 +359,7 @@ impl SproutSystem {
             // decided by the engine's tier and mirrored in (so this value is
             // accounting, not admission), but it keeps the store's
             // used-bytes figure honest against the spec's budget.
-            CachePolicyChoice::LruReplicated => {
+            CachePolicy::LruReplicated => {
                 let max_chunk = payloads
                     .iter()
                     .map(|p| p.len().div_ceil(k) as u64)
@@ -399,47 +376,42 @@ impl SproutSystem {
             .nodes(self.spec.node_services.len())
             .code(n, k)
             .uniform_device(sprout_cluster::DeviceModel::ssd())
-            .cache_policy(cluster_policy)
+            .cache_policy(policy)
             .cache_capacity_bytes(cache_capacity_bytes)
             .seed(self.spec.seed)
             .build();
         let plan_counts = plan.map(|p| p.cached_chunks.as_slice());
         let store = populate_store(config, &self.placements, &payloads, plan_counts)?;
-        Ok(StoreBackend::new(
-            store,
-            self.spec.node_services.clone(),
-            payloads,
-            seed,
-        ))
+        Ok(StoreBackend::new(store, payloads, seed))
     }
 
     /// Simulates all four policies on the same workload and reports the
     /// comparison (plus the analytic bound of the supplied functional plan).
     pub fn compare_policies(&self, plan: &CachePlan, horizon: f64, seed: u64) -> PolicyComparison {
         PolicyComparison {
-            functional: self.simulate(CachePolicyChoice::Functional, Some(plan), horizon, seed),
-            exact: self.simulate(CachePolicyChoice::Exact, Some(plan), horizon, seed),
-            lru: self.simulate(CachePolicyChoice::LruReplicated, None, horizon, seed),
-            no_cache: self.simulate(CachePolicyChoice::NoCache, None, horizon, seed),
+            functional: self.simulate(CachePolicy::Functional, Some(plan), horizon, seed),
+            exact: self.simulate(CachePolicy::Exact, Some(plan), horizon, seed),
+            lru: self.simulate(CachePolicy::LruReplicated, None, horizon, seed),
+            no_cache: self.simulate(CachePolicy::None, None, horizon, seed),
             analytic_bound: plan.objective,
         }
     }
 
-    /// The engine-level [`CacheScheme`] a policy choice resolves to. `plan`
-    /// is required for [`CachePolicyChoice::Functional`] and
-    /// [`CachePolicyChoice::Exact`]; it is ignored by the other policies.
-    /// Used directly when building scenario plan swaps.
+    /// The engine-level [`CacheScheme`] a policy resolves to. `plan` is
+    /// required for [`CachePolicy::Functional`] and [`CachePolicy::Exact`];
+    /// it is ignored by the other policies. Used directly when building
+    /// scenario plan swaps.
     ///
     /// # Panics
     ///
     /// Panics if a plan is required but not supplied.
-    pub fn cache_scheme(&self, policy: CachePolicyChoice, plan: Option<&CachePlan>) -> CacheScheme {
+    pub fn cache_scheme(&self, policy: CachePolicy, plan: Option<&CachePlan>) -> CacheScheme {
         match policy {
-            CachePolicyChoice::NoCache => CacheScheme::NoCache,
-            CachePolicyChoice::LruReplicated => {
-                CacheScheme::ceph_lru(self.spec.cache_capacity_chunks)
-            }
-            CachePolicyChoice::Functional => {
+            CachePolicy::None => CacheScheme::NoCache,
+            CachePolicy::LruReplicated => CacheScheme::LruReplicated {
+                capacity_chunks: self.spec.cache_capacity_chunks,
+            },
+            CachePolicy::Functional => {
                 let plan = plan.expect("the functional policy requires an optimized plan");
                 CacheScheme::Functional {
                     cached_chunks: plan.cached_chunks.clone(),
@@ -447,7 +419,7 @@ impl SproutSystem {
                     rule: SchedulingRule::Probabilistic,
                 }
             }
-            CachePolicyChoice::Exact => {
+            CachePolicy::Exact => {
                 let plan = plan.expect("the exact policy requires an optimized plan");
                 // Exact caching pins copies of the first d_i chunks; the
                 // remaining reads spread uniformly over the other hosts.
@@ -498,7 +470,7 @@ mod tests {
         let system = small_system();
         let plan = system.optimize().unwrap();
         assert!(plan.cache_chunks_used() <= 6);
-        let report = system.simulate(CachePolicyChoice::Functional, Some(&plan), 30_000.0, 1);
+        let report = system.simulate(CachePolicy::Functional, Some(&plan), 30_000.0, 1);
         assert!(report.completed_requests > 100);
         // The analytic objective is an upper bound on the simulated mean.
         assert!(plan.objective >= report.overall.mean * 0.9);
@@ -534,6 +506,6 @@ mod tests {
     #[should_panic(expected = "requires an optimized plan")]
     fn functional_simulation_without_plan_panics() {
         let system = small_system();
-        let _ = system.simulate(CachePolicyChoice::Functional, None, 100.0, 0);
+        let _ = system.simulate(CachePolicy::Functional, None, 100.0, 0);
     }
 }

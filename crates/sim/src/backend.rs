@@ -1,43 +1,18 @@
-//! Pluggable chunk-service backends for the simulation engine.
+//! The byte-settlement seam of the simulation engine.
 //!
-//! The engine owns everything that decides *which* chunks serve a request —
-//! streaming arrivals, cache planning, probabilistic scheduling, per-node
-//! FIFO queues — while a [`ChunkBackend`] supplies what actually *happens*
-//! when a node serves a chunk: how long the read takes, whether the node is
-//! online, and (for byte-accurate backends) whether the gathered chunks
-//! really reconstruct the object.
+//! The engine owns the whole model: arrivals, cache planning, scheduling,
+//! and every storage node (FIFO queue, service-time stream, online flag). A
+//! [`ChunkBackend`] settles only what the model cannot — whether the chosen
+//! chunks really reconstruct the object, cache-device read times, and the
+//! byte-level mirror of the engine's cache decisions — in the arrival's
+//! step, against the cache contents the request was planned with.
 //!
-//! The engine settles each request when it plans it: FIFO node queues fix
-//! every read's finish time at queueing, so the service draws, the latency
-//! and the byte-level [`ChunkBackend::finish_request`] all happen in the
-//! arrival's step, against the cache contents the request was planned with.
-//!
-//! Two implementations exist:
-//!
-//! * [`AnalyticBackend`] (here) — the original model: each node is a service
-//!   distribution; chunks are abstract. This is the fast path used for the
-//!   paper's latency experiments.
-//! * `StoreBackend` (in the `sprout` facade crate) — drives the real
-//!   store (`StoreHandle`): actual coded bytes, degraded reads after node
-//!   failures, cache contents, and a decode + verify on every completed
-//!   request.
-//!
-//! Planning draws come from the engine's own RNG and service draws from the
-//! backend's, so two backends given the same seed make **identical
-//! chunk-source decisions** — the differential-testing hook the byte-accurate
-//! backend exists for.
-//!
-//! [`AnalyticBackend`] keeps one service RNG **per node**, seeded from
-//! `(seed, node)` only ([`AnalyticBackend::service_streams`], which the
-//! byte-accurate backend draws its node service from too). A node's
-//! service-time stream therefore depends only on that node's own sequence
-//! of chunk reads — never on what other nodes serve, i.e. it is independent
-//! of the event interleaving — and two backends on one seed give every node
-//! the same service times.
-
-use rand::rngs::StdRng;
-use rand::SeedableRng;
-use sprout_queueing::dist::ServiceDistribution;
+//! [`Simulation::run`](crate::Simulation::run) settles nothing (every
+//! default hook applies); `StoreBackend` (in the `sprout` facade crate)
+//! settles on the real store: coded bytes, degraded reads and a decode +
+//! verify per request. All planning and node service draws are the engine's,
+//! so both make **identical chunk-source decisions** on one seed — the
+//! differential-testing hook the byte-accurate backend exists for.
 
 use crate::policy::CacheScheme;
 
@@ -53,23 +28,10 @@ pub struct FinishedRequest<'a> {
     pub storage_nodes: &'a [usize],
 }
 
-/// The service substrate behind the event loop.
+/// The byte-level substrate behind the event loop.
 pub trait ChunkBackend {
-    /// Number of storage nodes.
+    /// Number of storage nodes (checked against the simulation's).
     fn num_nodes(&self) -> usize;
-
-    /// Whether `node` currently accepts chunk reads.
-    fn is_online(&self, node: usize) -> bool;
-
-    /// Marks a node failed (`false`) or recovered (`true`). Reads already
-    /// queued on a failing node still finish at their queued times; the
-    /// planner just stops selecting it.
-    fn set_node_online(&mut self, node: usize, online: bool);
-
-    /// Service time of one chunk read on `node` (seconds). Drawn
-    /// from the backend's own RNG so planning decisions stay
-    /// backend-independent.
-    fn sample_service(&mut self, node: usize) -> f64;
 
     /// Settles a request. The engine calls it when it plans the request,
     /// right after queueing its reads (whose finish times are then known),
@@ -84,8 +46,8 @@ pub trait ChunkBackend {
     /// Latency of serving `chunks` cache chunks of `file`, or `None` to fall
     /// back to the engine's configured constant cache-read latency. Byte
     /// backends sample their cache device model (the SSD of Table V) here,
-    /// from their own RNG — like [`ChunkBackend::sample_service`], this never
-    /// influences the engine's planning decisions.
+    /// from their own RNG, so it never influences the engine's planning
+    /// decisions or node service draws.
     fn sample_cache_read(&mut self, file: usize, chunks: usize) -> Option<f64> {
         let _ = (file, chunks);
         None
@@ -112,104 +74,13 @@ pub trait ChunkBackend {
     }
 }
 
-/// The analytic backend: nodes are service-time distributions, chunks are
-/// abstract, reconstruction always succeeds.
-#[derive(Debug, Clone)]
-pub struct AnalyticBackend {
-    dists: Vec<ServiceDistribution>,
-    online: Vec<bool>,
-    /// One decorrelated RNG stream per node, so a node's service draws are a
-    /// function of its own read sequence alone (independent of event
-    /// interleaving).
-    rngs: Vec<StdRng>,
-}
-
-impl AnalyticBackend {
-    /// Creates a backend over per-node service distributions. `seed` feeds
-    /// the per-node service-time RNG streams (the engine derives it from the
-    /// run seed).
-    pub fn new(dists: Vec<ServiceDistribution>, seed: u64) -> Self {
-        AnalyticBackend {
-            online: vec![true; dists.len()],
-            rngs: Self::service_streams(seed, dists.len()),
-            dists,
-        }
-    }
-
-    /// The per-node service-time RNG streams for run seed `seed`, one per
-    /// node, each seeded from `(seed, node)` only. Byte-accurate backends
-    /// draw node service from these same streams, so on one seed every
-    /// backend's node service times are the same floats.
-    pub fn service_streams(seed: u64, nodes: usize) -> Vec<StdRng> {
-        (0..nodes)
-            .map(|node| StdRng::seed_from_u64(crate::engine::service_seed(seed, node)))
-            .collect()
-    }
-}
-
-impl ChunkBackend for AnalyticBackend {
-    fn num_nodes(&self) -> usize {
-        self.dists.len()
-    }
-
-    fn is_online(&self, node: usize) -> bool {
-        self.online[node]
-    }
-
-    fn set_node_online(&mut self, node: usize, online: bool) {
-        self.online[node] = online;
-    }
-
-    fn sample_service(&mut self, node: usize) -> f64 {
-        self.dists[node].sample(&mut self.rngs[node])
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
-    fn analytic_backend_tracks_online_state() {
-        let mut b = AnalyticBackend::new(vec![ServiceDistribution::exponential(1.0); 3], 1);
-        assert_eq!(b.num_nodes(), 3);
-        assert!(b.is_online(2));
-        b.set_node_online(2, false);
-        assert!(!b.is_online(2));
-        b.set_node_online(2, true);
-        assert!(b.is_online(2));
-    }
-
-    #[test]
-    fn service_samples_are_positive_and_seed_deterministic() {
-        let mut a = AnalyticBackend::new(vec![ServiceDistribution::exponential(0.5); 2], 9);
-        let mut b = AnalyticBackend::new(vec![ServiceDistribution::exponential(0.5); 2], 9);
-        for _ in 0..100 {
-            let s = a.sample_service(0);
-            assert!(s > 0.0);
-            assert_eq!(s, b.sample_service(0));
-        }
-    }
-
-    #[test]
-    fn per_node_service_streams_are_independent() {
-        // Interleaving reads on other nodes must not perturb a node's own
-        // service-time stream.
-        let dists = vec![ServiceDistribution::exponential(0.5); 3];
-        let mut solo = AnalyticBackend::new(dists.clone(), 77);
-        let mut mixed = AnalyticBackend::new(dists, 77);
-        for i in 0..50 {
-            if i % 2 == 0 {
-                mixed.sample_service(1);
-                mixed.sample_service(2);
-            }
-            assert_eq!(solo.sample_service(0), mixed.sample_service(0));
-        }
-    }
-
-    #[test]
     fn default_finish_request_always_succeeds() {
-        let mut b = AnalyticBackend::new(vec![ServiceDistribution::exponential(1.0)], 0);
+        let mut b = crate::engine::Abstract(1);
         assert!(b.finish_request(FinishedRequest {
             file: 0,
             cache_chunks: 1,

@@ -9,16 +9,16 @@
 //!   the high-water mark as a regression guard.
 //! * **Requests settle at arrival** — each storage node is a FIFO queue
 //!   without preemption, so a chunk read's finish time is fixed when it is
-//!   queued: `done = max(now, busy_until) + service` (Lindley's recursion,
-//!   the same float operations as the cluster's `StorageNode::read`). The
-//!   engine plans a request, queues its reads, and records its latency —
-//!   the slowest read, or the cache read — in the same step; no
-//!   per-chunk completion event exists.
-//! * **Pluggable backends** — everything that decides *which* chunks serve a
-//!   request lives in the runtime; what a chunk read *costs* (and, for
-//!   byte-accurate backends, the actual bytes) is delegated to a
-//!   [`ChunkBackend`]. Planning and service randomness are decoupled, so two
-//!   backends on the same seed make identical chunk-source decisions.
+//!   queued (Lindley's recursion, in the [`FifoQueue`] the cluster's
+//!   `StorageNode::read` advances too). The engine plans a request, queues
+//!   its reads, and records its latency — the slowest read, or the cache
+//!   read — in the same step; no per-chunk completion event exists.
+//! * **One node model** — the engine owns every storage node: its FIFO
+//!   queue, its service-time distribution and RNG stream, and its online
+//!   flag. A [`ChunkBackend`] only settles bytes (decode and verify, cache
+//!   device reads, the mirror of cache decisions), so a run with and without
+//!   a byte-accurate backend on the same seed makes identical chunk-source
+//!   decisions with identical node service times.
 //! * **Dynamic scenarios** — timed [`Scenario`] events (node failures and
 //!   recoveries, arrival-rate shifts, online cache-plan swaps) apply at
 //!   deterministic epoch edges between event-loop drains.
@@ -44,12 +44,12 @@ use std::collections::BinaryHeap;
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use sprout_cluster::LruTier;
+use sprout_cluster::{FifoQueue, LruTier, LRU_REPLICATION};
 use sprout_queueing::dist::ServiceDistribution;
 use sprout_workload::arrivals::{ArrivalStream, RateProfile};
 use sprout_workload::timebins::RateSchedule;
 
-use crate::backend::{AnalyticBackend, ChunkBackend, FinishedRequest};
+use crate::backend::{ChunkBackend, FinishedRequest};
 use crate::config::SimConfig;
 use crate::event::EventQueue;
 use crate::metrics::{summarize_per_file, LatencySummary, SlotCounts};
@@ -103,7 +103,7 @@ pub struct SimReport {
     /// than the needed number of online hosts.
     pub failed_requests: u64,
     /// Completed requests whose backend reconstruction failed (always zero
-    /// for the analytic backend).
+    /// for [`Simulation::run`], which settles no bytes).
     pub reconstruction_failures: u64,
     /// High-water mark of pending events. Arrivals are the only events, one
     /// pending per file (plus superseded arrivals after a rate shift), so
@@ -155,10 +155,9 @@ pub(crate) fn plan_seed(base: u64, file: usize) -> u64 {
     splitmix64(base ^ 0x5EED ^ (file as u64).wrapping_mul(0x9E6C_63D0_876A_3F6B))
 }
 
-/// Seed of a node's service-time RNG ([`crate::AnalyticBackend`] keeps one
-/// stream per node). A node's service draws depend only on its own read
-/// sequence — independent of the event interleaving, like the per-file
-/// streams above.
+/// Seed of a node's service-time RNG (the engine keeps one stream per node).
+/// A node's service draws depend only on its own read sequence — independent
+/// of the event interleaving, like the per-file streams above.
 pub(crate) fn service_seed(base: u64, node: usize) -> u64 {
     splitmix64(base ^ 0x5E2F_1CE5 ^ (node as u64).wrapping_mul(0xFF51_AFD7_ED55_8CCD))
 }
@@ -254,10 +253,10 @@ impl Simulation {
         &self.config
     }
 
-    /// Runs the simulation on the analytic backend and returns the report.
+    /// Runs the simulation with abstract chunks (no byte settlement) and
+    /// returns the report.
     pub fn run(&self) -> SimReport {
-        let mut backend = AnalyticBackend::new(self.nodes.clone(), self.config.seed);
-        self.run_on(&mut backend)
+        self.run_on(&mut Abstract(self.nodes.len()))
     }
 
     /// Runs the simulation on an explicit backend (e.g. the byte-accurate
@@ -287,38 +286,45 @@ struct Arrival {
     epoch: u32,
 }
 
-#[derive(Debug, Default, Clone, Copy)]
-struct NodeState {
-    /// When the node's last queued read finishes.
-    busy_until: f64,
-    busy_time: f64,
+/// The backend [`Simulation::run`] drives (over this many nodes): chunks
+/// stay abstract, so every default hook of [`ChunkBackend`] applies.
+pub(crate) struct Abstract(pub(crate) usize);
+
+impl ChunkBackend for Abstract {
+    fn num_nodes(&self) -> usize {
+        self.0
+    }
 }
 
-/// Per-node FIFO service queues in virtual time. Service durations come from
-/// the backend; this struct only sequences them.
+/// One storage node as the engine models it (the FIFO queue of Lemma 1).
 #[derive(Debug)]
-struct ServiceQueues {
-    nodes: Vec<NodeState>,
+struct NodeModel {
+    queue: FifoQueue,
+    service: ServiceDistribution,
+    /// Seeded from `(run seed, node)` only ([`service_seed`]).
+    rng: StdRng,
+    online: bool,
 }
 
-impl ServiceQueues {
-    fn new(count: usize) -> Self {
-        ServiceQueues {
-            nodes: vec![NodeState::default(); count],
-        }
+impl NodeModel {
+    /// One model per node of `services`, for run seed `seed`.
+    fn for_run(services: &[ServiceDistribution], seed: u64) -> Vec<NodeModel> {
+        services
+            .iter()
+            .enumerate()
+            .map(|(node, &service)| NodeModel {
+                queue: FifoQueue::default(),
+                service,
+                rng: StdRng::seed_from_u64(service_seed(seed, node)),
+                online: true,
+            })
+            .collect()
     }
 
-    /// Queues one chunk read on `node` at `now` and returns when it
-    /// finishes. FIFO without preemption: the read starts when the node's
-    /// previous read finishes or at `now`, whichever is later — Lindley's
-    /// recursion, in the float operations of `StorageNode::read`.
-    fn enqueue<B: ChunkBackend>(&mut self, node: usize, now: f64, backend: &mut B) -> f64 {
-        let service = backend.sample_service(node);
-        let state = &mut self.nodes[node];
-        let done = state.busy_until.max(now) + service;
-        state.busy_until = done;
-        state.busy_time += service;
-        done
+    /// Queues one chunk read at `now` and returns when it finishes.
+    fn serve(&mut self, now: f64) -> f64 {
+        let service = self.service.sample(&mut self.rng);
+        self.queue.serve(now, service)
     }
 }
 
@@ -352,10 +358,9 @@ impl InFlight {
 /// `sprout_cluster::tier`.
 fn lru_tier_for(scheme: &CacheScheme) -> Option<LruTier> {
     match scheme {
-        CacheScheme::LruReplicated {
-            capacity_chunks,
-            replication,
-        } => Some(LruTier::new(*capacity_chunks as u64, (*replication).max(1))),
+        CacheScheme::LruReplicated { capacity_chunks } => {
+            Some(LruTier::new(*capacity_chunks as u64, LRU_REPLICATION))
+        }
         _ => None,
     }
 }
@@ -376,7 +381,7 @@ struct PlanScratch {
 }
 
 /// The state of one run: every file's arrival stream and planning RNG, the
-/// node queues, the event heap and the statistics the report is built from.
+/// node models, the event heap and the statistics the report is built from.
 struct EventLoop<'a, B: ChunkBackend> {
     sim: &'a Simulation,
     backend: &'a mut B,
@@ -386,7 +391,7 @@ struct EventLoop<'a, B: ChunkBackend> {
     plan_rngs: Vec<StdRng>,
     events: EventQueue<Arrival>,
     peak_events: usize,
-    queues: ServiceQueues,
+    nodes: Vec<NodeModel>,
     in_flight: InFlight,
     /// Post-warm-up latencies per file.
     latencies: Vec<Vec<f64>>,
@@ -428,7 +433,7 @@ impl<'a, B: ChunkBackend> EventLoop<'a, B> {
             plan_rngs,
             events: EventQueue::new(),
             peak_events: 0,
-            queues: ServiceQueues::new(sim.nodes.len()),
+            nodes: NodeModel::for_run(&sim.nodes, seed),
             in_flight: InFlight::default(),
             latencies: vec![Vec::new(); num_files],
             slots: SlotCounts::new(sim.config.horizon, sim.config.slot_length),
@@ -489,15 +494,7 @@ impl<'a, B: ChunkBackend> EventLoop<'a, B> {
         if let Some(t) = self.streams[file].next_arrival(now, self.sim.config.horizon) {
             self.events.push(t, Arrival { file, epoch });
         }
-        let Some(cache_chunks) = plan_request(
-            &self.sim.files,
-            file,
-            &self.scheme,
-            self.backend,
-            &mut self.plan_rngs[file],
-            &mut self.tier,
-            &mut self.scratch,
-        ) else {
+        let Some(cache_chunks) = self.plan_request(file) else {
             self.failed += 1;
             return;
         };
@@ -519,7 +516,7 @@ impl<'a, B: ChunkBackend> EventLoop<'a, B> {
             let mut done = now + cache_latency;
             for &node in storage_nodes {
                 self.node_chunks_served[node] += 1;
-                done = done.max(self.queues.enqueue(node, now, self.backend));
+                done = done.max(self.nodes[node].serve(now));
             }
             self.in_flight.admit(now, done);
             done - now
@@ -541,8 +538,10 @@ impl<'a, B: ChunkBackend> EventLoop<'a, B> {
     /// Applies one scenario action at epoch edge `at`.
     fn apply_action(&mut self, at: f64, action: &ScenarioAction) {
         match action {
-            ScenarioAction::NodeDown { node } => self.backend.set_node_online(*node, false),
-            ScenarioAction::NodeUp { node } => self.backend.set_node_online(*node, true),
+            // Reads already queued on a failing node still finish at their
+            // queued times; planning just stops selecting it.
+            ScenarioAction::NodeDown { node } => self.nodes[*node].online = false,
+            ScenarioAction::NodeUp { node } => self.nodes[*node].online = true,
             ScenarioAction::SetRates { rates } => {
                 for (file, &rate) in rates.iter().enumerate() {
                     self.retarget(file, rate, at);
@@ -596,10 +595,9 @@ impl<'a, B: ChunkBackend> EventLoop<'a, B> {
             overall,
             per_file,
             node_utilization: self
-                .queues
                 .nodes
                 .iter()
-                .map(|n| (n.busy_time / horizon).min(1.0))
+                .map(|n| n.queue.utilization(horizon))
                 .collect(),
             slots: self.slots,
             full_cache_hits: self.full_cache_hits,
@@ -613,111 +611,106 @@ impl<'a, B: ChunkBackend> EventLoop<'a, B> {
             cache_evictions: self.tier_evictions,
         }
     }
-}
 
-/// Decides, for one request of `file`, how many chunks the
-/// cache serves and which storage nodes serve the rest (written to
-/// `scratch.nodes`). Returns `None` when node failures leave fewer online
-/// hosts than the request needs. All working sets live in `scratch`, so the
-/// arrival hot loop allocates nothing beyond per-request state.
-///
-/// For [`CacheScheme::LruReplicated`] the loop's `tier` is the single source
-/// of truth for hit/miss/promotion/eviction decisions; every admission and
-/// eviction is mirrored into the backend ([`ChunkBackend::tier_promote`] /
-/// [`ChunkBackend::tier_evict`]) so byte-accurate backends keep the same
-/// objects resident.
-fn plan_request<B: ChunkBackend>(
-    files: &[SimFile],
-    file: usize,
-    scheme: &CacheScheme,
-    backend: &mut B,
-    rng: &mut StdRng,
-    tier: &mut Option<LruTier>,
-    scratch: &mut PlanScratch,
-) -> Option<usize> {
-    let spec = &files[file];
-    scratch.nodes.clear();
-    match scheme {
-        CacheScheme::NoCache => {
-            uniform_sample_into(spec.placement.len(), spec.k, rng, &mut scratch.picks);
-            scratch
-                .nodes
-                .extend(scratch.picks.iter().map(|&i| spec.placement[i]));
-            repair_offline(&spec.placement, backend, rng, scratch).then_some(0)
-        }
-        CacheScheme::Functional {
-            cached_chunks,
-            scheduling,
-            rule,
-        } => {
-            let d = cached_chunks.get(file).copied().unwrap_or(0).min(spec.k);
-            let needed = spec.k - d;
-            if needed == 0 {
-                return Some(d);
+    /// Decides, for one request of `file`, how many chunks the
+    /// cache serves and which storage nodes serve the rest (written to
+    /// `scratch.nodes`). Returns `None` when node failures leave fewer online
+    /// hosts than the request needs. All working sets live in `scratch`, so the
+    /// arrival hot loop allocates nothing beyond per-request state.
+    ///
+    /// For [`CacheScheme::LruReplicated`] the loop's `tier` is the single source
+    /// of truth for hit/miss/promotion/eviction decisions; every admission and
+    /// eviction is mirrored into the backend ([`ChunkBackend::tier_promote`] /
+    /// [`ChunkBackend::tier_evict`]) so byte-accurate backends keep the same
+    /// objects resident.
+    fn plan_request(&mut self, file: usize) -> Option<usize> {
+        let spec = &self.sim.files[file];
+        let nodes = &self.nodes;
+        let rng = &mut self.plan_rngs[file];
+        let scratch = &mut self.scratch;
+        scratch.nodes.clear();
+        match &self.scheme {
+            CacheScheme::NoCache => {
+                uniform_sample_into(spec.placement.len(), spec.k, rng, &mut scratch.picks);
+                scratch
+                    .nodes
+                    .extend(scratch.picks.iter().map(|&i| spec.placement[i]));
+                repair_offline(&spec.placement, nodes, rng, scratch).then_some(0)
             }
-            match rule {
-                SchedulingRule::Probabilistic => {
-                    systematic_sample_into(&scheduling[file], rng, &mut scratch.picks);
+            CacheScheme::Functional {
+                cached_chunks,
+                scheduling,
+                rule,
+            } => {
+                let d = cached_chunks.get(file).copied().unwrap_or(0).min(spec.k);
+                let needed = spec.k - d;
+                if needed == 0 {
+                    return Some(d);
                 }
-                SchedulingRule::Uniform => {
-                    uniform_sample_into(spec.placement.len(), needed, rng, &mut scratch.picks);
+                match rule {
+                    SchedulingRule::Probabilistic => {
+                        systematic_sample_into(&scheduling[file], rng, &mut scratch.picks);
+                    }
+                    SchedulingRule::Uniform => {
+                        uniform_sample_into(spec.placement.len(), needed, rng, &mut scratch.picks);
+                    }
                 }
+                scratch
+                    .nodes
+                    .extend(scratch.picks.iter().map(|&i| spec.placement[i]));
+                repair_offline(&spec.placement, nodes, rng, scratch).then_some(d)
             }
-            scratch
-                .nodes
-                .extend(scratch.picks.iter().map(|&i| spec.placement[i]));
-            repair_offline(&spec.placement, backend, rng, scratch).then_some(d)
-        }
-        CacheScheme::Exact {
-            cached_chunks,
-            scheduling,
-        } => {
-            let d = cached_chunks.get(file).copied().unwrap_or(0).min(spec.k);
-            let needed = spec.k - d;
-            if needed == 0 {
-                return Some(d);
+            CacheScheme::Exact {
+                cached_chunks,
+                scheduling,
+            } => {
+                let d = cached_chunks.get(file).copied().unwrap_or(0).min(spec.k);
+                let needed = spec.k - d;
+                if needed == 0 {
+                    return Some(d);
+                }
+                // The first d placement entries host the exactly-cached rows
+                // and cannot serve the request.
+                let eligible = &spec.placement[d..];
+                let marginals = &scheduling[file][d..];
+                let total: f64 = marginals.iter().sum();
+                if (total - needed as f64).abs() < 1e-6 {
+                    systematic_sample_into(marginals, rng, &mut scratch.picks);
+                } else {
+                    uniform_sample_into(
+                        eligible.len(),
+                        needed.min(eligible.len()),
+                        rng,
+                        &mut scratch.picks,
+                    );
+                }
+                scratch
+                    .nodes
+                    .extend(scratch.picks.iter().map(|&i| eligible[i]));
+                repair_offline(eligible, nodes, rng, scratch).then_some(d)
             }
-            // The first d placement entries host the exactly-cached rows
-            // and cannot serve the request.
-            let eligible = &spec.placement[d..];
-            let marginals = &scheduling[file][d..];
-            let total: f64 = marginals.iter().sum();
-            if (total - needed as f64).abs() < 1e-6 {
-                systematic_sample_into(marginals, rng, &mut scratch.picks);
-            } else {
-                uniform_sample_into(
-                    eligible.len(),
-                    needed.min(eligible.len()),
-                    rng,
-                    &mut scratch.picks,
-                );
+            CacheScheme::LruReplicated { .. } => {
+                let tier = self.tier.as_mut().expect("an LRU scheme always has a tier");
+                if tier.touch(file as u64) {
+                    return Some(spec.k);
+                }
+                // Miss: read k chunks from storage, then promote the object.
+                uniform_sample_into(spec.placement.len(), spec.k, rng, &mut scratch.picks);
+                scratch
+                    .nodes
+                    .extend(scratch.picks.iter().map(|&i| spec.placement[i]));
+                if !repair_offline(&spec.placement, nodes, rng, scratch) {
+                    return None;
+                }
+                let admission = tier.admit(file as u64, spec.k as u64);
+                for &victim in &admission.evicted {
+                    self.backend.tier_evict(victim as usize);
+                }
+                if admission.admitted {
+                    self.backend.tier_promote(file);
+                }
+                Some(0)
             }
-            scratch
-                .nodes
-                .extend(scratch.picks.iter().map(|&i| eligible[i]));
-            repair_offline(eligible, backend, rng, scratch).then_some(d)
-        }
-        CacheScheme::LruReplicated { .. } => {
-            let tier = tier.as_mut().expect("an LRU scheme always has a tier");
-            if tier.touch(file as u64) {
-                return Some(spec.k);
-            }
-            // Miss: read k chunks from storage, then promote the object.
-            uniform_sample_into(spec.placement.len(), spec.k, rng, &mut scratch.picks);
-            scratch
-                .nodes
-                .extend(scratch.picks.iter().map(|&i| spec.placement[i]));
-            if !repair_offline(&spec.placement, backend, rng, scratch) {
-                return None;
-            }
-            let admission = tier.admit(file as u64, spec.k as u64);
-            for &victim in &admission.evicted {
-                backend.tier_evict(victim as usize);
-            }
-            if admission.admitted {
-                backend.tier_promote(file);
-            }
-            Some(0)
         }
     }
 }
@@ -727,22 +720,22 @@ fn plan_request<B: ChunkBackend>(
 /// repair) when fewer online candidates exist than chunks are needed.
 /// Draws happen only when a failure is actually present, so runs without
 /// scenarios consume each file's planning RNG exactly as before.
-fn repair_offline<B: ChunkBackend>(
+fn repair_offline(
     pool: &[usize],
-    backend: &B,
+    nodes: &[NodeModel],
     rng: &mut StdRng,
     scratch: &mut PlanScratch,
 ) -> bool {
-    if scratch.nodes.iter().all(|&n| backend.is_online(n)) {
+    if scratch.nodes.iter().all(|&n| nodes[n].online) {
         return true;
     }
     let target = scratch.nodes.len();
-    scratch.nodes.retain(|&n| backend.is_online(n));
+    scratch.nodes.retain(|&n| nodes[n].online);
     scratch.avail.clear();
     scratch.avail.extend(
         pool.iter()
             .copied()
-            .filter(|&n| backend.is_online(n) && !scratch.nodes.contains(&n)),
+            .filter(|&n| nodes[n].online && !scratch.nodes.contains(&n)),
     );
     while scratch.nodes.len() < target {
         if scratch.avail.is_empty() {
@@ -938,7 +931,9 @@ mod tests {
         let report = Simulation::new(
             nodes(m, 0.5),
             files,
-            CacheScheme::ceph_lru(100),
+            CacheScheme::LruReplicated {
+                capacity_chunks: 100,
+            },
             SimConfig::new(20_000.0, 5),
         )
         .run();
@@ -956,7 +951,7 @@ mod tests {
         let report = Simulation::new(
             nodes(m, 0.5),
             files.clone(),
-            CacheScheme::ceph_lru(4),
+            CacheScheme::LruReplicated { capacity_chunks: 4 },
             SimConfig::new(20_000.0, 5),
         )
         .run();
@@ -984,7 +979,7 @@ mod tests {
         let tiny = Simulation::new(
             nodes(m, 0.5),
             files.clone(),
-            CacheScheme::ceph_lru(1),
+            CacheScheme::LruReplicated { capacity_chunks: 1 },
             SimConfig::new(20_000.0, 6),
         )
         .run();
@@ -1060,12 +1055,17 @@ mod tests {
         // One deterministic node and one k = 1 file: every request waits for
         // the reads queued before it, so each latency is the node's backlog
         // at arrival plus one service time.
-        let mut queues = ServiceQueues::new(1);
-        let mut backend = AnalyticBackend::new(vec![ServiceDistribution::deterministic(2.0)], 0);
-        assert_eq!(queues.enqueue(0, 1.0, &mut backend), 3.0);
-        assert_eq!(queues.enqueue(0, 2.0, &mut backend), 5.0);
-        assert_eq!(queues.enqueue(0, 9.0, &mut backend), 11.0);
-        assert_eq!(queues.nodes[0].busy_time, 6.0);
+        let mut queue = FifoQueue::default();
+        assert_eq!(queue.serve(1.0, 2.0), 3.0);
+        assert_eq!(queue.serve(2.0, 2.0), 5.0);
+        assert_eq!(queue.serve(9.0, 2.0), 11.0);
+        assert_eq!(queue.utilization(12.0), 0.5);
+        // The engine's node model draws its service and queues it the same way.
+        let mut node = NodeModel::for_run(&[ServiceDistribution::deterministic(2.0)], 0);
+        for now in [1.0, 2.0, 9.0] {
+            node[0].serve(now);
+        }
+        assert_eq!(node[0].queue, queue);
 
         let mut in_flight = InFlight::default();
         in_flight.admit(1.0, 3.0);
@@ -1077,6 +1077,37 @@ mod tests {
         assert_eq!(in_flight.peak, 2);
         in_flight.admit(6.5, 9.0);
         assert_eq!(in_flight.peak, 3);
+    }
+
+    #[test]
+    fn service_samples_are_positive_and_seed_deterministic() {
+        let mut a = NodeModel::for_run(&nodes(2, 0.5), 9);
+        let mut b = NodeModel::for_run(&nodes(2, 0.5), 9);
+        let mut now = 0.0;
+        for _ in 0..100 {
+            // Each read arrives after the last one finished, so its finish
+            // time is its arrival plus one service draw.
+            let done = a[0].serve(now);
+            assert!(done > now);
+            assert_eq!(done, b[0].serve(now));
+            now = done + 1.0;
+        }
+    }
+
+    #[test]
+    fn per_node_service_streams_are_independent() {
+        // Interleaving reads on other nodes must not perturb a node's own
+        // service-time stream.
+        let mut solo = NodeModel::for_run(&nodes(3, 0.5), 77);
+        let mut mixed = NodeModel::for_run(&nodes(3, 0.5), 77);
+        for i in 0..50 {
+            let now = f64::from(i);
+            if i % 2 == 0 {
+                mixed[1].serve(now);
+                mixed[2].serve(now);
+            }
+            assert_eq!(solo[0].serve(now), mixed[0].serve(now));
+        }
     }
 
     #[test]

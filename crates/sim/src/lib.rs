@@ -40,7 +40,7 @@ pub mod scenario;
 pub mod scheduler;
 pub mod sweep;
 
-pub use backend::{AnalyticBackend, ChunkBackend, FinishedRequest};
+pub use backend::{ChunkBackend, FinishedRequest};
 pub use config::SimConfig;
 pub use engine::{replication_seed, SimFile, SimReport, Simulation};
 pub use invariants::{check_report, EngineBounds, InvariantViolation};

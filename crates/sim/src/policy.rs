@@ -41,38 +41,17 @@ pub enum CacheScheme {
         /// Scheduling marginals, laid out as in `Functional`.
         scheduling: Vec<Vec<f64>>,
     },
-    /// Ceph-style LRU replicated cache tier: whole objects are promoted on
-    /// access and evicted least-recently-used; a cache-resident object is
-    /// served entirely from the cache.
+    /// Ceph-style LRU cache tier: whole objects are promoted on access, each
+    /// weighing [`LRU_REPLICATION`](sprout_cluster::LRU_REPLICATION) replicas,
+    /// and evicted least-recently-used; a cache-resident object is served
+    /// entirely from the cache.
     LruReplicated {
         /// Cache capacity in chunks (of the simulated chunk size).
         capacity_chunks: usize,
-        /// Replication factor of the cache tier (the paper's baseline uses 2).
-        replication: u32,
     },
 }
 
 impl CacheScheme {
-    /// The paper's baseline: dual-replicated LRU cache tier.
-    pub fn ceph_lru(capacity_chunks: usize) -> Self {
-        CacheScheme::LruReplicated {
-            capacity_chunks,
-            replication: 2,
-        }
-    }
-
-    /// Number of cached chunks for `file` under this scheme at plan time
-    /// (LRU caching is dynamic, so it reports 0 here).
-    pub fn planned_cache_chunks(&self, file: usize) -> usize {
-        match self {
-            CacheScheme::Functional { cached_chunks, .. }
-            | CacheScheme::Exact { cached_chunks, .. } => {
-                cached_chunks.get(file).copied().unwrap_or(0)
-            }
-            _ => 0,
-        }
-    }
-
     /// Checks the scheme can plan requests for `files`: the planned schemes
     /// sample `scheduling[file]` against the file's placement on every
     /// arrival, so a missing or misaligned row must fail fast here rather
@@ -107,32 +86,6 @@ impl CacheScheme {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn ceph_lru_baseline_uses_dual_replication() {
-        let s = CacheScheme::ceph_lru(100);
-        assert_eq!(
-            s,
-            CacheScheme::LruReplicated {
-                capacity_chunks: 100,
-                replication: 2
-            }
-        );
-        assert_eq!(s.planned_cache_chunks(3), 0);
-    }
-
-    #[test]
-    fn planned_cache_chunks_lookup() {
-        let s = CacheScheme::Functional {
-            cached_chunks: vec![1, 2, 0],
-            scheduling: vec![vec![]; 3],
-            rule: SchedulingRule::Probabilistic,
-        };
-        assert_eq!(s.planned_cache_chunks(0), 1);
-        assert_eq!(s.planned_cache_chunks(1), 2);
-        assert_eq!(s.planned_cache_chunks(9), 0);
-        assert_eq!(CacheScheme::NoCache.planned_cache_chunks(0), 0);
-    }
 
     #[test]
     #[should_panic(expected = "one entry per placement entry")]

@@ -59,7 +59,7 @@ fn same_seed_gives_bit_identical_reports() {
         Simulation::new(
             nodes(6, 0.5),
             files(5, 0.06, 2, 6),
-            CacheScheme::ceph_lru(8),
+            CacheScheme::LruReplicated { capacity_chunks: 8 },
             SimConfig::new(30_000.0, 424_242),
         )
     };
@@ -70,7 +70,7 @@ fn same_seed_gives_bit_identical_reports() {
     let c = Simulation::new(
         nodes(6, 0.5),
         files(5, 0.06, 2, 6),
-        CacheScheme::ceph_lru(8),
+        CacheScheme::LruReplicated { capacity_chunks: 8 },
         SimConfig::new(30_000.0, 424_243),
     )
     .run();
@@ -153,7 +153,10 @@ fn exact_to_lru_swap_with_rate_shifts_matches_golden_values() {
     };
     let mut scenario = Scenario::default()
         // Footprint 4 chunks per object: two resident objects of twelve.
-        .swap_scheme(horizon / 4.0, CacheScheme::ceph_lru(8))
+        .swap_scheme(
+            horizon / 4.0,
+            CacheScheme::LruReplicated { capacity_chunks: 8 },
+        )
         .set_rates(horizon / 2.0, vec![0.35; num_files]);
     scenario.push(
         3.0 * horizon / 4.0,

@@ -8,7 +8,7 @@
 use sprout::optimizer::OptimizerConfig;
 use sprout::sim::SimConfig;
 use sprout::spec::paper_simulation_spec;
-use sprout::{CachePolicyChoice, SproutSystem, SystemSpec};
+use sprout::{CachePolicy, SproutSystem, SystemSpec};
 
 #[test]
 fn converges_within_twenty_iterations_across_cache_sizes() {
@@ -163,7 +163,7 @@ fn planner_work_on_the_benchmark_instance_is_bounded_and_repeats_exactly() {
         plan.objective
     );
     let report = system.simulate_with_config(
-        CachePolicyChoice::Functional,
+        CachePolicy::Functional,
         Some(&plan),
         SimConfig::new(2.0e5, 1),
     );
@@ -183,7 +183,7 @@ fn benchmark_instance_plan_and_simulation_match_golden_values() {
     let system = benchmark_instance();
     let plan = system.optimize().unwrap();
     let report = system.simulate_with_config(
-        CachePolicyChoice::Functional,
+        CachePolicy::Functional,
         Some(&plan),
         SimConfig::new(2.0e4, 7),
     );

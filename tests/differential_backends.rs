@@ -1,9 +1,9 @@
 //! Differential test between the analytic and byte-accurate backends.
 //!
 //! Chunk-source decisions (which requests are served by the cache and which
-//! storage nodes serve the rest) are made by the engine from its own
-//! planning RNG; backends only supply service times and bytes. Two runs with
-//! the same seed — one on the analytic backend, one driving the real
+//! storage nodes serve the rest) and node service times come from the
+//! engine's own RNG streams; backends only settle bytes. Two runs with the
+//! same seed — one with abstract chunks, one settling on the real
 //! `StoreHandle` — must therefore make **identical** decisions, while
 //! the byte-accurate run additionally decodes and verifies every request's
 //! actual coded bytes.
@@ -13,7 +13,7 @@
 //! byte-accurate run must reproduce the *entire* hit/promotion/eviction
 //! sequence and serve every declared hit from real cached data chunks.
 
-use sprout::{CachePolicyChoice, SproutSystem, SystemSpec};
+use sprout::{CachePolicy, SproutSystem, SystemSpec};
 use sprout_sim::{Scenario, SimConfig};
 
 fn system() -> SproutSystem {
@@ -32,11 +32,11 @@ fn analytic_and_byte_backends_make_identical_chunk_source_decisions() {
     let system = system();
     let plan = system.optimize().unwrap();
     let config = SimConfig::new(15_000.0, 77).with_slot_length(5.0);
-    let sim = system.simulation(CachePolicyChoice::Functional, Some(&plan), config);
+    let sim = system.simulation(CachePolicy::Functional, Some(&plan), config);
 
     let analytic = sim.run();
     let mut backend = system
-        .byte_backend(CachePolicyChoice::Functional, Some(&plan), 77)
+        .byte_backend(CachePolicy::Functional, Some(&plan), 77)
         .unwrap();
     let byte = sim.run_on(&mut backend);
 
@@ -72,12 +72,12 @@ fn decisions_stay_identical_under_a_node_failure_scenario() {
         .node_down(4_000.0, 0)
         .node_up(8_000.0, 0);
     let sim = system
-        .simulation(CachePolicyChoice::Functional, Some(&plan), config)
+        .simulation(CachePolicy::Functional, Some(&plan), config)
         .with_scenario(scenario);
 
     let analytic = sim.run();
     let mut backend = system
-        .byte_backend(CachePolicyChoice::Functional, Some(&plan), 5)
+        .byte_backend(CachePolicy::Functional, Some(&plan), 5)
         .unwrap();
     let byte = sim.run_on(&mut backend);
 
@@ -93,23 +93,21 @@ fn decisions_stay_identical_under_a_node_failure_scenario() {
 
 #[test]
 fn without_a_cache_both_backends_produce_the_same_report() {
-    // Without cache reads every random draw of the byte backend is a node
-    // service time, taken from the same per-node streams as the analytic
-    // backend's: the two reports are equal field by field, latencies
-    // included, through a node failure and recovery.
+    // Without cache reads the byte backend draws nothing, and node service
+    // comes from the engine's per-node streams in both runs: the two
+    // reports are equal field by field, latencies included, through a node
+    // failure and recovery.
     let system = system();
     let config = SimConfig::new(12_000.0, 9).with_slot_length(5.0);
     let scenario = Scenario::default()
         .node_down(4_000.0, 2)
         .node_up(8_000.0, 2);
     let sim = system
-        .simulation(CachePolicyChoice::NoCache, None, config)
+        .simulation(CachePolicy::None, None, config)
         .with_scenario(scenario);
 
     let analytic = sim.run();
-    let mut backend = system
-        .byte_backend(CachePolicyChoice::NoCache, None, 9)
-        .unwrap();
+    let mut backend = system.byte_backend(CachePolicy::None, None, 9).unwrap();
     let byte = sim.run_on(&mut backend);
 
     assert_eq!(analytic, byte);
@@ -125,11 +123,11 @@ fn node_utilization_is_backend_independent_under_functional_caching() {
     let system = system();
     let plan = system.optimize().unwrap();
     let config = SimConfig::new(12_000.0, 17);
-    let sim = system.simulation(CachePolicyChoice::Functional, Some(&plan), config);
+    let sim = system.simulation(CachePolicy::Functional, Some(&plan), config);
 
     let analytic = sim.run();
     let mut backend = system
-        .byte_backend(CachePolicyChoice::Functional, Some(&plan), 17)
+        .byte_backend(CachePolicy::Functional, Some(&plan), 17)
         .unwrap();
     let byte = sim.run_on(&mut backend);
 
@@ -151,11 +149,11 @@ fn lru_tier_decisions_are_identical_and_byte_verified() {
     // (hits from real cached data chunks, misses from storage chunks).
     let system = system();
     let config = SimConfig::new(15_000.0, 21).with_slot_length(5.0);
-    let sim = system.simulation(CachePolicyChoice::LruReplicated, None, config);
+    let sim = system.simulation(CachePolicy::LruReplicated, None, config);
 
     let analytic = sim.run();
     let mut backend = system
-        .byte_backend(CachePolicyChoice::LruReplicated, None, 21)
+        .byte_backend(CachePolicy::LruReplicated, None, 21)
         .unwrap();
     let byte = sim.run_on(&mut backend);
 
@@ -198,18 +196,16 @@ fn byte_backend_validates_plan_requirements() {
     let plan = system.optimize().unwrap();
     // Planned policies need a plan.
     assert!(system
-        .byte_backend(CachePolicyChoice::Functional, None, 1)
+        .byte_backend(CachePolicy::Functional, None, 1)
         .is_err());
     // Every policy is supported once its inputs are in place — including the
     // formerly-rejected LRU tier.
+    assert!(system.byte_backend(CachePolicy::None, None, 1).is_ok());
     assert!(system
-        .byte_backend(CachePolicyChoice::NoCache, None, 1)
+        .byte_backend(CachePolicy::Exact, Some(&plan), 1)
         .is_ok());
     assert!(system
-        .byte_backend(CachePolicyChoice::Exact, Some(&plan), 1)
-        .is_ok());
-    assert!(system
-        .byte_backend(CachePolicyChoice::LruReplicated, None, 1)
+        .byte_backend(CachePolicy::LruReplicated, None, 1)
         .is_ok());
 }
 
@@ -222,16 +218,16 @@ fn swapping_to_the_lru_scheme_mid_run_stays_byte_verified() {
     let config = SimConfig::new(10_000.0, 13).with_slot_length(5.0);
     let scenario = sprout_sim::Scenario::default().swap_scheme(
         5_000.0,
-        sprout_sim::CacheScheme::ceph_lru(system.spec().cache_capacity_chunks),
+        sprout_sim::CacheScheme::LruReplicated {
+            capacity_chunks: system.spec().cache_capacity_chunks,
+        },
     );
     let sim = system
-        .simulation(CachePolicyChoice::NoCache, None, config)
+        .simulation(CachePolicy::None, None, config)
         .with_scenario(scenario);
 
     let analytic = sim.run();
-    let mut backend = system
-        .byte_backend(CachePolicyChoice::NoCache, None, 13)
-        .unwrap();
+    let mut backend = system.byte_backend(CachePolicy::None, None, 13).unwrap();
     let byte = sim.run_on(&mut backend);
 
     assert_eq!(analytic.slots, byte.slots);

@@ -3,7 +3,7 @@
 
 use sprout::cluster::{CachePolicy, ClusterConfig, DeviceModel, StoreHandle};
 use sprout::optimizer::OptimizerConfig;
-use sprout::{CachePolicyChoice, SproutSystem, SystemSpec};
+use sprout::{SproutSystem, SystemSpec};
 
 fn build_system(files: usize, cache_chunks: usize) -> SproutSystem {
     let spec = SystemSpec::builder()
@@ -20,7 +20,7 @@ fn build_system(files: usize, cache_chunks: usize) -> SproutSystem {
 fn analytic_bound_upper_bounds_simulated_latency_end_to_end() {
     let system = build_system(10, 10);
     let plan = system.optimize().unwrap();
-    let report = system.simulate(CachePolicyChoice::Functional, Some(&plan), 120_000.0, 9);
+    let report = system.simulate(CachePolicy::Functional, Some(&plan), 120_000.0, 9);
     assert!(report.completed_requests > 2_000);
     assert!(
         plan.objective >= report.overall.mean * 0.95,
@@ -103,7 +103,7 @@ fn full_cache_capacity_caches_everything_and_zeroes_latency() {
     let system = build_system(6, 100);
     let plan = system.optimize().unwrap();
     assert!(plan.objective < 1e-6);
-    let report = system.simulate(CachePolicyChoice::Functional, Some(&plan), 5_000.0, 4);
+    let report = system.simulate(CachePolicy::Functional, Some(&plan), 5_000.0, 4);
     assert_eq!(report.overall.mean, 0.0);
     assert_eq!(report.full_cache_hits, report.completed_requests);
 }

@@ -5,8 +5,10 @@
 //! service capacity implies.
 
 use sprout::optimizer::OptimizerConfig;
-use sprout::{CachePolicyChoice, ScenarioActionSpec, ScenarioSpec, SproutSystem, SystemSpec};
-use sprout_sim::SimConfig;
+use sprout::{
+    CachePolicy, ScenarioActionSpec, ScenarioSpec, SimSweep, SproutSystem, SweepBackend, SystemSpec,
+};
+use sprout_sim::{Scenario, SimConfig};
 
 fn system(seed: u64) -> SproutSystem {
     let spec = SystemSpec::builder()
@@ -17,6 +19,11 @@ fn system(seed: u64) -> SproutSystem {
         .build()
         .unwrap();
     SproutSystem::new(spec).unwrap()
+}
+
+fn compile(spec: &ScenarioSpec, system: &SproutSystem, policy: CachePolicy) -> Scenario {
+    let optimizer = OptimizerConfig::default();
+    spec.compile(system, policy, &optimizer).unwrap()
 }
 
 fn churn_spec(horizon: f64, node: usize) -> ScenarioSpec {
@@ -30,19 +37,17 @@ fn degraded_reads_still_reconstruct_on_the_byte_backend() {
     let system = system(9);
     let plan = system.optimize().unwrap();
     let horizon = 15_000.0;
-    let scenario = churn_spec(horizon, 0)
-        .compile(&system, &OptimizerConfig::default())
-        .unwrap();
+    let scenario = compile(&churn_spec(horizon, 0), &system, CachePolicy::Functional);
     let sim = system
         .simulation(
-            CachePolicyChoice::Functional,
+            CachePolicy::Functional,
             Some(&plan),
             SimConfig::new(horizon, 31),
         )
         .with_scenario(scenario);
 
     let mut backend = system
-        .byte_backend(CachePolicyChoice::Functional, Some(&plan), 31)
+        .byte_backend(CachePolicy::Functional, Some(&plan), 31)
         .unwrap();
     let report = sim.run_on(&mut backend);
 
@@ -63,7 +68,7 @@ fn degraded_reads_still_reconstruct_on_the_byte_backend() {
     // than in an undisturbed run with the same seed.
     let undisturbed = system
         .simulation(
-            CachePolicyChoice::Functional,
+            CachePolicy::Functional,
             Some(&plan),
             SimConfig::new(horizon, 31),
         )
@@ -80,15 +85,9 @@ fn degraded_reads_still_reconstruct_on_the_byte_backend() {
 fn latency_shifts_as_expected_on_the_analytic_backend() {
     let system = system(9);
     let horizon = 30_000.0;
-    let scenario = churn_spec(horizon, 0)
-        .compile(&system, &OptimizerConfig::default())
-        .unwrap();
+    let scenario = compile(&churn_spec(horizon, 0), &system, CachePolicy::None);
     let build = |with_failure: bool| {
-        let sim = system.simulation(
-            CachePolicyChoice::NoCache,
-            None,
-            SimConfig::new(horizon, 17),
-        );
+        let sim = system.simulation(CachePolicy::None, None, SimConfig::new(horizon, 17));
         if with_failure {
             sim.with_scenario(scenario.clone())
         } else {
@@ -133,10 +132,10 @@ fn reoptimization_after_a_rate_shift_recovers_cache_effectiveness() {
             ScenarioActionSpec::SetRates { rates: hot_rates },
         )
         .at(horizon / 2.0, ScenarioActionSpec::Reoptimize);
-    let scenario = spec.compile(&system, &OptimizerConfig::default()).unwrap();
+    let scenario = compile(&spec, &system, CachePolicy::Functional);
     let report = system
         .simulation(
-            CachePolicyChoice::Functional,
+            CachePolicy::Functional,
             Some(&plan),
             SimConfig::new(horizon, 13),
         )
@@ -162,7 +161,7 @@ fn reoptimize_while_a_node_is_down_excludes_it_from_the_swapped_plan() {
         .at(20.0, ScenarioActionSpec::Reoptimize)
         .at(30.0, ScenarioActionSpec::NodeUp { node: 0 })
         .at(40.0, ScenarioActionSpec::Reoptimize);
-    let scenario = spec.compile(&system, &OptimizerConfig::default()).unwrap();
+    let scenario = compile(&spec, &system, CachePolicy::Functional);
 
     let scheduling_of = |idx: usize| match &scenario.events()[idx].action {
         sprout_sim::ScenarioAction::SwapScheme {
@@ -194,6 +193,31 @@ fn reoptimize_while_a_node_is_down_excludes_it_from_the_swapped_plan() {
         recovered.iter().any(|&p| p > 1e-9),
         "recovered node should carry load again"
     );
+}
+
+#[test]
+fn reoptimize_changes_nothing_under_a_policy_without_a_plan() {
+    // Regression: `Reoptimize` used to swap a functional plan into every
+    // run, so a no-cache or LRU cell became a functional-cache cell at its
+    // first re-optimization point. Both scenarios share one name, so every
+    // cell runs on the same seeds and the reports must be identical.
+    let system = system(9);
+    let horizon = 10_000.0;
+    let report = |scenario: ScenarioSpec| {
+        SimSweep::new("unplanned", &system, SimConfig::new(horizon, 7))
+            .scenarios(vec![scenario])
+            .policies(vec![CachePolicy::None, CachePolicy::LruReplicated])
+            .backends(vec![SweepBackend::Analytic, SweepBackend::Byte])
+            .byte_object_bytes(4 * 1024)
+            .run(2)
+            .unwrap()
+            .to_json()
+    };
+    let steady = ScenarioSpec::named("run");
+    let reoptimized = steady
+        .clone()
+        .at(horizon / 2.0, ScenarioActionSpec::Reoptimize);
+    assert_eq!(report(reoptimized), report(steady));
 }
 
 /// Each file's scheduling entry at `node`'s position in its placement, for

@@ -60,6 +60,11 @@ const TOML_CORPUS: &[(&str, &str)] = &[
          [sim]\nhorizon = 100.0",
     ),
     (
+        "retired no-cache spelling (now \"None\")",
+        "name = \"x\"\n[system]\nnum_files = 4\n[sim]\nhorizon = 100.0\n\
+         [sweep]\npolicies = [\"NoCache\"]",
+    ),
+    (
         "scenario rate for out-of-range file",
         "name = \"x\"\n[system]\nnum_files = 4\n[sim]\nhorizon = 100.0\n\
          [scenario]\nname = \"s\"\n[[scenario.events]]\nat = 1.0\n\

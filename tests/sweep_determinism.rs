@@ -4,9 +4,7 @@
 //! numbers — plus the empty-grid edge case.
 
 use sprout::sim::SimConfig;
-use sprout::{
-    CachePolicyChoice, ScenarioActionSpec, ScenarioSpec, SimSweep, SproutSystem, SystemSpec,
-};
+use sprout::{CachePolicy, ScenarioActionSpec, ScenarioSpec, SimSweep, SproutSystem, SystemSpec};
 
 fn small_system() -> SproutSystem {
     let spec = SystemSpec::builder()
@@ -33,10 +31,7 @@ fn twelve_cell_sweep() -> SimSweep {
             .at(400.0, ScenarioActionSpec::NodeDown { node: 0 })
             .at(1_100.0, ScenarioActionSpec::NodeUp { node: 0 }),
     ])
-    .policies(vec![
-        CachePolicyChoice::Functional,
-        CachePolicyChoice::NoCache,
-    ])
+    .policies(vec![CachePolicy::Functional, CachePolicy::None])
     .cache_sizes(vec![2, 4, 6])
     .replications(2)
 }

@@ -7,7 +7,7 @@
 use std::collections::HashSet;
 use std::path::{Path, PathBuf};
 
-use sprout::{CachePolicyChoice, SproutSystem, SystemSpec, TimeBinManager};
+use sprout::{CachePolicy, SproutSystem, SystemSpec, TimeBinManager};
 
 /// The spec builder, optimizer and simulator are reachable through the
 /// facade alone, and the pipeline produces self-consistent numbers.
@@ -28,7 +28,7 @@ fn facade_spec_optimize_simulate_pipeline() {
     );
     assert!(plan.objective > 0.0, "latency bound is positive");
 
-    let report = system.simulate(CachePolicyChoice::Functional, Some(&plan), 20_000.0, 7);
+    let report = system.simulate(CachePolicy::Functional, Some(&plan), 20_000.0, 7);
     assert!(report.completed_requests > 0, "simulation served requests");
     assert!(
         report.overall.mean <= plan.objective * 1.1 + 0.5,
