@@ -52,7 +52,7 @@ use std::sync::{Arc, Mutex, MutexGuard, RwLock, RwLockReadGuard};
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use sprout_erasure::{Chunk, CodeParams, FunctionalCacheCodec, Kernel};
+use sprout_erasure::{Chunk, CodeParams, EncodedFile, FunctionalCacheCodec, Kernel};
 
 use crate::cache::{Cache, CachePolicy, CacheStats};
 use crate::checksum::checksum64;
@@ -278,14 +278,35 @@ impl StoreHandle {
     ///
     /// # Errors
     ///
-    /// Propagates coding errors.
+    /// Returns [`ClusterError::InvalidConfig`] if the map cannot place `n`
+    /// distinct nodes; propagates coding errors.
     pub fn put(&self, object: u64, data: &[u8]) -> Result<(), ClusterError> {
+        self.put_with_placement(object, data, self.place(object))
+    }
+
+    /// [`StoreHandle::put`] of a payload the caller hands over: the `k`
+    /// data chunks stored are views of `data` itself, so nothing is copied
+    /// and only the parity rows are allocated.
+    ///
+    /// # Errors
+    ///
+    /// As [`StoreHandle::put`].
+    pub fn put_vec(&self, object: u64, data: Vec<u8>) -> Result<(), ClusterError> {
+        let placement = self.place(object);
+        self.check_placement(&placement)?;
+        // The checksum is taken before the encode consumes the payload.
+        let checksum = checksum64(&data);
+        let encoded = self.shared.codec.encode_owned(data)?;
+        self.publish(object, encoded, checksum, placement);
+        Ok(())
+    }
+
+    /// The nodes the placement map assigns `object`'s `n` chunks to.
+    fn place(&self, object: u64) -> Vec<usize> {
         let view = self.shared.view.read().expect("view lock poisoned").clone();
-        let placement = self
-            .shared
+        self.shared
             .placement
-            .place(object, self.shared.config.n, &view);
-        self.put_with_placement(object, data, placement)
+            .place(object, self.shared.config.n, &view)
     }
 
     /// Writes an object onto an explicit list of `n` distinct nodes (used by
@@ -301,6 +322,15 @@ impl StoreHandle {
         data: &[u8],
         placement: Vec<usize>,
     ) -> Result<(), ClusterError> {
+        self.check_placement(&placement)?;
+        let encoded = self.shared.codec.encode(data)?;
+        let checksum = checksum64(data);
+        self.publish(object, encoded, checksum, placement);
+        Ok(())
+    }
+
+    /// Checks that `placement` lists `n` distinct, valid node ids.
+    fn check_placement(&self, placement: &[usize]) -> Result<(), ClusterError> {
         let s = &*self.shared;
         if placement.len() != s.config.n {
             return Err(ClusterError::InvalidConfig(format!(
@@ -310,18 +340,23 @@ impl StoreHandle {
             )));
         }
         let mut seen = HashSet::new();
-        for &node in &placement {
+        for &node in placement {
             if node >= s.config.num_nodes || !seen.insert(node) {
                 return Err(ClusterError::InvalidConfig(format!(
                     "invalid or duplicate node {node} in placement"
                 )));
             }
         }
-        // Encode and checksum outside every lock: they are the expensive
-        // part, and chunks are *moved* onto their nodes — payloads are
-        // `Bytes` (`Arc`-backed since PR 2), so no byte is copied below.
-        let encoded = s.codec.encode(data)?;
-        let checksum = checksum64(data);
+        Ok(())
+    }
+
+    /// Stores an encoded object's chunks on `placement` and publishes its
+    /// metadata. Encode and checksum happen before, outside every lock:
+    /// they are the expensive part. Chunks are *moved* onto their nodes —
+    /// payloads are refcounted `Bytes` views — so no byte is copied here.
+    fn publish(&self, object: u64, encoded: EncodedFile, checksum: u64, placement: Vec<usize>) {
+        let s = &*self.shared;
+        let len = encoded.original_len();
         // The object's stripe lock makes replace-or-insert atomic: a
         // concurrent put of the same object serializes here, so node chunk
         // maps and metadata (checksum included) can never disagree about
@@ -346,14 +381,13 @@ impl StoreHandle {
         stripe.insert(
             object,
             ObjectMeta {
-                len: data.len(),
+                len,
                 placement: placement.into(),
                 checksum,
             },
         );
         drop(stripe);
         self.cache().remove(object);
-        Ok(())
     }
 
     /// Deletes an object from the storage nodes and the cache.
@@ -481,6 +515,24 @@ impl StoreHandle {
     ///   from (a racing overwrite of the same object) — never wrong bytes.
     /// * Propagated coding errors on reconstruction.
     pub fn get(&self, object: u64, now: f64) -> Result<ReadOutcome, ClusterError> {
+        self.get_with_buffer(object, now, Vec::new())
+    }
+
+    /// [`StoreHandle::get`] that decodes into `buf` and returns it as
+    /// [`ReadOutcome::data`], so a caller that reads in a loop (a serving
+    /// worker) reuses one allocation: pass the previous outcome's `data`
+    /// back in. `buf`'s contents are overwritten, never read; on an error
+    /// it is dropped. Same reads, same RNG draws and same errors as `get`.
+    ///
+    /// # Errors
+    ///
+    /// See [`StoreHandle::get`].
+    pub fn get_with_buffer(
+        &self,
+        object: u64,
+        now: f64,
+        buf: Vec<u8>,
+    ) -> Result<ReadOutcome, ClusterError> {
         let ticket = self.shared.ticket.fetch_add(1, Ordering::Relaxed);
         let rng = &mut StdRng::seed_from_u64(
             self.shared.config.seed ^ REQUEST_RNG_SALT ^ ticket.wrapping_mul(0x9E37_79B9_7F4A_7C15),
@@ -503,7 +555,7 @@ impl StoreHandle {
         // served without touching storage.
         if cached.len() >= k {
             let cache_latency = self.cache_read_latency(&cached[..k], rng);
-            let data = self.decode_verified(object, &cached, &meta)?;
+            let data = self.decode_verified(object, &cached, &meta, buf)?;
             return Ok(ReadOutcome {
                 data,
                 latency: cache_latency,
@@ -579,7 +631,7 @@ impl StoreHandle {
         let cache_chunks_used = cached.len();
         let mut all = cached;
         all.extend(storage_chunks);
-        let data = self.decode_verified(object, &all, &meta)?;
+        let data = self.decode_verified(object, &all, &meta, buf)?;
 
         // 5. LRU promotion on a miss: the whole object enters the cache tier.
         if lru {
@@ -632,15 +684,16 @@ impl StoreHandle {
         self.cache().clear();
     }
 
-    /// Decodes `chunks` to the snapshot's length and checks the bytes
-    /// against the snapshot's checksum.
+    /// Decodes `chunks` into `data`, to the snapshot's length, and checks
+    /// the bytes against the snapshot's checksum.
     fn decode_verified(
         &self,
         object: u64,
         chunks: &[Chunk],
         meta: &ObjectMeta,
+        mut data: Vec<u8>,
     ) -> Result<Vec<u8>, ClusterError> {
-        let data = self.shared.codec.decode(chunks, meta.len)?;
+        self.shared.codec.decode_into(chunks, meta.len, &mut data)?;
         if checksum64(&data) != meta.checksum {
             return Err(ClusterError::ChecksumMismatch { object });
         }

@@ -16,12 +16,18 @@
 //!   `futex_wake`. Jobs move one at a time (no batching), so
 //!   [`Sproutd::queue_len`] stays "accepted, not yet started";
 //! * a fixed pool of **worker threads**, each pulling requests and
-//!   executing them on the shared [`StoreHandle`]. The daemon keeps no
+//!   executing them on the shared [`StoreHandle`]. A worker allocates no
+//!   object-sized buffer per request: each get decodes into one buffer the
+//!   worker keeps across requests ([`StoreHandle::get_with_buffer`]), and
+//!   each put's payload is moved into the store, where it becomes the
+//!   object's data chunks ([`StoreHandle::put_vec`]). The daemon keeps no
 //!   checksum of its own: the store records each object's checksum with
 //!   its metadata at `put` and verifies every `get` against it, so a
 //!   completed request *is* a verified one and a mismatch arrives as the
 //!   typed [`ClusterError::ChecksumMismatch`], counted in
-//!   [`ServeReport::checksum_mismatches`];
+//!   [`ServeReport::checksum_mismatches`] (beside the other typed errors a
+//!   racing write can cause, [`ServeReport::replica_shortfalls`] and
+//!   [`ServeReport::unknown_objects`]);
 //! * a **plan epoch** — an `AtomicU64` that a live reoptimization
 //!   ([`Sproutd::swap_plan`]) bumps after installing new cache contents, so
 //!   every request records which plan generation served it without stopping
@@ -323,6 +329,8 @@ struct WorkerReport {
     completed: u64,
     errors: u64,
     checksum_mismatches: u64,
+    replica_shortfalls: u64,
+    unknown_objects: u64,
     min_epoch: u64,
     max_epoch: u64,
     histogram: LatencyHistogram,
@@ -344,16 +352,34 @@ struct ServeShared {
     swaps_under_load: AtomicU64,
 }
 
+impl WorkerReport {
+    fn count_error(&mut self, e: &ClusterError) {
+        self.errors += 1;
+        match e {
+            ClusterError::ChecksumMismatch { .. } => self.checksum_mismatches += 1,
+            ClusterError::NotEnoughReplicas { .. } => self.replica_shortfalls += 1,
+            ClusterError::UnknownObject(_) => self.unknown_objects += 1,
+            _ => {}
+        }
+    }
+}
+
 fn worker_loop(shared: Arc<ServeShared>) -> WorkerReport {
     let mut report = WorkerReport {
         completed: 0,
         errors: 0,
         checksum_mismatches: 0,
+        replica_shortfalls: 0,
+        unknown_objects: 0,
         min_epoch: u64::MAX,
         max_epoch: 0,
         histogram: LatencyHistogram::new(),
         model_histogram: LatencyHistogram::new(),
     };
+    // The decode buffer this worker reuses: each get hands it to the store
+    // and takes it back as the outcome's bytes; an error drops it and the
+    // next get allocates afresh.
+    let mut buf = Vec::new();
     while let Some(job) = shared.queue.pop() {
         shared.in_flight.fetch_add(1, Ordering::AcqRel);
         let epoch = shared.plan_epoch.load(Ordering::Acquire);
@@ -363,23 +389,24 @@ fn worker_loop(shared: Arc<ServeShared>) -> WorkerReport {
         // elapsed time, so simulated queueing reflects the offered load.
         let now = shared.started.elapsed().as_secs_f64();
         match job.op {
-            Op::Get { object } => match shared.store.get(object, now) {
-                Ok(outcome) => {
-                    report.completed += 1;
-                    report
-                        .model_histogram
-                        .record((outcome.latency * 1e6).round() as u64);
-                }
-                Err(e) => {
-                    report.errors += 1;
-                    if matches!(e, ClusterError::ChecksumMismatch { .. }) {
-                        report.checksum_mismatches += 1;
+            Op::Get { object } => {
+                match shared
+                    .store
+                    .get_with_buffer(object, now, std::mem::take(&mut buf))
+                {
+                    Ok(outcome) => {
+                        report.completed += 1;
+                        report
+                            .model_histogram
+                            .record((outcome.latency * 1e6).round() as u64);
+                        buf = outcome.data;
                     }
+                    Err(e) => report.count_error(&e),
                 }
-            },
-            Op::Put { object, data } => match shared.store.put(object, &data) {
+            }
+            Op::Put { object, data } => match shared.store.put_vec(object, data) {
                 Ok(()) => report.completed += 1,
-                Err(_) => report.errors += 1,
+                Err(e) => report.count_error(&e),
             },
         }
         report.histogram.record(
@@ -408,6 +435,12 @@ pub struct ServeReport {
     /// The share of `errors` that were gets whose decoded bytes failed the
     /// object's checksum ([`ClusterError::ChecksumMismatch`]).
     pub checksum_mismatches: u64,
+    /// The share of `errors` that found fewer than `k` chunks reachable
+    /// ([`ClusterError::NotEnoughReplicas`]).
+    pub replica_shortfalls: u64,
+    /// The share of `errors` that named an object the store does not hold
+    /// ([`ClusterError::UnknownObject`]).
+    pub unknown_objects: u64,
     /// Requests accepted into the queue.
     pub submitted: u64,
     /// Non-blocking submissions rejected because the queue was full.
@@ -582,6 +615,8 @@ impl Sproutd {
         let mut completed = 0;
         let mut errors = 0;
         let mut checksum_mismatches = 0;
+        let mut replica_shortfalls = 0;
+        let mut unknown_objects = 0;
         let mut min_epoch = u64::MAX;
         let mut max_epoch = 0;
         for handle in self.workers {
@@ -589,6 +624,8 @@ impl Sproutd {
             completed += report.completed;
             errors += report.errors;
             checksum_mismatches += report.checksum_mismatches;
+            replica_shortfalls += report.replica_shortfalls;
+            unknown_objects += report.unknown_objects;
             min_epoch = min_epoch.min(report.min_epoch);
             max_epoch = max_epoch.max(report.max_epoch);
             histogram.merge(&report.histogram);
@@ -602,6 +639,8 @@ impl Sproutd {
             verified: completed,
             errors,
             checksum_mismatches,
+            replica_shortfalls,
+            unknown_objects,
             submitted: self.shared.submitted.load(Ordering::Relaxed),
             dropped: self.shared.dropped.load(Ordering::Relaxed),
             backpressure_waits: self.shared.backpressure_waits.load(Ordering::Relaxed),
@@ -849,6 +888,7 @@ mod tests {
         assert!(daemon.submit_get(404));
         let report = daemon.shutdown();
         assert_eq!(report.errors, 1);
+        assert_eq!(report.unknown_objects, 1);
         assert_eq!(report.completed, 0);
     }
 }

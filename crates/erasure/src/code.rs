@@ -150,15 +150,19 @@ pub struct ReedSolomon {
     /// objects across a scoped thread pool (see [`StripeOpts`]). `None`
     /// keeps every operation a single pass on the calling thread.
     striping: Option<StripeOpts>,
-    /// Memo of inverted decode matrices, keyed by the sorted row subset.
+    /// Memo of inverted decode matrices, keyed by the row subset.
     ///
     /// Shared (via `Arc`) between clones of the code, so a codec cloned into
     /// several components still amortizes Gaussian eliminations.
     decode_memo: Arc<Mutex<InverseMemo>>,
 }
 
-/// Bounded LRU memo mapping a sorted row subset to the inverse of the
-/// corresponding generator sub-matrix.
+/// A set of generator rows as a 256-bit mask (bit `r` set when row `r` is
+/// in the set). Row indices are below `n + k <= 255`.
+type RowMask = [u64; 4];
+
+/// Bounded LRU memo mapping a row subset to the inverse of the
+/// corresponding generator sub-matrix (rows in ascending order).
 ///
 /// Real request streams decode the same cache/storage row mixes over and
 /// over (the scheduler only has `n + d choose k` subsets to pick from, and
@@ -166,7 +170,7 @@ pub struct ReedSolomon {
 /// almost always a cache hit after warm-up.
 #[derive(Debug, Default)]
 struct InverseMemo {
-    entries: HashMap<Vec<usize>, MemoEntry>,
+    entries: HashMap<RowMask, MemoEntry>,
     clock: u64,
     hits: u64,
     misses: u64,
@@ -182,7 +186,7 @@ struct MemoEntry {
 const DECODE_MEMO_CAP: usize = 64;
 
 impl InverseMemo {
-    fn get(&mut self, rows: &[usize]) -> Option<Arc<Matrix>> {
+    fn get(&mut self, rows: &RowMask) -> Option<Arc<Matrix>> {
         self.clock += 1;
         let clock = self.clock;
         match self.entries.get_mut(rows) {
@@ -198,7 +202,7 @@ impl InverseMemo {
         }
     }
 
-    fn insert(&mut self, rows: Vec<usize>, inverse: Arc<Matrix>) {
+    fn insert(&mut self, rows: RowMask, inverse: Arc<Matrix>) {
         if self.entries.len() >= DECODE_MEMO_CAP {
             // Evict the least recently used subset (linear scan: the memo is
             // small and eviction is rare).
@@ -206,7 +210,7 @@ impl InverseMemo {
                 .entries
                 .iter()
                 .min_by_key(|(_, e)| e.last_used)
-                .map(|(k, _)| k.clone())
+                .map(|(&k, _)| k)
             {
                 self.entries.remove(&victim);
             }
@@ -314,7 +318,9 @@ impl ReedSolomon {
     /// The systematic prefix is produced without any GF arithmetic: the
     /// first `k` payloads are the split data chunks themselves, moved (not
     /// copied) into their [`Chunk`]s. Only the `n - k` parity rows run
-    /// through the multiply kernel.
+    /// through the multiply kernel, into one buffer that the parity chunks
+    /// view. A caller that owns the file should use
+    /// [`ReedSolomon::encode_owned`], which skips the split copy too.
     ///
     /// # Errors
     ///
@@ -350,37 +356,67 @@ impl ReedSolomon {
         file: &[u8],
         striping: Option<StripeOpts>,
     ) -> Result<EncodedFile, CodingError> {
-        let k = self.params.k();
-        let n = self.params.n();
-        let (data_chunks, chunk_len) = stripe::split(file, k);
+        let (data_chunks, chunk_len) = stripe::split(file, self.params.k());
         let data_refs: Vec<&[u8]> = data_chunks.iter().map(Vec::as_slice).collect();
-
         // Parity rows first (they read every data chunk) ...
-        let parity_rows: Vec<usize> = (k..n).collect();
-        let mut parity: Vec<Vec<u8>> = parity_rows.iter().map(|_| vec![0u8; chunk_len]).collect();
-        {
-            let mut outs: Vec<&mut [u8]> = parity.iter_mut().map(Vec::as_mut_slice).collect();
-            match striping {
-                Some(opts) => {
-                    self.encode_rows_striped_into(&data_refs, &parity_rows, &mut outs, opts);
-                }
-                None => self.encode_rows_into(&data_refs, &parity_rows, &mut outs),
-            }
-        }
-
+        let parity = self.parity_chunks(&data_refs, chunk_len, striping);
         // ... then the data chunks are moved into the systematic prefix.
-        let mut chunks = Vec::with_capacity(n);
-        for (row, data) in data_chunks.into_iter().enumerate() {
-            chunks.push(Chunk::new(ChunkId::storage(row), data));
-        }
-        for (&row, payload) in parity_rows.iter().zip(parity) {
-            chunks.push(Chunk::new(ChunkId::storage(row), payload));
-        }
+        let mut chunks: Vec<Chunk> = data_chunks
+            .into_iter()
+            .enumerate()
+            .map(|(row, data)| Chunk::new(ChunkId::storage(row), data))
+            .collect();
+        chunks.extend(parity);
         Ok(EncodedFile {
             chunks,
             original_len: file.len(),
             chunk_len,
         })
+    }
+
+    /// Encodes a file the caller hands over, without copying it: the file
+    /// is zero-padded in place to `k · chunk_len` bytes and the `k` data
+    /// chunks are views of it ([`Bytes::slice`]), so they share its one
+    /// allocation. The parity rows share one more. Byte-identical to
+    /// [`ReedSolomon::encode`].
+    ///
+    /// # Errors
+    ///
+    /// See [`ReedSolomon::encode`].
+    pub fn encode_owned(&self, mut file: Vec<u8>) -> Result<EncodedFile, CodingError> {
+        let k = self.params.k();
+        let original_len = file.len();
+        let chunk_len = stripe::chunk_len(original_len, k);
+        file.resize(k * chunk_len, 0);
+        let parity = self.parity_chunks(&stripe::views(&file, k), chunk_len, self.striping);
+        let mut chunks = row_views(Bytes::from(file), 0, k, chunk_len);
+        chunks.extend(parity);
+        Ok(EncodedFile {
+            chunks,
+            original_len,
+            chunk_len,
+        })
+    }
+
+    /// The `n - k` parity chunks of the given data chunks, coded into one
+    /// buffer that every parity chunk views.
+    fn parity_chunks(
+        &self,
+        data: &[&[u8]],
+        chunk_len: usize,
+        striping: Option<StripeOpts>,
+    ) -> Vec<Chunk> {
+        let (k, n) = (self.params.k(), self.params.n());
+        let rows: Vec<usize> = (k..n).collect();
+        let mut parity = vec![0u8; rows.len() * chunk_len];
+        if chunk_len > 0 {
+            let mut outs: Vec<&mut [u8]> = parity.chunks_mut(chunk_len).collect();
+            match striping {
+                Some(opts) => self.encode_rows_striped_into(data, &rows, &mut outs, opts),
+                None => self.encode_rows_into(data, &rows, &mut outs),
+            }
+        }
+        row_views(Bytes::from(parity), k, rows.len(), chunk_len)
     }
 
     /// Encodes the listed generator rows against already-split data chunks.
@@ -394,13 +430,19 @@ impl ReedSolomon {
     /// Panics if `data_chunks.len() != k`, the chunks have unequal lengths,
     /// or a row index exceeds `n + k`.
     pub fn encode_rows(&self, data_chunks: &[Vec<u8>], rows: &[usize]) -> Vec<Vec<u8>> {
-        let chunk_len = data_chunks.first().map_or(0, Vec::len);
         let data_refs: Vec<&[u8]> = data_chunks.iter().map(Vec::as_slice).collect();
+        self.encode_rows_from(&data_refs, rows)
+    }
+
+    /// [`ReedSolomon::encode_rows`] over borrowed data chunks (e.g. views
+    /// of one decoded buffer): one fresh payload per row.
+    pub(crate) fn encode_rows_from(&self, data_chunks: &[&[u8]], rows: &[usize]) -> Vec<Vec<u8>> {
+        let chunk_len = data_chunks.first().map_or(0, |c| c.len());
         let mut payloads: Vec<Vec<u8>> = rows.iter().map(|_| vec![0u8; chunk_len]).collect();
         let mut outs: Vec<&mut [u8]> = payloads.iter_mut().map(Vec::as_mut_slice).collect();
         match self.striping {
-            Some(opts) => self.encode_rows_striped_into(&data_refs, rows, &mut outs, opts),
-            None => self.encode_rows_into(&data_refs, rows, &mut outs),
+            Some(opts) => self.encode_rows_striped_into(data_chunks, rows, &mut outs, opts),
+            None => self.encode_rows_into(data_chunks, rows, &mut outs),
         }
         payloads
     }
@@ -524,7 +566,29 @@ impl ReedSolomon {
     /// * [`CodingError::ChunkSizeMismatch`] if payload lengths differ.
     /// * [`CodingError::InvalidFileLength`] if `original_len` exceeds `k * chunk_len`.
     pub fn decode(&self, chunks: &[Chunk], original_len: usize) -> Result<Vec<u8>, CodingError> {
-        self.decode_impl(chunks, original_len, self.striping)
+        let mut out = Vec::new();
+        self.decode_impl(chunks, original_len, self.striping, &mut out)?;
+        Ok(out)
+    }
+
+    /// [`ReedSolomon::decode`] into a caller's buffer, so a caller that
+    /// decodes over and over (a serving worker) reuses one allocation.
+    ///
+    /// On success `out` holds exactly the decoded file; whatever it held
+    /// before is overwritten, never read. A buffer whose capacity is too
+    /// small is replaced by a fresh zeroed one. On error `out` is left in
+    /// an unspecified state.
+    ///
+    /// # Errors
+    ///
+    /// See [`ReedSolomon::decode`].
+    pub fn decode_into(
+        &self,
+        chunks: &[Chunk],
+        original_len: usize,
+        out: &mut Vec<u8>,
+    ) -> Result<(), CodingError> {
+        self.decode_impl(chunks, original_len, self.striping, out)
     }
 
     /// Decodes with explicitly striped, multi-threaded reconstruction
@@ -544,7 +608,9 @@ impl ReedSolomon {
         original_len: usize,
         opts: StripeOpts,
     ) -> Result<Vec<u8>, CodingError> {
-        self.decode_impl(chunks, original_len, Some(opts))
+        let mut out = Vec::new();
+        self.decode_impl(chunks, original_len, Some(opts), &mut out)?;
+        Ok(out)
     }
 
     fn decode_impl(
@@ -552,7 +618,8 @@ impl ReedSolomon {
         chunks: &[Chunk],
         original_len: usize,
         striping: Option<StripeOpts>,
-    ) -> Result<Vec<u8>, CodingError> {
+        flat: &mut Vec<u8>,
+    ) -> Result<(), CodingError> {
         let k = self.params.k();
         let max = self.params.extended_rows();
 
@@ -602,18 +669,25 @@ impl ReedSolomon {
         }
 
         // Sorting the selected chunks by row makes the decode matrix a pure
-        // function of the row *subset* (memo key) — and leaves the decoded
-        // bytes unchanged, since permuting the equation system permutes the
-        // inverse's columns identically.
+        // function of the row *subset* (the memo key is its mask, `seen`) —
+        // and leaves the decoded bytes unchanged, since permuting the
+        // equation system permutes the inverse's columns identically.
         selected.sort_by_key(|c| c.id.index);
-        let rows: Vec<usize> = selected.iter().map(|c| c.id.index).collect();
-        let inv = self.decode_matrix(&rows)?;
+        let inv = self.decode_matrix(seen, &selected)?;
 
         // data_chunk[i] = sum_j inv[i][j] * selected[j], written directly
         // into one flat output buffer (chunk i occupies bytes
         // i*chunk_len..(i+1)*chunk_len of the decoded file), so no per-chunk
-        // buffers or join copy are needed.
-        let mut flat = vec![0u8; k * chunk_len];
+        // buffers or join copy are needed. Every byte is overwritten, so a
+        // reused buffer is only resized; a too-small one is replaced by a
+        // fresh zeroed (calloc'd) allocation, which is cheaper than growing
+        // and zeroing it.
+        let len = k * chunk_len;
+        if flat.capacity() < len {
+            *flat = vec![0u8; len];
+        } else {
+            flat.resize(len, 0);
+        }
         if chunk_len > 0 {
             let srcs: Vec<&[u8]> = selected.iter().map(|c| c.data.as_ref()).collect();
             let mut data_slices: Vec<&mut [u8]> = flat.chunks_mut(chunk_len).collect();
@@ -635,26 +709,31 @@ impl ReedSolomon {
             }
         }
         flat.truncate(original_len);
-        Ok(flat)
+        Ok(())
     }
 
-    /// The inverse of the generator sub-matrix for a sorted row subset,
-    /// served from the LRU memo when the same mix of cache/storage rows has
-    /// been decoded before.
-    fn decode_matrix(&self, rows: &[usize]) -> Result<Arc<Matrix>, CodingError> {
-        if let Some(inverse) = self.memo().get(rows) {
+    /// The inverse of the generator sub-matrix for the rows of `selected`
+    /// (sorted by row; `rows` is their mask), served from the LRU memo when
+    /// the same mix of cache/storage rows has been decoded before.
+    fn decode_matrix(
+        &self,
+        rows: RowMask,
+        selected: &[&Chunk],
+    ) -> Result<Arc<Matrix>, CodingError> {
+        if let Some(inverse) = self.memo().get(&rows) {
             return Ok(inverse);
         }
         // Miss: run the O(k³) elimination *outside* the lock so concurrent
         // decodes (and memo hits) are never serialized behind it. A racing
         // decode of the same subset may recompute the inverse; that is
         // harmless — the result is deterministic and insert is last-wins.
-        let sub = self.generator.select_rows(rows);
+        let indices: Vec<usize> = selected.iter().map(|c| c.id.index).collect();
+        let sub = self.generator.select_rows(&indices);
         let inverse = Arc::new(
             sub.inverted()
                 .map_err(|_| CodingError::SingularDecodeMatrix)?,
         );
-        self.memo().insert(rows.to_vec(), Arc::clone(&inverse));
+        self.memo().insert(rows, Arc::clone(&inverse));
         Ok(inverse)
     }
 
@@ -695,6 +774,20 @@ impl ReedSolomon {
         }
         Ok(true)
     }
+}
+
+/// Storage chunks for rows `first_row..first_row + count`, each a
+/// `chunk_len`-byte view of `buf` (row `first_row + i` at offset
+/// `i · chunk_len`).
+fn row_views(buf: Bytes, first_row: usize, count: usize, chunk_len: usize) -> Vec<Chunk> {
+    (0..count)
+        .map(|i| {
+            Chunk::new(
+                ChunkId::storage(first_row + i),
+                buf.slice(i * chunk_len..(i + 1) * chunk_len),
+            )
+        })
+        .collect()
 }
 
 #[cfg(test)]

@@ -142,6 +142,16 @@ impl FunctionalCacheCodec {
         self.code.encode(file)
     }
 
+    /// Encodes a file the caller hands over; its data chunks are views of
+    /// it. See [`ReedSolomon::encode_owned`].
+    ///
+    /// # Errors
+    ///
+    /// Propagates errors from [`ReedSolomon::encode_owned`].
+    pub fn encode_owned(&self, file: Vec<u8>) -> Result<EncodedFile, CodingError> {
+        self.code.encode_owned(file)
+    }
+
     /// Produces `d` functional cache chunks for a file.
     ///
     /// The chunks use generator rows `n..n + d`, so together with the storage
@@ -151,21 +161,33 @@ impl FunctionalCacheCodec {
     ///
     /// Returns [`CodingError::TooManyCacheChunks`] if `d > k`.
     pub fn cache_chunks(&self, file: &[u8], d: usize) -> Result<Vec<Chunk>, CodingError> {
-        let params = self.code.params();
-        if d > params.k() {
+        self.check_cache_chunks(d)?;
+        let (data_chunks, _) = stripe::split(file, self.code.params().k());
+        let data_refs: Vec<&[u8]> = data_chunks.iter().map(Vec::as_slice).collect();
+        Ok(self.cache_rows(&data_refs, d))
+    }
+
+    fn check_cache_chunks(&self, d: usize) -> Result<(), CodingError> {
+        let k = self.code.params().k();
+        if d > k {
             return Err(CodingError::TooManyCacheChunks {
                 requested: d,
-                max: params.k(),
+                max: k,
             });
         }
-        let (data_chunks, _) = stripe::split(file, params.k());
-        let rows: Vec<usize> = (params.n()..params.n() + d).collect();
-        let payloads = self.code.encode_rows(&data_chunks, &rows);
-        Ok(rows
-            .into_iter()
+        Ok(())
+    }
+
+    /// Cache rows `n..n + d` coded from the `k` data chunks, one payload
+    /// per chunk (each cached chunk owns its bytes).
+    fn cache_rows(&self, data_chunks: &[&[u8]], d: usize) -> Vec<Chunk> {
+        let n = self.code.params().n();
+        let rows: Vec<usize> = (n..n + d).collect();
+        let payloads = self.code.encode_rows_from(data_chunks, &rows);
+        rows.into_iter()
             .zip(payloads)
             .map(|(row, payload)| Chunk::new(ChunkId::cache(row), payload))
-            .collect())
+            .collect()
     }
 
     /// Produces functional cache chunks from already-available storage chunks
@@ -184,16 +206,13 @@ impl FunctionalCacheCodec {
         available: &[Chunk],
         d: usize,
     ) -> Result<Vec<Chunk>, CodingError> {
-        let params = self.code.params();
-        if d > params.k() {
-            return Err(CodingError::TooManyCacheChunks {
-                requested: d,
-                max: params.k(),
-            });
-        }
+        self.check_cache_chunks(d)?;
+        // The decode is exactly k whole data chunks, so the cache rows are
+        // coded from views of it — no split copy.
+        let k = self.code.params().k();
         let chunk_len = available.first().map_or(0, Chunk::len);
-        let file = self.code.decode(available, params.k() * chunk_len)?;
-        self.cache_chunks(&file, d)
+        let file = self.code.decode(available, k * chunk_len)?;
+        Ok(self.cache_rows(&stripe::views(&file, k), d))
     }
 
     /// Decodes a file from any `k` distinct chunks (storage and/or cache).
@@ -203,6 +222,21 @@ impl FunctionalCacheCodec {
     /// Propagates errors from [`ReedSolomon::decode`].
     pub fn decode(&self, chunks: &[Chunk], original_len: usize) -> Result<Vec<u8>, CodingError> {
         self.code.decode(chunks, original_len)
+    }
+
+    /// Decodes into a caller's (reused) buffer. See
+    /// [`ReedSolomon::decode_into`].
+    ///
+    /// # Errors
+    ///
+    /// Propagates errors from [`ReedSolomon::decode_into`].
+    pub fn decode_into(
+        &self,
+        chunks: &[Chunk],
+        original_len: usize,
+        out: &mut Vec<u8>,
+    ) -> Result<(), CodingError> {
+        self.code.decode_into(chunks, original_len, out)
     }
 
     /// Number of storage chunks a read must fetch when `d` chunks are cached.

@@ -28,6 +28,22 @@ pub fn split(data: &[u8], k: usize) -> (Vec<Vec<u8>>, usize) {
     (chunks, chunk_len)
 }
 
+/// The `k` equal-length data chunks of an already padded buffer, as views
+/// (the zero-copy counterpart of [`split`] for a buffer of exactly
+/// `k · chunk_len` bytes).
+///
+/// # Panics
+///
+/// Panics if `k == 0` or `data.len()` is not a multiple of `k`.
+pub(crate) fn views(data: &[u8], k: usize) -> Vec<&[u8]> {
+    assert!(k > 0, "cannot split a file into zero chunks");
+    assert_eq!(data.len() % k, 0, "a padded buffer holds k whole chunks");
+    let chunk_len = data.len() / k;
+    (0..k)
+        .map(|i| &data[i * chunk_len..(i + 1) * chunk_len])
+        .collect()
+}
+
 /// Re-assembles the original file from its `k` data chunks.
 ///
 /// `original_len` is the pre-padding file length; bytes beyond it are
@@ -99,6 +115,15 @@ mod tests {
                 let joined = join(&chunks, len);
                 assert_eq!(joined, data, "len={len} k={k}");
             }
+        }
+    }
+
+    #[test]
+    fn views_match_split_of_a_padded_buffer() {
+        for len in [0usize, 4, 20, 100] {
+            let data: Vec<u8> = (0..len).map(|i| (i * 7) as u8).collect();
+            let (chunks, _) = split(&data, 4);
+            assert_eq!(views(&data, 4), chunks, "len={len}");
         }
     }
 

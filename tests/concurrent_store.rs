@@ -12,7 +12,11 @@
 //!   `promote_object`, one eviction per successful `evict_cached`;
 //! * thread-private objects written mid-storm read back verbatim;
 //! * a `get` racing an overwrite of the *same* object returns one of the
-//!   written versions or a typed error — never a mixture of the two.
+//!   written versions or a typed error — never a mixture of the two;
+//! * a `Sproutd` worker that decodes objects of mixed sizes into its one
+//!   reused buffer, beside daemon puts whose payloads become their stored
+//!   chunks, serves exactly the written bytes — under a racing overwriter
+//!   and after it.
 
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
@@ -21,6 +25,7 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use sprout::backend::synthetic_payload;
 use sprout::cluster::{CachePolicy, ClusterConfig, ClusterError, StoreHandle};
+use sprout::{ServeOpts, ServePlan, Sproutd};
 
 const NODES: usize = 12;
 const CODE_N: usize = 7;
@@ -246,4 +251,136 @@ fn a_get_racing_an_overwrite_returns_one_version_or_a_typed_error() {
         uncached > 0 && functional > 0,
         "some reads must land between overwrites ({uncached}, {functional})"
     );
+}
+
+/// Object sizes a worker's reused decode buffer must shrink and grow
+/// between: 1 MiB, 4 KiB, and an odd length that needs padding.
+const SERVED_SIZES: [usize; 3] = [1 << 20, 4096, 64 * 1024 + 13];
+const SERVED_OBJECTS: u64 = 6;
+/// Phase-1 rounds: a get of every served object, then one daemon put.
+const SERVED_ROUNDS: u64 = 30;
+/// Objects the phase-1 daemon writes through its own queue.
+const DAEMON_PUT_BASE: u64 = 500;
+
+struct StopOnDrop<'a>(&'a AtomicBool);
+
+impl Drop for StopOnDrop<'_> {
+    fn drop(&mut self) {
+        self.0.store(true, Ordering::Release);
+    }
+}
+
+fn served_payload(object: u64, version: u64) -> Vec<u8> {
+    let len = SERVED_SIZES[object as usize % SERVED_SIZES.len()];
+    synthetic_payload(object as usize, len, 90 + version)
+}
+
+/// Phase 1: `workers` workers serve gets of mixed-size objects with daemon
+/// puts interleaved, while one thread overwrites the objects being read
+/// (two same-length versions, so a torn read is a checksum mismatch, not a
+/// size error). Phase 2: a fresh daemon over the same store reads every
+/// object back, after a plan swap, with nothing racing it.
+fn served_buffer_reuse_race(workers: usize) {
+    let config = ClusterConfig::builder()
+        .nodes(NODES)
+        .code(CODE_N, CODE_K)
+        .cache_policy(CachePolicy::Functional)
+        .cache_capacity_bytes(64 * 1024 * 1024)
+        .seed(79)
+        .build();
+    let store = StoreHandle::new(config).expect("store builds");
+    for object in 0..SERVED_OBJECTS {
+        store
+            .put(object, &served_payload(object, 0))
+            .expect("preload");
+    }
+    // Deep enough for every request, so a submit never waits on a worker
+    // (a worker that panics then fails `shutdown` instead of hanging it).
+    let opts = ServeOpts::default().workers(workers).queue_depth(256);
+
+    let daemon = Sproutd::start(store.clone(), opts.clone());
+    let done = AtomicBool::new(false);
+    let overwrites = AtomicU64::new(0);
+    let report = std::thread::scope(|scope| {
+        // Stops the overwriter when this closure ends, even by a panic.
+        let _stop = StopOnDrop(&done);
+        scope.spawn(|| {
+            let mut version = 0;
+            while !done.load(Ordering::Acquire) {
+                version += 1;
+                for object in 0..SERVED_OBJECTS {
+                    let data = served_payload(object, version % 2);
+                    store.put(object, &data).expect("overwrite succeeds");
+                    overwrites.fetch_add(1, Ordering::Relaxed);
+                }
+            }
+            // End on version 0, which phase 2 checks against.
+            for object in 0..SERVED_OBJECTS {
+                store
+                    .put(object, &served_payload(object, 0))
+                    .expect("final put");
+            }
+        });
+        for round in 0..SERVED_ROUNDS {
+            for object in 0..SERVED_OBJECTS {
+                assert!(daemon.submit_get(object));
+            }
+            let id = DAEMON_PUT_BASE + round;
+            assert!(daemon.submit_put(id, served_payload(id, 0)));
+        }
+        // The overwriter keeps going until the daemon has drained the queue.
+        daemon.shutdown()
+    });
+    assert!(overwrites.load(Ordering::Relaxed) > 0, "the overwriter ran");
+    assert_eq!(report.submitted, SERVED_ROUNDS * (SERVED_OBJECTS + 1));
+    assert_eq!(
+        report.submitted,
+        report.completed + report.errors,
+        "{workers} workers: every request completes or fails"
+    );
+    assert_eq!(
+        report.verified, report.completed,
+        "every completion verified"
+    );
+    assert_eq!(
+        report.errors,
+        report.checksum_mismatches + report.replica_shortfalls + report.unknown_objects,
+        "{workers} workers: a failure under the race is one of the typed three"
+    );
+    assert!(
+        report.completed >= SERVED_ROUNDS,
+        "the daemon puts completed"
+    );
+
+    // Phase 2: no race. Every get — preloaded objects with two cached
+    // chunks each, and the daemon-written ones — must decode verbatim.
+    let daemon = Sproutd::start(store.clone(), opts);
+    let plan = ServePlan {
+        cached_chunks: vec![2; SERVED_OBJECTS as usize],
+    };
+    daemon.swap_plan(plan).expect("plan installs");
+    let ids: Vec<u64> = (0..SERVED_OBJECTS)
+        .chain(DAEMON_PUT_BASE..DAEMON_PUT_BASE + SERVED_ROUNDS)
+        .collect();
+    for _ in 0..3 {
+        for &id in &ids {
+            assert!(daemon.submit_get(id));
+        }
+    }
+    let report = daemon.shutdown();
+    assert_eq!(report.errors, 0, "{workers} workers: {report:?}");
+    assert_eq!(report.completed, 3 * ids.len() as u64);
+    for &id in &ids {
+        let outcome = store.get(id, 0.0).expect("readable after the race");
+        assert_eq!(outcome.data, served_payload(id, 0), "object {id}");
+    }
+}
+
+/// Runs in CI's release loop and on the SIMD-fallback job, so buffer reuse
+/// is exercised on every kernel rung.
+#[test]
+fn served_buffer_reuse_survives_a_racing_overwriter() {
+    for workers in [1, 2] {
+        served_buffer_reuse_race(workers);
+    }
 }
