@@ -12,16 +12,16 @@ use std::ops::{Add, AddAssign, Div, DivAssign, Mul, MulAssign, Neg, Sub, SubAssi
 ///
 /// This is the same polynomial used by the Jerasure library (and therefore by
 /// Ceph's default erasure-code plugin), which the paper's prototype relies on.
-pub const POLYNOMIAL: u16 = 0x11D;
+pub(crate) const POLYNOMIAL: u16 = 0x11D;
 
 /// The multiplicative generator used to build the log/exp tables.
-pub const GENERATOR: u8 = 0x02;
+pub(crate) const GENERATOR: u8 = 0x02;
 
 /// Number of elements in the field.
-pub const FIELD_SIZE: usize = 256;
+pub(crate) const FIELD_SIZE: usize = 256;
 
 /// Order of the multiplicative group (`FIELD_SIZE - 1`).
-pub const GROUP_ORDER: usize = 255;
+pub(crate) const GROUP_ORDER: usize = 255;
 
 /// Precomputed tables for GF(2^8) arithmetic.
 struct Tables {
@@ -74,7 +74,7 @@ pub struct Gf256(pub u8);
 
 impl Gf256 {
     /// The additive identity.
-    pub const ZERO: Gf256 = Gf256(0);
+    pub(crate) const ZERO: Gf256 = Gf256(0);
     /// The multiplicative identity.
     pub const ONE: Gf256 = Gf256(1);
 
@@ -92,7 +92,7 @@ impl Gf256 {
 
     /// Returns `true` if this is the additive identity.
     #[inline]
-    pub const fn is_zero(self) -> bool {
+    pub(crate) const fn is_zero(self) -> bool {
         self.0 == 0
     }
 
@@ -106,16 +106,6 @@ impl Gf256 {
         assert!(!self.is_zero(), "attempt to invert Gf256::ZERO");
         let log = TABLES.log[self.0 as usize] as usize;
         Gf256(TABLES.exp[GROUP_ORDER - log])
-    }
-
-    /// Returns the inverse, or `None` if `self` is zero.
-    #[inline]
-    pub fn checked_inverse(self) -> Option<Gf256> {
-        if self.is_zero() {
-            None
-        } else {
-            Some(self.inverse())
-        }
     }
 
     /// Raises this element to an integer power (with `x^0 == 1`, including `0^0`).
@@ -414,15 +404,6 @@ mod tests {
     #[should_panic(expected = "invert Gf256::ZERO")]
     fn inverse_of_zero_panics() {
         let _ = Gf256::ZERO.inverse();
-    }
-
-    #[test]
-    fn checked_inverse_of_zero_is_none() {
-        assert!(Gf256::ZERO.checked_inverse().is_none());
-        assert_eq!(
-            Gf256::new(3).checked_inverse(),
-            Some(Gf256::new(3).inverse())
-        );
     }
 
     #[test]

@@ -39,7 +39,7 @@
 //! on shapes with more than [`simd::MAX_DOT`] sources or outputs.
 //!
 //! Per-coefficient tables are built lazily, once per process, and shared by
-//! every caller ([`MulTable::for_coeff`]), so an encode that reuses the same
+//! every caller (`MulTable::for_coeff`), so an encode that reuses the same
 //! generator row across a whole stripe pays the table cost exactly once.
 
 use std::sync::OnceLock;
@@ -115,7 +115,7 @@ impl MulTable {
     /// Tables are cached per coefficient (at most 256 × ~360 bytes), so
     /// repeated stripe operations with the same generator coefficients reuse
     /// them for free.
-    pub fn for_coeff(coeff: Gf256) -> &'static MulTable {
+    pub(crate) fn for_coeff(coeff: Gf256) -> &'static MulTable {
         static TABLES: [OnceLock<MulTable>; 256] = [const { OnceLock::new() }; 256];
         TABLES[coeff.value() as usize].get_or_init(|| MulTable::build(coeff))
     }
@@ -175,7 +175,7 @@ impl Kernel {
 
     /// Parses a kernel name as emitted by [`Kernel::name`]; `"auto"` maps to
     /// [`Kernel::auto`]. Returns `None` for unknown names.
-    pub fn from_name(name: &str) -> Option<Kernel> {
+    pub(crate) fn from_name(name: &str) -> Option<Kernel> {
         match name.trim().to_ascii_lowercase().as_str() {
             "scalar" => Some(Kernel::Scalar),
             "word" => Some(Kernel::Word),

@@ -42,4 +42,4 @@ pub mod simd;
 pub use field::Gf256;
 pub use kernel::{Kernel, MulTable};
 pub use matrix::{Matrix, MatrixError};
-pub use simd::{simd_available, simd_level, SimdLevel};
+pub use simd::{simd_level, SimdLevel};

@@ -148,7 +148,7 @@ pub fn simd_level() -> SimdLevel {
 
 /// Whether [`Kernel::Simd`](crate::Kernel::Simd) has real SIMD behind it on
 /// this CPU (`simd_level() != SimdLevel::None`).
-pub fn simd_available() -> bool {
+pub(crate) fn simd_available() -> bool {
     simd_level() != SimdLevel::None
 }
 
