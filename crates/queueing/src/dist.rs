@@ -100,13 +100,6 @@ pub enum ServiceDistribution {
         /// Scale parameter `θ`.
         scale: f64,
     },
-    /// Pareto (Lomax-style, with finite moments only for `shape > 3`).
-    Pareto {
-        /// Scale (minimum value) `x_m`.
-        scale: f64,
-        /// Tail index `α`; the first three moments require `α > 3`.
-        shape: f64,
-    },
 }
 
 impl ServiceDistribution {
@@ -164,21 +157,6 @@ impl ServiceDistribution {
             "gamma parameters must be positive"
         );
         ServiceDistribution::Gamma { shape, scale }
-    }
-
-    /// Pareto service time.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `scale <= 0` or `shape <= 3` (the third moment would be
-    /// infinite, and Lemma 1 needs it).
-    pub fn pareto(scale: f64, shape: f64) -> Self {
-        assert!(scale > 0.0, "scale must be positive");
-        assert!(
-            shape > 3.0,
-            "pareto shape must exceed 3 for finite third moment"
-        );
-        ServiceDistribution::Pareto { scale, shape }
     }
 
     /// Fits a Gamma distribution to a measured mean and variance.
@@ -250,14 +228,6 @@ impl ServiceDistribution {
                 second: scale * scale * shape * (shape + 1.0),
                 third: scale.powi(3) * shape * (shape + 1.0) * (shape + 2.0),
             },
-            ServiceDistribution::Pareto { scale, shape } => {
-                let m = |p: f64| shape * scale.powf(p) / (shape - p);
-                ServiceMoments {
-                    mean: m(1.0),
-                    second: m(2.0),
-                    third: m(3.0),
-                }
-            }
         }
     }
 
@@ -271,10 +241,6 @@ impl ServiceDistribution {
                 shift + sample_exponential(rng, rate)
             }
             ServiceDistribution::Gamma { shape, scale } => sample_gamma(rng, shape, scale),
-            ServiceDistribution::Pareto { scale, shape } => {
-                let u: f64 = rng.gen_range(f64::MIN_POSITIVE..1.0);
-                scale / u.powf(1.0 / shape)
-            }
         }
     }
 }
@@ -290,9 +256,6 @@ impl fmt::Display for ServiceDistribution {
             }
             ServiceDistribution::Gamma { shape, scale } => {
                 write!(f, "Gamma(shape={shape}, scale={scale})")
-            }
-            ServiceDistribution::Pareto { scale, shape } => {
-                write!(f, "Pareto(scale={scale}, shape={shape})")
             }
         }
     }
@@ -409,14 +372,6 @@ mod tests {
     }
 
     #[test]
-    fn pareto_moments_are_finite_for_large_shape() {
-        let d = ServiceDistribution::pareto(1.0, 4.0);
-        let m = d.moments();
-        assert!((m.mean - 4.0 / 3.0).abs() < 1e-12);
-        assert!(m.second.is_finite() && m.third.is_finite());
-    }
-
-    #[test]
     fn sampling_matches_analytic_moments() {
         check_moments_by_sampling(ServiceDistribution::exponential(0.25), 0.02);
         check_moments_by_sampling(ServiceDistribution::deterministic(3.0), 0.001);
@@ -424,7 +379,6 @@ mod tests {
         check_moments_by_sampling(ServiceDistribution::shifted_exponential(2.0, 1.0), 0.02);
         check_moments_by_sampling(ServiceDistribution::gamma(2.5, 3.0), 0.03);
         check_moments_by_sampling(ServiceDistribution::gamma(0.5, 1.0), 0.03);
-        check_moments_by_sampling(ServiceDistribution::pareto(1.0, 5.0), 0.03);
     }
 
     #[test]
@@ -441,9 +395,6 @@ mod tests {
         assert!(ServiceDistribution::gamma(1.0, 1.0)
             .to_string()
             .contains("Gamma"));
-        assert!(ServiceDistribution::pareto(1.0, 4.0)
-            .to_string()
-            .contains("Pareto"));
         assert!(ServiceDistribution::shifted_exponential(1.0, 1.0)
             .to_string()
             .contains("ShiftedExp"));
@@ -453,12 +404,6 @@ mod tests {
     #[should_panic(expected = "rate must be positive")]
     fn invalid_exponential_rate_panics() {
         let _ = ServiceDistribution::exponential(0.0);
-    }
-
-    #[test]
-    #[should_panic(expected = "shape must exceed 3")]
-    fn pareto_with_infinite_third_moment_panics() {
-        let _ = ServiceDistribution::pareto(1.0, 2.5);
     }
 
     #[test]

@@ -1,9 +1,11 @@
-//! Queue-stability checks.
+//! The queue-stability error.
 //!
 //! Under probabilistic scheduling, chunk requests arrive at node `j` as a
 //! Poisson process with rate `Λ_j = Σ_i λ_i π_{i,j}`. The M/G/1 queue at node
 //! `j` is stable only when the utilization `ρ_j = Λ_j / µ_j` is strictly
-//! below one; otherwise queueing delay (and the latency bound) diverges.
+//! below one; otherwise queueing delay (and the latency bound) diverges,
+//! and [`queue_delay_moments`](crate::mg1::queue_delay_moments) reports the
+//! overloaded node as a [`StabilityError`].
 
 use std::fmt;
 
@@ -27,98 +29,3 @@ impl fmt::Display for StabilityError {
 }
 
 impl std::error::Error for StabilityError {}
-
-/// Computes per-node utilizations `ρ_j = Λ_j / µ_j`.
-///
-/// # Panics
-///
-/// Panics if the two slices have different lengths or a service rate is not
-/// positive.
-pub fn utilizations(node_arrival_rates: &[f64], service_rates: &[f64]) -> Vec<f64> {
-    assert_eq!(
-        node_arrival_rates.len(),
-        service_rates.len(),
-        "arrival and service rate vectors must have the same length"
-    );
-    node_arrival_rates
-        .iter()
-        .zip(service_rates)
-        .map(|(&lambda, &mu)| {
-            assert!(mu > 0.0, "service rates must be positive");
-            lambda / mu
-        })
-        .collect()
-}
-
-/// Verifies that every node is stable, returning the first violation.
-///
-/// # Errors
-///
-/// Returns a [`StabilityError`] naming the first node with `ρ_j ≥ 1`.
-pub fn check_stability(
-    node_arrival_rates: &[f64],
-    service_rates: &[f64],
-) -> Result<(), StabilityError> {
-    for (node, rho) in utilizations(node_arrival_rates, service_rates)
-        .into_iter()
-        .enumerate()
-    {
-        if rho >= 1.0 {
-            return Err(StabilityError {
-                node,
-                utilization: rho,
-            });
-        }
-    }
-    Ok(())
-}
-
-/// Largest utilization across nodes (the system bottleneck).
-pub fn bottleneck_utilization(node_arrival_rates: &[f64], service_rates: &[f64]) -> f64 {
-    utilizations(node_arrival_rates, service_rates)
-        .into_iter()
-        .fold(0.0, f64::max)
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn stable_system_passes() {
-        assert!(check_stability(&[0.05, 0.08], &[0.1, 0.1]).is_ok());
-    }
-
-    #[test]
-    fn unstable_node_is_reported() {
-        let err = check_stability(&[0.05, 0.12], &[0.1, 0.1]).unwrap_err();
-        assert_eq!(err.node, 1);
-        assert!(err.utilization >= 1.0);
-        assert!(err.to_string().contains("node 1"));
-    }
-
-    #[test]
-    fn exactly_critical_load_is_unstable() {
-        assert!(check_stability(&[0.1], &[0.1]).is_err());
-    }
-
-    #[test]
-    fn utilization_and_bottleneck() {
-        let rho = utilizations(&[0.02, 0.06], &[0.1, 0.1]);
-        assert!((rho[0] - 0.2).abs() < 1e-12);
-        assert!((rho[1] - 0.6).abs() < 1e-12);
-        assert!((bottleneck_utilization(&[0.02, 0.06], &[0.1, 0.1]) - 0.6).abs() < 1e-12);
-    }
-
-    #[test]
-    #[should_panic(expected = "same length")]
-    fn mismatched_lengths_panic() {
-        let _ = utilizations(&[0.1], &[0.1, 0.2]);
-    }
-
-    #[test]
-    #[should_panic(expected = "positive")]
-    fn zero_service_rate_panics() {
-        let _ = utilizations(&[0.1], &[0.0]);
-    }
-}
