@@ -5,7 +5,7 @@ use std::fmt;
 
 /// Where a chunk lives / was served from.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
-pub enum ChunkSource {
+pub(crate) enum ChunkSource {
     /// The chunk is one of the `n` chunks stored on storage nodes.
     Storage,
     /// The chunk is a functional (or exact) chunk held in a compute-server cache.
@@ -31,7 +31,7 @@ pub struct ChunkId {
     /// Row of the extended generator matrix that produced this chunk.
     pub index: usize,
     /// Whether the chunk is a storage chunk or a cache chunk.
-    pub source: ChunkSource,
+    pub(crate) source: ChunkSource,
 }
 
 impl ChunkId {

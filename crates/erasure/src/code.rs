@@ -13,7 +13,7 @@ use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use bytes::Bytes;
 use sprout_gf::{builders, kernel, Gf256, Kernel, Matrix};
 
-use crate::chunk::{Chunk, ChunkId, ChunkSource};
+use crate::chunk::{Chunk, ChunkId};
 use crate::error::CodingError;
 use crate::stripe;
 use crate::striped::{self, StripeOpts};
@@ -80,7 +80,7 @@ impl CodeParams {
 
     /// Total number of rows in the extended generator (`n + k`).
     #[inline]
-    pub fn extended_rows(&self) -> usize {
+    pub(crate) fn extended_rows(&self) -> usize {
         self.n + self.k
     }
 }
@@ -267,7 +267,7 @@ impl ReedSolomon {
     }
 
     /// Switches automatic striping. See [`ReedSolomon::with_striping`].
-    pub fn set_striping(&mut self, striping: Option<StripeOpts>) {
+    pub(crate) fn set_striping(&mut self, striping: Option<StripeOpts>) {
         self.striping = striping;
     }
 
@@ -284,11 +284,6 @@ impl ReedSolomon {
     /// The slice kernel used for bulk GF(2^8) work.
     pub fn kernel(&self) -> Kernel {
         self.kernel
-    }
-
-    /// Number of inverted decode matrices currently memoized.
-    pub fn memoized_decode_matrices(&self) -> usize {
-        self.memo().entries.len()
     }
 
     /// `(hits, misses)` counters of the decode-matrix memo.
@@ -737,20 +732,6 @@ impl ReedSolomon {
         Ok(inverse)
     }
 
-    /// Produces a single coded chunk for the given generator row from a raw file.
-    ///
-    /// Convenience wrapper used by repair and cache-population paths.
-    pub fn encode_row_from_file(&self, file: &[u8], row: usize) -> Chunk {
-        let (data_chunks, _) = stripe::split(file, self.params.k());
-        let payload = self.encode_rows(&data_chunks, &[row]).remove(0);
-        let source = if row < self.params.n() {
-            ChunkSource::Storage
-        } else {
-            ChunkSource::Cache
-        };
-        Chunk::new(ChunkId { index: row, source }, Bytes::from(payload))
-    }
-
     /// Verifies that a set of chunks is consistent with a single codeword,
     /// i.e. decoding from one `k`-subset and re-encoding reproduces all the
     /// supplied chunks.
@@ -947,44 +928,30 @@ mod tests {
     }
 
     #[test]
-    fn encode_row_from_file_matches_encode() {
-        let rs = ReedSolomon::new(CodeParams::new(7, 4).unwrap()).unwrap();
-        let file = sample_file(77);
-        let encoded = rs.encode(&file).unwrap();
-        for row in 0..7 {
-            let chunk = rs.encode_row_from_file(&file, row);
-            assert_eq!(chunk.data, encoded.chunks()[row].data);
-            assert_eq!(chunk.id.source, ChunkSource::Storage);
-        }
-        let cache_chunk = rs.encode_row_from_file(&file, 8);
-        assert_eq!(cache_chunk.id.source, ChunkSource::Cache);
-    }
-
-    #[test]
     fn decode_memo_caches_row_subsets() {
         let rs = ReedSolomon::new(CodeParams::new(7, 4).unwrap()).unwrap();
         let file = sample_file(64);
         let encoded = rs.encode(&file).unwrap();
         let subset: Vec<Chunk> = encoded.chunks()[1..5].to_vec();
-        assert_eq!(rs.memoized_decode_matrices(), 0);
+        assert_eq!(rs.memo().entries.len(), 0);
         for _ in 0..5 {
             assert_eq!(rs.decode(&subset, file.len()).unwrap(), file);
         }
-        assert_eq!(rs.memoized_decode_matrices(), 1);
+        assert_eq!(rs.memo().entries.len(), 1);
         let (hits, misses) = rs.decode_memo_stats();
         assert_eq!((hits, misses), (4, 1));
         // Chunk order does not create a new entry: the key is the sorted set.
         let mut shuffled = subset.clone();
         shuffled.reverse();
         assert_eq!(rs.decode(&shuffled, file.len()).unwrap(), file);
-        assert_eq!(rs.memoized_decode_matrices(), 1);
+        assert_eq!(rs.memo().entries.len(), 1);
         // A different subset adds a second entry.
         let other: Vec<Chunk> = encoded.chunks()[3..7].to_vec();
         assert_eq!(rs.decode(&other, file.len()).unwrap(), file);
-        assert_eq!(rs.memoized_decode_matrices(), 2);
+        assert_eq!(rs.memo().entries.len(), 2);
         // Clones share the memo.
         let clone = rs.clone();
-        assert_eq!(clone.memoized_decode_matrices(), 2);
+        assert_eq!(clone.memo().entries.len(), 2);
     }
 
     #[test]
@@ -1010,7 +977,7 @@ mod tests {
         let other: Vec<Chunk> = encoded.chunks()[3..7].to_vec();
         assert_eq!(rs.decode(&other, file.len()).unwrap(), file);
         assert_eq!(rs.decode_memo_stats(), (1, 2));
-        assert_eq!(rs.memoized_decode_matrices(), 2);
+        assert_eq!(rs.memo().entries.len(), 2);
     }
 
     #[test]
@@ -1025,7 +992,7 @@ mod tests {
                 assert_eq!(rs.decode(&subset, file.len()).unwrap(), file);
             }
         }
-        assert!(rs.memoized_decode_matrices() <= 64);
+        assert!(rs.memo().entries.len() <= 64);
     }
 
     #[test]

@@ -80,7 +80,7 @@ impl FunctionalCacheCodec {
     }
 
     /// Switches automatic striping. See [`ReedSolomon::set_striping`].
-    pub fn set_striping(&mut self, striping: Option<StripeOpts>) {
+    pub(crate) fn set_striping(&mut self, striping: Option<StripeOpts>) {
         self.code.set_striping(striping);
     }
 
@@ -116,11 +116,6 @@ impl FunctionalCacheCodec {
         opts: StripeOpts,
     ) -> Result<Vec<u8>, CodingError> {
         self.code.decode_striped(chunks, original_len, opts)
-    }
-
-    /// Wraps an existing Reed–Solomon code.
-    pub fn from_code(code: ReedSolomon) -> Self {
-        FunctionalCacheCodec { code }
     }
 
     /// The code parameters.
@@ -238,14 +233,6 @@ impl FunctionalCacheCodec {
     ) -> Result<(), CodingError> {
         self.code.decode_into(chunks, original_len, out)
     }
-
-    /// Number of storage chunks a read must fetch when `d` chunks are cached.
-    ///
-    /// This is `max(k - d, 0)`; with `d = k` the file is served entirely from
-    /// the cache.
-    pub fn storage_chunks_needed(&self, d: usize) -> usize {
-        self.code.params().k().saturating_sub(d)
-    }
 }
 
 #[cfg(test)]
@@ -286,17 +273,7 @@ mod tests {
         let codec = FunctionalCacheCodec::new(CodeParams::new(7, 4).unwrap()).unwrap();
         let file = sample_file(257);
         let cached = codec.cache_chunks(&file, 4).unwrap();
-        assert_eq!(codec.storage_chunks_needed(4), 0);
         assert_eq!(codec.decode(&cached, file.len()).unwrap(), file);
-    }
-
-    #[test]
-    fn storage_chunks_needed_decreases_with_d() {
-        let codec = FunctionalCacheCodec::new(CodeParams::new(7, 4).unwrap()).unwrap();
-        assert_eq!(codec.storage_chunks_needed(0), 4);
-        assert_eq!(codec.storage_chunks_needed(1), 3);
-        assert_eq!(codec.storage_chunks_needed(4), 0);
-        assert_eq!(codec.storage_chunks_needed(9), 0);
     }
 
     #[test]
@@ -353,15 +330,6 @@ mod tests {
                 }
             }
         }
-    }
-
-    #[test]
-    fn from_code_preserves_generator() {
-        let rs = ReedSolomon::new(CodeParams::new(5, 3).unwrap()).unwrap();
-        let gen = rs.generator().clone();
-        let codec = FunctionalCacheCodec::from_code(rs);
-        assert_eq!(codec.code().generator(), &gen);
-        assert_eq!(codec.params().n(), 5);
     }
 
     #[test]

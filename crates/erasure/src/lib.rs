@@ -42,7 +42,7 @@ pub mod functional;
 pub mod stripe;
 pub mod striped;
 
-pub use chunk::{Chunk, ChunkId, ChunkSource};
+pub use chunk::{Chunk, ChunkId};
 pub use code::{CodeParams, EncodedFile, ReedSolomon};
 pub use error::CodingError;
 pub use functional::FunctionalCacheCodec;

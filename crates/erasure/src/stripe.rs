@@ -87,7 +87,7 @@ pub fn chunk_len(file_len: usize, k: usize) -> usize {
 /// # Panics
 ///
 /// Panics if `stripe_len == 0`.
-pub fn stripe_ranges(chunk_len: usize, stripe_len: usize) -> Vec<std::ops::Range<usize>> {
+pub(crate) fn stripe_ranges(chunk_len: usize, stripe_len: usize) -> Vec<std::ops::Range<usize>> {
     assert!(stripe_len > 0, "stripe length must be positive");
     let mut ranges = Vec::with_capacity(chunk_len.div_ceil(stripe_len.max(1)));
     let mut start = 0;

@@ -59,7 +59,7 @@ impl StripeOpts {
 
     /// The resolved worker budget: `threads`, or the machine's available
     /// parallelism when `threads == 0`.
-    pub fn effective_threads(&self) -> usize {
+    pub(crate) fn effective_threads(&self) -> usize {
         if self.threads > 0 {
             self.threads
         } else {
