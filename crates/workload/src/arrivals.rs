@@ -127,7 +127,7 @@ impl RateProfile {
 
     /// The rate in force at absolute time `t`, together with the end of the
     /// current constant-rate segment (`f64::INFINITY` for the final one).
-    pub fn segment_at(&self, t: f64) -> (f64, f64) {
+    pub(crate) fn segment_at(&self, t: f64) -> (f64, f64) {
         match self {
             RateProfile::Constant(rate) => (*rate, f64::INFINITY),
             RateProfile::Piecewise { ends, rates } => {
@@ -142,7 +142,7 @@ impl RateProfile {
     }
 
     /// The rate in force at absolute time `t`.
-    pub fn rate_at(&self, t: f64) -> f64 {
+    pub(crate) fn rate_at(&self, t: f64) -> f64 {
         self.segment_at(t).0
     }
 }

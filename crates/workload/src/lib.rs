@@ -4,9 +4,9 @@
 //! synthetic workloads characterised by per-file Poisson request arrivals
 //! whose rates change between *time bins* (§III). This crate provides:
 //!
-//! * [`spec`] — file-population descriptions: per-file sizes, erasure-code
-//!   parameters and arrival rates, including the exact rate groups used by
-//!   the paper's simulation section and the object-size mix of Table III.
+//! * [`spec`] — the paper's workload numbers: the rate groups and server
+//!   service rates of its simulation section, the object-size mix of
+//!   Table III and the testbed measurements of Tables IV and V.
 //! * [`arrivals`] — homogeneous and non-homogeneous Poisson arrival
 //!   generation, producing request traces.
 //! * [`timebins`] — time-binned rate schedules (e.g. the three-bin scenario
@@ -44,7 +44,6 @@ pub mod zipf;
 
 pub use arrivals::{ArrivalStream, PoissonArrivals, RateProfile, Request};
 pub use estimator::SlidingWindowEstimator;
-pub use spec::{FileSpec, ObjectSizeClass, WorkloadSpec};
 pub use timebins::{RateSchedule, TimeBin};
 pub use trace::{binned_rate_profiles, parse_trace_csv, TraceError, TraceEvent};
 pub use zipf::ZipfPopularity;

@@ -1,70 +1,9 @@
-//! File-population and workload specifications, including the exact numbers
-//! used in the paper's evaluation.
+//! The workload numbers used in the paper's evaluation.
 
 /// Bytes per megabyte (the paper uses decimal MB for object sizes).
 pub const MB: u64 = 1_000_000;
 /// Bytes per gigabyte.
 pub const GB: u64 = 1_000 * MB;
-
-/// A single file (object) in the storage system.
-#[derive(Debug, Clone, PartialEq)]
-pub struct FileSpec {
-    /// File size in bytes.
-    pub size_bytes: u64,
-    /// Number of data chunks `k`.
-    pub k: usize,
-    /// Number of coded chunks stored on storage nodes `n`.
-    pub n: usize,
-    /// Request arrival rate (requests per second) in the current time bin.
-    pub arrival_rate: f64,
-}
-
-impl FileSpec {
-    /// Creates a file spec.
-    pub fn new(size_bytes: u64, n: usize, k: usize, arrival_rate: f64) -> Self {
-        FileSpec {
-            size_bytes,
-            k,
-            n,
-            arrival_rate,
-        }
-    }
-
-    /// Chunk size in bytes (`ceil(size / k)`).
-    pub fn chunk_bytes(&self) -> u64 {
-        self.size_bytes.div_ceil(self.k as u64)
-    }
-}
-
-/// A population of files plus the cache capacity, i.e. everything the
-/// optimizer needs besides node service statistics and placement.
-#[derive(Debug, Clone, PartialEq)]
-pub struct WorkloadSpec {
-    /// The files in the system.
-    pub files: Vec<FileSpec>,
-    /// Cache capacity in chunks.
-    pub cache_chunks: usize,
-}
-
-impl WorkloadSpec {
-    /// Creates a workload spec.
-    pub fn new(files: Vec<FileSpec>, cache_chunks: usize) -> Self {
-        WorkloadSpec {
-            files,
-            cache_chunks,
-        }
-    }
-
-    /// Aggregate arrival rate over all files.
-    pub fn total_arrival_rate(&self) -> f64 {
-        self.files.iter().map(|f| f.arrival_rate).sum()
-    }
-
-    /// Per-file arrival rates.
-    pub fn arrival_rates(&self) -> Vec<f64> {
-        self.files.iter().map(|f| f.arrival_rate).collect()
-    }
-}
 
 /// The per-file arrival rates of the paper's simulation setup (§V-A):
 /// groups of five files cycle through the rates
@@ -156,15 +95,6 @@ pub fn table_v_ssd_latency_ms() -> Vec<(u64, f64)> {
     ]
 }
 
-/// Builds a uniform file population: `num_files` files of `size_bytes` each,
-/// using an `(n, k)` code, with the paper's grouped arrival rates.
-pub fn uniform_population(num_files: usize, size_bytes: u64, n: usize, k: usize) -> Vec<FileSpec> {
-    paper_simulation_rates(num_files)
-        .into_iter()
-        .map(|rate| FileSpec::new(size_bytes, n, k, rate))
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -205,24 +135,5 @@ mod tests {
             // SSD cache reads are much faster than HDD reads at every size.
             assert!(lat_ssd < mean_hdd);
         }
-    }
-
-    #[test]
-    fn file_spec_chunk_size() {
-        let f = FileSpec::new(100 * MB, 7, 4, 0.001);
-        assert_eq!(f.chunk_bytes(), 25 * MB);
-        let odd = FileSpec::new(10, 3, 3, 0.0);
-        assert_eq!(odd.chunk_bytes(), 4);
-    }
-
-    #[test]
-    fn uniform_population_and_workload_spec() {
-        let files = uniform_population(10, 100 * MB, 7, 4);
-        assert_eq!(files.len(), 10);
-        assert!(files.iter().all(|f| f.n == 7 && f.k == 4));
-        let spec = WorkloadSpec::new(files, 500);
-        assert_eq!(spec.arrival_rates().len(), 10);
-        assert!(spec.total_arrival_rate() > 0.0);
-        assert_eq!(spec.cache_chunks, 500);
     }
 }

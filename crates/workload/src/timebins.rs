@@ -98,38 +98,13 @@ impl RateSchedule {
         self.bins.first().map_or(0, |b| b.rates.len())
     }
 
-    /// Total duration across bins.
-    pub fn total_duration(&self) -> f64 {
-        self.bins.iter().map(|b| b.duration).sum()
-    }
-
-    /// The bin active at absolute time `t`, if any.
-    pub fn bin_at(&self, t: f64) -> Option<(usize, &TimeBin)> {
-        let mut offset = 0.0;
-        for (i, bin) in self.bins.iter().enumerate() {
-            if t < offset + bin.duration {
-                return Some((i, bin));
-            }
-            offset += bin.duration;
-        }
-        None
-    }
-
-    /// Shape suitable for [`crate::arrivals::PoissonArrivals::generate_piecewise`].
-    pub fn as_piecewise(&self) -> Vec<(f64, Vec<f64>)> {
-        self.bins
-            .iter()
-            .map(|b| (b.duration, b.rates.clone()))
-            .collect()
-    }
-
     /// The piecewise-constant [`RateProfile`] of one file across the bins
     /// (for streaming arrival generation; zero rate beyond the last bin).
     ///
     /// # Panics
     ///
     /// Panics if `file` is out of range.
-    pub fn file_profile(&self, file: usize) -> RateProfile {
+    pub(crate) fn file_profile(&self, file: usize) -> RateProfile {
         assert!(
             file < self.num_files(),
             "file {file} out of range for a {}-file schedule",
@@ -200,23 +175,13 @@ mod tests {
         let s = table_i_schedule(100.0);
         assert_eq!(s.len(), 3);
         assert_eq!(s.num_files(), 10);
-        assert!((s.total_duration() - 300.0).abs() < 1e-12);
+        assert!(s.bins().iter().all(|b| b.duration == 100.0));
         // Bin 2: file 4 (index 3) decreased, file 5 (index 4) increased.
         assert!(s.bins()[1].rates[3] < s.bins()[0].rates[3]);
         assert!(s.bins()[1].rates[4] > s.bins()[0].rates[4]);
         // Bin 3: file 2 (index 1) increased to 0.00025, file 1 decreased.
         assert!(s.bins()[2].rates[1] > s.bins()[1].rates[1]);
         assert!(s.bins()[2].rates[0] < s.bins()[1].rates[0]);
-    }
-
-    #[test]
-    fn bin_lookup_by_time() {
-        let s = table_i_schedule(100.0);
-        assert_eq!(s.bin_at(0.0).unwrap().0, 0);
-        assert_eq!(s.bin_at(99.9).unwrap().0, 0);
-        assert_eq!(s.bin_at(100.0).unwrap().0, 1);
-        assert_eq!(s.bin_at(250.0).unwrap().0, 2);
-        assert!(s.bin_at(300.0).is_none());
     }
 
     #[test]
@@ -244,20 +209,11 @@ mod tests {
     }
 
     #[test]
-    fn piecewise_shape() {
-        let s = table_i_schedule(50.0);
-        let p = s.as_piecewise();
-        assert_eq!(p.len(), 3);
-        assert_eq!(p[0].1.len(), 10);
-        assert!((p[0].0 - 50.0).abs() < 1e-12);
-    }
-
-    #[test]
     fn empty_schedule() {
         let s = RateSchedule::default();
         assert!(s.is_empty());
         assert_eq!(s.num_files(), 0);
-        assert!(s.bin_at(0.0).is_none());
+        assert!(s.file_profiles().is_empty());
     }
 
     #[test]

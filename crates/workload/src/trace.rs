@@ -118,8 +118,9 @@ pub fn parse_trace_csv(text: &str) -> Result<Vec<TraceEvent>, TraceError> {
 /// # Errors
 ///
 /// Returns [`TraceError::Invalid`] if `num_files == 0` or `bin_seconds` is
-/// not positive-finite, and [`TraceError::Invalid`] naming the offending
-/// event if one references a file index `>= num_files`.
+/// not positive-finite, naming the span and bin length if the bin counters
+/// cannot be allocated, and naming the offending event if one references a
+/// file index `>= num_files`.
 pub fn binned_rate_profiles(
     events: &[TraceEvent],
     num_files: usize,
@@ -134,8 +135,22 @@ pub fn binned_rate_profiles(
         )));
     }
     let horizon = events.iter().fold(0.0_f64, |acc, e| acc.max(e.at));
-    let bins = ((horizon / bin_seconds).floor() as usize) + 1;
-    let mut counts = vec![vec![0u64; bins]; num_files];
+    let too_long = || {
+        TraceError::Invalid(format!(
+            "a trace spanning {horizon} s has too many bins of {bin_seconds} s to count"
+        ))
+    };
+    // `as` saturates, so a span past `usize::MAX` bins fails the add.
+    let bins = ((horizon / bin_seconds).floor() as usize)
+        .checked_add(1)
+        .ok_or_else(too_long)?;
+    let mut counts = Vec::with_capacity(num_files);
+    for _ in 0..num_files {
+        let mut row = Vec::new();
+        row.try_reserve_exact(bins).map_err(|_| too_long())?;
+        row.resize(bins, 0u64);
+        counts.push(row);
+    }
     for event in events {
         if event.file >= num_files {
             return Err(TraceError::Invalid(format!(
@@ -267,5 +282,23 @@ time_s,file
         let profiles = binned_rate_profiles(&[TraceEvent { at: 1.0, file: 0 }], 3, 2.0).unwrap();
         assert_eq!(profiles[1], RateProfile::Constant(0.0));
         assert_eq!(profiles[2], RateProfile::Constant(0.0));
+    }
+
+    #[test]
+    fn a_trace_too_long_to_allocate_is_an_error_not_an_abort() {
+        let events = parse_trace_csv("1000000000000000,0\n").unwrap();
+        let err = binned_rate_profiles(&events, 1, 1.0).unwrap_err();
+        let message = err.to_string();
+        assert!(matches!(err, TraceError::Invalid(_)), "{message}");
+        assert!(message.contains("spanning 1000000000000000 s"), "{message}");
+        assert!(message.contains("bins of 1 s"), "{message}");
+    }
+
+    #[test]
+    fn a_trace_past_the_bin_counter_range_is_an_error_not_an_overflow() {
+        let events = parse_trace_csv("1e300,0\n").unwrap();
+        let err = binned_rate_profiles(&events, 1, 1.0).unwrap_err();
+        assert!(matches!(err, TraceError::Invalid(_)), "{err}");
+        assert!(err.to_string().contains("bins of 1 s"), "{err}");
     }
 }
