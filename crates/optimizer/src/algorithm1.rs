@@ -71,14 +71,6 @@ impl Optimizer {
         self
     }
 
-    /// Warm-starts from raw scheduling probabilities, one row per file in
-    /// the layout of [`CachePlan::scheduling`].
-    #[must_use]
-    pub fn warm_start_pi(mut self, initial_pi: Vec<Vec<f64>>) -> Self {
-        self.initial_pi = Some(initial_pi);
-        self
-    }
-
     /// Runs Algorithm 1 on `model` with a cache of `cache_capacity` chunks.
     ///
     /// Values larger than `Σ_i k_i` are silently clamped (a bigger cache
@@ -333,7 +325,7 @@ mod tests {
         let m = model(6, 0.02);
         let plan = Optimizer::default().run(&m, 5).unwrap();
         for (i, f) in m.files().iter().enumerate() {
-            let reads = plan.storage_reads(i);
+            let reads: f64 = plan.scheduling[i].iter().sum();
             let expected = f.k as f64 - plan.cached_chunks[i] as f64;
             assert!(
                 (reads - expected).abs() < 1e-3,
@@ -394,10 +386,7 @@ mod tests {
         let m = model(8, 0.012);
         let optimizer = Optimizer::new(OptimizerConfig::default());
         let cold = optimizer.run(&m, 6).unwrap();
-        let warm = optimizer
-            .warm_start_pi(cold.scheduling.clone())
-            .run(&m, 6)
-            .unwrap();
+        let warm = optimizer.warm_start(&cold).run(&m, 6).unwrap();
         assert!(warm.objective <= cold.objective + 0.02);
     }
 

@@ -16,7 +16,7 @@ pub enum RoundingStrategy {
 
 impl RoundingStrategy {
     /// Number of files to pin given `fractional` files still unrounded.
-    pub fn batch_size(&self, fractional: usize) -> usize {
+    pub(crate) fn batch_size(&self, fractional: usize) -> usize {
         match *self {
             RoundingStrategy::OneAtATime => 1.min(fractional),
             RoundingStrategy::Fraction(f) => {

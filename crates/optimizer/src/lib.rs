@@ -56,15 +56,14 @@ pub mod algorithm1;
 pub mod config;
 pub mod error;
 pub mod model;
-pub mod objective;
-pub mod prob_pi;
-pub mod prob_z;
-pub mod projection;
+mod objective;
+mod prob_pi;
+mod prob_z;
+mod projection;
 pub mod solution;
 
 pub use algorithm1::Optimizer;
 pub use config::{OptimizerConfig, RoundingStrategy};
 pub use error::OptimizerError;
 pub use model::{FileModel, StorageModel};
-pub use objective::ObjectiveBreakdown;
 pub use solution::{CachePlan, ConvergenceTrace};

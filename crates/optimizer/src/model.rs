@@ -119,7 +119,7 @@ impl StorageModel {
 
     /// Maximum number of chunks the cache could ever usefully hold
     /// (`Σ_i k_i`).
-    pub fn max_useful_cache(&self) -> usize {
+    pub(crate) fn max_useful_cache(&self) -> usize {
         self.files.iter().map(|f| f.k).sum()
     }
 

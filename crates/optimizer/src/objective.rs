@@ -27,7 +27,7 @@ use crate::model::StorageModel;
 
 /// Detailed result of evaluating the objective at a point.
 #[derive(Debug, Clone, PartialEq)]
-pub struct ObjectiveBreakdown {
+pub(crate) struct ObjectiveBreakdown {
     /// The weighted mean latency bound (the value of Eq. (6)).
     pub total: f64,
     /// Per-file latency bounds `U_i` evaluated at the supplied `z_i`.
@@ -126,7 +126,7 @@ pub(crate) fn total(
 /// # Panics
 ///
 /// Panics if `pi` or `z` have shapes inconsistent with the model.
-pub fn evaluate(
+pub(crate) fn evaluate(
     model: &StorageModel,
     pi: &[f64],
     z: &[f64],

@@ -3,7 +3,7 @@
 //! The relaxed problem (integer constraint dropped) is convex in `π` with a
 //! polytope constraint set, and is solved by projected gradient descent with
 //! a backtracking line search. The projection is the exact Euclidean
-//! projection of [`crate::projection::project_joint`], which enforces the
+//! projection of [`crate::projection::project_flat`], which enforces the
 //! per-file boxes `π_{i,j} ∈ [0, 1]`, the per-file sum bands
 //! `K_{L,i} ≤ Σ_j π_{i,j} ≤ K_{U,i}`, and the cache-capacity coupling
 //! `Σ_{i,j} π_{i,j} ≥ Σ_i k_i − C`.
@@ -23,7 +23,7 @@ use crate::projection::{project_flat, FileBand};
 
 /// Result of one Prob Π solve.
 #[derive(Debug, Clone, PartialEq)]
-pub struct ProbPiOutcome {
+pub(crate) struct ProbPiOutcome {
     /// The optimized scheduling probabilities, one entry per placement
     /// entry of each file, files concatenated.
     pub pi: Vec<f64>,
@@ -57,7 +57,7 @@ pub(crate) fn aggregate_lo(model: &StorageModel, cache_capacity: usize) -> f64 {
 /// Returns [`OptimizerError::UnstableSystem`] if even the projected initial
 /// point overloads a node — in that case no feasible stable scheduling was
 /// found from this starting point.
-pub fn solve(
+pub(crate) fn solve(
     model: &StorageModel,
     z: &[f64],
     initial_pi: &[f64],
@@ -130,14 +130,14 @@ pub fn solve(
 
 /// Builds a feasible, load-spreading starting point: each file splits its
 /// `k_i` storage reads uniformly across its placement set (no caching).
-pub fn uniform_initial_pi(model: &StorageModel) -> Vec<f64> {
+pub(crate) fn uniform_initial_pi(model: &StorageModel) -> Vec<f64> {
     let rows = model.files().iter();
     rows.flat_map(|f| std::iter::repeat_n(f.k as f64 / f.n() as f64, f.n()))
         .collect()
 }
 
 /// Default per-file sum bands before any rounding: `0 ≤ Σ_j π_{i,j} ≤ k_i`.
-pub fn initial_bands(model: &StorageModel) -> Vec<FileBand> {
+pub(crate) fn initial_bands(model: &StorageModel) -> Vec<FileBand> {
     model
         .files()
         .iter()

@@ -37,7 +37,7 @@ fn file_terms(
 /// # Errors
 ///
 /// Returns [`StabilityError`] if the scheduling overloads a node.
-pub fn solve(model: &StorageModel, pi: &[f64]) -> Result<Vec<f64>, StabilityError> {
+pub(crate) fn solve(model: &StorageModel, pi: &[f64]) -> Result<Vec<f64>, StabilityError> {
     let mut nodes = NodeState::default();
     nodes.update(model, pi)?;
     Ok(model

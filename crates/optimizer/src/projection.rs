@@ -62,16 +62,17 @@ fn project_file(y: &mut [f64], nu: f64, band: FileBand, breaks: &mut Vec<f64>) {
 /// # Panics
 ///
 /// Panics if `lo > hi + ε`, `lo > n` (infeasible), or `hi < 0`.
-pub fn project_box_sum_band(y: &[f64], lo: f64, hi: f64) -> Vec<f64> {
+#[cfg(test)]
+pub(crate) fn project_box_sum_band(y: &[f64], lo: f64, hi: f64) -> Vec<f64> {
     let band = FileBand { lo, hi }.checked(y.len());
     let mut x = y.to_vec();
     project_file(&mut x, 0.0, band, &mut Vec::new());
     x
 }
 
-/// Per-file constraint description used by [`project_joint`].
+/// Per-file constraint description used by [`project_flat`].
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub struct FileBand {
+pub(crate) struct FileBand {
     /// Lower bound `K_{L,i}` on `Σ_j π_{i,j}`.
     pub lo: f64,
     /// Upper bound `K_{U,i}` on `Σ_j π_{i,j}`.
@@ -97,18 +98,13 @@ impl FileBand {
     }
 }
 
-/// Projects per-file vectors onto the joint feasible set
-/// `{π : π_i ∈ Box_i ∩ Band_i ∀i, Σ_i Σ_j π_{i,j} ≥ aggregate_lo}`.
-///
-/// `points[i]` holds the (unconstrained) values of file `i` restricted to its
-/// placement set `S_i`; the result has the same shape.
-///
-/// # Panics
-///
-/// Panics if the aggregate lower bound exceeds the sum of per-file upper
-/// bounds (the constraint set would be empty) or if `bands.len()` differs
-/// from `points.len()`.
-pub fn project_joint(points: &[Vec<f64>], bands: &[FileBand], aggregate_lo: f64) -> Vec<Vec<f64>> {
+/// [`project_flat`] on one `Vec` per file, returning the projection.
+#[cfg(test)]
+pub(crate) fn project_joint(
+    points: &[Vec<f64>],
+    bands: &[FileBand],
+    aggregate_lo: f64,
+) -> Vec<Vec<f64>> {
     let mut offsets = vec![0];
     offsets.extend(points.iter().map(|p| p.len()));
     (1..offsets.len()).for_each(|i| offsets[i] += offsets[i - 1]);
@@ -118,8 +114,17 @@ pub fn project_joint(points: &[Vec<f64>], bands: &[FileBand], aggregate_lo: f64)
     files.map(|w| flat[w[0]..w[1]].to_vec()).collect()
 }
 
-/// [`project_joint`] in place on concatenated files: file `i` is
-/// `y[bounds[i]..bounds[i + 1]]`.
+/// Projects per-file vectors onto the joint feasible set
+/// `{π : π_i ∈ Box_i ∩ Band_i ∀i, Σ_i Σ_j π_{i,j} ≥ aggregate_lo}`, in place.
+///
+/// File `i` is `y[bounds[i]..bounds[i + 1]]`: the (unconstrained) values of
+/// file `i` restricted to its placement set `S_i`.
+///
+/// # Panics
+///
+/// Panics if the aggregate lower bound exceeds the sum of per-file upper
+/// bounds (the constraint set would be empty) or if `bands.len() + 1`
+/// differs from `bounds.len()`.
 pub(crate) fn project_flat(y: &mut [f64], bounds: &[usize], bands: &[FileBand], aggregate_lo: f64) {
     assert_eq!(bounds.len(), bands.len() + 1, "one band per file");
     let files = || bounds.windows(2).map(|w| w[0]..w[1]).zip(bands);
@@ -303,7 +308,7 @@ mod tests {
 
         const TOL: f64 = 1e-10;
 
-        pub fn project_box_sum_band(y: &[f64], lo: f64, hi: f64) -> Vec<f64> {
+        pub(crate) fn project_box_sum_band(y: &[f64], lo: f64, hi: f64) -> Vec<f64> {
             let n = y.len() as f64;
             let lo = lo.clamp(0.0, n);
             let hi = hi.clamp(0.0, n);
@@ -342,7 +347,7 @@ mod tests {
             0.5 * (lo_tau + hi_tau)
         }
 
-        pub fn project_joint(
+        pub(crate) fn project_joint(
             points: &[Vec<f64>],
             bands: &[FileBand],
             aggregate_lo: f64,

@@ -23,11 +23,6 @@ impl ConvergenceTrace {
     pub fn outer_iterations(&self) -> usize {
         self.outer_objectives.len().saturating_sub(1)
     }
-
-    /// Final objective value (the weighted mean latency bound, seconds).
-    pub fn final_objective(&self) -> f64 {
-        *self.outer_objectives.last().unwrap_or(&f64::INFINITY)
-    }
 }
 
 /// The optimized cache placement and request-scheduling policy for one time
@@ -56,12 +51,6 @@ impl CachePlan {
     pub fn cache_chunks_used(&self) -> usize {
         self.cached_chunks.iter().sum()
     }
-
-    /// Expected number of storage-node chunk reads per file-`i` request
-    /// (`Σ_j π_{i,j} = k_i − d_i`).
-    pub fn storage_reads(&self, file: usize) -> f64 {
-        self.scheduling[file].iter().sum()
-    }
 }
 
 #[cfg(test)]
@@ -77,9 +66,7 @@ mod tests {
             ..ConvergenceTrace::default()
         };
         assert_eq!(t.outer_iterations(), 2);
-        assert!((t.final_objective() - 6.5).abs() < 1e-12);
         assert_eq!(ConvergenceTrace::default().outer_iterations(), 0);
-        assert!(ConvergenceTrace::default().final_objective().is_infinite());
     }
 
     #[test]
@@ -97,7 +84,5 @@ mod tests {
             trace: ConvergenceTrace::default(),
         };
         assert_eq!(plan.cache_chunks_used(), 3);
-        assert!((plan.storage_reads(0) - 2.0).abs() < 1e-12);
-        assert!((plan.storage_reads(1) - 3.0).abs() < 1e-12);
     }
 }
