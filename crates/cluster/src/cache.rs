@@ -65,7 +65,7 @@ impl CachePolicy {
 
 /// Statistics kept by the cache — the embedded tier's counters, re-exported
 /// under the cache's historical name.
-pub type CacheStats = TierStats;
+pub(crate) type CacheStats = TierStats;
 
 /// The cache tier of one compute server: payload chunks per resident object,
 /// with residency decided by the embedded [`LruTier`].
@@ -94,11 +94,6 @@ impl Cache {
         }
     }
 
-    /// Capacity in bytes.
-    pub fn capacity_bytes(&self) -> u64 {
-        self.tier.capacity()
-    }
-
     /// Bytes currently occupied (LRU footprints include replication).
     pub fn used_bytes(&self) -> u64 {
         self.tier.used()
@@ -107,11 +102,6 @@ impl Cache {
     /// Hit/miss/promotion/eviction counters.
     pub fn stats(&self) -> CacheStats {
         self.tier.stats()
-    }
-
-    /// Number of chunks currently cached for `object`.
-    pub fn cached_chunk_count(&self, object: u64) -> usize {
-        self.chunks.get(&object).map_or(0, Vec::len)
     }
 
     /// The cached chunks of `object` (empty if not resident). Records a hit
@@ -132,7 +122,7 @@ impl Cache {
     /// Installs planner-chosen chunks for an object (functional or exact
     /// caching). Replaces any previous entry. Returns `false` (and leaves the
     /// cache unchanged) if the chunks do not fit in the remaining capacity.
-    pub fn install_planned(&mut self, object: u64, chunks: Vec<Chunk>) -> bool {
+    pub(crate) fn install_planned(&mut self, object: u64, chunks: Vec<Chunk>) -> bool {
         if chunks.is_empty() {
             self.remove(object);
             return true;
@@ -149,7 +139,7 @@ impl Cache {
     /// least-recently-used objects are evicted until it fits. Objects larger
     /// than the whole cache are not admitted. Returns the tier's admission
     /// outcome (victims and whether the object is now resident).
-    pub fn promote_lru(&mut self, object: u64, chunks: Vec<Chunk>) -> Admission {
+    pub(crate) fn promote_lru(&mut self, object: u64, chunks: Vec<Chunk>) -> Admission {
         let resident = self.chunks.contains_key(&object);
         let admission = self.tier.admit(object, chunk_bytes(&chunks));
         // Keep tier residency and payloads in sync: victims lose theirs.
@@ -166,14 +156,14 @@ impl Cache {
     /// engine's): installs the payload unconditionally, bypassing this
     /// cache's own admission policy. See [`crate::tier`] for why the byte
     /// path follows the engine's decisions instead of re-deciding.
-    pub fn mirror_promote(&mut self, object: u64, chunks: Vec<Chunk>) {
+    pub(crate) fn mirror_promote(&mut self, object: u64, chunks: Vec<Chunk>) {
         self.tier.mirror_insert(object, chunk_bytes(&chunks));
         self.chunks.insert(object, chunks);
     }
 
     /// Mirror of an eviction decided by an external tier; returns whether the
     /// object was resident.
-    pub fn mirror_evict(&mut self, object: u64) -> bool {
+    pub(crate) fn mirror_evict(&mut self, object: u64) -> bool {
         self.chunks.remove(&object);
         self.tier.evict(object)
     }
@@ -236,7 +226,7 @@ mod tests {
         let mut cache = Cache::new(CachePolicy::Functional, 1000);
         assert!(cache.install_planned(1, vec![chunk(7, 300), chunk(8, 300)]));
         assert_eq!(cache.used_bytes(), 600);
-        assert_eq!(cache.cached_chunk_count(1), 2);
+        assert_eq!(cache.peek(1).map_or(0, <[_]>::len), 2);
         assert_eq!(cache.lookup(1).len(), 2);
         assert_eq!(cache.lookup(2).len(), 0);
         assert_eq!(cache.stats().hits, 1);
@@ -256,7 +246,7 @@ mod tests {
         let mut cache = Cache::new(CachePolicy::Functional, 500);
         assert!(cache.install_planned(1, vec![chunk(7, 300)]));
         assert!(!cache.install_planned(2, vec![chunk(7, 300)]));
-        assert_eq!(cache.cached_chunk_count(2), 0);
+        assert_eq!(cache.peek(2).map_or(0, <[_]>::len), 0);
         assert_eq!(cache.used_bytes(), 300);
         // replacing object 1 with something bigger but within capacity works
         assert!(cache.install_planned(1, vec![chunk(7, 450)]));
@@ -305,7 +295,7 @@ mod tests {
         let mut cache = Cache::new(CachePolicy::LruReplicated, 100);
         // Too big for this cache's own policy, but the deciding tier said yes.
         cache.mirror_promote(1, vec![chunk(0, 200)]);
-        assert_eq!(cache.cached_chunk_count(1), 1);
+        assert_eq!(cache.peek(1).map_or(0, <[_]>::len), 1);
         assert_eq!(cache.used_bytes(), 400, "bytes x replication");
         assert_eq!(cache.stats().promotions, 1);
         assert!(cache.mirror_evict(1));

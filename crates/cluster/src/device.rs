@@ -66,16 +66,6 @@ impl DeviceModel {
         DeviceModel::Hdd { rate_scale: 1.0 }
     }
 
-    /// An HDD device whose service rate is scaled by `rate_scale`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `rate_scale <= 0`.
-    pub fn hdd_scaled(rate_scale: f64) -> Self {
-        assert!(rate_scale > 0.0, "rate scale must be positive");
-        DeviceModel::Hdd { rate_scale }
-    }
-
     /// The SSD cache device of Table V.
     pub fn ssd() -> Self {
         DeviceModel::Ssd
@@ -215,7 +205,7 @@ mod tests {
     #[test]
     fn rate_scaling_speeds_up_the_device() {
         let slow = DeviceModel::hdd();
-        let fast = DeviceModel::hdd_scaled(2.0);
+        let fast = DeviceModel::Hdd { rate_scale: 2.0 };
         let bytes = 25_000_000;
         assert!((fast.mean_service_time(bytes) - slow.mean_service_time(bytes) / 2.0).abs() < 1e-9);
     }
@@ -243,11 +233,5 @@ mod tests {
                 assert!(dist.sample(&mut rng) >= 0.0);
             }
         }
-    }
-
-    #[test]
-    #[should_panic(expected = "positive")]
-    fn zero_rate_scale_panics() {
-        let _ = DeviceModel::hdd_scaled(0.0);
     }
 }

@@ -27,7 +27,7 @@ impl FifoQueue {
 
     /// Queueing delay a job arriving at `now` would wait before its service
     /// starts.
-    pub fn queue_delay(&self, now: f64) -> f64 {
+    pub(crate) fn queue_delay(&self, now: f64) -> f64 {
         (self.busy_until - now).max(0.0)
     }
 

@@ -10,7 +10,7 @@
 //!   take disjoint locks; candidate probing takes brief read locks and only
 //!   the actual chunk read (which advances the queue) takes a write lock.
 //! * **Striped object metadata** — the object → (length, placement,
-//!   checksum) map is split into [`META_STRIPES`] hash stripes, each behind
+//!   checksum) map is split into `META_STRIPES` (16) hash stripes, each behind
 //!   its own `RwLock`, so puts of different objects rarely serialize. A
 //!   reader takes one snapshot of the three under the stripe's read lock
 //!   (two word copies and an `Arc` bump — nothing is allocated).
@@ -64,7 +64,7 @@ use crate::store::{ClusterConfig, ReadOutcome};
 /// Number of hash stripes the object-metadata map is split into. A small
 /// power of two: object ids are mixed before striping, so any id
 /// distribution spreads evenly.
-pub const META_STRIPES: usize = 16;
+pub(crate) const META_STRIPES: usize = 16;
 
 /// Salt folded into the per-request RNG derivation of [`StoreHandle::get`].
 const REQUEST_RNG_SALT: u64 = 0x5EED_0DD5_EED0_0DD5;
@@ -225,11 +225,6 @@ impl StoreHandle {
     /// The nodes hosting an object's chunks (chunk row `i` on entry `i`).
     pub fn object_placement(&self, object: u64) -> Option<Vec<usize>> {
         self.meta_of(object).map(|m| m.placement.to_vec())
-    }
-
-    /// The stored length of an object in bytes.
-    pub fn object_len(&self, object: u64) -> Option<usize> {
-        self.meta_of(object).map(|m| m.len)
     }
 
     fn meta_of(&self, object: u64) -> Option<ObjectMeta> {

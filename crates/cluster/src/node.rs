@@ -53,17 +53,17 @@ impl StorageNode {
     }
 
     /// Marks the node as failed (offline) or recovered (online).
-    pub fn set_online(&mut self, online: bool) {
+    pub(crate) fn set_online(&mut self, online: bool) {
         self.online = online;
     }
 
     /// Stores a chunk of an object on this node (overwrites an existing one).
-    pub fn store_chunk(&mut self, object: u64, chunk: Chunk) {
+    pub(crate) fn store_chunk(&mut self, object: u64, chunk: Chunk) {
         self.chunks.insert((object, chunk.id.index), chunk);
     }
 
     /// Removes every chunk of the given object; returns how many were removed.
-    pub fn remove_object(&mut self, object: u64) -> usize {
+    pub(crate) fn remove_object(&mut self, object: u64) -> usize {
         let keys: Vec<_> = self
             .chunks
             .keys()
@@ -77,7 +77,7 @@ impl StorageNode {
     }
 
     /// Whether the node holds the chunk with the given generator-row index.
-    pub fn has_chunk(&self, object: u64, index: usize) -> bool {
+    pub(crate) fn has_chunk(&self, object: u64, index: usize) -> bool {
         self.chunks.contains_key(&(object, index))
     }
 
@@ -89,7 +89,7 @@ impl StorageNode {
     }
 
     /// The stored chunk indices for an object, in ascending order.
-    pub fn chunk_indices(&self, object: u64) -> Vec<usize> {
+    pub(crate) fn chunk_indices(&self, object: u64) -> Vec<usize> {
         let mut v: Vec<usize> = self
             .chunks
             .keys()
@@ -107,7 +107,7 @@ impl StorageNode {
 
     /// Queueing delay a request arriving at `now` would experience before its
     /// service starts.
-    pub fn queue_delay(&self, now: f64) -> f64 {
+    pub(crate) fn queue_delay(&self, now: f64) -> f64 {
         self.queue.queue_delay(now)
     }
 

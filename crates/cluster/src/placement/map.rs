@@ -10,7 +10,7 @@
 /// Number of placement groups per OSD recommended by the Ceph formula the
 /// paper quotes (`#PG = #OSD * 100 / m`); we keep the spirit by defaulting to
 /// 100 placement groups per node.
-pub const DEFAULT_PGS_PER_NODE: usize = 100;
+pub(crate) const DEFAULT_PGS_PER_NODE: usize = 100;
 
 /// Deterministic placement of objects onto storage nodes.
 #[derive(Debug, Clone, PartialEq)]
@@ -49,13 +49,8 @@ impl PlacementMap {
         self.num_nodes
     }
 
-    /// Number of placement groups.
-    pub fn num_groups(&self) -> usize {
-        self.groups.len()
-    }
-
     /// The placement group an object belongs to.
-    pub fn placement_group(&self, object_id: u64) -> usize {
+    pub(crate) fn placement_group(&self, object_id: u64) -> usize {
         (splitmix64(object_id) % self.groups.len() as u64) as usize
     }
 
@@ -78,7 +73,7 @@ impl PlacementMap {
     /// [`RandomGroups`](super::strategies::RandomGroups) strategy walks this
     /// permutation past offline nodes under churn; its prefix of length `n`
     /// is exactly [`PlacementMap::place`].
-    pub fn permutation(&self, object_id: u64) -> &[usize] {
+    pub(crate) fn permutation(&self, object_id: u64) -> &[usize] {
         &self.groups[self.placement_group(object_id)]
     }
 }
@@ -154,10 +149,10 @@ mod tests {
     #[test]
     fn placement_group_formula() {
         let map = PlacementMap::new(12, 3);
-        assert_eq!(map.num_groups(), 1200);
+        assert_eq!(map.groups.len(), 1200);
         assert_eq!(map.num_nodes(), 12);
         let custom = PlacementMap::with_groups(12, 256, 3);
-        assert_eq!(custom.num_groups(), 256);
+        assert_eq!(custom.groups.len(), 256);
         for id in 0..50u64 {
             assert!(custom.placement_group(id) < 256);
         }

@@ -19,7 +19,7 @@
 //!   files; [`PlacementChoice::build`]
 //!   instantiates the strategy for a concrete cluster.
 //! * [`strategies`] — the zoo: [`RandomGroups`] (the legacy placement map,
-//!   bit-for-bit), [`ConsistentHashRing`], [`TwoChoices`], [`XorProximity`],
+//!   bit-for-bit), `ConsistentHashRing`, [`TwoChoices`], [`XorProximity`],
 //!   and the [`AntiAffinity`] constraint wrapper.
 //!
 //! Every strategy is a pure function of `(seed, object_id, view)` — or, for
@@ -31,8 +31,9 @@
 pub mod map;
 pub mod strategies;
 
-pub use map::{PlacementMap, DEFAULT_PGS_PER_NODE};
-pub use strategies::{AntiAffinity, ConsistentHashRing, RandomGroups, TwoChoices, XorProximity};
+pub use map::PlacementMap;
+use strategies::ConsistentHashRing;
+pub use strategies::{AntiAffinity, RandomGroups, TwoChoices, XorProximity};
 
 use serde::Deserialize;
 
@@ -54,16 +55,6 @@ impl ClusterView {
         ClusterView {
             online: vec![true; num_nodes],
         }
-    }
-
-    /// A view from explicit per-node online flags.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `online` is empty.
-    pub fn from_flags(online: Vec<bool>) -> Self {
-        assert!(!online.is_empty(), "need at least one node");
-        ClusterView { online }
     }
 
     /// Total number of nodes (online or not).
@@ -93,7 +84,7 @@ impl ClusterView {
     }
 
     /// Online node ids, ascending.
-    pub fn online_nodes(&self) -> impl Iterator<Item = usize> + '_ {
+    pub(crate) fn online_nodes(&self) -> impl Iterator<Item = usize> + '_ {
         self.online
             .iter()
             .enumerate()
@@ -286,7 +277,6 @@ mod tests {
         assert_eq!(degraded.online_count(), 3);
         assert_eq!(degraded.online_nodes().collect::<Vec<_>>(), vec![0, 1, 3]);
         assert!(!degraded.is_online(99));
-        assert_eq!(view, ClusterView::from_flags(vec![true; 4]));
     }
 
     #[test]

@@ -6,7 +6,7 @@
 //! * [`RandomGroups`] — the paper baseline: the CRUSH-like placement-group
 //!   map, bit-for-bit identical to the legacy [`PlacementMap`] on a fully
 //!   online cluster, walking past offline nodes under churn.
-//! * [`ConsistentHashRing`] — virtual-node consistent hashing; a membership
+//! * `ConsistentHashRing` — virtual-node consistent hashing; a membership
 //!   change moves only the chunks that hashed next to the changed node.
 //! * [`TwoChoices`] — power-of-two-choices by chunk load: each slot hashes
 //!   two candidates and takes the less-loaded one (the ingest policy of
@@ -101,7 +101,7 @@ impl Placement for RandomGroups {
 /// walked through its points, which is the bounded-rebalance property the
 /// churn figure measures.
 #[derive(Debug, Clone)]
-pub struct ConsistentHashRing {
+pub(crate) struct ConsistentHashRing {
     num_nodes: usize,
     vnodes: usize,
     seed: u64,
@@ -136,11 +136,6 @@ impl ConsistentHashRing {
             seed,
             ring,
         }
-    }
-
-    /// Virtual nodes per physical node.
-    pub fn vnodes(&self) -> usize {
-        self.vnodes
     }
 }
 
@@ -320,7 +315,7 @@ impl AntiAffinity {
     }
 
     /// The zone a node belongs to.
-    pub fn zone_of(&self, node: usize) -> usize {
+    pub(crate) fn zone_of(&self, node: usize) -> usize {
         node % self.zones
     }
 }
@@ -471,7 +466,9 @@ mod tests {
         let strategy = AntiAffinity::new(3, inner);
         // Kill zone 0 entirely (nodes 0 and 3): 4 chunks must still fit on
         // the remaining 4 nodes in zones 1 and 2.
-        let view = ClusterView::from_flags(vec![false, true, true, false, true, true]);
+        let view = ClusterView::all_online(6)
+            .with_node_online(0, false)
+            .with_node_online(3, false);
         let placed = strategy.place(9, 4, &view);
         distinct_online(&placed, &view);
         assert_eq!(placed.len(), 4);

@@ -100,12 +100,6 @@ impl ClusterConfigBuilder {
         self
     }
 
-    /// Sets per-node device models (length must match `nodes`).
-    pub fn devices(&mut self, devices: Vec<DeviceModel>) -> &mut Self {
-        self.devices = Some(devices);
-        self
-    }
-
     /// Sets the cache policy.
     pub fn cache_policy(&mut self, policy: CachePolicy) -> &mut Self {
         self.cache_policy = policy;
@@ -274,7 +268,7 @@ mod tests {
         let data = payload(20_000, 2);
         s.put(5, &data).unwrap();
         s.set_cached_chunks(5, 2).unwrap();
-        assert_eq!(s.cache().cached_chunk_count(5), 2);
+        assert_eq!(s.cache().peek(5).map_or(0, <[_]>::len), 2);
         let out = s.get(5, 0.0).unwrap();
         assert_eq!(out.data, data);
         assert_eq!(out.cache_chunks_used, 2);
@@ -287,7 +281,7 @@ mod tests {
         assert_eq!(out.cache_chunks_used, 4);
         // Shrinking back to zero removes the entry.
         s.set_cached_chunks(5, 0).unwrap();
-        assert_eq!(s.cache().cached_chunk_count(5), 0);
+        assert_eq!(s.cache().peek(5).map_or(0, <[_]>::len), 0);
     }
 
     #[test]
@@ -372,7 +366,7 @@ mod tests {
         s.delete(2);
         assert_eq!(s.num_objects(), 0);
         assert!(matches!(s.get(2, 0.0), Err(ClusterError::UnknownObject(2))));
-        assert_eq!(s.cache().cached_chunk_count(2), 0);
+        assert_eq!(s.cache().peek(2).map_or(0, <[_]>::len), 0);
         let total_chunks: usize = (0..8).map(|i| s.node(i).num_chunks()).sum();
         assert_eq!(total_chunks, 0);
     }
@@ -442,7 +436,6 @@ mod tests {
         let s = store(CachePolicy::None);
         let data = payload(9_000, 12);
         s.put(4, &data).unwrap();
-        assert_eq!(s.object_len(4), Some(9_000));
         let placement = s.object_placement(4).unwrap().to_vec();
         for (row, &node) in placement.iter().enumerate() {
             let c = s.chunk_on_node(4, node).unwrap();

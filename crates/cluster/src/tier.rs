@@ -116,7 +116,7 @@ impl LruTier {
     /// another tier instance — the engine's). Capacity is *not* enforced:
     /// residency is the deciding tier's call; this instance only keeps the
     /// weight accounting honest. Counts a promotion.
-    pub fn mirror_insert(&mut self, object: u64, weight: u64) {
+    pub(crate) fn mirror_insert(&mut self, object: u64, weight: u64) {
         self.clock += 1;
         let footprint = weight.saturating_mul(self.replication as u64);
         let existing = self.entries.insert(
@@ -259,7 +259,8 @@ impl LruTier {
     }
 
     /// Resident objects, least recently used first.
-    pub fn resident_objects(&self) -> Vec<u64> {
+    #[cfg(test)]
+    pub(crate) fn resident_objects(&self) -> Vec<u64> {
         let mut ids: Vec<(u64, u64)> = self
             .entries
             .iter()
