@@ -47,7 +47,6 @@ use rand::{Rng, SeedableRng};
 use sprout_cluster::{FifoQueue, LruTier, LRU_REPLICATION};
 use sprout_queueing::dist::ServiceDistribution;
 use sprout_workload::arrivals::{ArrivalStream, RateProfile};
-use sprout_workload::timebins::RateSchedule;
 
 use crate::backend::{ChunkBackend, FinishedRequest};
 use crate::config::SimConfig;
@@ -170,7 +169,6 @@ pub struct Simulation {
     pub(crate) scheme: CacheScheme,
     pub(crate) config: SimConfig,
     pub(crate) scenario: Scenario,
-    pub(crate) profiles: Option<Vec<RateProfile>>,
 }
 
 impl Simulation {
@@ -204,7 +202,6 @@ impl Simulation {
             scheme,
             config,
             scenario: Scenario::default(),
-            profiles: None,
         }
     }
 
@@ -216,29 +213,6 @@ impl Simulation {
     pub fn with_scenario(mut self, scenario: Scenario) -> Self {
         scenario.validate(self.nodes.len(), &self.files);
         self.scenario = scenario;
-        self
-    }
-
-    /// Drives arrivals from a piecewise-constant rate schedule instead of the
-    /// per-file constant rates (the rate is zero past the schedule's end).
-    ///
-    /// A [`crate::scenario::ScenarioAction::SetRates`]/
-    /// [`crate::scenario::ScenarioAction::SetFileRate`] event supersedes the
-    /// remaining schedule for the affected files: from the event on, the
-    /// scenario's rate holds as a constant.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the schedule's file count differs from the simulation's.
-    pub fn with_rate_schedule(mut self, schedule: &RateSchedule) -> Self {
-        assert_eq!(
-            schedule.num_files(),
-            self.files.len(),
-            "rate schedule covers {} files but the simulation has {}",
-            schedule.num_files(),
-            self.files.len()
-        );
-        self.profiles = Some(schedule.file_profiles());
         self
     }
 
@@ -418,10 +392,7 @@ impl<'a, B: ChunkBackend> EventLoop<'a, B> {
         let num_files = sim.files.len();
         let streams = (0..num_files)
             .map(|f| {
-                let profile = match &sim.profiles {
-                    Some(p) => p[f].clone(),
-                    None => RateProfile::constant(sim.files[f].arrival_rate),
-                };
+                let profile = RateProfile::constant(sim.files[f].arrival_rate);
                 ArrivalStream::new(profile, stream_seed(seed, f))
             })
             .collect();
@@ -1141,28 +1112,6 @@ mod tests {
             "{} vs {}",
             report.completed_requests,
             base.completed_requests
-        );
-    }
-
-    #[test]
-    fn rate_schedule_stops_arrivals_past_the_last_bin() {
-        use sprout_workload::timebins::{RateSchedule, TimeBin};
-        let schedule = RateSchedule::new(vec![
-            TimeBin::new(1_000.0, vec![1.0, 0.0]),
-            TimeBin::new(1_000.0, vec![0.0, 1.0]),
-        ]);
-        let sim = Simulation::new(
-            nodes(4, 5.0),
-            simple_files(2, 123.0, 1, 4), // constant rates are overridden
-            CacheScheme::NoCache,
-            SimConfig::new(10_000.0, 5).with_warmup(0.0),
-        )
-        .with_rate_schedule(&schedule);
-        let report = sim.run();
-        let total = report.completed_requests as f64;
-        assert!(
-            (total - 2_000.0).abs() < 300.0,
-            "~1 req/s over 2000 s expected, got {total}"
         );
     }
 

@@ -31,13 +31,13 @@
 pub mod backend;
 pub mod config;
 pub mod engine;
-pub mod event;
+mod event;
 pub mod invariants;
 pub mod metrics;
 pub mod policy;
 pub mod replicate;
 pub mod scenario;
-pub mod scheduler;
+mod scheduler;
 pub mod sweep;
 
 pub use backend::{ChunkBackend, FinishedRequest};
@@ -48,4 +48,4 @@ pub use metrics::{LatencySummary, SlotCounts};
 pub use policy::{CacheScheme, PlannedCache};
 pub use replicate::MeanCi;
 pub use scenario::{Scenario, ScenarioAction, ScenarioEvent};
-pub use sweep::{CellTiming, Sample, SweepCell, SweepGrid, SweepReport, SweepRow, SweepTimings};
+pub use sweep::{Sample, SweepCell, SweepGrid, SweepReport, SweepRow, SweepTimings};

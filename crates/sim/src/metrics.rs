@@ -21,8 +21,10 @@ pub struct LatencySummary {
 
 impl LatencySummary {
     /// Builds a summary from raw samples (empty input yields all zeros):
-    /// sorts a copy, then [`LatencySummary::from_sorted`].
-    pub fn from_samples(samples: &[f64]) -> Self {
+    /// sorts a copy, then [`LatencySummary::from_sorted`]. The reference
+    /// that [`summarize_per_file`] is tested against.
+    #[cfg(test)]
+    pub(crate) fn from_samples(samples: &[f64]) -> Self {
         let mut sorted = samples.to_vec();
         sort_latencies(&mut sorted);
         Self::from_sorted(&sorted)
@@ -32,7 +34,7 @@ impl LatencySummary {
     /// [`f64::total_cmp`] (empty input yields all zeros). The sums run in
     /// that ascending order, so the result depends only on the multiset of
     /// samples, never on the order they were recorded in.
-    pub fn from_sorted(sorted: &[f64]) -> Self {
+    pub(crate) fn from_sorted(sorted: &[f64]) -> Self {
         debug_assert!(
             sorted.windows(2).all(|w| w[0].total_cmp(&w[1]).is_le()),
             "samples must be sorted ascending"
@@ -80,9 +82,9 @@ fn sort_latencies(samples: &mut [f64]) {
 /// Summarises per-file latency samples without copying them: each file's
 /// samples are sorted in place, summarised, moved into one buffer of the
 /// total length and dropped; that buffer is sorted in place for the overall
-/// summary. Returns `(overall, per_file)`, bit-identical to
-/// [`LatencySummary::from_samples`] of each file and of the flattened
-/// samples, with one extra copy of the samples where that takes two.
+/// summary. Returns `(overall, per_file)`, bit-identical to summarising a
+/// sorted copy of each file's samples and of the flattened samples, with one
+/// extra copy of the samples where that takes two.
 pub(crate) fn summarize_per_file(per_file: Vec<Vec<f64>>) -> (LatencySummary, Vec<LatencySummary>) {
     let mut all = Vec::with_capacity(per_file.iter().map(Vec::len).sum());
     let summaries = per_file

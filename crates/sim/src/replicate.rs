@@ -43,7 +43,7 @@ pub struct MeanCi {
 
 impl MeanCi {
     /// Aggregates replication-level values (empty input yields all zeros).
-    pub fn from_values(values: &[f64]) -> Self {
+    pub(crate) fn from_values(values: &[f64]) -> Self {
         let n = values.len();
         if n == 0 {
             return MeanCi {

@@ -31,12 +31,7 @@ pub enum ScenarioAction {
     },
     /// Every file's arrival rate changes (a time-bin boundary). By Poisson
     /// memorylessness the engine discards each file's pending arrival and
-    /// redraws it at the new rate.
-    ///
-    /// The new rate holds as a *constant* from this point on: it supersedes
-    /// any remaining segments of a rate schedule attached with
-    /// `Simulation::with_rate_schedule` (a dynamic shift overrides the
-    /// static plan).
+    /// redraws it at the new rate, which holds until the next change.
     SetRates {
         /// New per-file rates (length must equal the file count).
         rates: Vec<f64>,

@@ -18,7 +18,7 @@ use rand::Rng;
 /// # Panics
 ///
 /// Panics if a marginal is outside `[0, 1 + ε]`.
-pub fn systematic_sample_into<R: Rng + ?Sized>(
+pub(crate) fn systematic_sample_into<R: Rng + ?Sized>(
     marginals: &[f64],
     rng: &mut R,
     selected: &mut Vec<usize>,
@@ -52,7 +52,7 @@ pub fn systematic_sample_into<R: Rng + ?Sized>(
 /// # Panics
 ///
 /// Panics if `count > n`.
-pub fn uniform_sample_into<R: Rng + ?Sized>(
+pub(crate) fn uniform_sample_into<R: Rng + ?Sized>(
     n: usize,
     count: usize,
     rng: &mut R,

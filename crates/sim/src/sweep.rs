@@ -398,7 +398,7 @@ fn json_f64(v: f64) -> String {
 /// Wall-clock timing of one executed cell: total seconds across its
 /// replications and the slowest single replication.
 #[derive(Debug, Clone, PartialEq)]
-pub struct CellTiming {
+pub(crate) struct CellTiming {
     /// `(axis name, value label)` coordinates of the cell.
     pub coords: Vec<(String, String)>,
     /// Replications measured.
@@ -424,12 +424,12 @@ pub struct SweepTimings {
     /// End-to-end wall time of the sweep, in seconds.
     pub wall_s: f64,
     /// Per-cell timings, in cell order.
-    pub cells: Vec<CellTiming>,
+    pub(crate) cells: Vec<CellTiming>,
 }
 
 impl SweepTimings {
     /// Cells sorted slowest-first by total wall time.
-    pub fn slowest(&self) -> Vec<&CellTiming> {
+    pub(crate) fn slowest(&self) -> Vec<&CellTiming> {
         let mut cells: Vec<&CellTiming> = self.cells.iter().collect();
         cells.sort_by(|a, b| b.total_s.total_cmp(&a.total_s));
         cells
