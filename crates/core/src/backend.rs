@@ -40,7 +40,7 @@ use sprout_sim::{CacheScheme, ChunkBackend, FinishedRequest};
 
 /// Default payload size for files whose spec declares `size_bytes = 0`
 /// (abstract-model specs that never touched bytes before).
-pub const DEFAULT_OBJECT_BYTES: u64 = 4096;
+pub(crate) const DEFAULT_OBJECT_BYTES: u64 = 4096;
 
 /// A [`ChunkBackend`] over the in-memory erasure-coded object store.
 #[derive(Debug)]

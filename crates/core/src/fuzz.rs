@@ -20,7 +20,7 @@
 //!   `O(files)` and the in-flight population stays capped.
 //!
 //! Everything is deterministic from one base seed: case `i` of base `b` is
-//! [`fuzz_case_seed`]`(b, i)`, so a CI failure line like `case 17 of base
+//! `fuzz_case_seed(b, i)`, so a CI failure line like `case 17 of base
 //! 0xSPROUT` replays locally with the same numbers.
 
 use std::collections::BTreeSet;
@@ -42,7 +42,7 @@ pub const DEFAULT_BASE_SEED: u64 = 0x5950_0117_2016_0001;
 
 /// The seed of case `index` under `base` — decorrelated so neighbouring
 /// cases share nothing.
-pub fn fuzz_case_seed(base: u64, index: usize) -> u64 {
+pub(crate) fn fuzz_case_seed(base: u64, index: usize) -> u64 {
     replication_seed(base, index)
 }
 
@@ -346,7 +346,7 @@ impl ScenarioFuzzer {
     /// # Errors
     ///
     /// See [`ScenarioFuzzer::run_case`].
-    pub fn run_case_with_bounds(
+    pub(crate) fn run_case_with_bounds(
         case: &FuzzCase,
         bounds: EngineBounds,
     ) -> Result<FuzzStats, FuzzFailure> {

@@ -71,7 +71,7 @@ pub mod timebins;
 
 pub use backend::StoreBackend;
 pub use error::SproutError;
-pub use fuzz::{fuzz_case_seed, FuzzCase, FuzzFailure, FuzzStats, ScenarioFuzzer};
+pub use fuzz::ScenarioFuzzer;
 pub use loader::{LoadError, RunSpec, SimKnobs, SweepKnobs, SystemKnobs, TraceKnobs};
 pub use scenario::{ScenarioActionSpec, ScenarioEventSpec, ScenarioSpec};
 pub use serve::{LatencyHistogram, ServeOpts, ServePlan, ServeReport, Sproutd};

@@ -358,7 +358,7 @@ impl RunSpec {
     ///
     /// Propagates build errors as [`LoadError::Invalid`] and trace read or
     /// parse failures as [`LoadError::Io`] / [`LoadError::Parse`].
-    pub fn realize(&self) -> Result<(SproutSystem, ScenarioSpec), LoadError> {
+    pub(crate) fn realize(&self) -> Result<(SproutSystem, ScenarioSpec), LoadError> {
         let spec = self.system.build()?;
         let system = SproutSystem::new(spec)?;
         let mut scenario = self
@@ -418,9 +418,10 @@ impl RunSpec {
     ///
     /// # Errors
     ///
-    /// As [`RunSpec::realize`], plus [`LoadError::Invalid`] for empty axes
-    /// or invalid load points (checked here so a loadable file cannot trip a
-    /// builder panic).
+    /// Build errors and invalid axes or load points are
+    /// [`LoadError::Invalid`] (checked here so a loadable file cannot trip a
+    /// builder panic); trace read or parse failures are [`LoadError::Io`] /
+    /// [`LoadError::Parse`].
     pub fn to_sweep(&self, quick: bool) -> Result<SimSweep, LoadError> {
         let (system, scenario) = self.realize()?;
         let config = self.sim.config(system.spec().seed, quick)?;

@@ -74,7 +74,7 @@ impl SystemSpec {
     /// Returns [`SproutError::InvalidSpec`] if an explicit placement is
     /// malformed (wrong length, duplicate or out-of-range nodes) or if a file
     /// needs more nodes than the cluster has.
-    pub fn resolved_placements(&self) -> Result<Vec<Vec<usize>>, SproutError> {
+    pub(crate) fn resolved_placements(&self) -> Result<Vec<Vec<usize>>, SproutError> {
         self.resolved_placements_under(&ClusterView::all_online(self.node_services.len().max(1)))
     }
 
@@ -86,7 +86,7 @@ impl SystemSpec {
     ///
     /// As [`resolved_placements`](Self::resolved_placements); additionally if
     /// a file needs more nodes than the view has online.
-    pub fn resolved_placements_under(
+    pub(crate) fn resolved_placements_under(
         &self,
         view: &ClusterView,
     ) -> Result<Vec<Vec<usize>>, SproutError> {

@@ -196,7 +196,11 @@ impl SproutSystem {
     /// and `after` views and chunks landing on new nodes are counted (files
     /// with an explicit placement are pinned and never move). Chunk sizes
     /// come from each file's `size_bytes`.
-    pub fn rebalance_report(&self, before: &ClusterView, after: &ClusterView) -> RebalanceReport {
+    pub(crate) fn rebalance_report(
+        &self,
+        before: &ClusterView,
+        after: &ClusterView,
+    ) -> RebalanceReport {
         let strategy = self
             .spec
             .placement
@@ -311,7 +315,7 @@ impl SproutSystem {
     /// data chunks.
     ///
     /// Files with `size_bytes = 0` get
-    /// [`crate::backend::DEFAULT_OBJECT_BYTES`]-byte synthetic payloads; all
+    /// 4096-byte synthetic payloads (`DEFAULT_OBJECT_BYTES`); all
     /// payload bytes are deterministic in the spec seed.
     ///
     /// # Errors

@@ -27,7 +27,7 @@ pub struct CacheDelta {
 
 impl CacheDelta {
     /// Chunks that must eventually be added (lazily, on first access).
-    pub fn added(&self) -> usize {
+    pub(crate) fn added(&self) -> usize {
         self.after.saturating_sub(self.before)
     }
 
