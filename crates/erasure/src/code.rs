@@ -732,6 +732,22 @@ impl ReedSolomon {
         Ok(inverse)
     }
 
+    /// Produces a single coded chunk for the given generator row from a raw file.
+    ///
+    /// The reference [`ReedSolomon::encode`]'s rows are tested against.
+    #[cfg(test)]
+    pub(crate) fn encode_row_from_file(&self, file: &[u8], row: usize) -> Chunk {
+        use crate::chunk::ChunkSource;
+        let (data_chunks, _) = stripe::split(file, self.params.k());
+        let payload = self.encode_rows(&data_chunks, &[row]).remove(0);
+        let source = if row < self.params.n() {
+            ChunkSource::Storage
+        } else {
+            ChunkSource::Cache
+        };
+        Chunk::new(ChunkId { index: row, source }, Bytes::from(payload))
+    }
+
     /// Verifies that a set of chunks is consistent with a single codeword,
     /// i.e. decoding from one `k`-subset and re-encoding reproduces all the
     /// supplied chunks.
@@ -774,6 +790,7 @@ fn row_views(buf: Bytes, first_row: usize, count: usize, chunk_len: usize) -> Ve
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::chunk::ChunkSource;
 
     fn sample_file(len: usize) -> Vec<u8> {
         (0..len).map(|i| (i * 131 + 7) as u8).collect()
@@ -925,6 +942,20 @@ mod tests {
         corrupted[6] = Chunk::new(corrupted[6].id, bytes);
         assert!(!rs.verify(&corrupted).unwrap());
         assert!(rs.verify(&[]).unwrap());
+    }
+
+    #[test]
+    fn encode_row_from_file_matches_encode() {
+        let rs = ReedSolomon::new(CodeParams::new(7, 4).unwrap()).unwrap();
+        let file = sample_file(77);
+        let encoded = rs.encode(&file).unwrap();
+        for row in 0..7 {
+            let chunk = rs.encode_row_from_file(&file, row);
+            assert_eq!(chunk.data, encoded.chunks()[row].data);
+            assert_eq!(chunk.id.source, ChunkSource::Storage);
+        }
+        let cache_chunk = rs.encode_row_from_file(&file, 8);
+        assert_eq!(cache_chunk.id.source, ChunkSource::Cache);
     }
 
     #[test]

@@ -41,6 +41,35 @@ pub fn vandermonde(rows: usize, cols: usize) -> Matrix {
     m
 }
 
+/// Builds an `rows × cols` Cauchy matrix.
+///
+/// Entry `(i, j)` is `1 / (x_i + y_j)` where the `x` and `y` points are
+/// disjoint. Every square sub-matrix of a Cauchy matrix is invertible, so it
+/// can be used directly as the parity part of a systematic MDS generator;
+/// the tests use it as a known-MDS, known-invertible input.
+///
+/// # Panics
+///
+/// Panics if `rows + cols > 256` (not enough distinct points) or if either
+/// dimension is zero.
+#[cfg(test)]
+pub(crate) fn cauchy(rows: usize, cols: usize) -> Matrix {
+    assert!(rows > 0 && cols > 0, "dimensions must be positive");
+    assert!(
+        rows + cols <= 256,
+        "a GF(256) Cauchy matrix requires rows + cols <= 256"
+    );
+    let mut m = Matrix::zero(rows, cols);
+    for i in 0..rows {
+        let x = Gf256::new(i as u8);
+        for j in 0..cols {
+            let y = Gf256::new((rows + j) as u8);
+            m.set(i, j, (x + y).inverse());
+        }
+    }
+    m
+}
+
 /// Builds a systematic MDS generator matrix with `total` rows and `k` columns.
 ///
 /// The first `k` rows form the identity (so the first `k` coded symbols equal
@@ -119,6 +148,12 @@ mod tests {
     }
 
     #[test]
+    fn cauchy_is_mds() {
+        let m = cauchy(6, 4);
+        assert!(is_mds(&m));
+    }
+
+    #[test]
     fn systematic_mds_has_identity_prefix() {
         let g = systematic_mds(11, 5);
         let top = g.select_rows(&(0..5).collect::<Vec<_>>());
@@ -150,6 +185,12 @@ mod tests {
     #[should_panic(expected = "at most 255")]
     fn vandermonde_too_many_rows_panics() {
         let _ = vandermonde(256, 4);
+    }
+
+    #[test]
+    #[should_panic(expected = "rows + cols")]
+    fn cauchy_too_large_panics() {
+        let _ = cauchy(200, 100);
     }
 
     #[test]

