@@ -72,7 +72,7 @@ pub mod timebins;
 pub use backend::StoreBackend;
 pub use error::SproutError;
 pub use fuzz::ScenarioFuzzer;
-pub use loader::{LoadError, RunSpec, SimKnobs, SweepKnobs, SystemKnobs, TraceKnobs};
+pub use loader::{LoadError, RunSpec};
 pub use scenario::{ScenarioActionSpec, ScenarioEventSpec, ScenarioSpec};
 pub use serve::{LatencyHistogram, ServeOpts, ServePlan, ServeReport, Sproutd};
 pub use spec::{FileConfig, SystemSpec, SystemSpecBuilder};

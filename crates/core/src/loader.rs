@@ -87,7 +87,7 @@ impl From<SproutError> for LoadError {
 /// the paper's §V-A setup (12 heterogeneous servers, (7,4)-coded 100 MB
 /// files with the grouped arrival rates, seed 2016).
 #[derive(Debug, Clone, PartialEq, Deserialize)]
-pub struct SystemKnobs {
+pub(crate) struct SystemKnobs {
     /// Number of files in the population.
     pub num_files: usize,
     /// Cache capacity in chunks.
@@ -171,7 +171,7 @@ impl SystemKnobs {
 
 /// Simulation-length knobs lowered onto a [`SimConfig`].
 #[derive(Debug, Clone, PartialEq, Deserialize)]
-pub struct SimKnobs {
+pub(crate) struct SimKnobs {
     /// Simulated horizon in seconds.
     pub horizon: f64,
     /// Horizon substituted under `--quick` (CI smoke); default `horizon/10`,
@@ -231,7 +231,7 @@ impl SimKnobs {
 /// Optional sweep axes. Every omitted axis keeps [`SimSweep`]'s default
 /// (the single point the base system describes).
 #[derive(Debug, Clone, PartialEq, Default, Deserialize)]
-pub struct SweepKnobs {
+pub(crate) struct SweepKnobs {
     /// Cache-policy axis.
     pub policies: Option<Vec<CachePolicy>>,
     /// Cache-size axis (chunks).
@@ -255,7 +255,7 @@ pub struct SweepKnobs {
 /// rates and spliced into the scenario as `SetRates` events at every bin
 /// boundary after the first.
 #[derive(Debug, Clone, PartialEq, Deserialize)]
-pub struct TraceKnobs {
+pub(crate) struct TraceKnobs {
     /// Path to the CSV file, resolved relative to the spec file's directory
     /// (absolute paths pass through).
     pub path: String,
@@ -275,15 +275,15 @@ pub struct RunSpec {
     /// Experiment name (artifact key; defaults `scenario.name` when absent).
     pub name: String,
     /// System-construction knobs.
-    pub system: SystemKnobs,
+    pub(crate) system: SystemKnobs,
     /// Simulation-length knobs.
-    pub sim: SimKnobs,
+    pub(crate) sim: SimKnobs,
     /// What happens during the run; `None` is the steady scenario.
     pub scenario: Option<ScenarioSpec>,
     /// Optional sweep axes.
-    pub sweep: Option<SweepKnobs>,
+    pub(crate) sweep: Option<SweepKnobs>,
     /// Optional CSV trace replay.
-    pub trace: Option<TraceKnobs>,
+    pub(crate) trace: Option<TraceKnobs>,
 }
 
 impl RunSpec {

@@ -734,7 +734,8 @@ impl ReedSolomon {
 
     /// Produces a single coded chunk for the given generator row from a raw file.
     ///
-    /// The reference [`ReedSolomon::encode`]'s rows are tested against.
+    /// The reference that the rows of [`ReedSolomon::encode`] are tested
+    /// against.
     #[cfg(test)]
     pub(crate) fn encode_row_from_file(&self, file: &[u8], row: usize) -> Chunk {
         use crate::chunk::ChunkSource;

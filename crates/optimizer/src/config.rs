@@ -3,10 +3,11 @@
 /// How the integer constraint on `d_i` is restored after each relaxed
 /// Prob Π solve.
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub enum RoundingStrategy {
+pub(crate) enum RoundingStrategy {
     /// Pin one file per inner iteration — the file whose `Σ_j π_{i,j}` has
     /// the largest fractional part (the literal Algorithm 1 inner loop,
-    /// `O(r)` convex solves).
+    /// `O(r)` convex solves; the reference `Fraction` is tested against).
+    #[cfg(test)]
     OneAtATime,
     /// Pin a fixed fraction of the still-fractional files per inner
     /// iteration (the paper's `O(log r)` refinement). The fraction is
@@ -18,6 +19,7 @@ impl RoundingStrategy {
     /// Number of files to pin given `fractional` files still unrounded.
     pub(crate) fn batch_size(&self, fractional: usize) -> usize {
         match *self {
+            #[cfg(test)]
             RoundingStrategy::OneAtATime => 1.min(fractional),
             RoundingStrategy::Fraction(f) => {
                 let f = f.clamp(1e-6, 1.0);
@@ -43,7 +45,7 @@ pub struct OptimizerConfig {
     /// backtracking line search).
     pub initial_step: f64,
     /// Rounding strategy for the integer constraint.
-    pub rounding: RoundingStrategy,
+    pub(crate) rounding: RoundingStrategy,
 }
 
 impl Default for OptimizerConfig {

@@ -63,7 +63,7 @@ mod projection;
 pub mod solution;
 
 pub use algorithm1::Optimizer;
-pub use config::{OptimizerConfig, RoundingStrategy};
+pub use config::OptimizerConfig;
 pub use error::OptimizerError;
 pub use model::{FileModel, StorageModel};
 pub use solution::{CachePlan, ConvergenceTrace};
