@@ -34,12 +34,12 @@ pub struct FigureCli {
 impl FigureCli {
     /// Parses an explicit argument list.
     ///
-    /// # Panics
+    /// # Errors
     ///
-    /// Panics (with a usage message) on an unknown flag or a malformed
-    /// `--threads` value, so a typo'd invocation cannot silently run the
-    /// wrong experiment.
-    pub fn from_args(args: impl IntoIterator<Item = String>) -> Self {
+    /// Returns a usage message for an unknown argument (`--help` included)
+    /// and for a missing or malformed `--threads` / `--out` value, so a
+    /// typo'd invocation cannot silently run the wrong experiment.
+    pub fn from_args(args: impl IntoIterator<Item = String>) -> Result<Self, String> {
         let mut cli = FigureCli {
             quick: false,
             threads: None,
@@ -50,27 +50,22 @@ impl FigureCli {
             match arg.as_str() {
                 "--quick" => cli.quick = true,
                 "--threads" => {
-                    let value = args
-                        .next()
-                        .unwrap_or_else(|| panic!("--threads requires a value"));
-                    let threads: usize = value
-                        .parse()
-                        .unwrap_or_else(|_| panic!("--threads expects a number, got '{value}'"));
-                    assert!(threads > 0, "--threads must be at least 1");
-                    cli.threads = Some(threads);
+                    let value = args.next().ok_or("--threads requires a value")?;
+                    match value.parse() {
+                        Ok(0) => return Err("--threads must be at least 1".into()),
+                        Ok(threads) => cli.threads = Some(threads),
+                        Err(_) => return Err(format!("--threads expects a number, got '{value}'")),
+                    }
                 }
-                "--out" => {
-                    cli.out = Some(
-                        args.next()
-                            .unwrap_or_else(|| panic!("--out requires a path")),
-                    );
+                "--out" => cli.out = Some(args.next().ok_or("--out requires a path")?),
+                other => {
+                    return Err(format!(
+                        "unknown argument '{other}' (supported: --quick, --threads N, --out PATH)"
+                    ))
                 }
-                other => panic!(
-                    "unknown argument '{other}' (supported: --quick, --threads N, --out PATH)"
-                ),
             }
         }
-        cli
+        Ok(cli)
     }
 
     /// The worker count to use: the `--threads` flag, or `default` when the
@@ -190,9 +185,13 @@ mod tests {
             .into_iter()
     }
 
+    fn parse(list: &[&str]) -> FigureCli {
+        FigureCli::from_args(args(list)).expect("valid flags")
+    }
+
     #[test]
     fn parses_the_common_flags() {
-        let cli = FigureCli::from_args(args(&[]));
+        let cli = parse(&[]);
         assert_eq!(
             cli,
             FigureCli {
@@ -201,20 +200,20 @@ mod tests {
                 out: None
             }
         );
-        let cli = FigureCli::from_args(args(&["--quick", "--threads", "4", "--out", "x.json"]));
+        let cli = parse(&["--quick", "--threads", "4", "--out", "x.json"]);
         assert!(cli.quick);
         assert_eq!(cli.threads, Some(4));
         assert_eq!(cli.out.as_deref(), Some("x.json"));
         assert_eq!(cli.threads_or(8), 4);
         assert_eq!(cli.artifact_path("default.json"), "x.json");
-        let cli = FigureCli::from_args(args(&["--threads", "2"]));
+        let cli = parse(&["--threads", "2"]);
         assert_eq!(cli.threads_or(8), 2);
         assert_eq!(cli.artifact_path("default.json"), "default.json");
     }
 
     #[test]
     fn a_quick_run_defaults_to_a_quick_artifact_path() {
-        let cli = FigureCli::from_args(args(&["--quick"]));
+        let cli = parse(&["--quick"]);
         assert_eq!(cli.threads_or(8), 8);
         assert_eq!(
             cli.artifact_path("BENCH_scenarios.json"),
@@ -224,20 +223,29 @@ mod tests {
             timing_path(&cli.artifact_path("FIG_churn.json")),
             "FIG_churn.quick.timing.json"
         );
-        let cli = FigureCli::from_args(args(&["--quick", "--out", "x.json"]));
+        let cli = parse(&["--quick", "--out", "x.json"]);
         assert_eq!(cli.artifact_path("FIG_churn.json"), "x.json");
     }
 
-    #[test]
-    #[should_panic(expected = "unknown argument")]
-    fn unknown_flag_panics() {
-        let _ = FigureCli::from_args(args(&["--qick"]));
+    fn parse_err(list: &[&str]) -> String {
+        FigureCli::from_args(args(list)).expect_err("invalid flags")
     }
 
     #[test]
-    #[should_panic(expected = "expects a number")]
-    fn malformed_threads_panics() {
-        let _ = FigureCli::from_args(args(&["--threads", "many"]));
+    fn an_unknown_argument_is_an_error() {
+        for flag in ["--qick", "--help"] {
+            let err = parse_err(&["--quick", flag]);
+            assert!(err.contains(&format!("unknown argument '{flag}'")), "{err}");
+            assert!(err.contains("--threads N"), "{err} should name the flags");
+        }
+    }
+
+    #[test]
+    fn a_missing_or_malformed_value_is_an_error() {
+        assert!(parse_err(&["--threads", "many"]).contains("expects a number"));
+        assert!(parse_err(&["--threads", "0"]).contains("at least 1"));
+        assert!(parse_err(&["--threads"]).contains("requires a value"));
+        assert!(parse_err(&["--out"]).contains("requires a path"));
     }
 
     #[test]

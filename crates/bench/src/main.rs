@@ -58,7 +58,7 @@ fn run_figures(mut args: Vec<String>) -> Result<(), String> {
             .unwrap_or(args.len()),
     );
     let figures = select(&args)?;
-    let cli = FigureCli::from_args(flags);
+    let cli = FigureCli::from_args(flags)?;
     if cli.out.is_some() && figures.len() > 1 {
         return Err(format!(
             "--out names one file but {} figures are selected; run them one at a time or drop --out",
@@ -151,6 +151,16 @@ mod tests {
     }
 
     #[test]
+    fn a_bad_flag_is_an_error_before_anything_runs() {
+        let err = run(args(&["fig03_convergence", "--help"])).expect_err("no such flag");
+        assert!(err.contains("unknown argument '--help'"), "{err}");
+        let err = run(args(&["fig03_convergence", "--threads"])).expect_err("no value");
+        assert!(err.contains("--threads"), "{err}");
+        let err = run(args(&["fig03_convergence", "--quick", "--out"])).expect_err("no path");
+        assert!(err.contains("--out"), "{err}");
+    }
+
+    #[test]
     fn out_with_two_figures_is_rejected_before_anything_runs() {
         let err = run(args(&[
             "tab05_cache_latency",
@@ -172,7 +182,7 @@ mod tests {
         let out = out.to_str().unwrap();
         run(args(&["tab05_cache_latency", "--out", out])).expect("the row runs");
 
-        let cli = FigureCli::from_args(args(&["--out", out]));
+        let cli = FigureCli::from_args(args(&["--out", out])).expect("valid flags");
         let (mut direct, timings) = sprout_bench::figures::tab05_cache_latency::run(&cli);
         assert!(timings.is_none());
         direct

@@ -32,7 +32,10 @@ pub fn run(mut args: Vec<String>) {
             std::process::exit(2);
         }
     };
-    let cli = FigureCli::from_args(args);
+    let cli = FigureCli::from_args(args).unwrap_or_else(|e| {
+        eprintln!("error: {e}");
+        std::process::exit(2);
+    });
 
     let spec = RunSpec::load(&path).unwrap_or_else(|e| {
         eprintln!("error: {e}");

@@ -5,15 +5,18 @@
 //! backend, so the interior is sharded and independent requests never
 //! contend on a single big lock:
 //!
-//! * **Per-node locks** — each [`StorageNode`] (chunk map + FIFO queue
-//!   clock) sits behind its own `RwLock`. Two gets that read disjoint nodes
-//!   take disjoint locks; candidate probing takes brief read locks and only
-//!   the actual chunk read (which advances the queue) takes a write lock.
-//! * **Striped object metadata** — the object → (length, placement,
-//!   checksum) map is split into `META_STRIPES` (16) hash stripes, each behind
-//!   its own `RwLock`, so puts of different objects rarely serialize. A
-//!   reader takes one snapshot of the three under the stripe's read lock
-//!   (two word copies and an `Arc` bump — nothing is allocated).
+//! * **Per-node locks** — each [`StorageNode`] (online flag, FIFO queue
+//!   clock, hosted-chunk count) sits behind its own `RwLock`. Two gets that
+//!   read disjoint nodes take disjoint locks; candidate probing takes brief
+//!   read locks and only the actual chunk read (which advances the queue)
+//!   takes a write lock.
+//! * **Striped object metadata** — the object → (length, placement, chunks,
+//!   checksum) map is split into `META_STRIPES` (16) hash stripes, each
+//!   behind its own `RwLock`, so puts of different objects rarely serialize.
+//!   It is the one chunk index: row `i` of an object's chunks is hosted on
+//!   its `i`-th placed node. A reader takes one snapshot of the four under
+//!   the stripe's read lock (two word copies and two `Arc` bumps — nothing
+//!   is allocated).
 //! * **Cache tier** — the [`Cache`] (LRU recency + payload chunks) sits
 //!   behind one `Mutex`; every lookup mutates recency and counters, so a
 //!   shared lock buys nothing. Critical sections are kept to map/recency
@@ -25,22 +28,23 @@
 //!   placement decisions.
 //!
 //! Lock discipline: at most one node lock is held at a time, metadata
-//! stripe locks are only held around metadata mutation plus the node-map
-//! updates that must stay atomic with it (put/delete), and the cache lock
+//! stripe locks are only held around metadata mutation plus the
+//! hosted-chunk counts of the object's own nodes (put/delete), and the cache lock
 //! is never taken while a node lock is held. No lock is held across an
 //! encode, a decode or a checksum. That ordering (stripe → node → cache)
 //! is acyclic, so the structure cannot deadlock.
 //!
-//! Integrity: the object's [`checksum64`] lives *with* its length and
-//! placement. `put` computes it beside the encode, outside every lock, and
-//! publishes all three together under the object's stripe lock; `get`
-//! checks the bytes it decoded against the snapshot it started from. A get
-//! does not hold the stripe lock while it reads nodes, so a racing
-//! overwrite can hand it chunks of two versions (or the new version's
-//! chunks under the old snapshot): the checksum turns that into
+//! Integrity: the object's [`checksum64`] lives *with* its length,
+//! placement and chunks. `put` computes it beside the encode, outside every
+//! lock, and publishes all four together under the object's stripe lock;
+//! `get` decodes the storage chunks of the snapshot it started from and
+//! checks the bytes against that snapshot's checksum. A racing overwrite
+//! replaces the snapshot, never the chunks inside it, so a storage-only
+//! read returns one whole version. Cached chunks are looked up apart from
+//! the snapshot, so under a cache a racing overwrite can still pair them
+//! with another version's storage chunks: the checksum turns that into
 //! [`ClusterError::ChecksumMismatch`] — a typed error the caller may retry
-//! — instead of wrong bytes. Making the race itself invisible
-//! (generation-tagged chunks) is a separate ROADMAP item.
+//! — instead of wrong bytes.
 //!
 //! Every method takes `&self`; [`StoreHandle::get`] derives a per-request
 //! RNG from an atomic ticket, so service-time samples are deterministic per
@@ -48,7 +52,7 @@
 
 use std::collections::{HashMap, HashSet};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, MutexGuard, RwLock, RwLockReadGuard};
+use std::sync::{Arc, Mutex, MutexGuard, RwLock, RwLockReadGuard, RwLockWriteGuard};
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -75,6 +79,8 @@ const REQUEST_RNG_SALT: u64 = 0x5EED_0DD5_EED0_0DD5;
 struct ObjectMeta {
     len: usize,
     placement: Arc<[usize]>,
+    /// The coded chunks: row `i` is hosted on `placement[i]`.
+    chunks: Arc<[Chunk]>,
     /// [`checksum64`] of the object's bytes.
     checksum: u64,
 }
@@ -244,11 +250,7 @@ impl StoreHandle {
     pub fn chunk_on_node(&self, object: u64, node: usize) -> Option<Chunk> {
         let meta = self.meta_of(object)?;
         let row = meta.placement.iter().position(|&n| n == node)?;
-        self.shared.nodes[node]
-            .read()
-            .expect("node lock poisoned")
-            .chunk(object, row)
-            .cloned()
+        Some(meta.chunks[row].clone())
     }
 
     /// Decodes an object from caller-gathered chunks (any `k` distinct rows
@@ -345,42 +347,32 @@ impl StoreHandle {
         Ok(())
     }
 
-    /// Stores an encoded object's chunks on `placement` and publishes its
-    /// metadata. Encode and checksum happen before, outside every lock:
-    /// they are the expensive part. Chunks are *moved* onto their nodes —
-    /// payloads are refcounted `Bytes` views — so no byte is copied here.
+    /// Publishes an encoded object's chunks on `placement` together with
+    /// its length and checksum. Encode and checksum happen before, outside
+    /// every lock: they are the expensive part. Chunks are *moved* into the
+    /// metadata — payloads are refcounted `Bytes` views — so no byte is
+    /// copied here.
     fn publish(&self, object: u64, encoded: EncodedFile, checksum: u64, placement: Vec<usize>) {
-        let s = &*self.shared;
-        let len = encoded.original_len();
+        let meta = ObjectMeta {
+            len: encoded.original_len(),
+            placement: placement.into(),
+            chunks: encoded.into_chunks().into(),
+            checksum,
+        };
         // The object's stripe lock makes replace-or-insert atomic: a
-        // concurrent put of the same object serializes here, so node chunk
-        // maps and metadata (checksum included) can never disagree about
-        // the live version once the lock is released.
+        // concurrent put of the same object serializes here, so the nodes'
+        // hosted-chunk counts follow the live version once it is released.
         let mut stripe = self.shared.meta[stripe_of(object)]
             .write()
             .expect("meta stripe lock poisoned");
-        if let Some(old) = stripe.remove(&object) {
-            for &node in old.placement.iter() {
-                s.nodes[node]
-                    .write()
-                    .expect("node lock poisoned")
-                    .remove_object(object);
-            }
+        for &node in meta.placement.iter() {
+            self.node_mut(node).host_chunk();
         }
-        for (chunk, &node) in encoded.into_chunks().into_iter().zip(&placement) {
-            s.nodes[node]
-                .write()
-                .expect("node lock poisoned")
-                .store_chunk(object, chunk);
+        // The replaced version is freed after the lock is released.
+        let old = stripe.insert(object, meta);
+        if let Some(old) = &old {
+            self.release_chunks(old);
         }
-        stripe.insert(
-            object,
-            ObjectMeta {
-                len,
-                placement: placement.into(),
-                checksum,
-            },
-        );
         drop(stripe);
         self.cache().remove(object);
     }
@@ -390,16 +382,23 @@ impl StoreHandle {
         let mut stripe = self.shared.meta[stripe_of(object)]
             .write()
             .expect("meta stripe lock poisoned");
-        if let Some(meta) = stripe.remove(&object) {
-            for &node in meta.placement.iter() {
-                self.shared.nodes[node]
-                    .write()
-                    .expect("node lock poisoned")
-                    .remove_object(object);
-            }
+        let old = stripe.remove(&object);
+        if let Some(old) = &old {
+            self.release_chunks(old);
         }
         drop(stripe);
         self.cache().remove(object);
+    }
+
+    fn node_mut(&self, node: usize) -> RwLockWriteGuard<'_, StorageNode> {
+        self.shared.nodes[node].write().expect("node lock poisoned")
+    }
+
+    /// Uncounts a replaced or deleted version's chunks on its nodes.
+    fn release_chunks(&self, meta: &ObjectMeta) {
+        for &node in meta.placement.iter() {
+            self.node_mut(node).release_chunk();
+        }
     }
 
     /// Marks a storage node failed (offline) or recovered.
@@ -408,10 +407,7 @@ impl StoreHandle {
     ///
     /// Panics if the node id is out of range.
     pub fn set_node_online(&self, node: usize, online: bool) {
-        self.shared.nodes[node]
-            .write()
-            .expect("node lock poisoned")
-            .set_online(online);
+        self.node_mut(node).set_online(online);
         let mut view = self.shared.view.write().expect("view lock poisoned");
         *view = view.with_node_online(node, online);
     }
@@ -421,25 +417,10 @@ impl StoreHandle {
         self.shared.placement.as_ref()
     }
 
-    /// Gathers every storage chunk of `object` currently present on online
-    /// *and* offline nodes (management path; clones are refcount bumps).
-    fn gather_available(&self, meta: &ObjectMeta, object: u64) -> Vec<Chunk> {
-        let mut available = Vec::new();
-        for &node in meta.placement.iter() {
-            let guard = self.shared.nodes[node].read().expect("node lock poisoned");
-            for index in guard.chunk_indices(object) {
-                if let Some(chunk) = guard.chunk(object, index) {
-                    available.push(chunk.clone());
-                }
-            }
-        }
-        available
-    }
-
     /// Installs `d` planner-chosen chunks of an object into the cache
     /// (functional or exact caching). `d = 0` removes the object's cache
-    /// entry. Chunk contents are rebuilt from the chunks currently on the
-    /// storage nodes, mirroring the paper's lazy population on first access.
+    /// entry. Chunk contents are rebuilt from the object's storage chunks,
+    /// online or not, mirroring the paper's lazy population on first access.
     ///
     /// # Errors
     ///
@@ -461,26 +442,18 @@ impl StoreHandle {
             self.cache().remove(object);
             return Ok(());
         }
-        let available = self.gather_available(&meta, object);
         let chunks = match s.config.cache_policy {
-            CachePolicy::Functional => s.codec.cache_chunks_from_chunks(&available, d)?,
-            CachePolicy::Exact => {
-                // Copy the first d storage chunks verbatim.
-                let mut copies: Vec<Chunk> = available
-                    .into_iter()
-                    .filter(|c| c.id.index < d.min(s.config.n))
-                    .collect();
-                copies.sort_by_key(|c| c.id.index);
-                copies.truncate(d);
-                if copies.len() < d {
-                    return Err(ClusterError::NotEnoughReplicas {
-                        object,
-                        available: copies.len(),
-                        required: d,
-                    });
-                }
-                copies
-            }
+            CachePolicy::Functional => s.codec.cache_chunks_from_chunks(&meta.chunks, d)?,
+            // Copy the first d storage chunks verbatim.
+            CachePolicy::Exact => meta
+                .chunks
+                .get(..d)
+                .ok_or(ClusterError::NotEnoughReplicas {
+                    object,
+                    available: meta.chunks.len(),
+                    required: d,
+                })?
+                .to_vec(),
             _ => unreachable!("checked is_planned above"),
         };
         if self.cache().install_planned(object, chunks) {
@@ -582,8 +555,9 @@ impl StoreHandle {
 
         // 2. Candidate storage chunks: for exact caching the cached rows are
         // copies of storage rows, so their hosts cannot contribute new rows
-        // (a scan of fewer than k cached rows). Probing takes one brief
-        // *read* lock per placed node.
+        // (a scan of fewer than k cached rows). Every placed node hosts its
+        // row of the snapshot, so probing asks only for the online flag and
+        // the queue delay, under one brief *read* lock per placed node.
         let exact = s.config.cache_policy == CachePolicy::Exact;
         // (queue delay, node, row)
         let mut candidates: Vec<(f64, usize, usize)> = Vec::with_capacity(meta.placement.len());
@@ -592,7 +566,7 @@ impl StoreHandle {
                 continue;
             }
             let guard = s.nodes[node].read().expect("node lock poisoned");
-            if !guard.is_online() || !guard.has_chunk(object, row) {
+            if !guard.is_online() {
                 continue;
             }
             candidates.push((guard.queue_delay(now), node, row));
@@ -609,42 +583,33 @@ impl StoreHandle {
         candidates.sort_by(|a, b| a.0.total_cmp(&b.0));
         candidates.truncate(needed_from_storage);
 
-        // 3. Issue the storage reads and take the fork-join maximum. One
-        // write lock per selected node, taken one at a time; a chunk that a
-        // racing delete/failure snatched between probe and read degrades to
-        // a clean NotEnoughReplicas instead of a panic.
-        let mut storage_chunks = Vec::with_capacity(needed_from_storage);
+        // 3. Issue the storage reads and take the fork-join maximum; the
+        // snapshot's chunks join the cached ones. One write lock per
+        // selected node, taken one at a time; a node that a racing failure
+        // took offline between probe and read degrades to a clean
+        // NotEnoughReplicas instead of a panic.
+        let cache_chunks_used = cached.len();
+        let mut chunks = cached;
+        chunks.reserve(needed_from_storage);
         let mut nodes_used = Vec::with_capacity(needed_from_storage);
         let mut finish = now;
         for &(_, node, row) in &candidates {
-            let served = s.nodes[node]
-                .write()
-                .expect("node lock poisoned")
-                .read(object, row, now, rng);
-            match served {
-                Some((chunk, done)) => {
-                    finish = finish.max(done);
-                    storage_chunks.push(chunk);
-                    nodes_used.push(node);
-                }
-                None => {
-                    return Err(ClusterError::NotEnoughReplicas {
-                        object,
-                        available: cached.len() + storage_chunks.len(),
-                        required: k,
-                    });
-                }
-            }
+            let Some(done) = self.node_mut(node).read(&meta.chunks[row], now, rng) else {
+                return Err(ClusterError::NotEnoughReplicas {
+                    object,
+                    available: chunks.len(),
+                    required: k,
+                });
+            };
+            finish = finish.max(done);
+            chunks.push(meta.chunks[row].clone());
+            nodes_used.push(node);
         }
-        let storage_latency = finish - now;
-        let cache_latency = self.cache_read_latency(&cached, rng);
-        let latency = storage_latency.max(cache_latency);
+        let cache_latency = self.cache_read_latency(&chunks[..cache_chunks_used], rng);
+        let latency = (finish - now).max(cache_latency);
 
         // 4. Reconstruct and verify — no lock held.
-        let cache_chunks_used = cached.len();
-        let mut all = cached;
-        all.extend(storage_chunks);
-        let data = self.decode_verified(object, &all, &meta, buf)?;
+        let data = self.decode_verified(object, &chunks, &meta, buf)?;
 
         // 5. LRU promotion on a miss: the whole object enters the cache tier.
         if lru {
@@ -664,10 +629,9 @@ impl StoreHandle {
     /// Promotes a whole object into the cache tier *unconditionally* — the
     /// mirror of an admission decided by an external
     /// [`LruTier`](crate::LruTier) (the simulation engine's; see
-    /// [`crate::tier`]). The object's `k` data chunks are rebuilt from
-    /// whatever storage chunks are present (management path: no queueing or
-    /// latency accounting) and installed without consulting this cache's own
-    /// admission policy.
+    /// [`crate::tier`]). The object's `k` data chunks are rebuilt from its
+    /// storage chunks (management path: no queueing or latency accounting)
+    /// and installed without consulting this cache's own admission policy.
     ///
     /// # Errors
     ///
@@ -677,8 +641,7 @@ impl StoreHandle {
         let meta = self
             .meta_of(object)
             .ok_or(ClusterError::UnknownObject(object))?;
-        let available = self.gather_available(&meta, object);
-        let data = self.shared.codec.decode(&available, meta.len)?;
+        let data = self.shared.codec.decode(&meta.chunks, meta.len)?;
         let chunks = data_chunks_of(&data, self.shared.config.k);
         self.cache().mirror_promote(object, chunks);
         Ok(())
@@ -790,6 +753,91 @@ mod tests {
                 });
             }
         });
+    }
+
+    /// FNV-1a over a sequence of words.
+    fn fingerprint(words: impl IntoIterator<Item = u64>) -> u64 {
+        words.into_iter().fold(0xCBF2_9CE4_8422_2325, |h, w| {
+            (h ^ w).wrapping_mul(0x0100_0000_01B3)
+        })
+    }
+
+    /// 200 gets from a store with two nodes offline and functional-cache
+    /// depths 0 to k. The expected values were recorded before chunk
+    /// payloads moved from per-node maps into the object metadata: the
+    /// candidate order, the least-busy tie-breaking and the RNG draw order
+    /// of a get must not move, so latencies match to the bit.
+    #[test]
+    fn degraded_functional_reads_are_pinned() {
+        let h = handle(CachePolicy::Functional);
+        let payload = |object: u64| -> Vec<u8> {
+            (0..3_000 + 517 * object as usize)
+                .map(|i| (i as u64 * 31 + object) as u8)
+                .collect()
+        };
+        for object in 0..24u64 {
+            h.put(object, &payload(object)).unwrap();
+            h.set_cached_chunks(object, (object % 5) as usize).unwrap();
+        }
+        h.set_node_online(2, false);
+        h.set_node_online(5, false);
+        let mut words = Vec::new();
+        let (mut storage, mut cache) = (0, 0);
+        for i in 0..200u64 {
+            let object = i * 7 % 24;
+            let out = h.get(object, i as f64 * 0.004).unwrap();
+            assert_eq!(out.data, payload(object));
+            storage += out.storage_chunks_used;
+            cache += out.cache_chunks_used;
+            words.push(out.latency.to_bits());
+            words.push(out.storage_chunks_used as u64);
+            words.push(out.cache_chunks_used as u64);
+            words.extend(out.nodes_used.iter().map(|&n| n as u64));
+        }
+        assert_eq!((storage, cache), (416, 384));
+        assert_eq!(fingerprint(words), 0x0D12_1D2C_A438_35EB);
+    }
+
+    #[test]
+    fn hosted_chunk_counts_follow_puts_overwrites_and_deletes() {
+        let h = handle(CachePolicy::None);
+        for object in 0..10u64 {
+            h.put(object, &[object as u8; 5_000]).unwrap();
+        }
+        // Overwrites, half of them onto other nodes.
+        for object in (0..10u64).step_by(2) {
+            h.put_with_placement(object, &[1; 3_000], (1..8).collect())
+                .unwrap();
+            h.put(object + 1, &[2; 2_000]).unwrap();
+        }
+        for object in (0..10u64).step_by(3) {
+            h.delete(object);
+        }
+        h.delete(99);
+        assert_eq!(h.num_objects(), 6);
+        let hosted: usize = (0..8).map(|i| h.node(i).num_chunks()).sum();
+        assert_eq!(hosted, 7 * h.num_objects());
+        assert!((0..8).all(|node| h.chunk_on_node(3, node).is_none()));
+        let placement = h.object_placement(4).unwrap();
+        assert_eq!(&placement[..], &(1..8).collect::<Vec<_>>()[..]);
+        assert!(h.chunk_on_node(4, 0).is_none());
+        for (row, &node) in placement.iter().enumerate() {
+            assert_eq!(h.chunk_on_node(4, node).unwrap().id.index, row);
+        }
+    }
+
+    #[test]
+    fn read_shares_the_stored_payload_without_copying() {
+        let h = handle(CachePolicy::None);
+        h.put(1, &[5u8; 4_096]).unwrap();
+        let node = h.object_placement(1).unwrap()[0];
+        let first = h.chunk_on_node(1, node).unwrap();
+        let again = h.chunk_on_node(1, node).unwrap();
+        assert_eq!(
+            first.data.as_ptr(),
+            again.data.as_ptr(),
+            "a handed-out chunk must alias the stored allocation (refcount bump, not a copy)"
+        );
     }
 
     #[test]

@@ -14,8 +14,8 @@
 //!   plus the rebalance hook that prices membership changes.
 //! * [`fifo`] — [`FifoQueue`], one FIFO server in virtual time (Lindley's
 //!   recursion): the node model the store and the simulation engine share.
-//! * [`node`] — storage nodes that hold real chunk bytes and serve reads
-//!   through a [`FifoQueue`].
+//! * [`node`] — storage nodes: a device, an online flag and a
+//!   [`FifoQueue`] through which chunk reads are served.
 //! * [`tier`] — [`LruTier`] (promotion, eviction, hit lookup, capacity
 //!   accounting, replication): the source of truth for LRU decisions shared
 //!   with the simulation engine.
@@ -35,9 +35,10 @@
 //! is tracked in virtual time so experiments are deterministic and fast.
 //!
 //! Chunk payloads are reference-counted `bytes::Bytes` buffers: a chunk is
-//! encoded once and then *shared* — node storage, the cache tier and
-//! in-flight reads all clone the same `Chunk` in O(1) without copying
-//! payload bytes, so `store_chunk`/read paths never deep-copy data.
+//! encoded once and then *shared* — the object's metadata (the one record
+//! of which chunk each node hosts), the cache tier and in-flight reads all
+//! clone the same `Chunk` in O(1) without copying payload bytes, so put and
+//! read paths never deep-copy data.
 //!
 //! # Example
 //!

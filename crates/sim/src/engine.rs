@@ -9,8 +9,8 @@
 //!   the high-water mark as a regression guard.
 //! * **Requests settle at arrival** — each storage node is a FIFO queue
 //!   without preemption, so a chunk read's finish time is fixed when it is
-//!   queued (Lindley's recursion, in the [`FifoQueue`] the cluster's
-//!   `StorageNode::read` advances too). The engine plans a request, queues
+//!   queued (Lindley's recursion, in the [`FifoQueue`] that a chunk read
+//!   from the cluster store advances too). The engine plans a request, queues
 //!   its reads, and records its latency — the slowest read, or the cache
 //!   read — in the same step; no per-chunk completion event exists.
 //! * **One node model** — the engine owns every storage node: its FIFO

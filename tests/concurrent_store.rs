@@ -12,7 +12,8 @@
 //!   `promote_object`, one eviction per successful `evict_cached`;
 //! * thread-private objects written mid-storm read back verbatim;
 //! * a `get` racing an overwrite of the *same* object returns one of the
-//!   written versions or a typed error — never a mixture of the two;
+//!   written versions or a typed error — never a mixture of the two — and,
+//!   without a cache, always one of the versions;
 //! * a `Sproutd` worker that decodes objects of mixed sizes into its one
 //!   reused buffer, beside daemon puts whose payloads become their stored
 //!   chunks, serves exactly the written bytes — under a racing overwriter
@@ -179,6 +180,12 @@ fn clones_hammering_disjoint_objects_never_interfere() {
 /// One thread overwrites object 1 alternately with two same-length payloads
 /// while readers loop `get(1, _)`; returns how many reads succeeded.
 fn overwrite_race(policy: CachePolicy, cached_chunks: usize) -> u64 {
+    race_overwrites(policy, cached_chunks).0
+}
+
+/// [`overwrite_race`], returning how many reads succeeded and how many
+/// ended in a typed error.
+fn race_overwrites(policy: CachePolicy, cached_chunks: usize) -> (u64, u64) {
     const PUTS: usize = 3_000;
     const LEN: usize = 64 * 1024;
     const READERS: usize = 2;
@@ -204,6 +211,7 @@ fn overwrite_race(policy: CachePolicy, cached_chunks: usize) -> u64 {
 
     let done = AtomicBool::new(false);
     let reads_ok = AtomicU64::new(0);
+    let reads_failed = AtomicU64::new(0);
     std::thread::scope(|scope| {
         for _ in 0..READERS {
             scope.spawn(|| {
@@ -222,7 +230,9 @@ fn overwrite_race(policy: CachePolicy, cached_chunks: usize) -> u64 {
                             ClusterError::NotEnoughReplicas { .. }
                             | ClusterError::UnknownObject(_)
                             | ClusterError::ChecksumMismatch { .. },
-                        ) => {}
+                        ) => {
+                            reads_failed.fetch_add(1, Ordering::Relaxed);
+                        }
                         Err(other) => panic!("unexpected error under an overwrite: {other:?}"),
                     }
                 }
@@ -233,16 +243,19 @@ fn overwrite_race(policy: CachePolicy, cached_chunks: usize) -> u64 {
         }
         done.store(true, Ordering::Release);
     });
-    reads_ok.load(Ordering::Relaxed)
+    (
+        reads_ok.load(Ordering::Relaxed),
+        reads_failed.load(Ordering::Relaxed),
+    )
 }
 
-/// A reader does not hold the object's stripe lock while it gathers chunks,
-/// so an overwrite can hand it chunks of two versions; the checksum kept
-/// with the metadata snapshot the read started from turns that into
-/// `ChecksumMismatch` instead of `Ok(mixed bytes)`. The typed errors
-/// themselves (`NotEnoughReplicas`, `UnknownObject`, `ChecksumMismatch`) are
-/// still allowed here: making them disappear — a put readers cannot see
-/// half-done — is ROADMAP item 5, not this test's contract.
+/// A reader looks up cached chunks apart from the metadata snapshot whose
+/// storage chunks it decodes, so under a cache plan an overwrite can hand
+/// it chunks of two versions; the checksum kept with the snapshot turns
+/// that into `ChecksumMismatch` instead of `Ok(mixed bytes)`. The
+/// typed errors themselves (`NotEnoughReplicas`, `UnknownObject`,
+/// `ChecksumMismatch`) are allowed here; without a cache none occurs (see
+/// the next test).
 #[test]
 fn a_get_racing_an_overwrite_returns_one_version_or_a_typed_error() {
     let uncached = overwrite_race(CachePolicy::None, 0);
@@ -251,6 +264,17 @@ fn a_get_racing_an_overwrite_returns_one_version_or_a_typed_error() {
         uncached > 0 && functional > 0,
         "some reads must land between overwrites ({uncached}, {functional})"
     );
+}
+
+/// Without a cache tier a get decodes the chunks of the metadata snapshot it
+/// started from, and an overwrite replaces that snapshot (chunks, length,
+/// checksum) as one unit: every read racing 3 000 overwrites returns one of
+/// the two versions, and none fails.
+#[test]
+fn an_uncached_get_racing_overwrites_always_returns_one_version() {
+    let (ok, failed) = race_overwrites(CachePolicy::None, 0);
+    assert_eq!(failed, 0, "{failed} of {} racing reads failed", ok + failed);
+    assert!(ok > 0, "some reads must land between overwrites");
 }
 
 /// Object sizes a worker's reused decode buffer must shrink and grow
