@@ -13,7 +13,8 @@
 //! Artifact: `FIG_03.json` — per cache size, the iteration count and final
 //! bound as metrics plus the full per-iteration objective trace as a series.
 
-use crate::{experiment_config, paper_system, scale_cache, FigureCli};
+use crate::{paper_system, scale_cache, FigureCli};
+use sprout::optimizer::OptimizerConfig;
 use sprout::sim::sweep::{Sample, SweepGrid, SweepReport, SweepTimings};
 
 /// Runs the sweep and returns its report; the dispatcher adds the run meta
@@ -25,7 +26,7 @@ pub fn run(cli: &FigureCli) -> (SweepReport, Option<SweepTimings>) {
         "cache_chunks_paper",
         paper_sizes.iter().map(|c| c.to_string()),
     );
-    let config = experiment_config();
+    let config = OptimizerConfig::default();
     let report = grid.run(
         cli.threads_or(FigureCli::available_threads()),
         |cell, _, _| {

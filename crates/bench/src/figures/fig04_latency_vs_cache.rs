@@ -8,7 +8,8 @@
 //! Artifact: `FIG_04.json` — cache size (in paper chunks) against the
 //! optimized mean latency bound.
 
-use crate::{experiment_config, paper_system, scale_cache, FigureCli};
+use crate::{paper_system, scale_cache, FigureCli};
+use sprout::optimizer::OptimizerConfig;
 use sprout::sim::sweep::{Sample, SweepGrid, SweepReport, SweepTimings};
 
 /// Runs the sweep and returns its report; the dispatcher adds the run meta
@@ -20,7 +21,7 @@ pub fn run(cli: &FigureCli) -> (SweepReport, Option<SweepTimings>) {
 
     let grid = SweepGrid::named("fig04_latency_vs_cache", 2016)
         .axis("cache_chunks_paper", sweep.iter().map(|c| c.to_string()));
-    let config = experiment_config();
+    let config = OptimizerConfig::default();
     let report = grid.run(
         cli.threads_or(FigureCli::available_threads()),
         |cell, _, _| {

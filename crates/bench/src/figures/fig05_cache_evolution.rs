@@ -28,7 +28,7 @@ const CACHE_CHUNKS: usize = 12;
 
 fn table_i_system() -> SproutSystem {
     let spec = SystemSpec::builder()
-        .node_service_rates(&sprout::workload::spec::paper_server_service_rates())
+        .paper_servers()
         .uniform_files(10, 4, 7, 0.000_15)
         .cache_capacity_chunks(CACHE_CHUNKS)
         .seed(5)

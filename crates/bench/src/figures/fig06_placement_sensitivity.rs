@@ -24,7 +24,7 @@ const CACHE_CHUNKS: usize = 10;
 fn system_with_first_two_at(lambda: f64) -> SproutSystem {
     let mut builder = SystemSpec::builder();
     builder
-        .node_service_rates(&sprout::workload::spec::paper_server_service_rates())
+        .paper_servers()
         .cache_capacity_chunks(CACHE_CHUNKS)
         .seed(6);
     let first_seven: Vec<usize> = (0..7).collect();

@@ -7,11 +7,12 @@
 //! walks this table — `list`, `all` and every per-figure invocation read it,
 //! so there is no second list of figure names anywhere (CI included).
 
+use sprout::optimizer::OptimizerConfig;
 use sprout::sim::sweep::{Sample, SweepReport, SweepTimings};
 use sprout::sim::SimConfig;
 use sprout::{CachePolicy, SproutSystem};
 
-use crate::{experiment_config, FigureCli};
+use crate::FigureCli;
 
 pub mod bench_coding;
 pub mod bench_scenarios;
@@ -160,7 +161,7 @@ fn policy_cell(
     let plan = (policy == CachePolicy::Functional).then(|| {
         // Latencies span milliseconds to minutes across the cells, so
         // tighten the convergence tolerance relative to the paper's 0.01 s.
-        let mut opt_config = experiment_config();
+        let mut opt_config = OptimizerConfig::default();
         opt_config.tolerance = 1e-4;
         system.optimize_with(&opt_config).expect("stable system")
     });

@@ -28,8 +28,8 @@ pub mod harness;
 
 pub use harness::{emit, emit_with_timings, timing_path, FigureCli};
 
-use sprout::optimizer::OptimizerConfig;
-use sprout::{SproutSystem, SystemSpec};
+use sprout::spec::paper_simulation_spec;
+use sprout::SproutSystem;
 
 /// Number of files used by the "simulation" experiments (Figs. 3–7).
 pub fn simulation_file_count() -> usize {
@@ -47,47 +47,20 @@ pub fn paper_scale() -> bool {
         .unwrap_or(false)
 }
 
-/// Scaling factor applied to the paper's per-file arrival rates so that a
-/// reduced file population puts the same load on the 12 servers as the
-/// paper's 1000 files do.
-pub fn rate_scale() -> f64 {
-    1000.0 / simulation_file_count() as f64
-}
-
-/// The optimizer configuration used by the experiments (the paper's
-/// tolerance of 0.01).
-pub fn experiment_config() -> OptimizerConfig {
-    OptimizerConfig::default()
-}
-
-/// Builds the paper's §V-A simulation system: 12 heterogeneous servers,
-/// (7, 4)-coded 100 MB files with the grouped arrival rates, and the given
-/// cache size (in chunks of 25 MB).
+/// Builds the paper's §V-A simulation system at the scale's file count
+/// ([`paper_simulation_spec`]: rates scaled to the paper's per-node load)
+/// with the given cache size (in chunks of 25 MB).
 pub fn paper_system(cache_chunks: usize) -> SproutSystem {
-    let count = simulation_file_count();
-    let spec = SystemSpec::builder()
-        .node_service_rates(&sprout::workload::spec::paper_server_service_rates())
-        .paper_files(count, 7, 4, 100 * sprout::workload::spec::MB)
-        .cache_capacity_chunks(cache_chunks)
-        .seed(2016)
-        .build()
-        .expect("paper spec is valid");
-    let system = SproutSystem::new(spec).expect("paper system is valid");
-    let rates: Vec<f64> = system
-        .spec()
-        .files
-        .iter()
-        .map(|f| f.arrival_rate * rate_scale())
-        .collect();
-    system
-        .with_arrival_rates(&rates)
-        .expect("rate rescaling preserves validity")
+    SproutSystem::new(paper_simulation_spec(simulation_file_count(), cache_chunks))
+        .expect("paper system is valid")
 }
 
 /// Scales a paper cache size (given in chunks for 1000 files) down to the
 /// reduced file population so cache pressure stays comparable.
 pub fn scale_cache(paper_chunks: usize) -> usize {
-    ((paper_chunks as f64) / rate_scale()).round().max(1.0) as usize
+    ((paper_chunks * simulation_file_count()) as f64 / 1000.0)
+        .round()
+        .max(1.0) as usize
 }
 
 #[cfg(test)]
@@ -104,12 +77,8 @@ mod tests {
 
     #[test]
     fn cache_scaling_is_proportional() {
-        assert_eq!(scale_cache(500), (500.0 / rate_scale()).round() as usize);
+        assert_eq!(scale_cache(1000), simulation_file_count());
+        assert_eq!(scale_cache(500), simulation_file_count() / 2);
         assert!(scale_cache(1) >= 1);
-    }
-
-    #[test]
-    fn experiment_config_matches_paper_tolerance() {
-        assert!((experiment_config().tolerance - 0.01).abs() < 1e-12);
     }
 }

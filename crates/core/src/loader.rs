@@ -138,25 +138,23 @@ impl SystemKnobs {
         }
         let n = self.n.unwrap_or(7);
         let k = self.k.unwrap_or(4);
-        let size_bytes = self.size_mb.unwrap_or(100) * MB;
-        let scale = self.rate_scale.unwrap_or(1.0);
+        let size_mb = self.size_mb.unwrap_or(100);
+        let size_bytes = size_mb.checked_mul(MB).ok_or_else(|| {
+            SproutError::InvalidSpec(format!("size_mb = {size_mb} overflows a byte count"))
+        })?;
         let mut builder: SystemSpecBuilder = SystemSpec::builder();
         match &self.node_service_rates {
             Some(rates) => builder.node_service_rates(rates),
-            None => {
-                builder.node_service_rates(&sprout_workload::spec::paper_server_service_rates())
-            }
+            None => builder.paper_servers(),
         };
         match self.uniform_rate {
             Some(rate) => {
                 for _ in 0..self.num_files {
-                    builder.file(crate::spec::FileConfig::new(rate * scale, n, k, size_bytes));
+                    builder.file(crate::spec::FileConfig::new(rate, n, k, size_bytes));
                 }
             }
             None => {
-                for rate in sprout_workload::spec::paper_simulation_rates(self.num_files) {
-                    builder.file(crate::spec::FileConfig::new(rate * scale, n, k, size_bytes));
-                }
+                builder.paper_files(self.num_files, n, k, size_bytes);
             }
         }
         builder
@@ -165,7 +163,12 @@ impl SystemKnobs {
         if let Some(placement) = &self.placement {
             builder.placement_strategy(placement.clone());
         }
-        builder.build()
+        let mut spec = builder.build()?;
+        let scale = self.rate_scale.unwrap_or(1.0);
+        for file in &mut spec.files {
+            file.arrival_rate *= scale;
+        }
+        Ok(spec)
     }
 }
 
@@ -378,7 +381,7 @@ impl RunSpec {
                     path: trace.path.clone(),
                     message: e.to_string(),
                 })?;
-            let profiles = sprout_workload::trace::binned_rate_profiles(
+            let schedule = sprout_workload::trace::binned_rate_schedule(
                 &events,
                 system.spec().files.len(),
                 trace.bin_seconds,
@@ -399,13 +402,13 @@ impl RunSpec {
                     "trace rate_scale must be finite and non-negative, got {rate_scale}"
                 ))));
             }
-            for (t, rates) in
-                sprout_workload::trace::rate_schedule_events(&profiles, trace.bin_seconds)
-            {
+            // Bin 0's rates are the system's own; each later bin is a
+            // `SetRates` event at its start.
+            for (b, bin) in schedule.bins().iter().enumerate().skip(1) {
                 scenario = scenario.at(
-                    t * time_scale,
+                    b as f64 * trace.bin_seconds * time_scale,
                     crate::scenario::ScenarioActionSpec::SetRates {
-                        rates: rates.iter().map(|r| r * rate_scale).collect(),
+                        rates: bin.rates.iter().map(|r| r * rate_scale).collect(),
                     },
                 );
             }
@@ -489,7 +492,10 @@ impl RunSpec {
                 if mb == 0 {
                     return Err(invalid("byte_object_mb must be positive".into()));
                 }
-                sweep = sweep.byte_object_bytes(mb * MB);
+                let bytes = mb.checked_mul(MB).ok_or_else(|| {
+                    invalid(format!("byte_object_mb = {mb} overflows a byte count"))
+                })?;
+                sweep = sweep.byte_object_bytes(bytes);
             }
         }
         Ok(sweep)

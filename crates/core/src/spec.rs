@@ -167,6 +167,13 @@ impl SystemSpecBuilder {
         self
     }
 
+    /// Sets the paper's 12 heterogeneous servers (§V-A): exponential chunk
+    /// service at the measured rates of
+    /// [`paper_server_service_rates`](sprout_workload::spec::paper_server_service_rates).
+    pub fn paper_servers(&mut self) -> &mut Self {
+        self.node_service_rates(&sprout_workload::spec::paper_server_service_rates())
+    }
+
     /// Sets arbitrary per-node service distributions.
     pub fn node_services(&mut self, services: Vec<ServiceDistribution>) -> &mut Self {
         self.node_services = services;
@@ -256,18 +263,29 @@ impl SystemSpecBuilder {
     }
 }
 
-/// The paper's §V-A simulation setup: 12 heterogeneous servers, `r` files of
-/// 100 MB each with a (7, 4) code, grouped arrival rates and a cache of
-/// `cache_chunks` chunks (the paper's default is 500 chunks of 25 MB).
+/// The paper's §V-A simulation setup: 12 heterogeneous servers, `num_files`
+/// files of 100 MB each with a (7, 4) code, and a cache of `cache_chunks`
+/// chunks (the paper's default is 1000 files and 500 chunks of 25 MB). The
+/// grouped per-file rates are scaled by `1000 / num_files`, so every node
+/// carries the paper's 1000-file load at any file count; at 1000 files the
+/// rates are the published ones.
+///
+/// # Panics
+///
+/// Panics if `num_files` is zero.
 pub fn paper_simulation_spec(num_files: usize, cache_chunks: usize) -> SystemSpec {
-    let rates = sprout_workload::spec::paper_server_service_rates();
-    SystemSpec::builder()
-        .node_service_rates(&rates)
+    let mut spec = SystemSpec::builder()
+        .paper_servers()
         .paper_files(num_files, 7, 4, 100 * sprout_workload::spec::MB)
         .cache_capacity_chunks(cache_chunks)
         .seed(2016)
         .build()
-        .expect("the paper's simulation setup is a valid specification")
+        .expect("the paper's simulation setup is a valid specification");
+    let scale = 1000.0 / num_files as f64;
+    for file in &mut spec.files {
+        file.arrival_rate *= scale;
+    }
+    spec
 }
 
 #[cfg(test)]
@@ -377,5 +395,27 @@ mod tests {
         let total: f64 = spec.files.iter().map(|f| f.arrival_rate).sum();
         assert!((total - 0.1416).abs() < 1e-3);
         assert_eq!(spec.cache_capacity_chunks, 500);
+    }
+
+    #[test]
+    fn paper_spec_equals_the_hand_built_instances() {
+        use sprout_workload::spec::{paper_server_service_rates, paper_simulation_rates, MB};
+        // The §V-A instance as benchmark/src/plansim.rs builds it by hand.
+        let by_hand = |files: usize, cache: usize| {
+            SystemSpec::builder()
+                .node_service_rates(&paper_server_service_rates())
+                .paper_files(files, 7, 4, 100 * MB)
+                .cache_capacity_chunks(cache)
+                .seed(2016)
+                .build()
+                .unwrap()
+        };
+        assert_eq!(paper_simulation_spec(1000, 500), by_hand(1000, 500));
+        // At 250 files it then multiplies every rate by 1000 / 250.
+        let mut reduced = by_hand(250, 125);
+        for (file, rate) in reduced.files.iter_mut().zip(paper_simulation_rates(250)) {
+            file.arrival_rate = rate * 4.0;
+        }
+        assert_eq!(paper_simulation_spec(250, 125), reduced);
     }
 }

@@ -46,7 +46,7 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use sprout_cluster::{FifoQueue, LruTier, LRU_REPLICATION};
 use sprout_queueing::dist::ServiceDistribution;
-use sprout_workload::arrivals::{ArrivalStream, RateProfile};
+use sprout_workload::arrivals::ArrivalStream;
 
 use crate::backend::{ChunkBackend, FinishedRequest};
 use crate::config::SimConfig;
@@ -391,10 +391,7 @@ impl<'a, B: ChunkBackend> EventLoop<'a, B> {
         let seed = sim.config.seed;
         let num_files = sim.files.len();
         let streams = (0..num_files)
-            .map(|f| {
-                let profile = RateProfile::constant(sim.files[f].arrival_rate);
-                ArrivalStream::new(profile, stream_seed(seed, f))
-            })
+            .map(|f| ArrivalStream::new(sim.files[f].arrival_rate, stream_seed(seed, f)))
             .collect();
         let plan_rngs = (0..num_files)
             .map(|f| StdRng::seed_from_u64(plan_seed(seed, f)))

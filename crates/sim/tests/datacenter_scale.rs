@@ -17,9 +17,7 @@ const K: usize = 4;
 #[test]
 fn twelve_thousand_nodes_plan_and_simulate_on_placement_sized_rows() {
     // The paper's twelve service rates, repeated over the nodes.
-    let paper = [
-        0.1, 0.1, 0.1, 0.0909, 0.0909, 0.0667, 0.0667, 0.0769, 0.0769, 0.0588, 0.0588, 0.0588,
-    ];
+    let paper = sprout_workload::spec::paper_server_service_rates();
     let services: Vec<ServiceDistribution> = (0..NODES)
         .map(|j| ServiceDistribution::exponential(paper[j % paper.len()]))
         .collect();

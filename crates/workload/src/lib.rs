@@ -7,8 +7,8 @@
 //! * [`spec`] — the paper's workload numbers: the rate groups and server
 //!   service rates of its simulation section, the object-size mix of
 //!   Table III and the testbed measurements of Tables IV and V.
-//! * [`arrivals`] — homogeneous and non-homogeneous Poisson arrival
-//!   generation, producing request traces.
+//! * [`arrivals`] — Poisson arrival generation: whole request traces, and
+//!   lazy constant-rate per-file streams.
 //! * [`timebins`] — time-binned rate schedules (e.g. the three-bin scenario
 //!   of Table I) and helpers to iterate over bins.
 //! * [`estimator`] — the sliding-window arrival-rate estimator with
@@ -19,17 +19,18 @@
 //!
 //! ```
 //! use sprout_workload::arrivals::PoissonArrivals;
-//! use sprout_workload::spec::paper_simulation_rates;
+//! use sprout_workload::timebins::table_i_schedule;
 //!
-//! let rates = paper_simulation_rates(1000);
-//! assert_eq!(rates.len(), 1000);
-//! // aggregate arrival rate of the paper's simulation: ~0.1416 req/s
-//! let total: f64 = rates.iter().sum();
-//! assert!((total - 0.1416).abs() < 1e-3);
+//! // Table I: ten files whose rates change over three 100 s bins (Fig. 5).
+//! let schedule = table_i_schedule(100.0);
+//! assert_eq!((schedule.len(), schedule.num_files()), (3, 10));
 //!
-//! let mut gen = PoissonArrivals::new(42);
-//! let trace = gen.generate(&rates, 1000.0);
+//! // A Poisson trace of the first bin, its rates boosted 1000x.
+//! let busy = schedule.scaled(1000.0);
+//! let bin = &busy.bins()[0];
+//! let trace = PoissonArrivals::new(42).generate(&bin.rates, bin.duration);
 //! assert!(!trace.is_empty());
+//! assert!(trace.iter().all(|r| r.time < bin.duration && r.file < 10));
 //! ```
 
 #![forbid(unsafe_code)]
@@ -42,8 +43,8 @@ pub mod timebins;
 pub mod trace;
 pub mod zipf;
 
-pub use arrivals::{ArrivalStream, PoissonArrivals, RateProfile, Request};
+pub use arrivals::{ArrivalStream, PoissonArrivals, Request};
 pub use estimator::SlidingWindowEstimator;
 pub use timebins::{RateSchedule, TimeBin};
-pub use trace::{binned_rate_profiles, parse_trace_csv, TraceError, TraceEvent};
+pub use trace::{binned_rate_schedule, parse_trace_csv, TraceError, TraceEvent};
 pub use zipf::ZipfPopularity;

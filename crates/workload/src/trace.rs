@@ -2,11 +2,10 @@
 //!
 //! Production traces (like the 24-hour one behind the paper's Table III)
 //! arrive as flat request logs: one `(timestamp, object)` record per
-//! request. This module parses that shape from CSV text and folds it into
-//! per-file [`RateProfile`]s by counting requests in fixed-width time bins —
-//! the same piecewise-constant shape the time-bin machinery and scenario
-//! compiler already consume, so a trace can drive a simulation through the
-//! ordinary `SetRates` path.
+//! request. This module parses that shape from CSV text and folds it into a
+//! [`RateSchedule`] by counting requests in fixed-width time bins — the same
+//! shape the time-bin machinery consumes, so a trace can drive a simulation
+//! through the ordinary `SetRates` path.
 //!
 //! The format is deliberately minimal: two comma-separated columns
 //! `time_s,file`, optional spaces, `#` comment lines, and an optional header
@@ -14,7 +13,7 @@
 //! failure is a typed [`TraceError`] carrying the 1-based line number — a
 //! malformed trace must never panic the loader.
 
-use crate::arrivals::RateProfile;
+use crate::timebins::{RateSchedule, TimeBin};
 use std::fmt;
 
 /// One request record of a trace: a file (object) requested at a time.
@@ -110,10 +109,10 @@ pub fn parse_trace_csv(text: &str) -> Result<Vec<TraceEvent>, TraceError> {
     Ok(events)
 }
 
-/// Folds a trace into per-file piecewise-constant [`RateProfile`]s: the rate
-/// of file `f` during bin `b` is its request count in `[b·len, (b+1)·len)`
-/// divided by the bin length. The number of bins covers the last event; a
-/// file with no requests gets a constant zero profile.
+/// Folds a trace into a [`RateSchedule`] of `bin_seconds`-long bins: the
+/// rate of file `f` in bin `b` is its request count in
+/// `[b·bin_seconds, (b+1)·bin_seconds)` divided by the bin length. The bins
+/// cover the last event, so the schedule has at least one bin.
 ///
 /// # Errors
 ///
@@ -121,11 +120,11 @@ pub fn parse_trace_csv(text: &str) -> Result<Vec<TraceEvent>, TraceError> {
 /// not positive-finite, naming the span and bin length if the bin counters
 /// cannot be allocated, and naming the offending event if one references a
 /// file index `>= num_files`.
-pub fn binned_rate_profiles(
+pub fn binned_rate_schedule(
     events: &[TraceEvent],
     num_files: usize,
     bin_seconds: f64,
-) -> Result<Vec<RateProfile>, TraceError> {
+) -> Result<RateSchedule, TraceError> {
     if num_files == 0 {
         return Err(TraceError::Invalid("num_files must be positive".into()));
     }
@@ -144,13 +143,11 @@ pub fn binned_rate_profiles(
     let bins = ((horizon / bin_seconds).floor() as usize)
         .checked_add(1)
         .ok_or_else(too_long)?;
-    let mut counts = Vec::with_capacity(num_files);
-    for _ in 0..num_files {
-        let mut row = Vec::new();
-        row.try_reserve_exact(bins).map_err(|_| too_long())?;
-        row.resize(bins, 0u64);
-        counts.push(row);
-    }
+    // One counter per (bin, file), bin-major.
+    let cells = bins.checked_mul(num_files).ok_or_else(too_long)?;
+    let mut counts = Vec::new();
+    counts.try_reserve_exact(cells).map_err(|_| too_long())?;
+    counts.resize(cells, 0u64);
     for event in events {
         if event.file >= num_files {
             return Err(TraceError::Invalid(format!(
@@ -159,43 +156,17 @@ pub fn binned_rate_profiles(
             )));
         }
         let bin = ((event.at / bin_seconds).floor() as usize).min(bins - 1);
-        counts[event.file][bin] += 1;
+        counts[bin * num_files + event.file] += 1;
     }
-    Ok(counts
-        .into_iter()
-        .map(|per_bin| {
-            if per_bin.iter().all(|&c| c == 0) {
-                return RateProfile::constant(0.0);
-            }
-            let segments: Vec<(f64, f64)> = per_bin
-                .iter()
-                .map(|&c| (bin_seconds, c as f64 / bin_seconds))
-                .collect();
-            RateProfile::piecewise(&segments)
-        })
-        .collect())
-}
-
-/// The per-file rate vector in force at the start of each bin, derived from
-/// the binned profiles — the bridge from a trace to scenario `SetRates`
-/// events. Returns `(bin_start_time, rates)` pairs for bins `1..` (bin 0 is
-/// the system's initial rates, not an event).
-pub fn rate_schedule_events(profiles: &[RateProfile], bin_seconds: f64) -> Vec<(f64, Vec<f64>)> {
-    let bins = profiles
-        .iter()
-        .map(|p| match p {
-            RateProfile::Constant(_) => 1,
-            RateProfile::Piecewise { ends, .. } => ends.len(),
-        })
-        .max()
-        .unwrap_or(1);
-    (1..bins)
-        .map(|b| {
-            let t = b as f64 * bin_seconds;
-            let rates = profiles.iter().map(|p| p.rate_at(t)).collect();
-            (t, rates)
-        })
-        .collect()
+    let mut schedule = Vec::new();
+    schedule.try_reserve_exact(bins).map_err(|_| too_long())?;
+    schedule.extend(counts.chunks_exact(num_files).map(|row| {
+        TimeBin::new(
+            bin_seconds,
+            row.iter().map(|&c| c as f64 / bin_seconds).collect(),
+        )
+    }));
+    Ok(RateSchedule::new(schedule))
 }
 
 #[cfg(test)]
@@ -244,50 +215,67 @@ time_s,file
     #[test]
     fn binning_counts_requests_per_file() {
         let events = parse_trace_csv(TRACE).unwrap();
-        let profiles = binned_rate_profiles(&events, 2, 2.0).unwrap();
+        let schedule = binned_rate_schedule(&events, 2, 2.0).unwrap();
+        assert_eq!(schedule.len(), 2);
+        assert!(schedule.bins().iter().all(|b| b.duration == 2.0));
         // File 0: bins [0,2) -> 2 requests, [2,4) -> 1 request.
-        assert!((profiles[0].rate_at(1.0) - 1.0).abs() < 1e-12);
-        assert!((profiles[0].rate_at(3.0) - 0.5).abs() < 1e-12);
         // File 1: one request in bin [2,4).
-        assert!((profiles[1].rate_at(1.0) - 0.0).abs() < 1e-12);
-        assert!((profiles[1].rate_at(3.0) - 0.5).abs() < 1e-12);
+        assert_eq!(schedule.bins()[0].rates, [1.0, 0.0]);
+        assert_eq!(schedule.bins()[1].rates, [0.5, 0.5]);
     }
 
     #[test]
     fn binning_rejects_bad_parameters_and_indices() {
         let events = parse_trace_csv(TRACE).unwrap();
-        assert!(binned_rate_profiles(&events, 0, 2.0).is_err());
-        assert!(binned_rate_profiles(&events, 2, 0.0).is_err());
-        assert!(binned_rate_profiles(&events, 2, f64::NAN).is_err());
+        assert!(binned_rate_schedule(&events, 0, 2.0).is_err());
+        assert!(binned_rate_schedule(&events, 2, 0.0).is_err());
+        assert!(binned_rate_schedule(&events, 2, f64::NAN).is_err());
         assert!(matches!(
-            binned_rate_profiles(&events, 1, 2.0),
+            binned_rate_schedule(&events, 1, 2.0),
             Err(TraceError::Invalid(_))
         ));
     }
 
     #[test]
     fn schedule_events_start_at_the_second_bin() {
-        let events = parse_trace_csv(TRACE).unwrap();
-        let profiles = binned_rate_profiles(&events, 2, 2.0).unwrap();
-        let schedule = rate_schedule_events(&profiles, 2.0);
+        // A trace inside the first bin is one bin, so a replay has no
+        // `SetRates` event: bin 0's rates are the run's initial rates.
+        let events = parse_trace_csv("0.5,0\n1.5,1\n").unwrap();
+        let schedule = binned_rate_schedule(&events, 2, 2.0).unwrap();
         assert_eq!(schedule.len(), 1);
-        let (t, rates) = &schedule[0];
-        assert!((t - 2.0).abs() < 1e-12);
-        assert!((rates[0] - 0.5).abs() < 1e-12);
-        assert!((rates[1] - 0.5).abs() < 1e-12);
+        assert_eq!(schedule.bins()[0].rates, [0.5, 0.5]);
+    }
+
+    #[test]
+    fn every_request_is_counted_in_the_bin_that_holds_its_time() {
+        // At 0.7 s bins, b·0.7 and a running sum of b 0.7s disagree in the
+        // last bit (6·0.7 = 4.199999999999999, the sum is 4.2), so a rate
+        // read at b·0.7 must come from bin b itself, not from the bin whose
+        // accumulated edges hold that time: the request at 4.5 s is bin 6's
+        // and the one at 9.0 s is bin 12's.
+        let events = parse_trace_csv("4.5,0\n9.0,1\n").unwrap();
+        let schedule = binned_rate_schedule(&events, 2, 0.7).unwrap();
+        assert_eq!(schedule.len(), 13);
+        for (b, bin) in schedule.bins().iter().enumerate() {
+            let expected = match b {
+                6 => [1.0 / 0.7, 0.0],
+                12 => [0.0, 1.0 / 0.7],
+                _ => [0.0, 0.0],
+            };
+            assert_eq!(bin.rates, expected, "bin {b}");
+        }
     }
 
     #[test]
     fn files_with_no_requests_get_zero_profiles() {
-        let profiles = binned_rate_profiles(&[TraceEvent { at: 1.0, file: 0 }], 3, 2.0).unwrap();
-        assert_eq!(profiles[1], RateProfile::Constant(0.0));
-        assert_eq!(profiles[2], RateProfile::Constant(0.0));
+        let schedule = binned_rate_schedule(&[TraceEvent { at: 1.0, file: 0 }], 3, 2.0).unwrap();
+        assert_eq!(schedule.bins()[0].rates, [0.5, 0.0, 0.0]);
     }
 
     #[test]
     fn a_trace_too_long_to_allocate_is_an_error_not_an_abort() {
         let events = parse_trace_csv("1000000000000000,0\n").unwrap();
-        let err = binned_rate_profiles(&events, 1, 1.0).unwrap_err();
+        let err = binned_rate_schedule(&events, 1, 1.0).unwrap_err();
         let message = err.to_string();
         assert!(matches!(err, TraceError::Invalid(_)), "{message}");
         assert!(message.contains("spanning 1000000000000000 s"), "{message}");
@@ -297,7 +285,7 @@ time_s,file
     #[test]
     fn a_trace_past_the_bin_counter_range_is_an_error_not_an_overflow() {
         let events = parse_trace_csv("1e300,0\n").unwrap();
-        let err = binned_rate_profiles(&events, 1, 1.0).unwrap_err();
+        let err = binned_rate_schedule(&events, 1, 1.0).unwrap_err();
         assert!(matches!(err, TraceError::Invalid(_)), "{err}");
         assert!(err.to_string().contains("bins of 1 s"), "{err}");
     }

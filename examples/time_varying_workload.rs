@@ -16,7 +16,7 @@ fn main() -> Result<(), sprout::SproutError> {
     // Ten 100 MB files with a (7, 4) code on the paper's 12 servers, cache of
     // 12 chunks so that contention between files is visible.
     let spec = SystemSpec::builder()
-        .node_service_rates(&sprout::workload::spec::paper_server_service_rates())
+        .paper_servers()
         .uniform_files(10, 4, 7, 0.000_15)
         .cache_capacity_chunks(12)
         .seed(5)
@@ -25,22 +25,10 @@ fn main() -> Result<(), sprout::SproutError> {
 
     // The three-bin schedule of Table I (rates scaled up so that the cache
     // decisions are visible at simulation scale).
-    let schedule = table_i_schedule(100.0);
-    let scaled = sprout::workload::timebins::RateSchedule::new(
-        schedule
-            .bins()
-            .iter()
-            .map(|b| {
-                sprout::workload::timebins::TimeBin::new(
-                    b.duration,
-                    b.rates.iter().map(|r| r * 100.0).collect(),
-                )
-            })
-            .collect(),
-    );
+    let schedule = table_i_schedule(100.0).scaled(100.0);
 
     let manager = TimeBinManager::new(system, OptimizerConfig::default());
-    let outcomes = manager.run(&scaled)?;
+    let outcomes = manager.run(&schedule)?;
 
     println!("== Cache evolution across time bins (Table I scenario) ==");
     for outcome in &outcomes {

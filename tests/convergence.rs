@@ -13,23 +13,13 @@ use sprout::{CachePolicy, SproutSystem, SystemSpec};
 #[test]
 fn converges_within_twenty_iterations_across_cache_sizes() {
     // A scaled-down version of the paper's setup (the 1000-file instance is
-    // exercised by the benchmark harness, not the test suite).
+    // exercised by the benchmark harness, not the test suite): 40 files whose
+    // rates are scaled so the 12 paper servers carry the paper's load.
     let mut previous_plan = None;
     for cache in [2usize, 4, 8, 12, 16] {
-        let spec = SystemSpec::builder()
-            .node_service_rates(&sprout::workload::spec::paper_server_service_rates())
-            .paper_files(40, 7, 4, 100 * sprout::workload::spec::MB)
-            .cache_capacity_chunks(cache)
-            .seed(1)
-            .build()
-            .unwrap();
-        // Scale rates so the 12 paper servers see roughly the same aggregate
-        // load from 40 files as they do from the paper's 1000 files.
-        let rates: Vec<f64> = spec.files.iter().map(|f| f.arrival_rate * 25.0).collect();
-        let system = SproutSystem::new(spec)
-            .unwrap()
-            .with_arrival_rates(&rates)
-            .unwrap();
+        let mut spec = paper_simulation_spec(40, cache);
+        spec.seed = 1;
+        let system = SproutSystem::new(spec).unwrap();
 
         let config = OptimizerConfig::default();
         let plan = match &previous_plan {
@@ -53,8 +43,8 @@ fn converges_within_twenty_iterations_across_cache_sizes() {
 
 #[test]
 fn paper_scale_spec_is_stable_and_optimizable_at_reduced_size() {
-    // The full paper-scale spec (1000 files) is expensive; 100 files with the
-    // same rate structure still exercises the grouped arrival rates and the
+    // The full paper-scale spec (1000 files) is expensive; 100 files at the
+    // same per-node load still exercise the grouped arrival rates and the
     // 12 heterogeneous servers.
     let spec = paper_simulation_spec(100, 50);
     let system = SproutSystem::new(spec).unwrap();
@@ -116,23 +106,7 @@ fn objective_decreases_as_convex_function_of_cache_size() {
 /// (benchmark/src/plansim.rs): 250 files under a (7, 4) code with rates × 4
 /// so every node carries the paper's 1000-file load, cache 125 chunks.
 fn benchmark_instance() -> SproutSystem {
-    use sprout::workload::spec::{paper_server_service_rates, paper_simulation_rates, MB};
-
-    let spec = SystemSpec::builder()
-        .node_service_rates(&paper_server_service_rates())
-        .paper_files(250, 7, 4, 100 * MB)
-        .cache_capacity_chunks(125)
-        .seed(2016)
-        .build()
-        .unwrap();
-    let rates: Vec<f64> = paper_simulation_rates(250)
-        .iter()
-        .map(|r| r * 4.0)
-        .collect();
-    SproutSystem::new(spec)
-        .unwrap()
-        .with_arrival_rates(&rates)
-        .unwrap()
+    SproutSystem::new(paper_simulation_spec(250, 125)).unwrap()
 }
 
 #[test]

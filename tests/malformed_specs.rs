@@ -70,6 +70,16 @@ const TOML_CORPUS: &[(&str, &str)] = &[
          [scenario]\nname = \"s\"\n[[scenario.events]]\nat = 1.0\n\
          [scenario.events.action.SetFileRate]\nfile = 99\nrate = 0.5",
     ),
+    (
+        "file size past the byte range",
+        "name = \"x\"\n[system]\nnum_files = 4\ncache_chunks = 2\nsize_mb = 20000000000000\n\
+         [sim]\nhorizon = 100.0",
+    ),
+    (
+        "byte-backend object size past the byte range",
+        "name = \"x\"\n[system]\nnum_files = 4\ncache_chunks = 2\n[sim]\nhorizon = 100.0\n\
+         [sweep]\nbyte_object_mb = 20000000000000",
+    ),
 ];
 
 const JSON_CORPUS: &[(&str, &str)] = &[

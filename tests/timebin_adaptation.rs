@@ -85,9 +85,13 @@ fn sliding_window_estimator_triggers_rebinning_on_real_traces() {
     // Generate a two-phase Poisson trace and confirm the estimator (a) tracks
     // the true rates and (b) flags the phase change.
     let mut gen = PoissonArrivals::new(3);
-    let phase1 = vec![0.2, 0.02];
-    let phase2 = vec![0.02, 0.4];
-    let trace = gen.generate_piecewise(&[(500.0, phase1.clone()), (500.0, phase2.clone())]);
+    let phase1 = [0.2, 0.02];
+    let phase2 = [0.02, 0.4];
+    let mut trace = gen.generate(&phase1, 500.0);
+    for mut req in gen.generate(&phase2, 500.0) {
+        req.time += 500.0;
+        trace.push(req);
+    }
 
     let mut estimator = SlidingWindowEstimator::new(2, 100.0, 0.6);
     let mut change_detected_at = None;
