@@ -7,7 +7,7 @@ use crate::model::StorageModel;
 use crate::objective::evaluate;
 use crate::prob_pi::{self, aggregate_lo, initial_bands, uniform_initial_pi};
 use crate::prob_z;
-use crate::projection::{project_flat, FileBand};
+use crate::projection::{project_flat, FileBand, ProjectionScratch};
 use crate::solution::{CachePlan, ConvergenceTrace};
 
 /// Fractional parts below this threshold are treated as integers.
@@ -121,11 +121,12 @@ fn run_from(
 
     // Start from the supplied point projected onto the zero-rounding bands.
     let aggregate_lo = aggregate_lo(model, cache_capacity);
-    project_flat(
+    trace.nu_probes += project_flat(
         &mut pi,
         &model.row_offsets(),
         &initial_bands(model),
         aggregate_lo,
+        &mut ProjectionScratch::default(),
     );
     trace.projections += 1;
     let mut z = prob_z::solve(model, &pi)?;
@@ -147,6 +148,7 @@ fn run_from(
             trace.gradient_iterations += outcome.iterations;
             trace.line_search_probes += outcome.line_search_probes;
             trace.projections += outcome.projections();
+            trace.nu_probes += outcome.nu_probes;
             pi = outcome.pi;
 
             let fractional = fractional_files(model, &pi, &bands);

@@ -143,6 +143,17 @@ pub(crate) fn evaluate(
     })
 }
 
+/// Node-sized buffers [`gradient_into`] reuses from one call to the next.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct GradientScratch {
+    /// `dE[Q_j]/dΛ_j`.
+    d_mean: Vec<f64>,
+    /// `dVar[Q_j]/dΛ_j`.
+    d_var: Vec<f64>,
+    /// Per-node aggregate sensitivity `S_j`.
+    node_sensitivity: Vec<f64>,
+}
+
 /// Writes the gradient with respect to `π` at `pi`, whose node state is
 /// `state`, into `grad` (one entry per entry of `pi`).
 pub(crate) fn gradient_into(
@@ -150,26 +161,28 @@ pub(crate) fn gradient_into(
     pi: &[f64],
     z: &[f64],
     state: &NodeState,
+    scratch: &mut GradientScratch,
     grad: &mut [f64],
 ) {
     let NodeState { rates, delays } = state;
+    let GradientScratch {
+        d_mean,
+        d_var,
+        node_sensitivity,
+    } = scratch;
     let total_rate = model.total_arrival_rate().max(f64::MIN_POSITIVE);
 
     // dE[Q_j]/dΛ_j and dVar[Q_j]/dΛ_j
-    let d_mean: Vec<f64> = rates
-        .iter()
-        .zip(model.nodes())
-        .map(|(&l, s)| mean_delay_derivative(l, s))
-        .collect();
-    let d_var: Vec<f64> = rates
-        .iter()
-        .zip(model.nodes())
-        .map(|(&l, s)| variance_delay_derivative(l, s))
-        .collect();
+    let nodes = || rates.iter().zip(model.nodes());
+    d_mean.clear();
+    d_mean.extend(nodes().map(|(&l, s)| mean_delay_derivative(l, s)));
+    d_var.clear();
+    d_var.extend(nodes().map(|(&l, s)| variance_delay_derivative(l, s)));
 
     // Per-node aggregate sensitivity:
     // S_j = Σ_i (λ_i π_{i,j} / 2λ̂) [ dE_j + (X_{i,j} dE_j + dV_j / 2) / sqrt(X_{i,j}² + Y_j) ]
-    let mut node_sensitivity = vec![0.0; model.num_nodes()];
+    node_sensitivity.clear();
+    node_sensitivity.resize(model.num_nodes(), 0.0);
     for ((file, row), &z_i) in model.rows(pi).zip(z) {
         for (&j, &p) in file.placement.iter().zip(row) {
             if p <= 0.0 {
@@ -275,7 +288,8 @@ mod tests {
         let pi = uniform_initial_pi(&model);
         let z = vec![1.0, 2.0];
         let mut grad = vec![0.0; pi.len()];
-        gradient_into(&model, &pi, &z, &state_at(&model, &pi), &mut grad);
+        let (state, mut scratch) = (state_at(&model, &pi), GradientScratch::default());
+        gradient_into(&model, &pi, &z, &state, &mut scratch, &mut grad);
         let base = evaluate(&model, &pi, &z).unwrap().total;
         let h = 1e-6;
         for (slot, &g) in grad.iter().enumerate() {
@@ -300,8 +314,8 @@ mod tests {
         let pi = [0.5, 0.5];
         let state = state_at(&model, &pi);
         assert_eq!(state.rates[2], 0.0);
-        let mut grad = [f64::NAN; 2];
-        gradient_into(&model, &pi, &[0.0], &state, &mut grad);
+        let (mut grad, mut scratch) = ([f64::NAN; 2], GradientScratch::default());
+        gradient_into(&model, &pi, &[0.0], &state, &mut scratch, &mut grad);
         assert!(grad.iter().all(|g| g.is_finite() && *g > 0.0));
     }
 }

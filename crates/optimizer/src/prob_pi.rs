@@ -10,16 +10,16 @@
 //!
 //! `π` is the optimizer's flat buffer: each file's placement entries only,
 //! files concatenated (see [`crate::objective`]). The solve runs on buffers
-//! allocated once per solve: a line-search probe writes, projects and
-//! evaluates its candidate in place, and the accepted probe hands its node
-//! rates and delay moments to the next gradient instead of having them
-//! recomputed.
+//! allocated once per solve, the projection's and the gradient's scratch
+//! included: a line-search probe writes, projects and evaluates its candidate
+//! in place, and the accepted probe hands its node rates and delay moments to
+//! the next gradient instead of having them recomputed.
 
 use crate::config::OptimizerConfig;
 use crate::error::OptimizerError;
 use crate::model::StorageModel;
-use crate::objective::{gradient_into, total, NodeState};
-use crate::projection::{project_flat, FileBand};
+use crate::objective::{gradient_into, total, GradientScratch, NodeState};
+use crate::projection::{project_flat, FileBand, ProjectionScratch};
 
 /// Result of one Prob Π solve.
 #[derive(Debug, Clone, PartialEq)]
@@ -33,6 +33,8 @@ pub(crate) struct ProbPiOutcome {
     pub iterations: usize,
     /// Number of line-search candidates projected and evaluated.
     pub line_search_probes: usize,
+    /// Number of aggregate evaluations the projections' `ν` searches took.
+    pub nu_probes: usize,
 }
 
 impl ProbPiOutcome {
@@ -68,7 +70,8 @@ pub(crate) fn solve(
     let offsets = model.row_offsets();
     let aggregate_lo = aggregate_lo(model, cache_capacity);
     let mut pi = initial_pi.to_vec();
-    project_flat(&mut pi, &offsets, bands, aggregate_lo);
+    let mut projection = ProjectionScratch::default();
+    let mut nu_probes = project_flat(&mut pi, &offsets, bands, aggregate_lo, &mut projection);
     let mut nodes = NodeState::default();
     nodes.update(model, &pi)?;
     let mut current = total(model, &pi, z, &nodes.delays);
@@ -76,12 +79,13 @@ pub(crate) fn solve(
     let mut grad = vec![0.0; pi.len()];
     let mut candidate = vec![0.0; pi.len()];
     let mut candidate_nodes = NodeState::default();
+    let mut gradient = GradientScratch::default();
     let mut step = config.initial_step;
     let mut iterations = 0;
     let mut line_search_probes = 0;
     'descent: for _ in 0..config.max_gradient_iterations {
         iterations += 1;
-        gradient_into(model, &pi, z, &nodes, &mut grad);
+        gradient_into(model, &pi, z, &nodes, &mut gradient, &mut grad);
 
         // Backtracking line search along the projection arc.
         let mut improved = false;
@@ -90,7 +94,13 @@ pub(crate) fn solve(
             for ((c, &p), &g) in candidate.iter_mut().zip(&pi).zip(&grad) {
                 *c = p - local_step * g;
             }
-            project_flat(&mut candidate, &offsets, bands, aggregate_lo);
+            nu_probes += project_flat(
+                &mut candidate,
+                &offsets,
+                bands,
+                aggregate_lo,
+                &mut projection,
+            );
             line_search_probes += 1;
             // An unstable candidate is worth +∞: the search rejects the step.
             let value = match candidate_nodes.update(model, &candidate) {
@@ -125,6 +135,7 @@ pub(crate) fn solve(
         objective: current,
         iterations,
         line_search_probes,
+        nu_probes,
     })
 }
 

@@ -8,28 +8,10 @@
 //! and free of step-size tuning.
 
 use sprout_queueing::bound::{optimal_z, SchedulingTerm};
-use sprout_queueing::mg1::QueueDelayMoments;
 use sprout_queueing::stability::StabilityError;
 
-use crate::model::{FileModel, StorageModel};
+use crate::model::StorageModel;
 use crate::objective::NodeState;
-
-/// Builds the Lemma 1 scheduling terms for one file's row of `π` given node
-/// delay moments.
-fn file_terms(
-    delays: &[QueueDelayMoments],
-    file: &FileModel,
-    pi_row: &[f64],
-) -> Vec<SchedulingTerm> {
-    file.placement
-        .iter()
-        .zip(pi_row)
-        .map(|(&j, &probability)| SchedulingTerm {
-            probability,
-            delay: delays[j],
-        })
-        .collect()
-}
 
 /// Solves Prob Z exactly: returns the optimal `z_i ≥ 0` for every file given
 /// the current scheduling `π` (the flat buffer of [`crate::objective`]).
@@ -40,10 +22,22 @@ fn file_terms(
 pub(crate) fn solve(model: &StorageModel, pi: &[f64]) -> Result<Vec<f64>, StabilityError> {
     let mut nodes = NodeState::default();
     nodes.update(model, pi)?;
-    Ok(model
-        .rows(pi)
-        .map(|(file, row)| optimal_z(&file_terms(&nodes.delays, file, row)))
-        .collect())
+    // One file's Lemma 1 scheduling terms, rebuilt in place for every file.
+    let mut terms: Vec<SchedulingTerm> = Vec::new();
+    let z = model.rows(pi).map(|(file, row)| {
+        terms.clear();
+        terms.extend(
+            file.placement
+                .iter()
+                .zip(row)
+                .map(|(&j, &probability)| SchedulingTerm {
+                    probability,
+                    delay: nodes.delays[j],
+                }),
+        );
+        optimal_z(&terms)
+    });
+    Ok(z.collect())
 }
 
 #[cfg(test)]

@@ -21,7 +21,9 @@
 //! box-clamped sum clamped into its band, so the aggregate at `ν` is
 //! `Σ_i clamp(Σ_j clamp(y_{i,j} + ν, 0, 1), K_{L,i}, K_{U,i})` in closed form:
 //! `ν` is bisected on it until no float separates the bracket ends, and the
-//! per-file projection runs once, at the final `ν`. This replaces the
+//! per-file projection runs once, at the final `ν`. Each probe evaluates the
+//! aggregate entry-major, one vectorized pass per placement entry across all
+//! files, bit for bit the row-by-row sum. This replaces the
 //! commercial solver (MOSEK) used by the paper's prototype.
 
 /// `Σ_j clamp(y_j − τ, 0, 1)`.
@@ -57,19 +59,6 @@ fn project_file(y: &mut [f64], nu: f64, band: FileBand, breaks: &mut Vec<f64>) {
     y.iter_mut().for_each(|v| *v = (*v - tau).clamp(0.0, 1.0));
 }
 
-/// Projects `y` onto `{x : x ∈ [0,1]^n, lo ≤ Σ x ≤ hi}`.
-///
-/// # Panics
-///
-/// Panics if `lo > hi + ε`, `lo > n` (infeasible), or `hi < 0`.
-#[cfg(test)]
-pub(crate) fn project_box_sum_band(y: &[f64], lo: f64, hi: f64) -> Vec<f64> {
-    let band = FileBand { lo, hi }.checked(y.len());
-    let mut x = y.to_vec();
-    project_file(&mut x, 0.0, band, &mut Vec::new());
-    x
-}
-
 /// Per-file constraint description used by [`project_flat`].
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub(crate) struct FileBand {
@@ -98,24 +87,62 @@ impl FileBand {
     }
 }
 
-/// [`project_flat`] on one `Vec` per file, returning the projection.
-#[cfg(test)]
-pub(crate) fn project_joint(
-    points: &[Vec<f64>],
-    bands: &[FileBand],
-    aggregate_lo: f64,
-) -> Vec<Vec<f64>> {
-    let mut offsets = vec![0];
-    offsets.extend(points.iter().map(|p| p.len()));
-    (1..offsets.len()).for_each(|i| offsets[i] += offsets[i - 1]);
-    let mut flat = points.concat();
-    project_flat(&mut flat, &offsets, bands, aggregate_lo);
-    let files = offsets.windows(2);
-    files.map(|w| flat[w[0]..w[1]].to_vec()).collect()
+/// Buffers [`project_flat`] reuses from one projection to the next.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct ProjectionScratch {
+    /// The point entry-major: entry `j` of every file is one column,
+    /// `columns[j * files + i]`, and a file narrower than the widest is
+    /// padded with `−∞`, which every `ν` clamps to `+0.0`.
+    columns: Vec<f64>,
+    /// Per-file box sums `Σ_j clamp(y_ij + ν, 0, 1)` at the last `ν` probed.
+    sums: Vec<f64>,
+    /// Breakpoints of one file's water-filling solve.
+    breaks: Vec<f64>,
+}
+
+impl ProjectionScratch {
+    /// Loads `y`, file `i` being `y[bounds[i]..bounds[i + 1]]`, entry-major.
+    fn load(&mut self, y: &[f64], bounds: &[usize]) {
+        let files = bounds.len() - 1;
+        let width = bounds.windows(2).map(|w| w[1] - w[0]).max().unwrap_or(0);
+        self.columns.clear();
+        self.columns.resize(width * files, f64::NEG_INFINITY);
+        for (i, w) in bounds.windows(2).enumerate() {
+            for (j, &v) in y[w[0]..w[1]].iter().enumerate() {
+                self.columns[j * files + i] = v;
+            }
+        }
+        self.sums.clear();
+        self.sums.resize(files, 0.0);
+    }
+
+    /// The aggregate `Σ_i clamp(Σ_j clamp(y_ij + ν, 0, 1), lo_i, hi_i)` of
+    /// the loaded point.
+    ///
+    /// One pass per column adds entry `j` into every file's running sum, so
+    /// the pass vectorizes across files. Each file still adds its entries in
+    /// [`box_sum`]'s order from `Iterator::sum`'s start value `−0.0`, with the
+    /// same `v − (−ν)`, and the padding adds `+0.0` to a sum that is already
+    /// `≥ +0.0` (no clamp gives `−0.0` at the `ν ≥ +0.0` the search probes):
+    /// every per-file sum, and so the aggregate, is bit for bit the one
+    /// `box_sum` gives row by row. The band clamps and the sum over files run
+    /// in file order.
+    fn aggregate(&mut self, bands: &[FileBand], nu: f64) -> f64 {
+        let tau = -nu;
+        self.sums.fill(-0.0);
+        for column in self.columns.chunks_exact(self.sums.len()) {
+            for (sum, &v) in self.sums.iter_mut().zip(column) {
+                *sum += (v - tau).clamp(0.0, 1.0);
+            }
+        }
+        let clamped = self.sums.iter().zip(bands);
+        clamped.map(|(&sum, band)| band.clamp(sum)).sum()
+    }
 }
 
 /// Projects per-file vectors onto the joint feasible set
-/// `{π : π_i ∈ Box_i ∩ Band_i ∀i, Σ_i Σ_j π_{i,j} ≥ aggregate_lo}`, in place.
+/// `{π : π_i ∈ Box_i ∩ Band_i ∀i, Σ_i Σ_j π_{i,j} ≥ aggregate_lo}`, in place,
+/// and returns the number of aggregate evaluations the search for `ν` took.
 ///
 /// File `i` is `y[bounds[i]..bounds[i + 1]]`: the (unconstrained) values of
 /// file `i` restricted to its placement set `S_i`.
@@ -125,7 +152,13 @@ pub(crate) fn project_joint(
 /// Panics if the aggregate lower bound exceeds the sum of per-file upper
 /// bounds (the constraint set would be empty) or if `bands.len() + 1`
 /// differs from `bounds.len()`.
-pub(crate) fn project_flat(y: &mut [f64], bounds: &[usize], bands: &[FileBand], aggregate_lo: f64) {
+pub(crate) fn project_flat(
+    y: &mut [f64],
+    bounds: &[usize],
+    bands: &[FileBand],
+    aggregate_lo: f64,
+    scratch: &mut ProjectionScratch,
+) -> usize {
     assert_eq!(bounds.len(), bands.len() + 1, "one band per file");
     let files = || bounds.windows(2).map(|w| w[0]..w[1]).zip(bands);
     let max_total: f64 = files()
@@ -136,19 +169,18 @@ pub(crate) fn project_flat(y: &mut [f64], bounds: &[usize], bands: &[FileBand], 
         "aggregate lower bound {aggregate_lo} exceeds maximum feasible total {max_total}"
     );
 
-    let total = |nu: f64| -> f64 {
-        let sums = files().map(|(file, band)| band.clamp(box_sum(&y[file], -nu)));
-        sums.sum()
-    };
+    scratch.load(y, bounds);
+    let mut probes = 1;
     // The aggregate sum is non-decreasing in nu and largest once every
     // coordinate has reached 1; find the smallest nu >= 0 meeting the bound.
     let mut nu = 0.0;
-    if total(nu) < aggregate_lo {
+    if scratch.aggregate(bands, nu) < aggregate_lo {
         let mut below = nu;
         nu = 1.0 - y.iter().copied().fold(1.0, f64::min);
         let mut mid = 0.5 * (below + nu);
         while below < mid && mid < nu {
-            if total(mid) < aggregate_lo {
+            probes += 1;
+            if scratch.aggregate(bands, mid) < aggregate_lo {
                 below = mid;
             } else {
                 nu = mid;
@@ -156,15 +188,45 @@ pub(crate) fn project_flat(y: &mut [f64], bounds: &[usize], bands: &[FileBand], 
             mid = 0.5 * (below + nu);
         }
     }
-    let mut breaks = Vec::new();
     for (file, &band) in files() {
-        project_file(&mut y[file], nu, band, &mut breaks);
+        project_file(&mut y[file], nu, band, &mut scratch.breaks);
     }
+    probes
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Projects `y` onto `{x : x ∈ [0,1]^n, lo ≤ Σ x ≤ hi}`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `lo > hi + ε`, `lo > n` (infeasible), or `hi < 0`.
+    fn project_box_sum_band(y: &[f64], lo: f64, hi: f64) -> Vec<f64> {
+        let band = FileBand { lo, hi }.checked(y.len());
+        let mut x = y.to_vec();
+        project_file(&mut x, 0.0, band, &mut Vec::new());
+        x
+    }
+
+    /// File `i`'s slice bounds in the concatenation of `points`.
+    fn offsets(points: &[Vec<f64>]) -> Vec<usize> {
+        let mut offsets = vec![0];
+        offsets.extend(points.iter().map(|p| p.len()));
+        (1..offsets.len()).for_each(|i| offsets[i] += offsets[i - 1]);
+        offsets
+    }
+
+    /// [`project_flat`] on one `Vec` per file, returning the projection.
+    fn project_joint(points: &[Vec<f64>], bands: &[FileBand], aggregate_lo: f64) -> Vec<Vec<f64>> {
+        let offsets = offsets(points);
+        let mut flat = points.concat();
+        let mut scratch = ProjectionScratch::default();
+        project_flat(&mut flat, &offsets, bands, aggregate_lo, &mut scratch);
+        let files = offsets.windows(2);
+        files.map(|w| flat[w[0]..w[1]].to_vec()).collect()
+    }
 
     fn assert_feasible(x: &[f64], lo: f64, hi: f64) {
         let sum: f64 = x.iter().sum();
@@ -298,6 +360,53 @@ mod tests {
         let points = vec![vec![0.0, 0.0]];
         let bands = vec![FileBand { lo: 0.0, hi: 1.0 }];
         let _ = project_joint(&points, &bands, 5.0);
+    }
+
+    /// The row-major `ν` search this module used before the entry-major
+    /// aggregate: every probe sums each file's entries with [`box_sum`], file
+    /// by file. Kept as the reference the entry-major pass must match to the
+    /// bit.
+    mod row_major {
+        use super::super::{box_sum, project_file, FileBand};
+
+        /// `Σ_i clamp(Σ_j clamp(y_ij + ν, 0, 1), lo_i, hi_i)`, row by row.
+        pub(crate) fn aggregate(y: &[f64], bounds: &[usize], bands: &[FileBand], nu: f64) -> f64 {
+            let files = bounds.windows(2).map(|w| w[0]..w[1]).zip(bands);
+            let sums = files.map(|(file, band)| band.clamp(box_sum(&y[file], -nu)));
+            sums.sum()
+        }
+
+        /// `project_flat` on the row-major aggregate; returns its probe count.
+        pub(crate) fn project_flat(
+            y: &mut [f64],
+            bounds: &[usize],
+            bands: &[FileBand],
+            aggregate_lo: f64,
+        ) -> usize {
+            let total = |y: &[f64], nu: f64| aggregate(y, bounds, bands, nu);
+            let mut probes = 1;
+            let mut nu = 0.0;
+            if total(y, nu) < aggregate_lo {
+                let mut below = nu;
+                nu = 1.0 - y.iter().copied().fold(1.0, f64::min);
+                let mut mid = 0.5 * (below + nu);
+                while below < mid && mid < nu {
+                    probes += 1;
+                    if total(y, mid) < aggregate_lo {
+                        below = mid;
+                    } else {
+                        nu = mid;
+                    }
+                    mid = 0.5 * (below + nu);
+                }
+            }
+            let mut breaks = Vec::new();
+            let files = bounds.windows(2).map(|w| w[0]..w[1]).zip(bands);
+            for (file, &band) in files {
+                project_file(&mut y[file], nu, band, &mut breaks);
+            }
+            probes
+        }
     }
 
     /// The nested bisection this module used before the breakpoint solve: `τ`
@@ -459,6 +568,54 @@ mod tests {
                 for (a, b) in alone.iter().zip(&alone_ref) {
                     assert!((a - b).abs() < 1e-8, "seed {seed}: {a} vs reference {b}");
                 }
+            }
+        }
+    }
+
+    #[test]
+    fn entry_major_aggregate_matches_the_row_major_reference_to_the_bit() {
+        for seed in 0..CASES {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let (points, bands, _) = random_instance(&mut rng);
+            let (y, offsets) = (points.concat(), offsets(&points));
+            let mut scratch = ProjectionScratch::default();
+            scratch.load(&y, &offsets);
+            let top = 1.0 - y.iter().copied().fold(1.0, f64::min);
+            let breakpoints = y.iter().flat_map(|&v| [-v, 1.0 - v]);
+            let near = breakpoints.flat_map(|b| [b.next_down(), b, b.next_up()]);
+            let random = (0..16)
+                .map(|_| rng.gen_range(0.0..=top))
+                .collect::<Vec<_>>();
+            for nu in [0.0, top].into_iter().chain(near).chain(random) {
+                let entry_major = scratch.aggregate(&bands, nu);
+                let reference = row_major::aggregate(&y, &offsets, &bands, nu);
+                assert_eq!(
+                    entry_major.to_bits(),
+                    reference.to_bits(),
+                    "seed {seed}, nu {nu}: {entry_major} vs reference {reference}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn project_flat_matches_the_row_major_reference_to_the_bit() {
+        let mut scratch = ProjectionScratch::default();
+        for seed in 0..CASES {
+            let (points, bands, aggregate_lo) = random_instance(&mut StdRng::seed_from_u64(seed));
+            let offsets = offsets(&points);
+            let (mut ours, mut theirs) = (points.concat(), points.concat());
+            let probes = project_flat(&mut ours, &offsets, &bands, aggregate_lo, &mut scratch);
+            let reference_probes =
+                row_major::project_flat(&mut theirs, &offsets, &bands, aggregate_lo);
+            assert_eq!(probes, reference_probes, "seed {seed}");
+            assert!(probes <= 64, "seed {seed}: {probes} probes");
+            for (a, b) in ours.iter().zip(&theirs) {
+                assert_eq!(
+                    a.to_bits(),
+                    b.to_bits(),
+                    "seed {seed}: {a} vs reference {b}"
+                );
             }
         }
     }

@@ -16,6 +16,11 @@ pub struct ConvergenceTrace {
     pub projections: usize,
     /// Total number of line-search candidates projected and evaluated.
     pub line_search_probes: usize,
+    /// Total number of evaluations of the projections' aggregate
+    /// `Σ_i clamp(Σ_j clamp(π_{i,j} + ν, 0, 1), K_{L,i}, K_{U,i})` while
+    /// searching the coupling multiplier `ν`: one at `ν = 0` per projection,
+    /// plus one per bisection step when the cache constraint binds.
+    pub nu_probes: usize,
 }
 
 impl ConvergenceTrace {

@@ -131,6 +131,17 @@ fn planner_work_on_the_benchmark_instance_is_bounded_and_repeats_exactly() {
         trace.line_search_probes + trace.rounding_rounds + 1,
         "one projection per probe, one per Prob Π solve, one for the starting point"
     );
+    // Each projection evaluates its aggregate once at ν = 0 and once per
+    // bisection step. Bisecting [0, top] down to adjacent floats takes about
+    // one step per mantissa bit (53) when ν lies within a binade or two of
+    // top, as it does here.
+    assert!(trace.nu_probes >= trace.projections);
+    assert!(
+        trace.nu_probes <= 64 * trace.projections,
+        "{} ν probes over {} projections",
+        trace.nu_probes,
+        trace.projections
+    );
     assert!(
         (plan.objective - 59.91).abs() <= 0.005 * 59.91,
         "objective {} is not within 0.5 % of 59.91",
@@ -182,5 +193,32 @@ fn benchmark_instance_plan_and_simulation_match_golden_values() {
         report.overall.mean.to_bits(),
         0x4044_b80f_33d2_e4d2,
         "41.437963941550734"
+    );
+}
+
+/// FNV-1a over the plan's `cached_chunks` and the bits of its `scheduling`,
+/// `z` and `objective`.
+fn plan_fingerprint(plan: &sprout::optimizer::CachePlan) -> u64 {
+    let cached = plan.cached_chunks.iter().map(|&d| d as u64);
+    let floats = plan.scheduling.iter().flatten().chain(&plan.z);
+    let words = cached.chain(floats.chain([&plan.objective]).map(|v| v.to_bits()));
+    words
+        .flat_map(u64::to_le_bytes)
+        .fold(0xcbf2_9ce4_8422_2325, |hash, byte| {
+            (hash ^ u64::from(byte)).wrapping_mul(0x0100_0000_01b3)
+        })
+}
+
+#[test]
+fn benchmark_instance_plan_is_pinned_to_the_bit() {
+    // Every cache count and every bit of π, z and the objective: a faster
+    // projection or solve must return this very plan, on every SIMD width.
+    let plan = benchmark_instance().optimize().unwrap();
+    // Recorded at the commit before the entry-major `ν` aggregate.
+    assert_eq!(
+        plan_fingerprint(&plan),
+        0x9d93_b39f_a2ec_a2a8,
+        "{:#018x}",
+        plan_fingerprint(&plan)
     );
 }
