@@ -5,7 +5,7 @@
 //! *and* byte-accurate), and a flash crowd with an online re-optimization —
 //! as one [`SimSweep`]: scenario × backend cells, each as R seeded
 //! replications on the work-stealing pool, recording mean latency ± 95 % CI,
-//! throughput counters and the event-heap/in-flight high-water marks (the
+//! throughput counters and the event-queue/in-flight high-water marks (the
 //! streaming-arrivals and pooled-allocation regression guards).
 //!
 //! The artifact is the determinism canary of the whole sweep subsystem: CI

@@ -32,7 +32,7 @@ use sprout::spec::paper_simulation_spec;
 use sprout::SproutSystem;
 
 /// Number of files used by the "simulation" experiments (Figs. 3–7).
-pub fn simulation_file_count() -> usize {
+pub(crate) fn simulation_file_count() -> usize {
     if paper_scale() {
         1000
     } else {

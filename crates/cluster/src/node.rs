@@ -49,7 +49,7 @@ impl StorageNode {
     }
 
     /// Whether the node is currently serving requests.
-    pub fn is_online(&self) -> bool {
+    pub(crate) fn is_online(&self) -> bool {
         self.online
     }
 

@@ -24,6 +24,7 @@ use crate::spec::{SystemSpec, SystemSpecBuilder};
 use crate::sweep::{SimSweep, SweepBackend};
 use crate::system::SproutSystem;
 use sprout_cluster::{CachePolicy, PlacementChoice};
+use sprout_sim::config::slot_count;
 use sprout_sim::SimConfig;
 use sprout_workload::spec::MB;
 
@@ -196,8 +197,10 @@ impl SimKnobs {
     ///
     /// # Errors
     ///
-    /// Rejects non-positive or non-finite horizons and slot lengths as
-    /// [`SproutError::InvalidSpec`] (a loadable file must not panic).
+    /// Rejects non-positive or non-finite horizons and slot lengths, and a
+    /// slot length that splits the horizon into more slots than
+    /// [`slot_count`] allows, as [`SproutError::InvalidSpec`] (a loadable file
+    /// must not panic).
     pub fn config(&self, default_seed: u64, quick: bool) -> Result<SimConfig, SproutError> {
         let horizon = if quick {
             self.quick_horizon
@@ -216,6 +219,7 @@ impl SimKnobs {
                     "slot length must be positive and finite, got {slot}"
                 )));
             }
+            slot_count(horizon, slot).map_err(SproutError::InvalidSpec)?;
         }
         let mut config = SimConfig::new(horizon, self.seed.unwrap_or(default_seed));
         if let Some(warmup) = self.warmup {

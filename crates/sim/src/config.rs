@@ -1,5 +1,24 @@
 //! Simulation configuration.
 
+/// The most slots a per-slot chunk-source series may have: a series holds
+/// two `u64` counts per slot, so this caps it at 160 MB.
+const MAX_SLOTS: usize = 10_000_000;
+
+/// The number of slots of `slot` seconds that cover `horizon` seconds (at
+/// least one), or an error naming the bound when that is more than
+/// `MAX_SLOTS` = 10⁷ (a per-slot series holds two `u64` counts per slot).
+/// `slot` must be positive.
+pub fn slot_count(horizon: f64, slot: f64) -> Result<usize, String> {
+    let slots = (horizon / slot).ceil().max(1.0);
+    if slots <= MAX_SLOTS as f64 {
+        Ok(slots as usize)
+    } else {
+        Err(format!(
+            "{slots} slots of {slot} s over a {horizon} s horizon exceed MAX_SLOTS = {MAX_SLOTS}"
+        ))
+    }
+}
+
 /// Run-length and sampling parameters of a simulation.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SimConfig {
@@ -53,8 +72,16 @@ impl SimConfig {
 
     /// Records per-slot chunk-source counts in slots of `slot` seconds
     /// ([`crate::SlotCounts`]); memory then grows with `horizon / slot`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `slot <= 0` or the horizon spans more slots than
+    /// [`slot_count`] allows.
     pub fn with_slot_length(mut self, slot: f64) -> Self {
         assert!(slot > 0.0, "slot length must be positive");
+        if let Err(bound) = slot_count(self.horizon, slot) {
+            panic!("{bound}");
+        }
         self.slot_length = Some(slot);
         self
     }
@@ -79,6 +106,18 @@ mod tests {
         assert_eq!(c.slot_length, Some(2.0));
         let clamped = SimConfig::new(10.0, 0).with_warmup(-5.0);
         assert_eq!(clamped.warmup, 0.0);
+    }
+
+    #[test]
+    #[should_panic(expected = "exceed MAX_SLOTS")]
+    fn a_series_of_more_than_max_slots_panics() {
+        let _ = SimConfig::new(1e6, 1).with_slot_length(1e-9);
+    }
+
+    #[test]
+    fn a_series_of_exactly_max_slots_is_accepted() {
+        let c = SimConfig::new(MAX_SLOTS as f64, 1).with_slot_length(1.0);
+        assert_eq!(c.slot_length, Some(1.0));
     }
 
     #[test]

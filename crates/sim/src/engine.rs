@@ -4,9 +4,12 @@
 //!
 //! * **Streaming arrivals** — each file keeps exactly one pending arrival
 //!   event (drawn lazily from an arrival stream), and arrivals are the only
-//!   events, so event-heap residency is O(files) regardless of how many
+//!   events, so event-queue residency is O(files) regardless of how many
 //!   requests the horizon produces. [`SimReport::peak_event_queue`] records
-//!   the high-water mark as a regression guard.
+//!   the high-water mark as a regression guard. The queue is a calendar
+//!   queue whose slots are a few mean gaps of the merged arrival stream
+//!   (`Σ λ_f`, re-derived at every rate change), so a pop costs O(1)
+//!   instead of a heap's O(log files) chain of compares.
 //! * **Requests settle at arrival** — each storage node is a FIFO queue
 //!   without preemption, so a chunk read's finish time is fixed when it is
 //!   queued (Lindley's recursion, in the [`FifoQueue`] that a chunk read
@@ -29,12 +32,16 @@
 //! * **Memory independent of the horizon** — a run holds O(files + nodes +
 //!   in-flight requests) of state — an in-flight request is one completion
 //!   time, kept for [`SimReport::peak_in_flight`] — plus the post-warm-up
-//!   latency samples its percentiles need, kept once: the report sorts each
-//!   file's samples in place and summarises the overall distribution from
-//!   one concatenated buffer. Per-slot chunk-source series ([`SlotCounts`])
-//!   grow with the horizon and exist only when
-//!   [`SimConfig::with_slot_length`] asks for them; otherwise only their
-//!   exact totals are kept.
+//!   latency samples its percentiles need, kept once as integer keys in
+//!   `f64::total_cmp` order: the report sorts each file's keys in place and
+//!   summarises the overall distribution from one concatenated buffer.
+//!   Per-slot chunk-source series ([`SlotCounts`]) grow with the horizon and
+//!   exist only when [`SimConfig::with_slot_length`] asks for them;
+//!   otherwise only their exact totals are kept.
+//! * **Plans are compiled at install** — a probabilistic or exact plan's
+//!   rows become a table of cumulative marks when the run starts or a
+//!   scenario swaps the scheme in, so a request draws one uniform and walks
+//!   its file's marks; an out-of-range marginal fails there, not mid-run.
 //!
 //! A run is a single-threaded loop; parallelism lives one level up, across
 //! cells × replications in the [`sweep`](crate::sweep) runner.
@@ -51,10 +58,10 @@ use sprout_workload::arrivals::ArrivalStream;
 use crate::backend::{ChunkBackend, FinishedRequest};
 use crate::config::SimConfig;
 use crate::event::EventQueue;
-use crate::metrics::{summarize_per_file, LatencySummary, SlotCounts};
+use crate::metrics::{order_key, summarize_per_file, LatencySummary, SlotCounts};
 use crate::policy::{CacheScheme, SchedulingRule};
 use crate::scenario::{Scenario, ScenarioAction};
-use crate::scheduler::{systematic_sample_into, uniform_sample_into};
+use crate::scheduler::{uniform_sample_into, SystematicTable};
 
 /// A file as seen by the simulator: its arrival rate, code dimension `k` and
 /// the storage nodes hosting its chunks.
@@ -344,6 +351,24 @@ fn lru_tier_for(scheme: &CacheScheme) -> Option<LruTier> {
     }
 }
 
+/// The systematic sampler of a scheme that samples its plan's marginals
+/// (probabilistic functional caching and exact caching): one row per file,
+/// the part of `scheduling[file]` its reads are drawn from. A fully cached
+/// file reads nothing and has no row. `None` for the other schemes, which
+/// draw uniformly.
+fn systematic_table(scheme: &CacheScheme, files: &[SimFile]) -> Option<SystematicTable> {
+    let (CacheScheme::Functional(plan, SchedulingRule::Probabilistic) | CacheScheme::Exact(plan)) =
+        scheme
+    else {
+        return None;
+    };
+    let rows = files.iter().enumerate().map(|(f, file)| {
+        let d = plan.cached_chunks[f];
+        (d < file.k).then(|| &plan.scheduling[f][scheme.first_eligible(d)..])
+    });
+    Some(SystematicTable::new(rows))
+}
+
 /// Reusable buffers for the per-arrival planning step.
 ///
 /// `plan_request` runs once per simulated request — millions of times at the
@@ -360,11 +385,13 @@ struct PlanScratch {
 }
 
 /// The state of one run: every file's arrival stream and planning RNG, the
-/// node models, the event heap and the statistics the report is built from.
+/// node models, the event queue and the statistics the report is built from.
 struct EventLoop<'a, B: ChunkBackend> {
     sim: &'a Simulation,
     backend: &'a mut B,
     scheme: CacheScheme,
+    /// The installed scheme's systematic sampler.
+    systematic: Option<SystematicTable>,
     streams: Vec<ArrivalStream>,
     epochs: Vec<u32>,
     plan_rngs: Vec<StdRng>,
@@ -372,8 +399,8 @@ struct EventLoop<'a, B: ChunkBackend> {
     peak_events: usize,
     nodes: Vec<NodeModel>,
     in_flight: InFlight,
-    /// Post-warm-up latencies per file.
-    latencies: Vec<Vec<f64>>,
+    /// Post-warm-up latencies per file, as [`order_key`]s.
+    latencies: Vec<Vec<u64>>,
     slots: SlotCounts,
     node_chunks_served: Vec<u64>,
     full_cache_hits: u64,
@@ -401,6 +428,7 @@ impl<'a, B: ChunkBackend> EventLoop<'a, B> {
             backend,
             tier: lru_tier_for(&sim.scheme),
             scheme: sim.scheme.clone(),
+            systematic: systematic_table(&sim.scheme, &sim.files),
             streams,
             epochs: vec![0u32; num_files],
             plan_rngs,
@@ -430,6 +458,7 @@ impl<'a, B: ChunkBackend> EventLoop<'a, B> {
                 self.events.push(t, Arrival { file, epoch: 0 });
             }
         }
+        self.retune_events();
 
         // Epoch edges are the scenario's firing times (inside the horizon).
         // Events strictly before an edge drain first; the edge's actions
@@ -504,7 +533,7 @@ impl<'a, B: ChunkBackend> EventLoop<'a, B> {
         self.completed += 1;
         if now >= self.sim.config.warmup {
             debug_assert!(latency.is_finite() && latency >= 0.0);
-            self.latencies[file].push(latency);
+            self.latencies[file].push(order_key(latency));
         }
     }
 
@@ -519,13 +548,18 @@ impl<'a, B: ChunkBackend> EventLoop<'a, B> {
                 for (file, &rate) in rates.iter().enumerate() {
                     self.retarget(file, rate, at);
                 }
+                self.retune_events();
             }
-            ScenarioAction::SetFileRate { file, rate } => self.retarget(*file, *rate, at),
+            ScenarioAction::SetFileRate { file, rate } => {
+                self.retarget(*file, *rate, at);
+                self.retune_events();
+            }
             ScenarioAction::SwapScheme { scheme } => {
                 // Promotion/eviction counts accumulate across swaps (a swap
                 // restarts the tier cold).
                 self.retire_tier();
                 self.scheme = scheme.clone();
+                self.systematic = systematic_table(&self.scheme, &self.sim.files);
                 self.tier = lru_tier_for(&self.scheme);
                 self.backend.apply_scheme(&self.scheme);
             }
@@ -540,6 +574,13 @@ impl<'a, B: ChunkBackend> EventLoop<'a, B> {
             self.tier_promotions += stats.promotions;
             self.tier_evictions += stats.evictions;
         }
+    }
+
+    /// Sizes the event queue's slots for the merged arrival stream at the
+    /// rates now in force.
+    fn retune_events(&mut self) {
+        let total_rate = self.streams.iter().map(ArrivalStream::rate).sum();
+        self.events.retune(total_rate);
     }
 
     /// Re-seats a file's arrival process at a new constant rate from `now`
@@ -593,9 +634,10 @@ impl<'a, B: ChunkBackend> EventLoop<'a, B> {
     ///
     /// Every scheme is one selector: `d` chunks come from the cache and the
     /// other `k − d` from the pool `placement[o..]` (`o = d` under exact
-    /// caching, else 0), drawn systematically on the plan's `row[o..]` or
-    /// uniformly, then repaired around offline nodes. No cache and an LRU
-    /// miss have `d = 0`, an LRU hit `d = k`.
+    /// caching, else 0), drawn systematically on the plan's `row[o..]` (the
+    /// loop's [`SystematicTable`]) or uniformly, then repaired around
+    /// offline nodes. No cache and an LRU miss have `d = 0`, an LRU hit
+    /// `d = k`.
     ///
     /// For [`CacheScheme::LruReplicated`] the loop's `tier` is the single source
     /// of truth for hit/miss/promotion/eviction decisions; every admission and
@@ -606,17 +648,17 @@ impl<'a, B: ChunkBackend> EventLoop<'a, B> {
         let spec = &self.sim.files[file];
         let scratch = &mut self.scratch;
         scratch.nodes.clear();
-        let (d, marginals) = match &self.scheme {
-            CacheScheme::NoCache => (0, None),
+        let d = match &self.scheme {
+            CacheScheme::NoCache => 0,
             CacheScheme::LruReplicated { .. } => {
                 let tier = self.tier.as_mut().expect("an LRU scheme always has a tier");
-                (if tier.touch(file as u64) { spec.k } else { 0 }, None)
+                if tier.touch(file as u64) {
+                    spec.k
+                } else {
+                    0
+                }
             }
-            CacheScheme::Functional(plan, rule) => (
-                plan.cached_chunks[file],
-                (*rule == SchedulingRule::Probabilistic).then_some(&plan.scheduling[file]),
-            ),
-            CacheScheme::Exact(plan) => (plan.cached_chunks[file], Some(&plan.scheduling[file])),
+            CacheScheme::Functional(plan, _) | CacheScheme::Exact(plan) => plan.cached_chunks[file],
         };
         let needed = spec.k - d;
         if needed == 0 {
@@ -625,8 +667,8 @@ impl<'a, B: ChunkBackend> EventLoop<'a, B> {
         let skip = self.scheme.first_eligible(d);
         let pool = &spec.placement[skip..];
         let rng = &mut self.plan_rngs[file];
-        match marginals {
-            Some(row) => systematic_sample_into(&row[skip..], rng, &mut scratch.picks),
+        match &self.systematic {
+            Some(systematic) => systematic.sample_into(file, rng, &mut scratch.picks),
             None => uniform_sample_into(pool.len(), needed, rng, &mut scratch.picks),
         }
         scratch.nodes.extend(scratch.picks.iter().map(|&i| pool[i]));

@@ -1,5 +1,7 @@
 //! Latency statistics and chunk-source accounting.
 
+use crate::config::slot_count;
+
 /// Summary statistics of a latency sample.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct LatencySummary {
@@ -20,26 +22,13 @@ pub struct LatencySummary {
 }
 
 impl LatencySummary {
-    /// Builds a summary from raw samples (empty input yields all zeros):
-    /// sorts a copy, then [`LatencySummary::from_sorted`]. The reference
-    /// that [`summarize_per_file`] is tested against.
-    #[cfg(test)]
-    pub(crate) fn from_samples(samples: &[f64]) -> Self {
-        let mut sorted = samples.to_vec();
-        sort_latencies(&mut sorted);
-        Self::from_sorted(&sorted)
-    }
-
-    /// Builds a summary from samples sorted ascending under
-    /// [`f64::total_cmp`] (empty input yields all zeros). The sums run in
+    /// Builds a summary from latencies given as their [`order_key`]s,
+    /// sorted ascending (empty input yields all zeros). The sums run in
     /// that ascending order, so the result depends only on the multiset of
     /// samples, never on the order they were recorded in.
-    pub(crate) fn from_sorted(sorted: &[f64]) -> Self {
-        debug_assert!(
-            sorted.windows(2).all(|w| w[0].total_cmp(&w[1]).is_le()),
-            "samples must be sorted ascending"
-        );
-        let n = sorted.len();
+    pub(crate) fn from_sorted_keys(keys: &[u64]) -> Self {
+        debug_assert!(keys.is_sorted(), "keys must be sorted ascending");
+        let n = keys.len();
         if n == 0 {
             return LatencySummary {
                 count: 0,
@@ -51,11 +40,12 @@ impl LatencySummary {
                 max: 0.0,
             };
         }
-        let mean = sorted.iter().sum::<f64>() / n as f64;
-        let var = sorted.iter().map(|x| (x - mean).powi(2)).sum::<f64>() / n as f64;
+        let values = || keys.iter().map(|&key| from_order_key(key));
+        let mean = values().sum::<f64>() / n as f64;
+        let var = values().map(|x| (x - mean).powi(2)).sum::<f64>() / n as f64;
         let pct = |p: f64| -> f64 {
             let idx = ((n as f64 - 1.0) * p).round() as usize;
-            sorted[idx.min(n - 1)]
+            from_order_key(keys[idx.min(n - 1)])
         };
         LatencySummary {
             count: n,
@@ -64,39 +54,52 @@ impl LatencySummary {
             p50: pct(0.50),
             p95: pct(0.95),
             p99: pct(0.99),
-            max: sorted[n - 1],
+            max: from_order_key(keys[n - 1]),
         }
     }
 }
 
-/// Sorts latency samples ascending, in place. `total_cmp` is a total order
-/// (a `partial_cmp(..).unwrap_or(Equal)` comparator is not: a NaN scrambles
-/// the order, and since Rust 1.81 the sort may panic on it). It agrees with
-/// `<` on every finite value except `-0.0 < +0.0`, and latencies are `+0.0`
-/// or positive. Samples that compare equal are bit-identical, so the unstable
-/// (allocation-free) sort yields the same sequence as a stable one.
-fn sort_latencies(samples: &mut [f64]) {
-    samples.sort_unstable_by(f64::total_cmp);
+/// The key whose unsigned order is [`f64::total_cmp`]'s order: a
+/// non-negative float gains the top bit, a negative one has every bit
+/// flipped. Latencies are recorded as keys, so the summaries sort integers.
+pub(crate) fn order_key(x: f64) -> u64 {
+    let bits = x.to_bits();
+    if bits >> 63 == 0 {
+        bits | 1 << 63
+    } else {
+        !bits
+    }
 }
 
-/// Summarises per-file latency samples without copying them: each file's
-/// samples are sorted in place, summarised, moved into one buffer of the
-/// total length and dropped; that buffer is sorted in place for the overall
-/// summary. Returns `(overall, per_file)`, bit-identical to summarising a
-/// sorted copy of each file's samples and of the flattened samples, with one
-/// extra copy of the samples where that takes two.
-pub(crate) fn summarize_per_file(per_file: Vec<Vec<f64>>) -> (LatencySummary, Vec<LatencySummary>) {
+/// The float whose [`order_key`] is `key`.
+fn from_order_key(key: u64) -> f64 {
+    f64::from_bits(if key >> 63 == 1 {
+        key & !(1 << 63)
+    } else {
+        !key
+    })
+}
+
+/// Summarises per-file latency samples, given as [`order_key`]s, without
+/// copying them: each file's keys are sorted in place, summarised, moved
+/// into one buffer of the total length and dropped; that buffer is sorted
+/// in place for the overall summary. Returns `(overall, per_file)`,
+/// bit-identical to summarising a sorted copy of each file's samples and of
+/// the flattened samples, with one extra copy of the samples where that
+/// takes two. Keys that compare equal are equal, so the unstable
+/// (allocation-free) sort yields the sequence a stable one would.
+pub(crate) fn summarize_per_file(per_file: Vec<Vec<u64>>) -> (LatencySummary, Vec<LatencySummary>) {
     let mut all = Vec::with_capacity(per_file.iter().map(Vec::len).sum());
     let summaries = per_file
         .into_iter()
-        .map(|mut samples| {
-            sort_latencies(&mut samples);
-            all.extend_from_slice(&samples);
-            LatencySummary::from_sorted(&samples)
+        .map(|mut keys| {
+            keys.sort_unstable();
+            all.extend_from_slice(&keys);
+            LatencySummary::from_sorted_keys(&keys)
         })
         .collect();
-    sort_latencies(&mut all);
-    (LatencySummary::from_sorted(&all), summaries)
+    all.sort_unstable();
+    (LatencySummary::from_sorted_keys(&all), summaries)
 }
 
 /// Chunk-source accounting: chunks served from the cache versus the storage
@@ -125,7 +128,7 @@ impl SlotCounts {
     pub fn new(horizon: f64, slot_length: Option<f64>) -> Self {
         let slots = slot_length.map_or(0, |slot| {
             assert!(slot > 0.0, "slot length must be positive");
-            (horizon / slot).ceil().max(1.0) as usize
+            slot_count(horizon, slot).unwrap_or_else(|bound| panic!("{bound}"))
         });
         SlotCounts {
             slot_length,
@@ -164,9 +167,43 @@ mod tests {
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
 
+    /// Summarises raw samples (empty input yields all zeros): keys a copy,
+    /// sorts it, then [`LatencySummary::from_sorted_keys`].
+    fn from_samples(samples: &[f64]) -> LatencySummary {
+        let mut keys: Vec<u64> = samples.iter().map(|&x| order_key(x)).collect();
+        keys.sort_unstable();
+        LatencySummary::from_sorted_keys(&keys)
+    }
+
+    #[test]
+    fn order_keys_sort_as_total_cmp_and_round_trip() {
+        let mut rng = StdRng::seed_from_u64(0x0D0E_4EED);
+        let specials = [
+            0.0,
+            -0.0,
+            1.0,
+            -1.0,
+            f64::MIN_POSITIVE,
+            f64::MAX,
+            f64::INFINITY,
+        ];
+        let mut values: Vec<f64> = specials.into_iter().chain([-f64::INFINITY]).collect();
+        values.extend((0..200).map(|_| f64::from_bits(rng.gen::<u64>())));
+        for &a in &values {
+            assert_eq!(from_order_key(order_key(a)).to_bits(), a.to_bits());
+            for &b in &values {
+                assert_eq!(
+                    order_key(a).cmp(&order_key(b)),
+                    a.total_cmp(&b),
+                    "{a} vs {b}"
+                );
+            }
+        }
+    }
+
     #[test]
     fn summary_of_known_samples() {
-        let s = LatencySummary::from_samples(&[1.0, 2.0, 3.0, 4.0, 5.0]);
+        let s = from_samples(&[1.0, 2.0, 3.0, 4.0, 5.0]);
         assert_eq!(s.count, 5);
         assert!((s.mean - 3.0).abs() < 1e-12);
         assert!((s.p50 - 3.0).abs() < 1e-12);
@@ -178,7 +215,7 @@ mod tests {
 
     #[test]
     fn empty_summary_is_all_zero() {
-        let s = LatencySummary::from_samples(&[]);
+        let s = from_samples(&[]);
         assert_eq!(s.count, 0);
         assert_eq!(s.mean, 0.0);
         assert_eq!(s.max, 0.0);
@@ -187,7 +224,7 @@ mod tests {
     #[test]
     fn percentiles_are_order_statistics() {
         let samples: Vec<f64> = (1..=100).map(|i| i as f64).collect();
-        let s = LatencySummary::from_samples(&samples);
+        let s = from_samples(&samples);
         assert!((s.p95 - 95.0).abs() <= 1.0);
         assert!((s.p99 - 99.0).abs() <= 1.0);
     }
@@ -196,7 +233,7 @@ mod tests {
     /// copy, stable-sorted by `partial_cmp`.
     fn reference(samples: &[f64]) -> LatencySummary {
         if samples.is_empty() {
-            return LatencySummary::from_sorted(&[]);
+            return LatencySummary::from_sorted_keys(&[]);
         }
         let mut sorted = samples.to_vec();
         sorted.sort_by(|a, b| a.partial_cmp(b).unwrap_or(std::cmp::Ordering::Equal));
@@ -256,11 +293,12 @@ mod tests {
                 })
                 .collect();
             let flat: Vec<f64> = per_file.iter().flatten().copied().collect();
-            let copies: Vec<LatencySummary> = per_file
+            let copies: Vec<LatencySummary> = per_file.iter().map(|f| from_samples(f)).collect();
+            let keys = per_file
                 .iter()
-                .map(|f| LatencySummary::from_samples(f))
+                .map(|f| f.iter().map(|&x| order_key(x)).collect())
                 .collect();
-            let (overall, summaries) = summarize_per_file(per_file.clone());
+            let (overall, summaries) = summarize_per_file(keys);
 
             assert_eq!(summaries.len(), per_file.len(), "case {case}");
             for (i, file) in per_file.iter().enumerate() {
@@ -275,11 +313,7 @@ mod tests {
                     "case {case} file {i}"
                 );
             }
-            assert_eq!(
-                bits(&overall),
-                bits(&LatencySummary::from_samples(&flat)),
-                "case {case}"
-            );
+            assert_eq!(bits(&overall), bits(&from_samples(&flat)), "case {case}");
             assert_eq!(bits(&overall), bits(&reference(&flat)), "case {case}");
         }
     }
@@ -315,5 +349,13 @@ mod tests {
     fn empty_slot_counts_have_zero_cache_fraction() {
         assert_eq!(SlotCounts::new(10.0, Some(5.0)).cache_fraction(), 0.0);
         assert_eq!(SlotCounts::new(10.0, None).cache_fraction(), 0.0);
+    }
+
+    /// `SimConfig`'s fields are public, so the allocation itself checks
+    /// the bound a builder would have.
+    #[test]
+    #[should_panic(expected = "exceed MAX_SLOTS")]
+    fn a_series_past_the_slot_bound_panics_before_allocating() {
+        let _ = SlotCounts::new(1e6, Some(1e-9));
     }
 }

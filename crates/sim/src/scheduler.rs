@@ -8,39 +8,76 @@
 
 use rand::Rng;
 
-/// Draws a subset whose inclusion probabilities are exactly `marginals`
-/// (Madow's systematic sampling) into `selected`, identified by their index
-/// into `marginals`. The marginals must lie in `[0, 1]` and sum to
-/// (approximately) an integer `s`; the set has exactly `s` elements.
-/// `selected` is cleared and its capacity reused: the simulator's arrival
-/// loop calls this once per request.
+/// Madow's systematic sampling over a plan's rows, with each row's
+/// cumulative marks computed once, when the plan is installed.
 ///
-/// # Panics
-///
-/// Panics if a marginal is outside `[0, 1 + ε]`.
-pub(crate) fn systematic_sample_into<R: Rng + ?Sized>(
-    marginals: &[f64],
-    rng: &mut R,
-    selected: &mut Vec<usize>,
-) {
-    selected.clear();
-    let total: f64 = marginals.iter().sum();
-    if total <= 1e-12 {
-        return;
+/// Row `r` draws a subset whose inclusion probabilities are exactly its
+/// marginals: one uniform `u`, and index `j` is taken once for every point
+/// of `u, u + 1, u + 2, …` below `cum_j − 1e-12`, where `cum_j` adds the
+/// clamped marginals `0..=j` in order. The marginals must lie in `[0, 1]`
+/// and sum to (approximately) an integer `s`; the set then has exactly `s`
+/// elements. A row summing to at most 1e-12 draws nothing and consumes no
+/// randomness.
+#[derive(Debug)]
+pub(crate) struct SystematicTable {
+    /// The marks `cum_j − 1e-12` of every row that draws, back to back.
+    marks: Vec<f64>,
+    /// Row `r`'s marks are `marks[starts[r]..starts[r + 1]]`; a row that
+    /// draws nothing has none.
+    starts: Vec<usize>,
+}
+
+impl SystematicTable {
+    /// Precomputes `rows`; a `None` row is never sampled and gets no marks.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a row that draws has a marginal outside `[0, 1 + ε]`.
+    pub(crate) fn new<'r>(rows: impl IntoIterator<Item = Option<&'r [f64]>>) -> Self {
+        let mut table = SystematicTable {
+            marks: Vec::new(),
+            starts: vec![0],
+        };
+        for row in rows.into_iter().map(|row| row.unwrap_or_default()) {
+            let total: f64 = row.iter().sum();
+            // A NaN total draws, as `total <= 1e-12` is false: its NaN
+            // marginal fails the range check.
+            if total > 1e-12 || total.is_nan() {
+                let mut cum = 0.0;
+                for &p in row {
+                    assert!(
+                        (-1e-9..=1.0 + 1e-9).contains(&p),
+                        "marginal {p} out of [0, 1]"
+                    );
+                    cum += p.clamp(0.0, 1.0);
+                    table.marks.push(cum - 1e-12);
+                }
+            }
+            table.starts.push(table.marks.len());
+        }
+        table
     }
-    let u: f64 = rng.gen_range(0.0..1.0);
-    let mut cum = 0.0;
-    let mut next_mark = u;
-    for (idx, &p) in marginals.iter().enumerate() {
-        assert!(
-            (-1e-9..=1.0 + 1e-9).contains(&p),
-            "marginal {p} out of [0, 1]"
-        );
-        let p = p.clamp(0.0, 1.0);
-        cum += p;
-        while next_mark < cum - 1e-12 {
-            selected.push(idx);
-            next_mark += 1.0;
+
+    /// Draws row `row`'s subset into `selected`, identified by index into
+    /// the row. `selected` is cleared and its capacity reused: the
+    /// simulator's arrival loop calls this once per request.
+    pub(crate) fn sample_into<R: Rng + ?Sized>(
+        &self,
+        row: usize,
+        rng: &mut R,
+        selected: &mut Vec<usize>,
+    ) {
+        selected.clear();
+        let marks = &self.marks[self.starts[row]..self.starts[row + 1]];
+        if marks.is_empty() {
+            return;
+        }
+        let mut next_mark: f64 = rng.gen_range(0.0..1.0);
+        for (idx, &mark) in marks.iter().enumerate() {
+            while next_mark < mark {
+                selected.push(idx);
+                next_mark += 1.0;
+            }
         }
     }
 }
@@ -72,12 +109,113 @@ pub(crate) fn uniform_sample_into<R: Rng + ?Sized>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rand::rngs::StdRng;
     use rand::SeedableRng;
 
+    /// The per-request sampler the table replaced: sums, clamps and checks
+    /// the row on every draw.
+    fn systematic_sample_into<R: Rng + ?Sized>(
+        marginals: &[f64],
+        rng: &mut R,
+        selected: &mut Vec<usize>,
+    ) {
+        selected.clear();
+        let total: f64 = marginals.iter().sum();
+        if total <= 1e-12 {
+            return;
+        }
+        let u: f64 = rng.gen_range(0.0..1.0);
+        let mut cum = 0.0;
+        let mut next_mark = u;
+        for (idx, &p) in marginals.iter().enumerate() {
+            assert!(
+                (-1e-9..=1.0 + 1e-9).contains(&p),
+                "marginal {p} out of [0, 1]"
+            );
+            let p = p.clamp(0.0, 1.0);
+            cum += p;
+            while next_mark < cum - 1e-12 {
+                selected.push(idx);
+                next_mark += 1.0;
+            }
+        }
+    }
+
+    /// One draw from a table of the single row `marginals`.
     fn systematic_sample<R: Rng>(marginals: &[f64], rng: &mut R) -> Vec<usize> {
         let mut selected = Vec::new();
-        systematic_sample_into(marginals, rng, &mut selected);
+        SystematicTable::new([Some(marginals)]).sample_into(0, rng, &mut selected);
         selected
+    }
+
+    /// A random row of `n` marginals in `[−1e-9, 1 + 1e-9]`: all zero, or
+    /// summing to an integer `s ≤ n` up to float error, with entries at and
+    /// just past both ends of the range.
+    fn random_row(rng: &mut StdRng, n: usize) -> Vec<f64> {
+        if rng.gen_bool(0.1) {
+            return vec![0.0; n];
+        }
+        let mut row: Vec<f64> = (0..n).map(|_| rng.gen_range(0.0..1.0)).collect();
+        let s = rng.gen_range(1..=n) as f64;
+        // Water-fill towards the integer sum: scale, then cap at 1.
+        for _ in 0..50 {
+            let sum: f64 = row.iter().sum();
+            row.iter_mut().for_each(|p| *p = (*p * s / sum).min(1.0));
+        }
+        for p in row.iter_mut() {
+            match rng.gen_range(0..12) {
+                0 => *p = 0.0,
+                1 => *p = -1e-9 * rng.gen_range(0.0..1.0),
+                2 if *p > 0.999 => *p = 1.0 + 1e-9 * rng.gen_range(0.0..1.0),
+                _ => {}
+            }
+        }
+        row
+    }
+
+    #[test]
+    fn table_draws_what_the_per_request_sampler_draws() {
+        let mut gen = StdRng::seed_from_u64(0x5A3F_1E00);
+        for case in 0..300 {
+            let files = gen.gen_range(1..8);
+            // Each file: a row of 2..=9 entries whose first `skip` entries
+            // (the rows exact caching copied, 0 under functional caching)
+            // are not sampled; the rest sums to k − d. Every fifth file is
+            // fully cached and has no row to sample.
+            let rows: Vec<(Vec<f64>, usize)> = (0..files)
+                .map(|_| {
+                    let n = gen.gen_range(2..10);
+                    let skip = if gen.gen_bool(0.5) {
+                        0
+                    } else {
+                        gen.gen_range(1..n)
+                    };
+                    let mut row: Vec<f64> = (0..skip).map(|_| gen.gen_range(0.0..1.0)).collect();
+                    row.extend(random_row(&mut gen, n - skip));
+                    (row, skip)
+                })
+                .collect();
+            let sampled = |f: usize| f % 5 != 4;
+            let table = SystematicTable::new(
+                rows.iter()
+                    .enumerate()
+                    .map(|(f, (row, skip))| sampled(f).then(|| &row[*skip..])),
+            );
+            let seed = gen.gen::<u64>();
+            let (mut a, mut b) = (StdRng::seed_from_u64(seed), StdRng::seed_from_u64(seed));
+            let (mut picks, mut expected) = (Vec::new(), Vec::new());
+            for draw in 0..200 {
+                let f = gen.gen_range(0..files);
+                if !sampled(f) {
+                    continue;
+                }
+                let (row, skip) = &rows[f];
+                table.sample_into(f, &mut a, &mut picks);
+                systematic_sample_into(&row[*skip..], &mut b, &mut expected);
+                assert_eq!(picks, expected, "case {case} draw {draw} file {f}");
+            }
+            assert_eq!(a.gen::<u64>(), b.gen::<u64>(), "case {case}: RNG state");
+        }
     }
 
     fn uniform_sample<R: Rng>(n: usize, count: usize, rng: &mut R) -> Vec<usize> {

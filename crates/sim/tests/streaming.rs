@@ -1,4 +1,4 @@
-//! Integration tests for the streaming runtime: event-heap residency,
+//! Integration tests for the streaming runtime: event-queue residency,
 //! bit-identical determinism, and golden values for a run over disjoint
 //! placement groups.
 
@@ -23,7 +23,7 @@ fn files(count: usize, rate: f64, k: usize, m: usize) -> Vec<SimFile> {
 
 /// The acceptance bar of the streaming refactor: a horizon producing more
 /// than a million arrivals runs without materializing a trace — the event
-/// heap never holds more than one arrival per file, i.e. O(files), not
+/// queue never holds more than one arrival per file, i.e. O(files), not
 /// O(requests).
 #[test]
 fn million_request_horizon_keeps_event_heap_at_o_files() {
@@ -45,7 +45,7 @@ fn million_request_horizon_keeps_event_heap_at_o_files() {
     );
     assert!(
         report.peak_event_queue <= num_files,
-        "event heap must stay O(files): peak {} vs {} files",
+        "event queue must stay O(files): peak {} vs {} files",
         report.peak_event_queue,
         num_files
     );

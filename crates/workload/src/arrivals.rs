@@ -66,7 +66,7 @@ impl PoissonArrivals {
 /// Unlike [`PoissonArrivals::generate`], which materializes a whole trace up
 /// front (O(total requests) memory), an `ArrivalStream` produces one arrival
 /// at a time: the simulator keeps exactly one pending arrival event per file,
-/// so event-heap residency is O(files) regardless of the horizon. Rates that
+/// so event-queue residency is O(files) regardless of the horizon. Rates that
 /// change over time are driven from outside with [`ArrivalStream::set_rate`]
 /// (the simulator's `SetRates` events).
 #[derive(Debug, Clone)]
@@ -88,6 +88,11 @@ impl ArrivalStream {
             rate,
             rng: StdRng::seed_from_u64(seed),
         }
+    }
+
+    /// The rate in force, in arrivals per second.
+    pub fn rate(&self) -> f64 {
+        self.rate
     }
 
     /// Changes the rate from now on. By Poisson memorylessness the caller can

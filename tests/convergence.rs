@@ -222,3 +222,56 @@ fn benchmark_instance_plan_is_pinned_to_the_bit() {
         plan_fingerprint(&plan)
     );
 }
+
+/// FNV-1a over every field of a simulation report: counts as `u64`s,
+/// floats by their bits, each summary field by field.
+fn report_fingerprint(report: &sprout::sim::SimReport) -> u64 {
+    let summary = |s: &sprout::sim::LatencySummary| {
+        let floats = [s.mean, s.std_dev, s.p50, s.p95, s.p99, s.max];
+        std::iter::once(s.count as u64).chain(floats.map(f64::to_bits))
+    };
+    let slots = &report.slots;
+    let words = summary(&report.overall)
+        .chain(report.per_file.iter().flat_map(summary))
+        .chain(report.node_utilization.iter().map(|u| u.to_bits()))
+        .chain(slots.slot_length.map(f64::to_bits))
+        .chain(
+            slots
+                .cache_chunks
+                .iter()
+                .chain(&slots.storage_chunks)
+                .copied(),
+        )
+        .chain([slots.cache_total, slots.storage_total])
+        .chain([report.full_cache_hits, report.completed_requests])
+        .chain(report.node_chunks_served.iter().copied())
+        .chain([report.failed_requests, report.reconstruction_failures])
+        .chain([report.peak_event_queue as u64, report.peak_in_flight as u64])
+        .chain([report.cache_promotions, report.cache_evictions]);
+    words
+        .flat_map(u64::to_le_bytes)
+        .fold(0xcbf2_9ce4_8422_2325, |hash, byte| {
+            (hash ^ u64::from(byte)).wrapping_mul(0x0100_0000_01b3)
+        })
+}
+
+#[test]
+fn benchmark_instance_simulation_is_pinned_to_the_bit() {
+    // Every field of the report under the optimized plan: a faster event
+    // queue, sampler or summary must reproduce this very run.
+    let system = benchmark_instance();
+    let plan = system.optimize().unwrap();
+    let report = system.simulate_with_config(
+        CachePolicy::Functional,
+        Some(&plan),
+        SimConfig::new(2.0e5, 7),
+    );
+    assert_eq!(report.peak_event_queue, 250);
+    // Recorded at the commit before the calendar event queue.
+    assert_eq!(
+        report_fingerprint(&report),
+        0x122b_d5e2_b887_bbcb,
+        "{:#018x}",
+        report_fingerprint(&report)
+    );
+}

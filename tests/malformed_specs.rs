@@ -76,6 +76,11 @@ const TOML_CORPUS: &[(&str, &str)] = &[
          [sim]\nhorizon = 100.0",
     ),
     (
+        "per-slot series of 10^15 slots",
+        "name = \"tiny_slot\"\n[system]\nnum_files = 4\ncache_chunks = 2\n\
+         [sim]\nhorizon = 1000000.0\nquick_horizon = 1000000.0\nslot_length = 0.000000001",
+    ),
+    (
         "byte-backend object size past the byte range",
         "name = \"x\"\n[system]\nnum_files = 4\ncache_chunks = 2\n[sim]\nhorizon = 100.0\n\
          [sweep]\nbyte_object_mb = 20000000000000",
