@@ -37,7 +37,7 @@ use std::time::Instant;
 
 use crate::FigureCli;
 use sprout::cluster::checksum64;
-use sprout::erasure::{stripe, Chunk, CodeParams, FunctionalCacheCodec, Kernel, StripeOpts};
+use sprout::erasure::{stripe, Chunk, CodeParams, Kernel, ReedSolomon, StripeOpts};
 use sprout::sim::sweep::{Sample, SweepGrid, SweepReport, SweepTimings};
 
 const SIZES: [usize; 3] = [64 * 1024, 1024 * 1024, 8 * 1024 * 1024];
@@ -92,7 +92,7 @@ pub fn run(cli: &FigureCli) -> (SweepReport, Option<SweepTimings>) {
         // threads == 1 measures the plain single-pass paths; more threads
         // switch the codec to striped coding on a scoped worker pool.
         let striping = (threads > 1).then(|| StripeOpts::new(STRIPE_LEN, threads));
-        let codec = FunctionalCacheCodec::with_kernel(params, kernel)
+        let codec = ReedSolomon::with_kernel(params, kernel)
             .expect("valid kernel")
             .with_striping(striping);
         let data: Vec<u8> = (0..size).map(|i| (i * 31 + 7) as u8).collect();
@@ -107,16 +107,7 @@ pub fn run(cli: &FigureCli) -> (SweepReport, Option<SweepTimings>) {
         let mut parity = vec![vec![0u8; chunk_len]; parity_rows.len()];
         let encode_rows = throughput(size, budget, || {
             let mut outs: Vec<&mut [u8]> = parity.iter_mut().map(Vec::as_mut_slice).collect();
-            match striping {
-                Some(opts) => {
-                    codec
-                        .code()
-                        .encode_rows_striped_into(&split, &parity_rows, &mut outs, opts)
-                }
-                None => codec
-                    .code()
-                    .encode_rows_into(&split, &parity_rows, &mut outs),
-            }
+            codec.encode_rows_into(&split, &parity_rows, &mut outs);
             std::hint::black_box(&mut outs);
         });
         let cache = throughput(size, budget, || {
@@ -139,7 +130,7 @@ pub fn run(cli: &FigureCli) -> (SweepReport, Option<SweepTimings>) {
 
         // The decode-matrix memo: every decode above reuses one row subset,
         // so a healthy memo shows exactly 1 miss and the rest hits.
-        let (memo_hits, memo_misses) = codec.code().decode_memo_stats();
+        let (memo_hits, memo_misses) = codec.decode_memo_stats();
         Sample::new()
             .metric("encode_mb_per_s", encode)
             .metric("encode_rows_mb_per_s", encode_rows)

@@ -21,7 +21,7 @@
 //!   behind one `Mutex`; every lookup mutates recency and counters, so a
 //!   shared lock buys nothing. Critical sections are kept to map/recency
 //!   updates — decode never happens under it.
-//! * **Codec** — the [`FunctionalCacheCodec`] is immutable and internally
+//! * **Codec** — the [`ReedSolomon`] is immutable and internally
 //!   shares its decode-matrix memo behind an `Arc<Mutex<_>>`, so all
 //!   workers reuse each O(k³) inversion.
 //! * **Membership view** — a small `RwLock<ClusterView>` snapshot used for
@@ -56,7 +56,7 @@ use std::sync::{Arc, Mutex, MutexGuard, RwLock, RwLockReadGuard, RwLockWriteGuar
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use sprout_erasure::{Chunk, CodeParams, EncodedFile, FunctionalCacheCodec, Kernel};
+use sprout_erasure::{Chunk, CodeParams, EncodedFile, Kernel, ReedSolomon};
 
 use crate::cache::{Cache, CachePolicy, CacheStats};
 use crate::checksum::checksum64;
@@ -105,7 +105,7 @@ fn data_chunks_of(data: &[u8], k: usize) -> Vec<Chunk> {
 #[derive(Debug)]
 struct StoreShared {
     config: ClusterConfig,
-    codec: FunctionalCacheCodec,
+    codec: ReedSolomon,
     placement: Box<dyn Placement>,
     nodes: Vec<RwLock<StorageNode>>,
     meta: Vec<RwLock<HashMap<u64, ObjectMeta>>>,
@@ -153,11 +153,9 @@ impl StoreHandle {
         // The codec rides the best kernel the CPU supports (unless pinned)
         // and stripes large objects across threads; both choices affect
         // throughput only — coded bytes are kernel- and stripe-invariant.
-        let codec = FunctionalCacheCodec::with_kernel(
-            params,
-            config.coding_kernel.unwrap_or_else(Kernel::auto),
-        )?
-        .with_striping(config.striping);
+        let codec =
+            ReedSolomon::with_kernel(params, config.coding_kernel.unwrap_or_else(Kernel::auto))?
+                .with_striping(config.striping);
         let nodes = config
             .devices
             .iter()

@@ -123,7 +123,8 @@ impl EncodedFile {
 }
 
 /// A systematic `(n, k)` Reed–Solomon MDS code with an extended generator
-/// that reserves `k` extra rows for functional cache chunks.
+/// that reserves `k` extra rows for functional cache chunks
+/// ([`ReedSolomon::cache_chunks`]): the crate's one codec.
 ///
 /// # Example
 ///
@@ -146,9 +147,9 @@ pub struct ReedSolomon {
     generator: Matrix,
     /// Slice kernel used for all bulk GF(2^8) work.
     kernel: Kernel,
-    /// When set, `encode`/`decode`/`encode_rows` automatically stripe large
-    /// objects across a scoped thread pool (see [`StripeOpts`]). `None`
-    /// keeps every operation a single pass on the calling thread.
+    /// When set, every coding call stripes multi-stripe objects across a
+    /// scoped thread pool (see [`StripeOpts`]; `threads` is resolved).
+    /// `None` keeps every operation a single pass on the calling thread.
     striping: Option<StripeOpts>,
     /// Memo of inverted decode matrices, keyed by the row subset.
     ///
@@ -255,23 +256,20 @@ impl ReedSolomon {
         })
     }
 
-    /// Enables (or disables, with `None`) automatic striped coding: with
-    /// options set, [`ReedSolomon::encode`], [`ReedSolomon::decode`] and
-    /// [`ReedSolomon::encode_rows`] fan multi-stripe objects out over a
-    /// scoped thread pool. Results are byte-identical either way; only
-    /// throughput changes.
+    /// Enables (or disables, with `None`) striped coding: with options set,
+    /// every encode, decode and cache-chunk call fans an object whose chunks
+    /// span more than one stripe out over a scoped thread pool. Results are
+    /// byte-identical either way; only throughput changes.
+    ///
+    /// `threads: 0` is resolved here, once, to the machine's available
+    /// parallelism, so no coding call asks the OS.
     #[must_use]
     pub fn with_striping(mut self, striping: Option<StripeOpts>) -> Self {
-        self.set_striping(striping);
+        self.striping = striping.map(StripeOpts::resolved);
         self
     }
 
-    /// Switches automatic striping. See [`ReedSolomon::with_striping`].
-    pub(crate) fn set_striping(&mut self, striping: Option<StripeOpts>) {
-        self.striping = striping;
-    }
-
-    /// The automatic striping options, if enabled.
+    /// The striping options, if enabled (`threads` already resolved).
     pub fn striping(&self) -> Option<StripeOpts> {
         self.striping
     }
@@ -322,39 +320,10 @@ impl ReedSolomon {
     /// This operation does not currently fail; the `Result` mirrors
     /// [`ReedSolomon::decode`] for API symmetry.
     pub fn encode(&self, file: &[u8]) -> Result<EncodedFile, CodingError> {
-        self.encode_impl(file, self.striping)
-    }
-
-    /// Encodes a file with explicitly striped, multi-threaded parity
-    /// computation (regardless of the code's automatic-striping setting).
-    ///
-    /// The object's chunk length is partitioned into stripes of
-    /// `opts.stripe_len` bytes and the parity rows of each stripe are
-    /// encoded concurrently on a scoped thread pool writing disjoint
-    /// sub-slices of the final chunk buffers — no per-stripe allocation and
-    /// no reassembly copy. The result is byte-identical to
-    /// [`ReedSolomon::encode`].
-    ///
-    /// # Errors
-    ///
-    /// See [`ReedSolomon::encode`].
-    pub fn encode_striped(
-        &self,
-        file: &[u8],
-        opts: StripeOpts,
-    ) -> Result<EncodedFile, CodingError> {
-        self.encode_impl(file, Some(opts))
-    }
-
-    fn encode_impl(
-        &self,
-        file: &[u8],
-        striping: Option<StripeOpts>,
-    ) -> Result<EncodedFile, CodingError> {
         let (data_chunks, chunk_len) = stripe::split(file, self.params.k());
         let data_refs: Vec<&[u8]> = data_chunks.iter().map(Vec::as_slice).collect();
         // Parity rows first (they read every data chunk) ...
-        let parity = self.parity_chunks(&data_refs, chunk_len, striping);
+        let parity = self.parity_chunks(&data_refs, chunk_len);
         // ... then the data chunks are moved into the systematic prefix.
         let mut chunks: Vec<Chunk> = data_chunks
             .into_iter()
@@ -383,7 +352,7 @@ impl ReedSolomon {
         let original_len = file.len();
         let chunk_len = stripe::chunk_len(original_len, k);
         file.resize(k * chunk_len, 0);
-        let parity = self.parity_chunks(&stripe::views(&file, k), chunk_len, self.striping);
+        let parity = self.parity_chunks(&stripe::views(&file, k), chunk_len);
         let mut chunks = row_views(Bytes::from(file), 0, k, chunk_len);
         chunks.extend(parity);
         Ok(EncodedFile {
@@ -395,60 +364,27 @@ impl ReedSolomon {
 
     /// The `n - k` parity chunks of the given data chunks, coded into one
     /// buffer that every parity chunk views.
-    fn parity_chunks(
-        &self,
-        data: &[&[u8]],
-        chunk_len: usize,
-        striping: Option<StripeOpts>,
-    ) -> Vec<Chunk> {
+    fn parity_chunks(&self, data: &[&[u8]], chunk_len: usize) -> Vec<Chunk> {
         let (k, n) = (self.params.k(), self.params.n());
         let rows: Vec<usize> = (k..n).collect();
         let mut parity = vec![0u8; rows.len() * chunk_len];
         if chunk_len > 0 {
             let mut outs: Vec<&mut [u8]> = parity.chunks_mut(chunk_len).collect();
-            match striping {
-                Some(opts) => self.encode_rows_striped_into(data, &rows, &mut outs, opts),
-                None => self.encode_rows_into(data, &rows, &mut outs),
-            }
+            self.encode_rows_into(data, &rows, &mut outs);
         }
         row_views(Bytes::from(parity), k, rows.len(), chunk_len)
-    }
-
-    /// Encodes the listed generator rows against already-split data chunks.
-    ///
-    /// This is the primitive used both for storage chunks (rows `0..n`) and
-    /// functional cache chunks (rows `n..n+d`). Allocates one payload per
-    /// row; the zero-copy variant is [`ReedSolomon::encode_rows_into`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if `data_chunks.len() != k`, the chunks have unequal lengths,
-    /// or a row index exceeds `n + k`.
-    pub fn encode_rows(&self, data_chunks: &[Vec<u8>], rows: &[usize]) -> Vec<Vec<u8>> {
-        let data_refs: Vec<&[u8]> = data_chunks.iter().map(Vec::as_slice).collect();
-        self.encode_rows_from(&data_refs, rows)
-    }
-
-    /// [`ReedSolomon::encode_rows`] over borrowed data chunks (e.g. views
-    /// of one decoded buffer): one fresh payload per row.
-    pub(crate) fn encode_rows_from(&self, data_chunks: &[&[u8]], rows: &[usize]) -> Vec<Vec<u8>> {
-        let chunk_len = data_chunks.first().map_or(0, |c| c.len());
-        let mut payloads: Vec<Vec<u8>> = rows.iter().map(|_| vec![0u8; chunk_len]).collect();
-        let mut outs: Vec<&mut [u8]> = payloads.iter_mut().map(Vec::as_mut_slice).collect();
-        match self.striping {
-            Some(opts) => self.encode_rows_striped_into(data_chunks, rows, &mut outs, opts),
-            None => self.encode_rows_into(data_chunks, rows, &mut outs),
-        }
-        payloads
     }
 
     /// Encodes the listed generator rows into caller-provided output
     /// buffers, allocating nothing.
     ///
-    /// Each output buffer is fully overwritten (callers do not need to zero
-    /// it). Per-coefficient multiplication tables are the process-wide lazy
-    /// tables from [`sprout_gf::MulTable`], so a stripe of calls with the
-    /// same generator rows reuses them with no per-call setup.
+    /// This is the primitive behind storage chunks (rows `0..n`) and
+    /// functional cache chunks (rows `n..n + d`), and it stripes as the
+    /// codec's [`ReedSolomon::with_striping`] setting says. Each output
+    /// buffer is fully overwritten (callers do not need to zero it). Per-coefficient
+    /// multiplication tables are the process-wide lazy tables from
+    /// [`sprout_gf::MulTable`], so a stripe of calls with the same generator
+    /// rows reuses them with no per-call setup.
     ///
     /// # Panics
     ///
@@ -473,14 +409,7 @@ impl ReedSolomon {
             rows.len(),
             "expected one output buffer per row"
         );
-        let coeffs = self.row_coeffs(rows, outputs, chunk_len);
-        kernel::dot_slices(self.kernel, &coeffs, data_chunks, outputs);
-    }
-
-    /// The generator coefficients of `rows`, row-major, after checking each
-    /// row index and output length.
-    fn row_coeffs(&self, rows: &[usize], outputs: &[&mut [u8]], chunk_len: usize) -> Vec<Gf256> {
-        for (&row, out) in rows.iter().zip(outputs) {
+        for (&row, out) in rows.iter().zip(outputs.iter()) {
             assert!(
                 row < self.params.extended_rows(),
                 "generator row {row} out of range"
@@ -491,60 +420,31 @@ impl ReedSolomon {
                 "output buffer length must equal the chunk length"
             );
         }
-        rows.iter()
+        let coeffs: Vec<Gf256> = rows
+            .iter()
             .flat_map(|&row| self.generator.row(row))
             .copied()
-            .collect()
+            .collect();
+        self.dot(&coeffs, data_chunks, outputs);
     }
 
-    /// The striped, multi-threaded variant of
-    /// [`ReedSolomon::encode_rows_into`]: the chunk length is partitioned
-    /// into `opts.stripe_len`-byte stripes, and each stripe's slice of every
-    /// output row is encoded concurrently on a scoped thread pool.
-    ///
-    /// Stripes are disjoint byte ranges of caller-provided buffers, so
-    /// nothing is allocated per stripe and the result is byte-identical to
-    /// the single-pass variant for any thread count. Objects that produce at
-    /// most one stripe (or `opts` resolving to one worker) run inline.
-    ///
-    /// # Panics
-    ///
-    /// As [`ReedSolomon::encode_rows_into`].
-    pub fn encode_rows_striped_into(
-        &self,
-        data_chunks: &[&[u8]],
-        rows: &[usize],
-        outputs: &mut [&mut [u8]],
-        opts: StripeOpts,
-    ) {
-        let chunk_len = data_chunks.first().map_or(0, |c| c.len());
+    /// `outputs[i] = Σ_j coeffs[i · srcs.len() + j] · srcs[j]` over
+    /// equal-length, already checked slices: the one place coding work meets
+    /// the striping setting. At most one stripe (or one thread) runs inline;
+    /// otherwise every output is carved along the stripe ranges and the
+    /// stripes are coded on a scoped pool. Stripes are disjoint byte ranges
+    /// written in place, so the bytes do not depend on the setting.
+    fn dot(&self, coeffs: &[Gf256], srcs: &[&[u8]], outputs: &mut [&mut [u8]]) {
+        let chunk_len = srcs.first().map_or(0, |s| s.len());
+        let opts = match self.striping {
+            Some(opts) if chunk_len > opts.stripe_len && opts.threads > 1 => opts,
+            _ => return kernel::dot_slices(self.kernel, coeffs, srcs, outputs),
+        };
         let ranges = stripe::stripe_ranges(chunk_len, opts.stripe_len);
-        let workers = opts.effective_threads().min(ranges.len()).max(1);
-        if workers == 1 {
-            self.encode_rows_into(data_chunks, rows, outputs);
-            return;
-        }
-        // Same contract checks as the single-pass variant (it is not called
-        // here, so they must run up front — before buffers are carved).
-        assert_eq!(
-            data_chunks.len(),
-            self.params.k(),
-            "expected exactly k data chunks"
-        );
-        assert!(
-            data_chunks.iter().all(|c| c.len() == chunk_len),
-            "all data chunks must have the same length"
-        );
-        assert_eq!(
-            outputs.len(),
-            rows.len(),
-            "expected one output buffer per row"
-        );
-        let coeffs = self.row_coeffs(rows, outputs, chunk_len);
         let tasks = striped::carve(outputs, &ranges);
-        striped::run_tasks(tasks, workers, |range, outs| {
-            let srcs: Vec<&[u8]> = data_chunks.iter().map(|d| &d[range.clone()]).collect();
-            kernel::dot_slices(self.kernel, &coeffs, &srcs, outs);
+        striped::run_tasks(tasks, opts.threads, |range, outs| {
+            let srcs: Vec<&[u8]> = srcs.iter().map(|s| &s[range.clone()]).collect();
+            kernel::dot_slices(self.kernel, coeffs, &srcs, outs);
         });
     }
 
@@ -562,7 +462,7 @@ impl ReedSolomon {
     /// * [`CodingError::InvalidFileLength`] if `original_len` exceeds `k * chunk_len`.
     pub fn decode(&self, chunks: &[Chunk], original_len: usize) -> Result<Vec<u8>, CodingError> {
         let mut out = Vec::new();
-        self.decode_impl(chunks, original_len, self.striping, &mut out)?;
+        self.decode_into(chunks, original_len, &mut out)?;
         Ok(out)
     }
 
@@ -582,38 +482,6 @@ impl ReedSolomon {
         chunks: &[Chunk],
         original_len: usize,
         out: &mut Vec<u8>,
-    ) -> Result<(), CodingError> {
-        self.decode_impl(chunks, original_len, self.striping, out)
-    }
-
-    /// Decodes with explicitly striped, multi-threaded reconstruction
-    /// (regardless of the code's automatic-striping setting).
-    ///
-    /// The inverse decode matrix is computed (or memo-served) once; the
-    /// chunk length is then partitioned into `opts.stripe_len`-byte stripes
-    /// reconstructed concurrently into disjoint sub-slices of the flat
-    /// output buffer. Byte-identical to [`ReedSolomon::decode`].
-    ///
-    /// # Errors
-    ///
-    /// See [`ReedSolomon::decode`].
-    pub fn decode_striped(
-        &self,
-        chunks: &[Chunk],
-        original_len: usize,
-        opts: StripeOpts,
-    ) -> Result<Vec<u8>, CodingError> {
-        let mut out = Vec::new();
-        self.decode_impl(chunks, original_len, Some(opts), &mut out)?;
-        Ok(out)
-    }
-
-    fn decode_impl(
-        &self,
-        chunks: &[Chunk],
-        original_len: usize,
-        striping: Option<StripeOpts>,
-        flat: &mut Vec<u8>,
     ) -> Result<(), CodingError> {
         let k = self.params.k();
         let max = self.params.extended_rows();
@@ -678,32 +546,17 @@ impl ReedSolomon {
         // fresh zeroed (calloc'd) allocation, which is cheaper than growing
         // and zeroing it.
         let len = k * chunk_len;
-        if flat.capacity() < len {
-            *flat = vec![0u8; len];
+        if out.capacity() < len {
+            *out = vec![0u8; len];
         } else {
-            flat.resize(len, 0);
+            out.resize(len, 0);
         }
         if chunk_len > 0 {
             let srcs: Vec<&[u8]> = selected.iter().map(|c| c.data.as_ref()).collect();
-            let mut data_slices: Vec<&mut [u8]> = flat.chunks_mut(chunk_len).collect();
-            let ranges = striping
-                .map(|opts| stripe::stripe_ranges(chunk_len, opts.stripe_len))
-                .unwrap_or_default();
-            let workers =
-                striping.map_or(1, |opts| opts.effective_threads().min(ranges.len()).max(1));
-            if workers > 1 {
-                // Striped: carve each logical data chunk of the flat buffer
-                // along the stripe ranges and reconstruct stripes concurrently.
-                let tasks = striped::carve(&mut data_slices, &ranges);
-                striped::run_tasks(tasks, workers, |range, outs| {
-                    let srcs: Vec<&[u8]> = srcs.iter().map(|s| &s[range.clone()]).collect();
-                    kernel::dot_slices(self.kernel, inv.as_slice(), &srcs, outs);
-                });
-            } else {
-                kernel::dot_slices(self.kernel, inv.as_slice(), &srcs, &mut data_slices);
-            }
+            let mut data_slices: Vec<&mut [u8]> = out.chunks_mut(chunk_len).collect();
+            self.dot(inv.as_slice(), &srcs, &mut data_slices);
         }
-        flat.truncate(original_len);
+        out.truncate(original_len);
         Ok(())
     }
 
@@ -732,23 +585,6 @@ impl ReedSolomon {
         Ok(inverse)
     }
 
-    /// Produces a single coded chunk for the given generator row from a raw file.
-    ///
-    /// The reference that the rows of [`ReedSolomon::encode`] are tested
-    /// against.
-    #[cfg(test)]
-    pub(crate) fn encode_row_from_file(&self, file: &[u8], row: usize) -> Chunk {
-        use crate::chunk::ChunkSource;
-        let (data_chunks, _) = stripe::split(file, self.params.k());
-        let payload = self.encode_rows(&data_chunks, &[row]).remove(0);
-        let source = if row < self.params.n() {
-            ChunkSource::Storage
-        } else {
-            ChunkSource::Cache
-        };
-        Chunk::new(ChunkId { index: row, source }, Bytes::from(payload))
-    }
-
     /// Verifies that a set of chunks is consistent with a single codeword,
     /// i.e. decoding from one `k`-subset and re-encoding reproduces all the
     /// supplied chunks.
@@ -763,9 +599,10 @@ impl ReedSolomon {
         }
         let chunk_len = chunks[0].len();
         let file = self.decode(chunks, self.params.k() * chunk_len)?;
-        let (data_chunks, _) = stripe::split(&file, self.params.k());
+        let data_chunks = stripe::views(&file, self.params.k());
+        let mut expect = vec![0u8; chunk_len];
         for chunk in chunks {
-            let expect = self.encode_rows(&data_chunks, &[chunk.id.index]).remove(0);
+            self.encode_rows_into(&data_chunks, &[chunk.id.index], &mut [&mut expect]);
             if expect != chunk.data.as_ref() {
                 return Ok(false);
             }
@@ -945,17 +782,32 @@ mod tests {
         assert!(rs.verify(&[]).unwrap());
     }
 
+    /// A single coded chunk for generator row `row` of a raw file: the
+    /// reference the rows of [`ReedSolomon::encode`] are tested against.
+    fn encode_row_from_file(rs: &ReedSolomon, file: &[u8], row: usize) -> Chunk {
+        let (data_chunks, chunk_len) = stripe::split(file, rs.params().k());
+        let data_refs: Vec<&[u8]> = data_chunks.iter().map(Vec::as_slice).collect();
+        let mut payload = vec![0u8; chunk_len];
+        rs.encode_rows_into(&data_refs, &[row], &mut [&mut payload]);
+        let source = if row < rs.params().n() {
+            ChunkSource::Storage
+        } else {
+            ChunkSource::Cache
+        };
+        Chunk::new(ChunkId { index: row, source }, payload)
+    }
+
     #[test]
     fn encode_row_from_file_matches_encode() {
         let rs = ReedSolomon::new(CodeParams::new(7, 4).unwrap()).unwrap();
         let file = sample_file(77);
         let encoded = rs.encode(&file).unwrap();
         for row in 0..7 {
-            let chunk = rs.encode_row_from_file(&file, row);
+            let chunk = encode_row_from_file(&rs, &file, row);
             assert_eq!(chunk.data, encoded.chunks()[row].data);
             assert_eq!(chunk.id.source, ChunkSource::Storage);
         }
-        let cache_chunk = rs.encode_row_from_file(&file, 8);
+        let cache_chunk = encode_row_from_file(&rs, &file, 8);
         assert_eq!(cache_chunk.id.source, ChunkSource::Cache);
     }
 
@@ -1045,18 +897,40 @@ mod tests {
     }
 
     #[test]
-    fn encode_rows_into_matches_encode_rows() {
+    fn encode_rows_into_matches_encode_and_cache_chunks() {
         let rs = ReedSolomon::new(CodeParams::new(7, 4).unwrap()).unwrap();
         let file = sample_file(301);
         let (data_chunks, chunk_len) = stripe::split(&file, 4);
+        // Storage rows 0, 3, 6 and cache row 9 (the third cache chunk).
         let rows = vec![0usize, 3, 6, 9];
-        let want = rs.encode_rows(&data_chunks, &rows);
+        let encoded = rs.encode(&file).unwrap();
+        let cached = rs.cache_chunks(&file, 3).unwrap();
+        let want: Vec<&[u8]> = [
+            &encoded.chunks()[0],
+            &encoded.chunks()[3],
+            &encoded.chunks()[6],
+            &cached[2],
+        ]
+        .iter()
+        .map(|c| c.data.as_ref())
+        .collect();
         let data_refs: Vec<&[u8]> = data_chunks.iter().map(Vec::as_slice).collect();
         // Dirty buffers: encode_rows_into must fully overwrite them.
         let mut bufs = vec![vec![0xEEu8; chunk_len]; rows.len()];
         let mut outs: Vec<&mut [u8]> = bufs.iter_mut().map(Vec::as_mut_slice).collect();
         rs.encode_rows_into(&data_refs, &rows, &mut outs);
         assert_eq!(bufs, want);
+    }
+
+    #[test]
+    fn with_striping_resolves_the_thread_budget_once() {
+        let rs = ReedSolomon::new(CodeParams::new(7, 4).unwrap())
+            .unwrap()
+            .with_striping(Some(StripeOpts::default()));
+        assert!(rs.striping().unwrap().threads >= 1);
+        let pinned = rs.with_striping(Some(StripeOpts::new(8, 3)));
+        assert_eq!(pinned.striping(), Some(StripeOpts::new(8, 3)));
+        assert_eq!(pinned.with_striping(None).striping(), None);
     }
 
     #[test]

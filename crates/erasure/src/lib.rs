@@ -3,23 +3,26 @@
 //! This crate implements the coding layer of the Sprout system:
 //!
 //! * [`CodeParams`] — validated `(n, k)` code parameters.
-//! * [`ReedSolomon`] — a systematic `(n, k)` MDS code built from an
-//!   `(n + k, k)` generator, so that up to `k` additional *functional cache*
-//!   chunks can be produced without changing the chunks already stored on the
-//!   storage nodes (exactly the construction described in §III of the paper).
-//! * [`FunctionalCacheCodec`] — produces the `d` cached chunks for a file and
-//!   decodes a file from any `k` chunks drawn from storage *and* cache.
+//! * [`ReedSolomon`] — the one codec: a systematic `(n, k)` MDS code built
+//!   from an `(n + k, k)` generator, so that up to `k` additional
+//!   *functional cache* chunks ([`ReedSolomon::cache_chunks`]) can be
+//!   produced without changing the chunks already stored on the storage
+//!   nodes (exactly the construction described in §III of the paper), and
+//!   a file decodes from any `k` chunks drawn from storage *and* cache.
+//!   Striping large objects over threads is one codec setting,
+//!   [`ReedSolomon::with_striping`] ([`StripeOpts`]).
+//!   [`FunctionalCacheCodec`] is an alias of it.
 //! * [`stripe`] — splitting a file (byte buffer) into `k` equal-size data
 //!   chunks with padding, and re-assembling it.
 //!
 //! # Example: the paper's (6, 5) illustration
 //!
 //! ```
-//! use sprout_erasure::{CodeParams, FunctionalCacheCodec};
+//! use sprout_erasure::{CodeParams, ReedSolomon};
 //!
 //! // A file using a (6, 5) MDS code, with a cache that holds d = 2 chunks.
 //! let params = CodeParams::new(6, 5).unwrap();
-//! let codec = FunctionalCacheCodec::new(params).unwrap();
+//! let codec = ReedSolomon::new(params).unwrap();
 //! let file = b"hello functional caching world!".to_vec();
 //!
 //! let encoded = codec.encode(&file).unwrap();

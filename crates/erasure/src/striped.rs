@@ -15,9 +15,9 @@
 //!
 //! Determinism is structural: stripes are disjoint byte ranges written in
 //! place, so the result is identical for any worker count or scheduling
-//! order — "reassembly" is the identity. The differential property tests in
-//! `tests/striped_properties.rs` prove striped outputs byte-identical to
-//! the single-pass paths.
+//! order — "reassembly" is the identity. The differential property test in
+//! `tests/striped_properties.rs` proves a striped codec byte-identical to
+//! an unstriped one.
 
 use std::ops::Range;
 
@@ -28,9 +28,10 @@ pub struct StripeOpts {
     /// better load balance; larger stripes amortize dispatch. The default
     /// (64 KiB) keeps a stripe's working set (k + parity buffers) inside L2.
     pub stripe_len: usize,
-    /// Maximum worker threads; `0` means [`std::thread::available_parallelism`].
-    /// Coding never spawns more workers than there are stripes, and a
-    /// single-stripe or single-thread call runs inline with no pool at all.
+    /// Maximum worker threads; `0` means [`std::thread::available_parallelism`],
+    /// resolved once when a codec takes the options. Coding never spawns
+    /// more workers than there are stripes, and a single-stripe or
+    /// single-thread call runs inline with no pool at all.
     pub threads: usize,
 }
 
@@ -57,16 +58,15 @@ impl StripeOpts {
         }
     }
 
-    /// The resolved worker budget: `threads`, or the machine's available
-    /// parallelism when `threads == 0`.
-    pub(crate) fn effective_threads(&self) -> usize {
+    /// These options with `threads: 0` replaced by the machine's available
+    /// parallelism (which reads cgroup files, so it is asked once per codec,
+    /// not once per call).
+    pub(crate) fn resolved(self) -> Self {
         if self.threads > 0 {
-            self.threads
-        } else {
-            std::thread::available_parallelism()
-                .map(std::num::NonZeroUsize::get)
-                .unwrap_or(1)
+            return self;
         }
+        let threads = std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
+        StripeOpts { threads, ..self }
     }
 }
 
@@ -154,8 +154,8 @@ mod tests {
     fn default_opts_are_sane() {
         let opts = StripeOpts::default();
         assert_eq!(opts.stripe_len, 64 * 1024);
-        assert!(opts.effective_threads() >= 1);
-        assert_eq!(StripeOpts::new(8, 3).effective_threads(), 3);
+        assert!(opts.resolved().threads >= 1);
+        assert_eq!(StripeOpts::new(8, 3).resolved(), StripeOpts::new(8, 3));
     }
 
     #[test]

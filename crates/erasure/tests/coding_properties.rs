@@ -4,7 +4,7 @@
 use proptest::prelude::*;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
-use sprout_erasure::{Chunk, CodeParams, FunctionalCacheCodec, Kernel, ReedSolomon};
+use sprout_erasure::{Chunk, CodeParams, Kernel, ReedSolomon};
 
 /// Strategy producing valid (n, k) pairs small enough for exhaustive checks.
 fn params() -> impl Strategy<Value = (usize, usize)> {
@@ -37,7 +37,7 @@ proptest! {
         seed in any::<u64>(),
     ) {
         let d = d.min(k);
-        let codec = FunctionalCacheCodec::new(CodeParams::new(n, k).unwrap()).unwrap();
+        let codec = ReedSolomon::new(CodeParams::new(n, k).unwrap()).unwrap();
         let stored = codec.encode(&file).unwrap();
         let cached = codec.cache_chunks(&file, d).unwrap();
         prop_assert_eq!(cached.len(), d);
@@ -86,7 +86,7 @@ proptest! {
         // slice kernel (the word kernel is differentially tested against the
         // scalar reference end to end, not just per-slice).
         let d = d.min(k);
-        let reference = FunctionalCacheCodec::with_kernel(
+        let reference = ReedSolomon::with_kernel(
             CodeParams::new(n, k).unwrap(),
             Kernel::Scalar,
         ).unwrap();
@@ -101,7 +101,7 @@ proptest! {
         let want_decoded = reference.decode(&have, file.len()).unwrap();
         prop_assert_eq!(&want_decoded, &file);
 
-        let codec = FunctionalCacheCodec::with_kernel(
+        let codec = ReedSolomon::with_kernel(
             CodeParams::new(n, k).unwrap(),
             Kernel::Word,
         ).unwrap();
@@ -119,7 +119,7 @@ proptest! {
         // distinct generator rows so payloads differ from every storage chunk
         // (except for degenerate all-equal data, excluded by prop_assume).
         prop_assume!(file.windows(2).any(|w| w[0] != w[1]));
-        let codec = FunctionalCacheCodec::new(CodeParams::new(7, 4).unwrap()).unwrap();
+        let codec = ReedSolomon::new(CodeParams::new(7, 4).unwrap()).unwrap();
         let stored = codec.encode(&file).unwrap();
         let cached = codec.cache_chunks(&file, 4).unwrap();
         for c in &cached {

@@ -1,11 +1,12 @@
 //! Differential property tests for striped (multi-threaded) coding and for
 //! `encode_rows_into` edge cases.
 //!
-//! The striped paths must be **byte-identical** to the single-pass paths —
-//! which are themselves proven byte-identical to the scalar reference in
-//! `coding_properties.rs` — for:
+//! Striping is one codec setting, `ReedSolomon::with_striping`. A codec with
+//! it on must be **byte-identical** to one with it off — which is itself
+//! proven byte-identical to the scalar reference in `coding_properties.rs` —
+//! on every coding entry point, for:
 //!
-//! * every kernel (scalar, table, word, simd);
+//! * every kernel (scalar, word, simd);
 //! * `k` from 1 to 8 data chunks with `n = k + 3`, so every source count the
 //!   fused SIMD dot product takes is covered beside the (7, 4) code;
 //! * arbitrary file lengths, including 0, lengths below `k`, and lengths
@@ -13,110 +14,77 @@
 //!   SIMD block;
 //! * stripe lengths from 1 byte (every stripe is a kernel tail) up to
 //!   larger than the chunk (striping degenerates to a single pass);
-//! * any worker-thread count.
+//! * any worker-thread count, including `0` (the machine's parallelism).
 
 use proptest::prelude::*;
-use sprout_erasure::{Chunk, CodeParams, FunctionalCacheCodec, Kernel, ReedSolomon, StripeOpts};
+use sprout_erasure::{stripe, Chunk, CodeParams, Kernel, ReedSolomon, StripeOpts};
 
 fn sample_file(len: usize) -> Vec<u8> {
     (0..len).map(|i| (i * 131 + 7) as u8).collect()
 }
 
+fn code(k: usize, kernel: Kernel) -> ReedSolomon {
+    ReedSolomon::with_kernel(CodeParams::new(k + 3, k).unwrap(), kernel).unwrap()
+}
+
+/// `rows` of `codec` coded into dirty buffers (every byte must be written).
+fn rows_into(
+    codec: &ReedSolomon,
+    data: &[&[u8]],
+    rows: &[usize],
+    chunk_len: usize,
+) -> Vec<Vec<u8>> {
+    let mut bufs = vec![vec![0xEEu8; chunk_len]; rows.len()];
+    let mut outs: Vec<&mut [u8]> = bufs.iter_mut().map(Vec::as_mut_slice).collect();
+    codec.encode_rows_into(data, rows, &mut outs);
+    bufs
+}
+
 proptest! {
     #[test]
-    fn encode_striped_is_byte_identical(
-        len in 0usize..2048,
-        stripe_len in 1usize..300,
-        threads in 1usize..5,
-        kernel_idx in 0usize..Kernel::ALL.len(),
-        k in 1usize..=8,
-    ) {
-        let kernel = Kernel::ALL[kernel_idx];
-        let rs = ReedSolomon::with_kernel(CodeParams::new(k + 3, k).unwrap(), kernel).unwrap();
-        let file = sample_file(len);
-        let want = rs.encode(&file).unwrap();
-        let got = rs.encode_striped(&file, StripeOpts::new(stripe_len, threads)).unwrap();
-        prop_assert_eq!(got, want, "kernel {} stripe {} threads {}", kernel, stripe_len, threads);
-    }
-
-    #[test]
-    fn decode_striped_is_byte_identical(
-        len in 0usize..2048,
-        stripe_len in 1usize..300,
-        threads in 1usize..5,
-        skip in 0usize..4,
-        kernel_idx in 0usize..Kernel::ALL.len(),
-        k in 1usize..=8,
-    ) {
-        let kernel = Kernel::ALL[kernel_idx];
-        let rs = ReedSolomon::with_kernel(CodeParams::new(k + 3, k).unwrap(), kernel).unwrap();
-        let file = sample_file(len);
-        let encoded = rs.encode(&file).unwrap();
-        // A sliding k-subset that includes parity rows, so real GF work runs.
-        let subset: Vec<Chunk> = encoded.chunks().iter().skip(skip).take(k).cloned().collect();
-        let want = rs.decode(&subset, len).unwrap();
-        let opts = StripeOpts::new(stripe_len, threads);
-        let got = rs.decode_striped(&subset, len, opts).unwrap();
-        prop_assert_eq!(&got, &want);
-        prop_assert_eq!(&got, &file, "decode_striped must recover the file");
-    }
-
-    #[test]
-    fn encode_rows_striped_into_matches_single_pass(
-        chunk_len in 0usize..700,
-        stripe_len in 1usize..130,
-        threads in 1usize..5,
-        kernel_idx in 0usize..Kernel::ALL.len(),
-        k in 1usize..=8,
-    ) {
-        let kernel = Kernel::ALL[kernel_idx];
-        let rs = ReedSolomon::with_kernel(CodeParams::new(k + 3, k).unwrap(), kernel).unwrap();
-        let data: Vec<Vec<u8>> = (0..k)
-            .map(|j| (0..chunk_len).map(|i| (i * 31 + j * 17 + 3) as u8).collect())
-            .collect();
-        let data_refs: Vec<&[u8]> = data.iter().map(Vec::as_slice).collect();
-        // Parity and cache rows: a systematic row would be a plain copy.
-        let rows = vec![k, k + 2, 2 * k + 2];
-
-        let mut want = vec![vec![0u8; chunk_len]; rows.len()];
-        {
-            let mut outs: Vec<&mut [u8]> = want.iter_mut().map(Vec::as_mut_slice).collect();
-            rs.encode_rows_into(&data_refs, &rows, &mut outs);
-        }
-        // Dirty buffers: the striped variant must fully overwrite them.
-        let mut got = vec![vec![0xEEu8; chunk_len]; rows.len()];
-        {
-            let mut outs: Vec<&mut [u8]> = got.iter_mut().map(Vec::as_mut_slice).collect();
-            rs.encode_rows_striped_into(&data_refs, &rows, &mut outs, StripeOpts::new(stripe_len, threads));
-        }
-        prop_assert_eq!(got, want);
-    }
-
-    #[test]
     fn auto_striping_is_invisible_in_the_bytes(
-        len in 0usize..4096,
-        stripe_len in 1usize..600,
+        len in 0usize..2048,
+        stripe_len in 1usize..300,
+        threads in 0usize..5,
+        skip in 0usize..4,
+        d_seed in 0usize..9,
+        kernel_idx in 0usize..Kernel::ALL.len(),
+        k in 1usize..=8,
     ) {
-        // A codec with automatic striping enabled must produce exactly the
-        // bytes of one without, end to end (encode -> cache -> decode).
-        let params = CodeParams::new(7, 4).unwrap();
-        let plain = FunctionalCacheCodec::new(params).unwrap();
-        let striped = FunctionalCacheCodec::new(params)
-            .unwrap()
-            .with_striping(Some(StripeOpts::new(stripe_len, 4)));
+        let kernel = Kernel::ALL[kernel_idx];
+        let plain = code(k, kernel).with_striping(None);
+        let striped = code(k, kernel).with_striping(Some(StripeOpts::new(stripe_len, threads)));
         let file = sample_file(len);
+        let d = d_seed % (k + 1);
+
+        // encode and encode_owned.
         let want = plain.encode(&file).unwrap();
-        let got = striped.encode(&file).unwrap();
-        prop_assert_eq!(&got, &want);
+        prop_assert_eq!(&striped.encode(&file).unwrap(), &want);
+        prop_assert_eq!(&striped.encode_owned(file.clone()).unwrap(), &want);
+
+        // encode_rows_into: parity and cache rows (a systematic row would
+        // be a plain copy), into dirty buffers.
+        let (split, chunk_len) = stripe::split(&file, k);
+        let split: Vec<&[u8]> = split.iter().map(Vec::as_slice).collect();
+        let rows = [k, k + 2, 2 * k + 2];
         prop_assert_eq!(
-            striped.cache_chunks(&file, 2).unwrap(),
-            plain.cache_chunks(&file, 2).unwrap()
+            rows_into(&striped, &split, &rows, chunk_len),
+            rows_into(&plain, &split, &rows, chunk_len)
         );
-        let subset: Vec<Chunk> = got.chunks().iter().skip(3).take(4).cloned().collect();
-        prop_assert_eq!(
-            striped.decode(&subset, len).unwrap(),
-            plain.decode(&subset, len).unwrap()
-        );
+
+        // decode and decode_into a dirty reused buffer, from a sliding
+        // k-subset that includes parity rows, so real GF work runs.
+        let subset: Vec<Chunk> = want.chunks().iter().skip(skip).take(k).cloned().collect();
+        prop_assert_eq!(&plain.decode(&subset, len).unwrap(), &file);
+        prop_assert_eq!(&striped.decode(&subset, len).unwrap(), &file);
+        let mut reused = vec![0xA5u8; len + 7];
+        striped.decode_into(&subset, len, &mut reused).unwrap();
+        prop_assert_eq!(&reused, &file);
+
+        // cache_chunks and cache_chunks_from_chunks.
+        let cached = plain.cache_chunks(&file, d).unwrap();
+        prop_assert_eq!(&striped.cache_chunks(&file, d).unwrap(), &cached);
+        prop_assert_eq!(&striped.cache_chunks_from_chunks(&subset, d).unwrap(), &cached);
     }
 }
 
@@ -162,21 +130,16 @@ fn encode_rows_into_edge_cases_on_every_kernel() {
 fn tiny_objects_round_trip_on_every_kernel() {
     for kernel in Kernel::ALL {
         let rs = ReedSolomon::with_kernel(CodeParams::new(7, 4).unwrap(), kernel).unwrap();
+        let encoder = rs.clone().with_striping(Some(StripeOpts::new(3, 4)));
+        let decoder = rs.clone().with_striping(Some(StripeOpts::new(2, 3)));
         // len < k means chunk_len 1 with padding; len 0 means empty chunks.
         for len in [0usize, 1, 2, 3] {
             let file = sample_file(len);
-            for encoded in [
-                rs.encode(&file).unwrap(),
-                rs.encode_striped(&file, StripeOpts::new(3, 4)).unwrap(),
-            ] {
+            for encoded in [rs.encode(&file).unwrap(), encoder.encode(&file).unwrap()] {
                 assert_eq!(encoded.original_len(), len, "kernel {kernel} len {len}");
                 let subset: Vec<Chunk> = encoded.chunks()[3..7].to_vec();
                 assert_eq!(rs.decode(&subset, len).unwrap(), file);
-                assert_eq!(
-                    rs.decode_striped(&subset, len, StripeOpts::new(2, 3))
-                        .unwrap(),
-                    file
-                );
+                assert_eq!(decoder.decode(&subset, len).unwrap(), file);
             }
         }
     }
@@ -186,13 +149,14 @@ fn tiny_objects_round_trip_on_every_kernel() {
 /// path (one miss, then hits — the elimination is never re-run per stripe).
 #[test]
 fn striped_decode_shares_the_matrix_memo() {
-    let rs = ReedSolomon::new(CodeParams::new(7, 4).unwrap()).unwrap();
+    let rs = ReedSolomon::new(CodeParams::new(7, 4).unwrap())
+        .unwrap()
+        .with_striping(Some(StripeOpts::new(256, 4)));
     let file = sample_file(4096);
     let encoded = rs.encode(&file).unwrap();
     let subset: Vec<Chunk> = encoded.chunks()[2..6].to_vec();
-    let opts = StripeOpts::new(256, 4);
     for _ in 0..3 {
-        assert_eq!(rs.decode_striped(&subset, file.len(), opts).unwrap(), file);
+        assert_eq!(rs.decode(&subset, file.len()).unwrap(), file);
     }
     let (hits, misses) = rs.decode_memo_stats();
     assert_eq!((hits, misses), (2, 1));
