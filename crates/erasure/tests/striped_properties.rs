@@ -17,7 +17,7 @@
 //! * any worker-thread count, including `0` (the machine's parallelism).
 
 use proptest::prelude::*;
-use sprout_erasure::{stripe, Chunk, CodeParams, Kernel, ReedSolomon, StripeOpts};
+use sprout_erasure::{Chunk, CodeParams, Kernel, ReedSolomon, StripeOpts};
 
 fn sample_file(len: usize) -> Vec<u8> {
     (0..len).map(|i| (i * 131 + 7) as u8).collect()
@@ -40,7 +40,79 @@ fn rows_into(
     bufs
 }
 
+/// A codec with striping off and one with `stripe_len`/`threads` striping.
+fn codecs(
+    k: usize,
+    kernel_idx: usize,
+    stripe_len: usize,
+    threads: usize,
+) -> (ReedSolomon, ReedSolomon) {
+    let kernel = Kernel::ALL[kernel_idx];
+    let plain = code(k, kernel).with_striping(None);
+    let striped = code(k, kernel).with_striping(Some(StripeOpts::new(stripe_len, threads)));
+    (plain, striped)
+}
+
 proptest! {
+    #[test]
+    fn encode_striped_is_byte_identical(
+        len in 0usize..2048,
+        stripe_len in 1usize..300,
+        threads in 0usize..5,
+        kernel_idx in 0usize..Kernel::ALL.len(),
+        k in 1usize..=8,
+    ) {
+        let (plain, striped) = codecs(k, kernel_idx, stripe_len, threads);
+        let file = sample_file(len);
+        let want = plain.encode(&file).unwrap();
+        prop_assert_eq!(&striped.encode(&file).unwrap(), &want);
+        prop_assert_eq!(&striped.encode_owned(file.clone()).unwrap(), &want);
+    }
+
+    #[test]
+    fn decode_striped_is_byte_identical(
+        len in 0usize..2048,
+        stripe_len in 1usize..300,
+        threads in 0usize..5,
+        skip in 0usize..4,
+        kernel_idx in 0usize..Kernel::ALL.len(),
+        k in 1usize..=8,
+    ) {
+        let (plain, striped) = codecs(k, kernel_idx, stripe_len, threads);
+        let file = sample_file(len);
+        let encoded = plain.encode(&file).unwrap();
+        // A sliding k-subset that includes parity rows, so real GF work runs.
+        let subset: Vec<Chunk> = encoded.chunks().iter().skip(skip).take(k).cloned().collect();
+        let want = plain.decode(&subset, len).unwrap();
+        prop_assert_eq!(&want, &file);
+        prop_assert_eq!(&striped.decode(&subset, len).unwrap(), &want);
+        // decode_into a dirty reused buffer.
+        let mut reused = vec![0xA5u8; len + 7];
+        striped.decode_into(&subset, len, &mut reused).unwrap();
+        prop_assert_eq!(&reused, &file);
+    }
+
+    #[test]
+    fn encode_rows_striped_into_matches_single_pass(
+        chunk_len in 0usize..700,
+        stripe_len in 1usize..130,
+        threads in 0usize..5,
+        kernel_idx in 0usize..Kernel::ALL.len(),
+        k in 1usize..=8,
+    ) {
+        let (plain, striped) = codecs(k, kernel_idx, stripe_len, threads);
+        let data: Vec<Vec<u8>> = (0..k)
+            .map(|j| (0..chunk_len).map(|i| (i * 31 + j * 17 + 3) as u8).collect())
+            .collect();
+        let data_refs: Vec<&[u8]> = data.iter().map(Vec::as_slice).collect();
+        // Parity and cache rows: a systematic row would be a plain copy.
+        let rows = [k, k + 2, 2 * k + 2];
+        prop_assert_eq!(
+            rows_into(&striped, &data_refs, &rows, chunk_len),
+            rows_into(&plain, &data_refs, &rows, chunk_len)
+        );
+    }
+
     #[test]
     fn auto_striping_is_invisible_in_the_bytes(
         len in 0usize..2048,
@@ -51,40 +123,17 @@ proptest! {
         kernel_idx in 0usize..Kernel::ALL.len(),
         k in 1usize..=8,
     ) {
-        let kernel = Kernel::ALL[kernel_idx];
-        let plain = code(k, kernel).with_striping(None);
-        let striped = code(k, kernel).with_striping(Some(StripeOpts::new(stripe_len, threads)));
+        // End to end (encode -> cache -> decode): the cache-chunk paths of
+        // a striped codec, from the file and from a k-subset of chunks.
+        let (plain, striped) = codecs(k, kernel_idx, stripe_len, threads);
         let file = sample_file(len);
         let d = d_seed % (k + 1);
-
-        // encode and encode_owned.
-        let want = plain.encode(&file).unwrap();
-        prop_assert_eq!(&striped.encode(&file).unwrap(), &want);
-        prop_assert_eq!(&striped.encode_owned(file.clone()).unwrap(), &want);
-
-        // encode_rows_into: parity and cache rows (a systematic row would
-        // be a plain copy), into dirty buffers.
-        let (split, chunk_len) = stripe::split(&file, k);
-        let split: Vec<&[u8]> = split.iter().map(Vec::as_slice).collect();
-        let rows = [k, k + 2, 2 * k + 2];
-        prop_assert_eq!(
-            rows_into(&striped, &split, &rows, chunk_len),
-            rows_into(&plain, &split, &rows, chunk_len)
-        );
-
-        // decode and decode_into a dirty reused buffer, from a sliding
-        // k-subset that includes parity rows, so real GF work runs.
-        let subset: Vec<Chunk> = want.chunks().iter().skip(skip).take(k).cloned().collect();
-        prop_assert_eq!(&plain.decode(&subset, len).unwrap(), &file);
-        prop_assert_eq!(&striped.decode(&subset, len).unwrap(), &file);
-        let mut reused = vec![0xA5u8; len + 7];
-        striped.decode_into(&subset, len, &mut reused).unwrap();
-        prop_assert_eq!(&reused, &file);
-
-        // cache_chunks and cache_chunks_from_chunks.
+        let encoded = striped.encode(&file).unwrap();
+        let subset: Vec<Chunk> = encoded.chunks().iter().skip(skip).take(k).cloned().collect();
         let cached = plain.cache_chunks(&file, d).unwrap();
         prop_assert_eq!(&striped.cache_chunks(&file, d).unwrap(), &cached);
         prop_assert_eq!(&striped.cache_chunks_from_chunks(&subset, d).unwrap(), &cached);
+        prop_assert_eq!(&striped.decode(&subset, len).unwrap(), &file);
     }
 }
 
