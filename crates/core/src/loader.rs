@@ -425,52 +425,15 @@ impl RunSpec {
     ///
     /// # Errors
     ///
-    /// Build errors and invalid axes or load points are
-    /// [`LoadError::Invalid`] (checked here so a loadable file cannot trip a
-    /// builder panic); trace read or parse failures are [`LoadError::Io`] /
-    /// [`LoadError::Parse`].
+    /// Build errors and axes or counts that break a sweep rule (checked here
+    /// so a loadable file fails at load, not at run) are
+    /// [`LoadError::Invalid`]; trace read or parse failures are
+    /// [`LoadError::Io`] / [`LoadError::Parse`].
     pub fn to_sweep(&self, quick: bool) -> Result<SimSweep, LoadError> {
         let (system, scenario) = self.realize()?;
         let config = self.sim.config(system.spec().seed, quick)?;
         let mut sweep = SimSweep::new(&self.name, &system, config).scenarios(vec![scenario]);
         if let Some(knobs) = &self.sweep {
-            let invalid = |msg: String| LoadError::Invalid(SproutError::InvalidSpec(msg));
-            for (axis, empty) in [
-                (
-                    "policies",
-                    knobs.policies.as_ref().is_some_and(Vec::is_empty),
-                ),
-                (
-                    "cache_sizes",
-                    knobs.cache_sizes.as_ref().is_some_and(Vec::is_empty),
-                ),
-                (
-                    "load_points",
-                    knobs.load_points.as_ref().is_some_and(Vec::is_empty),
-                ),
-                (
-                    "backends",
-                    knobs.backends.as_ref().is_some_and(Vec::is_empty),
-                ),
-                (
-                    "placements",
-                    knobs.placements.as_ref().is_some_and(Vec::is_empty),
-                ),
-            ] {
-                if empty {
-                    return Err(invalid(format!("sweep axis '{axis}' must not be empty")));
-                }
-            }
-            if let Some(points) = &knobs.load_points {
-                if points.iter().any(|p| !p.is_finite() || *p < 0.0) {
-                    return Err(invalid(
-                        "sweep load points must be finite and non-negative".into(),
-                    ));
-                }
-            }
-            if knobs.replications == Some(0) || knobs.byte_replications == Some(0) {
-                return Err(invalid("sweep replications must be positive".into()));
-            }
             if let Some(policies) = &knobs.policies {
                 sweep = sweep.policies(policies.clone());
             }
@@ -493,15 +456,15 @@ impl RunSpec {
                 sweep = sweep.byte_replications(reps);
             }
             if let Some(mb) = knobs.byte_object_mb {
-                if mb == 0 {
-                    return Err(invalid("byte_object_mb must be positive".into()));
-                }
                 let bytes = mb.checked_mul(MB).ok_or_else(|| {
-                    invalid(format!("byte_object_mb = {mb} overflows a byte count"))
+                    SproutError::InvalidSpec(format!(
+                        "byte_object_mb = {mb} overflows a byte count"
+                    ))
                 })?;
                 sweep = sweep.byte_object_bytes(bytes);
             }
         }
+        sweep.check()?;
         Ok(sweep)
     }
 }

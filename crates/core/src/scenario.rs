@@ -89,17 +89,20 @@ impl ScenarioSpec {
         self
     }
 
-    /// Lowers the description onto a system run under `policy`: validates
-    /// indices, tracks the arrival rates in force, and turns every
-    /// [`ScenarioActionSpec::Reoptimize`] into a plan swap of `policy`'s kind
-    /// computed by Algorithm 1. An unplanned policy has nothing to re-plan,
-    /// so its `Reoptimize` points compile to no event.
+    /// Lowers the description onto a system run under `policy`: checks each
+    /// lowered action with [`ScenarioAction::check`], tracks the arrival
+    /// rates in force, and turns every [`ScenarioActionSpec::Reoptimize`]
+    /// into a plan swap of `policy`'s kind computed by Algorithm 1. An
+    /// unplanned policy has nothing to re-plan, so its `Reoptimize` points
+    /// compile to no event.
     ///
     /// # Errors
     ///
-    /// Returns [`SproutError::InvalidSpec`] for out-of-range nodes or
-    /// mis-sized rate vectors, and propagates optimizer errors from
-    /// re-optimization points.
+    /// Returns [`SproutError::InvalidSpec`] for an event time or a
+    /// `ScaleRates` factor that is not finite and non-negative, or an action
+    /// that breaks [`ScenarioAction::check`] (out-of-range nodes or files,
+    /// mis-sized rate vectors, rates that are not finite and non-negative),
+    /// and propagates optimizer errors from re-optimization points.
     pub fn compile(
         &self,
         system: &SproutSystem,
@@ -108,18 +111,18 @@ impl ScenarioSpec {
     ) -> Result<Scenario, SproutError> {
         let num_nodes = system.spec().node_services.len();
         let num_files = system.spec().files.len();
+        let invalid = |message: String| {
+            SproutError::InvalidSpec(format!("scenario '{}': {message}", self.name))
+        };
         for event in &self.events {
-            if event.at.is_nan() || event.at < 0.0 {
-                return Err(SproutError::InvalidSpec(format!(
-                    "scenario '{}' has an event at invalid time {}",
-                    self.name, event.at
-                )));
+            if !event.at.is_finite() || event.at < 0.0 {
+                return Err(invalid(format!("event at invalid time {}", event.at)));
             }
         }
         let mut ordered: Vec<&ScenarioEventSpec> = self.events.iter().collect();
         ordered.sort_by(|a, b| {
             a.at.partial_cmp(&b.at)
-                .expect("times were checked against NaN above")
+                .expect("times were checked to be finite above")
         });
 
         let mut rates: Vec<f64> = system.spec().files.iter().map(|f| f.arrival_rate).collect();
@@ -127,78 +130,21 @@ impl ScenarioSpec {
         let mut compiled = Vec::with_capacity(ordered.len());
         for event in ordered {
             let action = match &event.action {
-                ScenarioActionSpec::NodeDown { node } => {
-                    if *node >= num_nodes {
-                        return Err(SproutError::InvalidSpec(format!(
-                            "scenario '{}' fails node {node} but the system has {num_nodes}",
-                            self.name
-                        )));
-                    }
-                    down.insert(*node);
-                    ScenarioAction::NodeDown { node: *node }
-                }
-                ScenarioActionSpec::NodeUp { node } => {
-                    if *node >= num_nodes {
-                        return Err(SproutError::InvalidSpec(format!(
-                            "scenario '{}' recovers node {node} but the system has {num_nodes}",
-                            self.name
-                        )));
-                    }
-                    down.remove(node);
-                    ScenarioAction::NodeUp { node: *node }
-                }
-                ScenarioActionSpec::SetRates { rates: next } => {
-                    if next.len() != num_files {
-                        return Err(SproutError::InvalidSpec(format!(
-                            "scenario '{}' sets {} rates but the system has {num_files} files",
-                            self.name,
-                            next.len()
-                        )));
-                    }
-                    // Loadable input must error here, not panic later in
-                    // Scenario::validate.
-                    if next.iter().any(|r| r.is_nan() || *r < 0.0) {
-                        return Err(SproutError::InvalidSpec(format!(
-                            "scenario '{}' sets a negative or NaN arrival rate",
-                            self.name
-                        )));
-                    }
-                    rates.clone_from(next);
-                    ScenarioAction::SetRates {
-                        rates: next.clone(),
-                    }
-                }
-                ScenarioActionSpec::SetFileRate { file, rate } => {
-                    if *file >= num_files {
-                        return Err(SproutError::InvalidSpec(format!(
-                            "scenario '{}' sets the rate of file {file} but the system has {num_files} files",
-                            self.name
-                        )));
-                    }
-                    if rate.is_nan() || *rate < 0.0 {
-                        return Err(SproutError::InvalidSpec(format!(
-                            "scenario '{}' sets a negative or NaN arrival rate",
-                            self.name
-                        )));
-                    }
-                    rates[*file] = *rate;
-                    ScenarioAction::SetFileRate {
-                        file: *file,
-                        rate: *rate,
-                    }
-                }
+                ScenarioActionSpec::NodeDown { node } => ScenarioAction::NodeDown { node: *node },
+                ScenarioActionSpec::NodeUp { node } => ScenarioAction::NodeUp { node: *node },
+                ScenarioActionSpec::SetRates { rates } => ScenarioAction::SetRates {
+                    rates: rates.clone(),
+                },
+                ScenarioActionSpec::SetFileRate { file, rate } => ScenarioAction::SetFileRate {
+                    file: *file,
+                    rate: *rate,
+                },
                 ScenarioActionSpec::ScaleRates { factor } => {
                     if !factor.is_finite() || *factor < 0.0 {
-                        return Err(SproutError::InvalidSpec(format!(
-                            "scenario '{}' scales rates by invalid factor {factor}",
-                            self.name
-                        )));
-                    }
-                    for r in &mut rates {
-                        *r *= factor;
+                        return Err(invalid(format!("scales rates by invalid factor {factor}")));
                     }
                     ScenarioAction::SetRates {
-                        rates: rates.clone(),
+                        rates: rates.iter().map(|r| r * factor).collect(),
                     }
                 }
                 ScenarioActionSpec::Reoptimize if !policy.is_planned() => continue,
@@ -213,6 +159,20 @@ impl ScenarioSpec {
                     ScenarioAction::SwapScheme { scheme }
                 }
             };
+            // Checked before the tracked state moves, so nothing indexes out
+            // of range and no re-plan sees a rejected rate.
+            action.check(num_nodes, num_files).map_err(invalid)?;
+            match &action {
+                ScenarioAction::NodeDown { node } => {
+                    down.insert(*node);
+                }
+                ScenarioAction::NodeUp { node } => {
+                    down.remove(node);
+                }
+                ScenarioAction::SetRates { rates: next } => rates.clone_from(next),
+                ScenarioAction::SetFileRate { file, rate } => rates[*file] = *rate,
+                ScenarioAction::SwapScheme { .. } => {}
+            }
             compiled.push(sprout_sim::ScenarioEvent {
                 at: event.at,
                 action,
@@ -360,13 +320,16 @@ mod tests {
             compile(&bad_time, &sys),
             Err(SproutError::InvalidSpec(_))
         ));
-        let nan_time = ScenarioSpec::named("w").at(f64::NAN, ScenarioActionSpec::Reoptimize);
-        assert!(matches!(
-            compile(&nan_time, &sys),
-            Err(SproutError::InvalidSpec(_))
-        ));
-        // Negative or NaN rates must also error rather than panic downstream.
-        for bad in [-0.1, f64::NAN] {
+        for at in [f64::NAN, f64::INFINITY] {
+            let bad_time = ScenarioSpec::named("w").at(at, ScenarioActionSpec::Reoptimize);
+            assert!(matches!(
+                compile(&bad_time, &sys),
+                Err(SproutError::InvalidSpec(_))
+            ));
+        }
+        // Negative, NaN or infinite rates must also error rather than panic
+        // or stall the clock downstream.
+        for bad in [-0.1, f64::NAN, f64::INFINITY] {
             let bad_rate = ScenarioSpec::named("v").at(
                 1.0,
                 ScenarioActionSpec::SetRates {
@@ -377,6 +340,21 @@ mod tests {
                 compile(&bad_rate, &sys),
                 Err(SproutError::InvalidSpec(_))
             ));
+            let bad_file_rate = ScenarioSpec::named("u")
+                .at(1.0, ScenarioActionSpec::SetFileRate { file: 2, rate: bad })
+                .at(2.0, ScenarioActionSpec::Reoptimize);
+            assert!(matches!(
+                compile(&bad_file_rate, &sys),
+                Err(SproutError::InvalidSpec(_))
+            ));
         }
+        // A finite factor can still overflow a tracked rate to infinity.
+        let overflow = ScenarioSpec::named("t")
+            .at(1.0, ScenarioActionSpec::ScaleRates { factor: 1e308 })
+            .at(2.0, ScenarioActionSpec::ScaleRates { factor: 1e308 });
+        assert!(matches!(
+            compile(&overflow, &sys),
+            Err(SproutError::InvalidSpec(_))
+        ));
     }
 }

@@ -114,52 +114,32 @@ impl SimSweep {
         }
     }
 
-    /// Sets the scenario axis.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `scenarios` is empty or two scenarios share a name.
+    /// Sets the scenario axis (scenario names are its labels).
     pub fn scenarios(mut self, scenarios: Vec<ScenarioSpec>) -> Self {
-        assert!(!scenarios.is_empty(), "scenario axis must not be empty");
-        for (i, s) in scenarios.iter().enumerate() {
-            assert!(
-                scenarios[..i].iter().all(|o| o.name != s.name),
-                "duplicate scenario name '{}' on the axis",
-                s.name
-            );
-        }
         self.scenarios = scenarios;
         self
     }
 
     /// Sets the cache-policy axis.
     pub fn policies(mut self, policies: Vec<CachePolicy>) -> Self {
-        assert!(!policies.is_empty(), "policy axis must not be empty");
         self.policies = policies;
         self
     }
 
     /// Sets the cache-size axis (capacity in chunks).
     pub fn cache_sizes(mut self, sizes: Vec<usize>) -> Self {
-        assert!(!sizes.is_empty(), "cache-size axis must not be empty");
         self.cache_sizes = sizes;
         self
     }
 
     /// Sets the load axis: each point multiplies every file's arrival rate.
     pub fn load_points(mut self, points: Vec<f64>) -> Self {
-        assert!(!points.is_empty(), "load axis must not be empty");
-        assert!(
-            points.iter().all(|p| p.is_finite() && *p >= 0.0),
-            "load points must be finite and non-negative"
-        );
         self.load_points = points;
         self
     }
 
     /// Sets the backend axis.
     pub fn backends(mut self, backends: Vec<SweepBackend>) -> Self {
-        assert!(!backends.is_empty(), "backend axis must not be empty");
         self.backends = backends;
         self
     }
@@ -169,26 +149,13 @@ impl SimSweep {
     /// analytic rebalance cost (`rebalance_*` metrics). Configuring this
     /// axis changes every cell's coordinate-derived seed, so it is opt-in;
     /// sweeps without it are byte-identical to earlier releases.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `placements` is empty or two choices share a label.
     pub fn placements(mut self, placements: Vec<PlacementChoice>) -> Self {
-        assert!(!placements.is_empty(), "placement axis must not be empty");
-        for (i, p) in placements.iter().enumerate() {
-            assert!(
-                placements[..i].iter().all(|o| o.label() != p.label()),
-                "duplicate placement label '{}' on the axis",
-                p.label()
-            );
-        }
         self.placements = Some(placements);
         self
     }
 
     /// Sets the replications per cell.
     pub fn replications(mut self, replications: usize) -> Self {
-        assert!(replications > 0, "replications must be positive");
         self.replications = replications;
         self
     }
@@ -196,7 +163,6 @@ impl SimSweep {
     /// Overrides the replication count of byte-backend cells (they cost far
     /// more than analytic ones).
     pub fn byte_replications(mut self, replications: usize) -> Self {
-        assert!(replications > 0, "replications must be positive");
         self.byte_replications = Some(replications);
         self
     }
@@ -205,7 +171,6 @@ impl SimSweep {
     /// (plans, placements and scheduling are size-independent, so shrinking
     /// payloads keeps the byte leg affordable at paper shapes).
     pub fn byte_object_bytes(mut self, bytes: u64) -> Self {
-        assert!(bytes > 0, "byte objects must be non-empty");
         self.byte_object_bytes = Some(bytes);
         self
     }
@@ -217,10 +182,28 @@ impl SimSweep {
         self
     }
 
+    /// Checks the axes and counts: every grid rule of
+    /// [`SweepGrid::check`] on the labels the grid carries (so load points
+    /// `1.0` and `1.00` collide as `"1"`), load points finite and
+    /// non-negative, and positive byte-cell replications and byte sizes.
+    pub(crate) fn check(&self) -> Result<(), SproutError> {
+        let invalid = |msg: &str| Err(SproutError::InvalidSpec(msg.into()));
+        if self.load_points.iter().any(|p| !p.is_finite() || *p < 0.0) {
+            return invalid("load points must be finite and non-negative");
+        }
+        if self.byte_replications == Some(0) {
+            return invalid("byte replications must be positive");
+        }
+        if self.byte_object_bytes == Some(0) {
+            return invalid("byte objects must be non-empty");
+        }
+        self.grid().check().map_err(SproutError::InvalidSpec)
+    }
+
     /// The sweep grid: axes `scenario`, (`placement` when configured),
     /// `policy`, `cache_chunks`, `load`, `backend`, in that order, seeded
     /// from the config seed.
-    pub fn grid(&self) -> SweepGrid {
+    pub(crate) fn grid(&self) -> SweepGrid {
         let mut grid = SweepGrid::named(&self.name, self.config.seed)
             .axis("scenario", self.scenarios.iter().map(|s| s.name.clone()));
         if let Some(placements) = &self.placements {
@@ -239,6 +222,11 @@ impl SimSweep {
     /// The grid's cells with byte-replication overrides applied. Filter this
     /// list (e.g. to skip invalid scenario/backend combinations) and pass it
     /// to [`SimSweep::run_cells`].
+    ///
+    /// # Panics
+    ///
+    /// Panics if an axis breaks a rule of [`SweepGrid::check`]; the `run*`
+    /// methods return that as an error instead.
     pub fn cells(&self) -> Vec<SweepCell> {
         let mut cells = self.grid().cells();
         if let Some(byte_reps) = self.byte_replications {
@@ -255,11 +243,14 @@ impl SimSweep {
     ///
     /// # Errors
     ///
-    /// Propagates the first cell-setup error (invalid rescaled spec, an
-    /// unstable system under optimization, a scenario that does not compile,
-    /// or a byte-backend cell with a policy the byte store cannot model).
+    /// Returns [`SproutError::InvalidSpec`] for an axis or count that
+    /// breaks a rule (an empty axis, two values with one label, a negative
+    /// load point, zero replications), and propagates the first cell-setup
+    /// error (invalid rescaled spec, an unstable system under optimization, a
+    /// scenario that does not compile, or a byte-backend cell with a policy
+    /// the byte store cannot model).
     pub fn run(&self, threads: usize) -> Result<SweepReport, SproutError> {
-        self.run_cells(self.cells(), threads)
+        Ok(self.run_timed(threads)?.0)
     }
 
     /// Like [`SimSweep::run`], additionally returning the wall-clock
@@ -270,6 +261,7 @@ impl SimSweep {
     ///
     /// See [`SimSweep::run`].
     pub fn run_timed(&self, threads: usize) -> Result<(SweepReport, SweepTimings), SproutError> {
+        self.check()?;
         self.run_cells_timed(self.cells(), threads)
     }
 
@@ -297,6 +289,7 @@ impl SimSweep {
         cells: Vec<SweepCell>,
         threads: usize,
     ) -> Result<(SweepReport, SweepTimings), SproutError> {
+        self.check()?;
         let grid = self.grid();
         // Contexts are keyed by full-grid cell index so filtered subsets
         // resolve without remapping; each is built at most once, by whichever
@@ -699,6 +692,66 @@ mod tests {
                 .scenarios(vec![ScenarioSpec::named("broken")
                     .at(1.0, ScenarioActionSpec::NodeDown { node: 99 })]);
         assert!(matches!(bad.run(2), Err(SproutError::InvalidSpec(_))));
+    }
+
+    #[test]
+    fn every_bad_axis_is_an_invalid_spec_error_not_a_panic() {
+        let system = small_system();
+        let base = || SimSweep::new("bad_axes", &system, SimConfig::new(100.0, 1));
+        let bad: Vec<(&str, SimSweep)> = vec![
+            ("no scenarios", base().scenarios(vec![])),
+            (
+                "two scenarios with one name",
+                base().scenarios(vec![ScenarioSpec::named("s"), ScenarioSpec::named("s")]),
+            ),
+            ("no policies", base().policies(vec![])),
+            (
+                "duplicate policy",
+                base().policies(vec![CachePolicy::None, CachePolicy::None]),
+            ),
+            ("no cache sizes", base().cache_sizes(vec![])),
+            ("duplicate cache size", base().cache_sizes(vec![2, 2])),
+            ("no load points", base().load_points(vec![])),
+            (
+                "load points with one label",
+                base().load_points(vec![1.0, 1.00]),
+            ),
+            ("negative load point", base().load_points(vec![-0.5])),
+            ("NaN load point", base().load_points(vec![f64::NAN])),
+            (
+                "infinite load point",
+                base().load_points(vec![f64::INFINITY]),
+            ),
+            ("no backends", base().backends(vec![])),
+            (
+                "duplicate backend",
+                base().backends(vec![SweepBackend::Byte, SweepBackend::Byte]),
+            ),
+            ("no placements", base().placements(vec![])),
+            (
+                "duplicate placement",
+                base().placements(vec![
+                    PlacementChoice::TwoChoices,
+                    PlacementChoice::TwoChoices,
+                ]),
+            ),
+            ("zero replications", base().replications(0)),
+            ("zero byte replications", base().byte_replications(0)),
+            ("empty byte objects", base().byte_object_bytes(0)),
+        ];
+        for (label, sweep) in bad {
+            let run = std::panic::catch_unwind(|| sweep.run(1))
+                .unwrap_or_else(|_| panic!("{label}: run panicked"));
+            assert!(
+                matches!(run, Err(SproutError::InvalidSpec(_))),
+                "{label}: {run:?}"
+            );
+            assert!(matches!(
+                sweep.run_cells(Vec::new(), 1),
+                Err(SproutError::InvalidSpec(_))
+            ));
+        }
+        assert!(base().run(1).is_ok());
     }
 
     #[test]

@@ -60,7 +60,7 @@ use crate::config::SimConfig;
 use crate::event::EventQueue;
 use crate::metrics::{order_key, summarize_per_file, LatencySummary, SlotCounts};
 use crate::policy::{CacheScheme, SchedulingRule};
-use crate::scenario::{Scenario, ScenarioAction};
+use crate::scenario::{check_rate, Scenario, ScenarioAction};
 use crate::scheduler::{uniform_sample_into, SystematicTable};
 
 /// A file as seen by the simulator: its arrival rate, code dimension `k` and
@@ -183,8 +183,9 @@ impl Simulation {
     ///
     /// # Panics
     ///
-    /// Panics if a file references a node out of range, has `k = 0`, or is
-    /// hosted on fewer than `k` nodes.
+    /// Panics if a file references a node out of range, has `k = 0`, is
+    /// hosted on fewer than `k` nodes, or has an arrival rate that is not
+    /// finite and non-negative.
     pub fn new(
         nodes: Vec<ServiceDistribution>,
         files: Vec<SimFile>,
@@ -201,6 +202,9 @@ impl Simulation {
                 f.placement.iter().all(|&n| n < nodes.len()),
                 "file {i} references a node out of range"
             );
+            if let Err(message) = check_rate(f.arrival_rate) {
+                panic!("file {i}: {message}");
+            }
         }
         scheme.validate(&files);
         Simulation {
@@ -216,7 +220,9 @@ impl Simulation {
     ///
     /// # Panics
     ///
-    /// Panics if the scenario references nodes or files out of range.
+    /// Panics if an action breaks [`ScenarioAction::check`] (nodes or files
+    /// out of range, a mis-sized rate vector, a rate that is not finite and
+    /// non-negative) or a swapped-in scheme does not fit the files.
     pub fn with_scenario(mut self, scenario: Scenario) -> Self {
         scenario.validate(self.nodes.len(), &self.files);
         self.scenario = scenario;
@@ -1215,6 +1221,17 @@ mod tests {
             vec![SimFile::new(0.1, 3, vec![0, 1])],
             CacheScheme::NoCache,
             SimConfig::new(10.0, 0),
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "file 0: arrival rate inf is not finite")]
+    fn infinite_arrival_rate_panics_instead_of_stalling_the_clock() {
+        let _ = Simulation::new(
+            nodes(3, 1.0),
+            vec![SimFile::new(f64::INFINITY, 1, vec![0, 1])],
+            CacheScheme::NoCache,
+            SimConfig::new(10.0, 1),
         );
     }
 

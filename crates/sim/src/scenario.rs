@@ -51,6 +51,62 @@ pub enum ScenarioAction {
     },
 }
 
+impl ScenarioAction {
+    /// Checks the action against a system of `num_nodes` nodes and
+    /// `num_files` files: node and file indices in range, one rate per file,
+    /// and every rate finite and non-negative. A swapped-in scheme is checked
+    /// against the files by [`CacheScheme::validate`] instead.
+    ///
+    /// # Errors
+    ///
+    /// Returns the first broken rule as a message.
+    pub fn check(&self, num_nodes: usize, num_files: usize) -> Result<(), String> {
+        match self {
+            ScenarioAction::NodeDown { node } | ScenarioAction::NodeUp { node } => {
+                if *node >= num_nodes {
+                    return Err(format!(
+                        "scenario references node {node} but the system has {num_nodes}"
+                    ));
+                }
+            }
+            ScenarioAction::SetRates { rates } => {
+                if rates.len() != num_files {
+                    return Err(format!(
+                        "scenario rate vector covers {} files, system has {num_files}",
+                        rates.len()
+                    ));
+                }
+                for &rate in rates {
+                    check_rate(rate)?;
+                }
+            }
+            ScenarioAction::SetFileRate { file, rate } => {
+                if *file >= num_files {
+                    return Err(format!(
+                        "scenario references file {file} but the system has {num_files}"
+                    ));
+                }
+                check_rate(*rate)?;
+            }
+            ScenarioAction::SwapScheme { .. } => {}
+        }
+        Ok(())
+    }
+}
+
+/// The one rule for an arrival rate: finite and non-negative. An infinite
+/// rate would draw every arrival at the current time and never advance the
+/// clock.
+pub(crate) fn check_rate(rate: f64) -> Result<(), String> {
+    if rate.is_finite() && rate >= 0.0 {
+        Ok(())
+    } else {
+        Err(format!(
+            "arrival rate {rate} is not finite and non-negative"
+        ))
+    }
+}
+
 /// A timed scenario event.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ScenarioEvent {
@@ -139,38 +195,16 @@ impl Scenario {
     ///
     /// # Panics
     ///
-    /// Panics on out-of-range node or file indices, rate vectors of the wrong
-    /// length, negative rates, or a swapped-in scheme that fails
+    /// Panics with [`ScenarioAction::check`]'s message on the first action
+    /// that breaks its rule, or if a swapped-in scheme fails
     /// [`CacheScheme::validate`].
-    pub fn validate(&self, num_nodes: usize, files: &[SimFile]) {
-        let num_files = files.len();
+    pub(crate) fn validate(&self, num_nodes: usize, files: &[SimFile]) {
         for e in &self.events {
-            match &e.action {
-                ScenarioAction::NodeDown { node } | ScenarioAction::NodeUp { node } => {
-                    assert!(
-                        *node < num_nodes,
-                        "scenario references node {node} but the system has {num_nodes}"
-                    );
-                }
-                ScenarioAction::SetRates { rates } => {
-                    assert!(
-                        rates.len() == num_files,
-                        "scenario rate vector covers {} files, system has {num_files}",
-                        rates.len()
-                    );
-                    assert!(
-                        rates.iter().all(|r| *r >= 0.0),
-                        "scenario rates must be non-negative"
-                    );
-                }
-                ScenarioAction::SetFileRate { file, rate } => {
-                    assert!(
-                        *file < num_files,
-                        "scenario references file {file} but the system has {num_files}"
-                    );
-                    assert!(*rate >= 0.0, "scenario rates must be non-negative");
-                }
-                ScenarioAction::SwapScheme { scheme } => scheme.validate(files),
+            if let Err(message) = e.action.check(num_nodes, files.len()) {
+                panic!("{message}");
+            }
+            if let ScenarioAction::SwapScheme { scheme } = &e.action {
+                scheme.validate(files);
             }
         }
     }
@@ -243,6 +277,29 @@ mod tests {
         Scenario::default()
             .set_rates(1.0, vec![0.1])
             .validate(3, &files());
+    }
+
+    #[test]
+    fn check_rejects_rates_that_are_not_finite_and_non_negative() {
+        for bad in [-0.1, f64::NAN, f64::INFINITY] {
+            let set = ScenarioAction::SetRates {
+                rates: vec![0.1, bad],
+            };
+            let one = ScenarioAction::SetFileRate { file: 1, rate: bad };
+            for action in [set, one] {
+                let err = action.check(3, 2).expect_err("bad rate accepted");
+                assert!(err.contains("not finite and non-negative"), "{err}");
+            }
+        }
+        let bad_file = ScenarioAction::SetFileRate { file: 2, rate: 0.1 };
+        assert!(bad_file
+            .check(3, 2)
+            .unwrap_err()
+            .contains("references file"));
+        assert_eq!(
+            ScenarioAction::SetFileRate { file: 1, rate: 0.0 }.check(3, 2),
+            Ok(())
+        );
     }
 
     #[test]

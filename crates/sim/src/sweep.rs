@@ -538,40 +538,54 @@ impl SweepGrid {
         }
     }
 
-    /// Appends an axis.
-    ///
-    /// # Panics
-    ///
-    /// Panics on a duplicate axis name or an empty value list.
+    /// Appends an axis. [`SweepGrid::check`] states the rules the axes must
+    /// meet.
     pub fn axis<I, S>(mut self, name: impl Into<String>, values: I) -> Self
     where
         I: IntoIterator<Item = S>,
         S: Into<String>,
     {
-        let name = name.into();
-        assert!(
-            self.axes.iter().all(|a| a.name != name),
-            "duplicate sweep axis '{name}'"
-        );
-        let values: Vec<String> = values.into_iter().map(Into::into).collect();
-        assert!(!values.is_empty(), "sweep axis '{name}' has no values");
-        // Duplicate labels would collapse cell identity: coordinate-derived
-        // seeds would collide and JSON rows would become indistinguishable.
-        for (i, v) in values.iter().enumerate() {
-            assert!(
-                !values[..i].contains(v),
-                "duplicate value '{v}' on sweep axis '{name}'"
-            );
-        }
-        self.axes.push(Axis { name, values });
+        self.axes.push(Axis {
+            name: name.into(),
+            values: values.into_iter().map(Into::into).collect(),
+        });
         self
     }
 
     /// Sets the default replication count per cell (default 1).
     pub fn replications(mut self, replications: usize) -> Self {
-        assert!(replications > 0, "replications must be positive");
         self.replications = replications;
         self
+    }
+
+    /// Checks the grid: axis names are distinct, every axis has at least one
+    /// value, the values of an axis are distinct, and the replication count
+    /// is positive. Duplicate labels would collapse cell identity:
+    /// coordinate-derived seeds would collide and JSON rows would become
+    /// indistinguishable.
+    ///
+    /// # Errors
+    ///
+    /// Returns the first broken rule as a message.
+    pub fn check(&self) -> Result<(), String> {
+        for (a, axis) in self.axes.iter().enumerate() {
+            let name = &axis.name;
+            if self.axes[..a].iter().any(|o| o.name == *name) {
+                return Err(format!("duplicate sweep axis '{name}'"));
+            }
+            if axis.values.is_empty() {
+                return Err(format!("sweep axis '{name}' has no values"));
+            }
+            for (i, v) in axis.values.iter().enumerate() {
+                if axis.values[..i].contains(v) {
+                    return Err(format!("duplicate value '{v}' on sweep axis '{name}'"));
+                }
+            }
+        }
+        if self.replications == 0 {
+            return Err("replications must be positive".into());
+        }
+        Ok(())
     }
 
     /// The grid name.
@@ -589,9 +603,9 @@ impl SweepGrid {
         self.axes.iter().map(|a| a.values.len()).product()
     }
 
-    /// `true` when the grid has an axis with zero values — impossible by
-    /// construction, so only a grid built with no axes at all is a single
-    /// cell and never empty; kept for API completeness.
+    /// `true` when the grid has an axis with zero values, which
+    /// [`SweepGrid::check`] rejects. A grid with no axes at all is a single
+    /// cell, never empty.
     pub fn is_empty(&self) -> bool {
         self.len() == 0
     }
@@ -600,7 +614,14 @@ impl SweepGrid {
     /// axis varies fastest). Callers may filter the list or adjust per-cell
     /// `replications` before [`SweepGrid::run_cells`]; seeds stay attached to
     /// coordinates, so neither operation perturbs the surviving cells.
+    ///
+    /// # Panics
+    ///
+    /// Panics with [`SweepGrid::check`]'s message if the grid breaks a rule.
     pub fn cells(&self) -> Vec<SweepCell> {
+        if let Err(e) = self.check() {
+            panic!("{e}");
+        }
         let total = self.len();
         let mut cells = Vec::with_capacity(total);
         for index in 0..total {
@@ -1009,15 +1030,40 @@ mod tests {
     }
 
     #[test]
+    fn check_names_each_broken_rule() {
+        let ok = SweepGrid::named("g", 0).axis("a", ["1", "2"]);
+        assert_eq!(ok.check(), Ok(()));
+        let empty = SweepGrid::named("g", 0).axis("a", Vec::<String>::new());
+        assert_eq!(empty.check(), Err("sweep axis 'a' has no values".into()));
+        assert!(empty.is_empty());
+        let dup = ok.clone().axis("b", ["x", "x"]);
+        assert_eq!(
+            dup.check(),
+            Err("duplicate value 'x' on sweep axis 'b'".into())
+        );
+        let twice = ok.clone().axis("a", ["3"]);
+        assert_eq!(twice.check(), Err("duplicate sweep axis 'a'".into()));
+        assert_eq!(
+            ok.replications(0).check(),
+            Err("replications must be positive".into())
+        );
+    }
+
+    #[test]
     #[should_panic(expected = "duplicate sweep axis")]
     fn duplicate_axis_panics() {
-        let _ = SweepGrid::named("dup", 0).axis("a", ["1"]).axis("a", ["2"]);
+        let _ = SweepGrid::named("dup", 0)
+            .axis("a", ["1"])
+            .axis("a", ["2"])
+            .cells();
     }
 
     #[test]
     #[should_panic(expected = "duplicate value '1' on sweep axis 'a'")]
     fn duplicate_axis_value_panics() {
-        let _ = SweepGrid::named("dup", 0).axis("a", ["1", "2", "1"]);
+        let _ = SweepGrid::named("dup", 0)
+            .axis("a", ["1", "2", "1"])
+            .cells();
     }
 
     #[test]

@@ -40,7 +40,7 @@ fn twelve_cell_sweep() -> SimSweep {
 fn twelve_cell_grid_is_bit_identical_for_one_and_four_workers() {
     let sweep = twelve_cell_sweep();
     assert_eq!(
-        sweep.grid().len(),
+        sweep.cells().len(),
         12,
         "the guarantee covers a ≥12-cell grid"
     );
