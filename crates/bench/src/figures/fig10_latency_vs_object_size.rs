@@ -11,11 +11,11 @@
 //! Sweep grid: object size class × policy {functional, lru} × backend
 //! {analytic, byte}. The analytic cells carry the figure's latency numbers;
 //! the byte cells re-run each `(size, policy)` point on the real
-//! erasure-coded store — LRU promotions/evictions mirrored from the engine's
-//! tier, every completed request decoded and verified against the original
-//! payload. Byte-cell payloads are shrunk (plans, placements and hit/miss
-//! decisions are size-independent) so the integrity leg stays affordable at
-//! every size class. Artifact: `FIG_10.json` (+ non-diffed
+//! erasure-coded store — LRU hits decided by the engine's tier and read from
+//! the stored data rows, every completed request decoded and verified
+//! against the original payload. Byte-cell payloads are shrunk (plans,
+//! placements and hit/miss decisions are size-independent) so the integrity
+//! leg stays affordable at every size class. Artifact: `FIG_10.json` (+ non-diffed
 //! `FIG_10.timing.json`).
 
 use crate::{paper_scale, FigureCli};

@@ -7,8 +7,9 @@
 //!
 //! Sweep grid: aggregate rate × policy {functional, lru} × backend
 //! {analytic, byte}. Analytic cells carry the figure's latency numbers; byte
-//! cells re-run each point on the real erasure-coded store (engine-mirrored
-//! LRU tier, per-request decode verification) with shrunk payloads.
+//! cells re-run each point on the real erasure-coded store (LRU hits decided
+//! by the engine's tier, per-request decode verification) with shrunk
+//! payloads.
 //! Artifact: `FIG_11.json` (+ non-diffed `FIG_11.timing.json`).
 
 use crate::{paper_scale, FigureCli};

@@ -3,8 +3,9 @@
 //! Generates bounded random systems + event streams with
 //! [`sprout::ScenarioFuzzer`] and checks every engine invariant on each one:
 //! event-queue and in-flight high-water bounds (on the analytic and the
-//! byte run of each case), byte-backend/analytic agreement, decode verification of every completed
-//! request, and zero tier-mirror failures. Any violation prints the case
+//! byte run of each case), byte-backend/analytic agreement on every
+//! decision (LRU promotions and evictions included), and decode
+//! verification of every completed request. Any violation prints the case
 //! seed (replay it with `--seed <that seed> --iterations 1`) and exits
 //! non-zero.
 //!

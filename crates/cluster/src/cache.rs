@@ -152,22 +152,6 @@ impl Cache {
         admission
     }
 
-    /// Mirror of a promotion decided by an *external* tier (the simulation
-    /// engine's): installs the payload unconditionally, bypassing this
-    /// cache's own admission policy. See [`crate::tier`] for why the byte
-    /// path follows the engine's decisions instead of re-deciding.
-    pub(crate) fn mirror_promote(&mut self, object: u64, chunks: Vec<Chunk>) {
-        self.tier.mirror_insert(object, chunk_bytes(&chunks));
-        self.chunks.insert(object, chunks);
-    }
-
-    /// Mirror of an eviction decided by an external tier; returns whether the
-    /// object was resident.
-    pub(crate) fn mirror_evict(&mut self, object: u64) -> bool {
-        self.chunks.remove(&object);
-        self.tier.evict(object)
-    }
-
     /// Removes an object from the cache (management path, not counted as an
     /// eviction); returns whether it was resident.
     pub fn remove(&mut self, object: u64) -> bool {
@@ -268,8 +252,8 @@ mod tests {
         assert!(cache.peek(2).is_none(), "object 2 should have been evicted");
         assert!(cache.peek(1).is_some());
         assert!(cache.peek(3).is_some());
-        let resident = cache.tier.resident_objects();
-        assert_eq!(resident.last(), Some(&3));
+        // Object 3 is now the most recently used: the next victim is 1.
+        assert_eq!(cache.promote_lru(4, vec![chunk(0, 200)]).evicted, vec![1]);
     }
 
     #[test]
@@ -291,20 +275,6 @@ mod tests {
     }
 
     #[test]
-    fn mirror_ops_bypass_the_local_policy() {
-        let mut cache = Cache::new(CachePolicy::LruReplicated, 100);
-        // Too big for this cache's own policy, but the deciding tier said yes.
-        cache.mirror_promote(1, vec![chunk(0, 200)]);
-        assert_eq!(cache.peek(1).map_or(0, <[_]>::len), 1);
-        assert_eq!(cache.used_bytes(), 400, "bytes x replication");
-        assert_eq!(cache.stats().promotions, 1);
-        assert!(cache.mirror_evict(1));
-        assert!(!cache.mirror_evict(1));
-        assert_eq!(cache.used_bytes(), 0);
-        assert_eq!(cache.stats().evictions, 1);
-    }
-
-    #[test]
     fn cache_tier_trait_is_implemented_by_the_cache() {
         let mut cache = Cache::new(CachePolicy::LruReplicated, 1000);
         // A promotion that evicts drops the victim's payload too.
@@ -323,8 +293,9 @@ mod tests {
         assert!(cache.remove(1));
         assert!(!cache.remove(1));
         assert_eq!(cache.used_bytes(), 100);
+        assert_eq!(cache.stats().evictions, 0, "a removal is not an eviction");
         cache.clear();
         assert_eq!(cache.used_bytes(), 0);
-        assert!(cache.tier.resident_objects().is_empty());
+        assert!(cache.peek(2).is_none() && !cache.tier.contains(2));
     }
 }

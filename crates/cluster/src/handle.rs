@@ -624,36 +624,8 @@ impl StoreHandle {
         })
     }
 
-    /// Promotes a whole object into the cache tier *unconditionally* — the
-    /// mirror of an admission decided by an external
-    /// [`LruTier`](crate::LruTier) (the simulation engine's; see
-    /// [`crate::tier`]). The object's `k` data chunks are rebuilt from its
-    /// storage chunks (management path: no queueing or latency accounting)
-    /// and installed without consulting this cache's own admission policy.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ClusterError::UnknownObject`] for unknown objects and
-    /// propagates decode errors when too few chunks survive.
-    pub fn promote_object(&self, object: u64) -> Result<(), ClusterError> {
-        let meta = self
-            .meta_of(object)
-            .ok_or(ClusterError::UnknownObject(object))?;
-        let data = self.shared.codec.decode(&meta.chunks, meta.len)?;
-        let chunks = data_chunks_of(&data, self.shared.config.k);
-        self.cache().mirror_promote(object, chunks);
-        Ok(())
-    }
-
-    /// Evicts an object from the cache tier — the mirror of an eviction
-    /// decided by an external [`LruTier`](crate::LruTier). Returns
-    /// whether it was resident.
-    pub fn evict_cached(&self, object: u64) -> bool {
-        self.cache().mirror_evict(object)
-    }
-
-    /// Drops every cache entry (e.g. when a scenario swaps the cache scheme
-    /// mid-run and the tier restarts cold).
+    /// Drops every cache entry (e.g. when a plan swapped in mid-run cannot
+    /// be installed, so no object is served from a mix of plans).
     pub fn reset_cache(&self) {
         self.cache().clear();
     }

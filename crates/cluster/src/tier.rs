@@ -9,13 +9,13 @@
 //! engine — so the two paths could silently disagree on hit/miss decisions.
 //!
 //! [`LruTier`] is the one implementation (hit lookup, admission with LRU
-//! eviction, driven eviction, capacity accounting, replication). The
-//! simulation engine drives an `LruTier` directly (weights are chunk
-//! counts), the cluster's `Cache` delegates its byte accounting to an
-//! embedded `LruTier` (weights are payload bytes), and the byte-accurate `StoreBackend` *mirrors* the
-//! engine's admissions and evictions so both paths always agree on which
-//! objects are resident — the differential root test proves it request by
-//! request.
+//! eviction, capacity accounting, replication). The simulation engine
+//! drives an `LruTier` directly (weights are chunk counts) and the
+//! cluster's `Cache` delegates its byte accounting to an embedded `LruTier`
+//! (weights are payload bytes). A byte-accurate simulation keeps no second
+//! copy: the engine's tier decides every hit, and the byte-accurate
+//! `StoreBackend` settles each one from the object's stored data rows — the
+//! differential root test checks the decisions request by request.
 //!
 //! Weights are plain `u64`s: the unit (bytes, chunks) is the caller's choice
 //! and every comparison scales linearly with it, so two tiers fed the same
@@ -33,8 +33,7 @@ pub struct TierStats {
     pub misses: u64,
     /// Objects promoted (admitted) into the tier.
     pub promotions: u64,
-    /// Objects evicted — by LRU pressure during an admission or by a driven
-    /// [`LruTier::evict`] call.
+    /// Objects evicted by LRU pressure during an admission.
     pub evictions: u64,
 }
 
@@ -110,24 +109,6 @@ impl LruTier {
             },
         );
         true
-    }
-
-    /// Inserts an entry unconditionally (mirror of an admission decided by
-    /// another tier instance — the engine's). Capacity is *not* enforced:
-    /// residency is the deciding tier's call; this instance only keeps the
-    /// weight accounting honest. Counts a promotion.
-    pub(crate) fn mirror_insert(&mut self, object: u64, weight: u64) {
-        self.clock += 1;
-        let footprint = weight.saturating_mul(self.replication as u64);
-        let existing = self.entries.insert(
-            object,
-            TierEntry {
-                footprint,
-                last_access: self.clock,
-            },
-        );
-        self.used = self.used - existing.map_or(0, |e| e.footprint) + footprint;
-        self.stats.promotions += 1;
     }
 
     /// Removes an entry without counting an eviction (management delete).
@@ -242,26 +223,19 @@ impl LruTier {
         }
     }
 
-    /// Evicts `object` (driven eviction — a mirror of a decision made
-    /// elsewhere, or a management drop). Returns whether it was resident.
-    pub fn evict(&mut self, object: u64) -> bool {
-        if self.remove(object) {
-            self.stats.evictions += 1;
-            true
-        } else {
-            false
-        }
-    }
-
     /// Hit/miss/promotion/eviction counters.
     pub fn stats(&self) -> TierStats {
         self.stats
     }
+}
 
-    /// Resident objects, least recently used first.
-    #[cfg(test)]
-    pub(crate) fn resident_objects(&self) -> Vec<u64> {
-        let mut ids: Vec<(u64, u64)> = self
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// Resident objects of `tier`, least recently used first.
+    fn resident_objects(tier: &LruTier) -> Vec<u64> {
+        let mut ids: Vec<(u64, u64)> = tier
             .entries
             .iter()
             .map(|(&id, e)| (e.last_access, id))
@@ -269,11 +243,6 @@ impl LruTier {
         ids.sort_unstable();
         ids.into_iter().map(|(_, id)| id).collect()
     }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
 
     #[test]
     fn admit_touch_and_lru_eviction_order() {
@@ -287,7 +256,7 @@ mod tests {
         assert!(adm.admitted);
         assert_eq!(adm.evicted, vec![2]);
         assert!(tier.contains(1) && tier.contains(3) && !tier.contains(2));
-        assert_eq!(tier.resident_objects(), vec![1, 3]);
+        assert_eq!(resident_objects(&tier), vec![1, 3]);
         let stats = tier.stats();
         assert_eq!(stats.hits, 1);
         assert_eq!(stats.promotions, 3);
@@ -327,7 +296,7 @@ mod tests {
         assert!(adm.admitted && adm.evicted.is_empty());
         assert_eq!(tier.used(), 8);
         assert_eq!(tier.stats().promotions, 2, "a refresh is not a promotion");
-        assert_eq!(tier.resident_objects(), vec![2, 1]);
+        assert_eq!(resident_objects(&tier), vec![2, 1]);
     }
 
     #[test]
@@ -341,29 +310,6 @@ mod tests {
     }
 
     #[test]
-    fn driven_evict_counts_and_remove_does_not() {
-        let mut tier = LruTier::new(10, 1);
-        assert!(tier.admit(1, 3).admitted);
-        assert!(tier.admit(2, 3).admitted);
-        assert!(tier.evict(1));
-        assert!(!tier.evict(1));
-        assert!(tier.remove(2));
-        assert_eq!(tier.used(), 0);
-        assert_eq!(tier.stats().evictions, 1, "only evict() counts");
-    }
-
-    #[test]
-    fn mirror_insert_bypasses_capacity_but_tracks_weight() {
-        let mut tier = LruTier::new(4, 2);
-        tier.mirror_insert(1, 4); // footprint 8 > capacity 4: still inserted
-        assert!(tier.contains(1));
-        assert_eq!(tier.used(), 8);
-        assert_eq!(tier.stats().promotions, 1);
-        tier.mirror_insert(1, 2); // replace shrinks usage
-        assert_eq!(tier.used(), 4);
-    }
-
-    #[test]
     fn install_is_capacity_checked_and_eviction_free() {
         let mut tier = LruTier::new(10, 2);
         assert!(tier.install(1, 6));
@@ -374,7 +320,7 @@ mod tests {
         assert_eq!(tier.used(), 9);
         tier.clear();
         assert_eq!(tier.used(), 0);
-        assert!(tier.resident_objects().is_empty());
+        assert!(resident_objects(&tier).is_empty());
     }
 
     #[test]
@@ -396,7 +342,7 @@ mod tests {
                 assert_eq!(a.evicted, b.evicted);
             }
         }
-        assert_eq!(chunks.resident_objects(), bytes.resident_objects());
+        assert_eq!(resident_objects(&chunks), resident_objects(&bytes));
         assert_eq!(chunks.stats(), bytes.stats());
     }
 }

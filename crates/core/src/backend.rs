@@ -18,23 +18,24 @@
 //! store's, or one that fails midway, leaves the cache empty instead.
 //!
 //! For the Ceph-style LRU cache tier the engine's
-//! [`LruTier`](sprout_cluster::LruTier) is the single source of truth: the
-//! engine mirrors every promotion and eviction into this backend
-//! ([`ChunkBackend::tier_promote`] / [`ChunkBackend::tier_evict`]), which
-//! materializes or drops the object's real data chunks in the store's cache.
-//! Engine-declared LRU hits are then served (and decode-verified) from those
-//! cached bytes, with the read latency sampled from the cluster's SSD cache
-//! device model.
+//! [`LruTier`](sprout_cluster::LruTier) is the single source of truth, and
+//! the store keeps no copy of it. A hit the engine declares holds a
+//! whole-object replica, whose bytes are the object's `k` data rows — rows
+//! `0..k` of the systematic code — so it settles (and decode-verifies) from
+//! those rows of the stored snapshot, with the read latency sampled from
+//! the cluster's SSD cache device model.
 //!
 //! The engine owns the node model (queues, node service draws, online
 //! flags) and all planning randomness, so an analytic run and a
 //! byte-accurate run with the same seed make identical chunk-source
 //! decisions with identical node service times — see the differential root
 //! test. Only the SSD cache reads draw from a stream of the backend's own.
+//! The engine's report is the run's one account: each request this backend
+//! fails to reconstruct is one of its `reconstruction_failures`.
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use sprout_cluster::StoreHandle;
+use sprout_cluster::{CachePolicy, StoreHandle};
 use sprout_erasure::Chunk;
 use sprout_sim::{CacheScheme, ChunkBackend, FinishedRequest};
 
@@ -51,18 +52,17 @@ pub struct StoreBackend {
     originals: Vec<Vec<u8>>,
     /// Per-file data-chunk length in bytes (drives the SSD cache-read model).
     chunk_lens: Vec<u64>,
-    verified: u64,
-    failed: u64,
-    plan_apply_failures: u64,
-    tier_promotions: u64,
-    tier_evictions: u64,
-    tier_mirror_failures: u64,
+    /// Whether the scheme in force is the LRU tier, whose hits settle from
+    /// the stored data rows instead of the store's cache.
+    lru: bool,
 }
 
 impl StoreBackend {
     /// Builds a backend from an already-populated store. `originals[file]` is
     /// the payload written for file `file` (object id `file as u64`), kept
     /// for reconstruction verification; `seed` feeds the cache-device reads.
+    /// The store's cache policy names the scheme in force until
+    /// [`ChunkBackend::apply_scheme`] swaps it.
     pub fn new(store: StoreHandle, originals: Vec<Vec<u8>>, seed: u64) -> Self {
         let k = store.config().k.max(1);
         let chunk_lens = originals
@@ -70,16 +70,11 @@ impl StoreBackend {
             .map(|p| p.len().div_ceil(k) as u64)
             .collect();
         StoreBackend {
+            lru: store.config().cache_policy == CachePolicy::LruReplicated,
             store,
             rng: StdRng::seed_from_u64(seed ^ 0x570B_ACE0),
             originals,
             chunk_lens,
-            verified: 0,
-            failed: 0,
-            plan_apply_failures: 0,
-            tier_promotions: 0,
-            tier_evictions: 0,
-            tier_mirror_failures: 0,
         }
     }
 
@@ -88,49 +83,17 @@ impl StoreBackend {
         &self.store
     }
 
-    /// Completed requests whose bytes decoded to the original payload.
-    pub fn verified_reconstructions(&self) -> u64 {
-        self.verified
-    }
-
-    /// Completed requests whose reconstruction failed (missing chunks or a
-    /// mismatching decode).
-    pub fn failed_reconstructions(&self) -> u64 {
-        self.failed
-    }
-
-    /// Mid-run plan swaps that could not be applied to the store (cache
-    /// capacity exceeded, or a plan of another kind than the store's
-    /// policy). Each counts once, however many objects it covers, and
-    /// leaves the store's cache empty.
-    pub fn plan_apply_failures(&self) -> u64 {
-        self.plan_apply_failures
-    }
-
-    /// Objects promoted into the store's cache tier, mirroring the engine's
-    /// LRU admissions.
-    pub fn tier_promotions(&self) -> u64 {
-        self.tier_promotions
-    }
-
-    /// Objects dropped from the store's cache tier, mirroring the engine's
-    /// LRU evictions.
-    pub fn tier_evictions(&self) -> u64 {
-        self.tier_evictions
-    }
-
-    /// Mirror operations that could not be applied (an eviction for an
-    /// object the store never promoted, or a promotion that failed to
-    /// decode) — always zero when engine and store are in lockstep.
-    pub fn tier_mirror_failures(&self) -> u64 {
-        self.tier_mirror_failures
-    }
-
     fn gather(&self, request: &FinishedRequest<'_>) -> Option<Vec<Chunk>> {
         let object = request.file as u64;
         let mut chunks: Vec<Chunk> =
             Vec::with_capacity(request.cache_chunks + request.storage_nodes.len());
-        if request.cache_chunks > 0 {
+        if request.cache_chunks > 0 && self.lru {
+            // An LRU hit: the replica's bytes are the stored data rows.
+            let placement = self.store.object_placement(object)?;
+            for &node in placement.get(..request.cache_chunks)? {
+                chunks.push(self.store.chunk_on_node(object, node)?);
+            }
+        } else if request.cache_chunks > 0 {
             let cache = self.store.cache();
             let cached = cache.peek(object)?;
             if cached.len() < request.cache_chunks {
@@ -163,67 +126,36 @@ impl ChunkBackend for StoreBackend {
         )
     }
 
-    fn tier_promote(&mut self, file: usize) {
-        match self.store.promote_object(file as u64) {
-            Ok(()) => self.tier_promotions += 1,
-            Err(_) => self.tier_mirror_failures += 1,
-        }
-    }
-
-    fn tier_evict(&mut self, file: usize) {
-        if self.store.evict_cached(file as u64) {
-            self.tier_evictions += 1;
-        } else {
-            self.tier_mirror_failures += 1;
-        }
-    }
-
     fn finish_request(&mut self, request: FinishedRequest<'_>) -> bool {
-        let ok = match self.gather(&request) {
-            Some(chunks) => self
-                .store
+        self.gather(&request).is_some_and(|chunks| {
+            self.store
                 .decode_with_chunks(request.file as u64, &chunks)
-                .map(|data| data == self.originals[request.file])
-                .unwrap_or(false),
-            None => false,
-        };
-        if ok {
-            self.verified += 1;
-        } else {
-            self.failed += 1;
-        }
-        ok
+                .is_ok_and(|data| data == self.originals[request.file])
+        })
     }
 
     fn apply_scheme(&mut self, scheme: &CacheScheme) {
+        self.lru = matches!(scheme, CacheScheme::LruReplicated { .. });
         let plan = match scheme {
             CacheScheme::Functional(plan, _) | CacheScheme::Exact(plan) => plan,
-            // A NoCache swap keeps no planner-managed content; stale store
-            // cache entries are harmless because the engine stops planning
-            // cache chunks.
-            CacheScheme::NoCache => return,
-            // An LRU swap restarts the engine's tier cold; drop everything so
-            // the store's mirrored residency starts cold too and subsequent
-            // tier_promote/tier_evict calls keep both sides in lockstep.
-            CacheScheme::LruReplicated { .. } => {
-                self.store.reset_cache();
-                return;
-            }
+            // Neither reads the store's cache: without a cache the engine
+            // plans no cache chunks, and LRU hits settle from the stored
+            // data rows, so stale entries are harmless.
+            CacheScheme::NoCache | CacheScheme::LruReplicated { .. } => return,
         };
         // A planned swap needs the store policy of its own kind: the cluster
         // cache policy fixes *what* a cached chunk is (newly coded rows vs
         // copies vs whole objects), and that is set at store construction.
         // On a mismatched store, drop any stale cache content (so no hit is
-        // served from chunks of the wrong kind) and record one apply
-        // failure; the engine's planned hits will then surface as counted
-        // reconstruction failures instead of silent decode mismatches.
-        // install_plan stops at its first error, so a failed install is
-        // cleared the same way: no object is served from a mix of plans.
+        // served from chunks of the wrong kind); the engine's planned hits
+        // then surface as counted reconstruction failures instead of silent
+        // decode mismatches. install_plan stops at its first error, so a
+        // failed install is cleared the same way: no object is served from a
+        // mix of plans.
         if scheme.policy() != self.store.config().cache_policy
             || self.store.install_plan(&plan.cached_chunks).is_err()
         {
             self.store.reset_cache();
-            self.plan_apply_failures += 1;
         }
     }
 }
@@ -283,30 +215,43 @@ mod tests {
         CacheScheme::Functional(plan, SchedulingRule::Probabilistic)
     }
 
+    /// Settles a planned hit of file 0 under [`one_chunk_each`]: its one
+    /// cached chunk plus a read of row 1 (eligible under exact caching too).
+    fn planned_hit(backend: &mut StoreBackend) -> bool {
+        let node = backend.store().object_placement(0).unwrap()[1];
+        backend.finish_request(FinishedRequest {
+            file: 0,
+            cache_chunks: 1,
+            storage_nodes: &[node],
+        })
+    }
+
     #[test]
     fn planned_swap_onto_a_non_planned_store_is_counted_not_silent() {
         // Constructed with the no-cache store policy: a planned swap cannot
-        // install chunks of the right kind, so it must clear the cache and
-        // count an apply failure instead of erroring file by file.
+        // install chunks of the right kind, so it must clear the cache
+        // instead of erroring file by file; each planned hit then fails to
+        // reconstruct, which the engine counts.
         let mut backend = backend_for(4096, &CacheScheme::NoCache);
         backend.apply_scheme(&functional(one_chunk_each()));
-        assert_eq!(backend.plan_apply_failures(), 1);
         assert_eq!(backend.store().cache().used_bytes(), 0);
+        assert!(!planned_hit(&mut backend));
     }
 
     #[test]
     fn planned_swap_of_the_other_planned_kind_is_counted_not_silent() {
         // A functional store codes new rows and an exact store copies stored
         // ones, so a plan of the other kind must not be installed as if it
-        // were its own: the cache is cleared and one apply failure counted.
+        // were its own: the cache is cleared and planned hits fail.
         let functional = functional(one_chunk_each());
         let exact = CacheScheme::Exact(one_chunk_each());
         for (built, swapped) in [(&functional, &exact), (&exact, &functional)] {
             let mut backend = backend_for(4096, built);
             assert!(backend.store().cache().used_bytes() > 0, "{built:?}");
+            assert!(planned_hit(&mut backend), "{built:?}");
             backend.apply_scheme(swapped);
-            assert_eq!(backend.plan_apply_failures(), 1, "{swapped:?}");
             assert_eq!(backend.store().cache().used_bytes(), 0);
+            assert!(!planned_hit(&mut backend), "{swapped:?}");
         }
     }
 
@@ -319,11 +264,37 @@ mod tests {
         assert!(system(4096)
             .byte_backend(&functional(bad.clone()), 5)
             .is_err());
-        // ...and swapping it in clears the whole cache and counts once.
+        // ...and swapping it in clears the whole cache, so no planned hit
+        // reconstructs.
         let mut backend = backend_for(4096, &functional(one_chunk_each()));
         backend.apply_scheme(&functional(bad));
-        assert_eq!(backend.plan_apply_failures(), 1);
         assert_eq!(backend.store().cache().used_bytes(), 0);
+        assert!(!planned_hit(&mut backend));
+    }
+
+    #[test]
+    fn lru_hits_settle_from_the_stored_data_rows() {
+        // The engine's tier decides LRU hits; the store keeps no copy of it,
+        // so a hit reads the k data rows from the stored snapshot — whether
+        // the tier was there from the start or swapped in mid-run.
+        let lru = CacheScheme::LruReplicated { capacity_chunks: 4 };
+        let mut built = backend_for(4096, &lru);
+        let mut swapped = backend_for(4096, &functional(one_chunk_each()));
+        swapped.apply_scheme(&lru);
+        for backend in [&mut built, &mut swapped] {
+            for file in 0..3 {
+                assert!(backend.finish_request(FinishedRequest {
+                    file,
+                    cache_chunks: 2,
+                    storage_nodes: &[],
+                }));
+            }
+        }
+        assert_eq!(built.store().cache().used_bytes(), 0);
+        // Swapping the tier out again settles cache chunks from the store's
+        // cache once more.
+        swapped.apply_scheme(&functional(one_chunk_each()));
+        assert!(planned_hit(&mut swapped));
     }
 
     #[test]

@@ -12,9 +12,10 @@
 //! it twice: once on the analytic backend and once on the byte-accurate
 //! backend. The invariants:
 //!
-//! * the byte run makes identical chunk-source decisions and **decode-
-//!   verifies every completed request** (`verified == completed`), with zero
-//!   mirror failures and zero failed reconstructions;
+//! * the byte run makes identical chunk-source and LRU tier decisions
+//!   (slots, node reads, completions, full-cache hits, failures, promotions
+//!   and evictions) and **decode-verifies every completed request**: its
+//!   report counts zero `reconstruction_failures`;
 //! * both reports respect the engine's resource bounds
 //!   ([`sprout_sim::EngineBounds`]): the event queue stays
 //!   `O(files)` and the in-flight population stays capped.
@@ -90,22 +91,6 @@ pub enum FuzzFailure {
         /// First diverging report field.
         field: &'static str,
     },
-    /// The byte backend completed requests it never decode-verified.
-    Verification {
-        /// The offending case seed.
-        seed: u64,
-        /// Requests the backend decode-verified.
-        verified: u64,
-        /// Requests the engine completed.
-        completed: u64,
-    },
-    /// Engine tier decisions failed to mirror into the byte store.
-    MirrorFailures {
-        /// The offending case seed.
-        seed: u64,
-        /// Number of mirror failures.
-        count: u64,
-    },
 }
 
 impl std::fmt::Display for FuzzFailure {
@@ -127,17 +112,6 @@ impl std::fmt::Display for FuzzFailure {
                 f,
                 "case {seed:#018x}: byte backend diverged from analytic decisions at '{field}'"
             ),
-            FuzzFailure::Verification {
-                seed,
-                verified,
-                completed,
-            } => write!(
-                f,
-                "case {seed:#018x}: {verified} verified != {completed} completed"
-            ),
-            FuzzFailure::MirrorFailures { seed, count } => {
-                write!(f, "case {seed:#018x}: {count} tier mirror failure(s)")
-            }
         }
     }
 }
@@ -397,6 +371,10 @@ impl ScenarioFuzzer {
             Some("full_cache_hits")
         } else if byte.failed_requests != analytic.failed_requests {
             Some("failed_requests")
+        } else if byte.cache_promotions != analytic.cache_promotions {
+            Some("cache_promotions")
+        } else if byte.cache_evictions != analytic.cache_evictions {
+            Some("cache_evictions")
         } else {
             None
         };
@@ -404,19 +382,6 @@ impl ScenarioFuzzer {
             return Err(FuzzFailure::ByteDivergence {
                 seed: case.seed,
                 field,
-            });
-        }
-        if backend.verified_reconstructions() != byte.completed_requests {
-            return Err(FuzzFailure::Verification {
-                seed: case.seed,
-                verified: backend.verified_reconstructions(),
-                completed: byte.completed_requests,
-            });
-        }
-        if backend.tier_mirror_failures() != 0 {
-            return Err(FuzzFailure::MirrorFailures {
-                seed: case.seed,
-                count: backend.tier_mirror_failures(),
             });
         }
 

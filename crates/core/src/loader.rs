@@ -197,10 +197,12 @@ impl SimKnobs {
     ///
     /// # Errors
     ///
-    /// Rejects non-positive or non-finite horizons and slot lengths, and a
-    /// slot length that splits the horizon into more slots than
-    /// [`slot_count`] allows, as [`SproutError::InvalidSpec`] (a loadable file
-    /// must not panic).
+    /// Rejects non-positive or non-finite horizons and slot lengths, a slot
+    /// length that splits the horizon into more slots than [`slot_count`]
+    /// allows, a warm-up that is negative, non-finite or not before the
+    /// horizon in force, and a negative or non-finite cache latency, as
+    /// [`SproutError::InvalidSpec`] (a loadable file must not panic, and no
+    /// value is silently clamped).
     pub fn config(&self, default_seed: u64, quick: bool) -> Result<SimConfig, SproutError> {
         let horizon = if quick {
             self.quick_horizon
@@ -220,6 +222,21 @@ impl SimKnobs {
                 )));
             }
             slot_count(horizon, slot).map_err(SproutError::InvalidSpec)?;
+        }
+        if let Some(warmup) = self.warmup {
+            if !(0.0..horizon).contains(&warmup) {
+                return Err(SproutError::InvalidSpec(format!(
+                    "warmup must be finite, non-negative and before the {horizon} s horizon, \
+                     got {warmup}"
+                )));
+            }
+        }
+        if let Some(latency) = self.cache_chunk_latency {
+            if !latency.is_finite() || latency < 0.0 {
+                return Err(SproutError::InvalidSpec(format!(
+                    "cache_chunk_latency must be finite and non-negative, got {latency}"
+                )));
+            }
         }
         let mut config = SimConfig::new(horizon, self.seed.unwrap_or(default_seed));
         if let Some(warmup) = self.warmup {

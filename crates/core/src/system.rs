@@ -310,9 +310,8 @@ impl SproutSystem {
     ///
     /// Every scheme is supported, including
     /// [`CacheScheme::LruReplicated`]: the engine's LRU tier decides
-    /// hits, promotions and evictions and mirrors them into the store, whose
-    /// cache then serves (and decode-verifies) the hit requests from real
-    /// data chunks.
+    /// hits, promotions and evictions, and each hit settles (and
+    /// decode-verifies) from the object's stored data rows.
     ///
     /// Files with `size_bytes = 0` get
     /// 4096-byte synthetic payloads (`DEFAULT_OBJECT_BYTES`); all
@@ -353,23 +352,10 @@ impl SproutSystem {
             })
             .collect();
         let total_bytes: u64 = payloads.iter().map(|p| p.len() as u64).sum();
-        let cache_capacity_bytes = match scheme.policy() {
-            // The spec's chunk budget translated to bytes. Residency is
-            // decided by the engine's tier and mirrored in (so this value is
-            // accounting, not admission), but it keeps the store's
-            // used-bytes figure honest against the spec's budget.
-            CachePolicy::LruReplicated => {
-                let max_chunk = payloads
-                    .iter()
-                    .map(|p| p.len().div_ceil(k) as u64)
-                    .max()
-                    .unwrap_or(1);
-                (self.spec.cache_capacity_chunks as u64).max(1) * max_chunk.max(1)
-            }
-            // Generous: planner-managed caches hold at most k of n chunks
-            // per object, so total object bytes always fit.
-            _ => total_bytes.max(1) * 2,
-        };
+        // Generous: planner-managed caches hold at most k of n chunks per
+        // object, so total object bytes always fit. An LRU store's cache
+        // stays empty: the engine's tier decides every hit.
+        let cache_capacity_bytes = total_bytes.max(1) * 2;
 
         let config = sprout_cluster::ClusterConfig::builder()
             .nodes(self.spec.node_services.len())

@@ -41,35 +41,6 @@ pub fn vandermonde(rows: usize, cols: usize) -> Matrix {
     m
 }
 
-/// Builds an `rows × cols` Cauchy matrix.
-///
-/// Entry `(i, j)` is `1 / (x_i + y_j)` where the `x` and `y` points are
-/// disjoint. Every square sub-matrix of a Cauchy matrix is invertible, so it
-/// can be used directly as the parity part of a systematic MDS generator;
-/// the tests use it as a known-MDS, known-invertible input.
-///
-/// # Panics
-///
-/// Panics if `rows + cols > 256` (not enough distinct points) or if either
-/// dimension is zero.
-#[cfg(test)]
-pub(crate) fn cauchy(rows: usize, cols: usize) -> Matrix {
-    assert!(rows > 0 && cols > 0, "dimensions must be positive");
-    assert!(
-        rows + cols <= 256,
-        "a GF(256) Cauchy matrix requires rows + cols <= 256"
-    );
-    let mut m = Matrix::zero(rows, cols);
-    for i in 0..rows {
-        let x = Gf256::new(i as u8);
-        for j in 0..cols {
-            let y = Gf256::new((rows + j) as u8);
-            m.set(i, j, (x + y).inverse());
-        }
-    }
-    m
-}
-
 /// Builds a systematic MDS generator matrix with `total` rows and `k` columns.
 ///
 /// The first `k` rows form the identity (so the first `k` coded symbols equal
@@ -128,8 +99,33 @@ pub fn is_mds(generator: &Matrix) -> bool {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
+
+    /// An `rows × cols` Cauchy matrix: entry `(i, j)` is `1 / (x_i + y_j)`
+    /// over disjoint points, so every square sub-matrix is invertible — a
+    /// known-MDS, known-invertible input for the tests.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `rows + cols > 256` (not enough distinct points) or if
+    /// either dimension is zero.
+    pub(crate) fn cauchy(rows: usize, cols: usize) -> Matrix {
+        assert!(rows > 0 && cols > 0, "dimensions must be positive");
+        assert!(
+            rows + cols <= 256,
+            "a GF(256) Cauchy matrix requires rows + cols <= 256"
+        );
+        let mut m = Matrix::zero(rows, cols);
+        for i in 0..rows {
+            let x = Gf256::new(i as u8);
+            for j in 0..cols {
+                let y = Gf256::new((rows + j) as u8);
+                m.set(i, j, (x + y).inverse());
+            }
+        }
+        m
+    }
 
     #[test]
     fn vandermonde_shape_and_first_column() {

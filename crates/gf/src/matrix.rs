@@ -85,28 +85,6 @@ impl Matrix {
         Matrix { rows, cols, data }
     }
 
-    /// Creates a matrix from rows of raw bytes.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the rows have differing lengths or the input is empty.
-    #[cfg(test)]
-    pub(crate) fn from_rows(rows: &[Vec<u8>]) -> Self {
-        assert!(!rows.is_empty(), "matrix must have at least one row");
-        let cols = rows[0].len();
-        assert!(cols > 0, "matrix must have at least one column");
-        let mut data = Vec::with_capacity(rows.len() * cols);
-        for row in rows {
-            assert_eq!(row.len(), cols, "all rows must have the same length");
-            data.extend(row.iter().map(|&b| Gf256::new(b)));
-        }
-        Matrix {
-            rows: rows.len(),
-            cols,
-            data,
-        }
-    }
-
     /// Number of rows.
     #[inline]
     pub fn rows(&self) -> usize {
@@ -182,20 +160,6 @@ impl Matrix {
         out
     }
 
-    /// Multiplies this matrix with a column vector (the reference
-    /// [`Matrix::mul`] is tested against).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `vec.len() != self.cols()`.
-    #[cfg(test)]
-    pub(crate) fn mul_vec(&self, vec: &[Gf256]) -> Vec<Gf256> {
-        assert_eq!(vec.len(), self.cols, "vector length must equal cols");
-        (0..self.rows)
-            .map(|i| (0..self.cols).map(|j| self.get(i, j) * vec[j]).sum())
-            .collect()
-    }
-
     /// Returns a new matrix whose rows are the listed rows of `self`.
     ///
     /// # Panics
@@ -209,24 +173,6 @@ impl Matrix {
         }
         Matrix {
             rows: indices.len(),
-            cols: self.cols,
-            data,
-        }
-    }
-
-    /// Stacks `self` on top of `other` (the inverse
-    /// [`Matrix::select_rows`] is tested against).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the column counts differ.
-    #[cfg(test)]
-    pub(crate) fn vstack(&self, other: &Matrix) -> Matrix {
-        assert_eq!(self.cols, other.cols, "column counts must match for vstack");
-        let mut data = self.data.clone();
-        data.extend_from_slice(&other.data);
-        Matrix {
-            rows: self.rows + other.rows,
             cols: self.cols,
             data,
         }
@@ -388,6 +334,12 @@ mod tests {
     use super::*;
     use crate::builders;
 
+    /// A matrix from rows of raw bytes.
+    fn from_rows(rows: &[Vec<u8>]) -> Matrix {
+        let data = rows.concat().into_iter().map(Gf256::new).collect();
+        Matrix::from_vec(rows.len(), rows[0].len(), data)
+    }
+
     #[test]
     fn identity_properties() {
         let id = Matrix::identity(5);
@@ -423,7 +375,7 @@ mod tests {
     #[test]
     fn inverse_of_cauchy() {
         for n in 1..=6 {
-            let m = builders::cauchy(n, n);
+            let m = builders::tests::cauchy(n, n);
             let inv = m.inverted().expect("cauchy is invertible");
             assert!(m.mul(&inv).is_identity(), "n={n}");
         }
@@ -432,7 +384,7 @@ mod tests {
     #[test]
     fn singular_matrix_fails_to_invert() {
         // two identical rows
-        let m = Matrix::from_rows(&[vec![1, 2, 3], vec![1, 2, 3], vec![4, 5, 6]]);
+        let m = from_rows(&[vec![1, 2, 3], vec![1, 2, 3], vec![4, 5, 6]]);
         assert_eq!(m.inverted().unwrap_err(), MatrixError::Singular);
         assert!(m.rank() < 3);
         assert!(!m.is_invertible());
@@ -453,9 +405,10 @@ mod tests {
         let v = vec![Gf256::new(9), Gf256::new(88), Gf256::new(201)];
         let as_col = Matrix::from_vec(3, 1, v.clone());
         let prod = m.mul(&as_col);
-        let direct = m.mul_vec(&v);
-        for (i, &d) in direct.iter().enumerate() {
-            assert_eq!(prod.get(i, 0), d);
+        // The product, row by row as dot products.
+        for i in 0..m.rows() {
+            let direct: Gf256 = (0..m.cols()).map(|j| m.get(i, j) * v[j]).sum();
+            assert_eq!(prod.get(i, 0), direct);
         }
     }
 
@@ -464,7 +417,9 @@ mod tests {
         let m = builders::vandermonde(5, 3);
         let top = m.select_rows(&[0, 1, 2]);
         let bottom = m.select_rows(&[3, 4]);
-        assert_eq!(top.vstack(&bottom), m);
+        // Stacking the two blocks gives the matrix back.
+        let stacked = [top.as_slice(), bottom.as_slice()].concat();
+        assert_eq!(Matrix::from_vec(5, 3, stacked), m);
     }
 
     #[test]
@@ -501,7 +456,7 @@ mod tests {
 
     #[test]
     fn from_rows_round_trip() {
-        let m = Matrix::from_rows(&[vec![1, 2], vec![3, 4]]);
+        let m = from_rows(&[vec![1, 2], vec![3, 4]]);
         assert_eq!(m.get(0, 1), Gf256::new(2));
         assert_eq!(m.get(1, 0), Gf256::new(3));
         assert_eq!(m.row(1), &[Gf256::new(3), Gf256::new(4)]);

@@ -3,9 +3,11 @@
 //! The engine owns the whole model: arrivals, cache planning, scheduling,
 //! and every storage node (FIFO queue, service-time stream, online flag). A
 //! [`ChunkBackend`] settles only what the model cannot — whether the chosen
-//! chunks really reconstruct the object, cache-device read times, and the
-//! byte-level mirror of the engine's cache decisions — in the arrival's
-//! step, against the cache contents the request was planned with.
+//! chunks really reconstruct the object, and cache-device read times — in
+//! the arrival's step, against the cache contents the request was planned
+//! with. The engine's [`SimReport`](crate::SimReport) is the only account
+//! of a run: every settlement it asks for is one completed request, and
+//! each `false` is one of its `reconstruction_failures`.
 //!
 //! [`Simulation::run`](crate::Simulation::run) settles nothing (every
 //! default hook applies); `StoreBackend` (in the `sprout` facade crate)
@@ -53,20 +55,6 @@ pub trait ChunkBackend {
         None
     }
 
-    /// The engine's cache tier promoted `file` after a miss read (Ceph-style
-    /// LRU). Byte backends mirror the decision by materializing the object's
-    /// bytes in their own tier, so a later engine-declared hit always finds
-    /// the chunks resident.
-    fn tier_promote(&mut self, file: usize) {
-        let _ = file;
-    }
-
-    /// The engine's cache tier evicted `file`. Byte backends drop the
-    /// mirrored entry.
-    fn tier_evict(&mut self, file: usize) {
-        let _ = file;
-    }
-
     /// Applies a new cache scheme mid-run (a scenario plan swap). Byte
     /// backends re-install cached chunks to match.
     fn apply_scheme(&mut self, scheme: &CacheScheme) {
@@ -88,9 +76,7 @@ mod tests {
         }));
         b.apply_scheme(&CacheScheme::NoCache); // default no-op must not panic
 
-        // Default tier hooks are no-ops and defer cache latency to the engine.
+        // The default defers cache latency to the engine.
         assert_eq!(b.sample_cache_read(0, 2), None);
-        b.tier_promote(0);
-        b.tier_evict(0);
     }
 }

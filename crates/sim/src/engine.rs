@@ -19,9 +19,9 @@
 //! * **One node model** — the engine owns every storage node: its FIFO
 //!   queue, its service-time distribution and RNG stream, and its online
 //!   flag. A [`ChunkBackend`] only settles bytes (decode and verify, cache
-//!   device reads, the mirror of cache decisions), so a run with and without
-//!   a byte-accurate backend on the same seed makes identical chunk-source
-//!   decisions with identical node service times.
+//!   device reads), so a run with and without a byte-accurate backend on the
+//!   same seed makes identical chunk-source decisions with identical node
+//!   service times.
 //! * **Dynamic scenarios** — timed [`Scenario`] events (node failures and
 //!   recoveries, arrival-rate shifts, online cache-plan swaps) apply at
 //!   deterministic epoch edges between event-loop drains.
@@ -345,8 +345,8 @@ impl InFlight {
 /// The engine's LRU cache tier for [`CacheScheme::LruReplicated`]: the same
 /// [`LruTier`] implementation the cluster's byte-accurate `Cache` runs, here
 /// with *chunks* as the weight unit (the abstract model has no byte sizes).
-/// The tier's decisions scale linearly with the unit, so a byte-accurate
-/// mirror fed the same access sequence stays in lockstep — see
+/// The tier's decisions scale linearly with the unit, so a byte-weighted
+/// tier fed the same access sequence makes the same decisions — see
 /// `sprout_cluster::tier`.
 fn lru_tier_for(scheme: &CacheScheme) -> Option<LruTier> {
     match scheme {
@@ -414,8 +414,8 @@ struct EventLoop<'a, B: ChunkBackend> {
     failed: u64,
     reconstruction_failures: u64,
     tier: Option<LruTier>,
-    tier_promotions: u64,
-    tier_evictions: u64,
+    cache_promotions: u64,
+    cache_evictions: u64,
     scratch: PlanScratch,
 }
 
@@ -449,8 +449,8 @@ impl<'a, B: ChunkBackend> EventLoop<'a, B> {
             completed: 0,
             failed: 0,
             reconstruction_failures: 0,
-            tier_promotions: 0,
-            tier_evictions: 0,
+            cache_promotions: 0,
+            cache_evictions: 0,
             scratch: PlanScratch::default(),
         }
     }
@@ -577,8 +577,8 @@ impl<'a, B: ChunkBackend> EventLoop<'a, B> {
     fn retire_tier(&mut self) {
         if let Some(old) = self.tier.take() {
             let stats = old.stats();
-            self.tier_promotions += stats.promotions;
-            self.tier_evictions += stats.evictions;
+            self.cache_promotions += stats.promotions;
+            self.cache_evictions += stats.evictions;
         }
     }
 
@@ -627,8 +627,8 @@ impl<'a, B: ChunkBackend> EventLoop<'a, B> {
             reconstruction_failures: self.reconstruction_failures,
             peak_event_queue: self.peak_events,
             peak_in_flight: self.in_flight.peak,
-            cache_promotions: self.tier_promotions,
-            cache_evictions: self.tier_evictions,
+            cache_promotions: self.cache_promotions,
+            cache_evictions: self.cache_evictions,
         }
     }
 
@@ -646,10 +646,8 @@ impl<'a, B: ChunkBackend> EventLoop<'a, B> {
     /// `d = k`.
     ///
     /// For [`CacheScheme::LruReplicated`] the loop's `tier` is the single source
-    /// of truth for hit/miss/promotion/eviction decisions; every admission and
-    /// eviction is mirrored into the backend ([`ChunkBackend::tier_promote`] /
-    /// [`ChunkBackend::tier_evict`]) so byte-accurate backends keep the same
-    /// objects resident.
+    /// of truth for hit/miss/promotion/eviction decisions; backends see only
+    /// its outcome, a hit's `d = k`.
     fn plan_request(&mut self, file: usize) -> Option<usize> {
         let spec = &self.sim.files[file];
         let scratch = &mut self.scratch;
@@ -683,13 +681,7 @@ impl<'a, B: ChunkBackend> EventLoop<'a, B> {
         }
         // Only an LRU miss reaches here with a tier: promote the object.
         if let Some(tier) = self.tier.as_mut() {
-            let admission = tier.admit(file as u64, spec.k as u64);
-            for &victim in &admission.evicted {
-                self.backend.tier_evict(victim as usize);
-            }
-            if admission.admitted {
-                self.backend.tier_promote(file);
-            }
+            tier.admit(file as u64, spec.k as u64);
         }
         Some(d)
     }
@@ -1211,6 +1203,78 @@ mod tests {
         assert!(none.completed_requests > 1_000);
         assert!(none.node_chunks_served[3] < none.node_chunks_served[0]);
         assert_eq!(run(empty), none);
+    }
+
+    /// Counts the engine's settlements and fails every third one.
+    struct Counting {
+        nodes: usize,
+        settled: u64,
+        failed: u64,
+    }
+
+    impl ChunkBackend for Counting {
+        fn num_nodes(&self) -> usize {
+            self.nodes
+        }
+
+        fn finish_request(&mut self, _: FinishedRequest<'_>) -> bool {
+            self.settled += 1;
+            let ok = !self.settled.is_multiple_of(3);
+            self.failed += u64::from(!ok);
+            ok
+        }
+    }
+
+    #[test]
+    fn every_completed_request_is_settled_once_and_each_failure_counted() {
+        // The report is the one account of a backend's settlements: one per
+        // completed request (full-cache hits included, failed requests
+        // excluded), each `false` one reconstruction failure.
+        let m = 4;
+        let files = simple_files(3, 0.1, 2, m);
+        let cached = vec![2, 1, 0];
+        let scheduling = cached.iter().map(|&d| vec![(2 - d) as f64 / m as f64; m]);
+        let schemes = [
+            CacheScheme::NoCache,
+            functional(cached.clone(), scheduling.collect()),
+            // One resident object at a time: hits and misses both occur.
+            CacheScheme::LruReplicated { capacity_chunks: 4 },
+        ];
+        // Three of four nodes down for a while: requests that need a storage
+        // read fail, full-cache hits still complete.
+        let outage = Scenario::default()
+            .node_down(4_000.0, 0)
+            .node_down(4_000.0, 1)
+            .node_down(4_000.0, 2)
+            .node_up(7_000.0, 0)
+            .node_up(7_000.0, 1)
+            .node_up(7_000.0, 2);
+        for scheme in schemes {
+            let sim = Simulation::new(
+                nodes(m, 0.6),
+                files.clone(),
+                scheme,
+                SimConfig::new(12_000.0, 4),
+            )
+            .with_scenario(outage.clone());
+            let mut backend = Counting {
+                nodes: m,
+                settled: 0,
+                failed: 0,
+            };
+            let report = sim.run_on(&mut backend);
+            let label = sim.scheme().policy().label();
+            assert!(
+                report.failed_requests > 0,
+                "{label}: the outage fails requests"
+            );
+            assert_eq!(backend.settled, report.completed_requests, "{label}");
+            assert_eq!(backend.failed, report.reconstruction_failures, "{label}");
+            assert!(report.reconstruction_failures > 0, "{label}");
+            if !matches!(sim.scheme(), CacheScheme::NoCache) {
+                assert!(report.full_cache_hits > 0, "{label}: full-cache hits occur");
+            }
+        }
     }
 
     #[test]

@@ -58,10 +58,6 @@ fn degraded_reads_still_reconstruct_on_the_byte_backend() {
         report.reconstruction_failures, 0,
         "every degraded read must decode to the original bytes"
     );
-    assert_eq!(
-        backend.verified_reconstructions(),
-        report.completed_requests
-    );
     // The failed node really was avoided while down: it serves fewer chunks
     // than in an undisturbed run with the same seed.
     let undisturbed = system

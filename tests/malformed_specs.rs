@@ -132,6 +132,41 @@ const TOML_CORPUS: &[(&str, &str, &str)] = &[
         "MAX_SLOTS",
     ),
     (
+        "warmup past the horizon",
+        concat!(head!(), "warmup = 5000.0"),
+        "warmup must be finite, non-negative and before the 200 s horizon, got 5000",
+    ),
+    (
+        "warmup at the quick horizon",
+        concat!(head!(), "quick_horizon = 300.0\nwarmup = 300.0"),
+        "before the 300 s horizon, got 300",
+    ),
+    (
+        "infinite warmup",
+        concat!(head!(), "warmup = inf"),
+        "warmup must be finite, non-negative and before the 200 s horizon, got inf",
+    ),
+    (
+        "negative warmup",
+        concat!(head!(), "warmup = -1.0"),
+        "warmup must be finite, non-negative and before the 200 s horizon, got -1",
+    ),
+    (
+        "infinite cache latency",
+        concat!(head!(), "cache_chunk_latency = inf"),
+        "cache_chunk_latency must be finite and non-negative, got inf",
+    ),
+    (
+        "NaN cache latency",
+        concat!(head!(), "cache_chunk_latency = nan"),
+        "cache_chunk_latency must be finite and non-negative, got NaN",
+    ),
+    (
+        "negative cache latency",
+        concat!(head!(), "cache_chunk_latency = -0.001"),
+        "cache_chunk_latency must be finite and non-negative, got -0.001",
+    ),
+    (
         "byte-backend object size past the byte range",
         concat!(head!(), "[sweep]\nbyte_object_mb = 20000000000000"),
         "byte_object_mb = 20000000000000 overflows a byte count",
