@@ -5,11 +5,11 @@
 //! backend, so the interior is sharded and independent requests never
 //! contend on a single big lock:
 //!
-//! * **Per-node locks** — each [`StorageNode`] (online flag, FIFO queue
-//!   clock, hosted-chunk count) sits behind its own `RwLock`. Two gets that
-//!   read disjoint nodes take disjoint locks; candidate probing takes brief
-//!   read locks and only the actual chunk read (which advances the queue)
-//!   takes a write lock.
+//! * **Lock-free nodes** — each [`StorageNode`] keeps its online flag,
+//!   FIFO queue clock, hosted-chunk count and read count in atomics, and
+//!   every method takes `&self`. Candidate probing is plain loads; a chunk
+//!   read advances the node's clock by one compare-and-swap, so two reads
+//!   racing on one node get distinct finish times in FIFO order.
 //! * **Striped object metadata** — the object → (length, placement, chunks,
 //!   checksum) map is split into `META_STRIPES` (16) hash stripes, each
 //!   behind its own `RwLock`, so puts of different objects rarely serialize.
@@ -21,18 +21,19 @@
 //!   behind one `Mutex`; every lookup mutates recency and counters, so a
 //!   shared lock buys nothing. Critical sections are kept to map/recency
 //!   updates — decode never happens under it.
-//! * **Codec** — the [`ReedSolomon`] is immutable and internally
-//!   shares its decode-matrix memo behind an `Arc<Mutex<_>>`, so all
-//!   workers reuse each O(k³) inversion.
+//! * **Codec** — the [`ReedSolomon`] is immutable; each worker thread keeps
+//!   its own memo of decode matrices, so a memo hit takes no lock and a
+//!   worker inverts each row subset once.
 //! * **Membership view** — a small `RwLock<ClusterView>` snapshot used for
 //!   placement decisions.
 //!
-//! Lock discipline: at most one node lock is held at a time, metadata
-//! stripe locks are only held around metadata mutation plus the
-//! hosted-chunk counts of the object's own nodes (put/delete), and the cache lock
-//! is never taken while a node lock is held. No lock is held across an
-//! encode, a decode or a checksum. That ordering (stripe → node → cache)
-//! is acyclic, so the structure cannot deadlock.
+//! Lock discipline: a get takes the object's stripe read lock (for the
+//! snapshot) and, under a cache policy, the cache lock, one after the
+//! other; the node probe and the chunk reads take none. Metadata stripe
+//! locks are held around metadata mutation plus the hosted-chunk counts of
+//! the object's own nodes (put/delete). No lock is held across an encode, a
+//! decode or a checksum, and no method holds two locks at once, so the
+//! structure cannot deadlock.
 //!
 //! Integrity: the object's [`checksum64`] lives *with* its length,
 //! placement and chunks. `put` computes it beside the encode, outside every
@@ -52,7 +53,7 @@
 
 use std::collections::{HashMap, HashSet};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, MutexGuard, RwLock, RwLockReadGuard, RwLockWriteGuard};
+use std::sync::{Arc, Mutex, MutexGuard, RwLock};
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -107,7 +108,7 @@ struct StoreShared {
     config: ClusterConfig,
     codec: ReedSolomon,
     placement: Box<dyn Placement>,
-    nodes: Vec<RwLock<StorageNode>>,
+    nodes: Vec<StorageNode>,
     meta: Vec<RwLock<HashMap<u64, ObjectMeta>>>,
     view: RwLock<ClusterView>,
     cache: Mutex<Cache>,
@@ -159,8 +160,7 @@ impl StoreHandle {
         let nodes = config
             .devices
             .iter()
-            .enumerate()
-            .map(|(id, &device)| RwLock::new(StorageNode::new(id, device)))
+            .map(|&device| StorageNode::new(device))
             .collect();
         let placement = config.placement.build(config.num_nodes, config.seed);
         let view = RwLock::new(ClusterView::all_online(config.num_nodes));
@@ -207,13 +207,14 @@ impl StoreHandle {
             .sum()
     }
 
-    /// Read access to a storage node (a lock guard; hold it briefly).
+    /// A storage node (its counters are live: reads on other threads move
+    /// them).
     ///
     /// # Panics
     ///
     /// Panics if the node id is out of range.
-    pub fn node(&self, id: usize) -> RwLockReadGuard<'_, StorageNode> {
-        self.shared.nodes[id].read().expect("node lock poisoned")
+    pub fn node(&self, id: usize) -> &StorageNode {
+        &self.shared.nodes[id]
     }
 
     /// Access to the cache tier (a lock guard; hold it briefly).
@@ -364,7 +365,7 @@ impl StoreHandle {
             .write()
             .expect("meta stripe lock poisoned");
         for &node in meta.placement.iter() {
-            self.node_mut(node).host_chunk();
+            self.node(node).host_chunk();
         }
         // The replaced version is freed after the lock is released.
         let old = stripe.insert(object, meta);
@@ -388,14 +389,10 @@ impl StoreHandle {
         self.cache().remove(object);
     }
 
-    fn node_mut(&self, node: usize) -> RwLockWriteGuard<'_, StorageNode> {
-        self.shared.nodes[node].write().expect("node lock poisoned")
-    }
-
     /// Uncounts a replaced or deleted version's chunks on its nodes.
     fn release_chunks(&self, meta: &ObjectMeta) {
         for &node in meta.placement.iter() {
-            self.node_mut(node).release_chunk();
+            self.node(node).release_chunk();
         }
     }
 
@@ -405,7 +402,7 @@ impl StoreHandle {
     ///
     /// Panics if the node id is out of range.
     pub fn set_node_online(&self, node: usize, online: bool) {
-        self.node_mut(node).set_online(online);
+        self.node(node).set_online(online);
         let mut view = self.shared.view.write().expect("view lock poisoned");
         *view = view.with_node_online(node, online);
     }
@@ -555,7 +552,7 @@ impl StoreHandle {
         // copies of storage rows, so their hosts cannot contribute new rows
         // (a scan of fewer than k cached rows). Every placed node hosts its
         // row of the snapshot, so probing asks only for the online flag and
-        // the queue delay, under one brief *read* lock per placed node.
+        // the queue delay: two atomic loads per placed node, no lock.
         let exact = s.config.cache_policy == CachePolicy::Exact;
         // (queue delay, node, row)
         let mut candidates: Vec<(f64, usize, usize)> = Vec::with_capacity(meta.placement.len());
@@ -563,11 +560,11 @@ impl StoreHandle {
             if exact && cached.iter().any(|c| c.id.index == row) {
                 continue;
             }
-            let guard = s.nodes[node].read().expect("node lock poisoned");
-            if !guard.is_online() {
+            let node_state = self.node(node);
+            if !node_state.is_online() {
                 continue;
             }
-            candidates.push((guard.queue_delay(now), node, row));
+            candidates.push((node_state.queue_delay(now), node, row));
         }
         if candidates.len() < needed_from_storage {
             return Err(ClusterError::NotEnoughReplicas {
@@ -582,17 +579,18 @@ impl StoreHandle {
         candidates.truncate(needed_from_storage);
 
         // 3. Issue the storage reads and take the fork-join maximum; the
-        // snapshot's chunks join the cached ones. One write lock per
-        // selected node, taken one at a time; a node that a racing failure
-        // took offline between probe and read degrades to a clean
+        // snapshot's chunks, borrowed, join the cached ones. Each read is
+        // one compare-and-swap of the node's clock; a node that a racing
+        // failure took offline between probe and read degrades to a clean
         // NotEnoughReplicas instead of a panic.
         let cache_chunks_used = cached.len();
-        let mut chunks = cached;
-        chunks.reserve(needed_from_storage);
+        let mut chunks: Vec<&Chunk> = Vec::with_capacity(k);
+        chunks.extend(&cached);
         let mut nodes_used = Vec::with_capacity(needed_from_storage);
         let mut finish = now;
         for &(_, node, row) in &candidates {
-            let Some(done) = self.node_mut(node).read(&meta.chunks[row], now, rng) else {
+            let chunk = &meta.chunks[row];
+            let Some(done) = self.node(node).read(chunk, now, rng) else {
                 return Err(ClusterError::NotEnoughReplicas {
                     object,
                     available: chunks.len(),
@@ -600,14 +598,14 @@ impl StoreHandle {
                 });
             };
             finish = finish.max(done);
-            chunks.push(meta.chunks[row].clone());
+            chunks.push(chunk);
             nodes_used.push(node);
         }
-        let cache_latency = self.cache_read_latency(&chunks[..cache_chunks_used], rng);
+        let cache_latency = self.cache_read_latency(&cached, rng);
         let latency = (finish - now).max(cache_latency);
 
         // 4. Reconstruct and verify — no lock held.
-        let data = self.decode_verified(object, &chunks, &meta, buf)?;
+        let data = self.decode_verified(object, chunks, &meta, buf)?;
 
         // 5. LRU promotion on a miss: the whole object enters the cache tier.
         if lru {
@@ -632,10 +630,10 @@ impl StoreHandle {
 
     /// Decodes `chunks` into `data`, to the snapshot's length, and checks
     /// the bytes against the snapshot's checksum.
-    fn decode_verified(
+    fn decode_verified<'a>(
         &self,
         object: u64,
-        chunks: &[Chunk],
+        chunks: impl IntoIterator<Item = &'a Chunk>,
         meta: &ObjectMeta,
         mut data: Vec<u8>,
     ) -> Result<Vec<u8>, ClusterError> {

@@ -13,9 +13,11 @@
 //!   consistent hashing, two-choices, XOR proximity, zone anti-affinity)
 //!   plus the rebalance hook that prices membership changes.
 //! * [`fifo`] — [`FifoQueue`], one FIFO server in virtual time (Lindley's
-//!   recursion): the node model the store and the simulation engine share.
-//! * [`node`] — storage nodes: a device, an online flag and a
-//!   [`FifoQueue`] through which chunk reads are served.
+//!   recursion): the node model the store and the simulation engine share,
+//!   the store's copy on an atomic clock that concurrent readers advance.
+//! * [`node`] — storage nodes: a device, an online flag and a FIFO clock
+//!   through which chunk reads are served, all atomics, so readers share a
+//!   node without a lock.
 //! * [`tier`] — [`LruTier`] (promotion, eviction, hit lookup, capacity
 //!   accounting, replication): the source of truth for LRU decisions shared
 //!   with the simulation engine.

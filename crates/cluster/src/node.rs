@@ -3,79 +3,75 @@
 //! their object's metadata in [`StoreHandle`](crate::StoreHandle), row `i`
 //! on the object's `i`-th placed node.
 
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+
 use rand::Rng;
 use sprout_erasure::Chunk;
 
 use crate::device::DeviceModel;
-use crate::fifo::FifoQueue;
+use crate::fifo::AtomicFifoQueue;
 
 /// A storage node (OSD): it owns a device and serves chunk reads one at a
 /// time in FIFO order.
 ///
 /// Time is *virtual*: callers pass the arrival time of each read, and the
-/// node's [`FifoQueue`] tracks when its device frees up, so queueing delay
+/// node's FIFO clock tracks when its device frees up, so queueing delay
 /// emerges naturally without a real-time event loop.
-#[derive(Debug, Clone)]
+///
+/// Every field a read touches is an atomic, so concurrent readers share a
+/// node through `&self` without a lock: the online flag and queue delay are
+/// plain loads, and a read is one compare-and-swap of the clock plus two
+/// counter updates. The counters are `Relaxed`: each is exact on its own,
+/// and no reader infers one from another.
+#[derive(Debug)]
 pub struct StorageNode {
-    id: usize,
     device: DeviceModel,
-    hosted: usize,
-    queue: FifoQueue,
-    reads_served: u64,
-    online: bool,
+    hosted: AtomicUsize,
+    queue: AtomicFifoQueue,
+    reads_served: AtomicU64,
+    online: AtomicBool,
 }
 
 impl StorageNode {
     /// Creates an empty, online node.
-    pub fn new(id: usize, device: DeviceModel) -> Self {
+    pub(crate) fn new(device: DeviceModel) -> Self {
         StorageNode {
-            id,
             device,
-            hosted: 0,
-            queue: FifoQueue::default(),
-            reads_served: 0,
-            online: true,
+            hosted: AtomicUsize::new(0),
+            queue: AtomicFifoQueue::default(),
+            reads_served: AtomicU64::new(0),
+            online: AtomicBool::new(true),
         }
-    }
-
-    /// Node identifier.
-    pub fn id(&self) -> usize {
-        self.id
-    }
-
-    /// The node's device model.
-    pub fn device(&self) -> DeviceModel {
-        self.device
     }
 
     /// Whether the node is currently serving requests.
     pub(crate) fn is_online(&self) -> bool {
-        self.online
+        self.online.load(Ordering::Relaxed)
     }
 
     /// Marks the node as failed (offline) or recovered (online).
-    pub(crate) fn set_online(&mut self, online: bool) {
-        self.online = online;
+    pub(crate) fn set_online(&self, online: bool) {
+        self.online.store(online, Ordering::Relaxed);
     }
 
     /// Counts a chunk placed on this node.
-    pub(crate) fn host_chunk(&mut self) {
-        self.hosted += 1;
+    pub(crate) fn host_chunk(&self) {
+        self.hosted.fetch_add(1, Ordering::Relaxed);
     }
 
     /// Uncounts a chunk removed from this node.
-    pub(crate) fn release_chunk(&mut self) {
-        self.hosted -= 1;
+    pub(crate) fn release_chunk(&self) {
+        self.hosted.fetch_sub(1, Ordering::Relaxed);
     }
 
     /// Total number of chunks hosted on the node.
     pub fn num_chunks(&self) -> usize {
-        self.hosted
+        self.hosted.load(Ordering::Relaxed)
     }
 
     /// Queueing delay a request arriving at `now` would experience before its
     /// service starts.
-    pub(crate) fn queue_delay(&self, now: f64) -> f64 {
+    pub fn queue_delay(&self, now: f64) -> f64 {
         self.queue.queue_delay(now)
     }
 
@@ -85,25 +81,25 @@ impl StorageNode {
     /// offline. Service time is sampled from the device model for the
     /// chunk's size, and the node's FIFO queue advances accordingly.
     pub(crate) fn read<R: Rng + ?Sized>(
-        &mut self,
+        &self,
         chunk: &Chunk,
         now: f64,
         rng: &mut R,
     ) -> Option<f64> {
-        if !self.online {
+        if !self.is_online() {
             return None;
         }
         let service = self
             .device
             .service_distribution(chunk.len() as u64)
             .sample(rng);
-        self.reads_served += 1;
+        self.reads_served.fetch_add(1, Ordering::Relaxed);
         Some(self.queue.serve(now, service))
     }
 
     /// Number of chunk reads served so far.
     pub fn reads_served(&self) -> u64 {
-        self.reads_served
+        self.reads_served.load(Ordering::Relaxed)
     }
 
     /// Fraction of `[0, horizon]` the device spent serving reads.
@@ -125,8 +121,7 @@ mod tests {
     #[test]
     fn store_read_and_remove() {
         let mut rng = rand::rngs::StdRng::seed_from_u64(1);
-        let mut node = StorageNode::new(3, DeviceModel::exponential(0.01));
-        assert_eq!(node.id(), 3);
+        let node = StorageNode::new(DeviceModel::exponential(0.01));
         for _ in 0..3 {
             node.host_chunk();
         }
@@ -144,7 +139,7 @@ mod tests {
     #[test]
     fn fifo_queue_accumulates_delay() {
         let mut rng = rand::rngs::StdRng::seed_from_u64(2);
-        let mut node = StorageNode::new(0, DeviceModel::exponential(1.0));
+        let node = StorageNode::new(DeviceModel::exponential(1.0));
         let c = chunk(0, 10);
         // two back-to-back reads at the same instant: the second waits for the first
         let done1 = node.read(&c, 0.0, &mut rng).unwrap();
@@ -162,7 +157,7 @@ mod tests {
     #[test]
     fn offline_node_serves_nothing() {
         let mut rng = rand::rngs::StdRng::seed_from_u64(3);
-        let mut node = StorageNode::new(0, DeviceModel::ssd());
+        let node = StorageNode::new(DeviceModel::ssd());
         let c = chunk(0, 10);
         node.set_online(false);
         assert!(!node.is_online());
@@ -174,7 +169,7 @@ mod tests {
 
     #[test]
     fn utilization_is_bounded() {
-        let node = StorageNode::new(0, DeviceModel::ssd());
+        let node = StorageNode::new(DeviceModel::ssd());
         assert_eq!(node.utilization(0.0), 0.0);
         assert_eq!(node.utilization(10.0), 0.0);
     }

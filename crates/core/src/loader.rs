@@ -24,7 +24,6 @@ use crate::spec::{SystemSpec, SystemSpecBuilder};
 use crate::sweep::{SimSweep, SweepBackend};
 use crate::system::SproutSystem;
 use sprout_cluster::{CachePolicy, PlacementChoice};
-use sprout_sim::config::slot_count;
 use sprout_sim::SimConfig;
 use sprout_workload::spec::MB;
 
@@ -197,12 +196,11 @@ impl SimKnobs {
     ///
     /// # Errors
     ///
-    /// Rejects non-positive or non-finite horizons and slot lengths, a slot
-    /// length that splits the horizon into more slots than [`slot_count`]
-    /// allows, a warm-up that is negative, non-finite or not before the
-    /// horizon in force, and a negative or non-finite cache latency, as
-    /// [`SproutError::InvalidSpec`] (a loadable file must not panic, and no
-    /// value is silently clamped).
+    /// Returns a configuration that breaks [`SimConfig::check`] (the one
+    /// rule the engine also applies when a run starts: horizon, slot length
+    /// within [`sprout_sim::config::slot_count`]'s bound, warm-up before the
+    /// horizon in force, cache latency) as [`SproutError::InvalidSpec`]: a
+    /// loadable file must not panic, and no value is silently clamped.
     pub fn config(&self, default_seed: u64, quick: bool) -> Result<SimConfig, SproutError> {
         let horizon = if quick {
             self.quick_horizon
@@ -210,44 +208,17 @@ impl SimKnobs {
         } else {
             self.horizon
         };
-        if !horizon.is_finite() || horizon <= 0.0 {
-            return Err(SproutError::InvalidSpec(format!(
-                "simulation horizon must be positive and finite, got {horizon}"
-            )));
-        }
-        if let Some(slot) = self.slot_length {
-            if !slot.is_finite() || slot <= 0.0 {
-                return Err(SproutError::InvalidSpec(format!(
-                    "slot length must be positive and finite, got {slot}"
-                )));
-            }
-            slot_count(horizon, slot).map_err(SproutError::InvalidSpec)?;
-        }
-        if let Some(warmup) = self.warmup {
-            if !(0.0..horizon).contains(&warmup) {
-                return Err(SproutError::InvalidSpec(format!(
-                    "warmup must be finite, non-negative and before the {horizon} s horizon, \
-                     got {warmup}"
-                )));
-            }
-        }
-        if let Some(latency) = self.cache_chunk_latency {
-            if !latency.is_finite() || latency < 0.0 {
-                return Err(SproutError::InvalidSpec(format!(
-                    "cache_chunk_latency must be finite and non-negative, got {latency}"
-                )));
-            }
-        }
-        let mut config = SimConfig::new(horizon, self.seed.unwrap_or(default_seed));
-        if let Some(warmup) = self.warmup {
-            config = config.with_warmup(warmup);
-        }
-        if let Some(latency) = self.cache_chunk_latency {
-            config = config.with_cache_latency(latency);
-        }
-        if let Some(slot) = self.slot_length {
-            config = config.with_slot_length(slot);
-        }
+        // Built field by field: `SimConfig::new` asserts what `check` reports.
+        let config = SimConfig {
+            horizon,
+            seed: self.seed.unwrap_or(default_seed),
+            warmup: self
+                .warmup
+                .unwrap_or(horizon * SimConfig::DEFAULT_WARMUP_SHARE),
+            cache_chunk_latency: self.cache_chunk_latency.unwrap_or(0.0),
+            slot_length: self.slot_length,
+        };
+        config.check().map_err(SproutError::InvalidSpec)?;
         Ok(config)
     }
 }

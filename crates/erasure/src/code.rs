@@ -7,8 +7,10 @@
 //! chunks. Any `k` distinct rows of the generator are linearly independent,
 //! so any `k` chunks — from storage, cache, or a mix — reconstruct the file.
 
+use std::cell::RefCell;
 use std::collections::HashMap;
-use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
+use std::rc::Rc;
+use std::sync::atomic::{AtomicU64, Ordering};
 
 use bytes::Bytes;
 use sprout_gf::{builders, kernel, Gf256, Kernel, Matrix};
@@ -151,80 +153,44 @@ pub struct ReedSolomon {
     /// scoped thread pool (see [`StripeOpts`]; `threads` is resolved).
     /// `None` keeps every operation a single pass on the calling thread.
     striping: Option<StripeOpts>,
-    /// Memo of inverted decode matrices, keyed by the row subset.
-    ///
-    /// Shared (via `Arc`) between clones of the code, so a codec cloned into
-    /// several components still amortizes Gaussian eliminations.
-    decode_memo: Arc<Mutex<InverseMemo>>,
+    /// This codec's key in every thread's decode-matrix memo
+    /// ([`DECODE_MEMO`]). Clones share it, so a codec cloned into several
+    /// components still amortizes each Gaussian elimination.
+    id: u64,
 }
+
+/// Source of [`ReedSolomon`] ids: every codec built gets a fresh one.
+static NEXT_CODEC_ID: AtomicU64 = AtomicU64::new(0);
 
 /// A set of generator rows as a 256-bit mask (bit `r` set when row `r` is
 /// in the set). Row indices are below `n + k <= 255`.
 type RowMask = [u64; 4];
 
-/// Bounded LRU memo mapping a row subset to the inverse of the
-/// corresponding generator sub-matrix (rows in ascending order).
+/// Bounded memo mapping (codec id, row subset) to the inverse of the
+/// codec's generator sub-matrix for those rows (in ascending order).
 ///
 /// Real request streams decode the same cache/storage row mixes over and
 /// over (the scheduler only has `n + d choose k` subsets to pick from, and
 /// heavily skews toward the fastest nodes), so the O(k³) elimination is
-/// almost always a cache hit after warm-up.
+/// almost always a hit after warm-up. Each thread keeps its own memo
+/// ([`DECODE_MEMO`]): a hit takes no lock and writes no memory another
+/// thread reads, at the price of one elimination per subset per thread.
 #[derive(Debug, Default)]
 struct InverseMemo {
-    entries: HashMap<RowMask, MemoEntry>,
-    clock: u64,
-    hits: u64,
-    misses: u64,
+    /// Each entry's inverse and how often it was hit.
+    entries: HashMap<(u64, RowMask), (Rc<Matrix>, u64)>,
+    /// Misses per codec id.
+    misses: HashMap<u64, u64>,
 }
 
-#[derive(Debug)]
-struct MemoEntry {
-    inverse: Arc<Matrix>,
-    last_used: u64,
-}
-
-/// Maximum number of inverted matrices kept per code.
+/// Most inverted matrices one thread's memo keeps, over all codecs. A full
+/// memo is flushed whole — entries and counters — before the next insert;
+/// a serving thread decodes a handful of subsets, so this is rare.
 const DECODE_MEMO_CAP: usize = 64;
 
-impl InverseMemo {
-    fn get(&mut self, rows: &RowMask) -> Option<Arc<Matrix>> {
-        self.clock += 1;
-        let clock = self.clock;
-        match self.entries.get_mut(rows) {
-            Some(entry) => {
-                entry.last_used = clock;
-                self.hits += 1;
-                Some(Arc::clone(&entry.inverse))
-            }
-            None => {
-                self.misses += 1;
-                None
-            }
-        }
-    }
-
-    fn insert(&mut self, rows: RowMask, inverse: Arc<Matrix>) {
-        if self.entries.len() >= DECODE_MEMO_CAP {
-            // Evict the least recently used subset (linear scan: the memo is
-            // small and eviction is rare).
-            if let Some(victim) = self
-                .entries
-                .iter()
-                .min_by_key(|(_, e)| e.last_used)
-                .map(|(&k, _)| k)
-            {
-                self.entries.remove(&victim);
-            }
-        }
-        let clock = self.clock;
-        self.entries.insert(
-            rows,
-            MemoEntry {
-                inverse,
-                last_used: clock,
-            },
-        );
-    }
+thread_local! {
+    /// The calling thread's decode-matrix memo.
+    static DECODE_MEMO: RefCell<InverseMemo> = RefCell::new(InverseMemo::default());
 }
 
 impl ReedSolomon {
@@ -252,7 +218,7 @@ impl ReedSolomon {
             generator,
             kernel,
             striping: None,
-            decode_memo: Arc::new(Mutex::new(InverseMemo::default())),
+            id: NEXT_CODEC_ID.fetch_add(1, Ordering::Relaxed),
         })
     }
 
@@ -284,21 +250,20 @@ impl ReedSolomon {
         self.kernel
     }
 
-    /// `(hits, misses)` counters of the decode-matrix memo.
+    /// `(hits, misses)` of this codec (and its clones) in the calling
+    /// thread's decode-matrix memo, since that memo was last flushed. Each
+    /// thread counts only its own decodes.
     pub fn decode_memo_stats(&self) -> (u64, u64) {
-        let memo = self.memo();
-        (memo.hits, memo.misses)
-    }
-
-    /// The decode-matrix memo. A thread that panicked while holding it
-    /// cannot have left a wrong entry behind — every entry is the
-    /// deterministic inverse of its key, and an interrupted insert or
-    /// eviction only loses entries — so a poisoned lock is recovered, not
-    /// propagated.
-    fn memo(&self) -> MutexGuard<'_, InverseMemo> {
-        self.decode_memo
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
+        DECODE_MEMO.with(|memo| {
+            let memo = memo.borrow();
+            let hits = memo
+                .entries
+                .iter()
+                .filter(|((id, _), _)| *id == self.id)
+                .map(|(_, (_, hits))| hits)
+                .sum();
+            (hits, memo.misses.get(&self.id).copied().unwrap_or(0))
+        })
     }
 
     /// The extended `(n + k) × k` generator matrix.
@@ -467,7 +432,9 @@ impl ReedSolomon {
     }
 
     /// [`ReedSolomon::decode`] into a caller's buffer, so a caller that
-    /// decodes over and over (a serving worker) reuses one allocation.
+    /// decodes over and over (a serving worker) reuses one allocation. The
+    /// chunks come as references, so a caller can mix chunks it owns with
+    /// chunks it borrows (a store's snapshot) without cloning either.
     ///
     /// On success `out` holds exactly the decoded file; whatever it held
     /// before is overwritten, never read. A buffer whose capacity is too
@@ -477,9 +444,9 @@ impl ReedSolomon {
     /// # Errors
     ///
     /// See [`ReedSolomon::decode`].
-    pub fn decode_into(
+    pub fn decode_into<'a>(
         &self,
-        chunks: &[Chunk],
+        chunks: impl IntoIterator<Item = &'a Chunk>,
         original_len: usize,
         out: &mut Vec<u8>,
     ) -> Result<(), CodingError> {
@@ -561,28 +528,31 @@ impl ReedSolomon {
     }
 
     /// The inverse of the generator sub-matrix for the rows of `selected`
-    /// (sorted by row; `rows` is their mask), served from the LRU memo when
-    /// the same mix of cache/storage rows has been decoded before.
-    fn decode_matrix(
-        &self,
-        rows: RowMask,
-        selected: &[&Chunk],
-    ) -> Result<Arc<Matrix>, CodingError> {
-        if let Some(inverse) = self.memo().get(&rows) {
-            return Ok(inverse);
-        }
-        // Miss: run the O(k³) elimination *outside* the lock so concurrent
-        // decodes (and memo hits) are never serialized behind it. A racing
-        // decode of the same subset may recompute the inverse; that is
-        // harmless — the result is deterministic and insert is last-wins.
-        let indices: Vec<usize> = selected.iter().map(|c| c.id.index).collect();
-        let sub = self.generator.select_rows(&indices);
-        let inverse = Arc::new(
-            sub.inverted()
-                .map_err(|_| CodingError::SingularDecodeMatrix)?,
-        );
-        self.memo().insert(rows, Arc::clone(&inverse));
-        Ok(inverse)
+    /// (sorted by row; `rows` is their mask), served from the calling
+    /// thread's memo when this thread has decoded the same mix of
+    /// cache/storage rows with this codec before.
+    fn decode_matrix(&self, rows: RowMask, selected: &[&Chunk]) -> Result<Rc<Matrix>, CodingError> {
+        let key = (self.id, rows);
+        DECODE_MEMO.with(|memo| {
+            let mut memo = memo.borrow_mut();
+            if let Some((inverse, hits)) = memo.entries.get_mut(&key) {
+                *hits += 1;
+                return Ok(Rc::clone(inverse));
+            }
+            let indices: Vec<usize> = selected.iter().map(|c| c.id.index).collect();
+            let inverse = Rc::new(
+                self.generator
+                    .select_rows(&indices)
+                    .inverted()
+                    .map_err(|_| CodingError::SingularDecodeMatrix)?,
+            );
+            if memo.entries.len() >= DECODE_MEMO_CAP {
+                *memo = InverseMemo::default();
+            }
+            *memo.misses.entry(self.id).or_default() += 1;
+            memo.entries.insert(key, (Rc::clone(&inverse), 0));
+            Ok(inverse)
+        })
     }
 
     /// Verifies that a set of chunks is consistent with a single codeword,
@@ -811,57 +781,67 @@ mod tests {
         assert_eq!(cache_chunk.id.source, ChunkSource::Cache);
     }
 
+    /// Entries the calling thread's memo holds for `rs` and its clones.
+    fn memo_len(rs: &ReedSolomon) -> usize {
+        DECODE_MEMO.with(|memo| {
+            memo.borrow()
+                .entries
+                .keys()
+                .filter(|(id, _)| *id == rs.id)
+                .count()
+        })
+    }
+
     #[test]
     fn decode_memo_caches_row_subsets() {
         let rs = ReedSolomon::new(CodeParams::new(7, 4).unwrap()).unwrap();
         let file = sample_file(64);
         let encoded = rs.encode(&file).unwrap();
         let subset: Vec<Chunk> = encoded.chunks()[1..5].to_vec();
-        assert_eq!(rs.memo().entries.len(), 0);
+        assert_eq!(memo_len(&rs), 0);
         for _ in 0..5 {
             assert_eq!(rs.decode(&subset, file.len()).unwrap(), file);
         }
-        assert_eq!(rs.memo().entries.len(), 1);
+        assert_eq!(memo_len(&rs), 1);
         let (hits, misses) = rs.decode_memo_stats();
         assert_eq!((hits, misses), (4, 1));
         // Chunk order does not create a new entry: the key is the sorted set.
         let mut shuffled = subset.clone();
         shuffled.reverse();
         assert_eq!(rs.decode(&shuffled, file.len()).unwrap(), file);
-        assert_eq!(rs.memo().entries.len(), 1);
+        assert_eq!(memo_len(&rs), 1);
         // A different subset adds a second entry.
         let other: Vec<Chunk> = encoded.chunks()[3..7].to_vec();
         assert_eq!(rs.decode(&other, file.len()).unwrap(), file);
-        assert_eq!(rs.memo().entries.len(), 2);
+        assert_eq!(memo_len(&rs), 2);
         // Clones share the memo.
         let clone = rs.clone();
-        assert_eq!(clone.memo().entries.len(), 2);
+        assert_eq!(memo_len(&clone), 2);
+        assert_eq!(clone.decode(&other, file.len()).unwrap(), file);
+        assert_eq!(rs.decode_memo_stats(), (6, 2));
+        // A codec built apart from it does not.
+        let fresh = ReedSolomon::new(CodeParams::new(7, 4).unwrap()).unwrap();
+        assert_eq!(memo_len(&fresh), 0);
     }
 
     #[test]
-    fn decode_survives_a_poisoned_memo() {
+    fn each_thread_keeps_its_own_decode_memo() {
         let rs = ReedSolomon::new(CodeParams::new(7, 4).unwrap()).unwrap();
         let file = sample_file(200);
         let encoded = rs.encode(&file).unwrap();
         let subset: Vec<Chunk> = encoded.chunks()[2..6].to_vec();
         assert_eq!(rs.decode(&subset, file.len()).unwrap(), file);
-
-        let memo = Arc::clone(&rs.decode_memo);
-        let panicked = std::thread::spawn(move || {
-            let _guard = memo.lock().unwrap();
-            panic!("a decoding thread dies holding the memo");
-        })
-        .join();
-        assert!(panicked.is_err());
-        assert!(rs.decode_memo.is_poisoned());
-
-        // The memoized inverse is still served, and a new subset still
-        // inverts and inserts.
-        assert_eq!(rs.decode(&subset, file.len()).unwrap(), file);
-        let other: Vec<Chunk> = encoded.chunks()[3..7].to_vec();
-        assert_eq!(rs.decode(&other, file.len()).unwrap(), file);
-        assert_eq!(rs.decode_memo_stats(), (1, 2));
-        assert_eq!(rs.memo().entries.len(), 2);
+        assert_eq!(rs.decode_memo_stats(), (0, 1));
+        std::thread::scope(|scope| {
+            scope.spawn(|| {
+                assert_eq!(rs.decode_memo_stats(), (0, 0));
+                assert_eq!(rs.decode(&subset, file.len()).unwrap(), file);
+                assert_eq!(rs.decode(&subset, file.len()).unwrap(), file);
+                assert_eq!(rs.decode_memo_stats(), (1, 1));
+            });
+        });
+        assert_eq!(rs.decode_memo_stats(), (0, 1));
+        assert_eq!(memo_len(&rs), 1);
     }
 
     #[test]
@@ -876,7 +856,7 @@ mod tests {
                 assert_eq!(rs.decode(&subset, file.len()).unwrap(), file);
             }
         }
-        assert!(rs.memo().entries.len() <= 64);
+        assert!(DECODE_MEMO.with(|memo| memo.borrow().entries.len()) <= 64);
     }
 
     #[test]

@@ -67,6 +67,12 @@ impl ReedSolomon {
     /// of §III: when a file is first read in a new time bin, the chunks just
     /// gathered are re-encoded into the cache rows.
     ///
+    /// Generator rows `0..k` are the identity, so when the first `k` chunks
+    /// are those rows in order (as in a store's snapshot of all `n`), their
+    /// payloads *are* the data chunks and the cache rows are coded straight
+    /// from them, with no decode and no copy of the object. Any other mix is
+    /// decoded first. Both give the same bytes.
+    ///
     /// # Errors
     ///
     /// Propagates decode errors, and [`CodingError::TooManyCacheChunks`] if
@@ -77,10 +83,18 @@ impl ReedSolomon {
         d: usize,
     ) -> Result<Vec<Chunk>, CodingError> {
         self.check_cache_chunks(d)?;
-        // The decode is exactly k whole data chunks, so the cache rows are
-        // coded from views of it — no split copy.
         let k = self.params().k();
         let chunk_len = available.first().map_or(0, Chunk::len);
+        if let Some(data_rows) = available.get(..k).filter(|rows| {
+            rows.iter()
+                .enumerate()
+                .all(|(row, c)| c.id.index == row && c.len() == chunk_len)
+        }) {
+            let views: Vec<&[u8]> = data_rows.iter().map(|c| c.data.as_ref()).collect();
+            return Ok(self.cache_rows(&views, d));
+        }
+        // The decode is exactly k whole data chunks, so the cache rows are
+        // coded from views of it — no split copy.
         let file = self.decode(available, k * chunk_len)?;
         Ok(self.cache_rows(&stripe::views(&file, k), d))
     }
@@ -176,6 +190,29 @@ mod tests {
         let subset: Vec<Chunk> = stored.chunks()[3..7].to_vec();
         let rebuilt = codec.cache_chunks_from_chunks(&subset, 3).unwrap();
         assert_eq!(direct, rebuilt);
+    }
+
+    #[test]
+    fn cache_chunks_from_stored_data_rows_match_direct_construction() {
+        let codec = ReedSolomon::new(CodeParams::new(7, 4).unwrap()).unwrap();
+        for len in [0, 1, 333, 4096] {
+            let file = sample_file(len);
+            let stored = codec.encode(&file).unwrap();
+            for d in 0..=4 {
+                // All n rows in order: the data rows lead, so no decode runs.
+                let rebuilt = codec.cache_chunks_from_chunks(stored.chunks(), d).unwrap();
+                assert_eq!(
+                    rebuilt,
+                    codec.cache_chunks(&file, d).unwrap(),
+                    "len {len} d {d}"
+                );
+            }
+        }
+        assert_eq!(
+            codec.decode_memo_stats(),
+            (0, 0),
+            "no row subset was inverted"
+        );
     }
 
     #[test]

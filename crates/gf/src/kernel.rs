@@ -311,6 +311,9 @@ pub fn dot_slices(kernel: Kernel, coeffs: &[Gf256], srcs: &[&[u8]], outs: &mut [
         Kernel::Simd => simd::dot_prefix(coeffs, srcs, outs),
         _ => 0,
     };
+    if done == len {
+        return;
+    }
     for (row, out) in coeffs.chunks(srcs.len()).zip(outs.iter_mut()) {
         let out = &mut out[done..];
         mul_slice(kernel, row[0], &first[done..], out);

@@ -328,6 +328,7 @@ unsafe fn dot_at(
 #[allow(unsafe_code)]
 mod x86 {
     use std::arch::x86_64::*;
+    use std::mem::MaybeUninit;
 
     use super::MAX_DOT;
     use crate::field::Gf256;
@@ -500,6 +501,8 @@ mod x86 {
     /// `outs[r][0..len] = Σ_j coeffs[r * srcs.len() + j] * srcs[j][0..len]`
     /// for `ROWS` outputs: every source block is loaded once and folded into
     /// `ROWS` accumulator registers, and every output block is stored once.
+    /// Two blocks are coded per step, on independent accumulators, so their
+    /// multiplies overlap; an odd last block is coded alone.
     ///
     /// # Safety
     ///
@@ -513,29 +516,57 @@ mod x86 {
     ) {
         let cols = srcs.len();
         // Column-major: `consts[j][r]` multiplies source `j` into output `r`.
-        let mut consts = [[R::constant(MulTable::for_coeff(Gf256::ZERO)); ROWS]; MAX_DOT];
+        // Only the `cols` columns in use are built, and only they are read.
+        let mut consts = [[MaybeUninit::<R::M>::uninit(); ROWS]; MAX_DOT];
         for (j, column) in consts.iter_mut().take(cols).enumerate() {
             for (r, m) in column.iter_mut().enumerate() {
-                *m = R::constant(MulTable::for_coeff(coeffs[r * cols + j]));
+                m.write(R::constant(MulTable::for_coeff(coeffs[r * cols + j])));
             }
         }
         let mut off = 0;
-        while off + R::LEN <= len {
-            let v = R::load(srcs[0].add(off));
-            let mut acc = [v; ROWS];
-            for (a, &m) in acc.iter_mut().zip(&consts[0]) {
-                *a = R::mul(m, v);
-            }
-            for (&src, column) in srcs.iter().zip(&consts).skip(1) {
-                let v = R::load(src.add(off));
-                for (a, &m) in acc.iter_mut().zip(column) {
+        while off + 2 * R::LEN <= len {
+            dot_blocks::<R, ROWS, 2>(&consts, srcs, outs, off);
+            off += 2 * R::LEN;
+        }
+        if off + R::LEN <= len {
+            dot_blocks::<R, ROWS, 1>(&consts, srcs, outs, off);
+        }
+    }
+
+    /// One step of [`dot`]: codes the `BLOCKS` blocks from byte `off`.
+    ///
+    /// # Safety
+    ///
+    /// As [`dot`], with `BLOCKS` whole blocks in bounds from `off` and
+    /// `consts`' first `srcs.len()` columns written.
+    #[inline(always)]
+    unsafe fn dot_blocks<R: Rung, const ROWS: usize, const BLOCKS: usize>(
+        consts: &[[MaybeUninit<R::M>; ROWS]; MAX_DOT],
+        srcs: &[*const u8],
+        outs: &[*mut u8],
+        off: usize,
+    ) {
+        let load = |src: *const u8| -> [R::V; BLOCKS] {
+            std::array::from_fn(|b| R::load(src.add(off + b * R::LEN)))
+        };
+        let v = load(srcs[0]);
+        // SAFETY (every `assume_init` here): the caller wrote the first
+        // `srcs.len()` columns, and only columns zipped with `srcs` are read.
+        let mut acc: [[R::V; BLOCKS]; ROWS] =
+            std::array::from_fn(|r| v.map(|v| R::mul(consts[0][r].assume_init(), v)));
+        for (&src, column) in srcs.iter().zip(consts).skip(1) {
+            let v = load(src);
+            for (row, m) in acc.iter_mut().zip(column) {
+                let m = m.assume_init();
+                for (a, &v) in row.iter_mut().zip(&v) {
                     *a = R::xor(*a, R::mul(m, v));
                 }
             }
-            for (&out, &a) in outs.iter().zip(&acc) {
-                R::store(out.add(off), a);
+        }
+        for (&out, row) in outs.iter().zip(&acc) {
+            for (b, &a) in row.iter().enumerate() {
+                R::store(out.add(off + b * R::LEN), a);
             }
-            off += R::LEN;
         }
     }
 

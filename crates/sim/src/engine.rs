@@ -247,6 +247,10 @@ impl Simulation {
 
     /// Runs the simulation with abstract chunks (no byte settlement) and
     /// returns the report.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the configuration breaks [`SimConfig::check`].
     pub fn run(&self) -> SimReport {
         self.run_on(&mut Abstract(self.nodes.len()))
     }
@@ -256,8 +260,13 @@ impl Simulation {
     ///
     /// # Panics
     ///
-    /// Panics if the backend's node count differs from the simulation's.
+    /// Panics if the configuration breaks [`SimConfig::check`] (a warm-up
+    /// at or past the horizon, a negative or non-finite value) or the
+    /// backend's node count differs from the simulation's.
     pub fn run_on<B: ChunkBackend>(&self, backend: &mut B) -> SimReport {
+        if let Err(message) = self.config.check() {
+            panic!("{message}");
+        }
         assert_eq!(
             backend.num_nodes(),
             self.nodes.len(),
@@ -1297,6 +1306,30 @@ mod tests {
             CacheScheme::NoCache,
             SimConfig::new(10.0, 1),
         );
+    }
+
+    #[test]
+    #[should_panic(expected = "warmup must be finite, non-negative and before the 10 s horizon")]
+    fn a_warmup_at_the_horizon_panics_when_the_run_starts() {
+        let sim = Simulation::new(
+            nodes(2, 0.5),
+            vec![SimFile::new(0.1, 1, vec![0, 1])],
+            CacheScheme::NoCache,
+            SimConfig::new(10.0, 0).with_warmup(10.0),
+        );
+        let _ = sim.run();
+    }
+
+    #[test]
+    #[should_panic(expected = "cache_chunk_latency must be finite and non-negative, got -1")]
+    fn a_negative_cache_latency_panics_when_the_run_starts() {
+        let sim = Simulation::new(
+            nodes(2, 0.5),
+            vec![SimFile::new(0.1, 1, vec![0, 1])],
+            CacheScheme::NoCache,
+            SimConfig::new(10.0, 0).with_cache_latency(-1.0),
+        );
+        let _ = sim.run();
     }
 
     #[test]

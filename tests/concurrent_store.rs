@@ -16,15 +16,17 @@
 //! * a `Sproutd` worker that decodes objects of mixed sizes into its one
 //!   reused buffer, beside daemon puts whose payloads become their stored
 //!   chunks, serves exactly the written bytes — under a racing overwriter
-//!   and after it.
+//!   and after it;
+//! * a node read by many threads at once serves every read in turn: its
+//!   lock-free FIFO clock loses no read and gives no two the same slot.
 
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Barrier};
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use sprout::backend::synthetic_payload;
-use sprout::cluster::{CachePolicy, ClusterConfig, ClusterError, StoreHandle};
+use sprout::cluster::{CachePolicy, ClusterConfig, ClusterError, DeviceModel, StoreHandle};
 use sprout::{ServeOpts, ServePlan, Sproutd};
 
 const NODES: usize = 12;
@@ -162,6 +164,75 @@ fn clones_hammering_disjoint_objects_never_interfere() {
         store.num_objects(),
         SHARED_OBJECTS as usize,
         "only the preloaded objects remain"
+    );
+}
+
+/// Threads that read one node with every read arriving at virtual time 0
+/// are queued one behind another on the node's FIFO clock: read `i` in
+/// queue order finishes at the sum of the first `i` service times. A lost
+/// update of the clock (two reads starting from the same `busy_until`)
+/// would end the queue before the sum of all service times, and could
+/// hand two reads one slot.
+#[test]
+fn one_node_read_by_many_threads_serves_each_read_in_turn() {
+    const READERS: usize = 4;
+    const READS_PER_READER: usize = 25_000;
+    // A (1, 1) code on one node: every get is one read of node 0, and with
+    // `now = 0` its latency is that read's finish time.
+    let config = ClusterConfig::builder()
+        .nodes(1)
+        .code(1, 1)
+        .uniform_device(DeviceModel::exponential(0.000_2))
+        .cache_policy(CachePolicy::None)
+        .seed(5)
+        .build();
+    let store = StoreHandle::new(config).expect("store builds");
+    let data = synthetic_payload(0, 64, 5);
+    store.put(0, &data).expect("put");
+    // The readers start together, so their reads overlap in wall time.
+    let start = Barrier::new(READERS);
+    let finishes: Vec<f64> = std::thread::scope(|scope| {
+        let readers: Vec<_> = (0..READERS)
+            .map(|_| {
+                let store = store.clone();
+                let (data, start) = (&data, &start);
+                scope.spawn(move || {
+                    start.wait();
+                    (0..READS_PER_READER)
+                        .map(|_| {
+                            let out = store.get(0, 0.0).expect("get");
+                            assert_eq!(&out.data, data);
+                            out.latency
+                        })
+                        .collect::<Vec<f64>>()
+                })
+            })
+            .collect();
+        readers
+            .into_iter()
+            .flat_map(|r| r.join().expect("reader"))
+            .collect()
+    });
+    let reads = READERS * READS_PER_READER;
+    let node = store.node(0);
+    assert_eq!(node.reads_served(), reads as u64);
+    let mut sorted = finishes.clone();
+    sorted.sort_by(f64::total_cmp);
+    sorted.dedup();
+    assert_eq!(sorted.len(), reads, "two reads were given one finish time");
+    let last = sorted[reads - 1];
+    assert_eq!(
+        node.queue_delay(0.0),
+        last,
+        "the clock ends at the last finish"
+    );
+    // Every read arrived at 0 and the queue never idled, so the time spent
+    // serving (the sum of all service times) is the last finish time.
+    let horizon = 2.0 * last;
+    let busy = node.utilization(horizon) * horizon;
+    assert!(
+        (busy - last).abs() < 1e-9,
+        "served {busy} s of reads but the queue ends at {last} s"
     );
 }
 
