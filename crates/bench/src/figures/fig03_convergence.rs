@@ -6,9 +6,10 @@
 //! within 20 iterations at tolerance 0.01.
 //!
 //! One sweep cell per cache size, each optimizing cold from the default
-//! start (cells are independent, so the whole axis runs in parallel; the
-//! paper's warm-start-across-sizes protocol is a sequential-only
-//! optimization and converges to the same plans).
+//! start, so the whole axis runs in parallel. The paper's warm start from
+//! the previous size is sequential and does not reach the same plans: at
+//! 1000 files its bound is 0.04–1.37 % below cold for C = 200…700, with
+//! different `d_i`.
 //!
 //! Artifact: `FIG_03.json` — per cache size, the iteration count and final
 //! bound as metrics plus the full per-iteration objective trace as a series.

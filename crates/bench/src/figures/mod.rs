@@ -149,8 +149,8 @@ const BYTE_CELLS_NOTE: &str = "byte cells replay each point on the real erasure-
 /// One cell of the policy-comparison figures (10 and 11): plans `policy` on
 /// `system`, simulates it — on the byte-accurate store when `byte_backend`,
 /// where every completed request must decode-verify — and samples the mean
-/// latency beside the paper's value (`paper` = (functional, LRU)) and,
-/// for a plan, the analytic bound.
+/// latency beside the paper's value (`paper` = (functional, LRU)) and the
+/// policy's analytic bound, if [`SproutSystem::bound`] gives one.
 fn policy_cell(
     system: &SproutSystem,
     policy: CachePolicy,
@@ -188,8 +188,8 @@ fn policy_cell(
     if byte_backend {
         sample = sample.counter("reconstruction_failures", report.reconstruction_failures);
     }
-    if let Some(plan) = plan {
-        sample = sample.metric("analytic_bound_ms", plan.objective * 1e3);
+    if let Ok(Some(bound)) = system.bound(sim.scheme()) {
+        sample = sample.metric("analytic_bound_ms", bound.objective * 1e3);
     }
     sample
 }

@@ -14,6 +14,10 @@
 //!    a real [`StoreBackend`](crate::backend::StoreBackend) with per-request
 //!    decode verification.
 //!
+//! A row's `analytic_bound_s` is [`SproutSystem::bound`] of the cell's
+//! starting scheme: functional, exact and no-cache rows carry their own
+//! scheme's bound unless it overloads a node; LRU rows carry none.
+//!
 //! Cell setup (system build, optimization, scenario compilation) happens once
 //! per cell no matter how many replications it has or which worker reaches it
 //! first; `cells × replications` form one task set on the pool, so a slow
@@ -81,7 +85,8 @@ pub struct SimSweep {
 #[derive(Debug)]
 struct CellContext {
     sim: Simulation,
-    plan: Option<CachePlan>,
+    /// Lemma 1's bound of the cell's starting scheme, if it has one.
+    bound: Option<CachePlan>,
     /// The (possibly size-rescaled) system to build byte backends from;
     /// `None` for analytic cells.
     byte_system: Option<SproutSystem>,
@@ -315,7 +320,7 @@ impl SimSweep {
     }
 
     /// Builds one cell's shared context: rescaled system, optional plan,
-    /// compiled scenario, configured simulation, optional byte system.
+    /// compiled scenario, simulation and its bound, optional byte system.
     fn build_context(&self, cell: &SweepCell) -> Result<CellContext, SproutError> {
         let scenario_spec = &self.scenarios[cell.idx("scenario")];
         let policy = self.policies[cell.idx("policy")];
@@ -341,6 +346,9 @@ impl SimSweep {
         let sim = system
             .simulation(policy, plan.as_ref(), self.config)
             .with_scenario(scenario);
+        // The scheme fits the system by construction, so an error is an
+        // overloaded node, which has no finite bound.
+        let bound = system.bound(sim.scheme()).ok().flatten();
 
         let byte_system = match backend {
             SweepBackend::Analytic => None,
@@ -360,7 +368,7 @@ impl SimSweep {
             .map(|_| Self::churn_rebalance(&system, scenario_spec));
         Ok(CellContext {
             sim,
-            plan,
+            bound,
             byte_system,
             rebalance,
         })
@@ -410,8 +418,8 @@ impl SimSweep {
             .metric("mean_latency_s", report.overall.mean)
             .metric("p95_latency_s", report.overall.p95)
             .metric("cache_fraction", report.slots.cache_fraction());
-        if let Some(plan) = &ctx.plan {
-            sample = sample.metric("analytic_bound_s", plan.objective);
+        if let Some(bound) = &ctx.bound {
+            sample = sample.metric("analytic_bound_s", bound.objective);
         }
         if let Some(rebalance) = &ctx.rebalance {
             sample = sample
@@ -599,27 +607,39 @@ mod tests {
     fn sweep_runs_and_reports_cells_with_standard_metrics() {
         let system = small_system();
         let report = SimSweep::new("small", &system, SimConfig::new(3_000.0, 7))
-            .policies(vec![CachePolicy::Functional, CachePolicy::None])
+            .policies(vec![
+                CachePolicy::Functional,
+                CachePolicy::Exact,
+                CachePolicy::None,
+            ])
             .cache_sizes(vec![2, 6])
             .replications(2)
             .run(4)
             .unwrap();
-        assert_eq!(report.rows.len(), 4);
+        assert_eq!(report.rows.len(), 6);
         for row in &report.rows {
             assert!(row.counter("completed").unwrap() > 0);
             let mean = row.metric("mean_latency_s").unwrap();
             assert_eq!(mean.replications, 2);
             assert!(mean.mean > 0.0);
         }
-        // Functional cells carry the analytic bound; no-cache cells do not.
+        // Every cell carries its own scheme's analytic bound.
+        let bound = |policy| {
+            let row = report.find_row(&[("policy", policy), ("cache_chunks", "6")]);
+            row.unwrap().metric("analytic_bound_s").unwrap().mean
+        };
+        let plan = system.optimize().unwrap();
+        let exact = system.cache_scheme(CachePolicy::Exact, Some(&plan));
+        assert_eq!(
+            bound("exact"),
+            system.bound(&exact).unwrap().unwrap().objective
+        );
         let functional = report
             .find_row(&[("policy", "functional"), ("cache_chunks", "6")])
             .unwrap();
-        assert!(functional.metric("analytic_bound_s").unwrap().mean > 0.0);
-        let no_cache = report
-            .find_row(&[("policy", "no_cache"), ("cache_chunks", "6")])
-            .unwrap();
-        assert!(no_cache.metric("analytic_bound_s").is_none());
+        assert!(bound("functional") > 0.0);
+        assert!(bound("exact") >= bound("functional"));
+        assert!(bound("no_cache") >= bound("exact"));
         // More cache must not hurt the functional policy.
         let tight = report
             .find_row(&[("policy", "functional"), ("cache_chunks", "2")])

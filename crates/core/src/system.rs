@@ -12,8 +12,8 @@ use crate::spec::SystemSpec;
 /// it.
 pub type CachePolicyChoice = CachePolicy;
 
-/// Simulated latency of every policy on the same workload, plus the analytic
-/// bound for the functional plan — the comparison behind Figs. 10 and 11.
+/// Simulated latency of every policy on the same workload — the comparison
+/// behind Figs. 10 and 11. Each policy's bound is [`SproutSystem::bound`].
 #[derive(Debug, Clone, PartialEq)]
 pub struct PolicyComparison {
     /// Functional caching (optimized plan).
@@ -24,8 +24,6 @@ pub struct PolicyComparison {
     pub lru: SimReport,
     /// No cache at all.
     pub no_cache: SimReport,
-    /// The analytical mean-latency bound of the functional plan.
-    pub analytic_bound: f64,
 }
 
 impl PolicyComparison {
@@ -146,12 +144,6 @@ impl SproutSystem {
         if down.is_empty() {
             return self.optimize_with(config);
         }
-        let nodes = self
-            .spec
-            .node_services
-            .iter()
-            .map(|d| d.moments())
-            .collect::<Vec<_>>();
         let files = self
             .spec
             .files
@@ -173,7 +165,7 @@ impl SproutSystem {
                 Ok(FileModel::new(f.arrival_rate, f.k, surviving))
             })
             .collect::<Result<Vec<_>, _>>()?;
-        let degraded = StorageModel::new(nodes, files)?;
+        let degraded = StorageModel::new(self.model.nodes().to_vec(), files)?;
         let mut plan = Optimizer::new(*config).run(&degraded, self.spec.cache_capacity_chunks)?;
         for (row, placement) in plan.scheduling.iter_mut().zip(&self.placements) {
             let mut surviving = std::mem::take(row).into_iter();
@@ -376,15 +368,51 @@ impl SproutSystem {
     }
 
     /// Simulates all four policies on the same workload and reports the
-    /// comparison (plus the analytic bound of the supplied functional plan).
+    /// comparison.
     pub fn compare_policies(&self, plan: &CachePlan, horizon: f64, seed: u64) -> PolicyComparison {
         PolicyComparison {
             functional: self.simulate(CachePolicy::Functional, Some(plan), horizon, seed),
             exact: self.simulate(CachePolicy::Exact, Some(plan), horizon, seed),
             lru: self.simulate(CachePolicy::LruReplicated, None, horizon, seed),
             no_cache: self.simulate(CachePolicy::None, None, horizon, seed),
-            analytic_bound: plan.objective,
         }
+    }
+
+    /// Lemma 1's bound for `scheme`: [`CachePlan::evaluate`] at the read
+    /// marginals the engine samples — `k_i / n_i` per host with no cache,
+    /// `(k_i − d_i) / n_i` under [`SchedulingRule::Uniform`], the plan's rows
+    /// under [`SchedulingRule::Probabilistic`] (a plan's bound is its
+    /// objective, to the bit), and those rows with the first `d_i` entries
+    /// zeroed under exact caching. `None` for the LRU tier.
+    ///
+    /// # Errors
+    ///
+    /// Those of [`CachePlan::evaluate`], an overloaded node among them.
+    pub fn bound(&self, scheme: &CacheScheme) -> Result<Option<CachePlan>, SproutError> {
+        let files = self.model.files();
+        // `reads_i / n_i` on each of file i's hosts.
+        let spread = |reads: Vec<usize>| {
+            let rows = files.iter().zip(reads);
+            rows.map(|(f, r)| vec![r as f64 / f.n() as f64; f.n()])
+                .collect()
+        };
+        let rows = match scheme {
+            CacheScheme::LruReplicated { .. } => return Ok(None),
+            CacheScheme::NoCache => spread(files.iter().map(|f| f.k).collect()),
+            CacheScheme::Functional(plan, SchedulingRule::Uniform) => {
+                let d = files.iter().zip(&plan.cached_chunks);
+                spread(d.map(|(f, &d)| f.k.saturating_sub(d)).collect())
+            }
+            CacheScheme::Functional(plan, SchedulingRule::Probabilistic) => plan.scheduling.clone(),
+            CacheScheme::Exact(plan) => {
+                let mut rows = plan.scheduling.clone();
+                for (row, &d) in rows.iter_mut().zip(&plan.cached_chunks) {
+                    row.iter_mut().take(d).for_each(|p| *p = 0.0);
+                }
+                rows
+            }
+        };
+        Ok(Some(CachePlan::evaluate(&self.model, rows)?))
     }
 
     /// The engine-level [`CacheScheme`] a policy resolves to. `plan` is
@@ -429,6 +457,8 @@ impl SproutSystem {
 mod tests {
     use super::*;
     use crate::spec::SystemSpec;
+    use proptest::prelude::*;
+    use sprout_optimizer::OptimizerError;
 
     fn small_system() -> SproutSystem {
         let spec = SystemSpec::builder()
@@ -461,10 +491,100 @@ mod tests {
         assert!(cmp.functional.overall.mean <= cmp.no_cache.overall.mean * 1.05);
         // Functional caching should not lose to exact caching with the same counts.
         assert!(cmp.functional.overall.mean <= cmp.exact.overall.mean * 1.10);
-        assert!(cmp.analytic_bound > 0.0);
+        // Each policy's bound: the plan's objective for functional caching,
+        // a looser one for exact caching (its rows are feasible for the
+        // functional problem), a looser one still with no cache, none for
+        // LRU; and each bounds its own simulated mean.
+        let bound = |policy, plan| {
+            let scheme = system.cache_scheme(policy, plan);
+            system.bound(&scheme).unwrap().map(|b| b.objective)
+        };
+        let functional = bound(CachePolicy::Functional, Some(&plan)).unwrap();
+        let exact = bound(CachePolicy::Exact, Some(&plan)).unwrap();
+        let none = bound(CachePolicy::None, None).unwrap();
+        assert_eq!(functional.to_bits(), plan.objective.to_bits());
+        assert!(0.0 < functional && functional <= exact && exact <= none);
+        assert_eq!(bound(CachePolicy::LruReplicated, None), None);
+        assert!(functional >= cmp.functional.overall.mean * 0.9);
+        assert!(exact >= cmp.exact.overall.mean * 0.9);
+        assert!(none >= cmp.no_cache.overall.mean * 0.9);
         // improvement metric is well defined
         let imp = cmp.improvement_over_lru();
         assert!(imp <= 1.0);
+    }
+
+    #[test]
+    fn an_overloaded_scheme_has_no_bound_and_names_its_node() {
+        // Four hosts per (4, 2) file, node 3 the slowest: uniform reads send
+        // it 2 · 0.06 · 2/4 = 0.06 chunks/s against a rate of 0.05.
+        let spec = SystemSpec::builder()
+            .node_service_rates(&[1.0, 1.0, 1.0, 0.05])
+            .uniform_files(2, 2, 4, 0.06)
+            .cache_capacity_chunks(2)
+            .build()
+            .unwrap();
+        let system = SproutSystem::new(spec).unwrap();
+        let err = system.bound(&CacheScheme::NoCache).unwrap_err();
+        let SproutError::Optimizer(OptimizerError::UnstableSystem { node, utilization }) = err
+        else {
+            panic!("expected an overload, got {err:?}");
+        };
+        assert_eq!(node, 3);
+        assert!((utilization - 1.2).abs() < 1e-9, "{utilization}");
+        // Rows that read the other three hosts only are stable.
+        let scheduling = system.placements().iter();
+        let planned = PlannedCache {
+            cached_chunks: vec![0; 2],
+            scheduling: scheduling
+                .map(|p| {
+                    p.iter()
+                        .map(|&j| if j == 3 { 0.0 } else { 2.0 / 3.0 })
+                        .collect()
+                })
+                .collect(),
+        };
+        let scheme = CacheScheme::Functional(planned, SchedulingRule::Probabilistic);
+        let bound = system.bound(&scheme).unwrap().unwrap();
+        assert!(bound.objective.is_finite() && bound.objective > 0.0);
+        assert_eq!(bound.cached_chunks, [0, 0]);
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(24))]
+
+        /// Lemma 1 is monotone in `π` and in the node moments, and exact
+        /// caching's marginals are elementwise at most no-cache's (`0` on the
+        /// copied hosts, `(k − d)/(n − d) ≤ k/n` elsewhere), so its bound is
+        /// at most no-cache's.
+        #[test]
+        fn exact_caching_is_bounded_by_no_cache(
+            rates in proptest::collection::vec(0.3f64..1.0, 4..8),
+            files in 1usize..8,
+            k in 1usize..4,
+            extra in 0usize..3,
+            rate in 0.005f64..0.04,
+            cache in 0usize..12,
+            seed in 0u64..1_000,
+        ) {
+            let n = (k + extra).min(rates.len());
+            let spec = SystemSpec::builder()
+                .node_service_rates(&rates)
+                .uniform_files(files, k.min(n), n, rate)
+                .cache_capacity_chunks(cache)
+                .seed(seed)
+                .build()
+                .unwrap();
+            let system = SproutSystem::new(spec).unwrap();
+            let plan = system.optimize().unwrap();
+            let exact = system.cache_scheme(CachePolicy::Exact, Some(&plan));
+            let exact = system.bound(&exact).unwrap().unwrap();
+            let none = system.bound(&CacheScheme::NoCache).unwrap().unwrap();
+            prop_assert!(
+                exact.objective <= none.objective * (1.0 + 1e-12),
+                "exact {} > no cache {}", exact.objective, none.objective
+            );
+            prop_assert_eq!(exact.cached_chunks, plan.cached_chunks);
+        }
     }
 
     #[test]

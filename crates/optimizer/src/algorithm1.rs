@@ -75,34 +75,23 @@ impl Optimizer {
     ///
     /// Values larger than `Σ_i k_i` are silently clamped (a bigger cache
     /// cannot help further). Starts from the warm-start point if one was set,
-    /// otherwise from the default no-cache, uniform-scheduling point.
-    ///
-    /// # Panics
-    ///
-    /// Panics if a warm start does not have one row per file with one entry
-    /// per placement entry.
+    /// otherwise from the default no-cache, uniform-scheduling point. The
+    /// returned plan is [`CachePlan::evaluate`] at the best scheduling found,
+    /// with the run's [`ConvergenceTrace`].
     ///
     /// # Errors
     ///
-    /// * [`OptimizerError::UnstableSystem`] if no stable scheduling exists
-    ///   even with the cache fully utilized.
-    /// * [`OptimizerError::InvalidModel`] is never produced here (the model
-    ///   was validated at construction) but is part of the shared error type.
+    /// * [`OptimizerError::UnstableSystem`] if the starting point overloads
+    ///   a node.
+    /// * [`OptimizerError::InvalidModel`] if a warm start does not have one
+    ///   row per file with one entry per placement entry.
     pub fn run(
         &self,
         model: &StorageModel,
         cache_capacity: usize,
     ) -> Result<CachePlan, OptimizerError> {
         let initial_pi = match &self.initial_pi {
-            Some(rows) => {
-                let files = model.files();
-                assert!(
-                    rows.len() == files.len()
-                        && rows.iter().zip(files).all(|(r, f)| r.len() == f.n()),
-                    "a warm start needs one row per file and one entry per placement entry"
-                );
-                rows.concat()
-            }
+            Some(rows) => model.flatten(rows)?,
             None => uniform_initial_pi(model),
         };
         run_from(model, cache_capacity, &self.config, initial_pi)
@@ -129,16 +118,14 @@ fn run_from(
         &mut ProjectionScratch::default(),
     );
     trace.projections += 1;
+    // --- Prob Z: exact per-file minimization of the auxiliary variables,
+    // here and at the end of every outer iteration, where `pi` last moved.
     let mut z = prob_z::solve(model, &pi)?;
     let mut best_objective = evaluate(model, &pi, &z)?.total;
     trace.outer_objectives.push(best_objective);
     let mut best_pi = pi.clone();
-    let mut best_z = z.clone();
 
     for _ in 0..config.max_outer_iterations {
-        // --- Prob Z: exact per-file minimization of the auxiliary variables.
-        z = prob_z::solve(model, &pi)?;
-
         // --- Inner loop: relaxed Prob Pi + iterative rounding.
         let mut bands = initial_bands(model);
         let mut rounds = 0usize;
@@ -171,21 +158,24 @@ fn run_from(
         trace.rounding_rounds += rounds;
 
         // --- Outer convergence check on the (integer-feasible) objective.
-        let z_now = prob_z::solve(model, &pi)?;
-        let objective = evaluate(model, &pi, &z_now)?.total;
+        z = prob_z::solve(model, &pi)?;
+        let objective = evaluate(model, &pi, &z)?.total;
         trace.outer_objectives.push(objective);
         let stop = settled(best_objective, objective, config.tolerance);
         if objective < best_objective {
             best_objective = objective;
             best_pi = pi.clone();
-            best_z = z_now;
         }
         if stop {
             break;
         }
     }
 
-    Ok(finalize(model, best_pi, best_z, best_objective, trace))
+    let rows = model.rows(&best_pi).map(|(_, row)| row.to_vec()).collect();
+    Ok(CachePlan {
+        trace,
+        ..CachePlan::evaluate(model, rows)?
+    })
 }
 
 /// Files whose storage-read total is still fractional, sorted by descending
@@ -207,33 +197,39 @@ fn fractional_files(model: &StorageModel, pi: &[f64], bands: &[FileBand]) -> Vec
     out.into_iter().map(|(i, sum, _)| (i, sum)).collect()
 }
 
-/// Converts the final fractional-free solution into a [`CachePlan`], split
-/// into one row per file.
-fn finalize(
-    model: &StorageModel,
-    pi: Vec<f64>,
-    z: Vec<f64>,
-    objective: f64,
-    trace: ConvergenceTrace,
-) -> CachePlan {
-    let per_file_latency = evaluate(model, &pi, &z)
-        .map(|b| b.per_file)
-        .unwrap_or_else(|_| vec![f64::INFINITY; model.num_files()]);
-    let (cached_chunks, scheduling) = model
-        .rows(&pi)
-        .map(|(f, row)| {
-            let reads: f64 = row.iter().sum();
-            let d = f.k as f64 - reads;
-            (d.round().max(0.0) as usize, row.to_vec())
+impl CachePlan {
+    /// Lemma 1's bound (Eq. 6) for reads scheduled by `scheduling` (rows in
+    /// [`CachePlan::scheduling`]'s layout): the plan they form, with
+    /// `cached_chunks` `k_i − Σ_j π_{i,j}` (rounded), the rows' optimal `z`,
+    /// and an empty trace. Algorithm 1 returns this evaluation at its rows,
+    /// so every scheme whose read marginals are known is bounded by one code
+    /// path.
+    ///
+    /// # Errors
+    ///
+    /// [`OptimizerError::InvalidModel`] unless there is one row per file with
+    /// one entry per placement entry; [`OptimizerError::UnstableSystem`] if
+    /// the rows overload a node.
+    pub fn evaluate(
+        model: &StorageModel,
+        scheduling: Vec<Vec<f64>>,
+    ) -> Result<CachePlan, OptimizerError> {
+        let pi = model.flatten(&scheduling)?;
+        let z = prob_z::solve(model, &pi)?;
+        let bounds = evaluate(model, &pi, &z)?;
+        let reads = scheduling.iter().map(|row| row.iter().sum::<f64>());
+        let cached = model.files().iter().zip(reads);
+        let cached_chunks = cached
+            .map(|(f, reads)| (f.k as f64 - reads).round().max(0.0) as usize)
+            .collect();
+        Ok(CachePlan {
+            cached_chunks,
+            scheduling,
+            z,
+            objective: bounds.total,
+            per_file_latency: bounds.per_file,
+            trace: ConvergenceTrace::default(),
         })
-        .unzip();
-    CachePlan {
-        cached_chunks,
-        scheduling,
-        z,
-        objective,
-        per_file_latency,
-        trace,
     }
 }
 
@@ -241,6 +237,7 @@ fn finalize(
 mod tests {
     use super::*;
     use crate::model::FileModel;
+    use rand::{Rng, SeedableRng};
     use sprout_queueing::dist::ServiceDistribution;
 
     /// A small instance resembling the paper's setup: heterogeneous nodes,
@@ -417,5 +414,80 @@ mod tests {
         let frac = Optimizer::default().run(&m, 4).unwrap();
         assert!((one.objective - frac.objective).abs() < 0.5);
         assert!(one.cache_chunks_used() <= 4);
+    }
+
+    /// A random stable system: 4–7 exponential nodes, 2–6 files with
+    /// `k ∈ 1..=3` on `k + 0..=2` consecutive nodes, and light rates.
+    fn random_model(seed: u64) -> StorageModel {
+        let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+        let m = rng.gen_range(4usize..8);
+        let nodes = (0..m)
+            .map(|_| ServiceDistribution::exponential(rng.gen_range(0.5..1.0)).moments())
+            .collect();
+        let files = (0..rng.gen_range(2usize..7))
+            .map(|_| {
+                let k = rng.gen_range(1usize..4);
+                let (n, first) = (k + rng.gen_range(0usize..3), rng.gen_range(0..m));
+                let placement = (0..n).map(|r| (first + r) % m).collect();
+                FileModel::new(rng.gen_range(0.01..0.05), k, placement)
+            })
+            .collect();
+        StorageModel::new(nodes, files).unwrap()
+    }
+
+    #[test]
+    fn evaluating_a_plans_rows_reproduces_the_plan_to_the_bit() {
+        for seed in 0..16 {
+            let model = random_model(seed);
+            let capacity = seed as usize % (model.max_useful_cache() + 1);
+            let plan = Optimizer::default().run(&model, capacity).unwrap();
+            let again = CachePlan::evaluate(&model, plan.scheduling.clone()).unwrap();
+            let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            assert_eq!(
+                again.objective.to_bits(),
+                plan.objective.to_bits(),
+                "seed {seed}"
+            );
+            assert_eq!(bits(&again.z), bits(&plan.z), "seed {seed}");
+            assert_eq!(
+                bits(&again.per_file_latency),
+                bits(&plan.per_file_latency),
+                "seed {seed}"
+            );
+            assert_eq!(again.cached_chunks, plan.cached_chunks, "seed {seed}");
+            assert_eq!(again.trace, ConvergenceTrace::default());
+        }
+    }
+
+    #[test]
+    fn misshapen_rows_are_invalid_and_an_overload_names_its_node() {
+        let nodes = vec![
+            ServiceDistribution::exponential(1.0).moments(),
+            ServiceDistribution::exponential(0.25).moments(),
+            ServiceDistribution::exponential(1.0).moments(),
+        ];
+        let files = vec![FileModel::new(0.4, 2, vec![0, 1, 2])];
+        let model = StorageModel::new(nodes, files).unwrap();
+        for rows in [vec![], vec![vec![1.0; 3]; 2], vec![vec![1.0; 2]]] {
+            let err = CachePlan::evaluate(&model, rows.clone()).unwrap_err();
+            assert!(matches!(err, OptimizerError::InvalidModel(_)), "{rows:?}");
+            let warm = CachePlan {
+                scheduling: rows,
+                ..CachePlan::evaluate(&model, vec![vec![1.0, 0.0, 1.0]]).unwrap()
+            };
+            let err = Optimizer::default().warm_start(&warm).run(&model, 0);
+            assert!(matches!(err, Err(OptimizerError::InvalidModel(_))));
+        }
+        // Reading node 1 (rate 0.25) on every request loads it to 1.6.
+        let err = CachePlan::evaluate(&model, vec![vec![1.0, 1.0, 0.0]]).unwrap_err();
+        assert!(
+            matches!(err, OptimizerError::UnstableSystem { node: 1, utilization } if utilization >= 1.0),
+            "{err:?}"
+        );
+        // Rows that skip the slow node bound the file and cache nothing.
+        let plan = CachePlan::evaluate(&model, vec![vec![1.0, 0.0, 1.0]]).unwrap();
+        assert_eq!(plan.cached_chunks, [0]);
+        assert!(plan.objective.is_finite() && plan.objective > 0.0);
+        assert_eq!(plan.objective, plan.per_file_latency[0]);
     }
 }

@@ -2,18 +2,18 @@
 
 use std::fmt;
 
-/// Errors returned by [`crate::StorageModel`] construction and
-/// [`Optimizer::run`](crate::Optimizer::run).
+/// Errors returned by [`crate::StorageModel`] construction, [`crate::Optimizer`]
+/// and [`CachePlan::evaluate`](crate::CachePlan::evaluate).
 #[derive(Debug, Clone, PartialEq)]
 pub enum OptimizerError {
     /// The model is malformed (empty, inconsistent indices, bad rates…).
     InvalidModel(String),
-    /// No feasible scheduling exists: even with every allowed chunk cached,
-    /// some node must be loaded at or above its service rate.
+    /// A scheduling loads a node at or above its service rate: the point
+    /// Algorithm 1 starts from, or the rows a scheme was evaluated at.
     UnstableSystem {
-        /// The node that remains overloaded.
+        /// The overloaded node.
         node: usize,
-        /// Its utilization at the initial (most spread-out) scheduling.
+        /// Its utilization `ρ_j ≥ 1` under that scheduling.
         utilization: f64,
     },
     /// The requested cache capacity cannot be met: files cannot place more
@@ -28,7 +28,7 @@ impl fmt::Display for OptimizerError {
             OptimizerError::InvalidModel(msg) => write!(f, "invalid storage model: {msg}"),
             OptimizerError::UnstableSystem { node, utilization } => write!(
                 f,
-                "system is unstable: node {node} has utilization {utilization:.4} >= 1 even at the initial scheduling"
+                "system is unstable: node {node} has utilization {utilization:.4} >= 1 under the scheduling"
             ),
             OptimizerError::InfeasibleCache(msg) => write!(f, "infeasible cache constraint: {msg}"),
         }

@@ -26,6 +26,9 @@
 //!    `d_i` is an integer.
 //! 4. Repeat 1–3 until the objective improves by less than a tolerance.
 //!
+//! [`CachePlan::evaluate`] is the bound at any scheduling, and a plan is that
+//! evaluation at Algorithm 1's rows.
+//!
 //! # Example
 //!
 //! ```

@@ -123,32 +123,6 @@ impl StorageModel {
         self.files.iter().map(|f| f.k).sum()
     }
 
-    /// Replaces all arrival rates, e.g. when a new time bin begins.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`OptimizerError::InvalidModel`] if the length differs from
-    /// the number of files or a rate is invalid.
-    pub fn with_arrival_rates(&self, rates: &[f64]) -> Result<Self, OptimizerError> {
-        if rates.len() != self.files.len() {
-            return Err(OptimizerError::InvalidModel(format!(
-                "expected {} arrival rates, got {}",
-                self.files.len(),
-                rates.len()
-            )));
-        }
-        let files = self
-            .files
-            .iter()
-            .zip(rates)
-            .map(|(f, &r)| FileModel {
-                arrival_rate: r,
-                ..f.clone()
-            })
-            .collect();
-        StorageModel::new(self.nodes.clone(), files)
-    }
-
     /// Each file with its row of a flat buffer of scheduling probabilities.
     ///
     /// The optimizer stores `π` as one flat buffer: file `i`'s row is `n_i`
@@ -165,6 +139,18 @@ impl StorageModel {
             rest = tail;
             (f, row)
         })
+    }
+
+    /// `rows`, one per file, as the flat buffer of [`rows`](Self::rows), or
+    /// [`OptimizerError::InvalidModel`] if they do not fit the placements.
+    pub(crate) fn flatten(&self, rows: &[Vec<f64>]) -> Result<Vec<f64>, OptimizerError> {
+        let mut fits = rows.iter().zip(&self.files).map(|(r, f)| r.len() == f.n());
+        if rows.len() != self.files.len() || !fits.all(|ok| ok) {
+            return Err(OptimizerError::InvalidModel(
+                "a scheduling needs one row per file and one entry per placement entry".into(),
+            ));
+        }
+        Ok(rows.concat())
     }
 
     /// Where each file's row of the flat buffer starts, plus the total count.
@@ -240,20 +226,5 @@ mod tests {
             vec![FileModel::new(f64::NAN, 1, vec![0])]
         )
         .is_err());
-    }
-
-    #[test]
-    fn with_arrival_rates_replaces_rates() {
-        let m = StorageModel::new(
-            vec![moments(0.1), moments(0.2)],
-            vec![
-                FileModel::new(0.01, 1, vec![0, 1]),
-                FileModel::new(0.02, 1, vec![1]),
-            ],
-        )
-        .unwrap();
-        let m2 = m.with_arrival_rates(&[0.05, 0.06]).unwrap();
-        assert!((m2.total_arrival_rate() - 0.11).abs() < 1e-12);
-        assert!(m.with_arrival_rates(&[0.05]).is_err());
     }
 }

@@ -18,6 +18,7 @@
 //! concatenated. A [`CachePlan`](crate::CachePlan)'s `scheduling` rows are
 //! the same entries, so `plan.scheduling.concat()` is such a buffer.
 
+use sprout_queueing::bound::{latency_bound_given_z, SchedulingTerm};
 use sprout_queueing::mg1::{
     mean_delay_derivative, queue_delay_moments, variance_delay_derivative, QueueDelayMoments,
 };
@@ -32,10 +33,6 @@ pub(crate) struct ObjectiveBreakdown {
     pub total: f64,
     /// Per-file latency bounds `U_i` evaluated at the supplied `z_i`.
     pub per_file: Vec<f64>,
-    /// Per-node chunk arrival rates `Λ_j`.
-    pub node_arrival_rates: Vec<f64>,
-    /// Per-node queue-delay moments.
-    pub node_delays: Vec<QueueDelayMoments>,
 }
 
 /// Per-node chunk arrival rates `Λ_j` and queue-delay moments at one
@@ -74,7 +71,8 @@ impl NodeState {
 }
 
 /// The per-file Lemma 1 bounds `U_i` at `pi` and `z`, given the queue-delay
-/// moments `pi` produces.
+/// moments `pi` produces: Lemma 1's per-file term,
+/// [`latency_bound_given_z`], on each file's placement.
 fn file_bounds<'a>(
     model: &'a StorageModel,
     pi: &'a [f64],
@@ -82,15 +80,14 @@ fn file_bounds<'a>(
     delays: &'a [QueueDelayMoments],
 ) -> impl Iterator<Item = f64> + 'a {
     model.rows(pi).zip(z).map(move |((file, row), &z_i)| {
-        let mut u_i = z_i;
-        for (&j, &p) in file.placement.iter().zip(row) {
-            if p <= 0.0 {
-                continue;
-            }
-            let x = delays[j].mean - z_i;
-            u_i += p / 2.0 * (x + (x * x + delays[j].variance).sqrt());
-        }
-        u_i
+        let terms = file.placement.iter().zip(row);
+        latency_bound_given_z(
+            z_i,
+            terms.map(|(&j, &probability)| SchedulingTerm {
+                probability,
+                delay: delays[j],
+            }),
+        )
     })
 }
 
@@ -138,8 +135,6 @@ pub(crate) fn evaluate(
     Ok(ObjectiveBreakdown {
         total: weighted_mean(model, per_file.iter().copied()),
         per_file,
-        node_arrival_rates: state.rates,
-        node_delays: state.delays,
     })
 }
 

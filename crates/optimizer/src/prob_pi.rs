@@ -27,8 +27,6 @@ pub(crate) struct ProbPiOutcome {
     /// The optimized scheduling probabilities, one entry per placement
     /// entry of each file, files concatenated.
     pub pi: Vec<f64>,
-    /// Objective value at the returned point.
-    pub objective: f64,
     /// Number of projected-gradient iterations performed.
     pub iterations: usize,
     /// Number of line-search candidates projected and evaluated.
@@ -132,7 +130,6 @@ pub(crate) fn solve(
 
     Ok(ProbPiOutcome {
         pi,
-        objective: current,
         iterations,
         line_search_probes,
         nu_probes,
@@ -200,7 +197,7 @@ mod tests {
         let z = vec![0.0; m.num_files()];
         let before = evaluate(&m, &pi0, &z).unwrap().total;
         let out = solve(&m, &z, &pi0, &bands, 2, &OptimizerConfig::default()).unwrap();
-        assert!(out.objective <= before + 1e-9);
+        assert!(evaluate(&m, &out.pi, &z).unwrap().total <= before + 1e-9);
         // feasibility: per-file sums within [0, k], coupling satisfied
         let mut total = 0.0;
         for (f, row) in m.rows(&out.pi) {

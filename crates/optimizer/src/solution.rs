@@ -31,7 +31,8 @@ impl ConvergenceTrace {
 }
 
 /// The optimized cache placement and request-scheduling policy for one time
-/// bin.
+/// bin, or any scheduling's Lemma 1 bound
+/// ([`CachePlan::evaluate`](crate::CachePlan::evaluate)).
 #[derive(Debug, Clone, PartialEq)]
 pub struct CachePlan {
     /// Number of functional chunks of each file to hold in the cache (`d_i`).
@@ -47,7 +48,7 @@ pub struct CachePlan {
     pub objective: f64,
     /// Per-file latency bounds `U_i` (seconds).
     pub per_file_latency: Vec<f64>,
-    /// Convergence history.
+    /// Convergence history (empty for a plan that was only evaluated).
     pub trace: ConvergenceTrace,
 }
 

@@ -26,22 +26,16 @@ pub struct SchedulingTerm {
     pub delay: QueueDelayMoments,
 }
 
-/// Result of minimizing the Lemma 1 bound over the auxiliary variable.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct LatencyBound {
-    /// The latency upper bound `U_i`.
-    pub latency: f64,
-    /// The minimizing auxiliary variable `z_i ≥ 0`.
-    pub z: f64,
-}
-
-/// Evaluates the Lemma 1 bound at a fixed auxiliary variable `z`.
+/// Evaluates the Lemma 1 bound at a fixed auxiliary variable `z`: the one
+/// per-file term of the bound, which the optimizer's objective sums over
+/// files. The bound itself is this term at [`optimal_z`].
 ///
 /// Terms with zero probability contribute nothing; an empty term list (a file
 /// served entirely from the cache) yields `z` itself, so minimizing over
 /// `z ≥ 0` gives zero latency, matching the paper's treatment of fully-cached
-/// files.
-pub fn latency_bound_given_z(z: f64, terms: &[SchedulingTerm]) -> f64 {
+/// files. Any iterator of terms will do, so a caller can build them on the
+/// fly without allocating.
+pub fn latency_bound_given_z(z: f64, terms: impl IntoIterator<Item = SchedulingTerm>) -> f64 {
     let mut total = z;
     for term in terms {
         if term.probability <= 0.0 {
@@ -103,16 +97,6 @@ pub fn optimal_z(terms: &[SchedulingTerm]) -> f64 {
     0.5 * (lo + hi)
 }
 
-/// Minimizes the Lemma 1 bound over `z ≥ 0` and returns both the bound and
-/// the minimizer.
-pub fn file_latency_bound(terms: &[SchedulingTerm]) -> LatencyBound {
-    let z = optimal_z(terms);
-    LatencyBound {
-        latency: latency_bound_given_z(z, terms),
-        z,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -126,19 +110,25 @@ mod tests {
         }
     }
 
+    /// The Lemma 1 bound `U_i` and its minimizer `z_i`.
+    fn bound_and_z(terms: &[SchedulingTerm]) -> (f64, f64) {
+        let z = optimal_z(terms);
+        (latency_bound_given_z(z, terms.iter().copied()), z)
+    }
+
     #[test]
     fn empty_terms_give_zero_latency() {
-        let b = file_latency_bound(&[]);
-        assert_eq!(b.latency, 0.0);
-        assert_eq!(b.z, 0.0);
+        let (latency, z) = bound_and_z(&[]);
+        assert_eq!(latency, 0.0);
+        assert_eq!(z, 0.0);
     }
 
     #[test]
     fn single_deterministic_node_bound_is_tight() {
         // One node selected with probability 1 and zero delay variance: the
         // latency is exactly the node's mean delay and the bound achieves it.
-        let b = file_latency_bound(&[term(1.0, 5.0, 0.0)]);
-        assert!((b.latency - 5.0).abs() < 1e-9, "bound {}", b.latency);
+        let (latency, _) = bound_and_z(&[term(1.0, 5.0, 0.0)]);
+        assert!((latency - 5.0).abs() < 1e-9, "bound {latency}");
     }
 
     #[test]
@@ -147,29 +137,29 @@ mod tests {
         // must be at least the largest single-node mean times its selection
         // probability share, and at least the mean of each always-selected node.
         let terms = [term(1.0, 10.0, 25.0), term(1.0, 20.0, 100.0)];
-        let b = file_latency_bound(&terms);
-        assert!(b.latency >= 20.0);
+        let (latency, _) = bound_and_z(&terms);
+        assert!(latency >= 20.0);
     }
 
     #[test]
     fn bound_increases_with_variance() {
-        let low = file_latency_bound(&[term(1.0, 10.0, 1.0), term(1.0, 12.0, 1.0)]);
-        let high = file_latency_bound(&[term(1.0, 10.0, 100.0), term(1.0, 12.0, 100.0)]);
-        assert!(high.latency > low.latency);
+        let (low, _) = bound_and_z(&[term(1.0, 10.0, 1.0), term(1.0, 12.0, 1.0)]);
+        let (high, _) = bound_and_z(&[term(1.0, 10.0, 100.0), term(1.0, 12.0, 100.0)]);
+        assert!(high > low);
     }
 
     #[test]
     fn bound_increases_with_probability() {
-        let small = file_latency_bound(&[term(1.0, 10.0, 4.0), term(0.2, 30.0, 4.0)]);
-        let large = file_latency_bound(&[term(1.0, 10.0, 4.0), term(0.9, 30.0, 4.0)]);
-        assert!(large.latency > small.latency);
+        let (small, _) = bound_and_z(&[term(1.0, 10.0, 4.0), term(0.2, 30.0, 4.0)]);
+        let (large, _) = bound_and_z(&[term(1.0, 10.0, 4.0), term(0.9, 30.0, 4.0)]);
+        assert!(large > small);
     }
 
     #[test]
     fn zero_probability_terms_are_ignored() {
-        let a = file_latency_bound(&[term(1.0, 10.0, 4.0)]);
-        let b = file_latency_bound(&[term(1.0, 10.0, 4.0), term(0.0, 1000.0, 1e6)]);
-        assert!((a.latency - b.latency).abs() < 1e-12);
+        let (a, _) = bound_and_z(&[term(1.0, 10.0, 4.0)]);
+        let (b, _) = bound_and_z(&[term(1.0, 10.0, 4.0), term(0.0, 1000.0, 1e6)]);
+        assert!((a - b).abs() < 1e-12);
     }
 
     #[test]
@@ -185,10 +175,10 @@ mod tests {
             assert!(bound_derivative_z(z, &terms).abs() < 1e-6);
         }
         // z should (weakly) beat a grid of alternatives
-        let best = latency_bound_given_z(z, &terms);
+        let best = latency_bound_given_z(z, terms);
         for i in 0..400 {
             let alt = i as f64 * 0.25;
-            assert!(best <= latency_bound_given_z(alt, &terms) + 1e-9);
+            assert!(best <= latency_bound_given_z(alt, terms) + 1e-9);
         }
     }
 
@@ -222,7 +212,7 @@ mod tests {
                 delay: q,
             })
             .collect();
-        let bound = file_latency_bound(&terms).latency;
+        let (bound, _) = bound_and_z(&terms);
 
         // The true E[max] for exponential sojourn approximations: sample
         // exponentials with the matching means (a crude but adequate check

@@ -10,8 +10,8 @@
 //!   transform), together with their derivatives with respect to the node
 //!   arrival rate `Λ_j`, which the optimizer's gradient needs.
 //! * [`bound`] — the order-statistic upper bound on per-file latency
-//!   (Lemma 1): the bound evaluated at a given auxiliary variable `z`, its
-//!   closed-form sub-gradient, and the minimization over `z ≥ 0`.
+//!   (Lemma 1): the one per-file term at a given auxiliary variable `z`,
+//!   its closed-form sub-gradient, and the minimizing `z ≥ 0`.
 //! * [`stability`] — queue-stability checks (`ρ_j < 1`).
 //!
 //! # Example
@@ -19,7 +19,7 @@
 //! ```
 //! use sprout_queueing::dist::ServiceDistribution;
 //! use sprout_queueing::mg1::queue_delay_moments;
-//! use sprout_queueing::bound::{file_latency_bound, SchedulingTerm};
+//! use sprout_queueing::bound::{latency_bound_given_z, optimal_z, SchedulingTerm};
 //!
 //! // Two storage nodes with exponential service, one loaded more than the other.
 //! let fast = ServiceDistribution::exponential(0.1).moments();
@@ -32,8 +32,9 @@
 //!     SchedulingTerm { probability: 1.0, delay: q_fast },
 //!     SchedulingTerm { probability: 1.0, delay: q_slow },
 //! ];
-//! let bound = file_latency_bound(&terms);
-//! assert!(bound.latency >= q_slow.mean);
+//! // Lemma 1's bound is the per-file term at its minimizing z.
+//! let bound = latency_bound_given_z(optimal_z(&terms), terms);
+//! assert!(bound >= q_slow.mean);
 //! # Ok::<(), sprout_queueing::stability::StabilityError>(())
 //! ```
 
@@ -45,7 +46,7 @@ pub mod dist;
 pub mod mg1;
 pub mod stability;
 
-pub use bound::{file_latency_bound, latency_bound_given_z, LatencyBound, SchedulingTerm};
+pub use bound::{latency_bound_given_z, SchedulingTerm};
 pub use dist::{ServiceDistribution, ServiceMoments};
 pub use mg1::{queue_delay_moments, QueueDelayMoments};
 pub use stability::StabilityError;

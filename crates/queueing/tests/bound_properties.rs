@@ -2,7 +2,7 @@
 
 use proptest::prelude::*;
 use sprout_queueing::bound::{
-    bound_derivative_z, file_latency_bound, latency_bound_given_z, SchedulingTerm,
+    bound_derivative_z, latency_bound_given_z, optimal_z, SchedulingTerm,
 };
 use sprout_queueing::dist::ServiceDistribution;
 use sprout_queueing::mg1::{
@@ -26,6 +26,12 @@ fn term() -> impl Strategy<Value = SchedulingTerm> {
         probability: p,
         delay: QueueDelayMoments { mean, variance },
     })
+}
+
+/// The Lemma 1 bound `U_i` and its minimizer `z_i`.
+fn bound_and_z(terms: &[SchedulingTerm]) -> (f64, f64) {
+    let z = optimal_z(terms);
+    (latency_bound_given_z(z, terms.iter().copied()), z)
 }
 
 proptest! {
@@ -59,18 +65,19 @@ proptest! {
     #[test]
     fn bound_is_convex_in_z(terms in proptest::collection::vec(term(), 1..6), z1 in 0.0f64..200.0, z2 in 0.0f64..200.0) {
         let mid = 0.5 * (z1 + z2);
-        let lhs = latency_bound_given_z(mid, &terms);
-        let rhs = 0.5 * latency_bound_given_z(z1, &terms) + 0.5 * latency_bound_given_z(z2, &terms);
+        let at = |z| latency_bound_given_z(z, terms.iter().copied());
+        let lhs = at(mid);
+        let rhs = 0.5 * at(z1) + 0.5 * at(z2);
         prop_assert!(lhs <= rhs + 1e-9);
     }
 
     #[test]
     fn optimal_z_minimizes_over_a_grid(terms in proptest::collection::vec(term(), 1..6)) {
-        let best = file_latency_bound(&terms);
-        prop_assert!(best.z >= 0.0);
+        let (best, best_z) = bound_and_z(&terms);
+        prop_assert!(best_z >= 0.0);
         for i in 0..200 {
             let z = i as f64 * 0.75;
-            prop_assert!(best.latency <= latency_bound_given_z(z, &terms) + 1e-7);
+            prop_assert!(best <= latency_bound_given_z(z, terms.iter().copied()) + 1e-7);
         }
     }
 
@@ -84,7 +91,7 @@ proptest! {
         // With pi_j = 1 the node is always in the selected set, so the file
         // latency (a maximum including that node) is at least E[Q_j]; the
         // bound must respect that.
-        let bound = file_latency_bound(&terms).latency;
+        let (bound, _) = bound_and_z(&terms);
         for t in &terms {
             if t.probability >= 1.0 - 1e-12 {
                 prop_assert!(bound >= t.delay.mean - 1e-9);

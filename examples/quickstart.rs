@@ -3,7 +3,7 @@
 //!
 //! Run with `cargo run --example quickstart`.
 
-use sprout::{SproutSystem, SystemSpec};
+use sprout::{CachePolicy, SproutSystem, SystemSpec};
 
 fn main() -> Result<(), sprout::SproutError> {
     // A cluster of 6 heterogeneous storage nodes (chunk service rates in
@@ -29,17 +29,24 @@ fn main() -> Result<(), sprout::SproutError> {
     // Validate with the discrete-event simulator and compare against the
     // no-cache configuration and Ceph's LRU cache-tier baseline.
     let cmp = system.compare_policies(&plan, 50_000.0, 7);
-    println!("\nsimulated mean latency:");
-    println!(
-        "  functional caching   : {:.3} s",
-        cmp.functional.overall.mean
-    );
-    println!("  exact caching        : {:.3} s", cmp.exact.overall.mean);
-    println!("  LRU cache tier       : {:.3} s", cmp.lru.overall.mean);
-    println!(
-        "  no cache             : {:.3} s",
-        cmp.no_cache.overall.mean
-    );
+    let policies = [
+        (
+            "functional caching",
+            CachePolicy::Functional,
+            &cmp.functional,
+        ),
+        ("exact caching", CachePolicy::Exact, &cmp.exact),
+        ("LRU cache tier", CachePolicy::LruReplicated, &cmp.lru),
+        ("no cache", CachePolicy::None, &cmp.no_cache),
+    ];
+    // Each scheme's Lemma 1 bound, at the reads the simulator samples (the
+    // LRU tier has no model).
+    println!("\nsimulated mean latency (Lemma 1 bound):");
+    for (name, policy, report) in policies {
+        let bound = system.bound(&system.cache_scheme(policy, Some(&plan)))?;
+        let bound = bound.map_or("no model".into(), |b| format!("{:.3} s", b.objective));
+        println!("  {name:<21}: {:.3} s ({bound})", report.overall.mean);
+    }
     println!(
         "  improvement over LRU : {:.1} %",
         cmp.improvement_over_lru() * 100.0

@@ -3,6 +3,8 @@
 
 use sprout::cluster::{CachePolicy, ClusterConfig, DeviceModel, StoreHandle};
 use sprout::optimizer::OptimizerConfig;
+use sprout::sim::policy::SchedulingRule;
+use sprout::sim::{CacheScheme, SimConfig, SimFile, Simulation};
 use sprout::{SproutSystem, SystemSpec};
 
 fn build_system(files: usize, cache_chunks: usize) -> SproutSystem {
@@ -18,16 +20,42 @@ fn build_system(files: usize, cache_chunks: usize) -> SproutSystem {
 
 #[test]
 fn analytic_bound_upper_bounds_simulated_latency_end_to_end() {
+    // Every scheme with known read marginals, simulated as it is bounded:
+    // functional caching with the plan's π and with uniform reads, exact
+    // caching, and no cache.
     let system = build_system(10, 10);
     let plan = system.optimize().unwrap();
-    let report = system.simulate(CachePolicy::Functional, Some(&plan), 120_000.0, 9);
-    assert!(report.completed_requests > 2_000);
-    assert!(
-        plan.objective >= report.overall.mean * 0.95,
-        "bound {} vs simulated {}",
-        plan.objective,
-        report.overall.mean
-    );
+    let functional = system.cache_scheme(CachePolicy::Functional, Some(&plan));
+    let CacheScheme::Functional(planned, _) = functional.clone() else {
+        unreachable!("a functional policy resolves to a functional scheme")
+    };
+    let schemes = [
+        functional,
+        CacheScheme::Functional(planned, SchedulingRule::Uniform),
+        system.cache_scheme(CachePolicy::Exact, Some(&plan)),
+        CacheScheme::NoCache,
+    ];
+    let files: Vec<SimFile> = (system.spec().files.iter().zip(system.placements()))
+        .map(|(f, p)| SimFile::new(f.arrival_rate, f.k, p.clone()))
+        .collect();
+    for (i, scheme) in schemes.into_iter().enumerate() {
+        let bound = system.bound(&scheme).unwrap().unwrap().objective;
+        if i == 0 {
+            assert_eq!(
+                bound, plan.objective,
+                "functional caching's bound is its plan's"
+            );
+        }
+        let nodes = system.spec().node_services.clone();
+        let config = SimConfig::new(120_000.0, 9);
+        let report = Simulation::new(nodes, files.clone(), scheme.clone(), config).run();
+        assert!(report.completed_requests > 2_000);
+        assert!(
+            bound >= report.overall.mean * 0.95,
+            "{scheme:?}: bound {bound} vs simulated {}",
+            report.overall.mean
+        );
+    }
 }
 
 #[test]
