@@ -5,19 +5,24 @@
 //! The paper observes that the files whose rates rise gain cache chunks and
 //! the files whose rates drop lose them.
 //!
-//! One sweep cell per time bin. Re-optimization warm-starts from the
-//! previous bin's plan, so each cell replays the schedule prefix up to its
-//! bin through [`TimeBinManager`] — three cheap optimizations at most, and
-//! the cells stay independent (parallel, coordinate-seeded).
+//! One sweep cell per time bin. The schedule runs as a scenario
+//! ([`ScenarioSpec::time_bins`]): bin 1 runs the optimized plan, and each
+//! later bin the plan its `Reoptimize` swaps in, which
+//! [`SproutSystem::replan`] solves both cold and warm from the plan in
+//! force, keeping the better. Each cell compiles the schedule prefix up to
+//! its bin — five cheap optimizations at most — and prices its bin's scheme
+//! with [`SproutSystem::bound`] at the bin's rates, so the cells stay
+//! independent (parallel, coordinate-seeded).
 //!
 //! Artifact: `FIG_05.json` — per bin, the latency bound and eviction/fill
 //! counts as metrics plus the per-file rates and cache occupancy as series.
 
 use crate::FigureCli;
 use sprout::optimizer::OptimizerConfig;
+use sprout::scenario::cache_transition;
 use sprout::sim::sweep::{Sample, SweepGrid, SweepReport, SweepTimings};
 use sprout::workload::timebins::table_i_schedule;
-use sprout::{SproutSystem, SystemSpec, TimeBinManager};
+use sprout::{CachePolicy, ScenarioSpec, SproutSystem, SystemSpec};
 
 /// The paper's published per-file rates (~1.5e-4/s) put negligible load on
 /// the 12 servers when only 10 files exist, so — as in our EXPERIMENTS.md
@@ -48,28 +53,49 @@ pub fn run(cli: &FigureCli) -> (SweepReport, Option<SweepTimings>) {
         cli.threads_or(FigureCli::available_threads()),
         |cell, _, _| {
             let bin: usize = cell.coord("bin").parse().expect("axis label");
-            let manager = TimeBinManager::new(table_i_system(), OptimizerConfig::default());
-            let outcomes = manager
-                .run(&schedule.truncated(bin))
-                .expect("stable system");
-            let outcome = outcomes.last().expect("at least one bin ran");
+            let prefix = schedule.truncated(bin);
+            let bins = prefix.bins();
+            let system = table_i_system();
+            let first = system
+                .with_arrival_rates(&bins[0].rates)
+                .expect("one rate per file");
+            let plan = first.optimize().expect("stable system");
+            let scenario = ScenarioSpec::time_bins("table_i", &prefix)
+                .compile(
+                    &first,
+                    CachePolicy::Functional,
+                    Some(&plan),
+                    &OptimizerConfig::default(),
+                )
+                .expect("every bin re-plans");
+            let initial = first.cache_scheme(CachePolicy::Functional, Some(&plan));
+            let schemes = std::iter::once(&initial).chain(scenario.swapped_schemes());
+            let plans: Vec<_> = bins
+                .iter()
+                .zip(schemes)
+                .map(|(timebin, scheme)| {
+                    let system = system.with_arrival_rates(&timebin.rates);
+                    let bound = system.and_then(|s| s.bound(scheme));
+                    bound.expect("stable bin").expect("a planned scheme")
+                })
+                .collect();
+            let current = plans.last().expect("at least one bin ran");
+            let (evicted, added) = match plans.len() {
+                1 => (0, 0),
+                n => cache_transition(&plans[n - 2].cached_chunks, &current.cached_chunks),
+            };
             Sample::new()
-                .metric("latency_bound_s", outcome.plan.objective)
-                .metric("cache_used_chunks", outcome.plan.cache_chunks_used() as f64)
-                .metric("chunks_evicted", outcome.chunks_removed() as f64)
-                .metric("chunks_added", outcome.chunks_added() as f64)
+                .metric("latency_bound_s", current.objective)
+                .metric("cache_used_chunks", current.cache_chunks_used() as f64)
+                .metric("chunks_evicted", evicted as f64)
+                .metric("chunks_added", added as f64)
                 .series(
                     "arrival_rate_paper",
-                    outcome.rates.iter().map(|r| r / RATE_BOOST).collect(),
+                    bins[bin - 1].rates.iter().map(|r| r / RATE_BOOST).collect(),
                 )
                 .series(
                     "cached_chunks",
-                    outcome
-                        .plan
-                        .cached_chunks
-                        .iter()
-                        .map(|&c| c as f64)
-                        .collect(),
+                    current.cached_chunks.iter().map(|&c| c as f64).collect(),
                 )
         },
     );

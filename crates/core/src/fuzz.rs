@@ -338,6 +338,7 @@ impl ScenarioFuzzer {
             .compile(
                 &system,
                 case.policy,
+                plan.as_ref(),
                 &crate::optimizer::OptimizerConfig::default(),
             )
             .map_err(build)?;

@@ -28,8 +28,11 @@
 //!
 //! * [`SystemSpec`] / [`SproutSystem`] — describe a cluster + file population
 //!   and run the optimize → analyze → simulate pipeline.
-//! * [`TimeBinManager`] — re-optimizes the cache at every time bin of a
-//!   workload schedule and reports how the cache content evolves.
+//! * [`ScenarioSpec`] — what happens over a run (node churn, rate shifts,
+//!   re-optimization points); [`ScenarioSpec::time_bins`] re-plans the cache
+//!   at every time bin of a workload schedule through
+//!   [`SproutSystem::replan`], and each bin's plan is the scheme its swap
+//!   installs.
 //!
 //! # Quickstart
 //!
@@ -67,7 +70,6 @@ pub mod serve;
 pub mod spec;
 pub mod sweep;
 pub mod system;
-pub mod timebins;
 
 pub use backend::StoreBackend;
 pub use error::SproutError;
@@ -79,7 +81,6 @@ pub use spec::{FileConfig, SystemSpec, SystemSpecBuilder};
 pub use sprout_cluster::{CachePolicy, ClusterView, Placement, PlacementChoice, RebalanceReport};
 pub use sweep::{SimSweep, SweepBackend};
 pub use system::{CachePolicyChoice, PolicyComparison, SproutSystem};
-pub use timebins::{BinOutcome, CacheDelta, TimeBinManager};
 
 // Re-export the layer crates under stable names so downstream users only
 // need a dependency on `sprout`.

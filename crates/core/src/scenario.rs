@@ -5,15 +5,18 @@
 //! re-optimization points — without committing to a cache plan.
 //! [`ScenarioSpec::compile`] lowers it onto a concrete system and the run's
 //! cache policy: under a planned policy every
-//! [`ScenarioActionSpec::Reoptimize`] runs Algorithm 1 (via the
-//! [`SproutSystem`] facade) against the arrival rates in force at that
-//! point and becomes an online plan swap in the resulting
-//! [`sprout_sim::Scenario`].
+//! [`ScenarioActionSpec::Reoptimize`] re-plans from the plan in force with
+//! [`SproutSystem::replan`] against the arrival rates and failed nodes of
+//! that point, and becomes an online plan swap in the resulting
+//! [`sprout_sim::Scenario`]. A time-binned workload (the paper's Table I)
+//! is [`ScenarioSpec::time_bins`]: a rate shift and a re-plan at every bin
+//! boundary, so each bin's plan is the scheme of its swap.
 
 use serde::Deserialize;
 use sprout_cluster::CachePolicy;
-use sprout_optimizer::OptimizerConfig;
+use sprout_optimizer::{CachePlan, OptimizerConfig};
 use sprout_sim::{Scenario, ScenarioAction};
+use sprout_workload::timebins::RateSchedule;
 
 use crate::error::SproutError;
 use crate::system::SproutSystem;
@@ -50,9 +53,10 @@ pub enum ScenarioActionSpec {
         /// Multiplier applied to every rate in force at this point.
         factor: f64,
     },
-    /// Re-run the optimizer against the rates in force at this point and
-    /// swap the resulting plan in online, under the run's own policy. A
-    /// no-op under a policy without a plan (no cache, LRU).
+    /// Re-plan from the plan in force against the rates and failed nodes
+    /// of this point ([`SproutSystem::replan`]) and swap the result in
+    /// online, under the run's own policy. A no-op under a policy without a
+    /// plan (no cache, LRU).
     Reoptimize,
 }
 
@@ -89,10 +93,30 @@ impl ScenarioSpec {
         self
     }
 
-    /// Lowers the description onto a system run under `policy`: checks each
-    /// lowered action with [`ScenarioAction::check`], tracks the arrival
-    /// rates in force, and turns every [`ScenarioActionSpec::Reoptimize`]
-    /// into a plan swap of `policy`'s kind computed by Algorithm 1. An
+    /// A time-binned workload as a scenario: at the start of every bin
+    /// after the first, a [`ScenarioActionSpec::SetRates`] to the bin's
+    /// rates and a [`ScenarioActionSpec::Reoptimize`]. The first bin's
+    /// rates are the system's own: compile onto
+    /// `system.with_arrival_rates(&schedule.bins()[0].rates)`.
+    pub fn time_bins(name: impl Into<String>, schedule: &RateSchedule) -> Self {
+        let mut spec = ScenarioSpec::named(name);
+        let mut start = 0.0;
+        for pair in schedule.bins().windows(2) {
+            start += pair[0].duration;
+            let rates = pair[1].rates.clone();
+            spec = spec
+                .at(start, ScenarioActionSpec::SetRates { rates })
+                .at(start, ScenarioActionSpec::Reoptimize);
+        }
+        spec
+    }
+
+    /// Lowers the description onto a system run under `policy` from `plan`,
+    /// the plan in force at t = 0: checks each lowered action with
+    /// [`ScenarioAction::check`], tracks the arrival rates and failed nodes
+    /// in force, and turns every [`ScenarioActionSpec::Reoptimize`] into a
+    /// plan swap of `policy`'s kind, re-planned by [`SproutSystem::replan`]
+    /// from the plan in force at that point (none: a cold solve). An
     /// unplanned policy has nothing to re-plan, so its `Reoptimize` points
     /// compile to no event.
     ///
@@ -102,11 +126,13 @@ impl ScenarioSpec {
     /// `ScaleRates` factor that is not finite and non-negative, or an action
     /// that breaks [`ScenarioAction::check`] (out-of-range nodes or files,
     /// mis-sized rate vectors, rates that are not finite and non-negative),
-    /// and propagates optimizer errors from re-optimization points.
+    /// and propagates [`SproutSystem::replan`]'s errors from
+    /// re-optimization points.
     pub fn compile(
         &self,
         system: &SproutSystem,
         policy: CachePolicy,
+        plan: Option<&CachePlan>,
         optimizer: &OptimizerConfig,
     ) -> Result<Scenario, SproutError> {
         let num_nodes = system.spec().node_services.len();
@@ -127,6 +153,7 @@ impl ScenarioSpec {
 
         let mut rates: Vec<f64> = system.spec().files.iter().map(|f| f.arrival_rate).collect();
         let mut down: std::collections::BTreeSet<usize> = std::collections::BTreeSet::new();
+        let mut replanned: Option<CachePlan> = None;
         let mut compiled = Vec::with_capacity(ordered.len());
         for event in ordered {
             let action = match &event.action {
@@ -154,8 +181,10 @@ impl ScenarioSpec {
                     // swapped-in scheme never schedules reads onto them.
                     let current = system.with_arrival_rates(&rates)?;
                     let excluded: Vec<usize> = down.iter().copied().collect();
-                    let plan = current.optimize_excluding(optimizer, &excluded)?;
-                    let scheme = current.cache_scheme(policy, Some(&plan));
+                    let in_force = replanned.as_ref().or(plan);
+                    let next = current.replan(optimizer, in_force, &excluded)?;
+                    let scheme = current.cache_scheme(policy, Some(&next));
+                    replanned = Some(next);
                     ScenarioAction::SwapScheme { scheme }
                 }
             };
@@ -182,10 +211,23 @@ impl ScenarioSpec {
     }
 }
 
+/// The chunk moves of a plan swap from `before` to `after` cached chunks per
+/// file, as `(evicted, filled)`: content whose allocation shrinks is evicted
+/// at the swap, and content whose allocation grows is filled lazily, when
+/// the file is next read, so the swap itself adds no network traffic
+/// (§III). `before + filled − evicted` is `after`'s total.
+pub fn cache_transition(before: &[usize], after: &[usize]) -> (usize, usize) {
+    let moves = before.iter().zip(after);
+    moves.fold((0, 0), |(evicted, filled), (&b, &a)| {
+        (evicted + b.saturating_sub(a), filled + a.saturating_sub(b))
+    })
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::spec::SystemSpec;
+    use sprout_workload::timebins::TimeBin;
 
     fn system() -> SproutSystem {
         let spec = SystemSpec::builder()
@@ -198,9 +240,12 @@ mod tests {
         SproutSystem::new(spec).unwrap()
     }
 
-    /// Compiles `spec` for a functional-caching run of `sys`.
+    /// Compiles `spec` for a functional-caching run of `sys` from its
+    /// optimized plan.
     fn compile(spec: &ScenarioSpec, sys: &SproutSystem) -> Result<Scenario, SproutError> {
-        spec.compile(sys, CachePolicy::Functional, &OptimizerConfig::default())
+        let plan = sys.optimize()?;
+        let config = OptimizerConfig::default();
+        spec.compile(sys, CachePolicy::Functional, Some(&plan), &config)
     }
 
     #[test]
@@ -237,8 +282,9 @@ mod tests {
     fn reoptimize_replans_under_the_runs_own_policy() {
         let sys = system();
         let spec = ScenarioSpec::named("replan").at(10.0, ScenarioActionSpec::Reoptimize);
+        let plan = sys.optimize().unwrap();
         let events = |policy| {
-            let scenario = spec.compile(&sys, policy, &OptimizerConfig::default());
+            let scenario = spec.compile(&sys, policy, Some(&plan), &OptimizerConfig::default());
             scenario.unwrap().events().to_vec()
         };
         assert!(matches!(
@@ -250,6 +296,54 @@ mod tests {
         // Nothing to re-plan without a plan: the point compiles to no event.
         assert!(events(CachePolicy::None).is_empty());
         assert!(events(CachePolicy::LruReplicated).is_empty());
+    }
+
+    #[test]
+    fn cache_follows_the_hot_files_across_bins() {
+        // Bin 1: file 0 hot. Bin 2: file 3 hot.
+        let schedule = RateSchedule::new(vec![
+            TimeBin::new(100.0, vec![0.20, 0.01, 0.01, 0.01]),
+            TimeBin::new(100.0, vec![0.01, 0.01, 0.01, 0.20]),
+        ]);
+        let spec = SystemSpec::builder()
+            .node_service_rates(&[0.5, 0.5, 0.4, 0.4, 0.35, 0.35])
+            .uniform_files(4, 2, 4, 0.02)
+            .cache_capacity_chunks(4)
+            .seed(8)
+            .build()
+            .unwrap();
+        let sys = SproutSystem::new(spec).unwrap();
+        let sys = sys.with_arrival_rates(&schedule.bins()[0].rates).unwrap();
+        let scenario = ScenarioSpec::time_bins("hot files", &schedule);
+        let compiled = compile(&scenario, &sys).unwrap();
+        let times: Vec<f64> = compiled.events().iter().map(|e| e.at).collect();
+        assert_eq!(times, [100.0, 100.0], "one rate shift and one swap");
+        let first = sys.optimize().unwrap().cached_chunks;
+        let swaps: Vec<_> = compiled.swapped_schemes().collect();
+        assert_eq!(swaps.len(), 1, "bin 1 runs the t = 0 plan");
+        let bin2 = sys.with_arrival_rates(&schedule.bins()[1].rates).unwrap();
+        let second = &bin2.bound(swaps[0]).unwrap().unwrap().cached_chunks;
+        assert_eq!(second.len(), 4);
+        assert!(
+            first[0] >= first[3],
+            "bin 1 should favour file 0: {first:?}"
+        );
+        assert!(
+            second[3] >= second[0],
+            "bin 2 should favour file 3: {second:?}"
+        );
+        // Conservation: chunks added/removed are consistent with the plans.
+        let (removed, added) = cache_transition(&first, second);
+        let used0: usize = first.iter().sum();
+        let used1: usize = second.iter().sum();
+        assert_eq!(used0 + added - removed, used1);
+    }
+
+    #[test]
+    fn cache_transition_arithmetic() {
+        assert_eq!(cache_transition(&[3], &[1]), (2, 0));
+        assert_eq!(cache_transition(&[0], &[4]), (0, 4));
+        assert_eq!(cache_transition(&[3, 0, 2], &[1, 4, 2]), (2, 4));
     }
 
     #[test]

@@ -7,9 +7,9 @@
 //!
 //! 1. rescales the base spec to its cache size and load point,
 //! 2. runs Algorithm 1 when the cell's policy needs a plan,
-//! 3. compiles its [`ScenarioSpec`] against the rescaled system and the
-//!    cell's policy (so `Reoptimize` events re-plan the cell's own rates
-//!    under its own policy), and
+//! 3. compiles its [`ScenarioSpec`] against the rescaled system, the
+//!    cell's policy and that plan (so `Reoptimize` events re-plan the cell's
+//!    own rates under its own policy, from the plan in force), and
 //! 4. runs its replications — on the analytic backend, or byte-accurately on
 //!    a real [`StoreBackend`](crate::backend::StoreBackend) with per-request
 //!    decode verification.
@@ -342,7 +342,7 @@ impl SimSweep {
         } else {
             None
         };
-        let scenario = scenario_spec.compile(&system, policy, &self.optimizer)?;
+        let scenario = scenario_spec.compile(&system, policy, plan.as_ref(), &self.optimizer)?;
         let sim = system
             .simulation(policy, plan.as_ref(), self.config)
             .with_scenario(scenario);

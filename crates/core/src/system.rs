@@ -107,43 +107,77 @@ impl SproutSystem {
         Ok(Optimizer::new(*config).run(&self.model, self.spec.cache_capacity_chunks)?)
     }
 
-    /// Runs Algorithm 1 warm-started from a previous plan's scheduling (the
-    /// paper warm-starts across cache sizes in its convergence experiment).
-    ///
-    /// # Errors
-    ///
-    /// Propagates optimizer errors.
-    pub fn optimize_warm(
-        &self,
-        config: &OptimizerConfig,
-        previous: &CachePlan,
-    ) -> Result<CachePlan, SproutError> {
-        Ok(Optimizer::new(*config)
-            .warm_start(previous)
-            .run(&self.model, self.spec.cache_capacity_chunks)?)
-    }
-
-    /// Runs Algorithm 1 on a *degraded* model: the nodes in `down` are
-    /// removed from every file's candidate set, so the plan schedules no
-    /// storage read onto a failed node. The degraded model's rows cover only
-    /// the surviving hosts; they are mapped back onto each file's full
-    /// placement with probability zero at every down node's position, so the
-    /// plan drops into the simulation engine unchanged. An empty `down` list
-    /// is exactly [`optimize_with`](Self::optimize_with).
+    /// Re-plans the cache at a bin boundary: Algorithm 1 on the model of the
+    /// hosts that survive `down` (each down node leaves every file's
+    /// candidate set, so no storage read is scheduled onto it), run from a
+    /// cold start and, given the `previous` plan in force, from its rows
+    /// restricted to the surviving hosts. The warm plan is kept only when
+    /// its objective is strictly lower, and a start that fails is skipped.
+    /// The rows come back on each file's full placement with probability
+    /// zero at every down node's position, so the plan drops into the
+    /// simulation engine unchanged. With `previous: None` this is the cold
+    /// solve alone; with `down` empty as well it is
+    /// [`optimize_with`](Self::optimize_with).
     ///
     /// # Errors
     ///
     /// Returns [`SproutError::InvalidSpec`] if a file retains fewer than `k`
-    /// online hosts (it cannot be reconstructed from storage at all);
-    /// propagates optimizer errors.
-    pub fn optimize_excluding(
+    /// online hosts (it cannot be reconstructed from storage at all), and
+    /// the cold start's optimizer error if both starts fail.
+    pub fn replan(
         &self,
         config: &OptimizerConfig,
+        previous: Option<&CachePlan>,
         down: &[usize],
     ) -> Result<CachePlan, SproutError> {
-        if down.is_empty() {
-            return self.optimize_with(config);
+        let degraded;
+        let model = if down.is_empty() {
+            &self.model
+        } else {
+            degraded = self.surviving_model(down)?;
+            &degraded
+        };
+        let optimizer = Optimizer::new(*config);
+        let capacity = self.spec.cache_capacity_chunks;
+        let cold = optimizer.run(model, capacity);
+        let warm = previous.map(|previous| {
+            let start = CachePlan {
+                scheduling: self.surviving_rows(&previous.scheduling, down),
+                ..previous.clone()
+            };
+            optimizer.clone().warm_start(&start).run(model, capacity)
+        });
+        let mut plan = match (cold, warm) {
+            (Ok(cold), Some(Ok(warm))) if warm.objective < cold.objective => warm,
+            (Ok(cold), _) => cold,
+            (Err(_), Some(Ok(warm))) => warm,
+            (Err(e), _) => return Err(e.into()),
+        };
+        if !down.is_empty() {
+            for (row, placement) in plan.scheduling.iter_mut().zip(&self.placements) {
+                let mut surviving = std::mem::take(row).into_iter();
+                *row = placement
+                    .iter()
+                    .map(|n| {
+                        if down.contains(n) {
+                            0.0
+                        } else {
+                            surviving.next().expect("one entry per surviving host")
+                        }
+                    })
+                    .collect();
+            }
         }
+        Ok(plan)
+    }
+
+    /// The analytic model with the nodes in `down` removed from every
+    /// file's candidate set.
+    ///
+    /// # Errors
+    ///
+    /// [`SproutError::InvalidSpec`] if a file keeps fewer than `k` hosts.
+    fn surviving_model(&self, down: &[usize]) -> Result<StorageModel, SproutError> {
         let files = self
             .spec
             .files
@@ -165,22 +199,22 @@ impl SproutSystem {
                 Ok(FileModel::new(f.arrival_rate, f.k, surviving))
             })
             .collect::<Result<Vec<_>, _>>()?;
-        let degraded = StorageModel::new(self.model.nodes().to_vec(), files)?;
-        let mut plan = Optimizer::new(*config).run(&degraded, self.spec.cache_capacity_chunks)?;
-        for (row, placement) in plan.scheduling.iter_mut().zip(&self.placements) {
-            let mut surviving = std::mem::take(row).into_iter();
-            *row = placement
-                .iter()
-                .map(|n| {
-                    if down.contains(n) {
-                        0.0
-                    } else {
-                        surviving.next().expect("one entry per surviving host")
-                    }
-                })
-                .collect();
-        }
-        Ok(plan)
+        Ok(StorageModel::new(self.model.nodes().to_vec(), files)?)
+    }
+
+    /// `rows` (one per file, on its full placement) without the entries of
+    /// the nodes in `down`: the layout of [`surviving_model`](Self::surviving_model).
+    fn surviving_rows(&self, rows: &[Vec<f64>], down: &[usize]) -> Vec<Vec<f64>> {
+        let files = rows.iter().zip(&self.placements);
+        files
+            .map(|(row, placement)| {
+                let entries = row.iter().zip(placement);
+                entries
+                    .filter(|(_, n)| !down.contains(n))
+                    .map(|(&p, _)| p)
+                    .collect()
+            })
+            .collect()
     }
 
     /// Prices the rebalance the spec's placement strategy would perform on a
@@ -584,6 +618,97 @@ mod tests {
                 "exact {} > no cache {}", exact.objective, none.objective
             );
             prop_assert_eq!(exact.cached_chunks, plan.cached_chunks);
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(50))]
+
+        /// A re-plan from the previous bin's plan is no worse than either of
+        /// its starts run alone, its cold start alone is `Optimizer::run` on
+        /// the surviving hosts to the bit, and a file left with fewer than
+        /// `k` hosts is a spec error, not a solve.
+        #[test]
+        fn replan_keeps_the_better_start_and_its_cold_start_is_algorithm_1(
+            rates in proptest::collection::vec(0.3f64..1.0, 4..=8),
+            files in 1usize..=6,
+            k in 1usize..4,
+            extra in 1usize..4,
+            rate in 0.005f64..0.03,
+            shift in proptest::collection::vec(0.2f64..2.0, 6),
+            cache in 0usize..8,
+            downs in 0usize..3,
+            seed in 0u64..1_000,
+        ) {
+            let n = (k + extra).min(rates.len());
+            let spec = SystemSpec::builder()
+                .node_service_rates(&rates)
+                .uniform_files(files, k.min(n - 1), n, rate)
+                .cache_capacity_chunks(cache)
+                .seed(seed)
+                .build()
+                .unwrap();
+            let previous_bin = SproutSystem::new(spec).unwrap();
+            let Ok(previous) = previous_bin.optimize() else {
+                return;
+            };
+            let bin_rates: Vec<f64> = (0..files).map(|i| rate * shift[i]).collect();
+            let system = previous_bin.with_arrival_rates(&bin_rates).unwrap();
+            let down: Vec<usize> = (0..downs)
+                .map(|i| (seed as usize + 3 * i) % rates.len())
+                .collect();
+            let config = OptimizerConfig::default();
+
+            let replanned = system.replan(&config, Some(&previous), &down);
+            let fresh = system.replan(&config, None, &down);
+            let Ok(model) = system.surviving_model(&down) else {
+                prop_assert!(matches!(replanned, Err(SproutError::InvalidSpec(_))));
+                prop_assert!(matches!(fresh, Err(SproutError::InvalidSpec(_))));
+                return;
+            };
+            let capacity = system.spec().cache_capacity_chunks;
+            let cold = Optimizer::new(config).run(&model, capacity);
+            let start = CachePlan {
+                scheduling: system.surviving_rows(&previous.scheduling, &down),
+                ..previous.clone()
+            };
+            let warm = Optimizer::new(config).warm_start(&start).run(&model, capacity);
+            let best = [&cold, &warm]
+                .into_iter()
+                .filter_map(|r| r.as_ref().ok())
+                .map(|plan| plan.objective)
+                .reduce(f64::min);
+            match best {
+                None => prop_assert!(replanned.is_err()),
+                Some(best) => prop_assert!(replanned.unwrap().objective <= best),
+            }
+
+            match cold {
+                Err(_) => prop_assert!(fresh.is_err()),
+                Ok(cold) => {
+                    let fresh = fresh.unwrap();
+                    prop_assert_eq!(fresh.objective.to_bits(), cold.objective.to_bits());
+                    prop_assert_eq!(&fresh.cached_chunks, &cold.cached_chunks);
+                    prop_assert_eq!(&fresh.trace, &cold.trace);
+                    let rows = system.surviving_rows(&fresh.scheduling, &down);
+                    prop_assert_eq!(rows, cold.scheduling);
+                    // Every down node's entry is a zero in the full rows.
+                    let rows = fresh.scheduling.iter().zip(system.placements());
+                    for (row, placement) in rows {
+                        for (&p, node) in row.iter().zip(placement) {
+                            prop_assert!(!down.contains(node) || p == 0.0);
+                        }
+                    }
+                }
+            }
+
+            // The first file keeps k − 1 hosts: unreconstructible from storage.
+            let placement = &system.placements()[0];
+            let lost = &placement[..placement.len() - system.spec().files[0].k + 1];
+            let err = system.replan(&config, Some(&previous), lost).unwrap_err();
+            let message = format!("{err}");
+            prop_assert!(matches!(err, SproutError::InvalidSpec(_)), "{message}");
+            prop_assert!(message.contains("needs k"), "{message}");
         }
     }
 

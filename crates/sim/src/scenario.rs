@@ -191,6 +191,14 @@ impl Scenario {
         self
     }
 
+    /// The schemes the scenario swaps in, in time order.
+    pub fn swapped_schemes(&self) -> impl Iterator<Item = &CacheScheme> {
+        self.events.iter().filter_map(|e| match &e.action {
+            ScenarioAction::SwapScheme { scheme } => Some(scheme),
+            _ => None,
+        })
+    }
+
     /// Validates the scenario against a system shape; called by the engine.
     ///
     /// # Panics

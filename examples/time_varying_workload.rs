@@ -9,8 +9,9 @@
 //! Run with `cargo run --example time_varying_workload`.
 
 use sprout::optimizer::OptimizerConfig;
+use sprout::scenario::cache_transition;
 use sprout::workload::timebins::table_i_schedule;
-use sprout::{SproutSystem, SystemSpec, TimeBinManager};
+use sprout::{CachePolicy, ScenarioSpec, SproutSystem, SystemSpec};
 
 fn main() -> Result<(), sprout::SproutError> {
     // Ten 100 MB files with a (7, 4) code on the paper's 12 servers, cache of
@@ -26,22 +27,37 @@ fn main() -> Result<(), sprout::SproutError> {
     // The three-bin schedule of Table I (rates scaled up so that the cache
     // decisions are visible at simulation scale).
     let schedule = table_i_schedule(100.0).scaled(100.0);
+    let bins = schedule.bins();
 
-    let manager = TimeBinManager::new(system, OptimizerConfig::default());
-    let outcomes = manager.run(&schedule)?;
+    // Bin 1 runs the optimized plan; each later bin re-plans at its boundary
+    // (a rate shift and a `Reoptimize`), from the plan in force.
+    let first = system.with_arrival_rates(&bins[0].rates)?;
+    let plan = first.optimize()?;
+    let scenario = ScenarioSpec::time_bins("table_i", &schedule).compile(
+        &first,
+        CachePolicy::Functional,
+        Some(&plan),
+        &OptimizerConfig::default(),
+    )?;
+    let initial = first.cache_scheme(CachePolicy::Functional, Some(&plan));
+    let schemes = std::iter::once(&initial).chain(scenario.swapped_schemes());
 
     println!("== Cache evolution across time bins (Table I scenario) ==");
-    for outcome in &outcomes {
-        println!("\n-- time bin {} --", outcome.bin + 1);
+    let mut previous: Option<Vec<usize>> = None;
+    for (bin, (timebin, scheme)) in bins.iter().zip(schemes).enumerate() {
+        let plan = system
+            .with_arrival_rates(&timebin.rates)?
+            .bound(scheme)?
+            .expect("a planned scheme has a bound");
+        println!("\n-- time bin {} --", bin + 1);
         println!("file :  1   2   3   4   5   6   7   8   9  10");
-        let rates: Vec<String> = outcome
+        let rates: Vec<String> = timebin
             .rates
             .iter()
             .map(|r| format!("{:.0}", r * 1e4))
             .collect();
         println!("rate (1e-4/s): {}", rates.join("  "));
-        let chunks: Vec<String> = outcome
-            .plan
+        let chunks: Vec<String> = plan
             .cached_chunks
             .iter()
             .map(|c| format!("{c:>3}"))
@@ -49,17 +65,18 @@ fn main() -> Result<(), sprout::SproutError> {
         println!("cached chunks: {}", chunks.join(" "));
         println!(
             "latency bound: {:.2} s, cache used {}/{}",
-            outcome.plan.objective,
-            outcome.plan.cache_chunks_used(),
+            plan.objective,
+            plan.cache_chunks_used(),
             12
         );
-        if !outcome.deltas.is_empty() {
+        if let Some(before) = &previous {
+            let (evicted, filled) = cache_transition(before, &plan.cached_chunks);
             println!(
-                "transition: {} chunks evicted at the boundary, {} filled lazily on access",
-                outcome.chunks_removed(),
-                outcome.chunks_added()
+                "transition: {evicted} chunks evicted at the boundary, \
+                 {filled} filled lazily on access"
             );
         }
+        previous = Some(plan.cached_chunks);
     }
     Ok(())
 }

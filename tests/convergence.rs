@@ -5,7 +5,7 @@
 //! cache size helps, and that the objective decreases monotonically (up to
 //! the tolerance) along the run.
 
-use sprout::optimizer::OptimizerConfig;
+use sprout::optimizer::{Optimizer, OptimizerConfig};
 use sprout::sim::SimConfig;
 use sprout::spec::paper_simulation_spec;
 use sprout::{CachePolicy, SproutSystem, SystemSpec};
@@ -23,7 +23,10 @@ fn converges_within_twenty_iterations_across_cache_sizes() {
 
         let config = OptimizerConfig::default();
         let plan = match &previous_plan {
-            Some(prev) => system.optimize_warm(&config, prev).unwrap(),
+            Some(prev) => Optimizer::new(config)
+                .warm_start(prev)
+                .run(system.model(), cache)
+                .unwrap(),
             None => system.optimize_with(&config).unwrap(),
         };
         assert!(
@@ -65,8 +68,9 @@ fn warm_start_does_not_regress_the_objective() {
         .unwrap();
     let system = SproutSystem::new(spec).unwrap();
     let cold = system.optimize().unwrap();
-    let warm = system
-        .optimize_warm(&OptimizerConfig::default(), &cold)
+    let warm = Optimizer::default()
+        .warm_start(&cold)
+        .run(system.model(), system.spec().cache_capacity_chunks)
         .unwrap();
     assert!(warm.objective <= cold.objective + OptimizerConfig::default().tolerance);
 }

@@ -23,7 +23,9 @@ fn system(seed: u64) -> SproutSystem {
 
 fn compile(spec: &ScenarioSpec, system: &SproutSystem, policy: CachePolicy) -> Scenario {
     let optimizer = OptimizerConfig::default();
-    spec.compile(system, policy, &optimizer).unwrap()
+    let plan = policy.is_planned().then(|| system.optimize().unwrap());
+    spec.compile(system, policy, plan.as_ref(), &optimizer)
+        .unwrap()
 }
 
 fn churn_spec(horizon: f64, node: usize) -> ScenarioSpec {
@@ -228,14 +230,18 @@ fn entries_on(system: &SproutSystem, rows: &[Vec<f64>], node: usize) -> Vec<f64>
 }
 
 #[test]
-fn optimize_excluding_rejects_unreconstructible_files() {
+fn replan_rejects_unreconstructible_files() {
     // (4, 2) code: a file keeps only 1 of 4 hosts when 3 of them fail —
     // fewer than k = 2, so the degraded model must be rejected, not solved.
     let system = system(9);
     let placement = system.placements()[0].clone();
     let down: Vec<usize> = placement[..3].to_vec();
     let err = system
-        .optimize_excluding(&OptimizerConfig::default(), &down)
+        .replan(
+            &OptimizerConfig::default(),
+            Some(&system.optimize().unwrap()),
+            &down,
+        )
         .unwrap_err();
     let msg = format!("{err}");
     assert!(msg.contains("needs k"), "unexpected error: {msg}");

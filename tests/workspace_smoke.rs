@@ -7,7 +7,7 @@
 use std::collections::HashSet;
 use std::path::{Path, PathBuf};
 
-use sprout::{CachePolicy, SproutSystem, SystemSpec, TimeBinManager};
+use sprout::{CachePolicy, ScenarioSpec, SproutSystem, SystemSpec};
 
 /// The spec builder, optimizer and simulator are reachable through the
 /// facade alone, and the pipeline produces self-consistent numbers.
@@ -65,9 +65,10 @@ fn facade_reexports_are_usable() {
     assert!(!schedule.is_empty(), "Table I schedule has bins");
 }
 
-/// The time-bin manager drives re-optimization across workload bins.
+/// A time-binned schedule re-plans the cache at every bin boundary through
+/// the facade's scenario compiler.
 #[test]
-fn facade_time_bin_manager_runs() {
+fn facade_time_bins_replan_each_bin() {
     let spec = SystemSpec::builder()
         .node_service_rates(&[0.5, 0.5, 0.4, 0.4])
         .uniform_files(4, 2, 4, 0.02)
@@ -79,9 +80,20 @@ fn facade_time_bin_manager_runs() {
         sprout::workload::timebins::TimeBin::new(50.0, vec![0.02; 4]),
         sprout::workload::timebins::TimeBin::new(50.0, vec![0.03; 4]),
     ]);
-    let manager = TimeBinManager::new(system, sprout::optimizer::OptimizerConfig::default());
-    let outcomes = manager.run(&schedule).expect("all bins optimize");
-    assert_eq!(outcomes.len(), 2, "one outcome per time bin");
+    let plan = system.optimize().expect("bin 1 optimizes");
+    let scenario = ScenarioSpec::time_bins("two bins", &schedule)
+        .compile(
+            &system,
+            CachePolicy::Functional,
+            Some(&plan),
+            &sprout::optimizer::OptimizerConfig::default(),
+        )
+        .expect("all bins optimize");
+    assert_eq!(
+        1 + scenario.swapped_schemes().count(),
+        2,
+        "one plan per time bin"
+    );
 }
 
 /// Collects every `.rs` file under `dir`, recursively.
