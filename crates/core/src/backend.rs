@@ -137,7 +137,7 @@ impl ChunkBackend for StoreBackend {
     fn apply_scheme(&mut self, scheme: &CacheScheme) {
         self.lru = matches!(scheme, CacheScheme::LruReplicated { .. });
         let plan = match scheme {
-            CacheScheme::Functional(plan, _) | CacheScheme::Exact(plan) => plan,
+            CacheScheme::Functional(plan) | CacheScheme::Exact(plan) => plan,
             // Neither reads the store's cache: without a cache the engine
             // plans no cache chunks, and LRU hits settle from the stored
             // data rows, so stale entries are harmless.
@@ -183,7 +183,6 @@ mod tests {
     use crate::spec::{FileConfig, SystemSpec};
     use crate::system::SproutSystem;
     use sprout_cluster::Kernel;
-    use sprout_sim::policy::SchedulingRule;
     use sprout_sim::PlannedCache;
 
     fn system(object_bytes: u64) -> SproutSystem {
@@ -211,10 +210,6 @@ mod tests {
         }
     }
 
-    fn functional(plan: PlannedCache) -> CacheScheme {
-        CacheScheme::Functional(plan, SchedulingRule::Probabilistic)
-    }
-
     /// Settles a planned hit of file 0 under [`one_chunk_each`]: its one
     /// cached chunk plus a read of row 1 (eligible under exact caching too).
     fn planned_hit(backend: &mut StoreBackend) -> bool {
@@ -233,7 +228,7 @@ mod tests {
         // instead of erroring file by file; each planned hit then fails to
         // reconstruct, which the engine counts.
         let mut backend = backend_for(4096, &CacheScheme::NoCache);
-        backend.apply_scheme(&functional(one_chunk_each()));
+        backend.apply_scheme(&CacheScheme::Functional(one_chunk_each()));
         assert_eq!(backend.store().cache().used_bytes(), 0);
         assert!(!planned_hit(&mut backend));
     }
@@ -243,7 +238,7 @@ mod tests {
         // A functional store codes new rows and an exact store copies stored
         // ones, so a plan of the other kind must not be installed as if it
         // were its own: the cache is cleared and planned hits fail.
-        let functional = functional(one_chunk_each());
+        let functional = CacheScheme::Functional(one_chunk_each());
         let exact = CacheScheme::Exact(one_chunk_each());
         for (built, swapped) in [(&functional, &exact), (&exact, &functional)] {
             let mut backend = backend_for(4096, built);
@@ -262,12 +257,12 @@ mod tests {
         let mut bad = one_chunk_each();
         bad.cached_chunks = vec![2, 2, 3];
         assert!(system(4096)
-            .byte_backend(&functional(bad.clone()), 5)
+            .byte_backend(&CacheScheme::Functional(bad.clone()), 5)
             .is_err());
         // ...and swapping it in clears the whole cache, so no planned hit
         // reconstructs.
-        let mut backend = backend_for(4096, &functional(one_chunk_each()));
-        backend.apply_scheme(&functional(bad));
+        let mut backend = backend_for(4096, &CacheScheme::Functional(one_chunk_each()));
+        backend.apply_scheme(&CacheScheme::Functional(bad));
         assert_eq!(backend.store().cache().used_bytes(), 0);
         assert!(!planned_hit(&mut backend));
     }
@@ -279,7 +274,7 @@ mod tests {
         // the tier was there from the start or swapped in mid-run.
         let lru = CacheScheme::LruReplicated { capacity_chunks: 4 };
         let mut built = backend_for(4096, &lru);
-        let mut swapped = backend_for(4096, &functional(one_chunk_each()));
+        let mut swapped = backend_for(4096, &CacheScheme::Functional(one_chunk_each()));
         swapped.apply_scheme(&lru);
         for backend in [&mut built, &mut swapped] {
             for file in 0..3 {
@@ -293,7 +288,7 @@ mod tests {
         assert_eq!(built.store().cache().used_bytes(), 0);
         // Swapping the tier out again settles cache chunks from the store's
         // cache once more.
-        swapped.apply_scheme(&functional(one_chunk_each()));
+        swapped.apply_scheme(&CacheScheme::Functional(one_chunk_each()));
         assert!(planned_hit(&mut swapped));
     }
 

@@ -268,7 +268,7 @@ mod tests {
         // shifted rates (file 0 is hot, so it gets cache share).
         match &scenario.events()[2].action {
             ScenarioAction::SwapScheme {
-                scheme: sprout_sim::CacheScheme::Functional(plan, _),
+                scheme: sprout_sim::CacheScheme::Functional(plan),
             } => {
                 let d = &plan.cached_chunks;
                 assert_eq!(d.len(), 4);

@@ -2,7 +2,6 @@
 
 use sprout_cluster::{CachePolicy, ClusterView, ObjectDesc, RebalanceReport};
 use sprout_optimizer::{CachePlan, FileModel, Optimizer, OptimizerConfig, StorageModel};
-use sprout_sim::policy::SchedulingRule;
 use sprout_sim::{CacheScheme, PlannedCache, SimConfig, SimFile, SimReport, Simulation};
 
 use crate::error::SproutError;
@@ -315,14 +314,20 @@ impl SproutSystem {
         config: SimConfig,
     ) -> Simulation {
         let scheme = self.cache_scheme(policy, plan);
-        let sim_files: Vec<SimFile> = self
-            .spec
-            .files
-            .iter()
-            .zip(&self.placements)
+        Simulation::new(
+            self.spec.node_services.clone(),
+            self.sim_files(),
+            scheme,
+            config,
+        )
+    }
+
+    /// Every file as the simulator sees it: rate, `k` and placement.
+    fn sim_files(&self) -> Vec<SimFile> {
+        let files = self.spec.files.iter().zip(&self.placements);
+        files
             .map(|(f, p)| SimFile::new(f.arrival_rate, f.k, p.clone()))
-            .collect();
-        Simulation::new(self.spec.node_services.clone(), sim_files, scheme, config)
+            .collect()
     }
 
     /// Builds a byte-accurate [`StoreBackend`](crate::backend::StoreBackend)
@@ -395,7 +400,7 @@ impl SproutSystem {
         for (file, (placement, payload)) in self.placements.iter().zip(&payloads).enumerate() {
             store.put_with_placement(file as u64, payload, placement.clone())?;
         }
-        if let CacheScheme::Functional(plan, _) | CacheScheme::Exact(plan) = scheme {
+        if let CacheScheme::Functional(plan) | CacheScheme::Exact(plan) = scheme {
             store.install_plan(&plan.cached_chunks)?;
         }
         Ok(StoreBackend::new(store, payloads, seed))
@@ -413,39 +418,19 @@ impl SproutSystem {
     }
 
     /// Lemma 1's bound for `scheme`: [`CachePlan::evaluate`] at the read
-    /// marginals the engine samples — `k_i / n_i` per host with no cache,
-    /// `(k_i − d_i) / n_i` under [`SchedulingRule::Uniform`], the plan's rows
-    /// under [`SchedulingRule::Probabilistic`] (a plan's bound is its
-    /// objective, to the bit), and those rows with the first `d_i` entries
-    /// zeroed under exact caching. `None` for the LRU tier.
+    /// marginals the engine samples, the scheme's
+    /// [`CacheScheme::read_rows`] (so a functional plan's bound is its
+    /// objective, to the bit). `None` for the LRU tier, whose hits the rows
+    /// do not describe.
     ///
     /// # Errors
     ///
     /// Those of [`CachePlan::evaluate`], an overloaded node among them.
     pub fn bound(&self, scheme: &CacheScheme) -> Result<Option<CachePlan>, SproutError> {
-        let files = self.model.files();
-        // `reads_i / n_i` on each of file i's hosts.
-        let spread = |reads: Vec<usize>| {
-            let rows = files.iter().zip(reads);
-            rows.map(|(f, r)| vec![r as f64 / f.n() as f64; f.n()])
-                .collect()
-        };
-        let rows = match scheme {
-            CacheScheme::LruReplicated { .. } => return Ok(None),
-            CacheScheme::NoCache => spread(files.iter().map(|f| f.k).collect()),
-            CacheScheme::Functional(plan, SchedulingRule::Uniform) => {
-                let d = files.iter().zip(&plan.cached_chunks);
-                spread(d.map(|(f, &d)| f.k.saturating_sub(d)).collect())
-            }
-            CacheScheme::Functional(plan, SchedulingRule::Probabilistic) => plan.scheduling.clone(),
-            CacheScheme::Exact(plan) => {
-                let mut rows = plan.scheduling.clone();
-                for (row, &d) in rows.iter_mut().zip(&plan.cached_chunks) {
-                    row.iter_mut().take(d).for_each(|p| *p = 0.0);
-                }
-                rows
-            }
-        };
+        if let CacheScheme::LruReplicated { .. } = scheme {
+            return Ok(None);
+        }
+        let rows = scheme.read_rows(&self.sim_files());
         Ok(Some(CachePlan::evaluate(&self.model, rows)?))
     }
 
@@ -471,7 +456,7 @@ impl SproutSystem {
                     scheduling: plan.scheduling.clone(),
                 };
                 if policy == CachePolicy::Functional {
-                    return CacheScheme::Functional(planned, SchedulingRule::Probabilistic);
+                    return CacheScheme::Functional(planned);
                 }
                 // Exact caching pins copies of the first d_i chunks; the
                 // remaining reads spread uniformly over the other hosts.
@@ -548,6 +533,61 @@ mod tests {
     }
 
     #[test]
+    fn the_engine_samples_the_rows_the_bound_evaluates() {
+        // Each node serves H · Σ_i λ_i · read_rows[i][r] reads over the rows
+        // r it hosts: a Poisson count (each request reads a host at most
+        // once), checked within 4 σ for every scheme with read rows.
+        let system = small_system();
+        let plan = system.optimize().unwrap();
+        assert!(plan.cache_chunks_used() > 0);
+        let files = system.sim_files();
+        let functional = system.cache_scheme(CachePolicy::Functional, Some(&plan));
+        let CacheScheme::Functional(planned) = &functional else {
+            unreachable!("a functional policy resolves to a functional scheme")
+        };
+        let uniform = PlannedCache {
+            cached_chunks: planned.cached_chunks.clone(),
+            scheduling: (files.iter().zip(&planned.cached_chunks))
+                .map(|(f, &d)| vec![(f.k - d) as f64 / f.placement.len() as f64; f.placement.len()])
+                .collect(),
+        };
+        let schemes = [
+            CacheScheme::NoCache,
+            functional.clone(),
+            CacheScheme::Functional(uniform),
+            system.cache_scheme(CachePolicy::Exact, Some(&plan)),
+        ];
+        let horizon = 200_000.0;
+        for scheme in schemes {
+            let rows = scheme.read_rows(&files);
+            let bound = system.bound(&scheme).unwrap().unwrap();
+            let evaluated = CachePlan::evaluate(&system.model, rows.clone()).unwrap();
+            assert_eq!(bound.objective.to_bits(), evaluated.objective.to_bits());
+            assert_eq!(bound.per_file_latency, evaluated.per_file_latency);
+            let config = SimConfig::new(horizon, 13);
+            let sim = Simulation::new(
+                system.spec.node_services.clone(),
+                files.clone(),
+                scheme.clone(),
+                config,
+            );
+            let served = sim.run().node_chunks_served;
+            let mut expected = vec![0.0; served.len()];
+            for (file, row) in files.iter().zip(&rows) {
+                for (&node, &p) in file.placement.iter().zip(row) {
+                    expected[node] += horizon * file.arrival_rate * p;
+                }
+            }
+            for (node, (&got, &want)) in served.iter().zip(&expected).enumerate() {
+                assert!(
+                    (got as f64 - want).abs() <= 4.0 * want.sqrt(),
+                    "{scheme:?}: node {node} served {got} reads, rows predict {want}"
+                );
+            }
+        }
+    }
+
+    #[test]
     fn an_overloaded_scheme_has_no_bound_and_names_its_node() {
         // Four hosts per (4, 2) file, node 3 the slowest: uniform reads send
         // it 2 · 0.06 · 2/4 = 0.06 chunks/s against a rate of 0.05.
@@ -577,7 +617,7 @@ mod tests {
                 })
                 .collect(),
         };
-        let scheme = CacheScheme::Functional(planned, SchedulingRule::Probabilistic);
+        let scheme = CacheScheme::Functional(planned);
         let bound = system.bound(&scheme).unwrap().unwrap();
         assert!(bound.objective.is_finite() && bound.objective > 0.0);
         assert_eq!(bound.cached_chunks, [0, 0]);

@@ -38,10 +38,12 @@
 //!   Per-slot chunk-source series ([`SlotCounts`]) grow with the horizon and
 //!   exist only when [`SimConfig::with_slot_length`] asks for them;
 //!   otherwise only their exact totals are kept.
-//! * **Plans are compiled at install** — a probabilistic or exact plan's
-//!   rows become a table of cumulative marks when the run starts or a
-//!   scenario swaps the scheme in, so a request draws one uniform and walks
-//!   its file's marks; an out-of-range marginal fails there, not mid-run.
+//! * **Read rows are compiled at install** — every scheme's
+//!   [`CacheScheme::read_rows`] become a table of cumulative marks when the
+//!   run starts or a scenario swaps the scheme in, so a request draws one
+//!   uniform and walks its file's marks; an out-of-range marginal fails
+//!   [`CacheScheme::validate`] when the simulation or its scenario is built,
+//!   not mid-run.
 //!
 //! A run is a single-threaded loop; parallelism lives one level up, across
 //! cells × replications in the [`sweep`](crate::sweep) runner.
@@ -59,9 +61,9 @@ use crate::backend::{ChunkBackend, FinishedRequest};
 use crate::config::SimConfig;
 use crate::event::EventQueue;
 use crate::metrics::{order_key, summarize_per_file, LatencySummary, SlotCounts};
-use crate::policy::{CacheScheme, SchedulingRule};
+use crate::policy::CacheScheme;
 use crate::scenario::{check_rate, Scenario, ScenarioAction};
-use crate::scheduler::{uniform_sample_into, SystematicTable};
+use crate::scheduler::SystematicTable;
 
 /// A file as seen by the simulator: its arrival rate, code dimension `k` and
 /// the storage nodes hosting its chunks.
@@ -366,24 +368,6 @@ fn lru_tier_for(scheme: &CacheScheme) -> Option<LruTier> {
     }
 }
 
-/// The systematic sampler of a scheme that samples its plan's marginals
-/// (probabilistic functional caching and exact caching): one row per file,
-/// the part of `scheduling[file]` its reads are drawn from. A fully cached
-/// file reads nothing and has no row. `None` for the other schemes, which
-/// draw uniformly.
-fn systematic_table(scheme: &CacheScheme, files: &[SimFile]) -> Option<SystematicTable> {
-    let (CacheScheme::Functional(plan, SchedulingRule::Probabilistic) | CacheScheme::Exact(plan)) =
-        scheme
-    else {
-        return None;
-    };
-    let rows = files.iter().enumerate().map(|(f, file)| {
-        let d = plan.cached_chunks[f];
-        (d < file.k).then(|| &plan.scheduling[f][scheme.first_eligible(d)..])
-    });
-    Some(SystematicTable::new(rows))
-}
-
 /// Reusable buffers for the per-arrival planning step.
 ///
 /// `plan_request` runs once per simulated request — millions of times at the
@@ -405,8 +389,8 @@ struct EventLoop<'a, B: ChunkBackend> {
     sim: &'a Simulation,
     backend: &'a mut B,
     scheme: CacheScheme,
-    /// The installed scheme's systematic sampler.
-    systematic: Option<SystematicTable>,
+    /// The systematic sampler of the installed scheme's read rows.
+    systematic: SystematicTable,
     streams: Vec<ArrivalStream>,
     epochs: Vec<u32>,
     plan_rngs: Vec<StdRng>,
@@ -443,7 +427,7 @@ impl<'a, B: ChunkBackend> EventLoop<'a, B> {
             backend,
             tier: lru_tier_for(&sim.scheme),
             scheme: sim.scheme.clone(),
-            systematic: systematic_table(&sim.scheme, &sim.files),
+            systematic: SystematicTable::new(&sim.scheme.read_rows(&sim.files)),
             streams,
             epochs: vec![0u32; num_files],
             plan_rngs,
@@ -574,7 +558,7 @@ impl<'a, B: ChunkBackend> EventLoop<'a, B> {
                 // restarts the tier cold).
                 self.retire_tier();
                 self.scheme = scheme.clone();
-                self.systematic = systematic_table(&self.scheme, &self.sim.files);
+                self.systematic = SystematicTable::new(&scheme.read_rows(&self.sim.files));
                 self.tier = lru_tier_for(&self.scheme);
                 self.backend.apply_scheme(&self.scheme);
             }
@@ -648,11 +632,11 @@ impl<'a, B: ChunkBackend> EventLoop<'a, B> {
     /// arrival hot loop allocates nothing beyond per-request state.
     ///
     /// Every scheme is one selector: `d` chunks come from the cache and the
-    /// other `k − d` from the pool `placement[o..]` (`o = d` under exact
-    /// caching, else 0), drawn systematically on the plan's `row[o..]` (the
-    /// loop's [`SystematicTable`]) or uniformly, then repaired around
-    /// offline nodes. No cache and an LRU miss have `d = 0`, an LRU hit
-    /// `d = k`.
+    /// other `k − d` from the hosts drawn systematically on the file's
+    /// [`CacheScheme::read_rows`] row (the loop's [`SystematicTable`]), then
+    /// repaired around offline nodes from the pool `placement[o..]` (`o = d`
+    /// under exact caching, else 0). No cache and an LRU miss have `d = 0`
+    /// and read `k / n` from each host, an LRU hit `d = k`.
     ///
     /// For [`CacheScheme::LruReplicated`] the loop's `tier` is the single source
     /// of truth for hit/miss/promotion/eviction decisions; backends see only
@@ -671,20 +655,17 @@ impl<'a, B: ChunkBackend> EventLoop<'a, B> {
                     0
                 }
             }
-            CacheScheme::Functional(plan, _) | CacheScheme::Exact(plan) => plan.cached_chunks[file],
+            CacheScheme::Functional(plan) | CacheScheme::Exact(plan) => plan.cached_chunks[file],
         };
-        let needed = spec.k - d;
-        if needed == 0 {
+        if d == spec.k {
             return Some(d);
         }
-        let skip = self.scheme.first_eligible(d);
-        let pool = &spec.placement[skip..];
         let rng = &mut self.plan_rngs[file];
-        match &self.systematic {
-            Some(systematic) => systematic.sample_into(file, rng, &mut scratch.picks),
-            None => uniform_sample_into(pool.len(), needed, rng, &mut scratch.picks),
-        }
-        scratch.nodes.extend(scratch.picks.iter().map(|&i| pool[i]));
+        self.systematic.sample_into(file, rng, &mut scratch.picks);
+        scratch
+            .nodes
+            .extend(scratch.picks.iter().map(|&i| spec.placement[i]));
+        let pool = &spec.placement[self.scheme.first_eligible(d)..];
         if !repair_offline(pool, &self.nodes, rng, scratch) {
             return None;
         }
@@ -731,7 +712,7 @@ fn repair_offline(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::policy::{PlannedCache, SchedulingRule};
+    use crate::policy::PlannedCache;
 
     fn nodes(n: usize, rate: f64) -> Vec<ServiceDistribution> {
         vec![ServiceDistribution::exponential(rate); n]
@@ -753,13 +734,12 @@ mod tests {
         rows.map(|n| vec![reads / n as f64; n]).collect()
     }
 
-    /// Functional caching of `cached_chunks` with probabilistic scheduling.
+    /// Functional caching of `cached_chunks` with reads drawn on `scheduling`.
     fn functional(cached_chunks: Vec<usize>, scheduling: Vec<Vec<f64>>) -> CacheScheme {
-        let plan = PlannedCache {
+        CacheScheme::Functional(PlannedCache {
             cached_chunks,
             scheduling,
-        };
-        CacheScheme::Functional(plan, SchedulingRule::Probabilistic)
+        })
     }
 
     #[test]
@@ -1188,16 +1168,12 @@ mod tests {
 
     #[test]
     fn no_cache_is_the_selector_with_nothing_cached() {
-        // Functional caching with every d_i = 0 and uniform scheduling draws
-        // k uniform reads over the placement and repairs them exactly as no
-        // cache does, so both runs are bit-identical — churn included.
+        // No cache reads its k / n rows exactly as functional caching with
+        // every d_i = 0 reads the same rows: one sampler and one repair, so
+        // both runs are bit-identical — churn included.
         let m = 5;
         let files = simple_files(4, 0.2, 3, m);
-        let plan = PlannedCache {
-            cached_chunks: vec![0; 4],
-            scheduling: uniform_rows(&files, 3.0),
-        };
-        let empty = CacheScheme::Functional(plan, SchedulingRule::Uniform);
+        let empty = functional(vec![0; 4], uniform_rows(&files, 3.0));
         let churn = Scenario::default()
             .node_down(1_000.0, 1)
             .node_down(2_000.0, 3)
@@ -1295,6 +1271,21 @@ mod tests {
             CacheScheme::NoCache,
             SimConfig::new(10.0, 0),
         );
+    }
+
+    #[test]
+    #[should_panic(expected = "file 0 reads a host with marginal 1.5, out of [0, 1]")]
+    fn a_swapped_in_row_out_of_range_is_rejected_before_the_run() {
+        // The row sums to k − d = 2, so only the range check catches it:
+        // when the scenario is attached, not at the swap mid-run.
+        let bad = functional(vec![0], vec![vec![1.5, 0.5, 0.0]]);
+        let _ = Simulation::new(
+            nodes(3, 1.0),
+            vec![SimFile::new(0.1, 2, vec![0, 1, 2])],
+            CacheScheme::NoCache,
+            SimConfig::new(10.0, 1),
+        )
+        .with_scenario(Scenario::default().swap_scheme(5.0, bad));
     }
 
     #[test]

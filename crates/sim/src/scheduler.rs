@@ -1,10 +1,11 @@
 //! Chunk-request scheduling: choosing which storage nodes serve a request.
 //!
-//! Probabilistic scheduling (the policy analysed by the paper) requires
-//! drawing a *set* of exactly `k − d` distinct nodes such that node `j` is
-//! included with probability `π_{i,j}`. Madow's systematic sampling does this
-//! exactly whenever `Σ_j π_{i,j} = k − d`, which the optimizer guarantees.
-//! A load-oblivious uniform sampler is also provided as an ablation baseline.
+//! Every cache scheme reads through its placement-aligned read rows
+//! ([`CacheScheme::read_rows`](crate::CacheScheme::read_rows)): a request of
+//! file `i` draws a *set* of exactly `k − d` distinct hosts such that host
+//! `j` is included with probability `π_{i,j}`. Madow's systematic sampling
+//! does this exactly whenever `Σ_j π_{i,j} = k − d`, which the rows
+//! guarantee (checked by [`CacheScheme::validate`](crate::CacheScheme::validate)).
 
 use rand::Rng;
 
@@ -28,17 +29,17 @@ pub(crate) struct SystematicTable {
 }
 
 impl SystematicTable {
-    /// Precomputes `rows`; a `None` row is never sampled and gets no marks.
+    /// Precomputes `rows`.
     ///
     /// # Panics
     ///
     /// Panics if a row that draws has a marginal outside `[0, 1 + ε]`.
-    pub(crate) fn new<'r>(rows: impl IntoIterator<Item = Option<&'r [f64]>>) -> Self {
+    pub(crate) fn new(rows: &[Vec<f64>]) -> Self {
         let mut table = SystematicTable {
             marks: Vec::new(),
             starts: vec![0],
         };
-        for row in rows.into_iter().map(|row| row.unwrap_or_default()) {
+        for row in rows {
             let total: f64 = row.iter().sum();
             // A NaN total draws, as `total <= 1e-12` is false: its NaN
             // marginal fails the range check.
@@ -82,30 +83,6 @@ impl SystematicTable {
     }
 }
 
-/// Chooses `count` distinct indices uniformly at random from `0..n` into
-/// `selected` (load-oblivious baseline). `selected` doubles as the partial
-/// Fisher–Yates pool, so its capacity is reused across calls.
-///
-/// # Panics
-///
-/// Panics if `count > n`.
-pub(crate) fn uniform_sample_into<R: Rng + ?Sized>(
-    n: usize,
-    count: usize,
-    rng: &mut R,
-    selected: &mut Vec<usize>,
-) {
-    assert!(count <= n, "cannot choose {count} distinct items from {n}");
-    // Partial Fisher-Yates over the reused pool.
-    selected.clear();
-    selected.extend(0..n);
-    for i in 0..count {
-        let j = rng.gen_range(i..n);
-        selected.swap(i, j);
-    }
-    selected.truncate(count);
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -144,7 +121,7 @@ mod tests {
     /// One draw from a table of the single row `marginals`.
     fn systematic_sample<R: Rng>(marginals: &[f64], rng: &mut R) -> Vec<usize> {
         let mut selected = Vec::new();
-        SystematicTable::new([Some(marginals)]).sample_into(0, rng, &mut selected);
+        SystematicTable::new(&[marginals.to_vec()]).sample_into(0, rng, &mut selected);
         selected
     }
 
@@ -181,7 +158,7 @@ mod tests {
             // Each file: a row of 2..=9 entries whose first `skip` entries
             // (the rows exact caching copied, 0 under functional caching)
             // are not sampled; the rest sums to k − d. Every fifth file is
-            // fully cached and has no row to sample.
+            // fully cached and reads nothing.
             let rows: Vec<(Vec<f64>, usize)> = (0..files)
                 .map(|_| {
                     let n = gen.gen_range(2..10);
@@ -196,32 +173,34 @@ mod tests {
                 })
                 .collect();
             let sampled = |f: usize| f % 5 != 4;
-            let table = SystematicTable::new(
-                rows.iter()
-                    .enumerate()
-                    .map(|(f, (row, skip))| sampled(f).then(|| &row[*skip..])),
-            );
+            // The table holds the read rows: the unsampled entries zeroed,
+            // all of them for a fully cached file.
+            let read_rows: Vec<Vec<f64>> = (rows.iter().enumerate())
+                .map(|(f, (row, skip))| {
+                    let mut read = row.clone();
+                    let unread = if sampled(f) { *skip } else { read.len() };
+                    read[..unread].fill(0.0);
+                    read
+                })
+                .collect();
+            let table = SystematicTable::new(&read_rows);
             let seed = gen.gen::<u64>();
             let (mut a, mut b) = (StdRng::seed_from_u64(seed), StdRng::seed_from_u64(seed));
             let (mut picks, mut expected) = (Vec::new(), Vec::new());
             for draw in 0..200 {
                 let f = gen.gen_range(0..files);
-                if !sampled(f) {
-                    continue;
-                }
                 let (row, skip) = &rows[f];
                 table.sample_into(f, &mut a, &mut picks);
-                systematic_sample_into(&row[*skip..], &mut b, &mut expected);
+                expected.clear();
+                if sampled(f) {
+                    // The per-request sampler indexes the sampled part.
+                    systematic_sample_into(&row[*skip..], &mut b, &mut expected);
+                    expected.iter_mut().for_each(|i| *i += skip);
+                }
                 assert_eq!(picks, expected, "case {case} draw {draw} file {f}");
             }
             assert_eq!(a.gen::<u64>(), b.gen::<u64>(), "case {case}: RNG state");
         }
-    }
-
-    fn uniform_sample<R: Rng>(n: usize, count: usize, rng: &mut R) -> Vec<usize> {
-        let mut selected = Vec::new();
-        uniform_sample_into(n, count, rng, &mut selected);
-        selected
     }
 
     #[test]
@@ -266,39 +245,6 @@ mod tests {
         let mut rng = rand::rngs::StdRng::seed_from_u64(3);
         assert!(systematic_sample(&[0.0, 0.0], &mut rng).is_empty());
         assert!(systematic_sample(&[], &mut rng).is_empty());
-    }
-
-    #[test]
-    fn uniform_sample_is_distinct_and_in_range() {
-        let mut rng = rand::rngs::StdRng::seed_from_u64(4);
-        for _ in 0..200 {
-            let s = uniform_sample(7, 4, &mut rng);
-            assert_eq!(s.len(), 4);
-            let mut sorted = s.clone();
-            sorted.sort_unstable();
-            sorted.dedup();
-            assert_eq!(sorted.len(), 4);
-            assert!(s.iter().all(|&i| i < 7));
-        }
-    }
-
-    #[test]
-    fn uniform_sample_covers_all_items_over_time() {
-        let mut rng = rand::rngs::StdRng::seed_from_u64(5);
-        let mut seen = [false; 6];
-        for _ in 0..500 {
-            for i in uniform_sample(6, 2, &mut rng) {
-                seen[i] = true;
-            }
-        }
-        assert!(seen.iter().all(|&s| s));
-    }
-
-    #[test]
-    #[should_panic(expected = "distinct items")]
-    fn oversampling_panics() {
-        let mut rng = rand::rngs::StdRng::seed_from_u64(6);
-        let _ = uniform_sample(3, 5, &mut rng);
     }
 
     #[test]

@@ -5,7 +5,6 @@
 
 use sprout_optimizer::{CachePlan, FileModel, Optimizer, OptimizerConfig, StorageModel};
 use sprout_queueing::dist::ServiceDistribution;
-use sprout_sim::policy::SchedulingRule;
 use sprout_sim::{CacheScheme, PlannedCache, SimConfig, SimFile, Simulation};
 
 fn service_rates() -> Vec<f64> {
@@ -34,13 +33,28 @@ fn dists() -> Vec<ServiceDistribution> {
         .collect()
 }
 
-/// Functional caching of `plan` under scheduling `rule`.
-fn functional(plan: &CachePlan, rule: SchedulingRule) -> CacheScheme {
-    let planned = PlannedCache {
+/// Functional caching of `plan`'s cache counts, reading with the plan's
+/// `π` rows.
+fn functional(plan: &CachePlan) -> CacheScheme {
+    CacheScheme::Functional(PlannedCache {
         cached_chunks: plan.cached_chunks.clone(),
         scheduling: plan.scheduling.clone(),
-    };
-    CacheScheme::Functional(planned, rule)
+    })
+}
+
+/// Functional caching of `plan`'s cache counts, reading uniformly:
+/// `(k_i − d_i) / n_i` from each of file `i`'s hosts.
+fn functional_uniform(plan: &CachePlan, files: &[SimFile]) -> CacheScheme {
+    let rows = files.iter().zip(&plan.cached_chunks);
+    CacheScheme::Functional(PlannedCache {
+        cached_chunks: plan.cached_chunks.clone(),
+        scheduling: rows
+            .map(|(f, &d)| {
+                let n = f.placement.len();
+                vec![(f.k - d) as f64 / n as f64; n]
+            })
+            .collect(),
+    })
 }
 
 #[test]
@@ -53,7 +67,7 @@ fn analytic_bound_dominates_simulated_mean_latency() {
     let sim = Simulation::new(
         dists(),
         sim_files,
-        functional(&plan, SchedulingRule::Probabilistic),
+        functional(&plan),
         SimConfig::new(200_000.0, 11),
     );
     let report = sim.run();
@@ -77,7 +91,7 @@ fn optimized_functional_caching_beats_no_cache_in_simulation() {
     let cached = Simulation::new(
         dists(),
         sim_files.clone(),
-        functional(&plan, SchedulingRule::Probabilistic),
+        functional(&plan),
         SimConfig::new(100_000.0, 21),
     )
     .run();
@@ -106,14 +120,14 @@ fn probabilistic_scheduling_beats_uniform_scheduling_on_heterogeneous_nodes() {
     let probabilistic = Simulation::new(
         dists(),
         sim_files.clone(),
-        functional(&plan, SchedulingRule::Probabilistic),
+        functional(&plan),
         SimConfig::new(150_000.0, 31),
     )
     .run();
     let uniform = Simulation::new(
         dists(),
-        sim_files,
-        functional(&plan, SchedulingRule::Uniform),
+        sim_files.clone(),
+        functional_uniform(&plan, &sim_files),
         SimConfig::new(150_000.0, 31),
     )
     .run();

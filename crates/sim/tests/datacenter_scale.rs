@@ -6,7 +6,6 @@
 
 use sprout_optimizer::{FileModel, Optimizer, OptimizerConfig, StorageModel};
 use sprout_queueing::dist::ServiceDistribution;
-use sprout_sim::policy::SchedulingRule;
 use sprout_sim::{CacheScheme, PlannedCache, SimConfig, SimFile, Simulation};
 
 const NODES: usize = 12_000;
@@ -73,7 +72,7 @@ fn twelve_thousand_nodes_plan_and_simulate_on_placement_sized_rows() {
     let report = Simulation::new(
         services,
         files,
-        CacheScheme::Functional(plan, SchedulingRule::Probabilistic),
+        CacheScheme::Functional(plan),
         SimConfig::new(400.0, 12_000),
     )
     .run();

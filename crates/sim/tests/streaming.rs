@@ -109,16 +109,16 @@ fn disjoint_group_churn_run_matches_golden_values() {
 
     assert_eq!(report.completed_requests, 102_195);
     assert_eq!(report.failed_requests, 0);
-    assert_eq!(report.overall.mean.to_bits(), 0x3fc5_1442_1725_6fcb);
-    assert_eq!(report.overall.p99.to_bits(), 0x3fe3_544c_bea2_b400);
+    assert_eq!(report.overall.mean.to_bits(), 0x3fc5_24b0_0590_a71c);
+    assert_eq!(report.overall.p99.to_bits(), 0x3fe5_98e8_93bf_6600);
     assert_eq!(
         report.node_chunks_served,
         [
-            2083, 3446, 3447, 3440, 3201, 3114, 3227, 3182, 3205, 3211, 3249, 3273, 3253, 3261,
-            3189, 3261, 3170, 3222, 3275, 3165, 3101, 3194, 3117, 3232, 3260, 3239, 3270, 3279,
-            3270, 3200, 3208, 3280, 3180, 3255, 3181, 3248, 3123, 3171, 3206, 3160, 3087, 3176,
-            3191, 3120, 3260, 3264, 3166, 3082, 3186, 3194, 3211, 3141, 3249, 3066, 3236, 3219,
-            3227, 3203, 3181, 3247, 3190, 3119, 3136, 3191
+            2122, 3580, 3142, 3572, 3165, 3197, 3165, 3197, 3188, 3281, 3188, 3281, 3238, 3244,
+            3238, 3244, 3245, 3171, 3245, 3171, 3089, 3233, 3089, 3233, 3267, 3257, 3267, 3257,
+            3261, 3218, 3261, 3218, 3178, 3254, 3178, 3254, 3170, 3160, 3170, 3160, 3124, 3163,
+            3124, 3163, 3199, 3187, 3199, 3187, 3158, 3208, 3158, 3208, 3165, 3220, 3165, 3220,
+            3221, 3208, 3221, 3208, 3173, 3145, 3173, 3145
         ]
     );
     let bounds = EngineBounds::for_run(groups * files_per_group, 2, 0, 1_000);
@@ -166,10 +166,10 @@ fn exact_to_lru_swap_with_rate_shifts_matches_golden_values() {
         .with_scenario(scenario)
         .run();
 
-    assert_eq!(report.overall.mean.to_bits(), 0x3ff2_0ff2_a922_badc);
-    assert_eq!(report.overall.p95.to_bits(), 0x400b_d75a_72cd_4400);
-    assert_eq!(report.overall.p99.to_bits(), 0x4014_a7f2_e9c1_7200);
-    assert_eq!(report.overall.max.to_bits(), 0x4021_837c_5698_df00);
+    assert_eq!(report.overall.mean.to_bits(), 0x3ff2_41e4_3815_4d6b);
+    assert_eq!(report.overall.p95.to_bits(), 0x400d_b1e4_1dde_3400);
+    assert_eq!(report.overall.p99.to_bits(), 0x4016_8067_5f1e_fc00);
+    assert_eq!(report.overall.max.to_bits(), 0x4023_90dd_d9a4_1a00);
     let utilization: Vec<u64> = report
         .node_utilization
         .iter()
@@ -178,12 +178,12 @@ fn exact_to_lru_swap_with_rate_shifts_matches_golden_values() {
     assert_eq!(
         utilization,
         [
-            0x3fd9_c28f_5c28_f761,
-            0x3fda_6cf4_1f21_2f41,
-            0x3fdf_81b2_eda7_6c81,
-            0x3fe0_6a5a_b636_d7dd,
-            0x3fe0_36b9_9702_10e3,
-            0x3fe0_9d3a_df70_4ea1
+            0x3fd9_a6b5_0b0f_2953,
+            0x3fda_8db8_bac7_129d,
+            0x3fdf_5bc7_c769_348a,
+            0x3fe0_5f55_998e_0054,
+            0x3fe0_514e_27ec_c36d,
+            0x3fe0_9e75_50c1_e885
         ]
     );
     assert_eq!(report.completed_requests, 15_154);
@@ -191,5 +191,5 @@ fn exact_to_lru_swap_with_rate_shifts_matches_golden_values() {
     assert_eq!(report.failed_requests, 0);
     assert_eq!(report.cache_promotions, 9_926);
     assert_eq!(report.cache_evictions, 9_924);
-    assert_eq!(report.peak_in_flight, 25);
+    assert_eq!(report.peak_in_flight, 24);
 }

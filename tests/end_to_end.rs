@@ -3,8 +3,7 @@
 
 use sprout::cluster::{CachePolicy, ClusterConfig, DeviceModel, StoreHandle};
 use sprout::optimizer::OptimizerConfig;
-use sprout::sim::policy::SchedulingRule;
-use sprout::sim::{CacheScheme, SimConfig, SimFile, Simulation};
+use sprout::sim::{CacheScheme, PlannedCache, SimConfig, SimFile, Simulation};
 use sprout::{SproutSystem, SystemSpec};
 
 fn build_system(files: usize, cache_chunks: usize) -> SproutSystem {
@@ -25,19 +24,25 @@ fn analytic_bound_upper_bounds_simulated_latency_end_to_end() {
     // caching, and no cache.
     let system = build_system(10, 10);
     let plan = system.optimize().unwrap();
-    let functional = system.cache_scheme(CachePolicy::Functional, Some(&plan));
-    let CacheScheme::Functional(planned, _) = functional.clone() else {
-        unreachable!("a functional policy resolves to a functional scheme")
-    };
-    let schemes = [
-        functional,
-        CacheScheme::Functional(planned, SchedulingRule::Uniform),
-        system.cache_scheme(CachePolicy::Exact, Some(&plan)),
-        CacheScheme::NoCache,
-    ];
     let files: Vec<SimFile> = (system.spec().files.iter().zip(system.placements()))
         .map(|(f, p)| SimFile::new(f.arrival_rate, f.k, p.clone()))
         .collect();
+    // The plan's cache counts read uniformly: (k − d) / n from each host.
+    let uniform = PlannedCache {
+        cached_chunks: plan.cached_chunks.clone(),
+        scheduling: (files.iter().zip(&plan.cached_chunks))
+            .map(|(f, &d)| {
+                let n = f.placement.len();
+                vec![(f.k - d) as f64 / n as f64; n]
+            })
+            .collect(),
+    };
+    let schemes = [
+        system.cache_scheme(CachePolicy::Functional, Some(&plan)),
+        CacheScheme::Functional(uniform),
+        system.cache_scheme(CachePolicy::Exact, Some(&plan)),
+        CacheScheme::NoCache,
+    ];
     for (i, scheme) in schemes.into_iter().enumerate() {
         let bound = system.bound(&scheme).unwrap().unwrap().objective;
         if i == 0 {

@@ -161,7 +161,7 @@ fn reoptimize_while_a_node_is_down_excludes_it_from_the_swapped_plan() {
 
     let scheduling_of = |idx: usize| match &scenario.events()[idx].action {
         sprout_sim::ScenarioAction::SwapScheme {
-            scheme: sprout_sim::CacheScheme::Functional(plan, _),
+            scheme: sprout_sim::CacheScheme::Functional(plan),
         } => plan.scheduling.clone(),
         other => panic!("expected a functional plan swap, got {other:?}"),
     };
