@@ -162,19 +162,102 @@ impl ChunkBackend for StoreBackend {
 
 /// Deterministic pseudo-random payload for file `file` (so reconstruction
 /// checks catch any row mixup).
+///
+/// The bytes are the top bytes of one xorshift64* stream seeded from
+/// `(file, seed)`; a seed whose start state is 0, xorshift's fixed point,
+/// gives an all-zero payload. The stream is produced in groups of `LANES`
+/// blocks of `BLOCK` bytes whose chains run side by side: xorshift is linear
+/// over GF(2), so each block's start state is the previous block's advanced
+/// `BLOCK` steps by one table lookup per state byte, and the bytes are those
+/// of the one serial stream.
 pub fn synthetic_payload(file: usize, len: usize, seed: u64) -> Vec<u8> {
-    let mut state = seed
-        .wrapping_mul(0x9E37_79B9_7F4A_7C15)
-        .wrapping_add(file as u64 + 1);
-    (0..len)
-        .map(|_| {
-            // xorshift64*: cheap, full-period, good enough for test payloads
-            state ^= state >> 12;
-            state ^= state << 25;
-            state ^= state >> 27;
-            (state.wrapping_mul(0x2545_F491_4F6C_DD1D) >> 56) as u8
-        })
-        .collect()
+    let mut state = payload_start(file, seed);
+    let mut payload = Vec::with_capacity(len);
+    let mut group = [0u8; BLOCK * LANES];
+    for _ in 0..len / group.len() {
+        let mut lanes = [0u64; LANES];
+        for lane in &mut lanes {
+            *lane = state;
+            state = jump_block(state);
+        }
+        for i in 0..BLOCK {
+            for (block, lane) in group.chunks_exact_mut(BLOCK).zip(&mut lanes) {
+                *lane = xorshift(*lane);
+                block[i] = payload_byte(*lane);
+            }
+        }
+        payload.extend_from_slice(&group);
+    }
+    payload.extend((0..len % group.len()).map(|_| {
+        state = xorshift(state);
+        payload_byte(state)
+    }));
+    payload
+}
+
+/// Bytes per block: one lane's run of consecutive stream bytes.
+const BLOCK: usize = 256;
+/// Blocks whose chains [`synthetic_payload`] advances side by side.
+const LANES: usize = 16;
+
+fn payload_start(file: usize, seed: u64) -> u64 {
+    seed.wrapping_mul(0x9E37_79B9_7F4A_7C15)
+        .wrapping_add(file as u64 + 1)
+}
+
+/// One xorshift64 step.
+const fn xorshift(mut state: u64) -> u64 {
+    state ^= state >> 12;
+    state ^= state << 25;
+    state ^= state >> 27;
+    state
+}
+
+/// xorshift64*'s output, top byte only.
+fn payload_byte(state: u64) -> u8 {
+    (state.wrapping_mul(0x2545_F491_4F6C_DD1D) >> 56) as u8
+}
+
+/// The state `BLOCK` xorshift steps after `state`.
+fn jump_block(state: u64) -> u64 {
+    JUMP.iter()
+        .zip(state.to_le_bytes())
+        .fold(0, |jumped, (row, byte)| jumped ^ row[usize::from(byte)])
+}
+
+/// "Advance `BLOCK` steps" as a GF(2)-linear map, sliced by state byte:
+/// `JUMP[i][b]` is the image of `b << 8i`, so the image of a state is the
+/// xor of its 8 bytes' entries.
+static JUMP: [[u64; 256]; 8] = jump_table();
+
+const fn jump_table() -> [[u64; 256]; 8] {
+    // The images of the 64 unit states ...
+    let mut columns = [0u64; 64];
+    let mut bit = 0;
+    while bit < 64 {
+        let mut state = 1u64 << bit;
+        let mut step = 0;
+        while step < BLOCK {
+            state = xorshift(state);
+            step += 1;
+        }
+        columns[bit] = state;
+        bit += 1;
+    }
+    // ... and each byte value's image, built from the value without its
+    // lowest set bit.
+    let mut table = [[0u64; 256]; 8];
+    let mut byte = 0;
+    while byte < 8 {
+        let mut value = 1usize;
+        while value < 256 {
+            let low = value.trailing_zeros() as usize;
+            table[byte][value] = table[byte][value & (value - 1)] ^ columns[8 * byte + low];
+            value += 1;
+        }
+        byte += 1;
+    }
+    table
 }
 
 #[cfg(test)]
@@ -312,6 +395,36 @@ mod tests {
         assert!(backend.store().config().striping.is_some());
     }
 
+    /// The reference the lanes are held to: the stream one step per byte.
+    fn serial_payload(file: usize, len: usize, seed: u64) -> Vec<u8> {
+        let mut state = payload_start(file, seed);
+        (0..len)
+            .map(|_| {
+                state = xorshift(state);
+                payload_byte(state)
+            })
+            .collect()
+    }
+
+    #[test]
+    fn lanes_reproduce_the_serial_stream_at_every_length() {
+        let max = 2 * BLOCK * LANES + 37;
+        // The last seed starts file 0 at state 0, xorshift's fixed point.
+        let zero_seed = 0x0E21_7C1E_66C8_8CC3;
+        assert_eq!(payload_start(0, zero_seed), 0);
+        for seed in [5, 41, u64::MAX, zero_seed] {
+            let serial = serial_payload(0, max, seed);
+            for len in 0..=max {
+                assert_eq!(
+                    synthetic_payload(0, len, seed),
+                    serial[..len],
+                    "seed {seed}, len {len}"
+                );
+            }
+        }
+        assert!(synthetic_payload(0, max, zero_seed).iter().all(|&b| b == 0));
+    }
+
     #[test]
     fn synthetic_payloads_are_deterministic_and_distinct() {
         let a = synthetic_payload(0, 256, 7);
@@ -320,5 +433,32 @@ mod tests {
         assert_eq!(a, b);
         assert_ne!(a, c);
         assert_eq!(a.len(), 256);
+    }
+
+    /// The payload bytes are an input of every seeded artifact (oracle
+    /// files, `model_mean_s`, the store tests), so they are pinned by
+    /// digest: a faster generator must reproduce them exactly.
+    #[test]
+    fn synthetic_payload_bytes_are_pinned() {
+        // The benchmark's repetition seed `mix(seed ^ mix(rep))` for
+        // `--seed 1`, repetition 1.
+        const BENCH_SEED: u64 = 0xE9FD_6049_D65A_F21E;
+        let golden: [(usize, usize, u64, u64); 8] = [
+            (0, 0, 7, 0x1413_17E2_B9A3_2701),
+            (3, 1, 41, 0x48E6_B999_1FEB_5BC6),
+            (1, 4_095, 42, 0x7C9D_E94C_3556_2D24),
+            (2, 4_096, 43, 0x765D_0AF5_A574_A980),
+            (9, 30_000, 5, 0xE56B_C703_B11A_E8BA),
+            (0, 8_000, 3, 0x48B3_AA25_8900_E65C),
+            (17, 1 << 20, BENCH_SEED, 0xBC4A_7334_865A_AF6C),
+            (255, 65_536, BENCH_SEED, 0xFD31_BA08_14C6_7767),
+        ];
+        for (file, len, seed, digest) in golden {
+            let got = sprout_cluster::checksum64(&synthetic_payload(file, len, seed));
+            assert_eq!(
+                got, digest,
+                "file {file}, len {len}, seed {seed}: {got:#018x}"
+            );
+        }
     }
 }

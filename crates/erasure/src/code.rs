@@ -273,41 +273,27 @@ impl ReedSolomon {
 
     /// Encodes a file into its `n` storage chunks.
     ///
-    /// The systematic prefix is produced without any GF arithmetic: the
-    /// first `k` payloads are the split data chunks themselves, moved (not
-    /// copied) into their [`Chunk`]s. Only the `n - k` parity rows run
-    /// through the multiply kernel, into one buffer that the parity chunks
-    /// view. A caller that owns the file should use
-    /// [`ReedSolomon::encode_owned`], which skips the split copy too.
+    /// The file is copied once, into a buffer with room for its zero
+    /// padding, and encoded by [`ReedSolomon::encode_owned`]: the `k` data
+    /// chunks share that one allocation and the parity rows one more. A
+    /// caller that owns the file should call [`ReedSolomon::encode_owned`]
+    /// itself, which skips the copy.
     ///
     /// # Errors
     ///
     /// This operation does not currently fail; the `Result` mirrors
     /// [`ReedSolomon::decode`] for API symmetry.
     pub fn encode(&self, file: &[u8]) -> Result<EncodedFile, CodingError> {
-        let (data_chunks, chunk_len) = stripe::split(file, self.params.k());
-        let data_refs: Vec<&[u8]> = data_chunks.iter().map(Vec::as_slice).collect();
-        // Parity rows first (they read every data chunk) ...
-        let parity = self.parity_chunks(&data_refs, chunk_len);
-        // ... then the data chunks are moved into the systematic prefix.
-        let mut chunks: Vec<Chunk> = data_chunks
-            .into_iter()
-            .enumerate()
-            .map(|(row, data)| Chunk::new(ChunkId::storage(row), data))
-            .collect();
-        chunks.extend(parity);
-        Ok(EncodedFile {
-            chunks,
-            original_len: file.len(),
-            chunk_len,
-        })
+        let k = self.params.k();
+        let mut owned = Vec::with_capacity(k * stripe::chunk_len(file.len(), k));
+        owned.extend_from_slice(file);
+        self.encode_owned(owned)
     }
 
     /// Encodes a file the caller hands over, without copying it: the file
     /// is zero-padded in place to `k · chunk_len` bytes and the `k` data
     /// chunks are views of it ([`Bytes::slice`]), so they share its one
-    /// allocation. The parity rows share one more. Byte-identical to
-    /// [`ReedSolomon::encode`].
+    /// allocation. The parity rows share one more.
     ///
     /// # Errors
     ///
