@@ -5,10 +5,11 @@
 //! cache size helps, and that the objective decreases monotonically (up to
 //! the tolerance) along the run.
 
-use sprout::optimizer::{Optimizer, OptimizerConfig};
+use sprout::optimizer::{CachePlan, Optimizer, OptimizerConfig};
+use sprout::queueing::ServiceDistribution;
 use sprout::sim::SimConfig;
 use sprout::spec::paper_simulation_spec;
-use sprout::{CachePolicy, SproutSystem, SystemSpec};
+use sprout::{CachePolicy, FileConfig, SproutSystem, SystemSpec};
 
 #[test]
 fn converges_within_twenty_iterations_across_cache_sizes() {
@@ -214,17 +215,21 @@ fn benchmark_instance_plan_and_simulation_match_golden_values() {
     assert_eq!(bound(CachePolicy::LruReplicated, None), None);
 }
 
-/// FNV-1a over the plan's `cached_chunks` and the bits of its `scheduling`,
-/// `z` and `objective`.
-fn plan_fingerprint(plan: &sprout::optimizer::CachePlan) -> u64 {
-    let cached = plan.cached_chunks.iter().map(|&d| d as u64);
-    let floats = plan.scheduling.iter().flatten().chain(&plan.z);
-    let words = cached.chain(floats.chain([&plan.objective]).map(|v| v.to_bits()));
+/// FNV-1a over the little-endian bytes of `words`.
+fn fnv1a(words: impl Iterator<Item = u64>) -> u64 {
     words
         .flat_map(u64::to_le_bytes)
         .fold(0xcbf2_9ce4_8422_2325, |hash, byte| {
             (hash ^ u64::from(byte)).wrapping_mul(0x0100_0000_01b3)
         })
+}
+
+/// FNV-1a over the plan's `cached_chunks` and the bits of its `scheduling`,
+/// `z` and `objective`.
+fn plan_fingerprint(plan: &sprout::optimizer::CachePlan) -> u64 {
+    let cached = plan.cached_chunks.iter().map(|&d| d as u64);
+    let floats = plan.scheduling.iter().flatten().chain(&plan.z);
+    fnv1a(cached.chain(floats.chain([&plan.objective]).map(|v| v.to_bits())))
 }
 
 #[test]
@@ -238,6 +243,61 @@ fn benchmark_instance_plan_is_pinned_to_the_bit() {
         0x9d93_b39f_a2ec_a2a8,
         "{:#018x}",
         plan_fingerprint(&plan)
+    );
+}
+
+/// Five nodes, one per service law, under six files on explicit placements
+/// whose 13 data chunks compete for a 4-chunk cache: every law's moments and
+/// Λ-derivatives feed the plan.
+fn mixed_law_instance() -> SproutSystem {
+    let spec = SystemSpec::builder()
+        .node_services(vec![
+            ServiceDistribution::exponential(0.8),
+            ServiceDistribution::deterministic(1.0),
+            ServiceDistribution::uniform(0.5, 2.0),
+            ServiceDistribution::gamma(2.0, 0.6),
+            ServiceDistribution::shifted_exponential(0.4, 1.5),
+        ])
+        .file(FileConfig::new(0.20, 3, 2, 0).with_placement(vec![0, 1, 2]))
+        .file(FileConfig::new(0.15, 3, 2, 0).with_placement(vec![1, 2, 3]))
+        .file(FileConfig::new(0.10, 4, 2, 0).with_placement(vec![2, 3, 4, 0]))
+        .file(FileConfig::new(0.18, 3, 2, 0).with_placement(vec![3, 4, 0]))
+        .file(FileConfig::new(0.12, 4, 3, 0).with_placement(vec![4, 0, 1, 2]))
+        .file(FileConfig::new(0.08, 3, 2, 0).with_placement(vec![0, 2, 4]))
+        .cache_capacity_chunks(4)
+        .build()
+        .unwrap();
+    SproutSystem::new(spec).unwrap()
+}
+
+#[test]
+fn mixed_service_law_plan_and_evaluation_are_pinned_to_the_bit() {
+    // The §V-A pin above runs exponential service only; this one holds the
+    // planner and Lemma 1 to the bit under every service law.
+    let system = mixed_law_instance();
+    let plan = system.optimize().unwrap();
+    assert_eq!(plan.cache_chunks_used(), 4, "the cache binds");
+    assert_eq!(
+        plan_fingerprint(&plan),
+        0xe56d_4766_7c00_1353,
+        "{:#018x}",
+        plan_fingerprint(&plan)
+    );
+    let rows = vec![
+        vec![0.5, 1.0, 0.5],
+        vec![1.0, 0.25, 0.75],
+        vec![0.5, 0.5, 0.5, 0.5],
+        vec![0.0, 1.0, 1.0],
+        vec![0.75, 0.75, 0.75, 0.75],
+        vec![1.0, 0.0, 0.5],
+    ];
+    let evaluated = CachePlan::evaluate(system.model(), rows).unwrap();
+    let per_file = evaluated.per_file_latency.iter().map(|u| u.to_bits());
+    let digest = [plan_fingerprint(&evaluated), fnv1a(per_file)];
+    assert_eq!(
+        digest,
+        [0xcbba_4cad_a3c0_98a7, 0xc933_bbad_1922_5e5d],
+        "{digest:#018x?}"
     );
 }
 
@@ -266,11 +326,7 @@ fn report_fingerprint(report: &sprout::sim::SimReport) -> u64 {
         .chain([report.failed_requests, report.reconstruction_failures])
         .chain([report.peak_event_queue as u64, report.peak_in_flight as u64])
         .chain([report.cache_promotions, report.cache_evictions]);
-    words
-        .flat_map(u64::to_le_bytes)
-        .fold(0xcbf2_9ce4_8422_2325, |hash, byte| {
-            (hash ^ u64::from(byte)).wrapping_mul(0x0100_0000_01b3)
-        })
+    fnv1a(words)
 }
 
 #[test]
