@@ -4,13 +4,14 @@
 //! objective is
 //!
 //! ```text
-//! F(π, z) = Σ_i (λ_i / λ̂) z_i
-//!         + Σ_i Σ_{j ∈ S_i} (λ_i π_{i,j} / 2 λ̂) [ X_{i,j} + sqrt(X_{i,j}² + Y_j) ]
-//! X_{i,j} = E[Q_j] − z_i,     Y_j = Var[Q_j]
+//! F(π, z) = Σ_i (λ_i / λ̂) [ z_i + Σ_{j ∈ S_i} π_{i,j} excess_j(z_i) ]
+//! excess_j(z) = ½ [ (E[Q_j] − z) + sqrt((E[Q_j] − z)² + Var[Q_j]) ]
 //! ```
 //!
-//! where the queue moments depend on the node arrival rates
-//! `Λ_j = Σ_i λ_i π_{i,j}` through the M/G/1 formulas of Eqs. (3)–(4).
+//! where node `j`'s queue, [`NodeQueue`], depends on `π` only through the
+//! node arrival rate `Λ_j = Σ_i λ_i π_{i,j}` (the M/G/1 formulas of
+//! Eqs. (3)–(4)). Its [`excess`](NodeQueue::excess) and
+//! [`excess_dlambda`](NodeQueue::excess_dlambda) are all the gradient needs.
 //!
 //! `π_{i,j}` exists only on file `i`'s placement set `S_i`: every function
 //! here takes `π` as the optimizer's flat buffer, file `i`'s `n_i` entries in
@@ -18,10 +19,8 @@
 //! concatenated. A [`CachePlan`](crate::CachePlan)'s `scheduling` rows are
 //! the same entries, so `plan.scheduling.concat()` is such a buffer.
 
-use sprout_queueing::bound::{latency_bound_given_z, SchedulingTerm};
-use sprout_queueing::mg1::{
-    mean_delay_derivative, queue_delay_moments, variance_delay_derivative, QueueDelayMoments,
-};
+use sprout_queueing::bound::latency_bound_given_z;
+use sprout_queueing::mg1::NodeQueue;
 use sprout_queueing::stability::StabilityError;
 
 use crate::model::StorageModel;
@@ -35,14 +34,14 @@ pub(crate) struct ObjectiveBreakdown {
     pub per_file: Vec<f64>,
 }
 
-/// Per-node chunk arrival rates `Λ_j` and queue-delay moments at one
-/// scheduling point. Every quantity of the objective and of its gradient
-/// depends on `π` through these, so a point that was evaluated keeps them for
-/// the gradient taken there next.
+/// Per-node chunk arrival rates `Λ_j` and queues at one scheduling point.
+/// Every quantity of the objective and of its gradient depends on `π`
+/// through these, so a point that was evaluated keeps them for the gradient
+/// taken there next.
 #[derive(Debug, Clone, Default)]
 pub(crate) struct NodeState {
     pub(crate) rates: Vec<f64>,
-    pub(crate) delays: Vec<QueueDelayMoments>,
+    pub(crate) queues: Vec<NodeQueue>,
 }
 
 impl NodeState {
@@ -60,34 +59,26 @@ impl NodeState {
                 self.rates[j] += file.arrival_rate * p;
             }
         }
-        self.delays.clear();
+        self.queues.clear();
         for (j, (&lambda, service)) in self.rates.iter().zip(model.nodes()).enumerate() {
-            let moments = queue_delay_moments(lambda, service);
-            self.delays
-                .push(moments.map_err(|e| StabilityError { node: j, ..e })?);
+            self.queues.push(NodeQueue::new(j, lambda, service)?);
         }
         Ok(())
     }
 }
 
-/// The per-file Lemma 1 bounds `U_i` at `pi` and `z`, given the queue-delay
-/// moments `pi` produces: Lemma 1's per-file term,
-/// [`latency_bound_given_z`], on each file's placement.
+/// The per-file Lemma 1 bounds `U_i` at `pi` and `z`, given the node queues
+/// `pi` produces: Lemma 1's per-file term, [`latency_bound_given_z`], on
+/// each file's placement.
 fn file_bounds<'a>(
     model: &'a StorageModel,
     pi: &'a [f64],
     z: &'a [f64],
-    delays: &'a [QueueDelayMoments],
+    queues: &'a [NodeQueue],
 ) -> impl Iterator<Item = f64> + 'a {
     model.rows(pi).zip(z).map(move |((file, row), &z_i)| {
-        let terms = file.placement.iter().zip(row);
-        latency_bound_given_z(
-            z_i,
-            terms.map(|(&j, &probability)| SchedulingTerm {
-                probability,
-                delay: delays[j],
-            }),
-        )
+        let pairs = file.placement.iter().zip(row);
+        latency_bound_given_z(z_i, pairs.map(|(&j, &p)| (p, &queues[j])))
     })
 }
 
@@ -103,14 +94,9 @@ fn weighted_mean(model: &StorageModel, bounds: impl Iterator<Item = f64>) -> f64
     total
 }
 
-/// The objective at `pi` whose queue-delay moments are `delays`.
-pub(crate) fn total(
-    model: &StorageModel,
-    pi: &[f64],
-    z: &[f64],
-    delays: &[QueueDelayMoments],
-) -> f64 {
-    weighted_mean(model, file_bounds(model, pi, z, delays))
+/// The objective at `pi` whose node queues are `queues`.
+pub(crate) fn total(model: &StorageModel, pi: &[f64], z: &[f64], queues: &[NodeQueue]) -> f64 {
+    weighted_mean(model, file_bounds(model, pi, z, queues))
 }
 
 /// Evaluates the objective and per-file bounds at `(π, z)`, with `pi` the
@@ -131,72 +117,44 @@ pub(crate) fn evaluate(
     assert_eq!(z.len(), model.num_files(), "z must have one entry per file");
     let mut state = NodeState::default();
     state.update(model, pi)?;
-    let per_file: Vec<f64> = file_bounds(model, pi, z, &state.delays).collect();
+    let per_file: Vec<f64> = file_bounds(model, pi, z, &state.queues).collect();
     Ok(ObjectiveBreakdown {
         total: weighted_mean(model, per_file.iter().copied()),
         per_file,
     })
 }
 
-/// Node-sized buffers [`gradient_into`] reuses from one call to the next.
-#[derive(Debug, Clone, Default)]
-pub(crate) struct GradientScratch {
-    /// `dE[Q_j]/dΛ_j`.
-    d_mean: Vec<f64>,
-    /// `dVar[Q_j]/dΛ_j`.
-    d_var: Vec<f64>,
-    /// Per-node aggregate sensitivity `S_j`.
-    node_sensitivity: Vec<f64>,
-}
-
 /// Writes the gradient with respect to `π` at `pi`, whose node state is
-/// `state`, into `grad` (one entry per entry of `pi`).
+/// `state`, into `grad` (one entry per entry of `pi`). `sensitivity` is a
+/// node-sized buffer reused from one call to the next.
 pub(crate) fn gradient_into(
     model: &StorageModel,
     pi: &[f64],
     z: &[f64],
     state: &NodeState,
-    scratch: &mut GradientScratch,
+    sensitivity: &mut Vec<f64>,
     grad: &mut [f64],
 ) {
-    let NodeState { rates, delays } = state;
-    let GradientScratch {
-        d_mean,
-        d_var,
-        node_sensitivity,
-    } = scratch;
+    let queues = &state.queues;
     let total_rate = model.total_arrival_rate().max(f64::MIN_POSITIVE);
 
-    // dE[Q_j]/dΛ_j and dVar[Q_j]/dΛ_j
-    let nodes = || rates.iter().zip(model.nodes());
-    d_mean.clear();
-    d_mean.extend(nodes().map(|(&l, s)| mean_delay_derivative(l, s)));
-    d_var.clear();
-    d_var.extend(nodes().map(|(&l, s)| variance_delay_derivative(l, s)));
-
-    // Per-node aggregate sensitivity:
-    // S_j = Σ_i (λ_i π_{i,j} / 2λ̂) [ dE_j + (X_{i,j} dE_j + dV_j / 2) / sqrt(X_{i,j}² + Y_j) ]
-    node_sensitivity.clear();
-    node_sensitivity.resize(model.num_nodes(), 0.0);
+    // Per-node aggregate sensitivity S_j = Σ_i (λ_i π_{i,j} / λ̂) d excess_j(z_i) / dΛ_j.
+    sensitivity.clear();
+    sensitivity.resize(model.num_nodes(), 0.0);
     for ((file, row), &z_i) in model.rows(pi).zip(z) {
         for (&j, &p) in file.placement.iter().zip(row) {
             if p <= 0.0 {
                 continue;
             }
-            let x = delays[j].mean - z_i;
-            let root = (x * x + delays[j].variance).sqrt().max(f64::MIN_POSITIVE);
-            node_sensitivity[j] += file.arrival_rate * p / (2.0 * total_rate)
-                * (d_mean[j] + (x * d_mean[j] + 0.5 * d_var[j]) / root);
+            sensitivity[j] += file.arrival_rate * p / total_rate * queues[j].excess_dlambda(z_i);
         }
     }
 
     let mut slot = grad.iter_mut();
     for (file, &z_i) in model.files().iter().zip(z) {
         for (&j, g) in file.placement.iter().zip(&mut slot) {
-            let x = delays[j].mean - z_i;
-            let root = (x * x + delays[j].variance).sqrt();
-            let direct = file.arrival_rate / (2.0 * total_rate) * (x + root);
-            *g = direct + file.arrival_rate * node_sensitivity[j];
+            let direct = file.arrival_rate / total_rate * queues[j].excess(z_i);
+            *g = direct + file.arrival_rate * sensitivity[j];
         }
     }
 }
@@ -283,8 +241,8 @@ mod tests {
         let pi = uniform_initial_pi(&model);
         let z = vec![1.0, 2.0];
         let mut grad = vec![0.0; pi.len()];
-        let (state, mut scratch) = (state_at(&model, &pi), GradientScratch::default());
-        gradient_into(&model, &pi, &z, &state, &mut scratch, &mut grad);
+        let state = state_at(&model, &pi);
+        gradient_into(&model, &pi, &z, &state, &mut Vec::new(), &mut grad);
         let base = evaluate(&model, &pi, &z).unwrap().total;
         let h = 1e-6;
         for (slot, &g) in grad.iter().enumerate() {
@@ -309,8 +267,8 @@ mod tests {
         let pi = [0.5, 0.5];
         let state = state_at(&model, &pi);
         assert_eq!(state.rates[2], 0.0);
-        let (mut grad, mut scratch) = ([f64::NAN; 2], GradientScratch::default());
-        gradient_into(&model, &pi, &[0.0], &state, &mut scratch, &mut grad);
+        let mut grad = [f64::NAN; 2];
+        gradient_into(&model, &pi, &[0.0], &state, &mut Vec::new(), &mut grad);
         assert!(grad.iter().all(|g| g.is_finite() && *g > 0.0));
     }
 }

@@ -12,13 +12,13 @@
 //! files concatenated (see [`crate::objective`]). The solve runs on buffers
 //! allocated once per solve, the projection's and the gradient's scratch
 //! included: a line-search probe writes, projects and evaluates its candidate
-//! in place, and the accepted probe hands its node rates and delay moments to
+//! in place, and the accepted probe hands its node rates and queues to
 //! the next gradient instead of having them recomputed.
 
 use crate::config::OptimizerConfig;
 use crate::error::OptimizerError;
 use crate::model::StorageModel;
-use crate::objective::{gradient_into, total, GradientScratch, NodeState};
+use crate::objective::{gradient_into, total, NodeState};
 use crate::projection::{project_flat, FileBand, ProjectionScratch};
 
 /// Result of one Prob Π solve.
@@ -37,7 +37,7 @@ pub(crate) struct ProbPiOutcome {
 
 impl ProbPiOutcome {
     /// Projections the solve performed: its starting point and every probe.
-    pub fn projections(&self) -> usize {
+    pub(crate) fn projections(&self) -> usize {
         self.line_search_probes + 1
     }
 }
@@ -72,18 +72,18 @@ pub(crate) fn solve(
     let mut nu_probes = project_flat(&mut pi, &offsets, bands, aggregate_lo, &mut projection);
     let mut nodes = NodeState::default();
     nodes.update(model, &pi)?;
-    let mut current = total(model, &pi, z, &nodes.delays);
+    let mut current = total(model, &pi, z, &nodes.queues);
 
     let mut grad = vec![0.0; pi.len()];
     let mut candidate = vec![0.0; pi.len()];
     let mut candidate_nodes = NodeState::default();
-    let mut gradient = GradientScratch::default();
+    let mut sensitivity = Vec::new();
     let mut step = config.initial_step;
     let mut iterations = 0;
     let mut line_search_probes = 0;
     'descent: for _ in 0..config.max_gradient_iterations {
         iterations += 1;
-        gradient_into(model, &pi, z, &nodes, &mut gradient, &mut grad);
+        gradient_into(model, &pi, z, &nodes, &mut sensitivity, &mut grad);
 
         // Backtracking line search along the projection arc.
         let mut improved = false;
@@ -102,7 +102,7 @@ pub(crate) fn solve(
             line_search_probes += 1;
             // An unstable candidate is worth +∞: the search rejects the step.
             let value = match candidate_nodes.update(model, &candidate) {
-                Ok(()) => total(model, &candidate, z, &candidate_nodes.delays),
+                Ok(()) => total(model, &candidate, z, &candidate_nodes.queues),
                 Err(_) => f64::INFINITY,
             };
             if value < current - 1e-15 {

@@ -7,7 +7,7 @@
 //! on the monotone derivative (clamping at `z_i ≥ 0`), which is both faster
 //! and free of step-size tuning.
 
-use sprout_queueing::bound::{optimal_z, SchedulingTerm};
+use sprout_queueing::bound::optimal_z;
 use sprout_queueing::stability::StabilityError;
 
 use crate::model::StorageModel;
@@ -22,20 +22,10 @@ use crate::objective::NodeState;
 pub(crate) fn solve(model: &StorageModel, pi: &[f64]) -> Result<Vec<f64>, StabilityError> {
     let mut nodes = NodeState::default();
     nodes.update(model, pi)?;
-    // One file's Lemma 1 scheduling terms, rebuilt in place for every file.
-    let mut terms: Vec<SchedulingTerm> = Vec::new();
+    let queues = &nodes.queues;
     let z = model.rows(pi).map(|(file, row)| {
-        terms.clear();
-        terms.extend(
-            file.placement
-                .iter()
-                .zip(row)
-                .map(|(&j, &probability)| SchedulingTerm {
-                    probability,
-                    delay: nodes.delays[j],
-                }),
-        );
-        optimal_z(&terms)
+        let pairs = file.placement.iter().zip(row);
+        optimal_z(pairs.map(|(&j, &p)| (p, &queues[j])))
     });
     Ok(z.collect())
 }

@@ -10,74 +10,70 @@
 //!                        + sqrt((E[Q_j] − z)² + Var[Q_j]) ]
 //! ```
 //!
-//! The bound is jointly convex in `z` and `π`, which is what makes the cache
-//! optimization of §IV tractable.
+//! Each node's bracket, halved, is that node's
+//! [`NodeQueue::excess`](crate::mg1::NodeQueue::excess). The bound is
+//! jointly convex in `z` and `π`, which is what makes the cache optimization
+//! of §IV tractable.
 
-use crate::mg1::QueueDelayMoments;
-
-/// One node's contribution to a file's scheduling decision: the probability
-/// `π_{i,j}` that the node serves a chunk of the file, together with the
-/// node's queue-delay moments.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct SchedulingTerm {
-    /// Probability `π_{i,j} ∈ [0, 1]` that node `j` is selected for file `i`.
-    pub probability: f64,
-    /// Queue-delay moments of the node.
-    pub delay: QueueDelayMoments,
-}
+use crate::mg1::NodeQueue;
 
 /// Evaluates the Lemma 1 bound at a fixed auxiliary variable `z`: the one
 /// per-file term of the bound, which the optimizer's objective sums over
 /// files. The bound itself is this term at [`optimal_z`].
 ///
-/// Terms with zero probability contribute nothing; an empty term list (a file
-/// served entirely from the cache) yields `z` itself, so minimizing over
-/// `z ≥ 0` gives zero latency, matching the paper's treatment of fully-cached
-/// files. Any iterator of terms will do, so a caller can build them on the
-/// fly without allocating.
-pub fn latency_bound_given_z(z: f64, terms: impl IntoIterator<Item = SchedulingTerm>) -> f64 {
+/// `pairs` holds, for each node the file may read, the probability
+/// `π_{i,j}` of reading it and the node's queue. Pairs with zero probability
+/// contribute nothing; no pairs at all (a file served entirely from the
+/// cache) yield `z` itself, so minimizing over `z ≥ 0` gives zero latency,
+/// matching the paper's treatment of fully-cached files. Any iterator will
+/// do, so a caller can build the pairs on the fly without allocating.
+pub fn latency_bound_given_z<'q>(
+    z: f64,
+    pairs: impl IntoIterator<Item = (f64, &'q NodeQueue)>,
+) -> f64 {
     let mut total = z;
-    for term in terms {
-        if term.probability <= 0.0 {
+    for (probability, queue) in pairs {
+        if probability <= 0.0 {
             continue;
         }
-        let x = term.delay.mean - z;
-        total += term.probability / 2.0 * (x + (x * x + term.delay.variance).sqrt());
+        total += probability * queue.excess(z);
     }
     total
 }
 
 /// Derivative of the bound with respect to `z` (the bound is convex in `z`,
 /// so this derivative is non-decreasing).
-pub fn bound_derivative_z(z: f64, terms: &[SchedulingTerm]) -> f64 {
+fn derivative_z<'q>(z: f64, pairs: impl IntoIterator<Item = (f64, &'q NodeQueue)>) -> f64 {
     let mut d = 1.0;
-    for term in terms {
-        if term.probability <= 0.0 {
+    for (probability, queue) in pairs {
+        if probability <= 0.0 {
             continue;
         }
-        let x = term.delay.mean - z;
-        let denom = (x * x + term.delay.variance).sqrt();
-        let ratio = if denom > 0.0 { x / denom } else { 0.0 };
-        d += term.probability / 2.0 * (-1.0 - ratio);
+        d += probability * queue.excess_dz(z);
     }
     d
 }
 
-/// Finds the minimizing `z ≥ 0` of the Lemma 1 bound by bisection on the
-/// (monotone) derivative.
-pub fn optimal_z(terms: &[SchedulingTerm]) -> f64 {
+/// Finds the minimizing `z ≥ 0` of the Lemma 1 bound over `pairs` (as in
+/// [`latency_bound_given_z`]) by bisection on the (monotone) derivative.
+/// The pairs are walked once per probe, so they must be cheap to clone.
+pub fn optimal_z<'q, I>(pairs: I) -> f64
+where
+    I: IntoIterator<Item = (f64, &'q NodeQueue)> + Clone,
+{
     // If the derivative is already non-negative at z = 0, the constraint
     // z >= 0 is active.
-    if bound_derivative_z(0.0, terms) >= 0.0 {
+    if derivative_z(0.0, pairs.clone()) >= 0.0 {
         return 0.0;
     }
     // Bracket the root: the derivative tends to 1 as z -> infinity.
     let mut lo = 0.0;
-    let mut hi = terms
-        .iter()
-        .map(|t| t.delay.mean + t.delay.variance.sqrt())
+    let mut hi = pairs
+        .clone()
+        .into_iter()
+        .map(|(_, q)| q.mean() + q.variance().sqrt())
         .fold(1.0, f64::max);
-    while bound_derivative_z(hi, terms) < 0.0 {
+    while derivative_z(hi, pairs.clone()) < 0.0 {
         hi *= 2.0;
         if hi > 1e18 {
             break;
@@ -85,7 +81,7 @@ pub fn optimal_z(terms: &[SchedulingTerm]) -> f64 {
     }
     for _ in 0..200 {
         let mid = 0.5 * (lo + hi);
-        if bound_derivative_z(mid, terms) < 0.0 {
+        if derivative_z(mid, pairs.clone()) < 0.0 {
             lo = mid;
         } else {
             hi = mid;
@@ -101,19 +97,24 @@ pub fn optimal_z(terms: &[SchedulingTerm]) -> f64 {
 mod tests {
     use super::*;
     use crate::dist::ServiceDistribution;
-    use crate::mg1::queue_delay_moments;
+    use crate::mg1::tests::{service_dist, with_moments};
+    use proptest::prelude::*;
 
-    fn term(prob: f64, mean: f64, variance: f64) -> SchedulingTerm {
-        SchedulingTerm {
-            probability: prob,
-            delay: QueueDelayMoments { mean, variance },
-        }
+    /// A node read with probability `prob` whose queue has the given moments.
+    type Term = (f64, NodeQueue);
+
+    fn term(prob: f64, mean: f64, variance: f64) -> Term {
+        (prob, with_moments(mean, variance))
+    }
+
+    fn pairs(terms: &[Term]) -> impl Iterator<Item = (f64, &NodeQueue)> + Clone {
+        terms.iter().map(|(p, q)| (*p, q))
     }
 
     /// The Lemma 1 bound `U_i` and its minimizer `z_i`.
-    fn bound_and_z(terms: &[SchedulingTerm]) -> (f64, f64) {
-        let z = optimal_z(terms);
-        (latency_bound_given_z(z, terms.iter().copied()), z)
+    fn bound_and_z(terms: &[Term]) -> (f64, f64) {
+        let z = optimal_z(pairs(terms));
+        (latency_bound_given_z(z, pairs(terms)), z)
     }
 
     #[test]
@@ -169,16 +170,16 @@ mod tests {
             term(0.9, 22.0, 60.0),
             term(0.4, 8.0, 10.0),
         ];
-        let z = optimal_z(&terms);
+        let z = optimal_z(pairs(&terms));
         assert!(z >= 0.0);
         if z > 0.0 {
-            assert!(bound_derivative_z(z, &terms).abs() < 1e-6);
+            assert!(derivative_z(z, pairs(&terms)).abs() < 1e-6);
         }
         // z should (weakly) beat a grid of alternatives
-        let best = latency_bound_given_z(z, terms);
+        let best = latency_bound_given_z(z, pairs(&terms));
         for i in 0..400 {
             let alt = i as f64 * 0.25;
-            assert!(best <= latency_bound_given_z(alt, terms) + 1e-9);
+            assert!(best <= latency_bound_given_z(alt, pairs(&terms)) + 1e-9);
         }
     }
 
@@ -188,7 +189,7 @@ mod tests {
         // the delay terms are small enough; with a single small-probability
         // term the minimizer is z = 0.
         let terms = [term(0.3, 5.0, 1.0)];
-        assert_eq!(optimal_z(&terms), 0.0);
+        assert_eq!(optimal_z(pairs(&terms)), 0.0);
     }
 
     #[test]
@@ -199,17 +200,12 @@ mod tests {
         use rand::SeedableRng;
         let mu = [0.2, 0.15, 0.1];
         let lambda = 0.05;
-        let moments: Vec<_> = mu
+        let terms: Vec<Term> = mu
             .iter()
-            .map(|&m| {
-                queue_delay_moments(lambda, &ServiceDistribution::exponential(m).moments()).unwrap()
-            })
-            .collect();
-        let terms: Vec<_> = moments
-            .iter()
-            .map(|&q| SchedulingTerm {
-                probability: 1.0,
-                delay: q,
+            .enumerate()
+            .map(|(j, &m)| {
+                let service = ServiceDistribution::exponential(m).moments();
+                (1.0, NodeQueue::new(j, lambda, &service).unwrap())
             })
             .collect();
         let (bound, _) = bound_and_z(&terms);
@@ -223,9 +219,9 @@ mod tests {
         let mut acc = 0.0;
         for _ in 0..n {
             let mut max = 0.0f64;
-            for q in &moments {
+            for (_, q) in &terms {
                 let u: f64 = rng.gen_range(f64::MIN_POSITIVE..1.0);
-                let sample = -u.ln() * q.mean;
+                let sample = -u.ln() * q.mean();
                 max = max.max(sample);
             }
             acc += max;
@@ -235,5 +231,44 @@ mod tests {
             bound >= emp * 0.98,
             "bound {bound} should not be far below the empirical mean max {emp}"
         );
+    }
+
+    #[test]
+    fn single_mm1_node_has_a_closed_form_bound() {
+        // An M/M/1 sojourn time is exponential with rate µ − λ, so
+        // Var[Q] = E[Q]²; the bound's slope at z = 0 is 1 − (1 + 1/√2)/2 > 0,
+        // so z = 0 and U = ½ (E[Q] + √2 E[Q]) = (1 + √2) / (2 (µ − λ)).
+        let (mu, lambda) = (0.2, 0.1);
+        let service = ServiceDistribution::exponential(mu).moments();
+        let q = NodeQueue::new(0, lambda, &service).unwrap();
+        let rel = |got: f64, want: f64| (got - want).abs() / want;
+        assert!(rel(q.mean(), 1.0 / (mu - lambda)) < 1e-12, "{}", q.mean());
+        assert!(rel(q.variance(), q.mean() * q.mean()) < 1e-12);
+        let terms = [(1.0, q)];
+        let (bound, z) = bound_and_z(&terms);
+        assert_eq!(z, 0.0);
+        let want = (1.0 + 2f64.sqrt()) / (2.0 * (mu - lambda));
+        assert!(rel(bound, want) < 1e-12, "{bound} vs {want}");
+    }
+
+    /// A node of any service law at a load in `[0, 0.9)`, read with any
+    /// probability.
+    fn node_term() -> impl Strategy<Value = Term> {
+        (0.0f64..=1.0, service_dist(), 0.0f64..0.9).prop_map(|(p, dist, frac)| {
+            let q = NodeQueue::new(0, frac * dist.rate(), &dist.moments()).unwrap();
+            (p, q)
+        })
+    }
+
+    proptest! {
+        #[test]
+        fn bound_derivative_is_nondecreasing(
+            terms in proptest::collection::vec(node_term(), 1..6),
+            z1 in 0.0f64..100.0,
+            dz in 0.0f64..100.0,
+        ) {
+            let at = |z| derivative_z(z, pairs(&terms));
+            prop_assert!(at(z1 + dz) >= at(z1) - 1e-9);
+        }
     }
 }

@@ -285,7 +285,7 @@ fn sample_gamma<R: Rng + ?Sized>(rng: &mut R, shape: f64, scale: f64) -> f64 {
             continue;
         }
         let u: f64 = rng.gen_range(f64::MIN_POSITIVE..1.0);
-        if u.ln() < 0.5 * x * x + d - d * v + d * v.ln() {
+        if u.ln() < 0.5 * x.powi(2) + d - d * v + d * v.ln() {
             return d * v * scale;
         }
     }

@@ -4,8 +4,8 @@
 //! Poisson process with rate `Λ_j = Σ_i λ_i π_{i,j}`. The M/G/1 queue at node
 //! `j` is stable only when the utilization `ρ_j = Λ_j / µ_j` is strictly
 //! below one; otherwise queueing delay (and the latency bound) diverges,
-//! and [`queue_delay_moments`](crate::mg1::queue_delay_moments) reports the
-//! overloaded node as a [`StabilityError`].
+//! and [`NodeQueue::new`](crate::mg1::NodeQueue::new) reports the overloaded
+//! node as a [`StabilityError`].
 
 use std::fmt;
 
@@ -33,26 +33,26 @@ impl std::error::Error for StabilityError {}
 #[cfg(test)]
 mod tests {
     use crate::dist::ServiceDistribution;
-    use crate::mg1::queue_delay_moments;
+    use crate::mg1::NodeQueue;
 
     #[test]
     fn stable_system_passes() {
         let service = ServiceDistribution::exponential(0.1).moments();
-        assert!(queue_delay_moments(0.08, &service).is_ok());
+        assert!(NodeQueue::new(0, 0.08, &service).is_ok());
     }
 
     #[test]
     fn unstable_node_is_reported() {
         let service = ServiceDistribution::exponential(0.1).moments();
-        let err = queue_delay_moments(0.12, &service).unwrap_err();
-        assert_eq!(err.node, 0);
+        let err = NodeQueue::new(7, 0.12, &service).unwrap_err();
+        assert_eq!(err.node, 7);
         assert!(err.utilization >= 1.0);
-        assert!(err.to_string().contains("node 0"));
+        assert!(err.to_string().contains("node 7"));
     }
 
     #[test]
     fn exactly_critical_load_is_unstable() {
         let service = ServiceDistribution::exponential(0.1).moments();
-        assert!(queue_delay_moments(0.1, &service).is_err());
+        assert!(NodeQueue::new(0, 0.1, &service).is_err());
     }
 }
