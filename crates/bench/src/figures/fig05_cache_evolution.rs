@@ -68,7 +68,9 @@ pub fn run(cli: &FigureCli) -> (SweepReport, Option<SweepTimings>) {
                     &OptimizerConfig::default(),
                 )
                 .expect("every bin re-plans");
-            let initial = first.cache_scheme(CachePolicy::Functional, Some(&plan));
+            let initial = first
+                .cache_scheme(CachePolicy::Functional, Some(&plan))
+                .expect("a functional plan is its own scheme");
             let schemes = std::iter::once(&initial).chain(scenario.swapped_schemes());
             let plans: Vec<_> = bins
                 .iter()

@@ -216,7 +216,7 @@ mod tests {
         assert!((d.mean_service_time(1) - 10.0).abs() < 1e-9);
         assert!((d.mean_service_time(1_000_000_000) - 10.0).abs() < 1e-9);
         let m = d.service_moments(123);
-        assert!((m.scv() - 1.0).abs() < 1e-9);
+        assert!((m.variance() / (m.mean * m.mean) - 1.0).abs() < 1e-9);
     }
 
     #[test]

@@ -183,7 +183,7 @@ impl ScenarioSpec {
                     let excluded: Vec<usize> = down.iter().copied().collect();
                     let in_force = replanned.as_ref().or(plan);
                     let next = current.replan(optimizer, in_force, &excluded)?;
-                    let scheme = current.cache_scheme(policy, Some(&next));
+                    let scheme = current.cache_scheme(policy, Some(&next))?;
                     replanned = Some(next);
                     ScenarioAction::SwapScheme { scheme }
                 }

@@ -629,7 +629,9 @@ mod tests {
             row.unwrap().metric("analytic_bound_s").unwrap().mean
         };
         let plan = system.optimize().unwrap();
-        let exact = system.cache_scheme(CachePolicy::Exact, Some(&plan));
+        let exact = system
+            .cache_scheme(CachePolicy::Exact, Some(&plan))
+            .unwrap();
         assert_eq!(
             bound("exact"),
             system.bound(&exact).unwrap().unwrap().objective

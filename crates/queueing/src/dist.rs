@@ -58,11 +58,6 @@ impl ServiceMoments {
     pub fn variance(&self) -> f64 {
         (self.second - self.mean * self.mean).max(0.0)
     }
-
-    /// Squared coefficient of variation `σ² / E[X]²`.
-    pub fn scv(&self) -> f64 {
-        self.variance() / (self.mean * self.mean)
-    }
 }
 
 /// A chunk service-time distribution with analytic moments and sampling.
@@ -330,7 +325,7 @@ mod tests {
         assert!((m.second - 200.0).abs() < 1e-9);
         assert!((m.third - 6000.0).abs() < 1e-6);
         assert!((m.variance() - 100.0).abs() < 1e-9);
-        assert!((m.scv() - 1.0).abs() < 1e-9);
+        assert!((m.variance() / (m.mean * m.mean) - 1.0).abs() < 1e-9);
         assert!((d.rate() - 0.1).abs() < 1e-12);
     }
 

@@ -5,12 +5,13 @@
 //! per file. The engine draws each request's reads from its file's row by
 //! Madow's systematic sampling, and Lemma 1's evaluator
 //! (`CachePlan::evaluate`, through `SproutSystem::bound`) bounds the same
-//! rows. A planned scheme carries one [`PlannedCache`]: Algorithm 1's output,
-//! `d_i` cached chunks per file plus the scheduling marginals `π_{i,j}` its
-//! remaining `k_i − d_i` reads follow. Functional and exact caching hold the
-//! same plan and differ only in which hosts may serve those reads: every
-//! host under functional caching, all but the first `d_i` under exact
-//! caching (the hosts of the copied rows). No cache and an LRU miss read
+//! rows. A planned scheme carries one [`PlannedCache`]: `d_i` cached chunks
+//! per file plus the scheduling marginals `π_{i,j}` its remaining
+//! `k_i − d_i` reads follow. Under functional caching any host may serve
+//! those reads, and the plan is Algorithm 1's. Exact caching copies the
+//! first `d_i` chunks, so their hosts cannot serve; its rows are its own
+//! Algorithm 1 solve over the other hosts (`SproutSystem::cache_scheme`),
+//! with the same `d_i`. No cache and an LRU miss read
 //! `k_i / n_i` from each host. [`CacheScheme::validate`] checks a scheme
 //! once, at the boundary, so the engine samples it as it is.
 
@@ -41,7 +42,9 @@ pub enum CacheScheme {
     Functional(PlannedCache),
     /// Exact caching: the cached chunks are copies of the first `d_i`
     /// storage chunks, so those hosting nodes cannot serve the request.
-    /// Only a row's entries past the first `d_i` are sampled.
+    /// Only a row's entries past the first `d_i` are sampled; a plan built
+    /// by `SproutSystem::cache_scheme` holds there Algorithm 1's optimum
+    /// for those hosts alone.
     Exact(PlannedCache),
     /// Ceph-style LRU cache tier: whole objects are promoted on access, each
     /// weighing [`LRU_REPLICATION`](sprout_cluster::LRU_REPLICATION) replicas,

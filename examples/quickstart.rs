@@ -43,7 +43,7 @@ fn main() -> Result<(), sprout::SproutError> {
     // LRU tier has no model).
     println!("\nsimulated mean latency (Lemma 1 bound):");
     for (name, policy, report) in policies {
-        let bound = system.bound(&system.cache_scheme(policy, Some(&plan)))?;
+        let bound = system.bound(&system.cache_scheme(policy, Some(&plan))?)?;
         let bound = bound.map_or("no model".into(), |b| format!("{:.3} s", b.objective));
         println!("  {name:<21}: {:.3} s ({bound})", report.overall.mean);
     }

@@ -39,7 +39,7 @@ fn main() -> Result<(), sprout::SproutError> {
         Some(&plan),
         &OptimizerConfig::default(),
     )?;
-    let initial = first.cache_scheme(CachePolicy::Functional, Some(&plan));
+    let initial = first.cache_scheme(CachePolicy::Functional, Some(&plan))?;
     let schemes = std::iter::once(&initial).chain(scenario.swapped_schemes());
 
     println!("== Cache evolution across time bins (Table I scenario) ==");

@@ -181,7 +181,7 @@ fn byte_backend_validates_plan_requirements() {
         CachePolicy::Exact,
         CachePolicy::LruReplicated,
     ] {
-        let scheme = system.cache_scheme(policy, Some(&plan));
+        let scheme = system.cache_scheme(policy, Some(&plan)).unwrap();
         assert!(system.byte_backend(&scheme, 1).is_ok(), "{policy:?}");
     }
 }

@@ -38,9 +38,13 @@ fn analytic_bound_upper_bounds_simulated_latency_end_to_end() {
             .collect(),
     };
     let schemes = [
-        system.cache_scheme(CachePolicy::Functional, Some(&plan)),
+        system
+            .cache_scheme(CachePolicy::Functional, Some(&plan))
+            .unwrap(),
         CacheScheme::Functional(uniform),
-        system.cache_scheme(CachePolicy::Exact, Some(&plan)),
+        system
+            .cache_scheme(CachePolicy::Exact, Some(&plan))
+            .unwrap(),
         CacheScheme::NoCache,
     ];
     for (i, scheme) in schemes.into_iter().enumerate() {

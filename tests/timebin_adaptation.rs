@@ -52,7 +52,9 @@ fn bin_plans(system: &SproutSystem, schedule: &RateSchedule) -> Vec<CachePlan> {
             &OptimizerConfig::default(),
         )
         .unwrap();
-    let initial = first.cache_scheme(CachePolicy::Functional, Some(&plan));
+    let initial = first
+        .cache_scheme(CachePolicy::Functional, Some(&plan))
+        .unwrap();
     let schemes = std::iter::once(&initial).chain(scenario.swapped_schemes());
     let plans = bins.iter().zip(schemes).map(|(bin, scheme)| {
         let system = system.with_arrival_rates(&bin.rates).unwrap();
