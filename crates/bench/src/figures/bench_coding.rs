@@ -1,7 +1,8 @@
 //! Coding-layer throughput snapshot, emitted as `BENCH_coding.json`.
 //!
 //! Measures MB/s for the three coding-hot-path operations — `encode`,
-//! `decode` (2 cache + 2 storage chunks) and `cache_chunks` (d = 2) — for
+//! `decode` (2 cache + 2 storage chunks, and the `k` data rows of a
+//! whole-object cache hit) and `cache_chunks` (d = 2) — for
 //! the parity rows alone (`encode_rows`: `encode_rows_into` on pre-split data
 //! into reused buffers, i.e. `encode` without its copies and allocations) and
 //! for the object checksum every put records and every get verifies
@@ -123,6 +124,12 @@ pub fn run(cli: &FigureCli) -> (SweepReport, Option<SweepTimings>) {
         let decode = throughput(size, budget, || {
             std::hint::black_box(codec.decode(&have, size).unwrap());
         });
+        // Decode from the k data rows: a hit on a file cached whole, which
+        // copies every row and inverts nothing (the memo is not touched).
+        let data_rows = &stored.chunks()[..params.k()];
+        let decode_data_rows = throughput(size, budget, || {
+            std::hint::black_box(codec.decode(data_rows, size).unwrap());
+        });
 
         let checksum = throughput(size, budget, || {
             std::hint::black_box(checksum64(std::hint::black_box(&data)));
@@ -136,6 +143,7 @@ pub fn run(cli: &FigureCli) -> (SweepReport, Option<SweepTimings>) {
             .metric("encode_rows_mb_per_s", encode_rows)
             .metric("cache_chunks_mb_per_s", cache)
             .metric("decode_mb_per_s", decode)
+            .metric("decode_data_rows_mb_per_s", decode_data_rows)
             .metric("checksum_mb_per_s", checksum)
             .counter("decode_memo_hits", memo_hits)
             .counter("decode_memo_misses", memo_misses)
@@ -148,6 +156,12 @@ pub fn run(cli: &FigureCli) -> (SweepReport, Option<SweepTimings>) {
         .with_meta("replications", REPLICATIONS.to_string())
         .with_meta("simd_level", simd.name())
         .with_meta("stripe_len_bytes", STRIPE_LEN.to_string())
+        .with_meta(
+            "cores",
+            std::thread::available_parallelism()
+                .map_or(1, |n| n.get())
+                .to_string(),
+        )
         .with_note(
             "wall-clock throughput: numbers vary run to run (no thresholds gated on them) \
              and are only comparable within a --threads 1 run",
@@ -168,6 +182,11 @@ pub fn run(cli: &FigureCli) -> (SweepReport, Option<SweepTimings>) {
              byte-serial FNV-1a it replaced in PR 23 measured 794 / 777 / 729 MB/s at \
              64 KiB / 1 MiB / 8 MiB on the same host with the same throughput() helper \
              (one-off; that hash is no longer in the tree)",
+        )
+        .with_note(
+            "decode_data_rows_mb_per_s: decode from the k stored data rows, the bytes of a \
+             whole-object cache hit; each row is copied into place and no decode matrix is \
+             inverted or looked up, so the memo counters count decode_mb_per_s's calls only",
         )
         .with_note(
             "encode_rows_mb_per_s: the n - k parity rows of encode on data split once, into \

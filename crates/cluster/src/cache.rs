@@ -4,7 +4,9 @@
 //!
 //! * **Functional** — the cache holds `d_i` *new* coded chunks per object,
 //!   chosen by the optimizer, so the cached chunks plus any `k_i − d_i`
-//!   storage chunks reconstruct the object (§III).
+//!   storage chunks reconstruct the object (§III). An object cached whole
+//!   (`d_i = k_i`) is never read beside storage chunks, so its entry is the
+//!   object's stored data rows, shared rather than coded.
 //! * **Exact** — the cache holds copies of `d_i` of the object's storage
 //!   chunks; those chunks' host nodes can no longer contribute to a read.
 //! * **LRU replicated** — Ceph's cache-tier baseline: whole objects are
@@ -37,6 +39,8 @@ pub enum CachePolicy {
     /// No cache at all; every read hits the storage nodes.
     None,
     /// Functional caching: optimizer-chosen counts of newly coded chunks.
+    /// A file cached whole keeps its `k` stored data rows instead: they are
+    /// shared with storage, and a hit decodes them by a copy.
     Functional,
     /// Exact caching: optimizer-chosen counts of copied storage chunks.
     Exact,

@@ -57,7 +57,7 @@ use std::sync::{Arc, Mutex, MutexGuard, RwLock};
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use sprout_erasure::{Chunk, CodeParams, EncodedFile, Kernel, ReedSolomon};
+use sprout_erasure::{Chunk, CodeParams, CodingError, EncodedFile, Kernel, ReedSolomon};
 
 use crate::cache::{Cache, CachePolicy, CacheStats};
 use crate::checksum::checksum64;
@@ -417,12 +417,20 @@ impl StoreHandle {
     /// entry. Chunk contents are rebuilt from the object's storage chunks,
     /// online or not, mirroring the paper's lazy population on first access.
     ///
+    /// Exact caching, and functional caching of a whole object (`d = k`),
+    /// install the snapshot's first `d` rows themselves: refcounted views of
+    /// the stored chunks, so nothing is coded or copied. A file cached whole
+    /// is never read beside storage rows, so its `k` data rows serve a hit
+    /// as well as `k` newly coded rows would, and decode by a copy. Only a
+    /// partial functional entry (`0 < d < k`) codes rows `n..n + d`.
+    ///
     /// # Errors
     ///
     /// * [`ClusterError::InvalidConfig`] if the cache policy is not
     ///   planner-managed or the chunks do not fit the cache.
     /// * [`ClusterError::UnknownObject`] if the object does not exist.
-    /// * Propagated coding errors (e.g. `d > k`).
+    /// * [`ClusterError::Coding`] with
+    ///   [`CodingError::TooManyCacheChunks`] if `d > k`, under either policy.
     pub fn set_cached_chunks(&self, object: u64, d: usize) -> Result<(), ClusterError> {
         let s = &*self.shared;
         if !s.config.cache_policy.is_planned() {
@@ -437,18 +445,21 @@ impl StoreHandle {
             self.cache().remove(object);
             return Ok(());
         }
+        let k = s.config.k;
         let chunks = match s.config.cache_policy {
-            CachePolicy::Functional => s.codec.cache_chunks_from_chunks(&meta.chunks, d)?,
-            // Copy the first d storage chunks verbatim.
-            CachePolicy::Exact => meta
-                .chunks
-                .get(..d)
-                .ok_or(ClusterError::NotEnoughReplicas {
-                    object,
-                    available: meta.chunks.len(),
-                    required: d,
-                })?
-                .to_vec(),
+            CachePolicy::Functional if d != k => {
+                s.codec.cache_chunks_from_chunks(&meta.chunks, d)?
+            }
+            CachePolicy::Functional | CachePolicy::Exact => {
+                if d > k {
+                    return Err(CodingError::TooManyCacheChunks {
+                        requested: d,
+                        max: k,
+                    }
+                    .into());
+                }
+                meta.chunks[..d].to_vec()
+            }
             _ => unreachable!("checked is_planned above"),
         };
         if self.cache().install_planned(object, chunks) {

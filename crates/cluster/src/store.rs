@@ -186,7 +186,7 @@ mod tests {
     use super::*;
     use crate::error::ClusterError;
     use crate::handle::StoreHandle;
-    use sprout_erasure::Chunk;
+    use sprout_erasure::{Chunk, CodingError};
 
     fn payload(len: usize, seed: u8) -> Vec<u8> {
         (0..len)
@@ -489,6 +489,75 @@ mod tests {
             cache_ptr, node_chunk_ptr,
             "exact-cached chunk must share the stored allocation"
         );
+    }
+
+    #[test]
+    fn a_whole_object_functional_entry_is_the_stored_data_rows() {
+        let s = store(CachePolicy::Functional);
+        let data = payload(20_001, 15);
+        s.put(3, &data).unwrap();
+        s.set_cached_chunks(3, 4).unwrap();
+        let placement = s.object_placement(3).unwrap();
+        // Nothing is coded: the entry views the stored rows 0..k.
+        let cached = s.cache().lookup(3);
+        assert_eq!(cached.len(), 4);
+        for (row, chunk) in cached.iter().enumerate() {
+            assert_eq!(chunk.id.index, row);
+            let stored = s.chunk_on_node(3, placement[row]).unwrap();
+            assert_eq!(chunk.data.as_ptr(), stored.data.as_ptr());
+            assert_eq!(chunk.len(), stored.len());
+        }
+        // A full hit returns the written bytes without a storage read.
+        let out = s.get(3, 0.0).unwrap();
+        assert_eq!(out.data, data);
+        assert_eq!((out.cache_chunks_used, out.storage_chunks_used), (4, 0));
+        assert!(out.nodes_used.is_empty());
+        // A partial entry still codes rows n..n + d.
+        s.set_cached_chunks(3, 3).unwrap();
+        let rows: Vec<usize> = s
+            .cache()
+            .peek(3)
+            .unwrap()
+            .iter()
+            .map(|c| c.id.index)
+            .collect();
+        assert_eq!(rows, vec![7, 8, 9]);
+    }
+
+    #[test]
+    fn an_overwrite_drops_a_whole_object_entry() {
+        let s = store(CachePolicy::Functional);
+        let first = payload(9_000, 16);
+        let second = payload(9_000, 17);
+        s.put(4, &first).unwrap();
+        s.set_cached_chunks(4, 4).unwrap();
+        assert_eq!(s.get(4, 0.0).unwrap().data, first);
+        s.put(4, &second).unwrap();
+        assert!(
+            s.cache().peek(4).is_none(),
+            "the old version's rows stay cached"
+        );
+        let out = s.get(4, 1.0).unwrap();
+        assert_eq!(out.data, second);
+        assert_eq!(out.cache_chunks_used, 0);
+        s.set_cached_chunks(4, 4).unwrap();
+        assert_eq!(s.get(4, 2.0).unwrap().data, second);
+    }
+
+    #[test]
+    fn exact_caching_rejects_more_than_k_chunks() {
+        let s = store(CachePolicy::Exact);
+        s.put(2, &payload(5_000, 18)).unwrap();
+        assert_eq!(
+            s.set_cached_chunks(2, 5),
+            Err(ClusterError::Coding(CodingError::TooManyCacheChunks {
+                requested: 5,
+                max: 4
+            }))
+        );
+        assert!(s.cache().peek(2).is_none());
+        s.set_cached_chunks(2, 4).unwrap();
+        assert_eq!(s.cache().peek(2).map_or(0, <[_]>::len), 4);
     }
 
     #[test]

@@ -343,8 +343,11 @@ impl ScenarioFuzzer {
             )
             .map_err(build)?;
 
+        let scheme = system
+            .cache_scheme(case.policy, plan.as_ref())
+            .map_err(build)?;
         let sim = system
-            .simulation(case.policy, plan.as_ref(), case.config)
+            .simulation_of(scheme, case.config)
             .with_scenario(compiled);
         let check = |report, backend| {
             check_report(report, bounds).map_err(|violation| FuzzFailure::Invariant {
@@ -417,6 +420,24 @@ fn pick<'a, T, R: Rng>(rng: &mut R, choices: &'a [T]) -> &'a T {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn an_exact_case_whose_solve_overloads_a_host_is_a_build_failure() {
+        let case = FuzzCase {
+            seed: 7,
+            spec: crate::system::exact_overload_spec(),
+            scenario: ScenarioSpec::named("steady"),
+            policy: CachePolicy::Exact,
+            config: SimConfig::new(100.0, 7),
+            in_flight_cap: 64,
+        };
+        // A typed failure, not a panic, whichever solve overloads first.
+        let Err(FuzzFailure::Build { seed, error }) = ScenarioFuzzer::run_case(&case) else {
+            panic!("expected a build failure");
+        };
+        assert_eq!(seed, 7);
+        crate::system::assert_exact_overload(&error);
+    }
 
     #[test]
     fn case_generation_is_deterministic_and_bounded() {

@@ -343,8 +343,9 @@ impl SimSweep {
             None
         };
         let scenario = scenario_spec.compile(&system, policy, plan.as_ref(), &self.optimizer)?;
+        let scheme = system.cache_scheme(policy, plan.as_ref())?;
         let sim = system
-            .simulation(policy, plan.as_ref(), self.config)
+            .simulation_of(scheme, self.config)
             .with_scenario(scenario);
         // The scheme fits the system by construction, so an error is an
         // overloaded node, which has no finite bound.
@@ -477,6 +478,16 @@ mod tests {
             .build()
             .unwrap();
         SproutSystem::new(spec).unwrap()
+    }
+
+    #[test]
+    fn an_exact_cell_whose_solve_overloads_a_host_is_an_error() {
+        let system = SproutSystem::new(crate::system::exact_overload_spec()).unwrap();
+        let sweep = SimSweep::new("overload", &system, SimConfig::new(100.0, 1))
+            .policies(vec![CachePolicy::Exact]);
+        // A typed error, not a panic, whichever solve overloads first.
+        let err = sweep.run(1).unwrap_err();
+        crate::system::assert_exact_overload(&err);
     }
 
     #[test]

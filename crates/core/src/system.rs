@@ -291,6 +291,14 @@ impl SproutSystem {
         let scheme = self
             .cache_scheme(policy, plan)
             .unwrap_or_else(|e| panic!("policy {policy:?} has no scheme: {e}"));
+        self.simulation_of(scheme, config)
+    }
+
+    /// The [`Simulation`] of this system under an already resolved scheme:
+    /// the one builder behind [`SproutSystem::simulation`] and the callers
+    /// that return [`SproutSystem::cache_scheme`]'s error instead of
+    /// panicking (sweep cells, fuzz cases).
+    pub(crate) fn simulation_of(&self, scheme: CacheScheme, config: SimConfig) -> Simulation {
         Simulation::new(
             self.spec.node_services.clone(),
             self.sim_files(),
@@ -461,10 +469,36 @@ impl SproutSystem {
     }
 }
 
+/// One (4, 2) file with one chunk cached: functional caching reads its
+/// other chunk from the fast node 0, but exact caching copies node 0's
+/// chunk and must spread λ = 0.09 reads over nodes 1–3, which serve 0.06
+/// chunks/s together, so its solve overloads one of them.
+#[cfg(test)]
+pub(crate) fn exact_overload_spec() -> SystemSpec {
+    SystemSpec::builder()
+        .node_service_rates(&[1.0, 0.02, 0.02, 0.02])
+        .file(crate::spec::FileConfig::new(0.09, 4, 2, 0).with_placement(vec![0, 1, 2, 3]))
+        .cache_capacity_chunks(1)
+        .build()
+        .unwrap()
+}
+
+/// Asserts `err` overloads one of the slow nodes 1–3 of
+/// [`exact_overload_spec`]: exact caching's residual solve does, and so does
+/// Algorithm 1's uniform cold start there (ρ = 2.25 on node 1).
+#[cfg(test)]
+pub(crate) fn assert_exact_overload(err: &SproutError) {
+    let SproutError::Optimizer(sprout_optimizer::OptimizerError::UnstableSystem { node, .. }) = err
+    else {
+        panic!("expected an overload, got {err:?}");
+    };
+    assert!((1..=3).contains(node), "node {node}");
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::spec::{FileConfig, SystemSpec};
+    use crate::spec::SystemSpec;
     use proptest::prelude::*;
     use sprout_optimizer::OptimizerError;
 
@@ -623,17 +657,7 @@ mod tests {
 
     #[test]
     fn exact_caching_that_overloads_its_remaining_hosts_is_an_error() {
-        // One (4, 2) file with one chunk cached: functional caching reads
-        // its other chunk from the fast node 0, but exact caching copies node
-        // 0's chunk and must spread λ = 0.09 reads over nodes 1–3, which
-        // serve 0.06 chunks/s together.
-        let spec = SystemSpec::builder()
-            .node_service_rates(&[1.0, 0.02, 0.02, 0.02])
-            .file(FileConfig::new(0.09, 4, 2, 0).with_placement(vec![0, 1, 2, 3]))
-            .cache_capacity_chunks(1)
-            .build()
-            .unwrap();
-        let system = SproutSystem::new(spec).unwrap();
+        let system = SproutSystem::new(exact_overload_spec()).unwrap();
         let plan = CachePlan::evaluate(system.model(), vec![vec![1.0, 0.0, 0.0, 0.0]]).unwrap();
         assert_eq!(plan.cached_chunks, [1]);
         let functional = system.cache_scheme(CachePolicy::Functional, Some(&plan));
@@ -641,10 +665,7 @@ mod tests {
         let err = system
             .cache_scheme(CachePolicy::Exact, Some(&plan))
             .unwrap_err();
-        let SproutError::Optimizer(OptimizerError::UnstableSystem { node, .. }) = err else {
-            panic!("expected an overload, got {err:?}");
-        };
-        assert!((1..=3).contains(&node), "node {node}");
+        assert_exact_overload(&err);
     }
 
     proptest! {

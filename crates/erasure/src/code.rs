@@ -13,6 +13,7 @@ use std::rc::Rc;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use bytes::Bytes;
+use sprout_gf::simd::MAX_DOT;
 use sprout_gf::{builders, kernel, Gf256, Kernel, Matrix};
 
 use crate::chunk::{Chunk, ChunkId};
@@ -422,6 +423,15 @@ impl ReedSolomon {
     /// chunks come as references, so a caller can mix chunks it owns with
     /// chunks it borrows (a store's snapshot) without cloning either.
     ///
+    /// Generator rows `0..k` are the identity, so a selected row below `k`
+    /// *is* that data chunk, whatever its source (a stored data row, or an
+    /// LRU or whole-object cache entry): it is copied into place, and only
+    /// the data rows missing from the selection are coded, from their rows
+    /// of the inverse. A selection of the `k` data rows is a copy and
+    /// inverts nothing. The bytes are those of the full inverse either way.
+    /// For `k` up to [`sprout_gf::simd::MAX_DOT`] an unstriped decode into a
+    /// buffer with room allocates nothing.
+    ///
     /// On success `out` holds exactly the decoded file; whatever it held
     /// before is overwritten, never read. A buffer whose capacity is too
     /// small is replaced by a fresh zeroed one. On error `out` is left in
@@ -439,10 +449,13 @@ impl ReedSolomon {
         let k = self.params.k();
         let max = self.params.extended_rows();
 
-        // Collect the first k distinct rows. Row indices are below
-        // `n + k <= 255` (checked by `CodeParams::new`), so a 256-bit mask
-        // records which rows were already taken.
-        let mut selected: Vec<&Chunk> = Vec::with_capacity(k);
+        // Collect the first k distinct rows as (row, payload). Row indices
+        // are below `n + k <= 255` (checked by `CodeParams::new`), so a
+        // 256-bit mask records which rows were already taken.
+        let mut selected_stack = [(0, &[][..]); MAX_DOT];
+        let mut selected_heap = Vec::new();
+        let selected = scratch(&mut selected_stack, &mut selected_heap, k);
+        let mut have = 0;
         let mut seen = [0u64; 4];
         for chunk in chunks {
             let index = chunk.id.index;
@@ -456,24 +469,22 @@ impl ReedSolomon {
                 continue;
             }
             seen[word] |= bit;
-            selected.push(chunk);
-            if selected.len() == k {
+            selected[have] = (index, chunk.data.as_ref());
+            have += 1;
+            if have == k {
                 break;
             }
         }
-        if selected.len() < k {
-            return Err(CodingError::NotEnoughChunks {
-                have: selected.len(),
-                need: k,
-            });
+        if have < k {
+            return Err(CodingError::NotEnoughChunks { have, need: k });
         }
 
-        let chunk_len = selected[0].len();
-        for chunk in &selected {
-            if chunk.len() != chunk_len {
+        let chunk_len = selected[0].1.len();
+        for &(_, payload) in selected.iter() {
+            if payload.len() != chunk_len {
                 return Err(CodingError::ChunkSizeMismatch {
                     expected: chunk_len,
-                    found: chunk.len(),
+                    found: payload.len(),
                 });
             }
         }
@@ -487,17 +498,21 @@ impl ReedSolomon {
         // Sorting the selected chunks by row makes the decode matrix a pure
         // function of the row *subset* (the memo key is its mask, `seen`) —
         // and leaves the decoded bytes unchanged, since permuting the
-        // equation system permutes the inverse's columns identically.
-        selected.sort_by_key(|c| c.id.index);
-        let inv = self.decode_matrix(seen, &selected)?;
+        // equation system permutes the inverse's columns identically. It
+        // also puts the systematic rows first, in data-row order.
+        selected.sort_unstable_by_key(|&(row, _)| row);
+        let systematic = selected.iter().take_while(|&&(row, _)| row < k).count();
+        let inv = if systematic < k {
+            Some(self.decode_matrix(seen, selected)?)
+        } else {
+            None
+        };
 
-        // data_chunk[i] = sum_j inv[i][j] * selected[j], written directly
-        // into one flat output buffer (chunk i occupies bytes
-        // i*chunk_len..(i+1)*chunk_len of the decoded file), so no per-chunk
-        // buffers or join copy are needed. Every byte is overwritten, so a
-        // reused buffer is only resized; a too-small one is replaced by a
-        // fresh zeroed (calloc'd) allocation, which is cheaper than growing
-        // and zeroing it.
+        // Data chunk i occupies bytes i*chunk_len..(i+1)*chunk_len of one
+        // flat output buffer, so no per-chunk buffers or join copy are
+        // needed. Every byte is overwritten, so a reused buffer is only
+        // resized; a too-small one is replaced by a fresh zeroed (calloc'd)
+        // allocation, which is cheaper than growing and zeroing it.
         let len = k * chunk_len;
         if out.capacity() < len {
             *out = vec![0u8; len];
@@ -505,9 +520,37 @@ impl ReedSolomon {
             out.resize(len, 0);
         }
         if chunk_len > 0 {
-            let srcs: Vec<&[u8]> = selected.iter().map(|c| c.data.as_ref()).collect();
-            let mut data_slices: Vec<&mut [u8]> = out.chunks_mut(chunk_len).collect();
-            self.dot(inv.as_slice(), &srcs, &mut data_slices);
+            // Missing data chunk i = sum_j inv[i][j] * selected[j].
+            let missing = k - systematic;
+            let mut coeffs_stack = [Gf256::default(); MAX_DOT * MAX_DOT];
+            let mut coeffs_heap = Vec::new();
+            let coeffs = scratch(&mut coeffs_stack, &mut coeffs_heap, missing * k);
+            let mut outs_stack: [&mut [u8]; MAX_DOT] = Default::default();
+            let mut outs_heap = Vec::new();
+            let outs = scratch(&mut outs_stack, &mut outs_heap, missing);
+            let mut copies = selected[..systematic].iter().peekable();
+            let mut next = 0;
+            for (row, data_chunk) in out.chunks_mut(chunk_len).enumerate() {
+                if let Some(&(_, payload)) = copies.next_if(|&&(r, _)| r == row) {
+                    data_chunk.copy_from_slice(payload);
+                } else {
+                    let inv = inv
+                        .as_deref()
+                        .expect("a missing data row has a decode matrix");
+                    coeffs[next * k..(next + 1) * k].copy_from_slice(inv.row(row));
+                    outs[next] = data_chunk;
+                    next += 1;
+                }
+            }
+            if missing > 0 {
+                let mut srcs_stack: [&[u8]; MAX_DOT] = Default::default();
+                let mut srcs_heap = Vec::new();
+                let srcs = scratch(&mut srcs_stack, &mut srcs_heap, k);
+                for (src, &(_, payload)) in srcs.iter_mut().zip(selected.iter()) {
+                    *src = payload;
+                }
+                self.dot(coeffs, srcs, outs);
+            }
         }
         out.truncate(original_len);
         Ok(())
@@ -517,7 +560,11 @@ impl ReedSolomon {
     /// (sorted by row; `rows` is their mask), served from the calling
     /// thread's memo when this thread has decoded the same mix of
     /// cache/storage rows with this codec before.
-    fn decode_matrix(&self, rows: RowMask, selected: &[&Chunk]) -> Result<Rc<Matrix>, CodingError> {
+    fn decode_matrix(
+        &self,
+        rows: RowMask,
+        selected: &[(usize, &[u8])],
+    ) -> Result<Rc<Matrix>, CodingError> {
         let key = (self.id, rows);
         DECODE_MEMO.with(|memo| {
             let mut memo = memo.borrow_mut();
@@ -525,7 +572,7 @@ impl ReedSolomon {
                 *hits += 1;
                 return Ok(Rc::clone(inverse));
             }
-            let indices: Vec<usize> = selected.iter().map(|c| c.id.index).collect();
+            let indices: Vec<usize> = selected.iter().map(|&(row, _)| row).collect();
             let inverse = Rc::new(
                 self.generator
                     .select_rows(&indices)
@@ -579,6 +626,21 @@ fn row_views(buf: Bytes, first_row: usize, count: usize, chunk_len: usize) -> Ve
             )
         })
         .collect()
+}
+
+/// `len` default slots: a prefix of `stack` when it is long enough, else
+/// `heap` grown to `len`.
+fn scratch<'s, T: Default, const N: usize>(
+    stack: &'s mut [T; N],
+    heap: &'s mut Vec<T>,
+    len: usize,
+) -> &'s mut [T] {
+    if len <= N {
+        &mut stack[..len]
+    } else {
+        heap.resize_with(len, T::default);
+        heap
+    }
 }
 
 #[cfg(test)]
@@ -908,6 +970,161 @@ mod tests {
         let mut buf = vec![0u8; 2];
         let mut outs: Vec<&mut [u8]> = vec![&mut buf];
         rs.encode_rows_into(&data_refs, &[0, 1], &mut outs);
+    }
+
+    /// The decode `decode_into` replaced: the full `k × k` inverse pushed
+    /// through one `dot_slices`, systematic rows included.
+    fn full_inverse_decode(rs: &ReedSolomon, chunks: &[Chunk], original_len: usize) -> Vec<u8> {
+        let k = rs.params().k();
+        let mut selected: Vec<&Chunk> = chunks.iter().collect();
+        selected.sort_by_key(|c| c.id.index);
+        let rows: Vec<usize> = selected.iter().map(|c| c.id.index).collect();
+        let inv = rs.generator().select_rows(&rows).inverted().unwrap();
+        let chunk_len = selected[0].len();
+        let mut out = vec![0u8; k * chunk_len];
+        if chunk_len > 0 {
+            let srcs: Vec<&[u8]> = selected.iter().map(|c| c.data.as_ref()).collect();
+            let mut outs: Vec<&mut [u8]> = out.chunks_mut(chunk_len).collect();
+            kernel::dot_slices(rs.kernel(), inv.as_slice(), &srcs, &mut outs);
+        }
+        out.truncate(original_len);
+        out
+    }
+
+    /// Every row of the extended code for `file`: storage rows `0..n`, then
+    /// cache rows `n..n + k`.
+    fn all_rows(rs: &ReedSolomon, file: &[u8]) -> Vec<Chunk> {
+        let mut rows = rs.encode(file).unwrap().into_chunks();
+        rows.extend(rs.cache_chunks(file, rs.params().k()).unwrap());
+        rows
+    }
+
+    /// Decodes `rows` (data rows tagged as cache chunks when `cache_ids`,
+    /// as an LRU or whole-object entry carries them) into a dirty buffer
+    /// and holds the bytes to the full-inverse reference and the file. A
+    /// selection of the `k` data rows must not touch the decode memo.
+    fn check_decode(rs: &ReedSolomon, rows: &[Chunk], file: &[u8], cache_ids: bool) {
+        let k = rs.params().k();
+        let chunks: Vec<Chunk> = rows
+            .iter()
+            .map(|c| match c.id.index {
+                row if cache_ids && row < k => Chunk::new(ChunkId::cache(row), c.data.clone()),
+                _ => c.clone(),
+            })
+            .collect();
+        let memo = rs.decode_memo_stats();
+        let mut out = vec![0xA5u8; file.len() + 7];
+        rs.decode_into(&chunks, file.len(), &mut out).unwrap();
+        let label = (rs.params(), rs.kernel(), file.len());
+        assert_eq!(
+            out,
+            file,
+            "{label:?} rows {:?}",
+            chunks.iter().map(|c| c.id).collect::<Vec<_>>()
+        );
+        assert_eq!(
+            out,
+            full_inverse_decode(rs, &chunks, file.len()),
+            "{label:?}"
+        );
+        if chunks.iter().all(|c| c.id.index < k) {
+            assert_eq!(
+                rs.decode_memo_stats(),
+                memo,
+                "{label:?}: systematic decode used the memo"
+            );
+        }
+    }
+
+    /// The `k`-subsets of `0..total`, in lexicographic order.
+    fn subsets(total: usize, k: usize) -> Vec<Vec<usize>> {
+        let mut out = Vec::new();
+        let mut combo: Vec<usize> = (0..k).collect();
+        loop {
+            out.push(combo.clone());
+            let Some(i) = (0..k).rev().find(|&i| combo[i] < total - k + i) else {
+                return out;
+            };
+            combo[i] += 1;
+            for j in i + 1..k {
+                combo[j] = combo[j - 1] + 1;
+            }
+        }
+    }
+
+    #[test]
+    fn decode_into_equals_the_full_inverse_on_every_subset() {
+        let lens: Vec<usize> = (0..=300).chain([64 << 10]).collect();
+        for (n, k) in [(4, 2), (7, 4)] {
+            for kernel in Kernel::ALL {
+                let rs = ReedSolomon::with_kernel(CodeParams::new(n, k).unwrap(), kernel).unwrap();
+                let subsets = subsets(n + k, k);
+                for &len in &lens {
+                    let file = sample_file(len);
+                    let rows = all_rows(&rs, &file);
+                    // Every subset at 64 KiB and the short lengths of (4, 2);
+                    // (7, 4)'s 330 subsets take turns over the short lengths.
+                    let stride = if len > 300 || n == 4 { 1 } else { 7 };
+                    for (i, subset) in subsets
+                        .iter()
+                        .enumerate()
+                        .skip(len % stride)
+                        .step_by(stride)
+                    {
+                        let picked: Vec<Chunk> = subset.iter().map(|&r| rows[r].clone()).collect();
+                        check_decode(&rs, &picked, &file, i % 2 == 1);
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn decode_into_equals_the_full_inverse_on_random_subsets() {
+        // (12, 8) has k = MAX_DOT, so its scratch lives on the stack;
+        // (14, 10) takes the heap path.
+        let mut state = 0x9E37_79B9_7F4A_7C15u64;
+        let mut next = |bound: usize| {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            (state % bound as u64) as usize
+        };
+        for (n, k) in [(12, 8), (14, 10)] {
+            for kernel in Kernel::ALL {
+                let rs = ReedSolomon::with_kernel(CodeParams::new(n, k).unwrap(), kernel).unwrap();
+                for len in (0..=300).step_by(13).chain([64 << 10]) {
+                    let file = sample_file(len);
+                    let rows = all_rows(&rs, &file);
+                    for draw in 0..6 {
+                        let mut order: Vec<usize> = (0..n + k).collect();
+                        for i in (1..order.len()).rev() {
+                            order.swap(i, next(i + 1));
+                        }
+                        // One draw in three is the k data rows: a whole hit.
+                        let picked: Vec<Chunk> = match draw % 3 {
+                            0 => rows[..k].to_vec(),
+                            _ => order[..k].iter().map(|&r| rows[r].clone()).collect(),
+                        };
+                        check_decode(&rs, &picked, &file, draw % 2 == 0);
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn a_data_row_selection_decodes_by_copy_in_any_order() {
+        let rs = ReedSolomon::new(CodeParams::new(7, 4).unwrap()).unwrap();
+        let file = sample_file(4001);
+        let rows = all_rows(&rs, &file);
+        let memo = rs.decode_memo_stats();
+        let mut reversed: Vec<Chunk> = rows[..4].to_vec();
+        reversed.reverse();
+        // A duplicate row ahead of the rest changes nothing.
+        reversed.insert(1, rows[3].clone());
+        assert_eq!(rs.decode(&reversed, file.len()).unwrap(), file);
+        assert_eq!(rs.decode_memo_stats(), memo);
     }
 
     #[test]

@@ -11,8 +11,9 @@
 //!   threads performed: one hit-or-miss per get;
 //! * thread-private objects written mid-storm read back verbatim;
 //! * a `get` racing an overwrite of the *same* object returns one of the
-//!   written versions or a typed error — never a mixture of the two — and,
-//!   without a cache, always one of the versions;
+//!   written versions or a typed error — never a mixture of the two, also
+//!   when the plan caches the object whole — and, without a cache, always
+//!   one of the versions;
 //! * a `Sproutd` worker that decodes objects of mixed sizes into its one
 //!   reused buffer, beside daemon puts whose payloads become their stored
 //!   chunks, serves exactly the written bytes — under a racing overwriter
@@ -323,6 +324,16 @@ fn a_get_racing_an_overwrite_returns_one_version_or_a_typed_error() {
         uncached > 0 && functional > 0,
         "some reads must land between overwrites ({uncached}, {functional})"
     );
+}
+
+/// Under a whole-object plan (`d = k`) the cache entry is the snapshot's
+/// own data rows, installed again after every overwrite, so a hit can pair
+/// one version's rows with the next version's checksum: it must end in
+/// `ChecksumMismatch` (or read one whole version), never other bytes.
+#[test]
+fn a_whole_object_hit_racing_an_overwrite_returns_one_version_or_a_typed_error() {
+    let (ok, _) = race_overwrites(CachePolicy::Functional, CODE_K);
+    assert!(ok > 0, "some reads must land between overwrites");
 }
 
 /// Without a cache tier a get decodes the chunks of the metadata snapshot it
