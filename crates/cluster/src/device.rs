@@ -13,29 +13,25 @@ use sprout_queueing::dist::{ServiceDistribution, ServiceMoments};
 const MS: f64 = 1e-3;
 
 /// Calibration table: (chunk bytes, mean seconds, variance seconds²).
-fn hdd_table() -> Vec<(f64, f64, f64)> {
-    vec![
-        (1e6, 6.6696 * MS, 0.0963 * MS * MS),
-        (4e6, 35.88 * MS, 2.6925 * MS * MS),
-        (16e6, 147.8462 * MS, 388.9872 * MS * MS),
-        (64e6, 355.08 * MS, 1256.61 * MS * MS),
-        (256e6, 6758.06 * MS, 554_180.0 * MS * MS),
-    ]
-}
+const HDD_TABLE: [(f64, f64, f64); 5] = [
+    (1e6, 6.6696 * MS, 0.0963 * MS * MS),
+    (4e6, 35.88 * MS, 2.6925 * MS * MS),
+    (16e6, 147.8462 * MS, 388.9872 * MS * MS),
+    (64e6, 355.08 * MS, 1256.61 * MS * MS),
+    (256e6, 6758.06 * MS, 554_180.0 * MS * MS),
+];
 
 /// Calibration table for the SSD cache: (chunk bytes, mean seconds).
 /// The paper only reports means for the cache; we model a 5 % coefficient of
 /// variation, which keeps cache reads effectively deterministic relative to
 /// HDD reads (the paper treats them as negligible).
-fn ssd_table() -> Vec<(f64, f64)> {
-    vec![
-        (1e6, 1.866_19 * MS),
-        (4e6, 7.356_39 * MS),
-        (16e6, 30.4927 * MS),
-        (64e6, 97.0968 * MS),
-        (256e6, 349.133 * MS),
-    ]
-}
+const SSD_TABLE: [(f64, f64); 5] = [
+    (1e6, 1.866_19 * MS),
+    (4e6, 7.356_39 * MS),
+    (16e6, 30.4927 * MS),
+    (64e6, 97.0968 * MS),
+    (256e6, 349.133 * MS),
+];
 
 /// A storage-device latency model.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -86,13 +82,13 @@ impl DeviceModel {
     pub fn service_distribution(&self, chunk_bytes: u64) -> ServiceDistribution {
         match *self {
             DeviceModel::Hdd { rate_scale } => {
-                let (mean, variance) = interpolate_mean_variance(&hdd_table(), chunk_bytes as f64);
+                let (mean, variance) = interpolate_mean_variance(&HDD_TABLE, chunk_bytes as f64);
                 let mean = mean / rate_scale;
                 let variance = variance / (rate_scale * rate_scale);
                 ServiceDistribution::from_mean_variance(mean, variance.max(1e-12))
             }
             DeviceModel::Ssd => {
-                let mean = interpolate_mean(&ssd_table(), chunk_bytes as f64);
+                let mean = interpolate_mean(&SSD_TABLE, chunk_bytes as f64);
                 let cv = 0.05;
                 ServiceDistribution::from_mean_variance(mean, (cv * mean).powi(2))
             }
@@ -133,14 +129,14 @@ fn interpolate_mean(table: &[(f64, f64)], size: f64) -> f64 {
     table[table.len() - 1].1
 }
 
-fn interpolate_mean_variance(table: &[(f64, f64, f64)], size: f64) -> (f64, f64) {
-    let means: Vec<(f64, f64)> = table.iter().map(|&(s, m, _)| (s, m)).collect();
+fn interpolate_mean_variance<const N: usize>(
+    table: &[(f64, f64, f64); N],
+    size: f64,
+) -> (f64, f64) {
+    let means = table.map(|(s, m, _)| (s, m));
     // Interpolate the squared coefficient of variation, which varies far less
     // violently with size than the raw variance.
-    let scv: Vec<(f64, f64)> = table
-        .iter()
-        .map(|&(s, m, v)| (s, (v / (m * m)).max(1e-9)))
-        .collect();
+    let scv = table.map(|(s, m, v)| (s, (v / (m * m)).max(1e-9)));
     let mean = interpolate_mean(&means, size);
     let c2 = interpolate_mean(&scv, size);
     (mean, c2 * mean * mean)
@@ -188,6 +184,49 @@ mod tests {
             let mean = ssd.mean_service_time(bytes);
             assert!((mean - ms * 1e-3).abs() / (ms * 1e-3) < 1e-6);
             assert!(mean < hdd.mean_service_time(bytes));
+        }
+    }
+
+    /// `(mean, E[X²], E[X³])` bits per size, recorded when the calibration
+    /// tables were rebuilt on every call; the `const` tables must give the
+    /// same floats below, inside and beyond the tables.
+    #[test]
+    fn service_moments_are_pinned_to_the_bit() {
+        const SIZES: [u64; 5] = [1, 65_536, 1_048_576, 25_000_000, 300_000_000];
+        #[rustfmt::skip]
+        const HDD: [[u64; 3]; 5] = [
+            [0x3E3C_A54D_8132_0362, 0x3D71_97CC_CA68_FE3F, 0x3CB5_9BF5_5B5F_936B],
+            [0x3F3C_A54D_8132_0363, 0x3E89_A58B_F777_ED4A, 0x3DD6_F701_1E55_B77D],
+            [0x3F7C_F008_86CB_4F19, 0x3F0A_3993_AE5A_204D, 0x3E97_D159_4DA0_7DA7],
+            [0x3FC9_174F_73F6_4C8E, 0x3FA3_F6DB_97C1_A3AB, 0x3F80_1DBF_5CD0_77E2],
+            [0x401F_ADAC_0831_26EB, 0x404F_CE54_3594_A6EE, 0x4080_30DE_093A_76EE],
+        ];
+        #[rustfmt::skip]
+        const HDD_X2: [[u64; 3]; 5] = [
+            [0x3E2C_A54D_8132_0362, 0x3D71_97A6_537C_AF1C, 0x3CC5_9BAE_7D2B_BEF2],
+            [0x3F2C_A54D_8132_0363, 0x3E69_A58B_F777_ED4A, 0x3DA6_F701_1E55_B77D],
+            [0x3F6C_F008_86CB_4F19, 0x3EEA_3993_AE5A_204D, 0x3E67_D159_4DA0_7DA7],
+            [0x3FB9_174F_73F6_4C8E, 0x3F83_F6DB_97C1_A3AB, 0x3F50_1DBF_5CD0_77E2],
+            [0x400F_ADAC_0831_26EB, 0x402F_CE54_3594_A6EE, 0x4050_30DE_093A_76EE],
+        ];
+        #[rustfmt::skip]
+        const SSD: [[u64; 3]; 5] = [
+            [0x3E20_07CB_92D5_D503, 0x3C50_19E2_5F51_E883, 0x3A80_3660_9C0A_5295],
+            [0x3F20_07CB_92D5_D503, 0x3E50_19E2_5F51_E883, 0x3D80_3660_9C0A_5295],
+            [0x3F60_05BE_080D_A148, 0x3ED0_15C2_EB4A_B197, 0x3E40_3026_E269_06FB],
+            [0x3FA6_AAD0_08DD_5E74, 0x3F60_18B4_8087_8EC7, 0x3F16_EB00_5F02_96F2],
+            [0x3FDA_2F5A_8587_93DD, 0x3FC5_7AEF_B6E1_FEF0, 0x3FB1_AA2B_ACAA_1235],
+        ];
+        for (device, pins) in [
+            (DeviceModel::hdd(), HDD),
+            (DeviceModel::Hdd { rate_scale: 2.0 }, HDD_X2),
+            (DeviceModel::ssd(), SSD),
+        ] {
+            for (bytes, pin) in SIZES.into_iter().zip(pins) {
+                let m = device.service_moments(bytes);
+                let got = [m.mean, m.second, m.third].map(f64::to_bits);
+                assert_eq!(got, pin, "{device:?} at {bytes} B");
+            }
         }
     }
 

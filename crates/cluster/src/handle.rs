@@ -26,14 +26,19 @@
 //!   worker inverts each row subset once.
 //! * **Membership view** — a small `RwLock<ClusterView>` snapshot used for
 //!   placement decisions.
+//! * **Spare parity buffers** — a `Mutex` over the parity allocations of
+//!   replaced versions that nothing else holds. A put pops one to code its
+//!   parity into and pushes back the version it replaced, so a steady
+//!   stream of same-size overwrites maps no fresh parity pages.
 //!
 //! Lock discipline: a get takes the object's stripe read lock (for the
 //! snapshot) and, under a cache policy, the cache lock, one after the
 //! other; the node probe and the chunk reads take none. Metadata stripe
 //! locks are held around metadata mutation plus the hosted-chunk counts of
-//! the object's own nodes (put/delete). No lock is held across an encode, a
-//! decode or a checksum, and no method holds two locks at once, so the
-//! structure cannot deadlock.
+//! the object's own nodes (put/delete). The spare list's lock is held for
+//! one pop or one push. No lock is held across an encode, a decode or a
+//! checksum, and no method holds two locks at once, so the structure
+//! cannot deadlock.
 //!
 //! Integrity: the object's [`checksum64`] lives *with* its length,
 //! placement and chunks. `put` computes it beside the encode, outside every
@@ -112,6 +117,11 @@ struct StoreShared {
     meta: Vec<RwLock<HashMap<u64, ObjectMeta>>>,
     view: RwLock<ClusterView>,
     cache: Mutex<Cache>,
+    /// Parity buffers of replaced versions that no reader holds, for the
+    /// next puts to code into ([`StoreHandle::put_vec`]). Every put takes
+    /// at most one and gives back at most one, so the list never holds more
+    /// buffers than there were puts at once.
+    spares: Mutex<Vec<Vec<u8>>>,
     /// Ticket counter deriving one RNG stream per concurrent request.
     ticket: AtomicU64,
 }
@@ -177,6 +187,7 @@ impl StoreHandle {
                 meta,
                 view,
                 cache,
+                spares: Mutex::new(Vec::new()),
                 ticket: AtomicU64::new(0),
             }),
         })
@@ -281,8 +292,14 @@ impl StoreHandle {
     }
 
     /// [`StoreHandle::put`] of a payload the caller hands over: the `k`
-    /// data chunks stored are views of `data` itself, so nothing is copied
-    /// and only the parity rows are allocated.
+    /// data chunks stored are views of `data` itself, so nothing is copied.
+    ///
+    /// The parity rows are coded into a recycled buffer when the store has
+    /// one of exactly their size: the parity allocation of a version an
+    /// earlier put replaced ([`StoreHandle::put`] and
+    /// [`StoreHandle::put_with_placement`] recycle the same way). Otherwise
+    /// they get a fresh buffer. Recycling moves no coded byte, RNG draw or
+    /// latency; it saves the page faults of mapping a fresh parity buffer.
     ///
     /// # Errors
     ///
@@ -292,7 +309,7 @@ impl StoreHandle {
         self.check_placement(&placement)?;
         // The checksum is taken before the encode consumes the payload.
         let checksum = checksum64(&data);
-        let encoded = self.shared.codec.encode_owned(data)?;
+        let encoded = self.shared.codec.encode_owned(data, self.take_spare())?;
         self.publish(object, encoded, checksum, placement);
         Ok(())
     }
@@ -319,7 +336,11 @@ impl StoreHandle {
         placement: Vec<usize>,
     ) -> Result<(), ClusterError> {
         self.check_placement(&placement)?;
-        let encoded = self.shared.codec.encode(data)?;
+        // `encode`'s one padded copy, handed to `encode_owned` with a spare.
+        let k = self.shared.config.k;
+        let mut owned = Vec::with_capacity(k * sprout_erasure::stripe::chunk_len(data.len(), k));
+        owned.extend_from_slice(data);
+        let encoded = self.shared.codec.encode_owned(owned, self.take_spare())?;
         let checksum = checksum64(data);
         self.publish(object, encoded, checksum, placement);
         Ok(())
@@ -351,6 +372,13 @@ impl StoreHandle {
     /// every lock: they are the expensive part. Chunks are *moved* into the
     /// metadata — payloads are refcounted `Bytes` views — so no byte is
     /// copied here.
+    ///
+    /// The replaced version's parity buffer goes to the store's spare list
+    /// for the next put, after its cache entry is removed, and only if
+    /// nothing else holds it: a reader still holding the old snapshot, or
+    /// any chunk of its parity (say from [`StoreHandle::chunk_on_node`]),
+    /// keeps those bytes, and that buffer is simply freed when the last
+    /// holder drops it.
     fn publish(&self, object: u64, encoded: EncodedFile, checksum: u64, placement: Vec<usize>) {
         let meta = ObjectMeta {
             len: encoded.original_len(),
@@ -374,6 +402,37 @@ impl StoreHandle {
         }
         drop(stripe);
         self.cache().remove(object);
+        if let Some(spare) = old.and_then(|old| self.reclaim_parity(old)) {
+            self.spares().push(spare);
+        }
+    }
+
+    fn spares(&self) -> MutexGuard<'_, Vec<Vec<u8>>> {
+        self.shared.spares.lock().expect("spare list lock poisoned")
+    }
+
+    /// A recycled parity buffer for a put to code into, if the store has
+    /// one ([`ReedSolomon::encode_owned`] drops it unless its size fits).
+    /// A function of its own so the list's guard is dropped before the
+    /// encode: as a temporary in the encode's argument list it would be
+    /// held to the end of that statement.
+    fn take_spare(&self) -> Option<Vec<u8>> {
+        self.spares().pop()
+    }
+
+    /// The parity allocation of a replaced version, if this is its last
+    /// holder: the snapshot's chunk list must be unique (no reader holds
+    /// the snapshot) and so must the parity buffer once the snapshot's own
+    /// views of it are dropped (no one holds a parity chunk).
+    fn reclaim_parity(&self, old: ObjectMeta) -> Option<Vec<u8>> {
+        let mut chunks = old.chunks;
+        let parity = Arc::get_mut(&mut chunks)?.get_mut(self.shared.config.k..)?;
+        let (first, rest) = parity.split_first_mut()?;
+        for chunk in rest {
+            chunk.data = Default::default();
+        }
+        let buffer = std::mem::take(&mut first.data);
+        buffer.is_unique().then(|| buffer.into())
     }
 
     /// Deletes an object from the storage nodes and the cache.
@@ -817,6 +876,100 @@ mod tests {
             again.data.as_ptr(),
             "a handed-out chunk must alias the stored allocation (refcount bump, not a copy)"
         );
+    }
+
+    /// The address of `object`'s first parity row (row `k`), which views
+    /// the start of its parity buffer. The chunk is dropped before return.
+    fn parity_address(h: &StoreHandle, object: u64) -> usize {
+        let node = h.object_placement(object).unwrap()[h.config().k];
+        h.chunk_on_node(object, node).unwrap().data.as_ptr() as usize
+    }
+
+    #[test]
+    fn an_overwrite_hands_its_parity_buffer_to_the_next_put() {
+        let h = handle(CachePolicy::None);
+        let payload = |salt: u8| vec![salt; 64 * 1024];
+        h.put(1, &payload(1)).unwrap();
+        let replaced = parity_address(&h, 1);
+        h.put_vec(1, payload(2)).unwrap();
+        assert_eq!(h.spares().len(), 1, "the replaced parity is a spare");
+        h.put(2, &payload(3)).unwrap();
+        assert_eq!(parity_address(&h, 2), replaced, "put codes into the spare");
+        assert!(h.spares().is_empty());
+        let replaced = parity_address(&h, 1);
+        h.put_vec(1, payload(4)).unwrap();
+        h.put_vec(3, payload(5)).unwrap();
+        assert_eq!(parity_address(&h, 3), replaced, "put_vec codes into it too");
+        for (object, salt) in [(1, 4), (2, 3), (3, 5)] {
+            assert_eq!(h.get(object, 0.0).unwrap().data, payload(salt));
+        }
+    }
+
+    #[test]
+    fn a_parity_row_a_reader_holds_is_not_recycled() {
+        let h = handle(CachePolicy::None);
+        h.put(1, &[7u8; 64 * 1024]).unwrap();
+        // Row 5, the second parity row: holding any view of the buffer pins it.
+        let node = h.object_placement(1).unwrap()[5];
+        let held = h.chunk_on_node(1, node).unwrap();
+        let bytes = held.data.to_vec();
+        let buffer = held.data.as_ptr() as usize - 16 * 1024;
+        h.put(1, &[8u8; 64 * 1024]).unwrap();
+        assert!(h.spares().is_empty(), "a held parity buffer is no spare");
+        for object in 2..6 {
+            h.put_vec(object, vec![object as u8; 64 * 1024]).unwrap();
+            h.put(1, &[object as u8; 64 * 1024]).unwrap();
+        }
+        assert_eq!(held.data.to_vec(), bytes, "held parity bytes must not move");
+        assert!((1..6).all(|object| parity_address(&h, object) != buffer));
+    }
+
+    #[test]
+    fn sequential_overwrites_keep_at_most_one_spare_and_deletes_add_none() {
+        let h = handle(CachePolicy::Functional);
+        for i in 0..1_000u64 {
+            let object = i % 5;
+            let data = vec![i as u8; 4_096];
+            if i % 2 == 0 {
+                h.put(object, &data).unwrap();
+            } else {
+                h.put_vec(object, data).unwrap();
+            }
+            if i % 7 == 0 {
+                h.set_cached_chunks(object, (i % 5) as usize).unwrap();
+            }
+            assert!(
+                h.spares().len() <= 1,
+                "{} spares after put {i}",
+                h.spares().len()
+            );
+        }
+        let spares = h.spares().len();
+        for object in 0..5 {
+            h.delete(object);
+        }
+        assert_eq!(h.spares().len(), spares, "a delete gives no buffer back");
+        assert_eq!(h.num_objects(), 0);
+    }
+
+    #[test]
+    fn a_spare_of_another_size_is_never_reused() {
+        let h = handle(CachePolicy::None);
+        h.put(1, &[1u8; 4_096]).unwrap();
+        let small = parity_address(&h, 1);
+        h.put(1, &[2u8; 4_096]).unwrap();
+        assert_eq!(h.spares().len(), 1);
+        let big: Vec<u8> = (0..8_192u32).map(|i| (i % 253) as u8).collect();
+        h.put_vec(2, big.clone()).unwrap();
+        assert_ne!(
+            parity_address(&h, 2),
+            small,
+            "a 3 KiB spare cannot hold 6 KiB"
+        );
+        assert!(h.spares().is_empty(), "the mismatched spare is dropped");
+        h.put(2, &[3u8; 4_000]).unwrap();
+        assert_eq!(h.get(2, 0.0).unwrap().data, vec![3u8; 4_000]);
+        assert_eq!(h.get(1, 0.0).unwrap().data, vec![2u8; 4_096]);
     }
 
     #[test]

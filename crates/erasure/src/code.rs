@@ -288,7 +288,7 @@ impl ReedSolomon {
         let k = self.params.k();
         let mut owned = Vec::with_capacity(k * stripe::chunk_len(file.len(), k));
         owned.extend_from_slice(file);
-        self.encode_owned(owned)
+        self.encode_owned(owned, None)
     }
 
     /// Encodes a file the caller hands over, without copying it: the file
@@ -296,15 +296,27 @@ impl ReedSolomon {
     /// chunks are views of it ([`Bytes::slice`]), so they share its one
     /// allocation. The parity rows share one more.
     ///
+    /// A `spare` whose capacity is exactly the parity size,
+    /// `(n − k) · chunk_len`, becomes that second allocation: the parity is
+    /// coded into it and nothing is allocated. Its bytes past `spare.len()`
+    /// are zeroed first (a spare taken back from one parity row view
+    /// re-zeroes the other rows' already mapped memory); its contents never
+    /// reach the output. A spare of any other capacity is dropped and the
+    /// parity gets a fresh buffer, so a small object never pins a large one.
+    ///
     /// # Errors
     ///
     /// See [`ReedSolomon::encode`].
-    pub fn encode_owned(&self, mut file: Vec<u8>) -> Result<EncodedFile, CodingError> {
+    pub fn encode_owned(
+        &self,
+        mut file: Vec<u8>,
+        spare: Option<Vec<u8>>,
+    ) -> Result<EncodedFile, CodingError> {
         let k = self.params.k();
         let original_len = file.len();
         let chunk_len = stripe::chunk_len(original_len, k);
         file.resize(k * chunk_len, 0);
-        let parity = self.parity_chunks(&stripe::views(&file, k), chunk_len);
+        let parity = self.parity_chunks(&stripe::views(&file, k), chunk_len, spare);
         let mut chunks = row_views(Bytes::from(file), 0, k, chunk_len);
         chunks.extend(parity);
         Ok(EncodedFile {
@@ -315,11 +327,24 @@ impl ReedSolomon {
     }
 
     /// The `n - k` parity chunks of the given data chunks, coded into one
-    /// buffer that every parity chunk views.
-    fn parity_chunks(&self, data: &[&[u8]], chunk_len: usize) -> Vec<Chunk> {
+    /// buffer that every parity chunk views: `spare` when its capacity is
+    /// exactly the parity size, else a fresh one.
+    fn parity_chunks(
+        &self,
+        data: &[&[u8]],
+        chunk_len: usize,
+        spare: Option<Vec<u8>>,
+    ) -> Vec<Chunk> {
         let (k, n) = (self.params.k(), self.params.n());
         let rows: Vec<usize> = (k..n).collect();
-        let mut parity = vec![0u8; rows.len() * chunk_len];
+        let len = rows.len() * chunk_len;
+        let mut parity = match spare {
+            Some(mut spare) if spare.capacity() == len => {
+                spare.resize(len, 0);
+                spare
+            }
+            _ => vec![0u8; len],
+        };
         if chunk_len > 0 {
             let mut outs: Vec<&mut [u8]> = parity.chunks_mut(chunk_len).collect();
             self.encode_rows_into(data, &rows, &mut outs);

@@ -1,6 +1,7 @@
 //! The owned-buffer coding entry points against their borrowed twins:
 //! `encode_owned` must produce exactly `encode`'s chunks (the data chunks
-//! as views of the caller's payload), and `decode_into` must return exactly
+//! as views of the caller's payload, the parity in a recycled spare when
+//! one of the exact size is given), and `decode_into` must return exactly
 //! what `decode` returns whatever the reused buffer held before.
 
 use proptest::prelude::*;
@@ -23,7 +24,7 @@ fn owned_encode_equals_encode_on_every_kernel() {
             for (n, k) in [(7, 4), (5, 3)] {
                 let rs = code(n, k, kernel);
                 let want = rs.encode(&file).unwrap();
-                let got = rs.encode_owned(file.clone()).unwrap();
+                let got = rs.encode_owned(file.clone(), None).unwrap();
                 assert_eq!(got, want, "len {len}, ({n}, {k}), {kernel}");
             }
         }
@@ -36,7 +37,7 @@ fn owned_encode_equals_encode_when_striped() {
         let file = sample_file(len, 2);
         let rs = code(7, 4, Kernel::auto()).with_striping(Some(StripeOpts::new(4096, 2)));
         assert_eq!(
-            rs.encode_owned(file.clone()).unwrap(),
+            rs.encode_owned(file.clone(), None).unwrap(),
             rs.encode(&file).unwrap(),
             "len {len}"
         );
@@ -50,7 +51,7 @@ fn owned_data_chunks_view_the_payload_and_parity_shares_one_buffer() {
     let mut file = Vec::with_capacity(1004);
     file.extend(sample_file(1001, 3));
     let base = file.as_ptr() as usize;
-    let encoded = rs.encode_owned(file).unwrap();
+    let encoded = rs.encode_owned(file, None).unwrap();
     let chunk_len = encoded.chunk_len();
     assert_eq!(chunk_len, 251);
     let chunks = encoded.chunks();
@@ -68,6 +69,50 @@ fn owned_data_chunks_view_the_payload_and_parity_shares_one_buffer() {
             chunk.data.as_ptr() as usize,
             parity + i * chunk_len,
             "parity chunk {i} must be a view of the one parity buffer"
+        );
+    }
+}
+
+#[test]
+fn an_exact_size_spare_holds_the_parity_whatever_it_held_before() {
+    let file = sample_file(1 << 20, 4);
+    for kernel in Kernel::ALL {
+        let rs = code(7, 4, kernel);
+        let want = rs.encode(&file).unwrap();
+        let parity_len = 3 * want.chunk_len();
+        // A full dirty buffer, and one whose length covers a single row
+        // (what a reclaimed parity row view gives back).
+        let mut short = vec![0x5Au8; parity_len];
+        short.truncate(want.chunk_len());
+        for spare in [vec![0xC3u8; parity_len], short] {
+            let base = spare.as_ptr() as usize;
+            let got = rs.encode_owned(file.clone(), Some(spare)).unwrap();
+            assert_eq!(got, want, "{kernel}");
+            assert_eq!(
+                got.chunks()[4].data.as_ptr() as usize,
+                base,
+                "the parity rows must be coded into the spare ({kernel})"
+            );
+        }
+    }
+}
+
+#[test]
+fn a_spare_of_another_size_is_not_used() {
+    let rs = code(7, 4, Kernel::auto());
+    let file = sample_file(64 * 1024 + 13, 5);
+    let want = rs.encode(&file).unwrap();
+    let parity_len = 3 * want.chunk_len();
+    for capacity in [parity_len - 1, parity_len + 1, 3 << 20, 0] {
+        let spare = Vec::with_capacity(capacity);
+        let base = spare.as_ptr() as usize;
+        let got = rs.encode_owned(file.clone(), Some(spare)).unwrap();
+        assert_eq!(got, want, "capacity {capacity}");
+        assert_eq!(got.chunks()[4].data.len(), want.chunk_len());
+        assert_ne!(
+            got.chunks()[4].data.as_ptr() as usize,
+            base,
+            "a spare of capacity {capacity} must not hold a parity of {parity_len} bytes"
         );
     }
 }
@@ -119,7 +164,21 @@ proptest! {
     ) {
         for kernel in Kernel::ALL {
             let rs = code(n, k, kernel);
-            prop_assert_eq!(rs.encode_owned(file.clone()).unwrap(), rs.encode(&file).unwrap());
+            prop_assert_eq!(rs.encode_owned(file.clone(), None).unwrap(), rs.encode(&file).unwrap());
         }
+    }
+
+    #[test]
+    fn a_spare_never_changes_the_coded_bytes(
+        (n, k) in (1usize..=6).prop_flat_map(|k| (k..=k + 5, Just(k))),
+        file in proptest::collection::vec(any::<u8>(), 0..=257),
+        fill in any::<u8>(),
+        spare_len in 0usize..=1600,
+        capacity_slack in 0usize..=2,
+    ) {
+        let rs = code(n, k, Kernel::auto());
+        let mut spare = Vec::with_capacity(spare_len + capacity_slack);
+        spare.resize(spare_len, fill);
+        prop_assert_eq!(rs.encode_owned(file.clone(), Some(spare)).unwrap(), rs.encode(&file).unwrap());
     }
 }

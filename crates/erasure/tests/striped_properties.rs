@@ -66,7 +66,7 @@ proptest! {
         let file = sample_file(len);
         let want = plain.encode(&file).unwrap();
         prop_assert_eq!(&striped.encode(&file).unwrap(), &want);
-        prop_assert_eq!(&striped.encode_owned(file.clone()).unwrap(), &want);
+        prop_assert_eq!(&striped.encode_owned(file.clone(), None).unwrap(), &want);
     }
 
     #[test]

@@ -19,7 +19,10 @@
 //!   chunks, serves exactly the written bytes — under a racing overwriter
 //!   and after it;
 //! * a node read by many threads at once serves every read in turn: its
-//!   lock-free FIFO clock loses no read and gives no two the same slot.
+//!   lock-free FIFO clock loses no read and gives no two the same slot;
+//! * an overwrite's parity buffer is the one the next put codes into, unless
+//!   a reader still holds it: a held parity chunk keeps its bytes while
+//!   same-size overwrites recycle every buffer no one holds.
 
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Barrier};
@@ -28,6 +31,7 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use sprout::backend::synthetic_payload;
 use sprout::cluster::{CachePolicy, ClusterConfig, ClusterError, DeviceModel, StoreHandle};
+use sprout::erasure::{CodeParams, ReedSolomon};
 use sprout::{ServeOpts, ServePlan, Sproutd};
 
 const NODES: usize = 12;
@@ -477,4 +481,136 @@ fn served_buffer_reuse_survives_a_racing_overwriter() {
     for workers in [1, 2] {
         served_buffer_reuse_race(workers);
     }
+}
+
+/// The address of `object`'s first parity row (row `k`), which views the
+/// start of its parity buffer. The chunk is dropped before return.
+fn parity_address(store: &StoreHandle, object: u64) -> usize {
+    let node = store.object_placement(object).expect("stored")[CODE_K];
+    let chunk = store.chunk_on_node(object, node).expect("hosted");
+    chunk.data.as_ptr() as usize
+}
+
+/// Sequential same-size overwrites through `put` and `put_vec`: each one's
+/// replaced parity buffer is the buffer the next put codes into, so after
+/// the first overwrite no put allocates a parity buffer of its own.
+#[test]
+fn a_same_size_overwrite_hands_its_parity_buffer_to_the_next_put() {
+    const LEN: usize = 256 * 1024;
+    let store = build_store();
+    store
+        .put(100, &synthetic_payload(100, LEN, 1))
+        .expect("put");
+    for i in 0..40u64 {
+        let replaced = parity_address(&store, 100);
+        let data = synthetic_payload(100, LEN, 2 + i);
+        if i % 2 == 0 {
+            store.put(100, &data).expect("overwrite");
+        } else {
+            store.put_vec(100, data).expect("overwrite");
+        }
+        let next = 200 + i % 3;
+        store
+            .put_vec(next, synthetic_payload(next as usize, LEN, i))
+            .expect("put");
+        assert_eq!(
+            parity_address(&store, next),
+            replaced,
+            "put {i} must code into the parity buffer the overwrite freed"
+        );
+    }
+    for object in [100, 200, 201, 202] {
+        let got = store.get(object, 0.0).expect("get").data;
+        assert_eq!(got.len(), LEN, "object {object}");
+    }
+}
+
+/// Recycled parity buffers under fire. One thread overwrites object 1 with
+/// two same-size versions, alternating `put` and `put_vec`, so every
+/// overwrite nobody reads hands its parity buffer to the next. Readers
+/// `get` the object at one instant, so the least-busy choice rotates over
+/// every row and reads parity too, and each holds parity chunks across
+/// overwrites. A get returns one version's bytes or a typed error; a held
+/// parity chunk is one version's row and keeps those bytes to the end.
+#[test]
+fn recycled_parity_buffers_never_change_bytes_a_reader_holds() {
+    const PUTS: usize = 2_000;
+    const LEN: usize = 64 * 1024;
+    const READERS: usize = 3;
+    const HELD: usize = 8;
+    let config = ClusterConfig::builder()
+        .nodes(NODES)
+        .code(CODE_N, CODE_K)
+        .cache_policy(CachePolicy::None)
+        .seed(80)
+        .build();
+    let store = StoreHandle::new(config).expect("store builds");
+    let versions = [synthetic_payload(5, LEN, 46), synthetic_payload(6, LEN, 47)];
+    let codec = ReedSolomon::new(CodeParams::new(CODE_N, CODE_K).unwrap()).unwrap();
+    let coded: Vec<_> = versions
+        .iter()
+        .map(|v| codec.encode(v).expect("encodes").into_chunks())
+        .collect();
+    store.put(1, &versions[0]).expect("put");
+    let placement = store.object_placement(1).expect("stored");
+
+    let done = AtomicBool::new(false);
+    let reads_ok = AtomicU64::new(0);
+    std::thread::scope(|scope| {
+        for reader in 0..READERS {
+            let (store, done, reads_ok) = (&store, &done, &reads_ok);
+            let (versions, coded, placement) = (&versions, &coded, &placement);
+            scope.spawn(move || {
+                let mut held = Vec::with_capacity(HELD);
+                let mut i = reader;
+                while !done.load(Ordering::Acquire) {
+                    match store.get(1, 0.0) {
+                        Ok(outcome) => {
+                            assert!(
+                                versions.contains(&outcome.data),
+                                "a get racing a recycling overwrite returned bytes of neither version"
+                            );
+                            reads_ok.fetch_add(1, Ordering::Relaxed);
+                        }
+                        Err(
+                            ClusterError::NotEnoughReplicas { .. }
+                            | ClusterError::UnknownObject(_)
+                            | ClusterError::ChecksumMismatch { .. },
+                        ) => {}
+                        Err(other) => panic!("unexpected error under an overwrite: {other:?}"),
+                    }
+                    let row = CODE_K + i % (CODE_N - CODE_K);
+                    let chunk = store.chunk_on_node(1, placement[row]).expect("hosted");
+                    let version = (0..2)
+                        .find(|&v| coded[v][row].data == chunk.data)
+                        .expect("a parity chunk is one version's row");
+                    if held.len() == HELD {
+                        held.remove(i % HELD);
+                    }
+                    held.push((row, version, chunk));
+                    for (row, version, chunk) in &held {
+                        assert_eq!(
+                            chunk.data, coded[*version][*row].data,
+                            "a held parity chunk changed its bytes"
+                        );
+                    }
+                    i += 1;
+                }
+            });
+        }
+        for i in 0..PUTS {
+            let data = &versions[(i + 1) % 2];
+            if i % 2 == 0 {
+                store.put(1, data).expect("overwrite");
+            } else {
+                store.put_vec(1, data.clone()).expect("overwrite");
+            }
+        }
+        done.store(true, Ordering::Release);
+    });
+    assert!(
+        reads_ok.load(Ordering::Relaxed) > 0,
+        "some reads must land between overwrites"
+    );
+    assert!(versions.contains(&store.get(1, 0.0).expect("get").data));
 }
