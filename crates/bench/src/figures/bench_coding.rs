@@ -6,16 +6,15 @@
 //! the parity rows alone (`encode_rows`: `encode_rows_into` on pre-split data
 //! into reused buffers, i.e. `encode` without its copies and allocations) and
 //! for the object checksum every put records and every get verifies
-//! (`checksum`; kernel- and thread-independent, measured in every cell so
-//! it sits beside the decode it follows) over a `kernel × size × threads`
-//! grid:
+//! (`checksum`; kernel-independent, measured in every cell so it sits
+//! beside the decode it follows) over a `kernel × size` grid:
 //!
 //! * **kernel** — every slice-kernel rung (`scalar`, `word`, `simd`), so
 //!   the ladder's rung-over-rung speedup is tracked from one JSON artifact.
 //!   `SPROUT_KERNEL=<name>` restricts the axis to one rung.
 //! * **size_bytes** — 64 KiB, 1 MiB and 8 MiB objects.
-//! * **threads** — 1 (the plain single-pass paths) or 2/4 (striped coding on
-//!   a scoped worker pool, 64 KiB stripes), measuring the multi-core payoff.
+//!
+//! Every operation is one pass on the calling thread, as a store codes it.
 //!
 //! Every cell runs 3 replications, so the emitted `std_dev`/`ci95` are real
 //! run-to-run spread, and records the decode-matrix memo's hit/miss counters
@@ -25,8 +24,7 @@
 //! `--threads 1`**: unlike the simulation sweeps, these cells measure
 //! wall-clock throughput, and concurrent cells would contend for cores and
 //! corrupt each other's numbers. (`--threads` is still honoured for a quick
-//! parallel smoke where absolute numbers do not matter; it is the harness's
-//! cell parallelism, unrelated to the grid's `threads` axis.)
+//! parallel smoke where absolute numbers do not matter.)
 //!
 //! Usage:
 //!
@@ -38,12 +36,10 @@ use std::time::Instant;
 
 use crate::FigureCli;
 use sprout::cluster::checksum64;
-use sprout::erasure::{stripe, Chunk, CodeParams, Kernel, ReedSolomon, StripeOpts};
+use sprout::erasure::{stripe, Chunk, CodeParams, Kernel, ReedSolomon};
 use sprout::sim::sweep::{Sample, SweepGrid, SweepReport, SweepTimings};
 
 const SIZES: [usize; 3] = [64 * 1024, 1024 * 1024, 8 * 1024 * 1024];
-const THREADS: [usize; 3] = [1, 2, 4];
-const STRIPE_LEN: usize = 64 * 1024;
 const CACHE_CHUNKS: usize = 2;
 const REPLICATIONS: usize = 3;
 
@@ -84,18 +80,11 @@ pub fn run(cli: &FigureCli) -> (SweepReport, Option<SweepTimings>) {
     let grid = SweepGrid::named("bench_coding", 0)
         .axis("kernel", kernels.iter().map(|k| k.name()))
         .axis("size_bytes", SIZES.iter().map(|s| s.to_string()))
-        .axis("threads", THREADS.iter().map(|t| t.to_string()))
         .replications(REPLICATIONS);
     let report = grid.run(cli.threads_or(1), |cell, _, _| {
         let kernel = kernels[cell.idx("kernel")];
         let size = SIZES[cell.idx("size_bytes")];
-        let threads = THREADS[cell.idx("threads")];
-        // threads == 1 measures the plain single-pass paths; more threads
-        // switch the codec to striped coding on a scoped worker pool.
-        let striping = (threads > 1).then(|| StripeOpts::new(STRIPE_LEN, threads));
-        let codec = ReedSolomon::with_kernel(params, kernel)
-            .expect("valid kernel")
-            .with_striping(striping);
+        let codec = ReedSolomon::with_kernel(params, kernel).expect("valid kernel");
         let data: Vec<u8> = (0..size).map(|i| (i * 31 + 7) as u8).collect();
 
         let encode = throughput(size, budget, || {
@@ -155,7 +144,6 @@ pub fn run(cli: &FigureCli) -> (SweepReport, Option<SweepTimings>) {
         .with_meta("unit", "MB/s of object bytes per operation")
         .with_meta("replications", REPLICATIONS.to_string())
         .with_meta("simd_level", simd.name())
-        .with_meta("stripe_len_bytes", STRIPE_LEN.to_string())
         .with_meta(
             "cores",
             std::thread::available_parallelism()
@@ -167,18 +155,20 @@ pub fn run(cli: &FigureCli) -> (SweepReport, Option<SweepTimings>) {
              and are only comparable within a --threads 1 run",
         )
         .with_note(
-            "threads axis: 1 = plain single-pass coding; >1 = striped coding over 64 KiB \
-             stripes on a scoped thread pool (objects whose chunks fit one stripe degenerate \
-             to the single-pass path)",
+            "retired threads axis: striped coding (64 KiB stripes on a scoped pool of 2 or 4 \
+             threads) was deleted, so every row is one pass on one thread. Its last rows, on a \
+             2-core avx512-gfni host, over the 1-thread row: simd encode 0.55x / decode \
+             0.50x at 1 MiB on 2 threads and 0.43x / 0.32x on 4, at most 1.05x / 1.21x at \
+             8 MiB; it won only on the word rung (2 threads: 1.24x / 1.54x at 1 MiB, \
+             1.36x / 1.48x at 8 MiB), which no default store runs",
         )
         .with_note(
             "decode_memo_hits/misses count decode-matrix memo lookups per cell (summed over \
-             replications); striped decode computes the matrix once, so misses stay at 1 per \
-             distinct row subset",
+             replications); misses stay at 1 per distinct row subset",
         )
         .with_note(
             "checksum_mb_per_s: sprout_cluster::checksum64 (8 u64 lanes), single-threaded, \
-             independent of the kernel and threads axes. fnv1a_reference_mb_per_s: the \
+             independent of the kernel axis. fnv1a_reference_mb_per_s: the \
              byte-serial FNV-1a it replaced in PR 23 measured 794 / 777 / 729 MB/s at \
              64 KiB / 1 MiB / 8 MiB on the same host with the same throughput() helper \
              (one-off; that hash is no longer in the tree)",

@@ -161,12 +161,10 @@ impl StoreHandle {
             )));
         }
         let params = CodeParams::new(config.n, config.k)?;
-        // The codec rides the best kernel the CPU supports (unless pinned)
-        // and stripes large objects across threads; both choices affect
-        // throughput only — coded bytes are kernel- and stripe-invariant.
+        // The codec rides the best kernel the CPU supports (unless pinned);
+        // that affects throughput only — coded bytes are kernel-invariant.
         let codec =
-            ReedSolomon::with_kernel(params, config.coding_kernel.unwrap_or_else(Kernel::auto))?
-                .with_striping(config.striping);
+            ReedSolomon::with_kernel(params, config.coding_kernel.unwrap_or_else(Kernel::auto))?;
         let nodes = config
             .devices
             .iter()
@@ -714,18 +712,15 @@ impl StoreHandle {
         Ok(data)
     }
 
-    /// Fork-join maximum of per-chunk cache-device reads.
+    /// Fork-join maximum of per-chunk cache-device reads. An object's
+    /// chunks share one length, so the device's distribution is built once.
     fn cache_read_latency(&self, chunks: &[Chunk], rng: &mut StdRng) -> f64 {
-        chunks
-            .iter()
-            .map(|c| {
-                self.shared
-                    .config
-                    .cache_device
-                    .service_distribution(c.len() as u64)
-                    .sample(rng)
-            })
-            .fold(0.0, f64::max)
+        let Some(first) = chunks.first() else {
+            return 0.0;
+        };
+        let device = self.shared.config.cache_device;
+        let dist = device.service_distribution(first.len() as u64);
+        chunks.iter().map(|_| dist.sample(rng)).fold(0.0, f64::max)
     }
 }
 
@@ -834,6 +829,35 @@ mod tests {
         }
         assert_eq!((storage, cache), (416, 384));
         assert_eq!(fingerprint(words), 0x0D12_1D2C_A438_35EB);
+    }
+
+    /// A whole-object hit reads `k` chunks from the cache device and waits
+    /// for the slowest. The values were recorded before the device's
+    /// distribution was built once per get instead of once per chunk: the
+    /// draws and their order must not move, so the latencies match to the
+    /// bit.
+    #[test]
+    fn a_full_cache_hit_latency_is_pinned() {
+        let h = handle(CachePolicy::Functional);
+        assert_eq!(h.config().cache_device, DeviceModel::ssd());
+        let data: Vec<u8> = (0..64 * 1024 + 3).map(|i| (i * 13) as u8).collect();
+        h.put(6, &data).unwrap();
+        h.set_cached_chunks(6, 4).unwrap();
+        let bits: Vec<u64> = (0..3)
+            .map(|i| {
+                let out = h.get(6, f64::from(i)).unwrap();
+                assert_eq!((out.cache_chunks_used, out.storage_chunks_used), (4, 0));
+                out.latency.to_bits()
+            })
+            .collect();
+        assert_eq!(
+            bits,
+            [
+                0x3F01_318C_7108_4D9C,
+                0x3F01_4D3D_358B_84BE,
+                0x3F00_039F_F68C_FB3F
+            ]
+        );
     }
 
     #[test]

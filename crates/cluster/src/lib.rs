@@ -89,6 +89,6 @@ pub use placement::{
 };
 pub use store::{ClusterConfig, ClusterConfigBuilder, ReadOutcome};
 pub use tier::{Admission, LruTier, TierStats};
-// Re-exported so store configurers can pick a coding kernel / striping
-// without a direct `sprout-erasure` dependency.
-pub use sprout_erasure::{Kernel, StripeOpts};
+// Re-exported so store configurers can pick a coding kernel without a
+// direct `sprout-erasure` dependency.
+pub use sprout_erasure::Kernel;

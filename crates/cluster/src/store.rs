@@ -2,7 +2,7 @@
 //! and read result ([`ReadOutcome`]); the store itself is
 //! [`StoreHandle`](crate::StoreHandle).
 
-use sprout_erasure::{Kernel, StripeOpts};
+use sprout_erasure::Kernel;
 
 use crate::cache::CachePolicy;
 use crate::device::DeviceModel;
@@ -33,10 +33,6 @@ pub struct ClusterConfig {
     /// GF(2^8) slice kernel for all coding; `None` (the default) resolves
     /// to [`Kernel::auto`] — the best rung the running CPU supports.
     pub coding_kernel: Option<Kernel>,
-    /// Striped multi-threaded coding for large objects; `Some` (the
-    /// default) makes put/get of multi-MiB objects fan chunk-length stripes
-    /// out over a scoped thread pool. Coded bytes are identical either way.
-    pub striping: Option<StripeOpts>,
 }
 
 impl ClusterConfig {
@@ -59,7 +55,6 @@ pub struct ClusterConfigBuilder {
     seed: u64,
     placement: PlacementChoice,
     coding_kernel: Option<Kernel>,
-    striping: Option<StripeOpts>,
 }
 
 impl Default for ClusterConfigBuilder {
@@ -75,7 +70,6 @@ impl Default for ClusterConfigBuilder {
             seed: 0,
             placement: PlacementChoice::default(),
             coding_kernel: None,
-            striping: Some(StripeOpts::default()),
         }
     }
 }
@@ -136,10 +130,11 @@ impl ClusterConfigBuilder {
         self
     }
 
-    /// Configures striped multi-threaded coding of large objects (`None`
-    /// disables it; the default is [`StripeOpts::default`]).
-    pub fn striping(&mut self, striping: Option<StripeOpts>) -> &mut Self {
-        self.striping = striping;
+    /// The builder unchanged: a store codes each request in one pass on its
+    /// worker. Kept so configurations that turned striping off still
+    /// compile; the parameter has no `Some` value, so `None` is the only
+    /// argument. It goes in ROADMAP item 10(b).
+    pub fn striping(&mut self, _off: Option<std::convert::Infallible>) -> &mut Self {
         self
     }
 
@@ -159,7 +154,6 @@ impl ClusterConfigBuilder {
             seed: self.seed,
             placement: self.placement.clone(),
             coding_kernel: self.coding_kernel,
-            striping: self.striping,
         }
     }
 }
@@ -194,16 +188,20 @@ mod tests {
             .collect()
     }
 
-    fn store(policy: CachePolicy) -> StoreHandle {
-        let config = ClusterConfig::builder()
+    fn builder(policy: CachePolicy) -> ClusterConfigBuilder {
+        let mut builder = ClusterConfig::builder();
+        builder
             .nodes(8)
             .code(7, 4)
             .uniform_device(DeviceModel::exponential(0.010))
             .cache_policy(policy)
             .cache_capacity_bytes(1_000_000)
-            .seed(11)
-            .build();
-        StoreHandle::new(config).unwrap()
+            .seed(11);
+        builder
+    }
+
+    fn store(policy: CachePolicy) -> StoreHandle {
+        StoreHandle::new(builder(policy).build()).unwrap()
     }
 
     #[test]
@@ -221,22 +219,14 @@ mod tests {
     }
 
     #[test]
-    fn striped_multi_mib_put_get_matches_unstriped() {
-        // Defaults: kernel auto + striping on. Pin: scalar kernel, no
-        // striping. Stored chunk bytes and read-back data must be identical.
+    fn multi_mib_put_get_is_kernel_invariant() {
+        // Default: kernel auto. Pinned: the scalar reference. Stored chunk
+        // bytes and read-back data must be identical.
         let data = payload(3 * 1024 * 1024 + 13, 7);
         let fast = store(CachePolicy::None);
-        assert!(fast.config().striping.is_some(), "striping on by default");
         assert_eq!(fast.coding_kernel(), Kernel::auto());
-        let pinned_config = ClusterConfig::builder()
-            .nodes(8)
-            .code(7, 4)
-            .uniform_device(DeviceModel::exponential(0.010))
-            .cache_policy(CachePolicy::None)
-            .cache_capacity_bytes(1_000_000)
-            .seed(11)
+        let pinned_config = builder(CachePolicy::None)
             .coding_kernel(Some(Kernel::Scalar))
-            .striping(None)
             .build();
         let slow = StoreHandle::new(pinned_config).unwrap();
         assert_eq!(slow.coding_kernel(), Kernel::Scalar);
@@ -246,11 +236,37 @@ mod tests {
             assert_eq!(
                 fast.chunk_on_node(9, node).map(|c| c.data),
                 slow.chunk_on_node(9, node).map(|c| c.data),
-                "chunk bytes must be kernel- and stripe-invariant (node {node})"
+                "chunk bytes must be kernel-invariant (node {node})"
             );
         }
         assert_eq!(fast.get(9, 0.0).unwrap().data, data);
         assert_eq!(slow.get(9, 0.0).unwrap().data, data);
+    }
+
+    #[test]
+    fn the_kept_striping_names_change_no_chunk_byte() {
+        // `striping(None)` and `with_striping(None)` are the only calls the
+        // two names accept, and neither changes what a put stores.
+        let data = payload(300 * 1024 + 5, 8);
+        let plain = store(CachePolicy::None);
+        let config = builder(CachePolicy::None).striping(None).build();
+        assert_eq!(&config, plain.config());
+        let called = StoreHandle::new(config).unwrap();
+        plain.put(2, &data).unwrap();
+        called.put(2, &data).unwrap();
+        let codec = sprout_erasure::FunctionalCacheCodec::with_kernel(
+            plain.code_params(),
+            plain.coding_kernel(),
+        )
+        .unwrap()
+        .with_striping(None);
+        let encoded = codec.encode(&data).unwrap();
+        let placement = plain.object_placement(2).unwrap();
+        for (row, &node) in placement.iter().enumerate() {
+            let stored = plain.chunk_on_node(2, node).unwrap().data;
+            assert_eq!(called.chunk_on_node(2, node).unwrap().data, stored);
+            assert_eq!(encoded.chunks()[row].data, stored, "row {row}");
+        }
     }
 
     #[test]

@@ -388,11 +388,10 @@ mod tests {
     #[test]
     fn byte_backend_resolves_the_auto_kernel() {
         // The facade builds its store with the default coding config, so the
-        // backend's kernel must be whatever `Kernel::auto()` picks here, and
-        // striped large-object coding must be enabled.
+        // backend's kernel must be whatever `Kernel::auto()` picks here.
         let backend = backend_for(4096, &CacheScheme::NoCache);
         assert_eq!(backend.store().coding_kernel(), Kernel::auto());
-        assert!(backend.store().config().striping.is_some());
+        assert_eq!(backend.store().config().coding_kernel, None);
     }
 
     /// The reference the lanes are held to: the stream one step per byte.

@@ -2,10 +2,10 @@
 //! checked against the engine's invariants on every run.
 //!
 //! Each case draws a small random system (nodes, service rates, a uniform
-//! `(n, k)` code, object sizes from odd-padded 1 KB up to multi-stripe
-//! 128 KB, a cache tier sized anywhere from thrashing to oversized, arrival
-//! rates well inside the stability region, a placement strategy, a cache
-//! policy) and a bounded random scenario
+//! `(n, k)` code, object sizes from odd-padded 1 KB up to 128 KB, a cache
+//! tier sized anywhere from thrashing to oversized, arrival rates well
+//! inside the stability region, a placement strategy, a cache policy) and
+//! a bounded random scenario
 //! (failures/recoveries that never take more than `nodes - n` hosts down at
 //! once, load waves, single-file spikes, re-optimization points under the
 //! case's own policy wherever every file keeps `k` online hosts), then runs
@@ -160,7 +160,7 @@ impl ScenarioFuzzer {
         let n: usize = rng.gen_range(k..=(k + 3).min(num_nodes));
         let num_files: usize = rng.gen_range(3..=12);
         // Byte-backend object-size axis: odd sizes exercise chunk padding
-        // (`size % k != 0`), the large end exercises multi-stripe payloads.
+        // (`size % k != 0`), the large end exercises chunks past 64 KiB.
         let size_bytes = *pick(&mut rng, &[1_000u64, 3_177, 4_096, 16_384, 65_536, 131_072]);
         // Aggregate chunk load well inside stability, so degraded phases and
         // load waves stay optimizable.

@@ -668,6 +668,58 @@ mod tests {
         assert_exact_overload(&err);
     }
 
+    /// An `f64` from anywhere: the edges of `[0, 1]`, just past them, the
+    /// non-finite values, and arbitrary bit patterns.
+    fn any_entry() -> impl Strategy<Value = f64> {
+        prop_oneof![
+            Just(f64::NAN),
+            Just(f64::INFINITY),
+            Just(f64::NEG_INFINITY),
+            Just(-1e-6),
+            Just(-0.0),
+            Just(1.0),
+            Just(1.0 + 1e-9),
+            0.0f64..=1.0,
+            -2.0f64..3.0,
+            any::<u64>().prop_map(f64::from_bits),
+        ]
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// `CachePlan::evaluate` is the one evaluator of Lemma 1, and it
+        /// never panics: rows of probabilities that read at most `k` chunks
+        /// give a finite bound or an overload, anything else is
+        /// `InvalidModel`.
+        #[test]
+        fn evaluate_never_panics_on_arbitrary_rows(
+            arbitrary in proptest::collection::vec(any_entry(), 4),
+            probabilities in proptest::collection::vec(0.0f64..=1.0, 4),
+        ) {
+            let system = SproutSystem::new(exact_overload_spec()).unwrap();
+            let k = system.model().files()[0].k as f64;
+            for row in [arbitrary, probabilities] {
+                let valid = row.iter().all(|p| (0.0..=1.0).contains(p))
+                    && row.iter().sum::<f64>() <= k * (1.0 + 1e-12);
+                let rows = vec![row];
+                match CachePlan::evaluate(system.model(), rows.clone()) {
+                    Ok(plan) => {
+                        prop_assert!(valid, "{rows:?} priced");
+                        prop_assert!(plan.objective.is_finite(), "{rows:?}: {}", plan.objective);
+                    }
+                    Err(OptimizerError::UnstableSystem { .. }) => {
+                        prop_assert!(valid, "{rows:?} reached the queues");
+                    }
+                    Err(OptimizerError::InvalidModel(_)) => {
+                        prop_assert!(!valid, "{rows:?} rejected");
+                    }
+                    Err(err) => prop_assert!(false, "{rows:?}: {err:?}"),
+                }
+            }
+        }
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(24))]
 

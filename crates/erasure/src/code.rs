@@ -19,7 +19,6 @@ use sprout_gf::{builders, kernel, Gf256, Kernel, Matrix};
 use crate::chunk::{Chunk, ChunkId};
 use crate::error::CodingError;
 use crate::stripe;
-use crate::striped::{self, StripeOpts};
 
 /// Validated `(n, k)` erasure-code parameters.
 ///
@@ -150,10 +149,6 @@ pub struct ReedSolomon {
     generator: Matrix,
     /// Slice kernel used for all bulk GF(2^8) work.
     kernel: Kernel,
-    /// When set, every coding call stripes multi-stripe objects across a
-    /// scoped thread pool (see [`StripeOpts`]; `threads` is resolved).
-    /// `None` keeps every operation a single pass on the calling thread.
-    striping: Option<StripeOpts>,
     /// This codec's key in every thread's decode-matrix memo
     /// ([`DECODE_MEMO`]). Clones share it, so a codec cloned into several
     /// components still amortizes each Gaussian elimination.
@@ -218,27 +213,17 @@ impl ReedSolomon {
             params,
             generator,
             kernel,
-            striping: None,
             id: NEXT_CODEC_ID.fetch_add(1, Ordering::Relaxed),
         })
     }
 
-    /// Enables (or disables, with `None`) striped coding: with options set,
-    /// every encode, decode and cache-chunk call fans an object whose chunks
-    /// span more than one stripe out over a scoped thread pool. Results are
-    /// byte-identical either way; only throughput changes.
-    ///
-    /// `threads: 0` is resolved here, once, to the machine's available
-    /// parallelism, so no coding call asks the OS.
+    /// The codec unchanged: every coding call is one pass on the calling
+    /// thread. Kept so callers that turned striping off still compile; the
+    /// parameter has no `Some` value, so `None` is the only argument. It
+    /// goes in ROADMAP item 10(b).
     #[must_use]
-    pub fn with_striping(mut self, striping: Option<StripeOpts>) -> Self {
-        self.striping = striping.map(StripeOpts::resolved);
+    pub fn with_striping(self, _off: Option<std::convert::Infallible>) -> Self {
         self
-    }
-
-    /// The striping options, if enabled (`threads` already resolved).
-    pub fn striping(&self) -> Option<StripeOpts> {
-        self.striping
     }
 
     /// The code parameters.
@@ -356,12 +341,11 @@ impl ReedSolomon {
     /// buffers, allocating nothing.
     ///
     /// This is the primitive behind storage chunks (rows `0..n`) and
-    /// functional cache chunks (rows `n..n + d`), and it stripes as the
-    /// codec's [`ReedSolomon::with_striping`] setting says. Each output
-    /// buffer is fully overwritten (callers do not need to zero it). Per-coefficient
+    /// functional cache chunks (rows `n..n + d`). Each output buffer is
+    /// fully overwritten (callers do not need to zero it). Per-coefficient
     /// multiplication tables are the process-wide lazy tables from
-    /// [`sprout_gf::MulTable`], so a stripe of calls with the same generator
-    /// rows reuses them with no per-call setup.
+    /// [`sprout_gf::MulTable`], so repeated calls with the same generator
+    /// rows reuse them with no per-call setup.
     ///
     /// # Panics
     ///
@@ -402,27 +386,7 @@ impl ReedSolomon {
             .flat_map(|&row| self.generator.row(row))
             .copied()
             .collect();
-        self.dot(&coeffs, data_chunks, outputs);
-    }
-
-    /// `outputs[i] = Σ_j coeffs[i · srcs.len() + j] · srcs[j]` over
-    /// equal-length, already checked slices: the one place coding work meets
-    /// the striping setting. At most one stripe (or one thread) runs inline;
-    /// otherwise every output is carved along the stripe ranges and the
-    /// stripes are coded on a scoped pool. Stripes are disjoint byte ranges
-    /// written in place, so the bytes do not depend on the setting.
-    fn dot(&self, coeffs: &[Gf256], srcs: &[&[u8]], outputs: &mut [&mut [u8]]) {
-        let chunk_len = srcs.first().map_or(0, |s| s.len());
-        let opts = match self.striping {
-            Some(opts) if chunk_len > opts.stripe_len && opts.threads > 1 => opts,
-            _ => return kernel::dot_slices(self.kernel, coeffs, srcs, outputs),
-        };
-        let ranges = stripe::stripe_ranges(chunk_len, opts.stripe_len);
-        let tasks = striped::carve(outputs, &ranges);
-        striped::run_tasks(tasks, opts.threads, |range, outs| {
-            let srcs: Vec<&[u8]> = srcs.iter().map(|s| &s[range.clone()]).collect();
-            kernel::dot_slices(self.kernel, coeffs, &srcs, outs);
-        });
+        kernel::dot_slices(self.kernel, &coeffs, data_chunks, outputs);
     }
 
     /// Decodes the original file from any `k` distinct chunks.
@@ -454,8 +418,8 @@ impl ReedSolomon {
     /// the data rows missing from the selection are coded, from their rows
     /// of the inverse. A selection of the `k` data rows is a copy and
     /// inverts nothing. The bytes are those of the full inverse either way.
-    /// For `k` up to [`sprout_gf::simd::MAX_DOT`] an unstriped decode into a
-    /// buffer with room allocates nothing.
+    /// For `k` up to [`sprout_gf::simd::MAX_DOT`] a decode into a buffer
+    /// with room allocates nothing.
     ///
     /// On success `out` holds exactly the decoded file; whatever it held
     /// before is overwritten, never read. A buffer whose capacity is too
@@ -574,7 +538,7 @@ impl ReedSolomon {
                 for (src, &(_, payload)) in srcs.iter_mut().zip(selected.iter()) {
                     *src = payload;
                 }
-                self.dot(coeffs, srcs, outs);
+                kernel::dot_slices(self.kernel, coeffs, srcs, outs);
             }
         }
         out.truncate(original_len);
@@ -973,17 +937,6 @@ mod tests {
         let mut outs: Vec<&mut [u8]> = bufs.iter_mut().map(Vec::as_mut_slice).collect();
         rs.encode_rows_into(&data_refs, &rows, &mut outs);
         assert_eq!(bufs, want);
-    }
-
-    #[test]
-    fn with_striping_resolves_the_thread_budget_once() {
-        let rs = ReedSolomon::new(CodeParams::new(7, 4).unwrap())
-            .unwrap()
-            .with_striping(Some(StripeOpts::default()));
-        assert!(rs.striping().unwrap().threads >= 1);
-        let pinned = rs.with_striping(Some(StripeOpts::new(8, 3)));
-        assert_eq!(pinned.striping(), Some(StripeOpts::new(8, 3)));
-        assert_eq!(pinned.with_striping(None).striping(), None);
     }
 
     #[test]

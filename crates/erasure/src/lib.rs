@@ -9,8 +9,7 @@
 //!   produced without changing the chunks already stored on the storage
 //!   nodes (exactly the construction described in §III of the paper), and
 //!   a file decodes from any `k` chunks drawn from storage *and* cache.
-//!   Striping large objects over threads is one codec setting,
-//!   [`ReedSolomon::with_striping`] ([`StripeOpts`]).
+//!   Every coding call is one pass on the calling thread.
 //!   [`FunctionalCacheCodec`] is an alias of it.
 //! * [`stripe`] — splitting a file (byte buffer) into `k` equal-size data
 //!   chunks with padding, and re-assembling it.
@@ -43,13 +42,11 @@ pub mod code;
 pub mod error;
 pub mod functional;
 pub mod stripe;
-pub mod striped;
 
 pub use chunk::{Chunk, ChunkId};
 pub use code::{CodeParams, EncodedFile, ReedSolomon};
 pub use error::CodingError;
 pub use functional::FunctionalCacheCodec;
-pub use striped::StripeOpts;
 // Re-exported so coding callers can pick a slice kernel without a direct
 // `sprout-gf` dependency.
 pub use sprout_gf::Kernel;

@@ -76,29 +76,6 @@ pub fn chunk_len(file_len: usize, k: usize) -> usize {
     file_len.div_ceil(k)
 }
 
-/// Partitions `0..chunk_len` into consecutive stripes of at most
-/// `stripe_len` bytes (the last stripe may be shorter).
-///
-/// Because every GF(2^8) slice operation is byte-wise independent, encoding
-/// or decoding each stripe range separately is byte-identical to one pass
-/// over the whole chunk — this is the partition the multi-threaded striped
-/// coding paths fan out over. `chunk_len == 0` yields no stripes.
-///
-/// # Panics
-///
-/// Panics if `stripe_len == 0`.
-pub(crate) fn stripe_ranges(chunk_len: usize, stripe_len: usize) -> Vec<std::ops::Range<usize>> {
-    assert!(stripe_len > 0, "stripe length must be positive");
-    let mut ranges = Vec::with_capacity(chunk_len.div_ceil(stripe_len.max(1)));
-    let mut start = 0;
-    while start < chunk_len {
-        let end = (start + stripe_len).min(chunk_len);
-        ranges.push(start..end);
-        start = end;
-    }
-    ranges
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -144,31 +121,6 @@ mod tests {
         let flat: Vec<u8> = chunks.concat();
         assert_eq!(&flat[..5], &data[..]);
         assert!(flat[5..].iter().all(|&b| b == 0));
-    }
-
-    #[test]
-    fn stripe_ranges_cover_exactly_once() {
-        for chunk_len in [0usize, 1, 7, 8, 9, 100, 257] {
-            for stripe_len in [1usize, 3, 8, 64, 1000] {
-                let ranges = stripe_ranges(chunk_len, stripe_len);
-                let mut cursor = 0;
-                for r in &ranges {
-                    assert_eq!(r.start, cursor, "gapless, len={chunk_len} s={stripe_len}");
-                    assert!(r.len() <= stripe_len && !r.is_empty());
-                    cursor = r.end;
-                }
-                assert_eq!(cursor, chunk_len, "full coverage");
-                if chunk_len == 0 {
-                    assert!(ranges.is_empty());
-                }
-            }
-        }
-    }
-
-    #[test]
-    #[should_panic(expected = "stripe length must be positive")]
-    fn stripe_ranges_with_zero_stripe_panics() {
-        let _ = stripe_ranges(10, 0);
     }
 
     #[test]

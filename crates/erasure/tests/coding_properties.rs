@@ -129,3 +129,56 @@ proptest! {
         }
     }
 }
+
+/// `encode_rows_into` edge cases on every kernel — zero-length objects,
+/// objects smaller than `k`, and deliberately unaligned chunk lengths
+/// (neither 8-byte word nor 16/32-byte SIMD multiples).
+#[test]
+fn encode_rows_into_edge_cases_on_every_kernel() {
+    // Chunk lengths straddling the word (8) and SIMD block (16/32) sizes.
+    let edge_chunk_lens = [0usize, 1, 2, 3, 7, 8, 9, 15, 16, 17, 31, 32, 33, 63, 65];
+    for kernel in Kernel::ALL {
+        let rs = ReedSolomon::with_kernel(CodeParams::new(7, 4).unwrap(), kernel).unwrap();
+        let reference =
+            ReedSolomon::with_kernel(CodeParams::new(7, 4).unwrap(), Kernel::Scalar).unwrap();
+        for &chunk_len in &edge_chunk_lens {
+            let data: Vec<Vec<u8>> = (0..4)
+                .map(|j| {
+                    (0..chunk_len)
+                        .map(|i| (i * 37 + j * 11 + 5) as u8)
+                        .collect()
+                })
+                .collect();
+            let data_refs: Vec<&[u8]> = data.iter().map(Vec::as_slice).collect();
+            let rows: Vec<usize> = vec![0, 4, 5, 6, 8, 10];
+            let mut want = vec![vec![0u8; chunk_len]; rows.len()];
+            {
+                let mut outs: Vec<&mut [u8]> = want.iter_mut().map(Vec::as_mut_slice).collect();
+                reference.encode_rows_into(&data_refs, &rows, &mut outs);
+            }
+            let mut got = vec![vec![0xA5u8; chunk_len]; rows.len()];
+            {
+                let mut outs: Vec<&mut [u8]> = got.iter_mut().map(Vec::as_mut_slice).collect();
+                rs.encode_rows_into(&data_refs, &rows, &mut outs);
+            }
+            assert_eq!(got, want, "kernel {kernel} chunk_len {chunk_len}");
+        }
+    }
+}
+
+/// Whole-file encode of zero-length and smaller-than-`k` objects on every
+/// kernel, decoded from parity rows.
+#[test]
+fn tiny_objects_round_trip_on_every_kernel() {
+    for kernel in Kernel::ALL {
+        let rs = ReedSolomon::with_kernel(CodeParams::new(7, 4).unwrap(), kernel).unwrap();
+        // len < k means chunk_len 1 with padding; len 0 means empty chunks.
+        for len in [0usize, 1, 2, 3] {
+            let file: Vec<u8> = (0..len).map(|i| (i * 131 + 7) as u8).collect();
+            let encoded = rs.encode(&file).unwrap();
+            assert_eq!(encoded.original_len(), len, "kernel {kernel} len {len}");
+            let subset: Vec<Chunk> = encoded.chunks()[3..7].to_vec();
+            assert_eq!(rs.decode(&subset, len).unwrap(), file);
+        }
+    }
+}

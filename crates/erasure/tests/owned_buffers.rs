@@ -5,7 +5,7 @@
 //! what `decode` returns whatever the reused buffer held before.
 
 use proptest::prelude::*;
-use sprout_erasure::{Chunk, CodeParams, Kernel, ReedSolomon, StripeOpts};
+use sprout_erasure::{Chunk, CodeParams, Kernel, ReedSolomon};
 
 fn sample_file(len: usize, salt: usize) -> Vec<u8> {
     (0..len).map(|i| (i * 131 + salt * 17 + 7) as u8).collect()
@@ -28,19 +28,6 @@ fn owned_encode_equals_encode_on_every_kernel() {
                 assert_eq!(got, want, "len {len}, ({n}, {k}), {kernel}");
             }
         }
-    }
-}
-
-#[test]
-fn owned_encode_equals_encode_when_striped() {
-    for len in [64 * 1024 + 13, 1 << 20] {
-        let file = sample_file(len, 2);
-        let rs = code(7, 4, Kernel::auto()).with_striping(Some(StripeOpts::new(4096, 2)));
-        assert_eq!(
-            rs.encode_owned(file.clone(), None).unwrap(),
-            rs.encode(&file).unwrap(),
-            "len {len}"
-        );
     }
 }
 

@@ -236,7 +236,7 @@ impl CachePlan {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::model::FileModel;
+    use crate::model::{FileModel, ROW_SUM_SLACK};
     use rand::{Rng, SeedableRng};
     use sprout_queueing::dist::ServiceDistribution;
 
@@ -489,5 +489,40 @@ mod tests {
         assert_eq!(plan.cached_chunks, [0]);
         assert!(plan.objective.is_finite() && plan.objective > 0.0);
         assert_eq!(plan.objective, plan.per_file_latency[0]);
+    }
+
+    #[test]
+    fn rows_that_are_not_probabilities_are_invalid() {
+        let nodes = vec![ServiceDistribution::exponential(1.0).moments(); 3];
+        let files = vec![FileModel::new(0.4, 2, vec![0, 1, 2])];
+        let model = StorageModel::new(nodes, files).unwrap();
+        // A negative entry once reached the node queue's arrival-rate
+        // assertion and aborted; entries above 1, non-finite entries and
+        // rows reading more than k chunks were priced.
+        let bad = [
+            vec![-1e-6, 1.0, 1.0],
+            vec![f64::NAN, 1.0, 0.0],
+            vec![f64::INFINITY, 0.0, 0.0],
+            vec![1.5, 0.5, 0.0],
+            vec![1.0, 1.0, 0.5],
+        ];
+        for row in bad {
+            let err = CachePlan::evaluate(&model, vec![row.clone()]).unwrap_err();
+            assert!(matches!(err, OptimizerError::InvalidModel(_)), "{row:?}");
+            let warm = CachePlan {
+                scheduling: vec![row.clone()],
+                ..CachePlan::evaluate(&model, vec![vec![1.0, 0.0, 1.0]]).unwrap()
+            };
+            let err = Optimizer::default().warm_start(&warm).run(&model, 0);
+            assert!(
+                matches!(err, Err(OptimizerError::InvalidModel(_))),
+                "{row:?}"
+            );
+        }
+        // Roundoff past k within the slack is a scheduling; -0.0 is zero.
+        for row in [vec![1.0, 1.0, ROW_SUM_SLACK], vec![1.0, -0.0, 1.0]] {
+            let plan = CachePlan::evaluate(&model, vec![row.clone()]).unwrap();
+            assert!(plan.objective.is_finite(), "{row:?}");
+        }
     }
 }

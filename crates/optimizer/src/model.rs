@@ -40,6 +40,12 @@ pub struct StorageModel {
     files: Vec<FileModel>,
 }
 
+/// Relative roundoff a scheduling row's sum may carry past `k_i`. Rows
+/// that read exactly `k_i` chunks summed to at most `k_i (1 + 8.9e-16)` in
+/// the repository's tests and oracle runs, and a sum of at most 255 entries
+/// errs by under 3e-14 of `k_i`.
+pub(crate) const ROW_SUM_SLACK: f64 = 1e-12;
+
 impl StorageModel {
     /// Validates and creates a model.
     ///
@@ -142,13 +148,32 @@ impl StorageModel {
     }
 
     /// `rows`, one per file, as the flat buffer of [`rows`](Self::rows), or
-    /// [`OptimizerError::InvalidModel`] if they do not fit the placements.
+    /// [`OptimizerError::InvalidModel`] if they are not a scheduling: one
+    /// row per file, one entry per placement entry, every entry a
+    /// probability in `[0, 1]`, and each row summing to at most `k_i`.
+    ///
+    /// A row sum may pass `k_i` by [`ROW_SUM_SLACK`] times `k_i`, for the
+    /// roundoff of summing rows that read exactly `k_i` chunks.
     pub(crate) fn flatten(&self, rows: &[Vec<f64>]) -> Result<Vec<f64>, OptimizerError> {
         let mut fits = rows.iter().zip(&self.files).map(|(r, f)| r.len() == f.n());
         if rows.len() != self.files.len() || !fits.all(|ok| ok) {
             return Err(OptimizerError::InvalidModel(
                 "a scheduling needs one row per file and one entry per placement entry".into(),
             ));
+        }
+        for (i, (row, f)) in rows.iter().zip(&self.files).enumerate() {
+            if let Some(p) = row.iter().find(|p| !(0.0..=1.0).contains(*p)) {
+                return Err(OptimizerError::InvalidModel(format!(
+                    "file {i}: scheduling probability {p} is not in [0, 1]"
+                )));
+            }
+            let reads: f64 = row.iter().sum();
+            let k = f.k as f64;
+            if reads > k * (1.0 + ROW_SUM_SLACK) {
+                return Err(OptimizerError::InvalidModel(format!(
+                    "file {i}: its row reads {reads} chunks, more than k = {k}"
+                )));
+            }
         }
         Ok(rows.concat())
     }

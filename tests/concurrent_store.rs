@@ -45,7 +45,7 @@ const OPS_PER_THREAD: usize = 240;
 const PRIVATE_BASE: u64 = 10_000;
 
 fn payload(object: u64) -> Vec<u8> {
-    // Sizes straddle the stripe boundary and include odd (padded) lengths.
+    // Sizes vary per object and include odd (padded) lengths.
     let len = 6_000 + (object as usize % 7) * 2_345;
     synthetic_payload(object as usize, len, 41)
 }
