@@ -62,7 +62,7 @@ fn throughput(bytes: usize, budget_secs: f64, mut f: impl FnMut()) -> f64 {
 
 /// Runs the sweep and returns its report; the dispatcher adds the run meta
 /// and writes the artifact.
-pub fn run(cli: &FigureCli) -> (SweepReport, Option<SweepTimings>) {
+pub fn run(cli: &FigureCli) -> (SweepReport, SweepTimings) {
     let budget = if cli.quick { 0.05 } else { 0.5 };
     let params = CodeParams::new(7, 4).expect("(7, 4) is a valid code");
 
@@ -81,7 +81,7 @@ pub fn run(cli: &FigureCli) -> (SweepReport, Option<SweepTimings>) {
         .axis("kernel", kernels.iter().map(|k| k.name()))
         .axis("size_bytes", SIZES.iter().map(|s| s.to_string()))
         .replications(REPLICATIONS);
-    let report = grid.run(cli.threads_or(1), |cell, _, _| {
+    let (report, timings) = grid.run(cli.threads_or(1), |cell, _, _| {
         let kernel = kernels[cell.idx("kernel")];
         let size = SIZES[cell.idx("size_bytes")];
         let codec = ReedSolomon::with_kernel(params, kernel).expect("valid kernel");
@@ -198,5 +198,5 @@ pub fn run(cli: &FigureCli) -> (SweepReport, Option<SweepTimings>) {
              one fused dot-product pass that reads each source once and writes each output once",
         ),
     };
-    (report, None)
+    (report, timings)
 }

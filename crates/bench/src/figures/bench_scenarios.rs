@@ -46,7 +46,7 @@ fn flash_crowd(system: &SproutSystem, horizon: f64) -> ScenarioSpec {
 
 /// Runs the sweep and returns its report; the dispatcher adds the run meta
 /// and writes the artifact.
-pub fn run(cli: &FigureCli) -> (SweepReport, Option<SweepTimings>) {
+pub fn run(cli: &FigureCli) -> (SweepReport, SweepTimings) {
     let horizon = if cli.quick { 10_000.0 } else { 50_000.0 };
     let replications = if cli.quick { 4 } else { 8 };
     let byte_replications = if cli.quick { 2 } else { 4 };
@@ -75,7 +75,7 @@ pub fn run(cli: &FigureCli) -> (SweepReport, Option<SweepTimings>) {
         .filter(|c| c.coord("backend") == "analytic" || c.coord("scenario") == "node_churn")
         .collect();
     let (report, timings) = sweep
-        .run_cells_timed(cells, cli.threads_or(FigureCli::available_threads()))
+        .run_cells(cells, cli.threads_or(FigureCli::available_threads()))
         .expect("the paper system is stable under every suite scenario");
 
     let spec = system.spec();
@@ -98,5 +98,5 @@ pub fn run(cli: &FigureCli) -> (SweepReport, Option<SweepTimings>) {
     // The timing side-channel is written next to the artifact but never
     // committed or diffed — the JSON artifact itself stays byte-identical
     // across thread counts (the determinism canary above).
-    (report, Some(timings))
+    (report, timings)
 }

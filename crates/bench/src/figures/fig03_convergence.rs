@@ -20,7 +20,7 @@ use sprout::sim::sweep::{Sample, SweepGrid, SweepReport, SweepTimings};
 
 /// Runs the sweep and returns its report; the dispatcher adds the run meta
 /// and writes the artifact.
-pub fn run(cli: &FigureCli) -> (SweepReport, Option<SweepTimings>) {
+pub fn run(cli: &FigureCli) -> (SweepReport, SweepTimings) {
     let paper_sizes = [100usize, 200, 300, 400, 500, 600, 700];
 
     let grid = SweepGrid::named("fig03_convergence", 2016).axis(
@@ -28,7 +28,7 @@ pub fn run(cli: &FigureCli) -> (SweepReport, Option<SweepTimings>) {
         paper_sizes.iter().map(|c| c.to_string()),
     );
     let config = OptimizerConfig::default();
-    let report = grid.run(
+    let (report, timings) = grid.run(
         cli.threads_or(FigureCli::available_threads()),
         |cell, _, _| {
             let paper_c: usize = cell
@@ -58,5 +58,5 @@ pub fn run(cli: &FigureCli) -> (SweepReport, Option<SweepTimings>) {
         )
         .with_note("paper claim: convergence within 20 iterations (tolerance 0.01)")
         .with_note(format!("measured: worst case {worst:.0} iterations"));
-    (report, None)
+    (report, timings)
 }

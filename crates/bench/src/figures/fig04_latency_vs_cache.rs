@@ -14,7 +14,7 @@ use sprout::sim::sweep::{Sample, SweepGrid, SweepReport, SweepTimings};
 
 /// Runs the sweep and returns its report; the dispatcher adds the run meta
 /// and writes the artifact.
-pub fn run(cli: &FigureCli) -> (SweepReport, Option<SweepTimings>) {
+pub fn run(cli: &FigureCli) -> (SweepReport, SweepTimings) {
     let sweep = [
         0usize, 250, 500, 750, 1000, 1500, 2000, 2500, 3000, 3500, 4000,
     ];
@@ -22,7 +22,7 @@ pub fn run(cli: &FigureCli) -> (SweepReport, Option<SweepTimings>) {
     let grid = SweepGrid::named("fig04_latency_vs_cache", 2016)
         .axis("cache_chunks_paper", sweep.iter().map(|c| c.to_string()));
     let config = OptimizerConfig::default();
-    let report = grid.run(
+    let (report, timings) = grid.run(
         cli.threads_or(FigureCli::available_threads()),
         |cell, _, _| {
             let paper_c: usize = cell
@@ -58,5 +58,5 @@ pub fn run(cli: &FigureCli) -> (SweepReport, Option<SweepTimings>) {
             "measured: {first:.2} s with no cache, {last:.2} s at full capacity"
         ))
         .with_note(format!("monotone non-increasing: {monotone}"));
-    (report, None)
+    (report, timings)
 }

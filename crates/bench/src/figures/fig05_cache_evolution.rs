@@ -44,12 +44,12 @@ fn table_i_system() -> SproutSystem {
 
 /// Runs the sweep and returns its report; the dispatcher adds the run meta
 /// and writes the artifact.
-pub fn run(cli: &FigureCli) -> (SweepReport, Option<SweepTimings>) {
+pub fn run(cli: &FigureCli) -> (SweepReport, SweepTimings) {
     let schedule = table_i_schedule(100.0).scaled(RATE_BOOST);
 
     let grid = SweepGrid::named("fig05_cache_evolution", 5)
         .axis("bin", (1..=schedule.len()).map(|b| b.to_string()));
-    let report = grid.run(
+    let (report, timings) = grid.run(
         cli.threads_or(FigureCli::available_threads()),
         |cell, _, _| {
             let bin: usize = cell.coord("bin").parse().expect("axis label");
@@ -113,5 +113,5 @@ pub fn run(cli: &FigureCli) -> (SweepReport, Option<SweepTimings>) {
             "paper shape: bin 1 favours files 4 & 9; bin 2 favours 1, 2, 6, 7; bin 3 favours \
              2, 7 (and 9)",
         );
-    (report, None)
+    (report, timings)
 }

@@ -47,7 +47,7 @@ fn system_with_first_two_at(lambda: f64) -> SproutSystem {
 
 /// Runs the sweep and returns its report; the dispatcher adds the run meta
 /// and writes the artifact.
-pub fn run(cli: &FigureCli) -> (SweepReport, Option<SweepTimings>) {
+pub fn run(cli: &FigureCli) -> (SweepReport, SweepTimings) {
     // The paper's swept arrival rates for files 1-2 (requests/second).
     let sweep = [
         0.000_125,
@@ -62,7 +62,7 @@ pub fn run(cli: &FigureCli) -> (SweepReport, Option<SweepTimings>) {
         "lambda_first_two_paper",
         sweep.iter().map(|l| format!("{l:.7}")),
     );
-    let report = grid.run(
+    let (report, timings) = grid.run(
         cli.threads_or(FigureCli::available_threads()),
         |cell, _, _| {
             let lambda: f64 = cell
@@ -88,5 +88,5 @@ pub fn run(cli: &FigureCli) -> (SweepReport, Option<SweepTimings>) {
              the highest arrival rate (their servers are lightly loaded); their share grows \
              with the rate.",
         );
-    (report, None)
+    (report, timings)
 }

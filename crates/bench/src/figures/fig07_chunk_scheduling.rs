@@ -18,7 +18,7 @@ use sprout::SimSweep;
 
 /// Runs the sweep and returns its report; the dispatcher adds the run meta
 /// and writes the artifact.
-pub fn run(cli: &FigureCli) -> (SweepReport, Option<SweepTimings>) {
+pub fn run(cli: &FigureCli) -> (SweepReport, SweepTimings) {
     // The paper's Fig. 7 uses 200 MB objects and a 62.5 GB cache = 1250
     // chunks of 50 MB, i.e. 1250 cache chunks for 4000 total chunks (~31%).
     let system = paper_system(scale_cache(1250));
@@ -27,7 +27,7 @@ pub fn run(cli: &FigureCli) -> (SweepReport, Option<SweepTimings>) {
     // as two intensities in the same 1:1.3 ratio region that keeps every
     // node stable (x0.75 and x1.0).
     let config = SimConfig::new(100.0, 7).with_slot_length(5.0);
-    let report = SimSweep::new("fig07_chunk_scheduling", &system, config)
+    let (report, timings) = SimSweep::new("fig07_chunk_scheduling", &system, config)
         .load_points(vec![0.75, 1.0])
         .run(cli.threads_or(FigureCli::available_threads()))
         .expect("the paper system is stable at both intensities");
@@ -54,5 +54,5 @@ pub fn run(cli: &FigureCli) -> (SweepReport, Option<SweepTimings>) {
             "measured (paper reports ~33%): {}",
             fractions.join("; ")
         ));
-    (report, None)
+    (report, timings)
 }

@@ -19,13 +19,13 @@ const CDF_LEVELS: [usize; 9] = [1, 5, 10, 25, 50, 75, 90, 95, 99];
 
 /// Runs the sweep and returns its report; the dispatcher adds the run meta
 /// and writes the artifact.
-pub fn run(cli: &FigureCli) -> (SweepReport, Option<SweepTimings>) {
+pub fn run(cli: &FigureCli) -> (SweepReport, SweepTimings) {
     let sizes_mb = [1u64, 4, 16, 64];
     let samples_per_size = if cli.quick { 4_000 } else { 20_000 };
 
     let grid = SweepGrid::named("fig09_service_time_cdf", 9)
         .axis("chunk_size_mb", sizes_mb.iter().map(|m| m.to_string()));
-    let report = grid.run(
+    let (report, timings) = grid.run(
         cli.threads_or(FigureCli::available_threads()),
         |cell, _, seed| {
             let mb: u64 = cell.coord("chunk_size_mb").parse().expect("axis label");
@@ -71,5 +71,5 @@ pub fn run(cli: &FigureCli) -> (SweepReport, Option<SweepTimings>) {
             "the model reproduces Table IV exactly at the calibration points and interpolates \
              between them",
         );
-    (report, None)
+    (report, timings)
 }

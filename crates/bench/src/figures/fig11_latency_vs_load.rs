@@ -37,7 +37,7 @@ const BYTE_OBJECT_BYTES: u64 = 64 * 1024;
 
 /// Runs the sweep and returns its report; the dispatcher adds the run meta
 /// and writes the artifact.
-pub fn run(cli: &FigureCli) -> (SweepReport, Option<SweepTimings>) {
+pub fn run(cli: &FigureCli) -> (SweepReport, SweepTimings) {
     let objects = match (paper_scale(), cli.quick) {
         (true, _) => 1000,
         (false, false) => 100,
@@ -65,7 +65,7 @@ pub fn run(cli: &FigureCli) -> (SweepReport, Option<SweepTimings>) {
         )
         .axis("policy", POLICIES.iter().map(CachePolicy::label))
         .axis("backend", BACKENDS);
-    let (report, timings) = grid.run_timed(
+    let (report, timings) = grid.run(
         cli.threads_or(FigureCli::available_threads()),
         |cell, _, seed| {
             let (aggregate, opt_ms, lru_ms) = PAPER_MS[cell.idx("aggregate_rate")];
@@ -105,5 +105,5 @@ pub fn run(cli: &FigureCli) -> (SweepReport, Option<SweepTimings>) {
         )
         .with_note(super::BYTE_CELLS_NOTE)
         .with_note(format!("measured average improvement: {:.1}%", avg * 100.0));
-    (report, Some(timings))
+    (report, timings)
 }

@@ -41,7 +41,7 @@ fn churn(cycles: usize, num_nodes: usize, horizon: f64) -> ScenarioSpec {
 
 /// Runs the sweep and returns its report; the dispatcher adds the run meta
 /// and writes the artifact.
-pub fn run(cli: &FigureCli) -> (SweepReport, Option<SweepTimings>) {
+pub fn run(cli: &FigureCli) -> (SweepReport, SweepTimings) {
     let horizon = if cli.quick { 6_000.0 } else { 24_000.0 };
     let replications = if cli.quick { 2 } else { 4 };
     let byte_replications = if cli.quick { 1 } else { 2 };
@@ -84,7 +84,7 @@ pub fn run(cli: &FigureCli) -> (SweepReport, Option<SweepTimings>) {
         })
         .collect();
     let (report, timings) = sweep
-        .run_cells_timed(cells, cli.threads_or(FigureCli::available_threads()))
+        .run_cells(cells, cli.threads_or(FigureCli::available_threads()))
         .expect("the paper system is stable under every churn scenario");
 
     let spec = system.spec();
@@ -110,5 +110,5 @@ pub fn run(cli: &FigureCli) -> (SweepReport, Option<SweepTimings>) {
             "byte cells decode-verify every completed request against the stored \
              payloads; reconstruction_failures must stay 0",
         );
-    (report, Some(timings))
+    (report, timings)
 }

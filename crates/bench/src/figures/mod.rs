@@ -2,8 +2,8 @@
 //!
 //! Each row is keyed by the `"sweep"` name its artifact carries and points at
 //! a `run` function that builds the sweep grid, executes it on the
-//! work-stealing pool and returns the report (plus the wall-clock timing
-//! side-channel for the rows that record one). The `sprout-bench` binary
+//! work-stealing pool and returns the report with its wall-clock timing
+//! side-channel. The `sprout-bench` binary
 //! walks this table — `list`, `all` and every per-figure invocation read it,
 //! so there is no second list of figure names anywhere (CI included).
 
@@ -40,7 +40,7 @@ pub struct Figure {
     /// the scale in their artifact's meta.
     pub scaled: bool,
     /// Runs the sweep.
-    pub run: fn(&FigureCli) -> (SweepReport, Option<SweepTimings>),
+    pub run: fn(&FigureCli) -> (SweepReport, SweepTimings),
 }
 
 /// Every reproducer, in the paper's order.
@@ -122,7 +122,7 @@ pub const FIGURES: &[Figure] = &[
 impl Figure {
     /// Runs the row and stamps the run meta every artifact starts with:
     /// `scale` (scaled rows only), then `quick`, then the row's own keys.
-    pub fn run_with_meta(&self, cli: &FigureCli) -> (SweepReport, Option<SweepTimings>) {
+    pub fn run_with_meta(&self, cli: &FigureCli) -> (SweepReport, SweepTimings) {
         let (mut report, timings) = (self.run)(cli);
         let mut meta = Vec::with_capacity(report.meta.len() + 2);
         if self.scaled {
@@ -158,14 +158,17 @@ fn policy_cell(
     byte_backend: bool,
     paper: (f64, f64),
 ) -> Sample {
-    let plan = (policy == CachePolicy::Functional).then(|| {
+    let plan = policy.is_planned().then(|| {
         // Latencies span milliseconds to minutes across the cells, so
         // tighten the convergence tolerance relative to the paper's 0.01 s.
         let mut opt_config = OptimizerConfig::default();
         opt_config.tolerance = 1e-4;
         system.optimize_with(&opt_config).expect("stable system")
     });
-    let sim = system.simulation(policy, plan.as_ref(), config);
+    let scheme = system
+        .cache_scheme(policy, plan.as_ref())
+        .expect("a planned policy gets its plan");
+    let sim = system.simulation(scheme, config);
     let report = if byte_backend {
         let mut backend = system
             .byte_backend(sim.scheme(), config.seed)

@@ -14,7 +14,7 @@ use sprout::sim::sweep::{Sample, SweepGrid, SweepReport, SweepTimings};
 
 /// Runs the sweep and returns its report; the dispatcher adds the run meta
 /// and writes the artifact.
-pub fn run(cli: &FigureCli) -> (SweepReport, Option<SweepTimings>) {
+pub fn run(cli: &FigureCli) -> (SweepReport, SweepTimings) {
     let table = sprout::workload::spec::table_v_ssd_latency_ms();
 
     let grid = SweepGrid::named("tab05_cache_latency", 5).axis(
@@ -23,7 +23,7 @@ pub fn run(cli: &FigureCli) -> (SweepReport, Option<SweepTimings>) {
             .iter()
             .map(|(bytes, _)| (bytes / 1_000_000).to_string()),
     );
-    let report = grid.run(
+    let (report, timings) = grid.run(
         cli.threads_or(FigureCli::available_threads()),
         |cell, _, _| {
             let (bytes, paper_ms) = table[cell.idx("chunk_size_mb")];
@@ -41,5 +41,5 @@ pub fn run(cli: &FigureCli) -> (SweepReport, Option<SweepTimings>) {
         "paper conclusion: cache reads are 3-20x faster than OSD reads at every chunk \
              size, so cache-read latency can be neglected when optimizing the placement.",
     );
-    (report, None)
+    (report, timings)
 }

@@ -8,8 +8,9 @@
 //!   `--out PATH` (plus the `SPROUT_SCALE=paper` environment switch the suite
 //!   has always honoured), and [`FigureCli::artifact_path`], the one place
 //!   that decides where an artifact lands.
-//! * [`emit`] — writes the [`SweepReport`] JSON artifact and prints a
-//!   human-readable table of the same rows to stdout.
+//! * [`emit`] — writes the [`SweepReport`] JSON artifact and its
+//!   [`SweepTimings`] side-channel, and prints a human-readable table of the
+//!   same rows to stdout.
 //!
 //! The JSON artifact is the machine-readable record CI uploads and diffs; it
 //! contains nothing scheduling-dependent, so running the same figure with
@@ -102,12 +103,14 @@ impl FigureCli {
 /// Writes the report's JSON artifact to `out_path` and prints the rows as a
 /// tab-separated table (axes, then metric means) with the notes as trailing
 /// `#` comment lines — the format the original reproducers printed, now
-/// derived from the same structured report CI consumes.
+/// derived from the same structured report CI consumes. The wall-clock
+/// [`SweepTimings`] side-channel goes next to the artifact (see
+/// [`timing_path`]), with a slowest-cells summary on stderr.
 ///
 /// # Panics
 ///
-/// Panics if the artifact cannot be written.
-pub fn emit(report: &SweepReport, out_path: &str) {
+/// Panics if either artifact cannot be written.
+pub fn emit(report: &SweepReport, timings: &SweepTimings, out_path: &str) {
     std::fs::write(out_path, report.to_json())
         .unwrap_or_else(|e| panic!("failed to write {out_path}: {e}"));
 
@@ -145,6 +148,11 @@ pub fn emit(report: &SweepReport, out_path: &str) {
         println!("# {note}");
     }
     eprintln!("wrote {out_path}");
+    let timing_out = timing_path(out_path);
+    std::fs::write(&timing_out, timings.to_json())
+        .unwrap_or_else(|e| panic!("failed to write {timing_out}: {e}"));
+    eprintln!("{}", timings.summary(5));
+    eprintln!("wrote {timing_out}");
 }
 
 /// The side-channel artifact path for a figure artifact: `FIG_10.json` →
@@ -156,22 +164,6 @@ pub fn timing_path(out_path: &str) -> String {
         Some(stem) => format!("{stem}.timing.json"),
         None => format!("{out_path}.timing.json"),
     }
-}
-
-/// Like [`emit`], but also writes the wall-clock [`SweepTimings`]
-/// side-channel next to the artifact (see [`timing_path`]) and prints a
-/// slowest-cells summary to stderr.
-///
-/// # Panics
-///
-/// Panics if either artifact cannot be written.
-pub fn emit_with_timings(report: &SweepReport, timings: &SweepTimings, out_path: &str) {
-    emit(report, out_path);
-    let timing_out = timing_path(out_path);
-    std::fs::write(&timing_out, timings.to_json())
-        .unwrap_or_else(|e| panic!("failed to write {timing_out}: {e}"));
-    eprintln!("{}", timings.summary(5));
-    eprintln!("wrote {timing_out}");
 }
 
 #[cfg(test)]
@@ -252,17 +244,19 @@ mod tests {
     fn emit_writes_the_artifact_and_prints_rows() {
         use sprout::sim::sweep::{Sample, SweepGrid};
         let grid = SweepGrid::named("emit_test", 1).axis("x", ["a", "b"]);
-        let report = grid
-            .run(1, |cell, _, _| {
-                Sample::new().metric("value", cell.idx("x") as f64)
-            })
-            .with_note("a note");
+        let (report, timings) = grid.run(2, |cell, _, _| {
+            Sample::new().metric("value", cell.idx("x") as f64)
+        });
+        let report = report.with_note("a note");
         let dir = std::env::temp_dir().join("sprout_harness_emit_test");
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("report.json");
-        emit(&report, path.to_str().unwrap());
+        emit(&report, &timings, path.to_str().unwrap());
         let written = std::fs::read_to_string(&path).unwrap();
         assert_eq!(written, report.to_json());
+        let timing_json = std::fs::read_to_string(dir.join("report.timing.json")).unwrap();
+        assert_eq!(timing_json, timings.to_json());
+        assert!(timing_json.contains("\"wall_s\""));
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
@@ -270,22 +264,5 @@ mod tests {
     fn timing_paths_derive_from_the_artifact_path() {
         assert_eq!(timing_path("FIG_10.json"), "FIG_10.timing.json");
         assert_eq!(timing_path("out/custom"), "out/custom.timing.json");
-    }
-
-    #[test]
-    fn emit_with_timings_writes_the_side_channel() {
-        use sprout::sim::sweep::{Sample, SweepGrid};
-        let grid = SweepGrid::named("emit_timed_test", 1).axis("x", ["a", "b"]);
-        let (report, timings) = grid.run_timed(2, |cell, _, _| {
-            Sample::new().metric("value", cell.idx("x") as f64)
-        });
-        let dir = std::env::temp_dir().join("sprout_harness_emit_timed_test");
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("report.json");
-        emit_with_timings(&report, &timings, path.to_str().unwrap());
-        let timing_json = std::fs::read_to_string(dir.join("report.timing.json")).unwrap();
-        assert_eq!(timing_json, timings.to_json());
-        assert!(timing_json.contains("\"wall_s\""));
-        std::fs::remove_dir_all(&dir).unwrap();
     }
 }

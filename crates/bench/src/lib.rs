@@ -26,7 +26,7 @@
 pub mod figures;
 pub mod harness;
 
-pub use harness::{emit, emit_with_timings, timing_path, FigureCli};
+pub use harness::{emit, timing_path, FigureCli};
 
 use sprout::spec::paper_simulation_spec;
 use sprout::SproutSystem;

@@ -20,7 +20,7 @@ mod fuzz;
 mod scenario;
 
 use sprout_bench::figures::{Figure, FIGURES};
-use sprout_bench::{emit, emit_with_timings, FigureCli};
+use sprout_bench::{emit, FigureCli};
 
 /// The `list` output: one `name<TAB>default artifact` line per table row.
 fn list() -> String {
@@ -67,11 +67,7 @@ fn run_figures(mut args: Vec<String>) -> Result<(), String> {
     }
     for fig in figures {
         let (report, timings) = fig.run_with_meta(&cli);
-        let path = cli.artifact_path(fig.artifact);
-        match timings {
-            Some(timings) => emit_with_timings(&report, &timings, &path),
-            None => emit(&report, &path),
-        }
+        emit(&report, &timings, &cli.artifact_path(fig.artifact));
     }
     Ok(())
 }
@@ -183,8 +179,9 @@ mod tests {
         run(args(&["tab05_cache_latency", "--out", out])).expect("the row runs");
 
         let cli = FigureCli::from_args(args(&["--out", out])).expect("valid flags");
-        let (mut direct, timings) = sprout_bench::figures::tab05_cache_latency::run(&cli);
-        assert!(timings.is_none());
+        let (mut direct, _) = sprout_bench::figures::tab05_cache_latency::run(&cli);
+        // Every row writes its wall-clock side-channel beside the artifact.
+        assert!(dir.join("tab05.timing.json").exists());
         direct
             .meta
             .insert(0, ("quick".to_string(), "false".to_string()));

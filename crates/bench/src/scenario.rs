@@ -19,7 +19,7 @@
 //! so CI fails loudly on a broken spec.
 
 use sprout::loader::RunSpec;
-use sprout_bench::{emit_with_timings, FigureCli};
+use sprout_bench::{emit, FigureCli};
 
 /// Runs the `scenario` subcommand on the arguments after its name.
 pub fn run(mut args: Vec<String>) {
@@ -47,7 +47,7 @@ pub fn run(mut args: Vec<String>) {
     });
 
     let (report, timings) = sweep
-        .run_timed(cli.threads_or(FigureCli::available_threads()))
+        .run(cli.threads_or(FigureCli::available_threads()))
         .unwrap_or_else(|e| {
             eprintln!("error: {e}");
             std::process::exit(1);
@@ -57,5 +57,5 @@ pub fn run(mut args: Vec<String>) {
         .with_meta("quick", cli.quick.to_string());
 
     let default_out = format!("SCENARIO_{}.json", spec.name);
-    emit_with_timings(&report, &timings, &cli.artifact_path(&default_out));
+    emit(&report, &timings, &cli.artifact_path(&default_out));
 }

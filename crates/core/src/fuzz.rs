@@ -329,26 +329,10 @@ impl ScenarioFuzzer {
             error: e,
         };
         let system = SproutSystem::new(case.spec.clone()).map_err(build)?;
-        let plan = match case.policy.is_planned() {
-            true => Some(system.optimize().map_err(build)?),
-            false => None,
-        };
-        let compiled = case
-            .scenario
-            .compile(
-                &system,
-                case.policy,
-                plan.as_ref(),
-                &crate::optimizer::OptimizerConfig::default(),
-            )
-            .map_err(build)?;
-
-        let scheme = system
-            .cache_scheme(case.policy, plan.as_ref())
-            .map_err(build)?;
+        let optimizer = crate::optimizer::OptimizerConfig::default();
         let sim = system
-            .simulation_of(scheme, case.config)
-            .with_scenario(compiled);
+            .planned_simulation(case.policy, &case.scenario, &optimizer, case.config)
+            .map_err(build)?;
         let check = |report, backend| {
             check_report(report, bounds).map_err(|violation| FuzzFailure::Invariant {
                 seed: case.seed,

@@ -37,6 +37,7 @@
 //! # Quickstart
 //!
 //! ```
+//! use sprout::sim::SimConfig;
 //! use sprout::{CachePolicy, SystemSpec, SproutSystem};
 //! use sprout_queueing::dist::ServiceDistribution;
 //!
@@ -52,8 +53,10 @@
 //! let plan = system.optimize()?;
 //! assert!(plan.cache_chunks_used() <= 8);
 //!
-//! // Validate by discrete-event simulation.
-//! let report = system.simulate(CachePolicy::Functional, Some(&plan), 20_000.0, 7);
+//! // Validate by discrete-event simulation: resolve the policy's scheme,
+//! // then build and run its simulation.
+//! let scheme = system.cache_scheme(CachePolicy::Functional, Some(&plan))?;
+//! let report = system.simulation(scheme, SimConfig::new(20_000.0, 7)).run();
 //! assert!(report.overall.mean <= plan.objective * 1.1 + 0.5);
 //! # Ok::<(), sprout::SproutError>(())
 //! ```

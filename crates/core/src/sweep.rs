@@ -244,7 +244,9 @@ impl SimSweep {
         cells
     }
 
-    /// Runs the full grid across `threads` workers.
+    /// Runs the full grid across `threads` workers, returning the report
+    /// and its wall-clock [`SweepTimings`] side-channel (per-cell wall
+    /// seconds; never part of the deterministic report).
     ///
     /// # Errors
     ///
@@ -254,23 +256,13 @@ impl SimSweep {
     /// error (invalid rescaled spec, an unstable system under optimization, a
     /// scenario that does not compile, or a byte-backend cell with a policy
     /// the byte store cannot model).
-    pub fn run(&self, threads: usize) -> Result<SweepReport, SproutError> {
-        Ok(self.run_timed(threads)?.0)
-    }
-
-    /// Like [`SimSweep::run`], additionally returning the wall-clock
-    /// [`SweepTimings`] side-channel (per-cell wall seconds; never part of
-    /// the deterministic report).
-    ///
-    /// # Errors
-    ///
-    /// See [`SimSweep::run`].
-    pub fn run_timed(&self, threads: usize) -> Result<(SweepReport, SweepTimings), SproutError> {
+    pub fn run(&self, threads: usize) -> Result<(SweepReport, SweepTimings), SproutError> {
         self.check()?;
-        self.run_cells_timed(self.cells(), threads)
+        self.run_checked(self.cells(), threads)
     }
 
-    /// Runs an explicit (e.g. filtered) cell list across `threads` workers.
+    /// Runs an explicit (e.g. filtered) cell list across `threads` workers,
+    /// as [`SimSweep::run`] does.
     ///
     /// # Errors
     ///
@@ -279,22 +271,17 @@ impl SimSweep {
         &self,
         cells: Vec<SweepCell>,
         threads: usize,
-    ) -> Result<SweepReport, SproutError> {
-        Ok(self.run_cells_timed(cells, threads)?.0)
+    ) -> Result<(SweepReport, SweepTimings), SproutError> {
+        self.check()?;
+        self.run_checked(cells, threads)
     }
 
-    /// Like [`SimSweep::run_cells`], additionally returning the wall-clock
-    /// [`SweepTimings`] side-channel.
-    ///
-    /// # Errors
-    ///
-    /// See [`SimSweep::run`].
-    pub fn run_cells_timed(
+    /// [`SimSweep::run_cells`] on axes that passed [`SimSweep::check`].
+    fn run_checked(
         &self,
         cells: Vec<SweepCell>,
         threads: usize,
     ) -> Result<(SweepReport, SweepTimings), SproutError> {
-        self.check()?;
         let grid = self.grid();
         // Contexts are keyed by full-grid cell index so filtered subsets
         // resolve without remapping; each is built at most once, by whichever
@@ -302,7 +289,7 @@ impl SimSweep {
         let contexts: Vec<OnceLock<Result<CellContext, SproutError>>> =
             (0..grid.len()).map(|_| OnceLock::new()).collect();
 
-        let outcome = grid.run_cells_timed(cells, threads, |cell, _rep, seed| {
+        let outcome = grid.run_cells(cells, threads, |cell, _rep, seed| {
             match contexts[cell.index].get_or_init(|| self.build_context(cell)) {
                 Ok(ctx) => self.run_replication(ctx, seed),
                 // The error is surfaced after the sweep; emit an empty
@@ -337,16 +324,7 @@ impl SimSweep {
             spec.placement = placements[cell.idx("placement")].clone();
         }
         let system = SproutSystem::new(spec)?;
-        let plan = if policy.is_planned() {
-            Some(system.optimize_with(&self.optimizer)?)
-        } else {
-            None
-        };
-        let scenario = scenario_spec.compile(&system, policy, plan.as_ref(), &self.optimizer)?;
-        let scheme = system.cache_scheme(policy, plan.as_ref())?;
-        let sim = system
-            .simulation_of(scheme, self.config)
-            .with_scenario(scenario);
+        let sim = system.planned_simulation(policy, scenario_spec, &self.optimizer, self.config)?;
         // The scheme fits the system by construction, so an error is an
         // overloaded node, which has no finite bound.
         let bound = system.bound(sim.scheme()).ok().flatten();
@@ -557,7 +535,7 @@ mod tests {
             f.size_bytes = 8 * 1024;
         }
         let system = SproutSystem::new(spec).unwrap();
-        let report = SimSweep::new("churn", &system, SimConfig::new(2_000.0, 7))
+        let (report, _) = SimSweep::new("churn", &system, SimConfig::new(2_000.0, 7))
             .scenarios(vec![
                 ScenarioSpec::named("steady"),
                 ScenarioSpec::named("churn")
@@ -609,15 +587,15 @@ mod tests {
                 PlacementChoice::AntiAffinity { zones: 3 },
             ])
             .replications(2);
-        let one = sweep.run(1).unwrap().to_json();
-        let four = sweep.run(4).unwrap().to_json();
+        let one = sweep.run(1).unwrap().0.to_json();
+        let four = sweep.run(4).unwrap().0.to_json();
         assert_eq!(one, four);
     }
 
     #[test]
     fn sweep_runs_and_reports_cells_with_standard_metrics() {
         let system = small_system();
-        let report = SimSweep::new("small", &system, SimConfig::new(3_000.0, 7))
+        let (report, _) = SimSweep::new("small", &system, SimConfig::new(3_000.0, 7))
             .policies(vec![
                 CachePolicy::Functional,
                 CachePolicy::Exact,
@@ -675,8 +653,8 @@ mod tests {
             ])
             .cache_sizes(vec![2, 6])
             .replications(3);
-        let one = sweep.run(1).unwrap().to_json();
-        let four = sweep.run(4).unwrap().to_json();
+        let one = sweep.run(1).unwrap().0.to_json();
+        let four = sweep.run(4).unwrap().0.to_json();
         assert_eq!(one, four);
     }
 
@@ -701,7 +679,7 @@ mod tests {
             .filter(|c| c.coord("backend") == "analytic" || c.coord("scenario") == "churn")
             .collect();
         assert_eq!(cells.len(), 3);
-        let report = sweep.run_cells(cells, 3).unwrap();
+        let (report, _) = sweep.run_cells(cells, 3).unwrap();
         assert_eq!(report.rows.len(), 3);
         let byte_row = report.find_row(&[("backend", "byte")]).unwrap();
         assert_eq!(byte_row.coord("scenario"), "churn");
@@ -791,7 +769,7 @@ mod tests {
         // stored data rows and decode-verify every request (the run itself
         // asserts zero reconstruction failures).
         let system = small_system();
-        let report = SimSweep::new("lru", &system, SimConfig::new(2_000.0, 9))
+        let (report, _) = SimSweep::new("lru", &system, SimConfig::new(2_000.0, 9))
             .policies(vec![CachePolicy::LruReplicated])
             .backends(vec![SweepBackend::Analytic, SweepBackend::Byte])
             .byte_object_bytes(2 * 1024)
@@ -814,7 +792,7 @@ mod tests {
     fn slot_series_are_recorded_on_request() {
         let system = small_system();
         let config = SimConfig::new(500.0, 2);
-        let report = SimSweep::new("slots", &system, config.with_slot_length(5.0))
+        let (report, _) = SimSweep::new("slots", &system, config.with_slot_length(5.0))
             .run(2)
             .unwrap();
         let row = &report.rows[0];
@@ -824,7 +802,7 @@ mod tests {
         assert_eq!(storage.len(), 100);
         assert!(storage.iter().sum::<f64>() > 0.0);
 
-        let report = SimSweep::new("slots", &system, config).run(2).unwrap();
+        let (report, _) = SimSweep::new("slots", &system, config).run(2).unwrap();
         assert!(
             report.rows[0].series.is_empty(),
             "no slot length, no series"

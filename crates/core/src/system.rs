@@ -5,6 +5,7 @@ use sprout_optimizer::{CachePlan, FileModel, Optimizer, OptimizerConfig, Storage
 use sprout_sim::{CacheScheme, PlannedCache, SimConfig, SimFile, SimReport, Simulation};
 
 use crate::error::SproutError;
+use crate::scenario::ScenarioSpec;
 use crate::spec::SystemSpec;
 
 /// The former name of [`CachePolicy`], kept while `benchmark/` still names
@@ -239,72 +240,75 @@ impl SproutSystem {
         SproutSystem::new(spec)
     }
 
-    /// Simulates the system under the given policy. `plan` is required for
-    /// [`CachePolicy::Functional`] and [`CachePolicy::Exact`];
-    /// it is ignored by the other policies.
+    /// Simulates the system under the given policy:
+    /// [`cache_scheme`](Self::cache_scheme), then
+    /// [`simulation`](Self::simulation), then [`Simulation::run`]. `plan` is
+    /// required for [`CachePolicy::Functional`] and [`CachePolicy::Exact`];
+    /// it is ignored by the other policies. Kept while `benchmark/` names it
+    /// (ROADMAP item 10(b)); every other caller resolves the scheme with `?`.
     ///
     /// # Panics
     ///
-    /// Panics if a plan is required but not supplied or exact caching's
-    /// solve fails ([`cache_scheme`](Self::cache_scheme)).
-    pub fn simulate(
-        &self,
-        policy: CachePolicy,
-        plan: Option<&CachePlan>,
-        horizon: f64,
-        seed: u64,
-    ) -> SimReport {
-        self.simulate_with_config(policy, plan, SimConfig::new(horizon, seed))
-    }
-
-    /// Like [`SproutSystem::simulate`] but with full control over the
-    /// simulation configuration (warm-up, cache-read latency, slot length).
-    ///
-    /// # Panics
-    ///
-    /// Panics if a plan is required but not supplied or exact caching's
-    /// solve fails ([`cache_scheme`](Self::cache_scheme)).
+    /// Panics if the policy has no scheme: a planned policy without a plan,
+    /// or an exact solve that fails. This is the one builder that panics on
+    /// a scheme.
     pub fn simulate_with_config(
         &self,
         policy: CachePolicy,
         plan: Option<&CachePlan>,
         config: SimConfig,
     ) -> SimReport {
-        self.simulation(policy, plan, config).run()
-    }
-
-    /// Builds the configured [`Simulation`] without running it, so callers
-    /// can attach a [`sprout_sim::Scenario`], a rate schedule, or run it on
-    /// an explicit backend (e.g. [`crate::backend::StoreBackend`]) or the
-    /// replication runner.
-    ///
-    /// # Panics
-    ///
-    /// Panics if a plan is required but not supplied or exact caching's
-    /// solve fails ([`cache_scheme`](Self::cache_scheme)).
-    pub fn simulation(
-        &self,
-        policy: CachePolicy,
-        plan: Option<&CachePlan>,
-        config: SimConfig,
-    ) -> Simulation {
         let scheme = self
             .cache_scheme(policy, plan)
             .unwrap_or_else(|e| panic!("policy {policy:?} has no scheme: {e}"));
-        self.simulation_of(scheme, config)
+        self.simulation(scheme, config).run()
     }
 
-    /// The [`Simulation`] of this system under an already resolved scheme:
-    /// the one builder behind [`SproutSystem::simulation`] and the callers
-    /// that return [`SproutSystem::cache_scheme`]'s error instead of
-    /// panicking (sweep cells, fuzz cases).
-    pub(crate) fn simulation_of(&self, scheme: CacheScheme, config: SimConfig) -> Simulation {
+    /// The [`Simulation`] of this system under a resolved `scheme` (from
+    /// [`cache_scheme`](Self::cache_scheme)), built without running it, so
+    /// callers can attach a [`sprout_sim::Scenario`], a rate schedule, or
+    /// run it on an explicit backend (e.g. [`crate::backend::StoreBackend`])
+    /// or the replication runner.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `scheme` does not fit this system's files
+    /// ([`CacheScheme::validate`]), e.g. a hand-built one or one resolved
+    /// from another system's plan. A scheme that `cache_scheme` resolves
+    /// from this system's own plan always fits.
+    pub fn simulation(&self, scheme: CacheScheme, config: SimConfig) -> Simulation {
         Simulation::new(
             self.spec.node_services.clone(),
             self.sim_files(),
             scheme,
             config,
         )
+    }
+
+    /// The one planning step of a sweep cell or a fuzz case: Algorithm 1
+    /// under `optimizer` when `policy` is planned, `scenario` compiled
+    /// against that plan, and `policy`'s scheme built under `config` with
+    /// the compiled scenario attached.
+    ///
+    /// # Errors
+    ///
+    /// Those of [`optimize_with`](Self::optimize_with),
+    /// [`ScenarioSpec::compile`] and [`cache_scheme`](Self::cache_scheme).
+    pub(crate) fn planned_simulation(
+        &self,
+        policy: CachePolicy,
+        scenario: &ScenarioSpec,
+        optimizer: &OptimizerConfig,
+        config: SimConfig,
+    ) -> Result<Simulation, SproutError> {
+        let plan = if policy.is_planned() {
+            Some(self.optimize_with(optimizer)?)
+        } else {
+            None
+        };
+        let compiled = scenario.compile(self, policy, plan.as_ref(), optimizer)?;
+        let scheme = self.cache_scheme(policy, plan.as_ref())?;
+        Ok(self.simulation(scheme, config).with_scenario(compiled))
     }
 
     /// Every file as the simulator sees it: rate, `k` and placement.
@@ -392,14 +396,28 @@ impl SproutSystem {
     }
 
     /// Simulates all four policies on the same workload and reports the
-    /// comparison; panics if exact caching's solve fails.
-    pub fn compare_policies(&self, plan: &CachePlan, horizon: f64, seed: u64) -> PolicyComparison {
-        PolicyComparison {
-            functional: self.simulate(CachePolicy::Functional, Some(plan), horizon, seed),
-            exact: self.simulate(CachePolicy::Exact, Some(plan), horizon, seed),
-            lru: self.simulate(CachePolicy::LruReplicated, None, horizon, seed),
-            no_cache: self.simulate(CachePolicy::None, None, horizon, seed),
-        }
+    /// comparison.
+    ///
+    /// # Errors
+    ///
+    /// Exact caching's [`cache_scheme`](Self::cache_scheme) error, e.g. a
+    /// node its reads overload.
+    pub fn compare_policies(
+        &self,
+        plan: &CachePlan,
+        horizon: f64,
+        seed: u64,
+    ) -> Result<PolicyComparison, SproutError> {
+        let run = |policy, plan| -> Result<SimReport, SproutError> {
+            let scheme = self.cache_scheme(policy, plan)?;
+            Ok(self.simulation(scheme, SimConfig::new(horizon, seed)).run())
+        };
+        Ok(PolicyComparison {
+            functional: run(CachePolicy::Functional, Some(plan))?,
+            exact: run(CachePolicy::Exact, Some(plan))?,
+            lru: run(CachePolicy::LruReplicated, None)?,
+            no_cache: run(CachePolicy::None, None)?,
+        })
     }
 
     /// Lemma 1's bound for `scheme`: [`CachePlan::evaluate`] at the read
@@ -430,11 +448,9 @@ impl SproutSystem {
     ///
     /// # Errors
     ///
-    /// The exact solve's optimizer error, e.g. a node its reads overload.
-    ///
-    /// # Panics
-    ///
-    /// Panics if a plan is required but not supplied.
+    /// Returns [`SproutError::InvalidSpec`] for a planned policy without a
+    /// plan, and the exact solve's optimizer error, e.g. a node its reads
+    /// overload.
     pub fn cache_scheme(
         &self,
         policy: CachePolicy,
@@ -446,8 +462,11 @@ impl SproutSystem {
                 capacity_chunks: self.spec.cache_capacity_chunks,
             }),
             CachePolicy::Functional | CachePolicy::Exact => {
-                let plan =
-                    plan.unwrap_or_else(|| panic!("policy {policy:?} requires an optimized plan"));
+                let plan = plan.ok_or_else(|| {
+                    SproutError::InvalidSpec(format!(
+                        "policy {policy:?} requires an optimized plan"
+                    ))
+                })?;
                 let mut planned = PlannedCache {
                     cached_chunks: plan.cached_chunks.clone(),
                     scheduling: plan.scheduling.clone(),
@@ -523,7 +542,10 @@ mod tests {
         let system = small_system();
         let plan = system.optimize().unwrap();
         assert!(plan.cache_chunks_used() <= 6);
-        let report = system.simulate(CachePolicy::Functional, Some(&plan), 30_000.0, 1);
+        let scheme = system
+            .cache_scheme(CachePolicy::Functional, Some(&plan))
+            .unwrap();
+        let report = system.simulation(scheme, SimConfig::new(30_000.0, 1)).run();
         assert!(report.completed_requests > 100);
         // The analytic objective is an upper bound on the simulated mean.
         assert!(plan.objective >= report.overall.mean * 0.9);
@@ -533,7 +555,7 @@ mod tests {
     fn policy_comparison_orders_policies_sensibly() {
         let system = small_system();
         let plan = system.optimize().unwrap();
-        let cmp = system.compare_policies(&plan, 40_000.0, 5);
+        let cmp = system.compare_policies(&plan, 40_000.0, 5).unwrap();
         // Functional caching should not lose to no caching.
         assert!(cmp.functional.overall.mean <= cmp.no_cache.overall.mean * 1.05);
         // Functional caching should not lose to exact caching with the same counts.
@@ -666,6 +688,21 @@ mod tests {
             .cache_scheme(CachePolicy::Exact, Some(&plan))
             .unwrap_err();
         assert_exact_overload(&err);
+        // The comparison returns the same error instead of aborting.
+        let err = system.compare_policies(&plan, 1_000.0, 3).unwrap_err();
+        assert_exact_overload(&err);
+    }
+
+    #[test]
+    fn a_planned_policy_without_a_plan_is_a_spec_error() {
+        let system = small_system();
+        for policy in [CachePolicy::Functional, CachePolicy::Exact] {
+            let err = system.cache_scheme(policy, None).unwrap_err();
+            let SproutError::InvalidSpec(message) = &err else {
+                panic!("expected InvalidSpec, got {err:?}");
+            };
+            assert!(message.contains("requires an optimized plan"), "{message}");
+        }
     }
 
     /// An `f64` from anywhere: the edges of `[0, 1]`, just past them, the
@@ -896,6 +933,7 @@ mod tests {
     #[should_panic(expected = "requires an optimized plan")]
     fn functional_simulation_without_plan_panics() {
         let system = small_system();
-        let _ = system.simulate(CachePolicy::Functional, None, 100.0, 0);
+        let _ =
+            system.simulate_with_config(CachePolicy::Functional, None, SimConfig::new(100.0, 0));
     }
 }

@@ -1,5 +1,4 @@
-//! Splitting files into fixed-size data chunks (stripes) and re-assembling
-//! them.
+//! Splitting files into fixed-size data chunks (stripes).
 //!
 //! The paper assumes each file is partitioned into `k` fixed-size chunks
 //! before encoding (§III). Files whose length is not a multiple of `k` are
@@ -44,31 +43,6 @@ pub(crate) fn views(data: &[u8], k: usize) -> Vec<&[u8]> {
         .collect()
 }
 
-/// Re-assembles the original file from its `k` data chunks.
-///
-/// `original_len` is the pre-padding file length; bytes beyond it are
-/// discarded.
-///
-/// # Panics
-///
-/// Panics if `original_len` exceeds the total bytes available in `chunks`.
-pub fn join(chunks: &[Vec<u8>], original_len: usize) -> Vec<u8> {
-    let total: usize = chunks.iter().map(Vec::len).sum();
-    assert!(
-        original_len <= total,
-        "original length {original_len} exceeds available {total} bytes"
-    );
-    let mut out = Vec::with_capacity(original_len);
-    for chunk in chunks {
-        if out.len() >= original_len {
-            break;
-        }
-        let take = (original_len - out.len()).min(chunk.len());
-        out.extend_from_slice(&chunk[..take]);
-    }
-    out
-}
-
 /// Returns the chunk size (in bytes) for a file of `file_len` bytes split
 /// into `k` chunks, matching [`split`].
 pub fn chunk_len(file_len: usize, k: usize) -> usize {
@@ -89,8 +63,7 @@ mod tests {
                 assert_eq!(chunks.len(), k);
                 assert!(chunks.iter().all(|c| c.len() == clen));
                 assert_eq!(clen, chunk_len(len, k));
-                let joined = join(&chunks, len);
-                assert_eq!(joined, data, "len={len} k={k}");
+                assert_eq!(chunks.concat()[..len], data, "len={len} k={k}");
             }
         }
     }
@@ -109,7 +82,6 @@ mod tests {
         let (chunks, clen) = split(&[], 4);
         assert_eq!(clen, 0);
         assert!(chunks.iter().all(Vec::is_empty));
-        assert!(join(&chunks, 0).is_empty());
     }
 
     #[test]
@@ -127,12 +99,5 @@ mod tests {
     #[should_panic(expected = "zero chunks")]
     fn split_with_zero_k_panics() {
         let _ = split(&[1, 2, 3], 0);
-    }
-
-    #[test]
-    #[should_panic(expected = "exceeds available")]
-    fn join_with_bad_length_panics() {
-        let (chunks, _) = split(&[1, 2, 3, 4], 2);
-        let _ = join(&chunks, 100);
     }
 }

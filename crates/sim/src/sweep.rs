@@ -17,7 +17,7 @@
 //!   **bit-identical for any worker count**: results land in index-addressed
 //!   slots and are folded in (cell, replication) order, and the report
 //!   records no wall-clock times or thread counts.
-//! * [`SweepTimings`] — the wall-clock *side-channel* (`run_timed`): per-cell
+//! * [`SweepTimings`] — the wall-clock *side-channel* beside every report: per-cell
 //!   wall seconds and an overall figure, kept strictly outside the report so
 //!   slow cells are visible without breaking its determinism guarantee.
 //!
@@ -27,7 +27,7 @@
 //! let grid = SweepGrid::named("demo", 7)
 //!     .axis("cache", ["100", "200"])
 //!     .axis("policy", ["functional", "lru"]);
-//! let report = grid.run(4, |cell, _rep, seed| {
+//! let (report, _timings) = grid.run(4, |cell, _rep, seed| {
 //!     let cache: f64 = cell.coord("cache").parse().unwrap();
 //!     Sample::new().metric("latency_s", cache / 100.0 + (seed % 3) as f64)
 //! });
@@ -35,7 +35,7 @@
 //! assert_eq!(report.to_json(), grid.run(1, |cell, _rep, seed| {
 //!     let cache: f64 = cell.coord("cache").parse().unwrap();
 //!     Sample::new().metric("latency_s", cache / 100.0 + (seed % 3) as f64)
-//! }).to_json());
+//! }).0.to_json());
 //! ```
 
 use std::collections::VecDeque;
@@ -653,37 +653,21 @@ impl SweepGrid {
     ///
     /// `task(cell, r, seed)` produces replication `r`'s [`Sample`] for the
     /// cell, where `seed = cell.replication_seed(r)`. The report is identical
-    /// for any `threads` value.
-    pub fn run<F>(&self, threads: usize, task: F) -> SweepReport
+    /// for any `threads` value; the wall-clock [`SweepTimings`] side-channel
+    /// beside it never influences the report.
+    pub fn run<F>(&self, threads: usize, task: F) -> (SweepReport, SweepTimings)
     where
         F: Fn(&SweepCell, usize, u64) -> Sample + Sync,
     {
         self.run_cells(self.cells(), threads, task)
     }
 
-    /// Like [`SweepGrid::run`], additionally returning the wall-clock
-    /// [`SweepTimings`] side-channel (which never influences the report).
-    pub fn run_timed<F>(&self, threads: usize, task: F) -> (SweepReport, SweepTimings)
-    where
-        F: Fn(&SweepCell, usize, u64) -> Sample + Sync,
-    {
-        self.run_cells_timed(self.cells(), threads, task)
-    }
-
     /// Runs an explicit cell list (e.g. a filtered subset of
-    /// [`SweepGrid::cells`], or cells with adjusted replication counts).
-    pub fn run_cells<F>(&self, cells: Vec<SweepCell>, threads: usize, task: F) -> SweepReport
-    where
-        F: Fn(&SweepCell, usize, u64) -> Sample + Sync,
-    {
-        self.run_cells_timed(cells, threads, task).0
-    }
-
-    /// Like [`SweepGrid::run_cells`], additionally returning the wall-clock
-    /// [`SweepTimings`] side-channel: executes the task set on the
-    /// work-stealing pool, folds the deterministic report and measures the
-    /// timings alongside it.
-    pub fn run_cells_timed<F>(
+    /// [`SweepGrid::cells`], or cells with adjusted replication counts) as
+    /// [`SweepGrid::run`] does: executes the task set on the work-stealing
+    /// pool, folds the deterministic report and measures the timings
+    /// alongside it.
+    pub fn run_cells<F>(
         &self,
         cells: Vec<SweepCell>,
         threads: usize,
@@ -916,10 +900,10 @@ mod tests {
     #[test]
     fn report_is_bit_identical_across_worker_counts() {
         let grid = demo_grid();
-        let reference = grid.run(1, demo_task).to_json();
+        let reference = grid.run(1, demo_task).0.to_json();
         for threads in [2, 3, 4, 7, 16] {
             assert_eq!(
-                grid.run(threads, demo_task).to_json(),
+                grid.run(threads, demo_task).0.to_json(),
                 reference,
                 "threads = {threads}"
             );
@@ -929,7 +913,7 @@ mod tests {
     #[test]
     fn fold_aggregates_metrics_counters_maxima_and_series() {
         let grid = demo_grid();
-        let report = grid.run(4, demo_task);
+        let (report, _) = grid.run(4, demo_task);
         assert_eq!(report.rows.len(), 6);
         let row = report.find_row(&[("a", "2"), ("b", "y")]).unwrap();
         let m = row.metric("value").unwrap();
@@ -951,7 +935,7 @@ mod tests {
             .filter(|c| c.coord("a") != "3")
             .collect();
         cells[0].replications = 1;
-        let report = grid.run_cells(cells, 2, demo_task);
+        let (report, _) = grid.run_cells(cells, 2, demo_task);
         assert_eq!(report.rows.len(), 4);
         assert_eq!(report.rows[0].replications, 1);
         assert_eq!(report.rows[1].replications, 3);
@@ -961,9 +945,9 @@ mod tests {
     #[test]
     fn timings_cover_every_cell_without_touching_the_report() {
         let grid = demo_grid();
-        let (report, timings) = grid.run_timed(3, demo_task);
+        let (report, timings) = grid.run(3, demo_task);
         // The side-channel must not perturb the deterministic report.
-        assert_eq!(report.to_json(), grid.run(1, demo_task).to_json());
+        assert_eq!(report.to_json(), grid.run(1, demo_task).0.to_json());
         assert_eq!(timings.cells.len(), report.rows.len());
         for (timing, row) in timings.cells.iter().zip(&report.rows) {
             assert_eq!(timing.coords, row.coords);
@@ -986,7 +970,7 @@ mod tests {
     #[test]
     fn empty_cell_list_yields_a_valid_empty_report() {
         let grid = demo_grid();
-        let report = grid.run_cells(Vec::new(), 4, demo_task);
+        let (report, _) = grid.run_cells(Vec::new(), 4, demo_task);
         assert!(report.rows.is_empty());
         let json = report.to_json();
         assert!(json.contains("\"rows\": [\n  ]"));
@@ -997,7 +981,7 @@ mod tests {
     fn axisless_grid_is_a_single_cell() {
         let grid = SweepGrid::named("point", 1);
         assert_eq!(grid.len(), 1);
-        let report = grid.run(1, |_, _, _| Sample::new().metric("m", 1.0));
+        let (report, _) = grid.run(1, |_, _, _| Sample::new().metric("m", 1.0));
         assert_eq!(report.rows.len(), 1);
         assert!(report.rows[0].coords.is_empty());
     }

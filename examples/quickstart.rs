@@ -28,7 +28,7 @@ fn main() -> Result<(), sprout::SproutError> {
 
     // Validate with the discrete-event simulator and compare against the
     // no-cache configuration and Ceph's LRU cache-tier baseline.
-    let cmp = system.compare_policies(&plan, 50_000.0, 7);
+    let cmp = system.compare_policies(&plan, 50_000.0, 7)?;
     let policies = [
         (
             "functional caching",

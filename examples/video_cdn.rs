@@ -58,7 +58,7 @@ fn main() -> Result<(), sprout::SproutError> {
         );
     }
 
-    let cmp = system.compare_policies(&plan, 20_000.0, 3);
+    let cmp = system.compare_policies(&plan, 20_000.0, 3)?;
     println!("\nsimulated mean latency across the library:");
     println!(
         "  functional caching : {:.3} s",

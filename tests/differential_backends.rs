@@ -42,7 +42,10 @@ fn analytic_and_byte_backends_make_identical_chunk_source_decisions() {
     let system = system();
     let plan = system.optimize().unwrap();
     let config = SimConfig::new(15_000.0, 77).with_slot_length(5.0);
-    let sim = system.simulation(CachePolicy::Functional, Some(&plan), config);
+    let scheme = system
+        .cache_scheme(CachePolicy::Functional, Some(&plan))
+        .unwrap();
+    let sim = system.simulation(scheme, config);
 
     let (analytic, byte) = run_both(&system, &sim);
 
@@ -74,9 +77,10 @@ fn decisions_stay_identical_under_a_node_failure_scenario() {
     let scenario = Scenario::default()
         .node_down(4_000.0, 0)
         .node_up(8_000.0, 0);
-    let sim = system
-        .simulation(CachePolicy::Functional, Some(&plan), config)
-        .with_scenario(scenario);
+    let scheme = system
+        .cache_scheme(CachePolicy::Functional, Some(&plan))
+        .unwrap();
+    let sim = system.simulation(scheme, config).with_scenario(scenario);
 
     let (analytic, byte) = run_both(&system, &sim);
 
@@ -101,9 +105,8 @@ fn without_a_cache_both_backends_produce_the_same_report() {
     let scenario = Scenario::default()
         .node_down(4_000.0, 2)
         .node_up(8_000.0, 2);
-    let sim = system
-        .simulation(CachePolicy::None, None, config)
-        .with_scenario(scenario);
+    let scheme = system.cache_scheme(CachePolicy::None, None).unwrap();
+    let sim = system.simulation(scheme, config).with_scenario(scenario);
 
     let (analytic, byte) = run_both(&system, &sim);
 
@@ -120,7 +123,10 @@ fn node_utilization_is_backend_independent_under_functional_caching() {
     let system = system();
     let plan = system.optimize().unwrap();
     let config = SimConfig::new(12_000.0, 17);
-    let sim = system.simulation(CachePolicy::Functional, Some(&plan), config);
+    let scheme = system
+        .cache_scheme(CachePolicy::Functional, Some(&plan))
+        .unwrap();
+    let sim = system.simulation(scheme, config);
 
     let (analytic, byte) = run_both(&system, &sim);
 
@@ -142,7 +148,10 @@ fn lru_tier_decisions_are_identical_and_byte_verified() {
     // misses from the storage chunks the engine chose).
     let system = system();
     let config = SimConfig::new(15_000.0, 21).with_slot_length(5.0);
-    let sim = system.simulation(CachePolicy::LruReplicated, None, config);
+    let scheme = system
+        .cache_scheme(CachePolicy::LruReplicated, None)
+        .unwrap();
+    let sim = system.simulation(scheme, config);
 
     let (analytic, byte) = run_both(&system, &sim);
 
@@ -199,9 +208,8 @@ fn swapping_to_the_lru_scheme_mid_run_stays_byte_verified() {
             capacity_chunks: system.spec().cache_capacity_chunks,
         },
     );
-    let sim = system
-        .simulation(CachePolicy::None, None, config)
-        .with_scenario(scenario);
+    let scheme = system.cache_scheme(CachePolicy::None, None).unwrap();
+    let sim = system.simulation(scheme, config).with_scenario(scenario);
 
     let (analytic, byte) = run_both(&system, &sim);
 

@@ -138,7 +138,10 @@ fn full_cache_capacity_caches_everything_and_zeroes_latency() {
     let system = build_system(6, 100);
     let plan = system.optimize().unwrap();
     assert!(plan.objective < 1e-6);
-    let report = system.simulate(CachePolicy::Functional, Some(&plan), 5_000.0, 4);
+    let scheme = system
+        .cache_scheme(CachePolicy::Functional, Some(&plan))
+        .unwrap();
+    let report = system.simulation(scheme, SimConfig::new(5_000.0, 4)).run();
     assert_eq!(report.overall.mean, 0.0);
     assert_eq!(report.full_cache_hits, report.completed_requests);
 }

@@ -40,12 +40,11 @@ fn degraded_reads_still_reconstruct_on_the_byte_backend() {
     let plan = system.optimize().unwrap();
     let horizon = 15_000.0;
     let scenario = compile(&churn_spec(horizon, 0), &system, CachePolicy::Functional);
+    let scheme = system
+        .cache_scheme(CachePolicy::Functional, Some(&plan))
+        .unwrap();
     let sim = system
-        .simulation(
-            CachePolicy::Functional,
-            Some(&plan),
-            SimConfig::new(horizon, 31),
-        )
+        .simulation(scheme.clone(), SimConfig::new(horizon, 31))
         .with_scenario(scenario);
 
     let mut backend = system.byte_backend(sim.scheme(), 31).unwrap();
@@ -62,13 +61,7 @@ fn degraded_reads_still_reconstruct_on_the_byte_backend() {
     );
     // The failed node really was avoided while down: it serves fewer chunks
     // than in an undisturbed run with the same seed.
-    let undisturbed = system
-        .simulation(
-            CachePolicy::Functional,
-            Some(&plan),
-            SimConfig::new(horizon, 31),
-        )
-        .run();
+    let undisturbed = system.simulation(scheme, SimConfig::new(horizon, 31)).run();
     assert!(
         report.node_chunks_served[0] < undisturbed.node_chunks_served[0],
         "downed node served {} chunks vs {} undisturbed",
@@ -83,7 +76,8 @@ fn latency_shifts_as_expected_on_the_analytic_backend() {
     let horizon = 30_000.0;
     let scenario = compile(&churn_spec(horizon, 0), &system, CachePolicy::None);
     let build = |with_failure: bool| {
-        let sim = system.simulation(CachePolicy::None, None, SimConfig::new(horizon, 17));
+        let scheme = system.cache_scheme(CachePolicy::None, None).unwrap();
+        let sim = system.simulation(scheme, SimConfig::new(horizon, 17));
         if with_failure {
             sim.with_scenario(scenario.clone())
         } else {
@@ -129,12 +123,11 @@ fn reoptimization_after_a_rate_shift_recovers_cache_effectiveness() {
         )
         .at(horizon / 2.0, ScenarioActionSpec::Reoptimize);
     let scenario = compile(&spec, &system, CachePolicy::Functional);
+    let scheme = system
+        .cache_scheme(CachePolicy::Functional, Some(&plan))
+        .unwrap();
     let report = system
-        .simulation(
-            CachePolicy::Functional,
-            Some(&plan),
-            SimConfig::new(horizon, 13),
-        )
+        .simulation(scheme, SimConfig::new(horizon, 13))
         .with_scenario(scenario)
         .run();
     assert!(report.completed_requests > 500);
@@ -207,6 +200,7 @@ fn reoptimize_changes_nothing_under_a_policy_without_a_plan() {
             .byte_object_bytes(4 * 1024)
             .run(2)
             .unwrap()
+            .0
             .to_json()
     };
     let steady = ScenarioSpec::named("run");

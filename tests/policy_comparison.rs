@@ -25,7 +25,7 @@ fn system(cache_chunks: usize, rate: f64) -> SproutSystem {
 fn functional_beats_or_matches_exact_caching() {
     let system = system(8, 0.04);
     let plan = system.optimize().unwrap();
-    let cmp = system.compare_policies(&plan, 80_000.0, 13);
+    let cmp = system.compare_policies(&plan, 80_000.0, 13).unwrap();
     assert!(
         cmp.functional.overall.mean <= cmp.exact.overall.mean * 1.05,
         "functional {} should not lose to exact {}",
@@ -41,7 +41,7 @@ fn functional_beats_lru_when_cache_is_scarce() {
     // working set, which is where optimized partial caching wins.
     let system = system(8, 0.05);
     let plan = system.optimize().unwrap();
-    let cmp = system.compare_policies(&plan, 80_000.0, 29);
+    let cmp = system.compare_policies(&plan, 80_000.0, 29).unwrap();
     assert!(
         cmp.functional.overall.mean < cmp.lru.overall.mean,
         "functional {} should beat LRU {}",
@@ -56,7 +56,7 @@ fn functional_beats_lru_when_cache_is_scarce() {
 fn every_caching_policy_beats_no_cache() {
     let system = system(8, 0.05);
     let plan = system.optimize().unwrap();
-    let cmp = system.compare_policies(&plan, 60_000.0, 31);
+    let cmp = system.compare_policies(&plan, 60_000.0, 31).unwrap();
     assert!(cmp.functional.overall.mean < cmp.no_cache.overall.mean);
     assert!(cmp.exact.overall.mean < cmp.no_cache.overall.mean);
     assert!(cmp.lru.overall.mean <= cmp.no_cache.overall.mean * 1.02);
@@ -68,8 +68,8 @@ fn latency_grows_with_load_for_every_policy() {
     let heavy = system(8, 0.06);
     let plan_light = light.optimize().unwrap();
     let plan_heavy = heavy.optimize().unwrap();
-    let cmp_light = light.compare_policies(&plan_light, 50_000.0, 37);
-    let cmp_heavy = heavy.compare_policies(&plan_heavy, 50_000.0, 37);
+    let cmp_light = light.compare_policies(&plan_light, 50_000.0, 37).unwrap();
+    let cmp_heavy = heavy.compare_policies(&plan_heavy, 50_000.0, 37).unwrap();
     assert!(cmp_heavy.functional.overall.mean > cmp_light.functional.overall.mean);
     assert!(cmp_heavy.no_cache.overall.mean > cmp_light.no_cache.overall.mean);
     assert!(cmp_heavy.lru.overall.mean > cmp_light.lru.overall.mean);

@@ -48,7 +48,7 @@ fn every_committed_scenario_loads_and_runs_quick() {
         let sweep = spec
             .to_sweep(true)
             .unwrap_or_else(|e| panic!("{}: {e}", path.display()));
-        let report = sweep
+        let (report, _) = sweep
             .run(2)
             .unwrap_or_else(|e| panic!("{}: {e}", path.display()));
         assert!(!report.rows.is_empty(), "{}: no rows", path.display());

@@ -45,8 +45,8 @@ fn twelve_cell_grid_is_bit_identical_for_one_and_four_workers() {
         "the guarantee covers a ≥12-cell grid"
     );
 
-    let serial = sweep.run(1).expect("stable system").to_json();
-    let parallel = sweep.run(4).expect("stable system").to_json();
+    let serial = sweep.run(1).expect("stable system").0.to_json();
+    let parallel = sweep.run(4).expect("stable system").0.to_json();
     assert_eq!(
         serial, parallel,
         "SweepReport JSON must be byte-identical for 1 vs 4 worker threads"
@@ -54,7 +54,7 @@ fn twelve_cell_grid_is_bit_identical_for_one_and_four_workers() {
 
     // The report really carries 12 populated rows, not a trivially-equal
     // empty document.
-    let report = sweep.run(4).expect("stable system");
+    let (report, _) = sweep.run(4).expect("stable system");
     assert_eq!(report.rows.len(), 12);
     for row in &report.rows {
         assert_eq!(row.replications, 2);
@@ -62,13 +62,13 @@ fn twelve_cell_grid_is_bit_identical_for_one_and_four_workers() {
         assert!(row.metric("mean_latency_s").expect("metric present").mean > 0.0);
     }
     // And an oversubscribed pool (more workers than tasks) changes nothing.
-    assert_eq!(sweep.run(64).expect("stable system").to_json(), serial);
+    assert_eq!(sweep.run(64).expect("stable system").0.to_json(), serial);
 }
 
 #[test]
 fn empty_cell_list_yields_a_valid_empty_report() {
     let sweep = twelve_cell_sweep();
-    let report = sweep.run_cells(Vec::new(), 4).expect("nothing can fail");
+    let (report, _) = sweep.run_cells(Vec::new(), 4).expect("nothing can fail");
     assert!(report.rows.is_empty());
     let json = report.to_json();
     assert!(json.contains("\"sweep\": \"determinism_guarantee\""));

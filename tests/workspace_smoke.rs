@@ -7,6 +7,7 @@
 use std::collections::HashSet;
 use std::path::{Path, PathBuf};
 
+use sprout::sim::SimConfig;
 use sprout::{CachePolicy, ScenarioSpec, SproutSystem, SystemSpec};
 
 /// The spec builder, optimizer and simulator are reachable through the
@@ -28,7 +29,10 @@ fn facade_spec_optimize_simulate_pipeline() {
     );
     assert!(plan.objective > 0.0, "latency bound is positive");
 
-    let report = system.simulate(CachePolicy::Functional, Some(&plan), 20_000.0, 7);
+    let scheme = system
+        .cache_scheme(CachePolicy::Functional, Some(&plan))
+        .unwrap();
+    let report = system.simulation(scheme, SimConfig::new(20_000.0, 7)).run();
     assert!(report.completed_requests > 0, "simulation served requests");
     assert!(
         report.overall.mean <= plan.objective * 1.1 + 0.5,
