@@ -254,9 +254,6 @@ mod tests {
         emit(&report, &timings, path.to_str().unwrap());
         let written = std::fs::read_to_string(&path).unwrap();
         assert_eq!(written, report.to_json());
-        let timing_json = std::fs::read_to_string(dir.join("report.timing.json")).unwrap();
-        assert_eq!(timing_json, timings.to_json());
-        assert!(timing_json.contains("\"wall_s\""));
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
@@ -264,5 +261,22 @@ mod tests {
     fn timing_paths_derive_from_the_artifact_path() {
         assert_eq!(timing_path("FIG_10.json"), "FIG_10.timing.json");
         assert_eq!(timing_path("out/custom"), "out/custom.timing.json");
+    }
+
+    #[test]
+    fn emit_with_timings_writes_the_side_channel() {
+        use sprout::sim::sweep::{Sample, SweepGrid};
+        let grid = SweepGrid::named("emit_timed_test", 1).axis("x", ["a", "b"]);
+        let (report, timings) = grid.run(2, |cell, _, _| {
+            Sample::new().metric("value", cell.idx("x") as f64)
+        });
+        let dir = std::env::temp_dir().join("sprout_harness_emit_timed_test");
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("report.json");
+        emit(&report, &timings, path.to_str().unwrap());
+        let timing_json = std::fs::read_to_string(dir.join("report.timing.json")).unwrap();
+        assert_eq!(timing_json, timings.to_json());
+        assert!(timing_json.contains("\"wall_s\""));
+        std::fs::remove_dir_all(&dir).unwrap();
     }
 }
