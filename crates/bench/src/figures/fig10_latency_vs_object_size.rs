@@ -22,7 +22,7 @@ use crate::{paper_scale, FigureCli};
 use sprout::queueing::dist::ServiceDistribution;
 use sprout::sim::sweep::{SweepGrid, SweepReport, SweepTimings};
 use sprout::sim::SimConfig;
-use sprout::{CachePolicy, FileConfig, SproutSystem, SystemSpec};
+use sprout::{CachePolicy, FileConfig, SproutSystem, SweepBackend, SystemSpec};
 
 /// Paper-reported mean access latency (milliseconds) per object size for
 /// optimized caching and the Ceph cache-tier baseline.
@@ -36,7 +36,7 @@ const PAPER_MS: [(&str, f64, f64); 5] = [
 
 const POLICIES: [CachePolicy; 2] = [CachePolicy::Functional, CachePolicy::LruReplicated];
 
-const BACKENDS: [&str; 2] = ["analytic", "byte"];
+const BACKENDS: [SweepBackend; 2] = [SweepBackend::Analytic, SweepBackend::Byte];
 
 /// Payload size of byte-backend cells: decisions and plans are
 /// size-independent, so small payloads verify the same request sequence.
@@ -65,13 +65,13 @@ pub fn run(cli: &FigureCli) -> (SweepReport, SweepTimings) {
     let grid = SweepGrid::named("fig10_latency_vs_object_size", 10)
         .axis("object_size", classes.iter().map(|c| c.label.to_string()))
         .axis("policy", POLICIES.iter().map(CachePolicy::label))
-        .axis("backend", BACKENDS);
+        .axis("backend", BACKENDS.iter().map(SweepBackend::label));
     let (report, timings) = grid.run(
         cli.threads_or(FigureCli::available_threads()),
         |cell, _, seed| {
             let class = &classes[cell.idx("object_size")];
             let policy = POLICIES[cell.idx("policy")];
-            let byte_backend = cell.coord("backend") == "byte";
+            let backend = BACKENDS[cell.idx("backend")];
             let (paper_label, opt_ms, lru_ms) = PAPER_MS[cell.idx("object_size")];
             assert_eq!(
                 class.label, paper_label,
@@ -91,19 +91,16 @@ pub fn run(cli: &FigureCli) -> (SweepReport, SweepTimings) {
                 .node_services(vec![node_service; 12])
                 .cache_capacity_chunks(cache_chunks)
                 .seed(10);
-            let size_bytes = if byte_backend {
-                BYTE_OBJECT_BYTES
-            } else {
-                class.size_bytes
-            };
             for _ in 0..objects {
-                builder.file(FileConfig::new(rate, 7, 4, size_bytes));
+                builder.file(FileConfig::new(rate, 7, 4, class.size_bytes));
             }
             let system =
                 SproutSystem::new(builder.build().expect("valid spec")).expect("valid system");
 
             let config = SimConfig::new(horizon, seed).with_cache_latency(ssd);
-            super::policy_cell(&system, policy, config, byte_backend, (opt_ms, lru_ms))
+            let paper = (opt_ms, lru_ms);
+            super::policy_sample(&system, policy, config, backend, BYTE_OBJECT_BYTES, paper)
+                .expect("every policy plans and runs on this system")
         },
     );
 

@@ -16,7 +16,7 @@ use crate::{paper_scale, FigureCli};
 use sprout::queueing::dist::ServiceDistribution;
 use sprout::sim::sweep::{SweepGrid, SweepReport, SweepTimings};
 use sprout::sim::SimConfig;
-use sprout::{CachePolicy, FileConfig, SproutSystem, SystemSpec};
+use sprout::{CachePolicy, FileConfig, SproutSystem, SweepBackend, SystemSpec};
 
 /// Paper-reported mean latency (ms): (aggregate rate, optimized, LRU baseline).
 const PAPER_MS: [(f64, f64, f64); 5] = [
@@ -29,7 +29,7 @@ const PAPER_MS: [(f64, f64, f64); 5] = [
 
 const POLICIES: [CachePolicy; 2] = [CachePolicy::Functional, CachePolicy::LruReplicated];
 
-const BACKENDS: [&str; 2] = ["analytic", "byte"];
+const BACKENDS: [SweepBackend; 2] = [SweepBackend::Analytic, SweepBackend::Byte];
 
 /// Payload size of byte-backend cells (see fig10: decisions are
 /// size-independent, so small payloads verify the same request sequence).
@@ -64,32 +64,29 @@ pub fn run(cli: &FigureCli) -> (SweepReport, SweepTimings) {
             PAPER_MS.iter().map(|(rate, _, _)| format!("{rate}")),
         )
         .axis("policy", POLICIES.iter().map(CachePolicy::label))
-        .axis("backend", BACKENDS);
+        .axis("backend", BACKENDS.iter().map(SweepBackend::label));
     let (report, timings) = grid.run(
         cli.threads_or(FigureCli::available_threads()),
         |cell, _, seed| {
             let (aggregate, opt_ms, lru_ms) = PAPER_MS[cell.idx("aggregate_rate")];
             let policy = POLICIES[cell.idx("policy")];
-            let byte_backend = cell.coord("backend") == "byte";
+            let backend = BACKENDS[cell.idx("backend")];
             let per_object = aggregate * load_factor / objects as f64;
             let mut builder = SystemSpec::builder();
             builder
                 .node_services(vec![node_service; 12])
                 .cache_capacity_chunks(cache_chunks)
                 .seed(11);
-            let size_bytes = if byte_backend {
-                BYTE_OBJECT_BYTES
-            } else {
-                object_bytes
-            };
             for _ in 0..objects {
-                builder.file(FileConfig::new(per_object, 7, 4, size_bytes));
+                builder.file(FileConfig::new(per_object, 7, 4, object_bytes));
             }
             let system =
                 SproutSystem::new(builder.build().expect("valid spec")).expect("valid system");
 
             let config = SimConfig::new(horizon, seed).with_cache_latency(ssd);
-            super::policy_cell(&system, policy, config, byte_backend, (opt_ms, lru_ms))
+            let paper = (opt_ms, lru_ms);
+            super::policy_sample(&system, policy, config, backend, BYTE_OBJECT_BYTES, paper)
+                .expect("every policy plans and runs on this system")
         },
     );
 

@@ -10,7 +10,7 @@
 use sprout::optimizer::OptimizerConfig;
 use sprout::sim::sweep::{Sample, SweepReport, SweepTimings};
 use sprout::sim::SimConfig;
-use sprout::{CachePolicy, SproutSystem};
+use sprout::{CachePolicy, ScenarioSpec, SproutError, SproutSystem, SweepBackend};
 
 use crate::FigureCli;
 
@@ -140,61 +140,46 @@ impl Figure {
     }
 }
 
-/// How figures 10 and 11 read their byte cells ([`policy_cell`]).
+/// How figures 10 and 11 read their byte cells ([`policy_sample`]).
 const BYTE_CELLS_NOTE: &str = "byte cells replay each point on the real erasure-coded store with \
      shrunk payloads: identical hit/miss decisions, every request decode-verified (their \
      latency_ms uses the shrunk-payload SSD cache model; the figure's numbers are the analytic \
      rows).";
 
-/// One cell of the policy-comparison figures (10 and 11): plans `policy` on
-/// `system`, simulates it — on the byte-accurate store when `byte_backend`,
-/// where every completed request must decode-verify — and samples the mean
-/// latency beside the paper's value (`paper` = (functional, LRU)) and the
-/// policy's analytic bound, if [`SproutSystem::bound`] gives one.
-fn policy_cell(
+/// One cell of the policy-comparison figures (10 and 11): `policy` planned
+/// on `system` and run on `backend` ([`SproutSystem::plan_cell`]), sampled
+/// as the mean latency beside the paper's value (`paper` = (functional,
+/// LRU)) and the cell's analytic bound, if it has one.
+fn policy_sample(
     system: &SproutSystem,
     policy: CachePolicy,
     config: SimConfig,
-    byte_backend: bool,
+    backend: SweepBackend,
+    byte_object_bytes: u64,
     paper: (f64, f64),
-) -> Sample {
-    let plan = policy.is_planned().then(|| {
-        // Latencies span milliseconds to minutes across the cells, so
-        // tighten the convergence tolerance relative to the paper's 0.01 s.
-        let mut opt_config = OptimizerConfig::default();
-        opt_config.tolerance = 1e-4;
-        system.optimize_with(&opt_config).expect("stable system")
-    });
-    let scheme = system
-        .cache_scheme(policy, plan.as_ref())
-        .expect("a planned policy gets its plan");
-    let sim = system.simulation(scheme, config);
-    let report = if byte_backend {
-        let mut backend = system
-            .byte_backend(sim.scheme(), config.seed)
-            .expect("every policy is byte-modelled");
-        let report = sim.run_on(&mut backend);
-        assert_eq!(
-            report.reconstruction_failures, 0,
-            "every completed request must decode-verify"
-        );
-        report
-    } else {
-        sim.run()
-    };
+) -> Result<Sample, SproutError> {
+    // Latencies span milliseconds to minutes across the cells, so tighten
+    // the convergence tolerance relative to the paper's 0.01 s.
+    let mut optimizer = OptimizerConfig::default();
+    optimizer.tolerance = 1e-4;
+    let scenario = ScenarioSpec::default();
+    let bytes = Some(byte_object_bytes);
+    let cell = system.plan_cell(policy, &scenario, &optimizer, config, backend, bytes)?;
+    let report = cell.run(backend, config.seed);
+    let planned = policy.is_planned();
     let mut sample = Sample::new()
         .metric("latency_ms", report.overall.mean * 1e3)
-        .metric("paper_ms", if plan.is_some() { paper.0 } else { paper.1 })
+        .metric("paper_ms", if planned { paper.0 } else { paper.1 })
         .counter("completed", report.completed_requests)
         .counter("cache_promotions", report.cache_promotions)
         .counter("cache_evictions", report.cache_evictions);
-    if byte_backend {
+    if backend == SweepBackend::Byte {
         sample = sample.counter("reconstruction_failures", report.reconstruction_failures);
     }
-    if let Ok(Some(bound)) = system.bound(sim.scheme()) {
+    if let Some(bound) = &cell.bound {
         sample = sample.metric("analytic_bound_ms", bound.objective * 1e3);
     }
-    sample
+    Ok(sample)
 }
 
 /// Mean relative latency reduction of functional caching over the LRU tier

@@ -324,15 +324,15 @@ impl ScenarioFuzzer {
         case: &FuzzCase,
         bounds: EngineBounds,
     ) -> Result<FuzzStats, FuzzFailure> {
+        use SweepBackend::{Analytic, Byte};
         let build = |e: SproutError| FuzzFailure::Build {
             seed: case.seed,
             error: e,
         };
         let system = SproutSystem::new(case.spec.clone()).map_err(build)?;
-        let optimizer = crate::optimizer::OptimizerConfig::default();
-        let sim = system
-            .planned_simulation(case.policy, &case.scenario, &optimizer, case.config)
-            .map_err(build)?;
+        let (policy, optimizer) = (case.policy, crate::optimizer::OptimizerConfig::default());
+        let planned = system.plan_cell(policy, &case.scenario, &optimizer, case.config, Byte, None);
+        let planned = planned.map_err(build)?;
         let check = |report, backend| {
             check_report(report, bounds).map_err(|violation| FuzzFailure::Invariant {
                 seed: case.seed,
@@ -340,15 +340,12 @@ impl ScenarioFuzzer {
                 violation,
             })
         };
-        let analytic = sim.run();
-        check(&analytic, SweepBackend::Analytic)?;
+        let analytic = planned.run(Analytic, case.seed);
+        check(&analytic, Analytic)?;
 
         // The byte-accurate leg: identical decisions, every request verified.
-        let mut backend = system
-            .byte_backend(sim.scheme(), case.seed)
-            .map_err(build)?;
-        let byte = sim.run_on(&mut backend);
-        check(&byte, SweepBackend::Byte)?;
+        let byte = planned.run(Byte, case.seed);
+        check(&byte, Byte)?;
         let diverged = if byte.slots != analytic.slots {
             Some("slots")
         } else if byte.node_chunks_served != analytic.node_chunks_served {
@@ -421,6 +418,23 @@ mod tests {
         };
         assert_eq!(seed, 7);
         crate::system::assert_exact_overload(&error);
+    }
+
+    #[test]
+    fn a_case_the_byte_store_cannot_hold_is_a_build_failure() {
+        let case = FuzzCase {
+            seed: 9,
+            spec: crate::system::mixed_code_spec(),
+            scenario: ScenarioSpec::named("steady"),
+            policy: CachePolicy::None,
+            config: SimConfig::new(100.0, 9),
+            in_flight_cap: 64,
+        };
+        let Err(FuzzFailure::Build { seed, error }) = ScenarioFuzzer::run_case(&case) else {
+            panic!("expected a build failure");
+        };
+        assert_eq!(seed, 9);
+        crate::system::assert_mixed_codes(&error);
     }
 
     #[test]

@@ -83,7 +83,7 @@ pub use serve::{LatencyHistogram, ServeOpts, ServePlan, ServeReport, Sproutd};
 pub use spec::{FileConfig, SystemSpec, SystemSpecBuilder};
 pub use sprout_cluster::{CachePolicy, ClusterView, Placement, PlacementChoice, RebalanceReport};
 pub use sweep::{SimSweep, SweepBackend};
-pub use system::{CachePolicyChoice, PolicyComparison, SproutSystem};
+pub use system::{CachePolicyChoice, PlannedCell, PolicyComparison, SproutSystem};
 
 // Re-export the layer crates under stable names so downstream users only
 // need a dependency on `sprout`.

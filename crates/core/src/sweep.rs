@@ -6,17 +6,20 @@
 //! one base system. Every cell
 //!
 //! 1. rescales the base spec to its cache size and load point,
-//! 2. runs Algorithm 1 when the cell's policy needs a plan,
-//! 3. compiles its [`ScenarioSpec`] against the rescaled system, the
-//!    cell's policy and that plan (so `Reoptimize` events re-plan the cell's
-//!    own rates under its own policy, from the plan in force), and
-//! 4. runs its replications — on the analytic backend, or byte-accurately on
-//!    a real [`StoreBackend`](crate::backend::StoreBackend) with per-request
+//! 2. plans the cell with [`SproutSystem::plan_cell`]: Algorithm 1 when the
+//!    cell's policy needs a plan, its [`ScenarioSpec`] compiled against the
+//!    rescaled system, the cell's policy and that plan (so `Reoptimize`
+//!    events re-plan the cell's own rates under its own policy, from the
+//!    plan in force), and for a byte cell its store's preconditions, and
+//! 3. runs its replications through [`PlannedCell::run`] — on the analytic
+//!    backend, or byte-accurately on a real
+//!    [`StoreBackend`](crate::backend::StoreBackend) with per-request
 //!    decode verification.
 //!
-//! A row's `analytic_bound_s` is [`SproutSystem::bound`] of the cell's
-//! starting scheme: functional, exact and no-cache rows carry their own
-//! scheme's bound unless it overloads a node; LRU rows carry none.
+//! A row's `analytic_bound_s` is the cell's [`PlannedCell::bound`], Lemma
+//! 1's bound of its starting scheme: functional, exact and no-cache rows
+//! carry their own scheme's bound unless it overloads a node; LRU rows
+//! carry none.
 //!
 //! Cell setup (system build, optimization, scenario compilation) happens once
 //! per cell no matter how many replications it has or which worker reaches it
@@ -28,14 +31,18 @@
 use std::sync::OnceLock;
 
 use sprout_cluster::{CachePolicy, ClusterView, PlacementChoice, RebalanceReport};
-use sprout_optimizer::{CachePlan, OptimizerConfig};
+use sprout_optimizer::OptimizerConfig;
 use sprout_sim::sweep::{Sample, SweepCell, SweepGrid, SweepReport, SweepTimings};
-use sprout_sim::{SimConfig, SimReport, Simulation};
+use sprout_sim::{SimConfig, SimReport};
 
 use crate::error::SproutError;
 use crate::scenario::{ScenarioActionSpec, ScenarioSpec};
 use crate::spec::SystemSpec;
-use crate::system::SproutSystem;
+use crate::system::{PlannedCell, SproutSystem};
+
+/// A planned cell and, with a placement axis, the analytic rebalance cost
+/// of its churn events under the cell's placement strategy.
+type Planned = (PlannedCell, Option<RebalanceReport>);
 
 /// Which chunk-service backend a sweep cell runs on.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, serde::Deserialize)]
@@ -77,23 +84,6 @@ pub struct SimSweep {
     replications: usize,
     byte_replications: Option<usize>,
     byte_object_bytes: Option<u64>,
-}
-
-/// Everything a cell's replications share, built once per cell by whichever
-/// worker gets there first (the result is seed-independent, so it does not
-/// matter which).
-#[derive(Debug)]
-struct CellContext {
-    sim: Simulation,
-    /// Lemma 1's bound of the cell's starting scheme, if it has one.
-    bound: Option<CachePlan>,
-    /// The (possibly size-rescaled) system to build byte backends from;
-    /// `None` for analytic cells.
-    byte_system: Option<SproutSystem>,
-    /// Total analytic rebalance cost of the cell's churn events under the
-    /// cell's placement strategy; attached only when the sweep has a
-    /// placement axis.
-    rebalance: Option<RebalanceReport>,
 }
 
 impl SimSweep {
@@ -252,10 +242,11 @@ impl SimSweep {
     ///
     /// Returns [`SproutError::InvalidSpec`] for an axis or count that
     /// breaks a rule (an empty axis, two values with one label, a negative
-    /// load point, zero replications), and propagates the first cell-setup
-    /// error (invalid rescaled spec, an unstable system under optimization, a
-    /// scenario that does not compile, or a byte-backend cell with a policy
-    /// the byte store cannot model).
+    /// load point, zero replications), and propagates the first cell's
+    /// [`SproutSystem::plan_cell`] error (invalid rescaled spec, an unstable
+    /// system under optimization, a scenario that does not compile, or a
+    /// byte cell whose system the byte store cannot hold, e.g. files that
+    /// mix `(n, k)` codes). No worker panics on a spec.
     pub fn run(&self, threads: usize) -> Result<(SweepReport, SweepTimings), SproutError> {
         self.check()?;
         self.run_checked(self.cells(), threads)
@@ -283,74 +274,53 @@ impl SimSweep {
         threads: usize,
     ) -> Result<(SweepReport, SweepTimings), SproutError> {
         let grid = self.grid();
-        // Contexts are keyed by full-grid cell index so filtered subsets
-        // resolve without remapping; each is built at most once, by whichever
-        // worker arrives first.
-        let contexts: Vec<OnceLock<Result<CellContext, SproutError>>> =
+        // Cells are planned once, keyed by full-grid cell index so filtered
+        // subsets resolve without remapping, by whichever worker arrives
+        // first (the result is seed-independent, so it does not matter
+        // which).
+        let planned: Vec<OnceLock<Result<Planned, SproutError>>> =
             (0..grid.len()).map(|_| OnceLock::new()).collect();
 
         let outcome = grid.run_cells(cells, threads, |cell, _rep, seed| {
-            match contexts[cell.index].get_or_init(|| self.build_context(cell)) {
-                Ok(ctx) => self.run_replication(ctx, seed),
+            match planned[cell.index].get_or_init(|| self.plan(cell)) {
+                Ok(planned) => {
+                    let report = planned.0.run(self.backends[cell.idx("backend")], seed);
+                    Self::sample_from(&report, planned)
+                }
                 // The error is surfaced after the sweep; emit an empty
                 // sample so sibling cells still complete.
                 Err(_) => Sample::new(),
             }
         });
 
-        for context in &contexts {
-            if let Some(Err(e)) = context.get() {
+        for cell in &planned {
+            if let Some(Err(e)) = cell.get() {
                 return Err(e.clone());
             }
         }
         Ok(outcome)
     }
 
-    /// Builds one cell's shared context: rescaled system, optional plan,
-    /// compiled scenario, simulation and its bound, optional byte system.
-    fn build_context(&self, cell: &SweepCell) -> Result<CellContext, SproutError> {
-        let scenario_spec = &self.scenarios[cell.idx("scenario")];
-        let policy = self.policies[cell.idx("policy")];
-        let cache_chunks = self.cache_sizes[cell.idx("cache_chunks")];
-        let load = self.load_points[cell.idx("load")];
-        let backend = self.backends[cell.idx("backend")];
-
+    /// Plans one cell on its rescaled system ([`SproutSystem::plan_cell`])
+    /// and, with a placement axis, prices its churn.
+    fn plan(&self, cell: &SweepCell) -> Result<Planned, SproutError> {
+        let scenario = &self.scenarios[cell.idx("scenario")];
         let mut spec = self.base.clone();
-        spec.cache_capacity_chunks = cache_chunks;
+        spec.cache_capacity_chunks = self.cache_sizes[cell.idx("cache_chunks")];
         for file in &mut spec.files {
-            file.arrival_rate *= load;
+            file.arrival_rate *= self.load_points[cell.idx("load")];
         }
         if let Some(placements) = &self.placements {
             spec.placement = placements[cell.idx("placement")].clone();
         }
         let system = SproutSystem::new(spec)?;
-        let sim = system.planned_simulation(policy, scenario_spec, &self.optimizer, self.config)?;
-        // The scheme fits the system by construction, so an error is an
-        // overloaded node, which has no finite bound.
-        let bound = system.bound(sim.scheme()).ok().flatten();
-
-        let byte_system = match backend {
-            SweepBackend::Analytic => None,
-            SweepBackend::Byte => {
-                let mut byte_spec = system.spec().clone();
-                if let Some(bytes) = self.byte_object_bytes {
-                    for file in &mut byte_spec.files {
-                        file.size_bytes = bytes;
-                    }
-                }
-                Some(SproutSystem::new(byte_spec)?)
-            }
-        };
-        let rebalance = self
-            .placements
-            .as_ref()
-            .map(|_| Self::churn_rebalance(&system, scenario_spec));
-        Ok(CellContext {
-            sim,
-            bound,
-            byte_system,
-            rebalance,
-        })
+        let policy = self.policies[cell.idx("policy")];
+        let (backend, bytes) = (self.backends[cell.idx("backend")], self.byte_object_bytes);
+        let optimizer = &self.optimizer;
+        let planned = system.plan_cell(policy, scenario, optimizer, self.config, backend, bytes)?;
+        let rebalance =
+            (self.placements.as_ref()).map(|_| Self::churn_rebalance(&system, scenario));
+        Ok((planned, rebalance))
     }
 
     /// Replays a scenario's membership events in time order and sums the
@@ -373,34 +343,15 @@ impl SimSweep {
         total
     }
 
-    /// Runs one replication of a cell and folds its report into a sample.
-    fn run_replication(&self, ctx: &CellContext, seed: u64) -> Sample {
-        let report = match &ctx.byte_system {
-            None => ctx.sim.clone().with_seed(seed).run(),
-            Some(byte_system) => {
-                let mut backend = byte_system
-                    .byte_backend(ctx.sim.scheme(), seed)
-                    .expect("byte-cell preconditions were validated at context build");
-                let report = ctx.sim.clone().with_seed(seed).run_on(&mut backend);
-                assert_eq!(
-                    report.reconstruction_failures, 0,
-                    "the byte backend must decode-verify every completed request"
-                );
-                report
-            }
-        };
-        self.sample_from(&report, ctx)
-    }
-
-    fn sample_from(&self, report: &SimReport, ctx: &CellContext) -> Sample {
+    fn sample_from(report: &SimReport, (planned, rebalance): &Planned) -> Sample {
         let mut sample = Sample::new()
             .metric("mean_latency_s", report.overall.mean)
             .metric("p95_latency_s", report.overall.p95)
             .metric("cache_fraction", report.slots.cache_fraction());
-        if let Some(bound) = &ctx.bound {
+        if let Some(bound) = &planned.bound {
             sample = sample.metric("analytic_bound_s", bound.objective);
         }
-        if let Some(rebalance) = &ctx.rebalance {
+        if let Some(rebalance) = rebalance {
             sample = sample
                 .metric("rebalance_objects", rebalance.objects_moved as f64)
                 .metric("rebalance_chunks", rebalance.moved_chunks as f64)
@@ -417,24 +368,12 @@ impl SimSweep {
             .maximum("peak_in_flight", report.peak_in_flight as u64);
         // Per-slot counts exist only when the config set a slot length.
         if report.slots.slot_length.is_some() {
+            let series = |counts: &[u64]| counts.iter().map(|&c| c as f64).collect();
             sample = sample
-                .series(
-                    "cache_chunks_per_slot",
-                    report
-                        .slots
-                        .cache_chunks
-                        .iter()
-                        .map(|&c| c as f64)
-                        .collect(),
-                )
+                .series("cache_chunks_per_slot", series(&report.slots.cache_chunks))
                 .series(
                     "storage_chunks_per_slot",
-                    report
-                        .slots
-                        .storage_chunks
-                        .iter()
-                        .map(|&c| c as f64)
-                        .collect(),
+                    series(&report.slots.storage_chunks),
                 );
         }
         sample
@@ -466,6 +405,16 @@ mod tests {
         // A typed error, not a panic, whichever solve overloads first.
         let err = sweep.run(1).unwrap_err();
         crate::system::assert_exact_overload(&err);
+    }
+
+    #[test]
+    fn a_byte_cell_with_mixed_codes_is_an_error_not_a_worker_panic() {
+        let system = SproutSystem::new(crate::system::mixed_code_spec()).unwrap();
+        let sweep = SimSweep::new("mixed", &system, SimConfig::new(100.0, 1));
+        // The analytic backend runs mixed codes.
+        assert!(sweep.clone().run(2).is_ok());
+        let err = sweep.backends(vec![SweepBackend::Byte]).run(2).unwrap_err();
+        crate::system::assert_mixed_codes(&err);
     }
 
     #[test]

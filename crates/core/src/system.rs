@@ -7,6 +7,7 @@ use sprout_sim::{CacheScheme, PlannedCache, SimConfig, SimFile, SimReport, Simul
 use crate::error::SproutError;
 use crate::scenario::ScenarioSpec;
 use crate::spec::SystemSpec;
+use crate::sweep::SweepBackend;
 
 /// The former name of [`CachePolicy`], kept while `benchmark/` still names
 /// it.
@@ -36,6 +37,50 @@ impl PolicyComparison {
         } else {
             1.0 - self.functional.overall.mean / self.lru.overall.mean
         }
+    }
+}
+
+/// One evaluation cell, planned once by [`SproutSystem::plan_cell`] and run
+/// once per seed. Each model column a figure or sweep row carries is one
+/// field here.
+#[derive(Debug)]
+pub struct PlannedCell {
+    /// Lemma 1's bound of the cell's starting scheme
+    /// ([`SproutSystem::bound`]): `None` for the LRU tier and for a scheme
+    /// that overloads a node.
+    pub bound: Option<CachePlan>,
+    sim: Simulation,
+    /// The system a byte run stores; `None` for an analytic cell.
+    byte_system: Option<SproutSystem>,
+}
+
+impl PlannedCell {
+    /// Runs the cell under `seed` on `backend`. A byte cell runs on either
+    /// backend with the same decisions; on the byte backend every completed
+    /// request is decoded and verified against its payload.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `backend` is [`SweepBackend::Byte`] and the cell was
+    /// planned for the analytic backend, or if a byte run fails to
+    /// reconstruct a request (a correctness check, not an input error).
+    pub fn run(&self, backend: SweepBackend, seed: u64) -> SimReport {
+        let sim = self.sim.clone().with_seed(seed);
+        if backend == SweepBackend::Analytic {
+            return sim.run();
+        }
+        let report = sim.run_on(&mut self.store(seed).expect("checked when the cell was planned"));
+        assert_eq!(
+            report.reconstruction_failures, 0,
+            "seed {seed:#x}: the byte backend must decode-verify every completed request"
+        );
+        report
+    }
+
+    /// The byte backend of this cell's starting scheme under `seed`.
+    fn store(&self, seed: u64) -> Result<crate::backend::StoreBackend, SproutError> {
+        let system = (self.byte_system.as_ref()).expect("a byte run needs a byte cell");
+        system.byte_backend(self.sim.scheme(), seed)
     }
 }
 
@@ -285,30 +330,52 @@ impl SproutSystem {
         )
     }
 
-    /// The one planning step of a sweep cell or a fuzz case: Algorithm 1
-    /// under `optimizer` when `policy` is planned, `scenario` compiled
-    /// against that plan, and `policy`'s scheme built under `config` with
-    /// the compiled scenario attached.
+    /// The one way a figure cell, a sweep cell or a fuzz case is planned:
+    /// Algorithm 1 under `optimizer` when `policy` is planned, `scenario`
+    /// compiled against that plan, `policy`'s scheme built under `config`
+    /// with it, and that scheme's model values. A byte cell also builds the
+    /// system its byte backend stores, each file resized to
+    /// `byte_object_bytes` when given, and checks that store once, so
+    /// [`PlannedCell::run`] cannot fail on input.
     ///
     /// # Errors
     ///
     /// Those of [`optimize_with`](Self::optimize_with),
-    /// [`ScenarioSpec::compile`] and [`cache_scheme`](Self::cache_scheme).
-    pub(crate) fn planned_simulation(
+    /// [`ScenarioSpec::compile`] and [`cache_scheme`](Self::cache_scheme),
+    /// and for a byte cell those of [`byte_backend`](Self::byte_backend),
+    /// e.g. files that mix `(n, k)` codes.
+    pub fn plan_cell(
         &self,
         policy: CachePolicy,
         scenario: &ScenarioSpec,
         optimizer: &OptimizerConfig,
         config: SimConfig,
-    ) -> Result<Simulation, SproutError> {
-        let plan = if policy.is_planned() {
-            Some(self.optimize_with(optimizer)?)
-        } else {
-            None
-        };
+        backend: SweepBackend,
+        byte_object_bytes: Option<u64>,
+    ) -> Result<PlannedCell, SproutError> {
+        let plan = (policy.is_planned().then(|| self.optimize_with(optimizer))).transpose()?;
         let compiled = scenario.compile(self, policy, plan.as_ref(), optimizer)?;
         let scheme = self.cache_scheme(policy, plan.as_ref())?;
-        Ok(self.simulation(scheme, config).with_scenario(compiled))
+        let sim = self.simulation(scheme, config).with_scenario(compiled);
+        // The scheme fits the system by construction, so an error is an
+        // overloaded node, which has no finite bound.
+        let bound = self.bound(sim.scheme()).ok().flatten();
+        let byte_system = (backend == SweepBackend::Byte).then(|| {
+            let mut spec = self.spec.clone();
+            for file in &mut spec.files {
+                file.size_bytes = byte_object_bytes.unwrap_or(file.size_bytes);
+            }
+            SproutSystem::new(spec)
+        });
+        let cell = PlannedCell {
+            bound,
+            sim,
+            byte_system: byte_system.transpose()?,
+        };
+        if cell.byte_system.is_some() {
+            cell.store(config.seed)?;
+        }
+        Ok(cell)
     }
 
     /// Every file as the simulator sees it: rate, `k` and placement.
@@ -326,7 +393,10 @@ impl SproutSystem {
     /// [`CacheScheme::policy`], and a planned `scheme`'s cached chunks are
     /// installed through [`sprout_cluster::StoreHandle::install_plan`], as a
     /// mid-run plan swap installs them. Pass the scheme of the simulation it
-    /// runs under ([`Simulation::scheme`]).
+    /// runs under ([`Simulation::scheme`]). Figures, sweeps and the fuzzer
+    /// build it only through [`PlannedCell::run`], whose cell checked these
+    /// preconditions when it was planned; call it directly to run a
+    /// hand-built simulation, e.g. one that swaps policies mid-run.
     ///
     /// Every scheme is supported, including
     /// [`CacheScheme::LruReplicated`]: the engine's LRU tier decides
@@ -442,15 +512,17 @@ impl SproutSystem {
     /// it is ignored by the other policies. Used directly when building
     /// scenario plan swaps.
     ///
-    /// Exact caching copies the plan's first `d_i` placement rows and reads
-    /// the other `k_i − d_i` chunks from the remaining hosts at their own
-    /// optimum: Algorithm 1 with no cache and the default configuration.
+    /// The plan must pass [`CacheScheme::validate`] as a functional plan of
+    /// this system. Exact caching copies its first `d_i` placement rows and
+    /// reads the other `k_i − d_i` chunks from the remaining hosts at their
+    /// own optimum: Algorithm 1 with no cache and the default configuration.
     ///
     /// # Errors
     ///
     /// Returns [`SproutError::InvalidSpec`] for a planned policy without a
-    /// plan, and the exact solve's optimizer error, e.g. a node its reads
-    /// overload.
+    /// plan or with a plan that does not fit this system (e.g. another
+    /// system's), and the exact solve's optimizer error, e.g. a node its
+    /// reads overload.
     pub fn cache_scheme(
         &self,
         policy: CachePolicy,
@@ -467,13 +539,17 @@ impl SproutSystem {
                         "policy {policy:?} requires an optimized plan"
                     ))
                 })?;
-                let mut planned = PlannedCache {
+                let scheme = CacheScheme::Functional(PlannedCache {
                     cached_chunks: plan.cached_chunks.clone(),
                     scheduling: plan.scheduling.clone(),
+                });
+                scheme
+                    .validate(&self.sim_files())
+                    .map_err(|e| SproutError::InvalidSpec(format!("policy {policy:?}: {e}")))?;
+                let mut planned = match (policy, scheme) {
+                    (CachePolicy::Exact, CacheScheme::Functional(planned)) => planned,
+                    (_, functional) => return Ok(functional),
                 };
-                if policy == CachePolicy::Functional {
-                    return Ok(CacheScheme::Functional(planned));
-                }
                 let files = self.spec.files.iter().zip(&plan.cached_chunks);
                 let reads: Vec<usize> = files.map(|(f, &d)| f.k - d).collect();
                 if reads.iter().any(|&r| r > 0) {
@@ -500,6 +576,28 @@ pub(crate) fn exact_overload_spec() -> SystemSpec {
         .cache_capacity_chunks(1)
         .build()
         .unwrap()
+}
+
+/// A (4, 2) file beside a (5, 3) file on six nodes: the simulator runs
+/// mixed codes, the byte store only one `(n, k)`.
+#[cfg(test)]
+pub(crate) fn mixed_code_spec() -> SystemSpec {
+    SystemSpec::builder()
+        .node_service_rates(&[0.6, 0.6, 0.45, 0.45, 0.3, 0.3])
+        .file(crate::spec::FileConfig::new(0.04, 4, 2, 0))
+        .file(crate::spec::FileConfig::new(0.04, 5, 3, 0))
+        .cache_capacity_chunks(2)
+        .build()
+        .unwrap()
+}
+
+/// Asserts `err` is the byte store's refusal of [`mixed_code_spec`].
+#[cfg(test)]
+pub(crate) fn assert_mixed_codes(err: &SproutError) {
+    let SproutError::InvalidSpec(message) = err else {
+        panic!("expected InvalidSpec, got {err:?}");
+    };
+    assert!(message.contains("uniform (n, k)"), "{message}");
 }
 
 /// Asserts `err` overloads one of the slow nodes 1–3 of
@@ -705,6 +803,35 @@ mod tests {
         }
     }
 
+    #[test]
+    fn a_plan_of_another_system_is_a_spec_error() {
+        // A one-file plan on a six-file system, and a six-file plan on a
+        // one-file system: wrong file counts, and row lengths besides.
+        let small = small_system();
+        let one = SproutSystem::new(exact_overload_spec()).unwrap();
+        let one_plan = CachePlan::evaluate(one.model(), vec![vec![1.0, 0.0, 0.0, 0.0]]).unwrap();
+        let small_plan = small.optimize().unwrap();
+        for (system, plan) in [(&small, &one_plan), (&one, &small_plan)] {
+            for policy in [CachePolicy::Functional, CachePolicy::Exact] {
+                let err = system.cache_scheme(policy, Some(plan)).unwrap_err();
+                let SproutError::InvalidSpec(message) = &err else {
+                    panic!("expected InvalidSpec, got {err:?}");
+                };
+                assert!(message.contains("the system has"), "{message}");
+            }
+        }
+        // More cached chunks than k: before exact caching's k − d.
+        let mut plan = one_plan.clone();
+        plan.cached_chunks = vec![3];
+        let err = one
+            .cache_scheme(CachePolicy::Exact, Some(&plan))
+            .unwrap_err();
+        assert!(
+            format!("{err}").contains("caches 3 chunks but k = 2"),
+            "{err}"
+        );
+    }
+
     /// An `f64` from anywhere: the edges of `[0, 1]`, just past them, the
     /// non-finite values, and arbitrary bit patterns.
     fn any_entry() -> impl Strategy<Value = f64> {
@@ -752,6 +879,48 @@ mod tests {
                         prop_assert!(!valid, "{rows:?} rejected");
                     }
                     Err(err) => prop_assert!(false, "{rows:?}: {err:?}"),
+                }
+            }
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// `cache_scheme` checks a plan before it uses it: rows and counts
+        /// from anywhere resolve to a scheme that fits the system, or to a
+        /// spec error or an overload, never to a panic. Rows scaled to read
+        /// `k − d` chunks reach the resolved side.
+        #[test]
+        fn cache_scheme_never_panics_on_arbitrary_plans(
+            rows in proptest::collection::vec(
+                proptest::collection::vec(any_entry(), 0..6),
+                0..3,
+            ),
+            counts in proptest::collection::vec(
+                prop_oneof![0usize..4, any::<usize>()],
+                0..3,
+            ),
+            probabilities in proptest::collection::vec(0.01f64..=1.0, 4),
+            d in 0usize..=2,
+        ) {
+            let system = SproutSystem::new(exact_overload_spec()).unwrap();
+            let files = system.sim_files();
+            let base = CachePlan::evaluate(system.model(), vec![vec![1.0, 0.0, 0.0, 0.0]]).unwrap();
+            let sum: f64 = probabilities.iter().sum();
+            let scaled = probabilities.iter().map(|p| p * (2 - d) as f64 / sum).collect();
+            let plans = [
+                CachePlan { cached_chunks: counts, scheduling: rows, ..base.clone() },
+                CachePlan { cached_chunks: vec![d], scheduling: vec![scaled], ..base },
+            ];
+            for plan in &plans {
+                for policy in [CachePolicy::Functional, CachePolicy::Exact] {
+                    match system.cache_scheme(policy, Some(plan)) {
+                        Ok(scheme) => prop_assert_eq!(scheme.validate(&files), Ok(())),
+                        Err(SproutError::InvalidSpec(_))
+                        | Err(SproutError::Optimizer(OptimizerError::UnstableSystem { .. })) => {}
+                        Err(err) => prop_assert!(false, "{plan:?}: {err:?}"),
+                    }
                 }
             }
         }

@@ -187,7 +187,8 @@ impl Simulation {
     ///
     /// Panics if a file references a node out of range, has `k = 0`, is
     /// hosted on fewer than `k` nodes, or has an arrival rate that is not
-    /// finite and non-negative.
+    /// finite and non-negative; and with [`CacheScheme::validate`]'s message
+    /// if `scheme` does not fit the files.
     pub fn new(
         nodes: Vec<ServiceDistribution>,
         files: Vec<SimFile>,
@@ -208,7 +209,7 @@ impl Simulation {
                 panic!("file {i}: {message}");
             }
         }
-        scheme.validate(&files);
+        scheme.validate(&files).unwrap_or_else(|m| panic!("{m}"));
         Simulation {
             nodes,
             files,
@@ -235,11 +236,6 @@ impl Simulation {
     pub fn with_seed(mut self, seed: u64) -> Self {
         self.config.seed = seed;
         self
-    }
-
-    /// The simulation configuration.
-    pub fn config(&self) -> &SimConfig {
-        &self.config
     }
 
     /// The cache scheme the run starts with.

@@ -109,46 +109,53 @@ impl CacheScheme {
     /// on every arrival, so a missing, misaligned or infeasible row must
     /// fail fast here rather than mid-run.
     ///
-    /// # Panics
+    /// # Errors
     ///
-    /// Panics unless a Functional/Exact plan has one scheduling row and one
-    /// `d_i ≤ k_i` per file and each row has one entry per placement entry,
-    /// and every file's read marginals lie in `[0, 1]` within 1e-9 and sum to
-    /// `k_i − d_i` within 1e-6 (`d_i = 0` without a plan, so a fully cached
-    /// file reads nothing).
-    pub fn validate(&self, files: &[SimFile]) {
+    /// The first broken rule, unless a Functional/Exact plan has one
+    /// scheduling row and one `d_i ≤ k_i` per file and each row has one
+    /// entry per placement entry, and every file's read marginals lie in
+    /// `[0, 1]` within 1e-9 and sum to `k_i − d_i` within 1e-6 (`d_i = 0`
+    /// without a plan, so a fully cached file reads nothing).
+    pub fn validate(&self, files: &[SimFile]) -> Result<(), String> {
         let cached = |i: usize| match self {
             CacheScheme::Functional(plan) | CacheScheme::Exact(plan) => plan.cached_chunks[i],
             _ => 0,
         };
         if let CacheScheme::Functional(plan) | CacheScheme::Exact(plan) = self {
             let (rows, counts, n) = (plan.scheduling.len(), plan.cached_chunks.len(), files.len());
-            assert!(
-                rows == n && counts == n,
-                "cache scheme has {rows} scheduling rows and {counts} cached-chunk counts but \
-                 the system has {n} files"
-            );
+            if rows != n || counts != n {
+                return Err(format!(
+                    "cache scheme has {rows} scheduling rows and {counts} cached-chunk counts but \
+                     the system has {n} files"
+                ));
+            }
             for (i, file) in files.iter().enumerate() {
-                assert_eq!(
-                    plan.scheduling[i].len(),
-                    file.placement.len(),
-                    "scheduling row {i} must have one entry per placement entry"
-                );
+                if plan.scheduling[i].len() != file.placement.len() {
+                    return Err(format!(
+                        "scheduling row {i} must have one entry per placement entry"
+                    ));
+                }
                 let d = cached(i);
-                assert!(d <= file.k, "file {i} caches {d} chunks but k = {}", file.k);
+                if d > file.k {
+                    return Err(format!("file {i} caches {d} chunks but k = {}", file.k));
+                }
             }
         }
         for (i, (file, row)) in files.iter().zip(self.read_rows(files)).enumerate() {
             if let Some(p) = row.iter().find(|p| !(-1e-9..=1.0 + 1e-9).contains(*p)) {
-                panic!("file {i} reads a host with marginal {p}, out of [0, 1]");
+                return Err(format!(
+                    "file {i} reads a host with marginal {p}, out of [0, 1]"
+                ));
             }
             let reads: f64 = row.iter().sum();
             let needed = (file.k - cached(i)) as f64;
-            assert!(
-                (reads - needed).abs() < 1e-6,
-                "file {i} schedules {reads} reads but needs k − d = {needed}"
-            );
+            if (reads - needed).abs() >= 1e-6 {
+                return Err(format!(
+                    "file {i} schedules {reads} reads but needs k − d = {needed}"
+                ));
+            }
         }
+        Ok(())
     }
 }
 
@@ -158,11 +165,13 @@ mod tests {
 
     /// Validates one (k, 3-host) file planned with `cached_chunks`.
     fn check(scheme: fn(PlannedCache) -> CacheScheme, k: usize, d: Vec<usize>, row: Vec<f64>) {
-        scheme(PlannedCache {
+        let scheme = scheme(PlannedCache {
             cached_chunks: d,
             scheduling: vec![row],
-        })
-        .validate(&[SimFile::new(0.1, k, vec![3, 0, 5])]);
+        });
+        if let Err(message) = scheme.validate(&[SimFile::new(0.1, k, vec![3, 0, 5])]) {
+            panic!("{message}");
+        }
     }
 
     #[test]
@@ -224,7 +233,7 @@ mod tests {
         let lru = CacheScheme::LruReplicated { capacity_chunks: 4 };
         for scheme in [CacheScheme::NoCache, lru] {
             assert_eq!(scheme.read_rows(&files), [vec![0.5; 4], vec![1.0; 3]]);
-            scheme.validate(&files);
+            assert_eq!(scheme.validate(&files), Ok(()));
         }
     }
 

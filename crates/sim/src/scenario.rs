@@ -212,7 +212,7 @@ impl Scenario {
                 panic!("{message}");
             }
             if let ScenarioAction::SwapScheme { scheme } = &e.action {
-                scheme.validate(files);
+                scheme.validate(files).unwrap_or_else(|m| panic!("{m}"));
             }
         }
     }

@@ -13,8 +13,11 @@
 //! *entire* hit/promotion/eviction sequence and decode every declared hit
 //! from the object's real data chunks.
 
-use sprout::{CachePolicy, SproutSystem, SystemSpec};
-use sprout_sim::{Scenario, SimConfig, SimReport, Simulation};
+use sprout::optimizer::OptimizerConfig;
+use sprout::{
+    CachePolicy, ScenarioActionSpec, ScenarioSpec, SproutSystem, SweepBackend, SystemSpec,
+};
+use sprout_sim::{SimConfig, SimReport};
 
 fn system() -> SproutSystem {
     let spec = SystemSpec::builder()
@@ -27,27 +30,49 @@ fn system() -> SproutSystem {
     SproutSystem::new(spec).unwrap()
 }
 
-/// Runs `sim` with abstract chunks and on the byte backend built from its
-/// own scheme and seed.
-fn run_both(system: &SproutSystem, sim: &Simulation) -> (SimReport, SimReport) {
-    let mut backend = system
-        .byte_backend(sim.scheme(), sim.config().seed)
+/// Plans `policy` on `system` under `scenario` as a byte cell, the way
+/// figures, sweeps and the fuzzer plan theirs (`SproutSystem::plan_cell`),
+/// and runs it under `config`'s seed with abstract chunks and on the byte
+/// backend.
+fn run_both(
+    system: &SproutSystem,
+    policy: CachePolicy,
+    scenario: &ScenarioSpec,
+    config: SimConfig,
+) -> (SimReport, SimReport) {
+    let optimizer = OptimizerConfig::default();
+    let cell = system
+        .plan_cell(
+            policy,
+            scenario,
+            &optimizer,
+            config,
+            SweepBackend::Byte,
+            None,
+        )
         .unwrap();
-    let byte = sim.run_on(&mut backend);
-    (sim.run(), byte)
+    let run = |backend| cell.run(backend, config.seed);
+    (run(SweepBackend::Analytic), run(SweepBackend::Byte))
+}
+
+/// Node `node` fails at t = 4 000 s and recovers at t = 8 000 s.
+fn churn(node: usize) -> ScenarioSpec {
+    ScenarioSpec::named("churn")
+        .at(4_000.0, ScenarioActionSpec::NodeDown { node })
+        .at(8_000.0, ScenarioActionSpec::NodeUp { node })
 }
 
 #[test]
 fn analytic_and_byte_backends_make_identical_chunk_source_decisions() {
     let system = system();
-    let plan = system.optimize().unwrap();
     let config = SimConfig::new(15_000.0, 77).with_slot_length(5.0);
-    let scheme = system
-        .cache_scheme(CachePolicy::Functional, Some(&plan))
-        .unwrap();
-    let sim = system.simulation(scheme, config);
 
-    let (analytic, byte) = run_both(&system, &sim);
+    let (analytic, byte) = run_both(
+        &system,
+        CachePolicy::Functional,
+        &ScenarioSpec::default(),
+        config,
+    );
 
     // Identical decisions, slot by slot...
     assert_eq!(analytic.slots.cache_chunks.len(), 3_000);
@@ -72,17 +97,9 @@ fn analytic_and_byte_backends_make_identical_chunk_source_decisions() {
 #[test]
 fn decisions_stay_identical_under_a_node_failure_scenario() {
     let system = system();
-    let plan = system.optimize().unwrap();
     let config = SimConfig::new(12_000.0, 5).with_slot_length(5.0);
-    let scenario = Scenario::default()
-        .node_down(4_000.0, 0)
-        .node_up(8_000.0, 0);
-    let scheme = system
-        .cache_scheme(CachePolicy::Functional, Some(&plan))
-        .unwrap();
-    let sim = system.simulation(scheme, config).with_scenario(scenario);
 
-    let (analytic, byte) = run_both(&system, &sim);
+    let (analytic, byte) = run_both(&system, CachePolicy::Functional, &churn(0), config);
 
     assert_eq!(analytic.slots, byte.slots);
     assert_eq!(analytic.node_chunks_served, byte.node_chunks_served);
@@ -102,13 +119,8 @@ fn without_a_cache_both_backends_produce_the_same_report() {
     // failure and recovery.
     let system = system();
     let config = SimConfig::new(12_000.0, 9).with_slot_length(5.0);
-    let scenario = Scenario::default()
-        .node_down(4_000.0, 2)
-        .node_up(8_000.0, 2);
-    let scheme = system.cache_scheme(CachePolicy::None, None).unwrap();
-    let sim = system.simulation(scheme, config).with_scenario(scenario);
 
-    let (analytic, byte) = run_both(&system, &sim);
+    let (analytic, byte) = run_both(&system, CachePolicy::None, &churn(2), config);
 
     assert_eq!(analytic, byte);
     assert_eq!(byte.reconstruction_failures, 0);
@@ -121,14 +133,14 @@ fn node_utilization_is_backend_independent_under_functional_caching() {
     // differ between the backends, but every node serves the same reads
     // with the same service times.
     let system = system();
-    let plan = system.optimize().unwrap();
     let config = SimConfig::new(12_000.0, 17);
-    let scheme = system
-        .cache_scheme(CachePolicy::Functional, Some(&plan))
-        .unwrap();
-    let sim = system.simulation(scheme, config);
 
-    let (analytic, byte) = run_both(&system, &sim);
+    let (analytic, byte) = run_both(
+        &system,
+        CachePolicy::Functional,
+        &ScenarioSpec::default(),
+        config,
+    );
 
     let bits = |u: &[f64]| u.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
     assert_eq!(
@@ -148,12 +160,13 @@ fn lru_tier_decisions_are_identical_and_byte_verified() {
     // misses from the storage chunks the engine chose).
     let system = system();
     let config = SimConfig::new(15_000.0, 21).with_slot_length(5.0);
-    let scheme = system
-        .cache_scheme(CachePolicy::LruReplicated, None)
-        .unwrap();
-    let sim = system.simulation(scheme, config);
 
-    let (analytic, byte) = run_both(&system, &sim);
+    let (analytic, byte) = run_both(
+        &system,
+        CachePolicy::LruReplicated,
+        &ScenarioSpec::default(),
+        config,
+    );
 
     // Identical hit/miss decisions...
     assert_eq!(analytic.slots, byte.slots, "chunk-source slot counts");
@@ -199,7 +212,9 @@ fn byte_backend_validates_plan_requirements() {
 fn swapping_to_the_lru_scheme_mid_run_stays_byte_verified() {
     // A scenario flips the running system from no caching to the LRU tier;
     // the byte backend then settles the fresh tier's hits from the stored
-    // data rows, so every request still decode-verifies.
+    // data rows, so every request still decode-verifies. A `ScenarioSpec`
+    // swaps plans within one policy only, so this run builds its byte leg
+    // by hand.
     let system = system();
     let config = SimConfig::new(10_000.0, 13).with_slot_length(5.0);
     let scenario = sprout_sim::Scenario::default().swap_scheme(
@@ -210,8 +225,8 @@ fn swapping_to_the_lru_scheme_mid_run_stays_byte_verified() {
     );
     let scheme = system.cache_scheme(CachePolicy::None, None).unwrap();
     let sim = system.simulation(scheme, config).with_scenario(scenario);
-
-    let (analytic, byte) = run_both(&system, &sim);
+    let mut backend = system.byte_backend(sim.scheme(), 13).unwrap();
+    let (analytic, byte) = (sim.run(), sim.run_on(&mut backend));
 
     assert_eq!(analytic.slots, byte.slots);
     assert_eq!(analytic.cache_promotions, byte.cache_promotions);

@@ -37,18 +37,15 @@ fn churn_spec(horizon: f64, node: usize) -> ScenarioSpec {
 #[test]
 fn degraded_reads_still_reconstruct_on_the_byte_backend() {
     let system = system(9);
-    let plan = system.optimize().unwrap();
     let horizon = 15_000.0;
-    let scenario = compile(&churn_spec(horizon, 0), &system, CachePolicy::Functional);
-    let scheme = system
-        .cache_scheme(CachePolicy::Functional, Some(&plan))
+    let config = SimConfig::new(horizon, 31);
+    let policy = CachePolicy::Functional;
+    let optimizer = OptimizerConfig::default();
+    let churn = churn_spec(horizon, 0);
+    let cell = system
+        .plan_cell(policy, &churn, &optimizer, config, SweepBackend::Byte, None)
         .unwrap();
-    let sim = system
-        .simulation(scheme.clone(), SimConfig::new(horizon, 31))
-        .with_scenario(scenario);
-
-    let mut backend = system.byte_backend(sim.scheme(), 31).unwrap();
-    let report = sim.run_on(&mut backend);
+    let report = cell.run(SweepBackend::Byte, 31);
 
     assert!(report.completed_requests > 500);
     assert_eq!(
@@ -61,7 +58,10 @@ fn degraded_reads_still_reconstruct_on_the_byte_backend() {
     );
     // The failed node really was avoided while down: it serves fewer chunks
     // than in an undisturbed run with the same seed.
-    let undisturbed = system.simulation(scheme, SimConfig::new(horizon, 31)).run();
+    let steady = ScenarioSpec::default();
+    let analytic = SweepBackend::Analytic;
+    let steady = system.plan_cell(policy, &steady, &optimizer, config, analytic, None);
+    let undisturbed = steady.unwrap().run(analytic, 31);
     assert!(
         report.node_chunks_served[0] < undisturbed.node_chunks_served[0],
         "downed node served {} chunks vs {} undisturbed",
